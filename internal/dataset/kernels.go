@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the tuned generation of the predicate leaf kernels — the
-// default path behind Table.Where. Three techniques push them toward the
+// default path behind Table.Where. Four techniques push them toward the
 // hardware limit, each verified bit-identical to the generic kernels
 // (Table.WhereGeneric, the PR-5 bodies in selection.go) by the differential
 // tests in kernels_test.go:
@@ -16,10 +16,16 @@ import (
 //     accumulator; the Selection word is written once per 64 rows instead
 //     of a read-modify-write per matching row, and the per-row
 //     mispredictable branch on selectivity disappears entirely;
+//   - 8-lane packing: a 64-row chunk is walked as eight fixed 8-element
+//     sub-slices whose eight 0/1 results are combined with constant shifts
+//     into a byte, and the byte is OR-ed into the word with one << (j&63).
+//     A per-row `<< uint(j)` makes Go emit its variable-shift range
+//     handling (compare + conditional move) on every row; the packed form
+//     pays it never, and the eight lanes carry no dependency on each other.
+//     Tails shorter than 64 rows keep the per-row loop;
 //   - bounds-check elimination: every kernel re-slices its column to the
 //     exact morsel window and walks fixed 64-element chunks, so the
-//     compiler proves the inner-loop accesses in range and drops the
-//     checks;
+//     compiler proves the lane accesses in range and drops the checks;
 //   - dict-width specialization: In over a narrow dictionary (<= 256
 //     categories, every census-shaped column) tests membership against a
 //     4-word bitset that lives in registers/L1; wider dictionaries use a
@@ -51,8 +57,16 @@ func fillRangeFloats(dst []uint64, col []float64, low, high float64) int {
 	for wi := 0; wi < nw; wi++ {
 		chunk := col[wi*64 : wi*64+64 : wi*64+64]
 		var w uint64
-		for j, v := range chunk {
-			w |= (b2u(v >= low) & b2u(v < high)) << uint(j)
+		for j := 0; j < 64; j += 8 {
+			s := chunk[j : j+8 : j+8]
+			w |= (b2u(s[0] >= low)&b2u(s[0] < high) |
+				(b2u(s[1] >= low)&b2u(s[1] < high))<<1 |
+				(b2u(s[2] >= low)&b2u(s[2] < high))<<2 |
+				(b2u(s[3] >= low)&b2u(s[3] < high))<<3 |
+				(b2u(s[4] >= low)&b2u(s[4] < high))<<4 |
+				(b2u(s[5] >= low)&b2u(s[5] < high))<<5 |
+				(b2u(s[6] >= low)&b2u(s[6] < high))<<6 |
+				(b2u(s[7] >= low)&b2u(s[7] < high))<<7) << (j & 63)
 		}
 		dst[wi] = w
 		n += bits.OnesCount64(w)
@@ -78,9 +92,16 @@ func fillRangeInts(dst []uint64, col []int64, low, high float64) int {
 	for wi := 0; wi < nw; wi++ {
 		chunk := col[wi*64 : wi*64+64 : wi*64+64]
 		var w uint64
-		for j, v := range chunk {
-			f := float64(v)
-			w |= (b2u(f >= low) & b2u(f < high)) << uint(j)
+		for j := 0; j < 64; j += 8 {
+			s := chunk[j : j+8 : j+8]
+			w |= (b2u(float64(s[0]) >= low)&b2u(float64(s[0]) < high) |
+				(b2u(float64(s[1]) >= low)&b2u(float64(s[1]) < high))<<1 |
+				(b2u(float64(s[2]) >= low)&b2u(float64(s[2]) < high))<<2 |
+				(b2u(float64(s[3]) >= low)&b2u(float64(s[3]) < high))<<3 |
+				(b2u(float64(s[4]) >= low)&b2u(float64(s[4]) < high))<<4 |
+				(b2u(float64(s[5]) >= low)&b2u(float64(s[5]) < high))<<5 |
+				(b2u(float64(s[6]) >= low)&b2u(float64(s[6]) < high))<<6 |
+				(b2u(float64(s[7]) >= low)&b2u(float64(s[7]) < high))<<7) << (j & 63)
 		}
 		dst[wi] = w
 		n += bits.OnesCount64(w)
@@ -105,8 +126,16 @@ func fillGtFloats(dst []uint64, col []float64, threshold float64) int {
 	for wi := 0; wi < nw; wi++ {
 		chunk := col[wi*64 : wi*64+64 : wi*64+64]
 		var w uint64
-		for j, v := range chunk {
-			w |= b2u(v > threshold) << uint(j)
+		for j := 0; j < 64; j += 8 {
+			s := chunk[j : j+8 : j+8]
+			w |= (b2u(s[0] > threshold) |
+				b2u(s[1] > threshold)<<1 |
+				b2u(s[2] > threshold)<<2 |
+				b2u(s[3] > threshold)<<3 |
+				b2u(s[4] > threshold)<<4 |
+				b2u(s[5] > threshold)<<5 |
+				b2u(s[6] > threshold)<<6 |
+				b2u(s[7] > threshold)<<7) << (j & 63)
 		}
 		dst[wi] = w
 		n += bits.OnesCount64(w)
@@ -130,8 +159,16 @@ func fillGtInts(dst []uint64, col []int64, threshold float64) int {
 	for wi := 0; wi < nw; wi++ {
 		chunk := col[wi*64 : wi*64+64 : wi*64+64]
 		var w uint64
-		for j, v := range chunk {
-			w |= b2u(float64(v) > threshold) << uint(j)
+		for j := 0; j < 64; j += 8 {
+			s := chunk[j : j+8 : j+8]
+			w |= (b2u(float64(s[0]) > threshold) |
+				b2u(float64(s[1]) > threshold)<<1 |
+				b2u(float64(s[2]) > threshold)<<2 |
+				b2u(float64(s[3]) > threshold)<<3 |
+				b2u(float64(s[4]) > threshold)<<4 |
+				b2u(float64(s[5]) > threshold)<<5 |
+				b2u(float64(s[6]) > threshold)<<6 |
+				b2u(float64(s[7]) > threshold)<<7) << (j & 63)
 		}
 		dst[wi] = w
 		n += bits.OnesCount64(w)
@@ -155,8 +192,16 @@ func fillEqCodes(dst []uint64, col []uint32, want uint32) int {
 	for wi := 0; wi < nw; wi++ {
 		chunk := col[wi*64 : wi*64+64 : wi*64+64]
 		var w uint64
-		for j, v := range chunk {
-			w |= b2u(v == want) << uint(j)
+		for j := 0; j < 64; j += 8 {
+			s := chunk[j : j+8 : j+8]
+			w |= (b2u(s[0] == want) |
+				b2u(s[1] == want)<<1 |
+				b2u(s[2] == want)<<2 |
+				b2u(s[3] == want)<<3 |
+				b2u(s[4] == want)<<4 |
+				b2u(s[5] == want)<<5 |
+				b2u(s[6] == want)<<6 |
+				b2u(s[7] == want)<<7) << (j & 63)
 		}
 		dst[wi] = w
 		n += bits.OnesCount64(w)
@@ -179,8 +224,16 @@ func fillEqBools(dst []uint64, col []bool, want bool) int {
 	for wi := 0; wi < nw; wi++ {
 		chunk := col[wi*64 : wi*64+64 : wi*64+64]
 		var w uint64
-		for j, v := range chunk {
-			w |= b2u(v == want) << uint(j)
+		for j := 0; j < 64; j += 8 {
+			s := chunk[j : j+8 : j+8]
+			w |= (b2u(s[0] == want) |
+				b2u(s[1] == want)<<1 |
+				b2u(s[2] == want)<<2 |
+				b2u(s[3] == want)<<3 |
+				b2u(s[4] == want)<<4 |
+				b2u(s[5] == want)<<5 |
+				b2u(s[6] == want)<<6 |
+				b2u(s[7] == want)<<7) << (j & 63)
 		}
 		dst[wi] = w
 		n += bits.OnesCount64(w)
@@ -206,8 +259,16 @@ func fillInSmall(dst []uint64, col []uint32, lut *[4]uint64) int {
 	for wi := 0; wi < nw; wi++ {
 		chunk := col[wi*64 : wi*64+64 : wi*64+64]
 		var w uint64
-		for j, v := range chunk {
-			w |= ((lut[(v>>6)&3] >> (v & 63)) & 1) << uint(j)
+		for j := 0; j < 64; j += 8 {
+			s := chunk[j : j+8 : j+8]
+			w |= (((lut[(s[0]>>6)&3] >> (s[0] & 63)) & 1) |
+				((lut[(s[1]>>6)&3]>>(s[1]&63))&1)<<1 |
+				((lut[(s[2]>>6)&3]>>(s[2]&63))&1)<<2 |
+				((lut[(s[3]>>6)&3]>>(s[3]&63))&1)<<3 |
+				((lut[(s[4]>>6)&3]>>(s[4]&63))&1)<<4 |
+				((lut[(s[5]>>6)&3]>>(s[5]&63))&1)<<5 |
+				((lut[(s[6]>>6)&3]>>(s[6]&63))&1)<<6 |
+				((lut[(s[7]>>6)&3]>>(s[7]&63))&1)<<7) << (j & 63)
 		}
 		dst[wi] = w
 		n += bits.OnesCount64(w)
@@ -232,8 +293,16 @@ func fillInWide(dst []uint64, col []uint32, set []uint64) int {
 	for wi := 0; wi < nw; wi++ {
 		chunk := col[wi*64 : wi*64+64 : wi*64+64]
 		var w uint64
-		for j, v := range chunk {
-			w |= ((set[v>>6] >> (v & 63)) & 1) << uint(j)
+		for j := 0; j < 64; j += 8 {
+			s := chunk[j : j+8 : j+8]
+			w |= (((set[s[0]>>6] >> (s[0] & 63)) & 1) |
+				((set[s[1]>>6]>>(s[1]&63))&1)<<1 |
+				((set[s[2]>>6]>>(s[2]&63))&1)<<2 |
+				((set[s[3]>>6]>>(s[3]&63))&1)<<3 |
+				((set[s[4]>>6]>>(s[4]&63))&1)<<4 |
+				((set[s[5]>>6]>>(s[5]&63))&1)<<5 |
+				((set[s[6]>>6]>>(s[6]&63))&1)<<6 |
+				((set[s[7]>>6]>>(s[7]&63))&1)<<7) << (j & 63)
 		}
 		dst[wi] = w
 		n += bits.OnesCount64(w)

@@ -180,6 +180,65 @@ func TestTunedKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPackedKernelsEveryTailShape runs every window length from 0 to 200 rows
+// — every tail length mod 8 and mod 64 the packed main loop and the per-row
+// tail loop can split a window into — against values and bounds at the edges
+// of float comparison: NaN, both infinities, both zeros, the smallest
+// denormal, and int64 values no float64 represents. Where must stay
+// word-identical to WhereGeneric and row-identical to Matches.
+func TestPackedKernelsEveryTailShape(t *testing.T) {
+	denormal := math.SmallestNonzeroFloat64
+	edges := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1),
+		denormal, -denormal, 1, -1, math.MaxFloat64, float64(math.MaxInt64)}
+	edgeInts := []int64{math.MinInt64, math.MaxInt64, math.MaxInt64 - 1, 1<<53 + 1, 0, 1, -1}
+	var preds []Predicate
+	for _, column := range []string{"score", "level"} {
+		for _, a := range edges {
+			preds = append(preds, GreaterThan{Column: column, Threshold: a})
+			for _, b := range edges {
+				preds = append(preds, Range{Column: column, Low: a, High: b})
+			}
+		}
+	}
+	preds = append(preds, kernelPredicates()...)
+	rng := rand.New(rand.NewSource(59))
+	for rows := 0; rows <= 200; rows++ {
+		tab := kernelTable(rng, rows)
+		// Overwrite a third of the numeric cells with edge values (the
+		// vectors are the table's own: nothing has been shared yet).
+		score, _ := tab.Column("score")
+		level, _ := tab.Column("level")
+		for i := 0; i < rows; i++ {
+			if rng.Intn(3) == 0 {
+				score.floats[i] = edges[rng.Intn(len(edges))]
+				level.ints[i] = edgeInts[rng.Intn(len(edgeInts))]
+			}
+		}
+		for pi, pred := range preds {
+			label := fmt.Sprintf("rows=%d pred=%d", rows, pi)
+			tuned, err := tab.Where(pred)
+			if err != nil {
+				t.Fatalf("%s: Where: %v", label, err)
+			}
+			generic, err := tab.WhereGeneric(pred)
+			if err != nil {
+				t.Fatalf("%s: WhereGeneric: %v", label, err)
+			}
+			requireSameWords(t, label, tuned, generic)
+			if pred == nil {
+				continue
+			}
+			wantIdx, err := referenceIndices(tab, pred)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			if got := tuned.Indices(); !reflect.DeepEqual(got, wantIdx) && !(len(got) == 0 && len(wantIdx) == 0) {
+				t.Fatalf("%s: indices diverge from Matches reference", label)
+			}
+		}
+	}
+}
+
 // TestTunedKernelErrorParity pins the tuned leaves' error behavior to the
 // generic kernels and the reference: same missing-column and type-mismatch
 // outcomes on every path.
@@ -372,5 +431,71 @@ func TestArenaConcurrentSessions(t *testing.T) {
 	st := arena.Stats()
 	if st.ReturnedSelections == 0 || st.RecycledSelections == 0 {
 		t.Errorf("concurrent churn never recycled: %+v", st)
+	}
+}
+
+var (
+	benchSinkInt    int
+	benchSinkFloats []float64
+)
+
+// BenchmarkFillKernels times each leaf kernel in isolation over one
+// million-row window on the calling goroutine (run it with -cpu 1): the
+// ns/row the packed main loops are judged by.
+func BenchmarkFillKernels(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(61))
+	floats := make([]float64, n)
+	ints := make([]int64, n)
+	codes := make([]uint32, n)
+	bools := make([]bool, n)
+	for i := 0; i < n; i++ {
+		floats[i] = rng.Float64() * 100
+		ints[i] = int64(rng.Intn(100))
+		codes[i] = uint32(rng.Intn(12))
+		bools[i] = rng.Intn(2) == 0
+	}
+	dst := make([]uint64, n/64)
+	lut := [4]uint64{0b101101}
+	set := []uint64{0b101101}
+	for _, k := range []struct {
+		name string
+		fill func() int
+	}{
+		{"RangeFloats", func() int { return fillRangeFloats(dst, floats, 20, 30) }},
+		{"RangeInts", func() int { return fillRangeInts(dst, ints, 20, 30) }},
+		{"GtFloats", func() int { return fillGtFloats(dst, floats, 90) }},
+		{"GtInts", func() int { return fillGtInts(dst, ints, 90) }},
+		{"EqCodes", func() int { return fillEqCodes(dst, codes, 3) }},
+		{"EqBools", func() int { return fillEqBools(dst, bools, true) }},
+		{"InSmall", func() int { return fillInSmall(dst, codes, &lut) }},
+		{"InWide", func() int { return fillInWide(dst, codes, set) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchSinkInt = k.fill()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
+	}
+}
+
+// BenchmarkViewFloats times the numeric gather behind compare_means over a
+// million rows, a tenth of them selected, for both numeric column types.
+func BenchmarkViewFloats(b *testing.B) {
+	tab := randomSizedTable(rand.New(rand.NewSource(67)), 1<<20)
+	v, err := tab.View(Range{Column: "score", Low: -1.3, High: 1.3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, column := range []string{"score", "level"} {
+		b.Run(column, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if benchSinkFloats, err = v.Floats(column); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

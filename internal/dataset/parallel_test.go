@@ -84,13 +84,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 			wantSel, wantErr := tab.Where(pred)
 			var wantCounts, wantBins []int
 			var wantGroups []GroupCount
-			var wantFloats []float64
+			var wantFloats, wantLevels []float64
 			if wantErr == nil {
 				view := View{table: tab, sel: wantSel}
 				wantCounts, _ = view.CountsFor("color", []string{"red", "green", "blue", "violet"})
 				wantGroups, _ = view.GroupBy("color")
 				wantBins, _ = view.BinCounts("score", 10)
 				wantFloats, _ = view.Floats("score")
+				wantLevels, _ = view.Floats("level")
 			}
 
 			for _, pool := range pools {
@@ -121,6 +122,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 				gotFloats, err := view.Floats("score")
 				if err != nil || !reflect.DeepEqual(wantFloats, gotFloats) {
 					t.Fatalf("%s workers=%d: Floats differ (err %v)", ctx, pool.Workers(), err)
+				}
+				gotLevels, err := view.Floats("level")
+				if err != nil || !reflect.DeepEqual(wantLevels, gotLevels) {
+					t.Fatalf("%s workers=%d: Floats of the int column differ (err %v)", ctx, pool.Workers(), err)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -518,6 +519,11 @@ func (v View) Selection() *Selection { return v.sel }
 // NumRows returns the number of selected rows.
 func (v View) NumRows() int { return v.sel.Count() }
 
+// full reports whether the view selects every row of its table — the
+// population side of a filter-vs-population test. Counts over a full view are
+// constants of the table and come from its reference-statistics memo.
+func (v View) full() bool { return v.sel.count == v.sel.n }
+
 // CountsFor returns the counts of the column's values among the selected
 // rows, in the order given by categories — the vectorized equivalent of
 // materializing the sub-table and calling Table.CountsFor.
@@ -527,19 +533,18 @@ func (v View) CountsFor(name string, categories []string) ([]int, error) {
 		return nil, err
 	}
 	out := make([]int, len(categories))
+	byCode := v.codeCounts(c)
 	if c.Type == Bool {
-		tally := v.boolTally(c)
 		for i, cat := range categories {
 			switch cat {
 			case "true":
-				out[i] = tally[1]
+				out[i] = byCode[1]
 			case "false":
-				out[i] = tally[0]
+				out[i] = byCode[0]
 			}
 		}
 		return out, nil
 	}
-	byCode := v.codeCounts(c)
 	for i, cat := range categories {
 		if code, ok := c.codeOf[cat]; ok {
 			out[i] = byCode[code]
@@ -548,25 +553,21 @@ func (v View) CountsFor(name string, categories []string) ([]int, error) {
 	return out, nil
 }
 
-// codeCounts tallies the selected rows of a categorical column per dictionary
-// code — per-morsel partial histograms merged in morsel order.
+// codeCounts tallies the selected rows of a categorical or bool column per
+// code (bool columns: false at 0, true at 1) — per-morsel partial histograms
+// merged in morsel order, or the table's memoized tallies when the view is
+// full. The result is read-only: it may be the memo's own slice.
 func (v View) codeCounts(c *Column) []int {
+	if v.full() {
+		return v.table.codeStats(c).counts
+	}
+	if c.Type == Bool {
+		return reduceInts(v.table.execPool(), v.sel.n, 2, func(lo, hi int, acc []int) {
+			v.sel.forEachIn(lo, hi, func(row int) { acc[b2u(c.bools[row])]++ })
+		})
+	}
 	return reduceInts(v.table.execPool(), v.sel.n, len(c.dict), func(lo, hi int, acc []int) {
 		v.sel.forEachIn(lo, hi, func(row int) { acc[c.codes[row]]++ })
-	})
-}
-
-// boolTally counts the selected false (index 0) and true (index 1) rows of a
-// bool column.
-func (v View) boolTally(c *Column) []int {
-	return reduceInts(v.table.execPool(), v.sel.n, 2, func(lo, hi int, acc []int) {
-		v.sel.forEachIn(lo, hi, func(row int) {
-			if c.bools[row] {
-				acc[1]++
-			} else {
-				acc[0]++
-			}
-		})
 	})
 }
 
@@ -579,23 +580,13 @@ func (v View) GroupBy(name string) ([]GroupCount, error) {
 		return nil, err
 	}
 	var out []GroupCount
-	if c.Type == Bool {
-		tally := v.boolTally(c)
-		if tally[0] > 0 {
-			out = append(out, GroupCount{Value: "false", Count: tally[0]})
-		}
-		if tally[1] > 0 {
-			out = append(out, GroupCount{Value: "true", Count: tally[1]})
-		}
-		return out, nil
-	}
-	byCode := v.codeCounts(c)
-	for code, n := range byCode {
+	// The labels are sorted (so is every dictionary), hence so is the output.
+	labels := c.codeLabels()
+	for code, n := range v.codeCounts(c) {
 		if n > 0 {
-			out = append(out, GroupCount{Value: c.dict[code], Count: n})
+			out = append(out, GroupCount{Value: labels[code], Count: n})
 		}
 	}
-	// The dictionary is sorted, so the output already is.
 	return out, nil
 }
 
@@ -609,13 +600,7 @@ func (v View) Floats(name string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var at func(row int) float64
-	switch c.Type {
-	case Float64:
-		at = func(row int) float64 { return c.floats[row] }
-	case Int64:
-		at = func(row int) float64 { return float64(c.ints[row]) }
-	default:
+	if c.Type != Float64 && c.Type != Int64 {
 		return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 	}
 	sel, p := v.sel, v.table.execPool()
@@ -623,26 +608,49 @@ func (v View) Floats(name string) ([]float64, error) {
 	m := chunks(sel.n, morselRows)
 	if m <= 1 || p.workers == 1 {
 		p.cutoffHits.Add(1)
-		i := 0
-		sel.forEachIn(0, sel.n, func(row int) { out[i] = at(row); i++ })
+		sel.gatherFloats(out, c, 0, sel.n)
 		return out, nil
 	}
-	offsets := make([]int, m)
+	offsets := make([]int, m+1)
 	p.Run(m, func(i int) {
 		lo := i * morselRows
-		offsets[i] = sel.countIn(lo, min(lo+morselRows, sel.n))
+		offsets[i+1] = sel.countIn(lo, min(lo+morselRows, sel.n))
 	})
-	sum := 0
-	for i, c := range offsets {
-		offsets[i] = sum
-		sum += c
+	for i := 0; i < m; i++ {
+		offsets[i+1] += offsets[i]
 	}
 	p.Run(m, func(i int) {
 		lo := i * morselRows
-		j := offsets[i]
-		sel.forEachIn(lo, min(lo+morselRows, sel.n), func(row int) { out[j] = at(row); j++ })
+		sel.gatherFloats(out[offsets[i]:offsets[i+1]], c, lo, min(lo+morselRows, sel.n))
 	})
 	return out, nil
+}
+
+// gatherFloats writes the values of a numeric column at the selected rows of
+// the word-aligned range [lo, hi) (hi word-aligned or s.n) into dst, in row
+// order; dst holds exactly that many values. One loop per column type: the
+// value load sits directly in the bit-scan loop, with no call per row.
+func (s *Selection) gatherFloats(dst []float64, c *Column, lo, hi int) {
+	words := s.words[lo/64 : (hi+63)/64]
+	i := 0
+	switch c.Type {
+	case Float64:
+		for wi, w := range words {
+			col := c.floats[lo+wi*64:]
+			for ; w != 0; w &= w - 1 {
+				dst[i] = col[bits.TrailingZeros64(w)]
+				i++
+			}
+		}
+	case Int64:
+		for wi, w := range words {
+			col := c.ints[lo+wi*64:]
+			for ; w != 0; w &= w - 1 {
+				dst[i] = float64(col[bits.TrailingZeros64(w)])
+				i++
+			}
+		}
+	}
 }
 
 // BinCounts returns the per-bin counts of a numeric column among the selected
@@ -650,11 +658,15 @@ func (v View) Floats(name string) ([]float64, error) {
 // axes a filtered histogram shares with the population it is compared
 // against. The per-row bin assignment is computed once per (table, column,
 // bins) and memoized on the table, so every subsequent view pays only one
-// array lookup per selected row.
+// array lookup per selected row, and a full view none: the population's bin
+// counts are memoized with the assignment.
 func (v View) BinCounts(name string, bins int) ([]int, error) {
 	ba, err := v.table.binAssignments(name, bins)
 	if err != nil {
 		return nil, err
+	}
+	if v.full() {
+		return slices.Clone(ba.counts), nil
 	}
 	counts := reduceInts(v.table.execPool(), v.sel.n, bins, func(lo, hi int, acc []int) {
 		v.sel.forEachIn(lo, hi, func(row int) { acc[ba.assign[row]]++ })
@@ -676,49 +688,37 @@ func (v View) Materialize() (*Table, error) {
 // assigns every row to bin 0 — so vectorized bin counts are bit-for-bit
 // identical to binning a materialized sub-table.
 func (t *Table) binAssignments(column string, binCount int) (*binAssignment, error) {
-	key := binKey{column: column, bins: binCount}
-	t.binsMu.RLock()
-	ba := t.bins[key]
-	t.binsMu.RUnlock()
-	if ba != nil {
-		return ba, nil
-	}
-	all, err := t.Floats(column)
-	if err != nil {
-		return nil, err
-	}
-	hist, err := stats.NewHistogram(all, binCount)
-	if err != nil {
-		return nil, err
-	}
-	lo := hist.Edges[0]
-	hi := hist.Edges[len(hist.Edges)-1]
-	width := (hi - lo) / float64(binCount)
-	assign := make([]int32, len(all))
-	if width > 0 {
-		for i, v := range all {
-			idx := int((v - lo) / width)
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= binCount {
-				idx = binCount - 1
-			}
-			assign[i] = int32(idx)
+	return memoized(&t.ref, &t.ref.bins, binKey{column: column, bins: binCount}, func() (*binAssignment, error) {
+		all, err := t.Floats(column)
+		if err != nil {
+			return nil, err
 		}
-	}
-	ba = &binAssignment{assign: assign, bins: binCount}
-	t.binsMu.Lock()
-	if t.bins == nil {
-		t.bins = make(map[binKey]*binAssignment)
-	}
-	if prev, ok := t.bins[key]; ok {
-		ba = prev // a concurrent caller computed it first; keep one copy
-	} else {
-		t.bins[key] = ba
-	}
-	t.binsMu.Unlock()
-	return ba, nil
+		hist, err := stats.NewHistogram(all, binCount)
+		if err != nil {
+			return nil, err
+		}
+		lo := hist.Edges[0]
+		hi := hist.Edges[len(hist.Edges)-1]
+		width := (hi - lo) / float64(binCount)
+		assign := make([]int32, len(all))
+		counts := make([]int, binCount)
+		if width > 0 {
+			for i, v := range all {
+				idx := int((v - lo) / width)
+				if idx < 0 {
+					idx = 0
+				}
+				if idx >= binCount {
+					idx = binCount - 1
+				}
+				assign[i] = int32(idx)
+				counts[idx]++
+			}
+		} else {
+			counts[0] = len(all)
+		}
+		return &binAssignment{assign: assign, counts: counts}, nil
+	})
 }
 
 // --- the filter-bitmap cache ---

@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -220,6 +220,19 @@ func (c *Column) Bool(i int) (bool, error) {
 	return c.bools[i], nil
 }
 
+// boolLabels is the two-value "dictionary" of a bool column, indexed by its
+// code (false = 0, true = 1). Read-only.
+var boolLabels = []string{"false", "true"}
+
+// codeLabels returns the value each code of a categorical or bool column
+// stands for: the dictionary, or boolLabels.
+func (c *Column) codeLabels() []string {
+	if c.Type == Bool {
+		return boolLabels
+	}
+	return c.dict
+}
+
 // gather returns a new column containing the rows at the given indices.
 func (c *Column) gather(indices []int) *Column {
 	phys := &colstore.Column{Name: c.Name, Kind: kindOfType(c.Type)}
@@ -255,11 +268,11 @@ func (c *Column) gather(indices []int) *Column {
 
 // Table is an immutable-by-convention collection of equal-length columns.
 //
-// The binning cache is the one exception to "immutable": per-row bin
-// assignments for numeric columns are computed on first use and memoized
-// under binsMu, so repeated histogram requests (every rule-2 hypothesis over
-// a numeric target) skip the per-row arithmetic. The cache only ever grows
-// and its entries are immutable once stored, so concurrent readers are safe.
+// The reference-statistics memo (ref) is the one exception to "immutable":
+// the constants of the dataset that every hypothesis compares a filter
+// against are computed on first use and kept for the table's lifetime. The
+// memo only ever grows and its entries are immutable once stored, so
+// concurrent readers are safe.
 type Table struct {
 	columns []*Column
 	byName  map[string]*Column
@@ -269,8 +282,7 @@ type Table struct {
 	// tables loaded from a snapshot it also owns the file mapping.
 	store *colstore.Store
 
-	binsMu sync.RWMutex
-	bins   map[binKey]*binAssignment
+	ref refStats
 
 	// pool is the execution pool the parallel kernels run on; nil means the
 	// process-wide DefaultPool. It is an atomic pointer so SetPool is safe
@@ -298,6 +310,38 @@ func (t *Table) execPool() *Pool {
 	return DefaultPool()
 }
 
+// refStats is a table's lazily-filled memo of reference statistics. The
+// default hypothesis for a filtered chart (Section 2.3, rule 2) tests the
+// filtered distribution against the distribution over the whole dataset,
+// which no filter changes: one linear pass per column on first use, then
+// every full-table count, category list and histogram is a lookup. Nothing
+// is computed when a table is built or opened. The category entries are
+// O(dictionary) bytes and the bin counts O(bins); only the per-row bin
+// assignment, which filtered views need too, is O(rows).
+//
+// Entries are computed outside the lock; when two goroutines race on first
+// use both scan and the first store is kept. The memo belongs to one Table:
+// Select, Shuffle, Derive, HashJoin and the hold-out split build new tables,
+// which start empty.
+type refStats struct {
+	mu    sync.RWMutex
+	codes map[string]*codeStats
+	bins  map[binKey]*binAssignment
+
+	// hits counts lookups answered from the memo, computed the scans that
+	// filled it (RefStats).
+	hits, computed atomic.Uint64
+}
+
+// codeStats is the memoized population side of a categorical or bool column:
+// how many rows carry each dictionary code (bool columns: false at 0, true
+// at 1) and which values occur at all, in sorted order. Both slices are
+// shared by every reader and must never be mutated or handed out.
+type codeStats struct {
+	counts  []int
+	present []string
+}
+
 // binKey identifies one memoized binning: a numeric column cut into a fixed
 // number of equal-width bins spanning the full table's range.
 type binKey struct {
@@ -305,11 +349,75 @@ type binKey struct {
 	bins   int
 }
 
-// binAssignment is the memoized result: the bin index of every row, computed
-// once per (table, column, bin count).
+// binAssignment is the memoized result: the bin index of every row and the
+// number of rows per bin, computed once per (table, column, bin count).
 type binAssignment struct {
 	assign []int32
-	bins   int
+	counts []int
+}
+
+// RefStats returns how many reference-statistics lookups (category lists,
+// full-table counts, bin assignments) the table answered from its memo and
+// how many column scans it ran to fill it.
+func (t *Table) RefStats() (hits, computed uint64) {
+	return t.ref.hits.Load(), t.ref.computed.Load()
+}
+
+// memoized returns the entry of one of the memo's maps under key, running
+// compute to fill it on first use. A failed compute stores nothing.
+func memoized[K comparable, V any](r *refStats, entries *map[K]*V, key K, compute func() (*V, error)) (*V, error) {
+	r.mu.RLock()
+	v := (*entries)[key]
+	r.mu.RUnlock()
+	if v != nil {
+		r.hits.Add(1)
+		return v, nil
+	}
+	v, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	r.computed.Add(1)
+	r.mu.Lock()
+	if prev := (*entries)[key]; prev != nil {
+		v = prev // a concurrent caller computed it first; keep one copy
+	} else {
+		if *entries == nil {
+			*entries = make(map[K]*V)
+		}
+		(*entries)[key] = v
+	}
+	r.mu.Unlock()
+	return v, nil
+}
+
+// codeStats returns the memoized population tallies of a categorical or bool
+// column, scanning the column on first use.
+func (t *Table) codeStats(c *Column) *codeStats {
+	cs, _ := memoized(&t.ref, &t.ref.codes, c.Name, func() (*codeStats, error) {
+		cs := &codeStats{}
+		if c.Type == Bool {
+			trues := 0
+			for _, b := range c.bools {
+				trues += int(b2u(b))
+			}
+			cs.counts = []int{len(c.bools) - trues, trues}
+		} else {
+			cs.counts = make([]int, len(c.dict))
+			for _, code := range c.codes {
+				cs.counts[code]++
+			}
+		}
+		// The labels are sorted (so is every dictionary), hence so is present.
+		labels := c.codeLabels()
+		for code, n := range cs.counts {
+			if n > 0 {
+				cs.present = append(cs.present, labels[code])
+			}
+		}
+		return cs, nil
+	})
+	return cs
 }
 
 // NewTable builds a table from columns, which must all have the same length
@@ -475,71 +583,31 @@ func (t *Table) Strings(name string) ([]string, error) {
 }
 
 // Categories returns the sorted distinct values of a categorical or bool
-// column. Categorical columns answer from their dictionary (codes present in
-// the column, in dictionary order — the dictionary is sorted, so no extra
-// sort is needed); bool columns scan their two-valued payload.
+// column: the values that occur, in dictionary order (the dictionary is
+// sorted). The answer comes from the table's reference-statistics memo — one
+// column scan on first use — and is a fresh slice the caller may keep or
+// modify.
 func (t *Table) Categories(name string) ([]string, error) {
-	c, err := t.Column(name)
+	c, err := t.categoricalColumn(name)
 	if err != nil {
 		return nil, err
 	}
-	if c.Type == Categorical {
-		present := make([]bool, len(c.dict))
-		for _, code := range c.codes {
-			present[code] = true
-		}
-		var cats []string
-		for code, ok := range present {
-			if ok {
-				cats = append(cats, c.dict[code])
-			}
-		}
-		return cats, nil
-	}
-	vals, err := t.Strings(name)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	var cats []string
-	for _, v := range vals {
-		if !seen[v] {
-			seen[v] = true
-			cats = append(cats, v)
-		}
-	}
-	sort.Strings(cats)
-	return cats, nil
+	return slices.Clone(t.codeStats(c).present), nil
 }
 
 // ValueCounts returns the count of each distinct value of a categorical or
-// bool column, keyed by value. Categorical columns count codes (one array
-// index per row) instead of hashing strings.
+// bool column, keyed by value, from the reference-statistics memo.
 func (t *Table) ValueCounts(name string) (map[string]int, error) {
-	c, err := t.Column(name)
+	c, err := t.categoricalColumn(name)
 	if err != nil {
 		return nil, err
 	}
-	if c.Type == Categorical {
-		byCode := make([]int, len(c.dict))
-		for _, code := range c.codes {
-			byCode[code]++
-		}
-		counts := make(map[string]int)
-		for code, n := range byCode {
-			if n > 0 {
-				counts[c.dict[code]] = n
-			}
-		}
-		return counts, nil
-	}
-	vals, err := t.Strings(name)
-	if err != nil {
-		return nil, err
-	}
+	labels := c.codeLabels()
 	counts := make(map[string]int)
-	for _, v := range vals {
-		counts[v]++
+	for code, n := range t.codeStats(c).counts {
+		if n > 0 {
+			counts[labels[code]] = n
+		}
 	}
 	return counts, nil
 }

@@ -110,6 +110,17 @@ func (c *SelectionCache) ViewSpan(p Predicate, parent *obs.Span) (View, error) {
 	return View{table: c.table, sel: sel}, nil
 }
 
+// statsSource names where a view's counts come from, for the kernel spans: a
+// full view reads the table's reference-statistics memo, any other view
+// scans its selected rows. It is what tells a trace reader why the
+// population side of a filter-vs-population step costs next to nothing.
+func (v View) statsSource() string {
+	if v.full() {
+		return "memo"
+	}
+	return "scan"
+}
+
 // CountsForSpan is View.CountsFor with a kernel span under parent.
 func (v View) CountsForSpan(name string, categories []string, parent *obs.Span) ([]int, error) {
 	if parent == nil {
@@ -117,6 +128,7 @@ func (v View) CountsForSpan(name string, categories []string, parent *obs.Span) 
 	}
 	k := startKernel(parent, v.table.execPool(), nil, "view.counts_for")
 	k.span.Set("column", name)
+	k.span.Set("source", v.statsSource())
 	out, err := v.CountsFor(name, categories)
 	if err != nil {
 		k.span.Set("error", err.Error())
@@ -133,6 +145,7 @@ func (v View) BinCountsSpan(name string, bins int, parent *obs.Span) ([]int, err
 	k := startKernel(parent, v.table.execPool(), nil, "view.bin_counts")
 	k.span.Set("column", name)
 	k.span.Set("bins", bins)
+	k.span.Set("source", v.statsSource())
 	out, err := v.BinCounts(name, bins)
 	if err != nil {
 		k.span.Set("error", err.Error())

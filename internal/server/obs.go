@@ -59,8 +59,8 @@ func (s *Server) instrument(pattern string, next http.HandlerFunc) http.HandlerF
 // handlePromMetrics serves GET /metrics: the Prometheus text exposition of
 // every counter the server keeps — per-endpoint requests, errors, in-flight
 // and latency histograms; unrouted requests; per-dataset selection-cache
-// counters; the execution pool; the trace ring; the slow-op log; build info
-// and uptime. Families and label sets are emitted in sorted order, so the
+// and reference-statistics counters; the execution pool; the trace ring; the
+// slow-op log; build info and uptime. Families and label sets are emitted in sorted order, so the
 // output is deterministic for a fixed counter state.
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	var ew obs.ExpositionWriter
@@ -124,6 +124,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		name                  string
 		hits, partial, misses uint64
 		entries               int
+		refHits, refComputed  uint64
 	}
 	rows := make([]cacheRow, 0, len(datasets))
 	for _, info := range datasets {
@@ -132,7 +133,9 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		hits, partial, misses := cache.Stats()
-		rows = append(rows, cacheRow{name: info.Name, hits: hits, partial: partial, misses: misses, entries: cache.Len()})
+		refHits, refComputed := cache.Table().RefStats()
+		rows = append(rows, cacheRow{name: info.Name, hits: hits, partial: partial, misses: misses, entries: cache.Len(),
+			refHits: refHits, refComputed: refComputed})
 	}
 	for _, row := range rows {
 		ew.Sample("aware_selection_cache_hits_total", obs.L{obs.Label("dataset", row.name)}, float64(row.hits))
@@ -148,6 +151,12 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	ew.Header("aware_selection_cache_entries", "Cached filter bitmaps, by dataset.", "gauge")
 	for _, row := range rows {
 		ew.Sample("aware_selection_cache_entries", obs.L{obs.Label("dataset", row.name)}, float64(row.entries))
+	}
+
+	ew.Header("aware_dataset_refstats_total", "Reference-statistics lookups (category lists, full-table counts, bin assignments), by dataset: answered from the table's memo (hit) or by the column scan that filled it (computed).", "counter")
+	for _, row := range rows {
+		ew.Sample("aware_dataset_refstats_total", obs.L{obs.Label("dataset", row.name), obs.Label("result", "computed")}, float64(row.refComputed))
+		ew.Sample("aware_dataset_refstats_total", obs.L{obs.Label("dataset", row.name), obs.Label("result", "hit")}, float64(row.refHits))
 	}
 
 	pool := s.pool.Stats()

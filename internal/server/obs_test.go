@@ -82,6 +82,7 @@ func TestPromMetricsExposition(t *testing.T) {
 		"aware_http_unrouted_total",
 		"aware_selection_cache_hits_total",
 		"aware_selection_cache_entries",
+		"aware_dataset_refstats_total",
 		"aware_pool_workers",
 		"aware_pool_morsels_total",
 		"aware_pool_queue_wait_seconds_total",
@@ -91,6 +92,16 @@ func TestPromMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, "\n"+family) {
 			t.Errorf("exposition is missing %s", family)
+		}
+	}
+	// The chart step above filled the census table's reference-statistics memo
+	// (one scan of the target column) and then read it again.
+	for _, sample := range []string{
+		`aware_dataset_refstats_total{dataset="census",result="computed"} 1`,
+		`aware_dataset_refstats_total{dataset="census",result="hit"} `,
+	} {
+		if !strings.Contains(text, "\n"+sample) {
+			t.Errorf("exposition is missing %s", sample)
 		}
 	}
 	// The steps endpoint must have landed in the latency histogram.
@@ -137,9 +148,13 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 		t.Errorf("step span = %+v", step)
 	}
 	kernels := map[string]obs.SpanJSON{}
+	var countSources []any
 	for _, k := range step.Children {
 		if k.Kind == obs.KindKernel {
 			kernels[k.Name] = k
+			if k.Name == "view.counts_for" {
+				countSources = append(countSources, k.Attrs["source"])
+			}
 		}
 	}
 	if len(kernels) == 0 {
@@ -155,8 +170,10 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 	if _, ok := cw.Attrs["morsels"]; !ok {
 		t.Errorf("cache.where has no morsel delta: %+v", cw.Attrs)
 	}
-	if _, ok := kernels["view.counts_for"]; !ok {
-		t.Errorf("no view.counts_for kernel span: %v", kernels)
+	// The filtered side scans its selected rows; the population side reads
+	// the table's reference-statistics memo.
+	if len(countSources) != 2 || countSources[0] != "scan" || countSources[1] != "memo" {
+		t.Errorf("view.counts_for sources = %v, want [scan memo]", countSources)
 	}
 
 	// Filters: an impossible min_ms excludes everything; bad values are 400s.
