@@ -38,9 +38,10 @@ func asSlice[T float64 | int64 | uint32](b []byte, n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }
 
-// boolsAsBytes reinterprets a bool slice as bytes (1 byte per element,
-// endianness-independent).
-func boolsAsBytes(s []bool) []byte {
+// BoolsAsBytes reinterprets a bool slice as bytes (1 byte per element holding
+// 0 or 1, endianness-independent). The result aliases s and is for reading
+// only: the snapshot writer blits it and the dataset byte kernel scans it.
+func BoolsAsBytes(s []bool) []byte {
 	if len(s) == 0 {
 		return nil
 	}

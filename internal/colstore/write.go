@@ -220,7 +220,7 @@ func (w *snapshotWriter) writeValues(c *Column) error {
 			binary.LittleEndian.PutUint32(buf, c.Codes[i])
 		})
 	case Bool:
-		return w.write(boolsAsBytes(c.Bools))
+		return w.write(BoolsAsBytes(c.Bools))
 	default:
 		return fmt.Errorf("unknown kind %d", int(c.Kind))
 	}

@@ -1,10 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-
-	"aware/internal/stats"
-)
+import "fmt"
 
 // This file is the two-column contingency kernel behind group-by hypotheses:
 // CrossCounts tallies the selected rows of a view into a rows×cols matrix
@@ -40,7 +36,7 @@ type axisCodes struct {
 // crossAxis resolves one attribute of a cross-tab: categorical columns use
 // their dictionary codes, bool columns the false/true encoding, numeric
 // columns the memoized equal-width bin assignment (bins bins over the full
-// table's range, labelled with their edges).
+// table's range, labelled with their edges, which are memoized with it).
 func (t *Table) crossAxis(name string, bins int) (axisCodes, error) {
 	c, err := t.Column(name)
 	if err != nil {
@@ -64,32 +60,13 @@ func (t *Table) crossAxis(name string, bins int) (axisCodes, error) {
 		if err != nil {
 			return axisCodes{}, err
 		}
-		labels, err := t.binEdgeLabels(name, bins)
-		if err != nil {
-			return axisCodes{}, err
+		if ba.codes != nil {
+			return axisCodes{labels: ba.labels, at: func(row int) int { return int(ba.binOf[ba.codes[row]]) }}, nil
 		}
-		return axisCodes{labels: labels, at: func(row int) int { return int(ba.assign[row]) }}, nil
+		return axisCodes{labels: ba.labels, at: func(row int) int { return int(ba.assign[row]) }}, nil
 	default:
 		return axisCodes{}, fmt.Errorf("%w: %s is %s", ErrTypeMismatch, c.Name, c.Type)
 	}
-}
-
-// binEdgeLabels renders the equal-width bin edges of a numeric column as
-// "[lo, hi)" labels, matching the edges binAssignments assigns rows by.
-func (t *Table) binEdgeLabels(column string, bins int) ([]string, error) {
-	all, err := t.Floats(column)
-	if err != nil {
-		return nil, err
-	}
-	hist, err := stats.NewHistogram(all, bins)
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]string, bins)
-	for b := 0; b < bins; b++ {
-		labels[b] = fmt.Sprintf("[%s, %s)", trimFloat(hist.Edges[b]), trimFloat(hist.Edges[b+1]))
-	}
-	return labels, nil
 }
 
 // CrossCounts tallies the selected rows into the contingency table of two

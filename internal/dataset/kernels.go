@@ -1,15 +1,18 @@
 package dataset
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math/bits"
+	"sort"
+
+	"aware/internal/colstore"
 )
 
 // This file is the tuned generation of the predicate leaf kernels — the
-// default path behind Table.Where. Four techniques push them toward the
+// default path behind Table.Where. Five techniques push them toward the
 // hardware limit, each verified bit-identical to the generic kernels
 // (Table.WhereGeneric, the PR-5 bodies in selection.go) by the differential
-// tests in kernels_test.go:
+// tests in kernels_test.go and encoding_test.go:
 //
 //   - branch-free compares: each row's predicate is computed as a 0/1 word
 //     (b2u compiles to SETcc/CSET, no branch) and shifted into an
@@ -30,7 +33,14 @@ import (
 //     categories, every census-shaped column) tests membership against a
 //     4-word bitset that lives in registers/L1; wider dictionaries use a
 //     per-code bitset sized to the dictionary. Both replace the generic
-//     kernel's per-row hash-map probe.
+//     kernel's per-row hash-map probe;
+//   - compare codes, not values: a numeric column with at most 256 distinct
+//     values (age, hours: categorical in disguise) is scanned through its
+//     order-preserving byte dictionary (byteCodes in table.go), where
+//     low <= v < high is lo <= code < hi, tested on eight rows per 64-bit
+//     word by fillRangeBytes. A bool column is its own byte codes, so the
+//     same kernel serves Equals/In over bools. Range and GreaterThan keep
+//     the 8-byte kernels (fillRange*/fillGt*) for wide columns only.
 //
 // Every kernel writes all words covering its window (the bit accumulator
 // naturally leaves tail bits zero), so tuned fills do not depend on
@@ -217,34 +227,60 @@ func fillEqCodes(dst []uint64, col []uint32, want uint32) int {
 	return n
 }
 
-// fillEqBools writes the bitmap words for b == want over a bool window.
-func fillEqBools(dst []uint64, col []bool, want bool) int {
-	n := 0
-	nw := len(col) / 64
-	for wi := 0; wi < nw; wi++ {
-		chunk := col[wi*64 : wi*64+64 : wi*64+64]
-		var w uint64
-		for j := 0; j < 64; j += 8 {
-			s := chunk[j : j+8 : j+8]
-			w |= (b2u(s[0] == want) |
-				b2u(s[1] == want)<<1 |
-				b2u(s[2] == want)<<2 |
-				b2u(s[3] == want)<<3 |
-				b2u(s[4] == want)<<4 |
-				b2u(s[5] == want)<<5 |
-				b2u(s[6] == want)<<6 |
-				b2u(s[7] == want)<<7) << (j & 63)
-		}
-		dst[wi] = w
-		n += bits.OnesCount64(w)
+// SWAR constants of fillRangeBytes: the high bit, the low seven bits and the
+// low bit of each of a word's eight bytes.
+const (
+	swarHigh = 0x8080808080808080
+	swarLow7 = 0x7f7f7f7f7f7f7f7f
+	swarOnes = 0x0101010101010101
+)
+
+// fillRangeBytes writes the bitmap words for lo <= code < hi over a window of
+// one-byte codes, 0 <= lo < hi <= 256: the scan behind Range and GreaterThan
+// on a byte-encoded numeric column and behind Equals/In on a bool column
+// (false is code 0, true code 1). Eight rows are tested per 64-bit word,
+// without a per-byte branch or lane extraction:
+//
+//	y    = x - lo          per byte, mod 256 (borrows kept inside each byte)
+//	ge   = carry out of y + (256-w) per byte, w = hi-lo: set when y >= w
+//	bits = the eight "not ge" flags gathered into one byte by a multiply
+//
+// w = 256 (every code matches) needs no special case: 256-w is 0 and nothing
+// carries. The little-endian load puts row j in byte 0, so flag k lands on
+// bit k. The eight loads of a chunk are written out with constant shifts: as
+// a loop over j with << (j&63) the kernel measured 0.75 ns/row against 0.45.
+func fillRangeBytes(dst []uint64, codes []uint8, lo, hi int) int {
+	w := uint64(hi - lo)
+	a := uint64(lo) * swarOnes
+	b := (256 - w) * swarOnes
+	match := func(s []uint8) uint64 {
+		x := binary.LittleEndian.Uint64(s)
+		y := ((x | swarHigh) - (a &^ swarHigh)) ^ ((x ^ ^a) & swarHigh)
+		ge := ((y & b) | ((y | b) & ((y & swarLow7) + (b & swarLow7)))) & swarHigh
+		return (((^ge & swarHigh) >> 7) * 0x0102040810204080) >> 56
 	}
-	if tail := col[nw*64:]; len(tail) > 0 {
-		var w uint64
-		for j, v := range tail {
-			w |= b2u(v == want) << uint(j)
+	n := 0
+	nw := len(codes) / 64
+	for wi := 0; wi < nw; wi++ {
+		chunk := codes[wi*64 : wi*64+64 : wi*64+64]
+		word := match(chunk[0:8:8]) |
+			match(chunk[8:16:16])<<8 |
+			match(chunk[16:24:24])<<16 |
+			match(chunk[24:32:32])<<24 |
+			match(chunk[32:40:40])<<32 |
+			match(chunk[40:48:48])<<40 |
+			match(chunk[48:56:56])<<48 |
+			match(chunk[56:64:64])<<56
+		dst[wi] = word
+		n += bits.OnesCount64(word)
+	}
+	if tail := codes[nw*64:]; len(tail) > 0 {
+		var word uint64
+		for j, c := range tail {
+			word |= b2u(uint64(c)-uint64(lo) < w) << uint(j)
 		}
-		dst[nw] = w
-		n += bits.OnesCount64(w)
+		dst[nw] = word
+		n += bits.OnesCount64(word)
 	}
 	return n
 }
@@ -322,8 +358,35 @@ func fillInWide(dst []uint64, col []uint32, set []uint64) int {
 // register-resident 256-bit lookup table.
 const smallDictMax = 256
 
+// whereCodeRange selects the rows whose one-byte code lies in [lo, hi); an
+// empty range is the empty selection.
+func (t *Table) whereCodeRange(codes []uint8, lo, hi int) *Selection {
+	if hi <= lo {
+		return t.newSel()
+	}
+	return t.fillSelection(func(sel *Selection, from, to int) int {
+		return fillRangeBytes(sel.words[from/64:(to+63)/64], codes[from:to], lo, hi)
+	})
+}
+
+// whereBoolsTuned is Equals/In over a bool column. A []bool is already one
+// byte per row holding 0 or 1, so the wanted values lower to a code range —
+// [1,2) true, [0,1) false, [0,2) both, [1,1) neither — with no dictionary.
+func (t *Table) whereBoolsTuned(c *Column, values ...string) *Selection {
+	lo, hi := 1, 1
+	for _, v := range values {
+		switch v {
+		case "false":
+			lo = 0
+		case "true":
+			hi = 2
+		}
+	}
+	return t.whereCodeRange(colstore.BoolsAsBytes(c.bools), lo, hi)
+}
+
 // whereEqualsTuned is the tuned Equals leaf: the same column resolution and
-// missing-value semantics as whereEquals, with fillEqCodes/fillEqBools as
+// missing-value semantics as whereEquals, with fillEqCodes/fillRangeBytes as
 // the scan.
 func (t *Table) whereEqualsTuned(q Equals) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
@@ -331,16 +394,7 @@ func (t *Table) whereEqualsTuned(q Equals) (*Selection, error) {
 		return nil, err
 	}
 	if c.Type == Bool {
-		switch q.Value {
-		case "true", "false":
-			want := q.Value == "true"
-			col := c.bools
-			return t.fillSelection(func(sel *Selection, lo, hi int) int {
-				return fillEqBools(sel.words[lo/64:(hi+63)/64], col[lo:hi], want)
-			}), nil
-		default:
-			return t.stamp(EmptySelection(t.rows)), nil
-		}
+		return t.whereBoolsTuned(c, q.Value), nil
 	}
 	code, ok := c.codeOf[q.Value]
 	if !ok {
@@ -359,26 +413,7 @@ func (t *Table) whereInTuned(q In) (*Selection, error) {
 		return nil, err
 	}
 	if c.Type == Bool {
-		var wantTrue, wantFalse bool
-		for _, v := range q.Values {
-			switch v {
-			case "true":
-				wantTrue = true
-			case "false":
-				wantFalse = true
-			}
-		}
-		switch {
-		case wantTrue && wantFalse:
-			return t.stamp(FullSelection(t.rows)), nil
-		case wantTrue, wantFalse:
-			col := c.bools
-			return t.fillSelection(func(sel *Selection, lo, hi int) int {
-				return fillEqBools(sel.words[lo/64:(hi+63)/64], col[lo:hi], wantTrue)
-			}), nil
-		default:
-			return t.stamp(EmptySelection(t.rows)), nil
-		}
+		return t.whereBoolsTuned(c, q.Values...), nil
 	}
 	col := c.codes
 	if len(c.dict) <= smallDictMax {
@@ -414,46 +449,52 @@ func (t *Table) whereInTuned(q In) (*Selection, error) {
 }
 
 // whereRangeTuned is the tuned Range leaf, with the generic kernel's
-// type-resolution errors.
+// type-resolution errors. On a byte-encoded column low <= v < high becomes
+// lo <= code < hi, exactly: lo is the first dictionary entry >= low, hi the
+// first that is not < high (so a NaN bound, which no value satisfies, yields
+// an empty range by itself).
 func (t *Table) whereRangeTuned(q Range) (*Selection, error) {
-	c, err := t.Column(q.Column)
+	c, err := t.numericColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
-	switch c.Type {
-	case Float64:
+	if enc := t.byteCodes(c); enc.dict != nil {
+		lo := sort.Search(len(enc.dict), func(i int) bool { return enc.dict[i] >= q.Low })
+		hi := sort.Search(len(enc.dict), func(i int) bool { return !(enc.dict[i] < q.High) })
+		return t.whereCodeRange(enc.codes, lo, hi), nil
+	}
+	if c.Type == Float64 {
 		col := c.floats
 		return t.fillSelection(func(sel *Selection, lo, hi int) int {
 			return fillRangeFloats(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Low, q.High)
 		}), nil
-	case Int64:
-		col := c.ints
-		return t.fillSelection(func(sel *Selection, lo, hi int) int {
-			return fillRangeInts(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Low, q.High)
-		}), nil
-	default:
-		return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 	}
+	col := c.ints
+	return t.fillSelection(func(sel *Selection, lo, hi int) int {
+		return fillRangeInts(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Low, q.High)
+	}), nil
 }
 
-// whereGreaterTuned is the tuned GreaterThan leaf.
+// whereGreaterTuned is the tuned GreaterThan leaf; on a byte-encoded column
+// v > threshold becomes lo <= code with lo the first dictionary entry above
+// the threshold.
 func (t *Table) whereGreaterTuned(q GreaterThan) (*Selection, error) {
-	c, err := t.Column(q.Column)
+	c, err := t.numericColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
-	switch c.Type {
-	case Float64:
+	if enc := t.byteCodes(c); enc.dict != nil {
+		lo := sort.Search(len(enc.dict), func(i int) bool { return enc.dict[i] > q.Threshold })
+		return t.whereCodeRange(enc.codes, lo, len(enc.dict)), nil
+	}
+	if c.Type == Float64 {
 		col := c.floats
 		return t.fillSelection(func(sel *Selection, lo, hi int) int {
 			return fillGtFloats(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Threshold)
 		}), nil
-	case Int64:
-		col := c.ints
-		return t.fillSelection(func(sel *Selection, lo, hi int) int {
-			return fillGtInts(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Threshold)
-		}), nil
-	default:
-		return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 	}
+	col := c.ints
+	return t.fillSelection(func(sel *Selection, lo, hi int) int {
+		return fillGtInts(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Threshold)
+	}), nil
 }

@@ -448,12 +448,12 @@ func BenchmarkFillKernels(b *testing.B) {
 	floats := make([]float64, n)
 	ints := make([]int64, n)
 	codes := make([]uint32, n)
-	bools := make([]bool, n)
+	bytes := make([]uint8, n)
 	for i := 0; i < n; i++ {
 		floats[i] = rng.Float64() * 100
 		ints[i] = int64(rng.Intn(100))
 		codes[i] = uint32(rng.Intn(12))
-		bools[i] = rng.Intn(2) == 0
+		bytes[i] = uint8(ints[i])
 	}
 	dst := make([]uint64, n/64)
 	lut := [4]uint64{0b101101}
@@ -467,7 +467,7 @@ func BenchmarkFillKernels(b *testing.B) {
 		{"GtFloats", func() int { return fillGtFloats(dst, floats, 90) }},
 		{"GtInts", func() int { return fillGtInts(dst, ints, 90) }},
 		{"EqCodes", func() int { return fillEqCodes(dst, codes, 3) }},
-		{"EqBools", func() int { return fillEqBools(dst, bools, true) }},
+		{"RangeBytes", func() int { return fillRangeBytes(dst, bytes, 20, 30) }},
 		{"InSmall", func() int { return fillInSmall(dst, codes, &lut) }},
 		{"InWide", func() int { return fillInWide(dst, codes, set) }},
 	} {

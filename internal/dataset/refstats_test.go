@@ -39,16 +39,7 @@ func freshValueCounts(t *testing.T, tab *Table, column string) map[string]int {
 // and the pre-vectorization arithmetic.
 func freshBinCounts(t *testing.T, tab *Table, column string, bins int) []int {
 	t.Helper()
-	c, err := tab.Column(column)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([]float64, tab.NumRows())
-	for i := range all {
-		if all[i], err = c.Float(i); err != nil {
-			t.Fatal(err)
-		}
-	}
+	all := columnFloats(t, tab, column)
 	return legacyBinCounts(all, all, bins)
 }
 
@@ -167,8 +158,12 @@ func TestRefStatsMatchFreshRecomputation(t *testing.T) {
 				tab.SetPool(p)
 				requireRefStatsFresh(t, fmt.Sprintf("rows=%d store=%s workers=%d", rows, store, p.Workers()), tab, split)
 			}
-			if hits, computed := tab.RefStats(); computed != 4 || hits == 0 {
-				t.Errorf("rows=%d store=%s: memo filled by %d scans with %d hits, want 4 scans (one per column)", rows, store, computed, hits)
+			// One scan per categorical or bool column; two per numeric column,
+			// which is first byte-encoded (level; score in the tables of up to
+			// 256 rows) or found wide (the split predicate looks that up
+			// again) and then binned.
+			if hits, computed := tab.RefStats(); computed != 6 || hits == 0 {
+				t.Errorf("rows=%d store=%s: memo filled by %d scans with %d hits, want 6 scans (color, flag; score and level twice)", rows, store, computed, hits)
 			}
 		}
 	}
@@ -288,8 +283,8 @@ func TestRefStatsConcurrentFirstUse(t *testing.T) {
 	close(start)
 	wg.Wait()
 	// Racing first users may each scan, but only one copy per entry is kept.
-	if n := len(tab.ref.codes) + len(tab.ref.bins); n != 3 {
-		t.Errorf("memo holds %d entries, want 3 (color, flag, score/10)", n)
+	if n := len(tab.ref.codes) + len(tab.ref.bins) + len(tab.ref.bytes); n != 4 {
+		t.Errorf("memo holds %d entries, want 4 (color, flag, score/10, score found wide)", n)
 	}
 }
 

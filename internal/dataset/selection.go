@@ -352,6 +352,19 @@ func (t *Table) categoricalColumn(name string) (*Column, error) {
 	return c, nil
 }
 
+// numericColumn resolves a column that Range/GreaterThan, Floats or a binning
+// may read, with the same errors the row-at-a-time path produces.
+func (t *Table) numericColumn(name string) (*Column, error) {
+	c, err := t.Column(name)
+	if err != nil {
+		return nil, err
+	}
+	if c.Type != Float64 && c.Type != Int64 {
+		return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
+	}
+	return c, nil
+}
+
 func (t *Table) whereEquals(q Equals) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
@@ -445,12 +458,11 @@ func (t *Table) whereBools(c *Column, want bool) *Selection {
 }
 
 func (t *Table) whereNumeric(name string, keep func(float64) bool) (*Selection, error) {
-	c, err := t.Column(name)
+	c, err := t.numericColumn(name)
 	if err != nil {
 		return nil, err
 	}
-	switch c.Type {
-	case Float64:
+	if c.Type == Float64 {
 		return t.fillSelection(func(sel *Selection, lo, hi int) int {
 			n := 0
 			for j, v := range c.floats[lo:hi] {
@@ -461,20 +473,17 @@ func (t *Table) whereNumeric(name string, keep func(float64) bool) (*Selection, 
 			}
 			return n
 		}), nil
-	case Int64:
-		return t.fillSelection(func(sel *Selection, lo, hi int) int {
-			n := 0
-			for j, v := range c.ints[lo:hi] {
-				if keep(float64(v)) {
-					sel.setBit(lo + j)
-					n++
-				}
-			}
-			return n
-		}), nil
-	default:
-		return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 	}
+	return t.fillSelection(func(sel *Selection, lo, hi int) int {
+		n := 0
+		for j, v := range c.ints[lo:hi] {
+			if keep(float64(v)) {
+				sel.setBit(lo + j)
+				n++
+			}
+		}
+		return n
+	}), nil
 }
 
 // --- views ---
@@ -596,12 +605,9 @@ func (v View) GroupBy(name string) ([]GroupCount, error) {
 // order), then every morsel writes its disjoint sub-slice — so the output is
 // byte-identical to the sequential append loop.
 func (v View) Floats(name string) ([]float64, error) {
-	c, err := v.table.Column(name)
+	c, err := v.table.numericColumn(name)
 	if err != nil {
 		return nil, err
-	}
-	if c.Type != Float64 && c.Type != Int64 {
-		return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 	}
 	sel, p := v.sel, v.table.execPool()
 	out := make([]float64, sel.count)
@@ -661,17 +667,28 @@ func (s *Selection) gatherFloats(dst []float64, c *Column, lo, hi int) {
 // array lookup per selected row, and a full view none: the population's bin
 // counts are memoized with the assignment.
 func (v View) BinCounts(name string, bins int) ([]int, error) {
+	counts, _, err := v.binCounts(name, bins)
+	return counts, err
+}
+
+// binCounts is BinCounts, also returning the binning it read (for the traced
+// variant).
+func (v View) binCounts(name string, bins int) ([]int, *binAssignment, error) {
 	ba, err := v.table.binAssignments(name, bins)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if v.full() {
-		return slices.Clone(ba.counts), nil
+		return slices.Clone(ba.counts), ba, nil
 	}
 	counts := reduceInts(v.table.execPool(), v.sel.n, bins, func(lo, hi int, acc []int) {
+		if ba.codes != nil {
+			v.sel.forEachIn(lo, hi, func(row int) { acc[ba.binOf[ba.codes[row]]]++ })
+			return
+		}
 		v.sel.forEachIn(lo, hi, func(row int) { acc[ba.assign[row]]++ })
 	})
-	return counts, nil
+	return counts, ba, nil
 }
 
 // Materialize copies the selected rows into a standalone table. The
@@ -681,43 +698,64 @@ func (v View) Materialize() (*Table, error) {
 	return v.table.Select(v.sel.Indices())
 }
 
-// binAssignments computes (or returns the memoized) per-row bin index of a
-// numeric column cut into equal-width bins spanning the full table's range.
-// The arithmetic replicates the reference path — stats.NewHistogram edges,
-// then int((v-lo)/width) with clamping, with a degenerate-width fallback that
+// binAssignments computes (or returns the memoized) binning of a numeric
+// column cut into equal-width bins spanning the full table's range. The
+// arithmetic replicates the reference path — stats.NewHistogram edges, then
+// int((v-lo)/width) with clamping, with a degenerate-width fallback that
 // assigns every row to bin 0 — so vectorized bin counts are bit-for-bit
-// identical to binning a materialized sub-table.
+// identical to binning a materialized sub-table. The edges depend on the
+// column's smallest and largest value only; a byte-encoded column reads both
+// off its dictionary, bins each dictionary entry once and counts the
+// population in one pass over the codes, where a wide column converts, scans
+// and bins every row.
 func (t *Table) binAssignments(column string, binCount int) (*binAssignment, error) {
 	return memoized(&t.ref, &t.ref.bins, binKey{column: column, bins: binCount}, func() (*binAssignment, error) {
-		all, err := t.Floats(column)
+		c, err := t.numericColumn(column)
 		if err != nil {
 			return nil, err
 		}
-		hist, err := stats.NewHistogram(all, binCount)
+		enc := t.byteCodes(c)
+		var all, ends []float64
+		if enc.dict != nil {
+			ends = []float64{enc.dict[0], enc.dict[len(enc.dict)-1]}
+		} else if all = c.floatValues(); len(all) > 0 {
+			least, most, _ := stats.MinMax(all)
+			ends = []float64{least, most}
+		}
+		hist, err := stats.NewHistogram(ends, binCount)
 		if err != nil {
 			return nil, err
 		}
 		lo := hist.Edges[0]
-		hi := hist.Edges[len(hist.Edges)-1]
-		width := (hi - lo) / float64(binCount)
-		assign := make([]int32, len(all))
-		counts := make([]int, binCount)
-		if width > 0 {
-			for i, v := range all {
-				idx := int((v - lo) / width)
-				if idx < 0 {
-					idx = 0
-				}
-				if idx >= binCount {
-					idx = binCount - 1
-				}
-				assign[i] = int32(idx)
-				counts[idx]++
+		width := (hist.Edges[binCount] - lo) / float64(binCount)
+		binIndex := func(v float64) int32 {
+			if !(width > 0) {
+				return 0
 			}
-		} else {
-			counts[0] = len(all)
+			return int32(min(max(int((v-lo)/width), 0), binCount-1))
 		}
-		return &binAssignment{assign: assign, counts: counts}, nil
+		ba := &binAssignment{counts: make([]int, binCount), labels: make([]string, binCount)}
+		for b := range ba.labels {
+			ba.labels[b] = fmt.Sprintf("[%s, %s)", trimFloat(hist.Edges[b]), trimFloat(hist.Edges[b+1]))
+		}
+		if enc.dict == nil {
+			ba.assign = make([]int32, len(all))
+			for i, v := range all {
+				ba.assign[i] = binIndex(v)
+				ba.counts[ba.assign[i]]++
+			}
+			return ba, nil
+		}
+		ba.codes, ba.binOf = enc.codes, make([]int32, len(enc.dict))
+		var rows [maxByteDict]int
+		for _, code := range enc.codes {
+			rows[code]++
+		}
+		for code, v := range enc.dict {
+			ba.binOf[code] = binIndex(v)
+			ba.counts[ba.binOf[code]] += rows[code]
+		}
+		return ba, nil
 	})
 }
 

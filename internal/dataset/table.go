@@ -316,8 +316,9 @@ func (t *Table) execPool() *Pool {
 // which no filter changes: one linear pass per column on first use, then
 // every full-table count, category list and histogram is a lookup. Nothing
 // is computed when a table is built or opened. The category entries are
-// O(dictionary) bytes and the bin counts O(bins); only the per-row bin
-// assignment, which filtered views need too, is O(rows).
+// O(dictionary) bytes and the bin counts O(bins); O(rows) are only the byte
+// codes of a low-cardinality numeric column that is filtered or binned (one
+// byte per row, byteCodes) and the per-row bin assignment of a wide one (four).
 //
 // Entries are computed outside the lock; when two goroutines race on first
 // use both scan and the first store is kept. The memo belongs to one Table:
@@ -327,6 +328,7 @@ type refStats struct {
 	mu    sync.RWMutex
 	codes map[string]*codeStats
 	bins  map[binKey]*binAssignment
+	bytes map[string]*byteCodes
 
 	// hits counts lookups answered from the memo, computed the scans that
 	// filled it (RefStats).
@@ -349,18 +351,39 @@ type binKey struct {
 	bins   int
 }
 
-// binAssignment is the memoized result: the bin index of every row and the
-// number of rows per bin, computed once per (table, column, bin count).
+// binAssignment is the memoized result, computed once per (table, column, bin
+// count): the number of rows per bin, the "[lo, hi)" label of each bin, and
+// the bin of every row — assign[row] for a wide column, binOf[codes[row]] for
+// a byte-encoded one, whose codes are the column's own (byteCodes) and whose
+// binOf has one entry per dictionary value.
 type binAssignment struct {
 	assign []int32
+	codes  []uint8
+	binOf  []int32
 	counts []int
+	labels []string
 }
 
 // RefStats returns how many reference-statistics lookups (category lists,
-// full-table counts, bin assignments) the table answered from its memo and
-// how many column scans it ran to fill it.
+// full-table counts, bin assignments, byte encodings) the table answered from
+// its memo and how many column scans it ran to fill it.
 func (t *Table) RefStats() (hits, computed uint64) {
 	return t.ref.hits.Load(), t.ref.computed.Load()
+}
+
+// EncodedColumns returns how many numeric columns the table has byte-encoded
+// so far and the bytes their code vectors hold: what the encoding costs in
+// memory, one byte per row per column actually filtered or binned.
+func (t *Table) EncodedColumns() (columns, bytes int) {
+	t.ref.mu.RLock()
+	defer t.ref.mu.RUnlock()
+	for _, enc := range t.ref.bytes {
+		if enc.dict != nil {
+			columns++
+			bytes += len(enc.codes)
+		}
+	}
+	return columns, bytes
 }
 
 // memoized returns the entry of one of the memo's maps under key, running
@@ -418,6 +441,108 @@ func (t *Table) codeStats(c *Column) *codeStats {
 		return cs, nil
 	})
 	return cs
+}
+
+// byteCodes is the memoized byte encoding of a numeric column that holds at
+// most maxByteDict distinct comparison values — ages, hours, years, ratings:
+// categorical columns in disguise. dict lists the distinct values in
+// ascending order and codes holds one index into it per row, so the order of
+// two codes is the order of their values: a range over values is a range over
+// codes (whereRangeTuned) and a bin is a property of the code
+// (binAssignments), at one byte read per row instead of eight. A value is
+// what the predicates compare, float64(v) for both numeric types, so int64
+// values beyond 2^53 share a code exactly where float comparison cannot tell
+// them apart, and -0 and +0 share one: codes are compared and binned, never
+// decoded. A nil dict records that the column is wide — it holds a NaN, more
+// distinct values than a byte can index, or no row at all — and keeps the
+// 8-byte kernels.
+type byteCodes struct {
+	dict  []float64
+	codes []uint8
+}
+
+const (
+	// maxByteDict is the largest dictionary a one-byte code can index.
+	maxByteDict = 256
+	// encodeSlots sizes the open-addressed value table of a dictionary build:
+	// a power of two, four times the largest dictionary, so probes stay short.
+	encodeSlotBits = 10
+	encodeSlots    = 1 << encodeSlotBits
+	// encodeProbe is how many rows a build encodes before it allocates the
+	// full code vector; a continuous column gives up well within it.
+	encodeProbe = 4096
+)
+
+// byteCodes returns the memoized byte encoding of a numeric column, building
+// it on first use: one pass over the column.
+func (t *Table) byteCodes(c *Column) *byteCodes {
+	enc, _ := memoized(&t.ref, &t.ref.bytes, c.Name, func() (*byteCodes, error) {
+		if c.Type == Int64 {
+			return encodeBytes(c.ints), nil
+		}
+		return encodeBytes(c.floats), nil
+	})
+	return enc
+}
+
+// encodeBytes builds the byte encoding of a column. Each row's value is
+// looked up by bit pattern in a small open-addressed table and given the
+// code of its first appearance; the pass stops at a NaN or at the 257th
+// distinct value. Sorting the values then fixes the final codes, and one
+// pass over the bytes renames them.
+func encodeBytes[T float64 | int64](col []T) *byteCodes {
+	var (
+		keys [encodeSlots]uint64 // the bit pattern held by each slot
+		used [encodeSlots]uint16 // 1 + the code of the slot's value; 0 is a free slot
+		vals []float64           // vals[code], in order of first appearance
+	)
+	codes := make([]uint8, min(len(col), encodeProbe))
+	for i, raw := range col {
+		if i == len(codes) {
+			codes = append(make([]uint8, 0, len(col)), codes...)[:len(col)]
+		}
+		v := float64(raw)
+		key := math.Float64bits(v)
+		if v == 0 {
+			key = 0 // -0 and +0 compare equal: one code
+		}
+		h := (key * 0x9e3779b97f4a7c15) >> (64 - encodeSlotBits) // Fibonacci hashing
+		if u := used[h]; u != 0 && keys[h] == key {
+			codes[i] = uint8(u - 1) // the common case by far: seen before, no collision
+			continue
+		}
+		if v != v {
+			return &byteCodes{}
+		}
+		for used[h] != 0 && keys[h] != key {
+			h = (h + 1) % encodeSlots
+		}
+		if used[h] == 0 {
+			if len(vals) == maxByteDict {
+				return &byteCodes{}
+			}
+			vals = append(vals, v)
+			keys[h], used[h] = key, uint16(len(vals))
+		}
+		codes[i] = uint8(used[h] - 1)
+	}
+	if len(vals) == 0 {
+		return &byteCodes{}
+	}
+	// A value's first appearance is its dictionary entry, so the smallest and
+	// largest entries are bit for bit what a MinMax scan of the column
+	// returns, signed zeros included: bin edges do not move.
+	dict := slices.Clone(vals)
+	slices.Sort(dict)
+	var final [maxByteDict]uint8
+	for code, v := range vals {
+		rank, _ := slices.BinarySearch(dict, v)
+		final[code] = uint8(rank)
+	}
+	for i, code := range codes {
+		codes[i] = final[code]
+	}
+	return &byteCodes{dict: dict, codes: codes}
 }
 
 // NewTable builds a table from columns, which must all have the same length
@@ -549,19 +674,24 @@ func (t *Table) Select(indices []int) (*Table, error) {
 
 // Floats returns the numeric values of the named column (Float64 or Int64).
 func (t *Table) Floats(name string) ([]float64, error) {
-	c, err := t.Column(name)
+	c, err := t.numericColumn(name)
 	if err != nil {
 		return nil, err
 	}
+	return c.floatValues(), nil
+}
+
+// floatValues returns a fresh copy of a numeric column's values as float64s.
+func (c *Column) floatValues() []float64 {
 	out := make([]float64, c.Len())
-	for i := range out {
-		v, err := c.Float(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	if c.Type == Float64 {
+		copy(out, c.floats)
+		return out
 	}
-	return out, nil
+	for i, v := range c.ints {
+		out[i] = float64(v)
+	}
+	return out
 }
 
 // Strings returns the categorical (or stringified boolean) values of the

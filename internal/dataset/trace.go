@@ -146,9 +146,13 @@ func (v View) BinCountsSpan(name string, bins int, parent *obs.Span) ([]int, err
 	k.span.Set("column", name)
 	k.span.Set("bins", bins)
 	k.span.Set("source", v.statsSource())
-	out, err := v.BinCounts(name, bins)
+	out, ba, err := v.binCounts(name, bins)
 	if err != nil {
 		k.span.Set("error", err.Error())
+	} else if ba.codes != nil {
+		k.span.Set("encoding", "byte")
+	} else {
+		k.span.Set("encoding", "wide")
 	}
 	k.end(v.sel.n, v.sel.count)
 	return out, err

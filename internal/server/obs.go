@@ -125,6 +125,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		hits, partial, misses uint64
 		entries               int
 		refHits, refComputed  uint64
+		encCols, encBytes     int
 	}
 	rows := make([]cacheRow, 0, len(datasets))
 	for _, info := range datasets {
@@ -134,8 +135,9 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		hits, partial, misses := cache.Stats()
 		refHits, refComputed := cache.Table().RefStats()
+		encCols, encBytes := cache.Table().EncodedColumns()
 		rows = append(rows, cacheRow{name: info.Name, hits: hits, partial: partial, misses: misses, entries: cache.Len(),
-			refHits: refHits, refComputed: refComputed})
+			refHits: refHits, refComputed: refComputed, encCols: encCols, encBytes: encBytes})
 	}
 	for _, row := range rows {
 		ew.Sample("aware_selection_cache_hits_total", obs.L{obs.Label("dataset", row.name)}, float64(row.hits))
@@ -153,10 +155,18 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		ew.Sample("aware_selection_cache_entries", obs.L{obs.Label("dataset", row.name)}, float64(row.entries))
 	}
 
-	ew.Header("aware_dataset_refstats_total", "Reference-statistics lookups (category lists, full-table counts, bin assignments), by dataset: answered from the table's memo (hit) or by the column scan that filled it (computed).", "counter")
+	ew.Header("aware_dataset_refstats_total", "Reference-statistics lookups (category lists, full-table counts, bin assignments, byte dictionaries of low-cardinality numeric columns), by dataset: answered from the table's memo (hit) or by the column scan that filled it (computed).", "counter")
 	for _, row := range rows {
 		ew.Sample("aware_dataset_refstats_total", obs.L{obs.Label("dataset", row.name), obs.Label("result", "computed")}, float64(row.refComputed))
 		ew.Sample("aware_dataset_refstats_total", obs.L{obs.Label("dataset", row.name), obs.Label("result", "hit")}, float64(row.refHits))
+	}
+	ew.Header("aware_dataset_encoded_columns", "Numeric columns holding at most 256 distinct values that a filter or binning has byte-encoded so far, by dataset.", "gauge")
+	for _, row := range rows {
+		ew.Sample("aware_dataset_encoded_columns", obs.L{obs.Label("dataset", row.name)}, float64(row.encCols))
+	}
+	ew.Header("aware_dataset_encoded_bytes", "Memory held by the byte codes of encoded numeric columns (one byte per row per column), by dataset.", "gauge")
+	for _, row := range rows {
+		ew.Sample("aware_dataset_encoded_bytes", obs.L{obs.Label("dataset", row.name)}, float64(row.encBytes))
 	}
 
 	pool := s.pool.Stats()

@@ -30,6 +30,19 @@ func addVizStep(t *testing.T, base, sessionPath string) {
 	}, nil)
 }
 
+// addHoursVizStep charts a numeric attribute under a numeric filter: the
+// filter byte-encodes age, the binning hours_per_week.
+func addHoursVizStep(t *testing.T, base, sessionPath string) {
+	t.Helper()
+	doJSON(t, http.MethodPost, base+sessionPath+"/steps", map[string]any{
+		"op":     "add_visualization",
+		"target": census.ColHoursPerWeek,
+		"predicate": map[string]any{
+			"type": "range", "column": census.ColAge, "low": 30, "high": 45,
+		},
+	}, nil)
+}
+
 // createSession opens a census session and returns its path.
 func createSession(t *testing.T, base string) string {
 	t.Helper()
@@ -47,6 +60,7 @@ func TestPromMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t)
 	path := createSession(t, ts.URL)
 	addVizStep(t, ts.URL, path)
+	addHoursVizStep(t, ts.URL, path)
 	doJSON(t, http.MethodGet, ts.URL+path+"/gauge", nil, nil)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -83,6 +97,8 @@ func TestPromMetricsExposition(t *testing.T) {
 		"aware_selection_cache_hits_total",
 		"aware_selection_cache_entries",
 		"aware_dataset_refstats_total",
+		"aware_dataset_encoded_columns",
+		"aware_dataset_encoded_bytes",
 		"aware_pool_workers",
 		"aware_pool_morsels_total",
 		"aware_pool_queue_wait_seconds_total",
@@ -94,11 +110,15 @@ func TestPromMetricsExposition(t *testing.T) {
 			t.Errorf("exposition is missing %s", family)
 		}
 	}
-	// The chart step above filled the census table's reference-statistics memo
-	// (one scan of the target column) and then read it again.
+	// The chart steps above filled the census table's reference-statistics
+	// memo and then read it again: one scan of the categorical target, one
+	// byte dictionary each for the filtered and the binned numeric column
+	// (2,000 rows, a byte per row), one binning.
 	for _, sample := range []string{
-		`aware_dataset_refstats_total{dataset="census",result="computed"} 1`,
+		`aware_dataset_refstats_total{dataset="census",result="computed"} 4`,
 		`aware_dataset_refstats_total{dataset="census",result="hit"} `,
+		`aware_dataset_encoded_columns{dataset="census"} 2`,
+		`aware_dataset_encoded_bytes{dataset="census"} 4000`,
 	} {
 		if !strings.Contains(text, "\n"+sample) {
 			t.Errorf("exposition is missing %s", sample)
@@ -174,6 +194,30 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 	// the table's reference-statistics memo.
 	if len(countSources) != 2 || countSources[0] != "scan" || countSources[1] != "memo" {
 		t.Errorf("view.counts_for sources = %v, want [scan memo]", countSources)
+	}
+
+	// A numeric chart bins through the column's byte codes, and says so.
+	addHoursVizStep(t, ts.URL, path)
+	doJSON(t, http.MethodGet, ts.URL+"/debug/trace?endpoint=POST+/sessions/{id}/steps&limit=1", nil, &resp)
+	if len(resp.Traces) != 1 {
+		t.Fatalf("returned %d traces for limit=1", len(resp.Traces))
+	}
+	binSpans := 0
+	var walk func(sp obs.SpanJSON)
+	walk = func(sp obs.SpanJSON) {
+		if sp.Name == "view.bin_counts" {
+			binSpans++
+			if sp.Attrs["encoding"] != "byte" || sp.Attrs["source"] == nil {
+				t.Errorf("view.bin_counts annotations = %+v, want encoding=byte next to source", sp.Attrs)
+			}
+		}
+		for _, child := range sp.Children {
+			walk(child)
+		}
+	}
+	walk(resp.Traces[0])
+	if binSpans != 2 {
+		t.Errorf("numeric chart recorded %d view.bin_counts spans, want 2 (filter and population)", binSpans)
 	}
 
 	// Filters: an impossible min_ms excludes everything; bad values are 400s.
