@@ -95,15 +95,15 @@ func (h *HoldoutValidator) CompareMeansSpan(numericAttr string, filter dataset.P
 		if err != nil {
 			return stats.TestResult{}, err
 		}
-		xs, err := in.FloatsSpan(numericAttr, span)
+		x, err := in.Moments(numericAttr, span)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
-		ys, err := out.FloatsSpan(numericAttr, span)
+		y, err := out.Moments(numericAttr, span)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
-		return stats.WelchTTest(xs, ys, alt)
+		return stats.WelchFromMoments(x, y, alt)
 	}
 	explorationRes, err := run(h.explorationSel, "exploration")
 	if err != nil {

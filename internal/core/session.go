@@ -401,75 +401,77 @@ func (s *Session) testAgainstExpectation(vizID int, expected map[string]float64)
 }
 
 func (s *Session) compareMeans(numericAttr string, aID, bID int) (*Hypothesis, error) {
-	a, b, xs, ys, err := s.comparedFloats(numericAttr, aID, bID)
-	if err != nil {
-		return nil, err
-	}
-	test, err := stats.WelchTTest(xs, ys, stats.TwoSided)
-	if err != nil {
-		return nil, fmt.Errorf("core: comparing means of %q: %w", numericAttr, err)
-	}
-	hyp, err := s.record(test, Hypothesis{
-		Null:            fmt.Sprintf("mean %s | (%s) = mean %s | (%s)", numericAttr, describeFilter(a.Filter), numericAttr, describeFilter(b.Filter)),
-		Alternative:     fmt.Sprintf("mean %s | (%s) <> mean %s | (%s)", numericAttr, describeFilter(a.Filter), numericAttr, describeFilter(b.Filter)),
-		Source:          SourceUser,
-		VisualizationID: a.ID,
-		SupportSize:     len(xs) + len(ys),
+	return s.compareNumeric("mean", numericAttr, aID, bID, func(subA, subB dataset.View) (stats.TestResult, error) {
+		x, err := subA.Moments(numericAttr, s.trace)
+		if err != nil {
+			return stats.TestResult{}, err
+		}
+		y, err := subB.Moments(numericAttr, s.trace)
+		if err != nil {
+			return stats.TestResult{}, err
+		}
+		res, err := stats.WelchFromMoments(x, y, stats.TwoSided)
+		if err != nil {
+			return res, fmt.Errorf("core: comparing means of %q: %w", numericAttr, err)
+		}
+		return res, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.supersedeAttached(hyp, a, b)
-	return hyp, nil
 }
 
 func (s *Session) compareDistributions(numericAttr string, aID, bID int) (*Hypothesis, error) {
-	a, b, xs, ys, err := s.comparedFloats(numericAttr, aID, bID)
+	return s.compareNumeric("dist", numericAttr, aID, bID, func(subA, subB dataset.View) (stats.TestResult, error) {
+		x, err := subA.Tally(numericAttr, s.trace)
+		if err != nil {
+			return stats.TestResult{}, err
+		}
+		y, err := subB.Tally(numericAttr, s.trace)
+		if err != nil {
+			return stats.TestResult{}, err
+		}
+		res, err := x.KS(y)
+		if err != nil {
+			return res, fmt.Errorf("core: comparing distributions of %q: %w", numericAttr, err)
+		}
+		return res, nil
+	})
+}
+
+// compareNumeric is the explicit comparison of two visualizations on a
+// numeric attribute: it resolves their filtered sub-populations, runs test
+// over the two views and records the hypothesis "what a | A = what a | B".
+func (s *Session) compareNumeric(what, numericAttr string, aID, bID int, test func(subA, subB dataset.View) (stats.TestResult, error)) (*Hypothesis, error) {
+	a, err := s.visualization(aID)
 	if err != nil {
 		return nil, err
 	}
-	test, err := stats.KolmogorovSmirnov(xs, ys)
+	b, err := s.visualization(bID)
 	if err != nil {
-		return nil, fmt.Errorf("core: comparing distributions of %q: %w", numericAttr, err)
+		return nil, err
 	}
-	hyp, err := s.record(test, Hypothesis{
-		Null:            fmt.Sprintf("dist %s | (%s) = dist %s | (%s)", numericAttr, describeFilter(a.Filter), numericAttr, describeFilter(b.Filter)),
-		Alternative:     fmt.Sprintf("dist %s | (%s) <> dist %s | (%s)", numericAttr, describeFilter(a.Filter), numericAttr, describeFilter(b.Filter)),
+	subA, err := s.sel.ViewSpan(a.Filter, s.trace)
+	if err != nil {
+		return nil, err
+	}
+	subB, err := s.sel.ViewSpan(b.Filter, s.trace)
+	if err != nil {
+		return nil, err
+	}
+	res, err := test(subA, subB)
+	if err != nil {
+		return nil, err
+	}
+	hyp, err := s.record(res, Hypothesis{
+		Null:            fmt.Sprintf("%s %s | (%s) = %s %s | (%s)", what, numericAttr, describeFilter(a.Filter), what, numericAttr, describeFilter(b.Filter)),
+		Alternative:     fmt.Sprintf("%s %s | (%s) <> %s %s | (%s)", what, numericAttr, describeFilter(a.Filter), what, numericAttr, describeFilter(b.Filter)),
 		Source:          SourceUser,
 		VisualizationID: a.ID,
-		SupportSize:     len(xs) + len(ys),
+		SupportSize:     res.N,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.supersedeAttached(hyp, a, b)
 	return hyp, nil
-}
-
-// comparedFloats resolves the two visualizations of an explicit comparison and
-// extracts the numeric attribute from their filtered sub-populations.
-func (s *Session) comparedFloats(numericAttr string, aID, bID int) (a, b *Visualization, xs, ys []float64, err error) {
-	if a, err = s.visualization(aID); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if b, err = s.visualization(bID); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	subA, err := s.sel.ViewSpan(a.Filter, s.trace)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	subB, err := s.sel.ViewSpan(b.Filter, s.trace)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if xs, err = subA.FloatsSpan(numericAttr, s.trace); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if ys, err = subB.FloatsSpan(numericAttr, s.trace); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return a, b, xs, ys, nil
 }
 
 func (s *Session) declareDescriptive(vizID int) error {

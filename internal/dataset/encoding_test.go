@@ -630,6 +630,22 @@ func fuzzInt(b byte) int64 {
 	return int64(b) - 100
 }
 
+// fuzzColumn draws the column "x" from fuzz bytes, one value per byte.
+func fuzzColumn(data []byte, asInts bool) *Column {
+	if asInts {
+		ints := make([]int64, len(data))
+		for i, b := range data {
+			ints[i] = fuzzInt(b)
+		}
+		return NewIntColumn("x", ints)
+	}
+	floats := make([]float64, len(data))
+	for i, b := range data {
+		floats[i] = fuzzFloat(b)
+	}
+	return NewFloatColumn("x", floats)
+}
+
 // FuzzRangeCodes is the CI fuzz smoke target of the encoding: a float or int
 // column drawn from the fuzz bytes, a Range and a GreaterThan with arbitrary
 // bounds. Where, WhereGeneric and Matches must
@@ -655,21 +671,7 @@ func FuzzRangeCodes(f *testing.F) {
 	f.Add(long, -15.0, -11.75, -12.0, false)
 	f.Add(long[:64], -15.0, -11.75, -12.0, true)
 	f.Fuzz(func(t *testing.T, data []byte, low, high, threshold float64, asInts bool) {
-		var col *Column
-		if asInts {
-			ints := make([]int64, len(data))
-			for i, b := range data {
-				ints[i] = fuzzInt(b)
-			}
-			col = NewIntColumn("x", ints)
-		} else {
-			floats := make([]float64, len(data))
-			for i, b := range data {
-				floats[i] = fuzzFloat(b)
-			}
-			col = NewFloatColumn("x", floats)
-		}
-		tab, err := NewTable(col)
+		tab, err := NewTable(fuzzColumn(data, asInts))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aware/internal/obs"
 	"aware/internal/stats"
 )
 
@@ -20,6 +21,14 @@ import (
 // (And = intersect, Or = union, Not = flip), and a View pairs the immutable
 // table with a Selection so that counting, histogramming and numeric
 // extraction iterate set bits without ever materializing a sub-table.
+//
+// The numeric hypothesis tests do not extract at all: View.Tally reduces the
+// selected rows of a byte-encoded column to one count per dictionary value,
+// and a t-test or a Kolmogorov–Smirnov test is computed from those at most
+// 256 (value, count) pairs. stats.MomentsOf reduces a slice through the same
+// histogram and the same arithmetic, so testing on counts and testing on the
+// gathered rows (View.Floats, kept for wide columns and for callers that need
+// the values) are one function of the sample, bit for bit.
 
 // Selection is an immutable dense bitmap over the rows of a table: bit i is
 // set when row i is selected. Selections are created by the predicate kernels
@@ -657,6 +666,95 @@ func (s *Selection) gatherFloats(dst []float64, c *Column, lo, hi int) {
 			}
 		}
 	}
+}
+
+// Tally is the selected rows of one numeric column counted per distinct
+// value: what the numeric hypothesis tests read in place of a sample. For a
+// byte-encoded column Values is the column's dictionary — every distinct
+// value of the table in ascending order, shared and read-only — and Counts
+// the selected rows holding each, zero where the selection holds none. A wide
+// column has no dictionary: Values and Counts are nil and Rows is the gather,
+// View.Floats.
+type Tally struct {
+	Values []float64
+	Counts []int
+	Rows   []float64
+}
+
+// Moments reduces the counts — or, for a wide column, the gathered rows — by
+// the one arithmetic of stats.MomentsOf, so the result equals
+// stats.MomentsOf(View.Floats) bit for bit on every column.
+func (t Tally) Moments() stats.Moments {
+	if t.Values == nil {
+		return stats.MomentsOf(t.Rows)
+	}
+	return stats.MomentsFromCounts(t.Values, t.Counts)
+}
+
+// KS is the two-sample Kolmogorov–Smirnov test of t against u, two tallies
+// of one column of one table: both count over its dictionary, or both hold
+// gathers.
+func (t Tally) KS(u Tally) (stats.TestResult, error) {
+	if t.Values == nil {
+		return stats.KolmogorovSmirnov(t.Rows, u.Rows)
+	}
+	return stats.KSFromCounts(t.Counts, u.Counts)
+}
+
+// A selection of a byte-encoded column must never hold more distinct values
+// than stats.MomentsOf reduces through a histogram, or Tally.Moments and the
+// gathered slice would part ways.
+var _ [stats.MaxCountedValues - maxByteDict]struct{}
+
+// Tally reduces the selected rows of a numeric column to a histogram over its
+// byte codes — the loop BinCounts runs: per-morsel partials merged in morsel
+// order, one byte read and no float touched per row — and falls back to the
+// gather for a wide column. A non-nil parent records the kernel span
+// "view.moments"; a nil one costs nothing.
+func (v View) Tally(name string, parent *obs.Span) (Tally, error) {
+	if parent == nil {
+		return v.tally(name)
+	}
+	k := startKernel(parent, v.table.execPool(), nil, "view.moments")
+	k.span.Set("column", name)
+	t, err := v.tally(name)
+	switch {
+	case err != nil:
+		k.span.Set("error", err.Error())
+	case t.Values == nil:
+		k.span.Set("encoding", "wide")
+	default:
+		k.span.Set("encoding", "byte")
+		k.span.Set("distinct", len(t.Values))
+	}
+	k.end(v.sel.n, v.sel.count)
+	return t, err
+}
+
+func (v View) tally(name string) (Tally, error) {
+	c, err := v.table.numericColumn(name)
+	if err != nil {
+		return Tally{}, err
+	}
+	enc := v.table.byteCodes(c)
+	if enc.dict == nil {
+		rows, err := v.Floats(name)
+		return Tally{Rows: rows}, err
+	}
+	counts := reduceInts(v.table.execPool(), v.sel.n, len(enc.dict), func(lo, hi int, acc []int) {
+		v.sel.forEachIn(lo, hi, func(row int) { acc[enc.codes[row]]++ })
+	})
+	return Tally{Values: enc.dict, Counts: counts}, nil
+}
+
+// Moments returns the size, mean and squared deviations of a numeric column
+// over the selected rows — all a t-test reads of them — from their Tally.
+func (v View) Moments(name string, parent *obs.Span) (stats.Moments, error) {
+	t, err := v.Tally(name, parent)
+	if err != nil {
+		return stats.Moments{}, err
+	}
+	return t.Moments(), nil
 }
 
 // BinCounts returns the per-bin counts of a numeric column among the selected

@@ -157,18 +157,3 @@ func (v View) BinCountsSpan(name string, bins int, parent *obs.Span) ([]int, err
 	k.end(v.sel.n, v.sel.count)
 	return out, err
 }
-
-// FloatsSpan is View.Floats with a kernel span under parent.
-func (v View) FloatsSpan(name string, parent *obs.Span) ([]float64, error) {
-	if parent == nil {
-		return v.Floats(name)
-	}
-	k := startKernel(parent, v.table.execPool(), nil, "view.floats")
-	k.span.Set("column", name)
-	out, err := v.Floats(name)
-	if err != nil {
-		k.span.Set("error", err.Error())
-	}
-	k.end(v.sel.n, v.sel.count)
-	return out, err
-}

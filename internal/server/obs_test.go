@@ -220,6 +220,50 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 		t.Errorf("numeric chart recorded %d view.bin_counts spans, want 2 (filter and population)", binSpans)
 	}
 
+	// The numeric tests read each sample as counts over the column's byte
+	// codes: one view.moments kernel per side under compare_means and
+	// compare_distributions, two under each half of a hold-out validation,
+	// and no gather (view.floats) anywhere.
+	momentSpans := func(endpoint string, want int, body map[string]any) {
+		t.Helper()
+		doJSON(t, http.MethodPost, ts.URL+path+endpoint, body, nil)
+		doJSON(t, http.MethodGet, ts.URL+"/debug/trace?endpoint=POST+/sessions/{id}"+endpoint+"&limit=1", nil, &resp)
+		if len(resp.Traces) != 1 {
+			t.Fatalf("%s: returned %d traces for limit=1", endpoint, len(resp.Traces))
+		}
+		spans := 0
+		var walk func(parent string, sp obs.SpanJSON)
+		walk = func(parent string, sp obs.SpanJSON) {
+			switch sp.Name {
+			case "view.moments":
+				spans++
+				a := sp.Attrs
+				if a["column"] != census.ColHoursPerWeek || a["encoding"] != "byte" || a["distinct"] == nil ||
+					a["rows"] == nil || a["selected"] == nil || a["morsels"] == nil {
+					t.Errorf("%s: view.moments annotations = %+v", endpoint, a)
+				}
+				if endpoint != "/steps" && parent != "holdout.compare_means" {
+					t.Errorf("%s: view.moments under %q, want a hold-out half", endpoint, parent)
+				}
+			case "view.floats":
+				t.Errorf("%s: a view.floats span under %q", endpoint, parent)
+			}
+			for _, child := range sp.Children {
+				walk(sp.Name, child)
+			}
+		}
+		walk("", resp.Traces[0])
+		if spans != want {
+			t.Errorf("%s: %d view.moments spans in the last trace, want %d", endpoint, spans, want)
+		}
+	}
+	momentSpans("/steps", 2, map[string]any{"op": "compare_means", "attribute": census.ColHoursPerWeek, "a": 1, "b": 2})
+	momentSpans("/steps", 2, map[string]any{"op": "compare_distributions", "attribute": census.ColHoursPerWeek, "a": 1, "b": 2})
+	momentSpans("/holdout/validate", 4, map[string]any{
+		"attribute": census.ColHoursPerWeek,
+		"predicate": map[string]any{"type": "equals", "column": census.ColSalaryOver50K, "value": "true"},
+	})
+
 	// Filters: an impossible min_ms excludes everything; bad values are 400s.
 	doJSON(t, http.MethodGet, ts.URL+"/debug/trace?min_ms=1e9", nil, &resp)
 	if resp.Returned != 0 {

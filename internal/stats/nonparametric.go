@@ -87,32 +87,72 @@ func rankWithTies(xs []float64) (ranks []float64, tieCorrection float64) {
 	return ranks, tieCorrection
 }
 
+const ksMethod = "two-sample Kolmogorov-Smirnov test"
+
 // KolmogorovSmirnov performs the two-sample Kolmogorov–Smirnov test that the
 // two samples come from the same continuous distribution. The p-value uses
 // the asymptotic Kolmogorov distribution with the Stephens small-sample
 // adjustment.
 func KolmogorovSmirnov(xs, ys []float64) (TestResult, error) {
-	const method = "two-sample Kolmogorov-Smirnov test"
 	if len(xs) == 0 || len(ys) == 0 {
-		return TestResult{}, errSampleTooSmall(method, minInt(len(xs), len(ys)))
+		return TestResult{}, errSampleTooSmall(ksMethod, 0)
 	}
 	sx := append([]float64(nil), xs...)
 	sy := append([]float64(nil), ys...)
 	sort.Float64s(sx)
 	sort.Float64s(sy)
-	nx, ny := float64(len(sx)), float64(len(sy))
-
-	// Sweep the merged order statistics, tracking the maximum ECDF gap.
-	var d float64
-	i, j := 0, 0
-	for i < len(sx) && j < len(sy) {
-		v := math.Min(sx[i], sy[j])
+	// NaNs sort first; they have no place on the value axis.
+	if sx[0] != sx[0] || sy[0] != sy[0] {
+		return TestResult{}, fmt.Errorf("stats: Kolmogorov-Smirnov test undefined for NaN observations: %w", ErrDomain)
+	}
+	// Run-length encode the merged order statistics: one entry per distinct
+	// value, holding how many observations of each sample equal it.
+	var countsX, countsY []int
+	for i, j := 0, 0; i < len(sx) || j < len(sy); {
+		v := math.Inf(1)
+		if i < len(sx) {
+			v = sx[i]
+		}
+		if j < len(sy) && sy[j] < v {
+			v = sy[j]
+		}
+		i0, j0 := i, j
 		for i < len(sx) && sx[i] <= v {
 			i++
 		}
 		for j < len(sy) && sy[j] <= v {
 			j++
 		}
+		countsX, countsY = append(countsX, i-i0), append(countsY, j-j0)
+	}
+	return KSFromCounts(countsX, countsY)
+}
+
+// KSFromCounts is KolmogorovSmirnov on two samples held as counts over one
+// shared axis of ascending values: countsX[k] and countsY[k] observations
+// equal the k-th value (either may be zero). The statistic is the largest gap
+// between the two cumulative histograms — a maximum over ratios of integer
+// counts, so every histogram of the same two multisets gives the same bits,
+// whatever other values its axis lists.
+func KSFromCounts(countsX, countsY []int) (TestResult, error) {
+	if len(countsX) != len(countsY) {
+		return TestResult{}, errors.New("stats: Kolmogorov-Smirnov counts must share one value axis")
+	}
+	var totalX, totalY int
+	for k := range countsX {
+		totalX += countsX[k]
+		totalY += countsY[k]
+	}
+	if totalX == 0 || totalY == 0 {
+		return TestResult{}, errSampleTooSmall(ksMethod, minInt(totalX, totalY))
+	}
+	nx, ny := float64(totalX), float64(totalY)
+
+	var d float64
+	i, j := 0, 0
+	for k := range countsX {
+		i += countsX[k]
+		j += countsY[k]
 		gap := math.Abs(float64(i)/nx - float64(j)/ny)
 		if gap > d {
 			d = gap
@@ -122,7 +162,7 @@ func KolmogorovSmirnov(xs, ys []float64) (TestResult, error) {
 	ne := nx * ny / (nx + ny)
 	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
 	p := kolmogorovSurvival(lambda)
-	return TestResult{Statistic: d, PValue: p, DF: 0, EffectSize: d, N: len(xs) + len(ys), Method: method}, nil
+	return TestResult{Statistic: d, PValue: p, DF: 0, EffectSize: d, N: totalX + totalY, Method: ksMethod}, nil
 }
 
 // kolmogorovSurvival evaluates Q_KS(lambda) = 2 * sum_{k>=1} (-1)^(k-1)

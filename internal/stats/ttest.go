@@ -114,19 +114,19 @@ func TwoSampleTTest(xs, ys []float64, alt Alternative) (TestResult, error) {
 // WelchTTest tests whether the means of xs and ys differ without assuming
 // equal variances (Welch's t-test with Satterthwaite degrees of freedom).
 func WelchTTest(xs, ys []float64, alt Alternative) (TestResult, error) {
+	return WelchFromMoments(MomentsOf(xs), MomentsOf(ys), alt)
+}
+
+// WelchFromMoments is WelchTTest on two samples already reduced to their
+// moments — the one implementation of the test. The reduction is the
+// caller's: MomentsOf for a slice, MomentsFromCounts for a value histogram.
+func WelchFromMoments(x, y Moments, alt Alternative) (TestResult, error) {
 	const method = "Welch two-sample t-test"
-	if len(xs) < 2 || len(ys) < 2 {
-		return TestResult{}, errSampleTooSmall(method, minInt(len(xs), len(ys)))
+	if x.N < 2 || y.N < 2 {
+		return TestResult{}, errSampleTooSmall(method, minInt(x.N, y.N))
 	}
-	mx, vx, err := MeanVariance(xs)
-	if err != nil {
-		return TestResult{}, err
-	}
-	my, vy, err := MeanVariance(ys)
-	if err != nil {
-		return TestResult{}, err
-	}
-	nx, ny := float64(len(xs)), float64(len(ys))
+	mx, vx, my, vy := x.Mean, x.Variance(), y.Mean, y.Variance()
+	nx, ny := float64(x.N), float64(y.N)
 	sx2, sy2 := vx/nx, vy/ny
 	se := math.Sqrt(sx2 + sy2)
 	if se == 0 {
@@ -136,7 +136,7 @@ func WelchTTest(xs, ys []float64, alt Alternative) (TestResult, error) {
 	df := (sx2 + sy2) * (sx2 + sy2) / (sx2*sx2/(nx-1) + sy2*sy2/(ny-1))
 	p := tTestPValue(t, df, alt)
 	d := cohensDFromStats(mx, my, vx, vy, nx, ny)
-	return TestResult{Statistic: t, PValue: p, DF: df, EffectSize: d, N: len(xs) + len(ys), Method: method}, nil
+	return TestResult{Statistic: t, PValue: p, DF: df, EffectSize: d, N: x.N + y.N, Method: method}, nil
 }
 
 // PairedTTest tests whether the mean of the paired differences xs[i]-ys[i]
