@@ -12,126 +12,39 @@
 //	awarebench -exp intro               # Section 1 / 2.4 numbers
 //	awarebench -exp holdout             # Section 4.1 hold-out analysis
 //	awarebench -exp subsets             # Theorem 1 empirical check
-//	awarebench -exp bench               # core-op timings -> BENCH_core.json
-//	awarebench -exp steps               # step dispatch/replay -> BENCH_core.json
-//	awarebench -exp filter              # filter+count execution paths -> BENCH_core.json
-//	awarebench -exp filter -rows 300000 -minspeedup 1.5   # CI scaling gate
-//	awarebench -exp join                # hash join vs oracle, derive, cache
-//	                                    # subsumption -> BENCH_core.json
-//	awarebench -exp join -joinrows 300000 -minjoinspeedup 5 -minsubsumespeedup 3   # CI join gate
-//	awarebench -exp scaling             # seq-vs-parallel curve at 30k/300k/3M/10M rows
-//	awarebench -exp ingest              # storage engine: generate vs CSV ingest vs
-//	                                    # snapshot write/mmap load -> BENCH_core.json
-//	awarebench -exp ingest -ingestrows 3000000 -minspeedup 10   # CI cold-start gate
 //	awarebench -exp replay              # hold-out replay of a recorded step log
-//	awarebench -exp drift               # CI gate: allocs_per_op vs committed baseline
+//
+// Performance is measured by the repository benchmark in benchmark/, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"aware/internal/simulation"
 )
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to run: 1a, 1b, 1c, 2, intro, holdout, subsets, bench, steps, filter, join, scaling, ingest, replay, drift, all")
+		exp        = flag.String("exp", "all", "experiment to run: 1a, 1b, 1c, 2, intro, holdout, subsets, replay, all")
 		reps       = flag.Int("reps", 0, "replications per configuration (0 = paper defaults: 1000 synthetic, 20 census)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		nullProp   = flag.Float64("null", -1, "true-null proportion for 1a/1b/1c (-1 = run the paper's set)")
-		rows       = flag.Int("rows", 30000, "census rows for experiment 2")
-		hypotheses = flag.Int("hypotheses", 115, "workflow hypotheses for experiment 2")
+		rows       = flag.Int("rows", 30000, "census rows for experiments 2 and replay")
+		hypotheses = flag.Int("hypotheses", 115, "workflow hypotheses for experiments 2 and replay")
 		randomized = flag.Bool("randomized", false, "use the randomized census for experiment 2")
-		benchOut   = flag.String("benchout", "BENCH_core.json", "output path for the machine-readable core benchmarks (-exp bench)")
-		driftBase  = flag.String("driftbase", "BENCH_core.json", "committed baseline for -exp drift")
-		driftPct   = flag.Float64("driftpct", 20, "allowed allocs_per_op increase in percent for -exp drift")
-		minSpeedup = flag.Float64("minspeedup", 0, "fail -exp filter/scaling when parallel speedup over sequential is below this (0 = no gate; skipped below 4 CPUs); for -exp ingest, fail when snapshot load is not this much faster than generation")
-		minTunedSp = flag.Float64("mintunedspeedup", 0, "fail -exp filter when the tuned parallel kernels are not this much faster than the generic parallel ones (0 = no gate; skipped below 4 CPUs)")
-		maxTraceOv = flag.Float64("maxtraceoverhead", 0, "fail -exp filter when the traced path is more than this percent slower than the untraced one (0 = no gate)")
-		joinRows   = flag.Int("joinrows", 300000, "census rows for -exp join")
-		minJoinSp  = flag.Float64("minjoinspeedup", 0, "fail -exp join when the hash join is not this much faster than the nested-loop oracle (0 = no gate; skipped below 4 CPUs)")
-		minSubsuSp = flag.Float64("minsubsumespeedup", 0, "fail -exp join when the subsumption-served filter compile is not this much faster than the cold one (0 = no gate; skipped below 4 CPUs)")
-		scaleRows  = flag.String("scalerows", "30000,300000,3000000,10000000", "comma-separated census sizes for -exp scaling")
-		ingestRows = flag.String("ingestrows", "30000,300000,3000000", "comma-separated census sizes for -exp ingest")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
-		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this path")
 	)
 	flag.Parse()
 
-	if err := runProfiled(*cpuProfile, *memProfile, func() error {
-		if *exp == "drift" {
-			// The drift gate compares the file an earlier bench run wrote
-			// (-benchout) against the committed baseline (-driftbase).
-			return runDrift(*driftBase, *benchOut, *driftPct)
-		}
-		if *exp == "join" {
-			return runBenchJoin(*benchOut, *seed, *joinRows, *minJoinSp, *minSubsuSp)
-		}
-		return run(*exp, *reps, *seed, *nullProp, *rows, *hypotheses, *randomized, *benchOut, *minSpeedup, *minTunedSp, *maxTraceOv, *scaleRows, *ingestRows)
-	}); err != nil {
+	if err := run(*exp, *reps, *seed, *nullProp, *rows, *hypotheses, *randomized); err != nil {
 		fmt.Fprintf(os.Stderr, "awarebench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// runProfiled brackets fn with the optional pprof captures: the CPU profile
-// covers the whole run, the heap profile is written after a final GC so it
-// shows live retention rather than transient garbage.
-func runProfiled(cpuPath, memPath string, fn func() error) error {
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if err := fn(); err != nil {
-		return err
-	}
-	if memPath != "" {
-		f, err := os.Create(memPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func run(exp string, reps int, seed int64, nullProp float64, rows, hypotheses int, randomized bool, benchOut string, minSpeedup, minTunedSpeedup, maxTraceOverhead float64, scaleRows, ingestRows string) error {
+func run(exp string, reps int, seed int64, nullProp float64, rows, hypotheses int, randomized bool) error {
 	switch exp {
-	case "bench":
-		return runBenchCore(benchOut, seed, rows)
-	case "steps":
-		return runBenchSteps(benchOut, seed, rows)
-	case "filter":
-		return runBenchFilter(benchOut, seed, rows, minSpeedup, minTunedSpeedup, maxTraceOverhead)
-	case "scaling":
-		sizes, err := parseRowsList(scaleRows)
-		if err != nil {
-			return err
-		}
-		return runBenchScaling(benchOut, seed, sizes, minSpeedup)
-	case "ingest":
-		sizes, err := parseRowsList(ingestRows)
-		if err != nil {
-			return err
-		}
-		return runBenchIngest(benchOut, seed, sizes, minSpeedup)
-	case "replay":
-		return runReplayHoldout(seed, rows, hypotheses)
 	case "1a":
 		return runExp1a(reps, seed, nullProp)
 	case "1b":
@@ -146,6 +59,8 @@ func run(exp string, reps int, seed int64, nullProp float64, rows, hypotheses in
 		return runHoldout(reps, seed)
 	case "subsets":
 		return runSubsets(reps, seed)
+	case "replay":
+		return runReplayHoldout(seed, rows, hypotheses)
 	case "all":
 		for _, step := range []func() error{
 			runIntro,

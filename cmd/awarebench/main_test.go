@@ -9,14 +9,15 @@ func TestRunSmallExperiments(t *testing.T) {
 		name string
 		exec func() error
 	}{
-		{"intro", func() error { return run("intro", 0, 1, -1, 0, 0, false, "", 0, 0, 0, "", "") }},
-		{"1a", func() error { return run("1a", 5, 1, 0.75, 0, 0, false, "", 0, 0, 0, "", "") }},
-		{"1b", func() error { return run("1b", 5, 1, 1.0, 0, 0, false, "", 0, 0, 0, "", "") }},
-		{"1c", func() error { return run("1c", 5, 1, 0.25, 0, 0, false, "", 0, 0, 0, "", "") }},
-		{"holdout", func() error { return run("holdout", 20, 1, -1, 0, 0, false, "", 0, 0, 0, "", "") }},
-		{"subsets", func() error { return run("subsets", 20, 1, -1, 0, 0, false, "", 0, 0, 0, "", "") }},
-		{"2", func() error { return run("2", 2, 1, -1, 2000, 15, false, "", 0, 0, 0, "", "") }},
-		{"2-randomized", func() error { return run("2", 2, 1, -1, 2000, 15, true, "", 0, 0, 0, "", "") }},
+		{"intro", func() error { return run("intro", 0, 1, -1, 0, 0, false) }},
+		{"1a", func() error { return run("1a", 5, 1, 0.75, 0, 0, false) }},
+		{"1b", func() error { return run("1b", 5, 1, 1.0, 0, 0, false) }},
+		{"1c", func() error { return run("1c", 5, 1, 0.25, 0, 0, false) }},
+		{"holdout", func() error { return run("holdout", 20, 1, -1, 0, 0, false) }},
+		{"subsets", func() error { return run("subsets", 20, 1, -1, 0, 0, false) }},
+		{"2", func() error { return run("2", 2, 1, -1, 2000, 15, false) }},
+		{"2-randomized", func() error { return run("2", 2, 1, -1, 2000, 15, true) }},
+		{"replay", func() error { return run("replay", 0, 1, -1, 2000, 15, false) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -26,7 +27,7 @@ func TestRunSmallExperiments(t *testing.T) {
 			}
 		})
 	}
-	if err := run("nope", 1, 1, -1, 0, 0, false, "", 0, 0, 0, "", ""); err == nil {
+	if err := run("nope", 1, 1, -1, 0, 0, false); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }

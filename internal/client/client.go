@@ -1,6 +1,6 @@
 // Package client is the typed Go client of the awared v1 API. It speaks the
 // wire contract in internal/api — every endpoint, request document and error
-// envelope — so the load generator, the cluster router's health prober, the
+// envelope — so the benchmark, the cluster router's health prober, the
 // examples and any other Go consumer share one tested request path instead of
 // hand-rolling HTTP. Non-2xx responses decode into *api.Error, carrying the
 // machine-readable code that tells a caller whether a retry is safe.
@@ -38,7 +38,7 @@ type Call struct {
 }
 
 // Observer receives every completed call, synchronously on the calling
-// goroutine. Used by the load generator for per-endpoint latency accounting.
+// goroutine. The benchmark reads each call's serving node from it.
 type Observer func(Call)
 
 // Client is a typed client bound to one base URL. It is safe for concurrent

@@ -24,7 +24,15 @@ func legacyReferenceCounts(ref, sub *dataset.Table, target string) ([]int, error
 		if err != nil {
 			return nil, err
 		}
-		return sub.CountsFor(target, cats)
+		valueCounts, err := sub.ValueCounts(target)
+		if err != nil {
+			return nil, err
+		}
+		counts := make([]int, len(cats))
+		for i, cat := range cats {
+			counts[i] = valueCounts[cat]
+		}
+		return counts, nil
 	}
 	all, err := ref.Floats(target)
 	if err != nil {

@@ -40,7 +40,7 @@ type WordArena struct {
 }
 
 // ArenaStats is a snapshot of an arena's counters — the wire form served by
-// /debug/metrics and printed by awarebench's allocation report. In steady
+// /debug/metrics and recorded on traced kernel spans. In steady
 // state FreshSelections stops growing: every new selection is a recycled
 // one.
 type ArenaStats struct {

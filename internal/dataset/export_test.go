@@ -6,3 +6,5 @@ var (
 	WideTwin         = wideTwin
 	SnapshotVariants = snapshotVariants
 )
+
+const RaceEnabled = raceEnabled

@@ -543,8 +543,9 @@ func (v View) NumRows() int { return v.sel.Count() }
 func (v View) full() bool { return v.sel.count == v.sel.n }
 
 // CountsFor returns the counts of the column's values among the selected
-// rows, in the order given by categories — the vectorized equivalent of
-// materializing the sub-table and calling Table.CountsFor.
+// rows, in the order given by categories (values not present count as zero)
+// — the vectorized equivalent of materializing the sub-table and reading its
+// ValueCounts in that order.
 func (v View) CountsFor(name string, categories []string) ([]int, error) {
 	c, err := v.table.categoricalColumn(name)
 	if err != nil {

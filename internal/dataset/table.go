@@ -742,21 +742,6 @@ func (t *Table) ValueCounts(name string) (map[string]int, error) {
 	return counts, nil
 }
 
-// CountsFor returns the counts of the column's values in the order given by
-// categories (values not present count as zero). This is the canonical input
-// to the chi-squared tests used by AWARE's default hypotheses.
-func (t *Table) CountsFor(name string, categories []string) ([]int, error) {
-	counts, err := t.ValueCounts(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(categories))
-	for i, cat := range categories {
-		out[i] = counts[cat]
-	}
-	return out, nil
-}
-
 // Shuffle returns a new table whose named columns have been independently
 // permuted using rng, destroying any association between them and the rest of
 // the table. Shuffling every column yields the "randomized" dataset of

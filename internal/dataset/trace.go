@@ -64,23 +64,6 @@ func (k kernelTrace) end(rows, selected int) {
 	k.span.End()
 }
 
-// WhereSpan is Table.Where with a kernel span recorded under parent (nil
-// parent: identical to Where).
-func (t *Table) WhereSpan(p Predicate, parent *obs.Span) (*Selection, error) {
-	if parent == nil {
-		return t.Where(p)
-	}
-	k := startKernel(parent, t.execPool(), t.Arena(), "table.where")
-	sel, err := t.Where(p)
-	if err != nil {
-		k.span.Set("error", err.Error())
-		k.end(t.rows, 0)
-		return nil, err
-	}
-	k.end(t.rows, sel.Count())
-	return sel, nil
-}
-
 // WhereSpan is SelectionCache.Where with a kernel span recorded under parent,
 // annotated with the cache outcome (full/hit/miss/uncacheable) so a trace
 // shows whether the filter compiled or was served from the shared bitmap.

@@ -190,9 +190,13 @@ func TestVectorizedMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantCounts, err := sub.CountsFor(col, cats)
+			valueCounts, err := sub.ValueCounts(col)
 			if err != nil {
 				t.Fatal(err)
+			}
+			wantCounts := make([]int, len(cats))
+			for i, cat := range cats {
+				wantCounts[i] = valueCounts[cat]
 			}
 			gotCounts, err := view.CountsFor(col, cats)
 			if err != nil {

@@ -12,9 +12,8 @@ import (
 
 // This file is a hand-rolled implementation of the Prometheus text exposition
 // format (version 0.0.4): enough of the writer to serve GET /metrics from
-// atomic counters, and enough of a parser (ValidateExposition) for tests and
-// the CI load-smoke gate to reject malformed output without depending on
-// client_golang.
+// atomic counters, and enough of a parser (ValidateExposition) for tests to
+// reject malformed output without depending on client_golang.
 
 // escapeHelp escapes a HELP text: backslash and newline.
 func escapeHelp(s string) string {
@@ -183,7 +182,7 @@ func (h *Histogram) Count() uint64 {
 	return total
 }
 
-// --- exposition validation (used by tests and the CI load-smoke gate) ---
+// --- exposition validation (used by tests) ---
 
 var metricNameOK = func(name string) bool {
 	if name == "" {

@@ -17,7 +17,7 @@ import (
 	"aware/internal/census"
 )
 
-// TestConcurrentLifecycleWithSweeper is the loadgen-shaped race test: many
+// TestConcurrentLifecycleWithSweeper is the load-shaped race test: many
 // clients run full create→step→validate→destroy lifecycles over HTTP while
 // the idle-TTL sweeper fires continuously with an aggressively short TTL, so
 // expiry races live traffic. Clients must only ever observe clean outcomes —

@@ -52,8 +52,8 @@ func (e *endpointStats) record(status int, elapsed time.Duration) {
 // router rejected (404/405). The endpoint map is fully populated at route
 // registration and never mutated afterwards, so lookups are lock-free.
 //
-// The same numbers back GET /debug/metrics and the load generator's reports:
-// operators and the CI perf gate read one source of truth.
+// The same numbers back GET /debug/metrics and GET /metrics: operators and
+// the benchmark read one source of truth.
 type Metrics struct {
 	startedAt time.Time
 
@@ -118,7 +118,7 @@ type CacheMetrics struct {
 }
 
 // MetricsSnapshot is the GET /debug/metrics document: expvar-style JSON the
-// load generator, the CI gates and human operators all read.
+// benchmark and human operators read.
 type MetricsSnapshot struct {
 	StartedAt     time.Time `json:"started_at"`
 	UptimeSeconds float64   `json:"uptime_seconds"`
