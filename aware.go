@@ -218,8 +218,6 @@ var (
 	// HashJoin equi-joins two filtered views into a new table (build side
 	// chosen by exact bitmap cardinality, output in (left, right) row order).
 	HashJoin = dataset.HashJoin
-	// JoinOracle is the nested-loop differential reference for HashJoin.
-	JoinOracle = dataset.JoinOracle
 	// MarshalExpr serializes a computed-column expression to JSON.
 	MarshalExpr = dataset.MarshalExpr
 	// UnmarshalExpr parses the expression JSON wire format (strict).

@@ -44,7 +44,7 @@ func referenceCounts(sub dataset.View, target string, span *obs.Span) ([]int, er
 		return sub.CountsForSpan(target, cats, span)
 	}
 	// Numeric target: bin on edges computed over the reference table. The
-	// per-row bin assignment is memoized on the table, so only the first
+	// per-row bin assignment is memoized on the column, so only the first
 	// hypothesis over this target pays the binning arithmetic.
 	return sub.BinCountsSpan(target, numericBins, span)
 }

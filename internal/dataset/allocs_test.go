@@ -82,11 +82,10 @@ func TestAllocsArenaWhere(t *testing.T) {
 	})
 }
 
-// TestAllocsHashJoin pins a JoinDataset step's kernel: a filtered census view
-// joined to a 120-row occupation catalog. The count does not grow with the
-// fact side's rows.
-func TestAllocsHashJoin(t *testing.T) {
-	table := allocsCensus(t, 30000)
+// occupationDim is the relational workload's dimension: the census
+// occupations padded to 120 rows, each with a sector and a median pay.
+func occupationDim(tb testing.TB) dataset.View {
+	tb.Helper()
 	occupations := append([]string(nil), census.Occupations...)
 	for i := len(occupations); i < 120; i++ {
 		occupations = append(occupations, fmt.Sprintf("Role-%03d", i))
@@ -103,19 +102,89 @@ func TestAllocsHashJoin(t *testing.T) {
 		dataset.NewFloatColumn("median_pay", pay),
 	)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	left, err := table.View(allocsFilter)
+	view, err := dim.View(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return view
+}
+
+// joinOccupations runs a JoinDataset step's kernel: the census view joined to
+// the occupation dimension.
+func joinOccupations(tb testing.TB, left, right dataset.View) *dataset.Table {
+	joined, err := dataset.HashJoin(left, right, census.ColOccupation, "occupation", "dim_")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return joined
+}
+
+// TestAllocsHashJoin pins the join of a filtered census view to the
+// occupation dimension, which gathers both sides. The count does not grow
+// with the fact side's rows.
+func TestAllocsHashJoin(t *testing.T) {
+	left, err := allocsCensus(t, 30000).View(allocsFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := dim.View(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinAllocs(t, "HashJoin", 230, func() { // measured 191
-		if _, err := dataset.HashJoin(left, right, census.ColOccupation, "occupation", "dim_"); err != nil {
+	right := occupationDim(t)
+	pinAllocs(t, "HashJoin", 83, func() { joinOccupations(t, left, right) }) // measured 69 (191 with map postings)
+}
+
+// TestAllocsHashJoinDimension pins the join of the full census view to the
+// occupation dimension: every census row matches one occupation, so the
+// result shares the census columns and gathers only the dimension's. The
+// count is the same at two fact-side sizes.
+func TestAllocsHashJoinDimension(t *testing.T) {
+	right := occupationDim(t)
+	var counts []float64
+	for _, rows := range []int{30000, 90000} {
+		left, err := allocsCensus(t, rows).View(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
+		age, err := left.Table().Column(census.ColAge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if joined := joinOccupations(t, left, right); joined.NumRows() != rows {
+			t.Fatalf("%d census rows joined into %d", rows, joined.NumRows())
+		} else if joinedAge, _ := joined.Column(census.ColAge); joinedAge != age {
+			t.Fatalf("the join of the full census view gathered its columns")
+		}
+		pinAllocs(t, "HashJoin (dimension)", 57, func() { joinOccupations(t, left, right) }) // measured 47
+		counts = append(counts, testing.AllocsPerRun(5, func() { joinOccupations(t, left, right) }))
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("HashJoin (dimension) allocates %v objects at 30k rows and %v at 90k", counts[0], counts[1])
+	}
+}
+
+// BenchmarkHashJoin times a JoinDataset step's kernel at the relational
+// workload's scale, 300k census rows joined to the 120-row occupation
+// dimension, on the default pool: the full view (the left columns are shared)
+// and a filtered one (both sides gathered).
+func BenchmarkHashJoin(b *testing.B) {
+	table, err := census.Generate(census.Config{Rows: 300_000, Seed: 1, SignalStrength: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	right := occupationDim(b)
+	for _, bc := range []struct {
+		name   string
+		filter dataset.Predicate
+	}{{"full", nil}, {"filtered", allocsFilter}} {
+		left, err := table.View(bc.filter)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				joinOccupations(b, left, right)
+			}
+		})
+	}
 }

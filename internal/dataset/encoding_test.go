@@ -21,8 +21,8 @@ import (
 // row-identical to Matches; BinCounts, CrossCounts and the bin edge labels
 // equal both the wide path over the same values and a row-at-a-time
 // recomputation; a NaN or a 257th distinct value keeps a column wide; the
-// encoding belongs to one table, fills safely under concurrent first use,
-// and changes no error.
+// encoding belongs to one column, is shared by every table that shares the
+// column, fills safely under concurrent first use, and changes no error.
 
 var (
 	negZero  = math.Copysign(0, -1)
@@ -100,20 +100,40 @@ func encodingTable(rng *rand.Rand, rows, card int, wild, nan bool) *Table {
 
 // wideTwin returns a table over the same column vectors whose numeric
 // columns are memoized as wide before anyone asks: the 8-byte kernels and the
-// per-row bin assignment over the very same values.
+// per-row bin assignment over the very same values. The columns are wrapped
+// afresh, so the twin's memos are its own and forcing them wide leaves the
+// original's alone.
 func wideTwin(tab *Table) *Table {
-	twin, err := NewTable(tab.columns...)
+	cols := make([]*Column, len(tab.columns))
+	for i, c := range tab.columns {
+		cols[i] = wrapColumn(c.phys)
+		if c.Type == Float64 || c.Type == Int64 {
+			cols[i].ref.bytes = &byteCodes{}
+		}
+	}
+	twin, err := NewTable(cols...)
 	if err != nil {
 		panic(err)
 	}
 	twin.pool.Store(tab.pool.Load())
-	twin.ref.bytes = make(map[string]*byteCodes)
-	for _, c := range tab.columns {
-		if c.Type == Float64 || c.Type == Int64 {
-			twin.ref.bytes[c.Name] = &byteCodes{}
-		}
-	}
 	return twin
+}
+
+// memoEntries counts the entries a table's column memos hold: encodings,
+// code tallies and binnings.
+func memoEntries(tab *Table) (bytes, codes, bins int) {
+	for _, c := range tab.columns {
+		c.ref.mu.RLock()
+		if c.ref.bytes != nil {
+			bytes++
+		}
+		if c.ref.codes != nil {
+			codes++
+		}
+		bins += len(c.ref.bins)
+		c.ref.mu.RUnlock()
+	}
+	return bytes, codes, bins
 }
 
 // columnFloats reads a numeric column through the row-at-a-time accessor.
@@ -153,7 +173,7 @@ func legacyBinEdgeLabels(t *testing.T, all []float64, bins int) []string {
 func requireEncoded(t *testing.T, label string, tab *Table, column string, wantWide bool) {
 	t.Helper()
 	c, _ := tab.Column(column)
-	enc := tab.byteCodes(c)
+	enc := c.byteCodes()
 	if wantWide {
 		if enc.dict != nil || enc.codes != nil {
 			t.Fatalf("%s: column %s is encoded with %d values, want wide", label, column, len(enc.dict))
@@ -339,12 +359,12 @@ func TestByteEncodingMatchesValues(t *testing.T) {
 					}
 				}
 				// Everything above read one encoding per numeric column.
-				if n := len(tab.ref.bytes); n != 2 {
+				if n, _, _ := memoEntries(tab); n != 2 {
 					t.Errorf("%s: memo holds %d encodings, want 2", label, n)
 				}
 				wantCols := 0
 				for _, column := range []string{"f", "i"} {
-					if c, _ := tab.Column(column); tab.byteCodes(c).dict != nil {
+					if c, _ := tab.Column(column); c.byteCodes().dict != nil {
 						wantCols++
 					}
 				}
@@ -442,11 +462,12 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 	}
 }
 
-// TestByteEncodingNotCarriedToDerivedTables encodes a parent table and then
-// derives tables from it every way the package can. Each starts with no
-// encoding and builds its own: a Select of a few rows has a shorter
-// dictionary than its parent, a carried-over one would select wrong rows.
-func TestByteEncodingNotCarriedToDerivedTables(t *testing.T) {
+// TestByteEncodingCarriedExactlyWhereShared encodes a parent table and then
+// derives tables from it every way the package can. A column a derived table
+// shares keeps its encoding and is never re-encoded; every gathered column
+// builds its own: a Select of a few rows has a shorter dictionary than its
+// parent, and a carried-over one would select wrong rows.
+func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
 	parent := encodingTable(rng, 5000, 90, false, false)
 	requireEncodingExact(t, rng, "parent", parent, true)
@@ -454,47 +475,21 @@ func TestByteEncodingNotCarriedToDerivedTables(t *testing.T) {
 		t.Fatalf("parent encoded %d columns, want 2", cols)
 	}
 
-	derived := map[string]*Table{}
-	var err error
-	if derived["select"], err = parent.Select([]int{4, 8, 15, 16, 23, 42, 42}); err != nil {
-		t.Fatal(err)
-	}
-	if derived["shuffle"], err = parent.Shuffle(rng, "f", "flag"); err != nil {
-		t.Fatal(err)
-	}
-	if derived["derive"], err = parent.Derive("f_bucket", Bucket{Arg: Col{Name: "f"}, Width: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if derived["explore"], derived["holdout"], err = parent.Split(rng, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	left, err := parent.View(GreaterThan{Column: "i", Threshold: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := derived["select"].View(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derived["join"], err = HashJoin(left, right, "cat", "cat", "r_"); err != nil {
-		t.Fatal(err)
-	}
-	for name, tab := range derived {
-		if tab.NumRows() == 0 {
-			t.Fatalf("%s: derived table is empty", name)
-		}
-		cols, size := tab.EncodedColumns()
-		if hits, computed := tab.RefStats(); cols != 0 || size != 0 || len(tab.ref.bytes) != 0 || hits != 0 || computed != 0 {
-			t.Errorf("%s: a new table starts with %d encoded columns (%d bytes), %d memo hits, %d scans", name, cols, size, hits, computed)
-		}
+	derived := deriveEveryWay(t, rng, parent, []string{"f", "flag"}, "i", "cat")
+	all := parent.ColumnNames()
+	requireMemoCarriedWhereShared(t, parent, derived, map[string][]string{
+		"shuffle":     {"i", "cat"},
+		"derive":      all,
+		"shared join": all,
+	}, func(name string, tab *Table) {
 		requireEncodingExact(t, rng, name, tab, true)
 		if cols, size := tab.EncodedColumns(); cols != 2 || size != 2*tab.NumRows() {
 			t.Errorf("%s: after use %d encoded columns holding %d bytes, want 2 and %d", name, cols, size, 2*tab.NumRows())
 		}
-	}
+	})
 	fc, _ := derived["select"].Column("f")
 	pc, _ := parent.Column("f")
-	if few, all := len(derived["select"].byteCodes(fc).dict), len(parent.byteCodes(pc).dict); few > 6 || all != 90 {
+	if few, all := len(fc.byteCodes().dict), len(pc.byteCodes().dict); few > 6 || all != 90 {
 		t.Errorf("select's dictionary holds %d values, its parent's %d; want at most 6 and 90", few, all)
 	}
 	requireEncodingExact(t, rng, "parent after deriving", parent, false)
@@ -554,12 +549,14 @@ func TestByteEncodingConcurrentFirstUse(t *testing.T) {
 	wg.Wait()
 	// Racing first users may each build, but one copy per entry is kept, and
 	// the binnings alias the kept code vectors, not a loser's.
-	if n := len(tab.ref.bytes); n != 2 {
+	if n, _, _ := memoEntries(tab); n != 2 {
 		t.Errorf("memo holds %d encodings, want 2 (f, i)", n)
 	}
-	for key, ba := range tab.ref.bins {
-		if kept := tab.ref.bytes[key.column]; len(ba.codes) == 0 || &ba.codes[0] != &kept.codes[0] {
-			t.Errorf("binning %v does not read the memoized codes of its column", key)
+	for _, c := range tab.columns {
+		for bins, ba := range c.ref.bins {
+			if kept := c.ref.bytes; len(ba.codes) == 0 || &ba.codes[0] != &kept.codes[0] {
+				t.Errorf("binning of %s into %d bins does not read the memoized codes of its column", c.Name, bins)
+			}
 		}
 	}
 	if cols, size := tab.EncodedColumns(); cols != 2 || size != 2*tab.NumRows() {
@@ -605,8 +602,11 @@ func TestByteEncodingKeepsTypeErrors(t *testing.T) {
 	if _, err := view.BinCounts("flag", 10); !errors.Is(err, ErrTypeMismatch) {
 		t.Errorf("BinCounts on a bool column: %v", err)
 	}
-	if _, computed := tab.RefStats(); computed != computedBefore || len(tab.ref.bytes) != 1 {
-		t.Errorf("failed predicates filled the memo: %d scans (was %d), %d encodings", computed, computedBefore, len(tab.ref.bytes))
+	if _, computed := tab.RefStats(); computed != computedBefore {
+		t.Errorf("failed predicates filled the memo: %d scans (was %d)", computed, computedBefore)
+	}
+	if encodings, _, _ := memoEntries(tab); encodings != 1 {
+		t.Errorf("failed predicates filled the memo: %d encodings, want 1", encodings)
 	}
 }
 

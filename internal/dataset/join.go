@@ -3,25 +3,31 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"aware/internal/colstore"
 )
 
-// This file is the two-table hash equi-join kernel. HashJoin is the engine
-// path: the smaller side (by exact bitmap cardinality — Selection.Count is
-// free) builds a hash table pre-sized to its row count, and the larger side
-// streams morsel-at-a-time over its View probing it, with a two-pass
-// count/prefix-sum/write scheme so the output is deterministic on any pool.
-// JoinOracle is the row-at-a-time nested-loop reference kept for differential
-// testing, exactly as WhereGeneric is for the predicate kernels: both paths
-// must produce column-for-column identical tables.
+// This file is the two-table hash equi-join kernel. The smaller side (by
+// exact bitmap cardinality — Selection.Count is free) builds CSR postings
+// over a dense key id, and the larger side streams morsel-at-a-time over its
+// View probing them, with a two-pass count/prefix-sum/write scheme so the
+// output is deterministic on any pool.
 //
-// Output contract (both paths): one row per matching (left row, right row)
-// pair, ordered by left row ascending, then right row ascending. The result
-// table holds every left column under its own name followed by every right
-// column renamed rightPrefix+name; name collisions (for example an empty
-// prefix over overlapping schemas) fail with ErrColumnExists.
+// Output contract: one row per matching (left row, right row) pair, ordered
+// by left row ascending, then right row ascending. The result table holds
+// every left column under its own name followed by every right column renamed
+// rightPrefix+name; name collisions (for example an empty prefix over
+// overlapping schemas) fail with ErrColumnExists.
+//
+// When the output is the left table itself — the left side probes, its view
+// selects every row, and every row matched exactly one build row, as against
+// a unique-key dimension — the result holds the left table's own *Column
+// values, shared like Derive shares them, with their reference-statistics
+// memos; only the right columns are gathered. Every other join gathers both
+// sides.
 
 // ErrJoinKeyType is returned when join key columns are not an equi-joinable
 // pair (both categorical, both int64, or both bool).
@@ -62,9 +68,8 @@ func checkJoinSpans(left, right View) error {
 
 // HashJoin equi-joins two filtered views into a new table. The build side is
 // chosen greedily (the side with the smaller exact selection cardinality),
-// its matching rows are hashed into a postings map pre-sized from the bitmap
-// count, and the probe side streams morsel-at-a-time over its selection. The
-// result is identical — ordering included — to JoinOracle.
+// its matching rows are laid out as postings per key id, and the probe side
+// streams morsel-at-a-time over its selection.
 func HashJoin(left, right View, leftKey, rightKey, rightPrefix string) (*Table, error) {
 	lc, rc, err := joinKeyColumns(left, right, leftKey, rightKey)
 	if err != nil {
@@ -73,157 +78,143 @@ func HashJoin(left, right View, leftKey, rightKey, rightPrefix string) (*Table, 
 	if err := checkJoinSpans(left, right); err != nil {
 		return nil, err
 	}
-	var lidx, ridx []int32
-	if right.sel.Count() <= left.sel.Count() {
-		// Build on the right, probe the left: probing in ascending left-row
-		// order with ascending postings makes the output (l, r)-sorted for
-		// free.
-		lidx, ridx, err = hashJoinPairs(left, lc, right, rc)
-	} else {
+	if right.sel.Count() > left.sel.Count() {
 		// Build on the left, probe the right: pairs come out right-major, so
 		// re-sort them into the canonical (l, r) order.
-		ridx, lidx, err = hashJoinPairs(right, rc, left, lc)
-		if err == nil {
-			sortPairs(lidx, ridx)
-		}
+		ridx, lidx, _ := hashJoinPairs(right, rc, left, lc, false)
+		sortPairs(lidx, ridx)
+		return materializeJoin(left.table, right.table, lidx, ridx, false, rightPrefix)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return materializeJoin(left.table, right.table, lidx, ridx, rightPrefix)
+	// Build on the right, probe the left: probing in ascending left-row order
+	// with ascending postings makes the output (l, r)-sorted for free.
+	lidx, ridx, shared := hashJoinPairs(left, lc, right, rc, left.full())
+	return materializeJoin(left.table, right.table, lidx, ridx, shared, rightPrefix)
 }
 
-// JoinOracle is the nested-loop differential reference: every (left, right)
-// row pair is compared through the row-at-a-time value accessors, with no
-// hashing, no dictionary-code translation and no parallelism.
-func JoinOracle(left, right View, leftKey, rightKey, rightPrefix string) (*Table, error) {
-	lc, rc, err := joinKeyColumns(left, right, leftKey, rightKey)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkJoinSpans(left, right); err != nil {
-		return nil, err
-	}
-	var lidx, ridx []int32
-	var cmpErr error
-	left.sel.ForEach(func(lrow int) {
-		right.sel.ForEach(func(rrow int) {
-			if cmpErr != nil {
-				return
+// hashJoinPairs resolves both key columns to dense codes and joins on them:
+// categorical keys are dictionary codes, the probe dictionary translated once
+// to build codes; bool keys are their own 0/1 bytes; int64 keys are coded
+// through one value → id map built over the build rows.
+func hashJoinPairs(probe View, probeCol *Column, build View, buildCol *Column, mayShare bool) (probeIdx, buildIdx []int32, shared bool) {
+	switch buildCol.Type {
+	case Categorical:
+		trans := make([]int32, len(probeCol.dict))
+		for code, val := range probeCol.dict {
+			if bcode, ok := buildCol.codeOf[val]; ok {
+				trans[code] = int32(bcode)
+			} else {
+				trans[code] = -1
 			}
-			eq, err := joinKeyEqual(lc, lrow, rc, rrow)
-			if err != nil {
-				cmpErr = err
-				return
-			}
-			if eq {
-				lidx = append(lidx, int32(lrow))
-				ridx = append(ridx, int32(rrow))
+		}
+		return joinCodes(probe, probeCol.codes, trans, build, buildCol.codes, len(buildCol.dict), mayShare)
+	case Bool:
+		return joinCodes(probe, colstore.BoolsAsBytes(probeCol.bools), []int32{0, 1},
+			build, colstore.BoolsAsBytes(buildCol.bools), 2, mayShare)
+	default: // Int64, guarded by joinKeyColumns
+		probeCodes, trans, buildCodes := intKeyCodes(probe, probeCol, build, buildCol)
+		return joinCodes(probe, probeCodes, trans, build, buildCodes, len(trans)-1, mayShare)
+	}
+}
+
+// intKeyCodes codes an int64 key pair. Each distinct value among the selected
+// build rows gets the next key id in order of first appearance, and every
+// selected row of either side is coded by one lookup in that map; a probe
+// value the build side lacks takes the extra code len(ids), which trans maps
+// to −1.
+func intKeyCodes(probe View, probeCol *Column, build View, buildCol *Column) (probeCodes []uint32, trans []int32, buildCodes []uint32) {
+	ids := make(map[int64]uint32, build.sel.Count())
+	buildCodes = make([]uint32, build.sel.n)
+	build.sel.ForEach(func(row int) {
+		id, ok := ids[buildCol.ints[row]]
+		if !ok {
+			id = uint32(len(ids))
+			ids[buildCol.ints[row]] = id
+		}
+		buildCodes[row] = id
+	})
+	absent := uint32(len(ids))
+	probeCodes = make([]uint32, probe.sel.n)
+	n := probe.sel.n
+	probe.table.execPool().Run(chunks(n, morselRows), func(i int) {
+		lo := i * morselRows
+		probe.sel.forEachIn(lo, min(lo+morselRows, n), func(row int) {
+			if id, ok := ids[probeCol.ints[row]]; ok {
+				probeCodes[row] = id
+			} else {
+				probeCodes[row] = absent
 			}
 		})
 	})
-	if cmpErr != nil {
-		return nil, cmpErr
+	trans = make([]int32, absent+1)
+	for id := range trans {
+		trans[id] = int32(id)
 	}
-	return materializeJoin(left.table, right.table, lidx, ridx, rightPrefix)
+	trans[absent] = -1
+	return probeCodes, trans, buildCodes
 }
 
-// joinKeyEqual compares one key pair through the generic value accessors.
-func joinKeyEqual(lc *Column, lrow int, rc *Column, rrow int) (bool, error) {
-	switch lc.Type {
-	case Categorical:
-		lv, err := lc.StringAt(lrow)
-		if err != nil {
-			return false, err
-		}
-		rv, err := rc.StringAt(rrow)
-		if err != nil {
-			return false, err
-		}
-		return lv == rv, nil
-	case Int64:
-		return lc.ints[lrow] == rc.ints[rrow], nil
-	case Bool:
-		return lc.bools[lrow] == rc.bools[rrow], nil
-	default:
-		return false, fmt.Errorf("%w: %s is %s", ErrJoinKeyType, lc.Name, lc.Type)
+// joinCodes joins on dense codes: a build row's key id is buildCodes[row] (<
+// keys), a probe row's is trans[probeCodes[row]], −1 when no build row holds
+// the key. It returns the matching (probe row, build row) index pairs ordered
+// probe-major (probe rows ascending, build rows ascending within one).
+//
+// The build side becomes CSR postings: the build rows with key id k are
+// rows[start[k]:start[k+1]], ascending. The probe side streams morsel-at-a-
+// time: a counting pass fixes each morsel's output offset (exclusive prefix
+// sum in morsel order), then every morsel writes its disjoint slice — the
+// output is byte-identical on any pool. When mayShare is set (the probe view
+// selects every row) and the counting pass saw every probe row match exactly
+// one build row, output row i is probe row i: joinCodes returns shared and no
+// probe indices, and writes only the build row of each.
+func joinCodes[C uint8 | uint32](probe View, probeCodes []C, trans []int32, build View, buildCodes []C, keys int, mayShare bool) (probeIdx, buildIdx []int32, shared bool) {
+	start := make([]int32, keys+1)
+	build.sel.ForEach(func(row int) { start[int(buildCodes[row])+1]++ })
+	for k := 1; k <= keys; k++ {
+		start[k] += start[k-1]
 	}
-}
-
-// missingCode marks a probe-side dictionary value absent from the build side.
-// Categorical postings keys are build-side codes (< 2^32), so the sentinel
-// can never collide; the numeric key types never consult the translation.
-const missingCode = ^uint64(0)
-
-// joinKeyFuncs returns the postings-key extractors for the probe and build
-// sides. Categorical keys are build-side dictionary codes: the probe
-// dictionary is translated once (O(dict) string lookups), after which probing
-// is a pure integer array walk. Int64 keys use the value's bit pattern; bool
-// keys use 0/1.
-func joinKeyFuncs(probeCol, buildCol *Column) (probeAt, buildAt func(row int) uint64) {
-	switch buildCol.Type {
-	case Categorical:
-		trans := make([]uint64, len(probeCol.dict))
-		for code, val := range probeCol.dict {
-			if bcode, ok := buildCol.codeOf[val]; ok {
-				trans[code] = uint64(bcode)
-			} else {
-				trans[code] = missingCode
-			}
-		}
-		probeAt = func(row int) uint64 { return trans[probeCol.codes[row]] }
-		buildAt = func(row int) uint64 { return uint64(buildCol.codes[row]) }
-	case Int64:
-		probeAt = func(row int) uint64 { return uint64(probeCol.ints[row]) }
-		buildAt = func(row int) uint64 { return uint64(buildCol.ints[row]) }
-	default: // Bool, guarded by joinKeyColumns
-		asKey := func(c *Column) func(row int) uint64 {
-			return func(row int) uint64 {
-				if c.bools[row] {
-					return 1
-				}
-				return 0
-			}
-		}
-		probeAt = asKey(probeCol)
-		buildAt = asKey(buildCol)
-	}
-	return probeAt, buildAt
-}
-
-// hashJoinPairs builds on build and probes with probe, returning the matching
-// (probe row, build row) index pairs ordered probe-major (probe rows
-// ascending, build rows ascending within one probe row). The probe side
-// streams morsel-at-a-time: a counting pass fixes each morsel's output offset
-// (exclusive prefix sum in morsel order), then every morsel writes its
-// disjoint slice — the output is byte-identical on any pool.
-func hashJoinPairs(probe View, probeCol *Column, build View, buildCol *Column) (probeIdx, buildIdx []int32, err error) {
-	probeAt, buildAt := joinKeyFuncs(probeCol, buildCol)
-	postings := make(map[uint64][]int32, build.sel.Count())
+	rows := make([]int32, start[keys])
+	next := slices.Clone(start[:keys])
 	build.sel.ForEach(func(row int) {
-		k := buildAt(row)
-		postings[k] = append(postings[k], int32(row))
+		k := buildCodes[row]
+		rows[next[k]] = int32(row)
+		next[k]++
 	})
-	// A categorical probe row whose value is absent from the build dictionary
-	// extracts missingCode, which no build row can produce (codes < 2^32), so
-	// its postings lookup simply misses. Int64 keys never use the sentinel —
-	// uint64(-1) is a legitimate key there and matches normally.
 
 	p := probe.table.execPool()
 	n := probe.sel.n
 	m := chunks(n, morselRows)
 	if m == 0 {
-		return nil, nil, nil
+		return nil, nil, false
 	}
 	offsets := make([]int, m)
+	var notOneEach atomic.Bool
 	p.Run(m, func(i int) {
 		lo := i * morselRows
-		c := 0
+		c, oneEach := 0, true
 		probe.sel.forEachIn(lo, min(lo+morselRows, n), func(row int) {
-			c += len(postings[probeAt(row)])
+			k := trans[probeCodes[row]]
+			if k < 0 {
+				oneEach = false
+				return
+			}
+			d := int(start[k+1] - start[k])
+			c += d
+			oneEach = oneEach && d == 1
 		})
 		offsets[i] = c
+		if !oneEach {
+			notOneEach.Store(true)
+		}
 	})
+	if mayShare && !notOneEach.Load() {
+		buildIdx = make([]int32, n)
+		p.Run(m, func(i int) {
+			for row := i * morselRows; row < min((i+1)*morselRows, n); row++ {
+				buildIdx[row] = rows[start[trans[probeCodes[row]]]]
+			}
+		})
+		return nil, buildIdx, true
+	}
 	total := 0
 	for i, c := range offsets {
 		offsets[i] = total
@@ -235,14 +226,18 @@ func hashJoinPairs(probe View, probeCol *Column, build View, buildCol *Column) (
 		lo := i * morselRows
 		j := offsets[i]
 		probe.sel.forEachIn(lo, min(lo+morselRows, n), func(row int) {
-			for _, br := range postings[probeAt(row)] {
+			k := trans[probeCodes[row]]
+			if k < 0 {
+				return
+			}
+			for _, br := range rows[start[k]:start[k+1]] {
 				probeIdx[j] = int32(row)
 				buildIdx[j] = br
 				j++
 			}
 		})
 	})
-	return probeIdx, buildIdx, nil
+	return probeIdx, buildIdx, false
 }
 
 // sortPairs re-sorts parallel index slices into (l, r) ascending order — the
@@ -259,48 +254,20 @@ func sortPairs(lidx, ridx []int32) {
 	}
 }
 
-// gatherRows is Column.gather over int32 indices with a target name — the
-// join materialization's building block. Categorical columns share their
-// (immutable) dictionary, exactly like gather.
-func (c *Column) gatherRows(indices []int32, name string) *Column {
-	phys := &colstore.Column{Name: name, Kind: kindOfType(c.Type)}
-	switch c.Type {
-	case Float64:
-		phys.Floats = make([]float64, len(indices))
-		for i, idx := range indices {
-			phys.Floats[i] = c.floats[idx]
-		}
-	case Int64:
-		phys.Ints = make([]int64, len(indices))
-		for i, idx := range indices {
-			phys.Ints[i] = c.ints[idx]
-		}
-	case Categorical:
-		phys.Dict = c.dict
-		phys.CodeOf = c.codeOf
-		phys.Codes = make([]uint32, len(indices))
-		for i, idx := range indices {
-			phys.Codes[i] = c.codes[idx]
-		}
-	case Bool:
-		phys.Bools = make([]bool, len(indices))
-		for i, idx := range indices {
-			phys.Bools[i] = c.bools[idx]
-		}
-	}
-	return wrapColumn(phys)
-}
-
-// materializeJoin gathers the matched row pairs into a standalone table:
-// left columns first under their own names, then right columns renamed
+// materializeJoin builds the join's table from the matched row pairs: left
+// columns first under their own names — lt's own columns when shared, in
+// which case lidx is unused — then right columns gathered and renamed
 // rightPrefix+name. The result inherits the left table's execution pool.
-func materializeJoin(lt, rt *Table, lidx, ridx []int32, rightPrefix string) (*Table, error) {
+func materializeJoin(lt, rt *Table, lidx, ridx []int32, shared bool, rightPrefix string) (*Table, error) {
 	cols := make([]*Column, 0, len(lt.columns)+len(rt.columns))
 	for _, c := range lt.columns {
-		cols = append(cols, c.gatherRows(lidx, c.Name))
+		if !shared {
+			c = gather(c, lidx, c.Name)
+		}
+		cols = append(cols, c)
 	}
 	for _, c := range rt.columns {
-		cols = append(cols, c.gatherRows(ridx, rightPrefix+c.Name))
+		cols = append(cols, gather(c, ridx, rightPrefix+c.Name))
 	}
 	out, err := NewTable(cols...)
 	if err != nil {

@@ -458,7 +458,7 @@ func (t *Table) whereRangeTuned(q Range) (*Selection, error) {
 	if err != nil {
 		return nil, err
 	}
-	if enc := t.byteCodes(c); enc.dict != nil {
+	if enc := c.byteCodes(); enc.dict != nil {
 		lo := sort.Search(len(enc.dict), func(i int) bool { return enc.dict[i] >= q.Low })
 		hi := sort.Search(len(enc.dict), func(i int) bool { return !(enc.dict[i] < q.High) })
 		return t.whereCodeRange(enc.codes, lo, hi), nil
@@ -483,7 +483,7 @@ func (t *Table) whereGreaterTuned(q GreaterThan) (*Selection, error) {
 	if err != nil {
 		return nil, err
 	}
-	if enc := t.byteCodes(c); enc.dict != nil {
+	if enc := c.byteCodes(); enc.dict != nil {
 		lo := sort.Search(len(enc.dict), func(i int) bool { return enc.dict[i] > q.Threshold })
 		return t.whereCodeRange(enc.codes, lo, len(enc.dict)), nil
 	}

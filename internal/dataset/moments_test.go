@@ -257,7 +257,7 @@ func TestTallyKeepsTypeErrors(t *testing.T) {
 			t.Errorf("Moments(%s): %v, Floats says %v", column, err, want)
 		}
 	}
-	if n := len(tab.ref.bytes); n != 0 {
+	if n, _, _ := memoEntries(tab); n != 0 {
 		t.Errorf("failed reads memoized %d encodings", n)
 	}
 }

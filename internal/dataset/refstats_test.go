@@ -9,12 +9,13 @@ import (
 	"testing"
 )
 
-// This file tests the per-table reference-statistics memo (refStats in
+// This file tests the per-column reference-statistics memo (refStats in
 // table.go). The contract: whatever the memo answers — Categories, and
 // CountsFor / GroupBy / BinCounts over a view that selects every row — equals
 // a fresh recomputation that never touches it, on every store, pool and
-// derived table; first use is safe under concurrency; and no caller can
-// corrupt it through a returned slice.
+// derived table; a derived table shares the memo of exactly the columns it
+// shares; first use is safe under concurrency; and no caller can corrupt it
+// through a returned slice.
 
 // freshValueCounts recounts a categorical or bool column through the
 // row-at-a-time accessor only.
@@ -169,11 +170,97 @@ func TestRefStatsMatchFreshRecomputation(t *testing.T) {
 	}
 }
 
-// TestRefStatsNotCarriedToDerivedTables fills a table's memo and then derives
-// tables from it every way the package can — Select, Shuffle, Derive, a
-// HashJoin output and the hold-out halves. Each is a new table whose answers
-// must be its own: a Select of a few rows loses categories its parent has.
-func TestRefStatsNotCarriedToDerivedTables(t *testing.T) {
+// deriveEveryWay derives tables from parent every way the package can:
+// Select (a duplicated row included), Shuffle of the named columns, Derive of
+// a bucket over a numeric column, both hold-out halves, a join of a filtered
+// left side (gathered) and a join of the full parent against a unique-key
+// dimension over its categorical column key (shared).
+func deriveEveryWay(t *testing.T, rng *rand.Rand, parent *Table, shuffle []string, numeric, key string) map[string]*Table {
+	t.Helper()
+	derived := map[string]*Table{}
+	var err error
+	if derived["select"], err = parent.Select([]int{4, 8, 15, 16, 23, 42, 42}); err != nil {
+		t.Fatal(err)
+	}
+	if derived["shuffle"], err = parent.Shuffle(rng, shuffle...); err != nil {
+		t.Fatal(err)
+	}
+	if derived["derive"], err = parent.Derive(numeric+"_bucket", Bucket{Arg: Col{Name: numeric}, Width: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if derived["explore"], derived["holdout"], err = parent.Split(rng, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	left, err := parent.View(GreaterThan{Column: numeric, Threshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := derived["select"].View(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derived["join"], err = HashJoin(left, right, key, key, "r_"); err != nil {
+		t.Fatal(err)
+	}
+	keys, _ := parent.Column(key)
+	ranks := make([]int64, len(keys.dict))
+	for i := range ranks {
+		ranks[i] = int64(i)
+	}
+	dim, err := NewTable(NewCategoricalColumn(key, keys.dict), NewIntColumn("rank", ranks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _ := parent.View(nil)
+	dimView, _ := dim.View(nil)
+	if derived["shared join"], err = HashJoin(full, dimView, key, key, "dim_"); err != nil {
+		t.Fatal(err)
+	}
+	return derived
+}
+
+// requireMemoCarriedWhereShared runs use over each derived table and holds
+// its column memos to the sharing rule: the columns it shares with parent
+// are exactly wantShared[name] and run no new scan, and every other column
+// starts with an empty memo.
+func requireMemoCarriedWhereShared(t *testing.T, parent *Table, derived map[string]*Table, wantShared map[string][]string, use func(name string, tab *Table)) {
+	t.Helper()
+	for name, tab := range derived {
+		if tab.NumRows() == 0 {
+			t.Fatalf("%s: derived table is empty", name)
+		}
+		var shared []string
+		before := map[*Column]uint64{}
+		for _, c := range tab.columns {
+			if pc, ok := parent.byName[c.Name]; ok && pc == c {
+				shared = append(shared, c.Name)
+				before[c] = c.ref.computed.Load()
+				continue
+			}
+			if hits, computed := c.ref.hits.Load(), c.ref.computed.Load(); hits != 0 || computed != 0 ||
+				c.ref.codes != nil || c.ref.bytes != nil || len(c.ref.bins) != 0 {
+				t.Errorf("%s: column %s is new but its memo is not empty (%d hits, %d scans)", name, c.Name, hits, computed)
+			}
+		}
+		if !reflect.DeepEqual(shared, wantShared[name]) {
+			t.Fatalf("%s: shares %v with its parent, want %v", name, shared, wantShared[name])
+		}
+		use(name, tab)
+		for c, computed := range before {
+			if now := c.ref.computed.Load(); now != computed {
+				t.Errorf("%s: shared column %s ran %d new scans", name, c.Name, now-computed)
+			}
+		}
+	}
+}
+
+// TestRefStatsCarriedExactlyWhereShared fills a table's memos and then
+// derives tables from it every way the package can. A table that shares a
+// column (Derive, Shuffle's untouched columns, a join that keeps its probe
+// side) shares its memo and runs no new scan for it; every gathered column
+// (Select, Split, a gathered join, a shuffled column) computes its own
+// answers — a Select of a few rows loses categories its parent has.
+func TestRefStatsCarriedExactlyWhereShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1502))
 	parent := kernelTable(rng, 5000)
 	for i := range parent.columns {
@@ -194,49 +281,76 @@ func TestRefStatsNotCarriedToDerivedTables(t *testing.T) {
 	split := Or{Terms: []Predicate{Equals{Column: "cat", Value: "c3"}, GreaterThan{Column: "level", Threshold: 3}}}
 	requireRefStatsFresh(t, "parent", parent, split)
 
-	derived := map[string]*Table{}
-	var err error
-	if derived["select"], err = parent.Select([]int{4, 8, 15, 16, 23, 42, 42}); err != nil {
-		t.Fatal(err)
-	}
-	if derived["shuffle"], err = parent.Shuffle(rng, "wide", "flag"); err != nil {
-		t.Fatal(err)
-	}
-	if derived["derive"], err = parent.Derive("score_bucket", Bucket{Arg: Col{Name: "score"}, Width: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if derived["explore"], derived["holdout"], err = parent.Split(rng, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	left, err := parent.View(GreaterThan{Column: "level", Threshold: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := derived["select"].View(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derived["join"], err = HashJoin(left, right, "cat", "cat", "r_"); err != nil {
-		t.Fatal(err)
-	}
-	for name, tab := range derived {
-		if tab.NumRows() == 0 {
-			t.Fatalf("%s: derived table is empty", name)
-		}
-		if hits, computed := tab.RefStats(); hits != 0 || computed != 0 {
-			t.Errorf("%s: a new table starts with %d hits and %d scans on its memo", name, hits, computed)
-		}
+	derived := deriveEveryWay(t, rng, parent, []string{"wide", "flag"}, "level", "cat")
+	all := parent.ColumnNames()
+	requireMemoCarriedWhereShared(t, parent, derived, map[string][]string{
+		"shuffle":     {"cat", "score", "level"},
+		"derive":      all,
+		"shared join": all,
+	}, func(name string, tab *Table) {
 		requireRefStatsFresh(t, name, tab, split)
-	}
+	})
 	// The few selected rows cannot hold all 300 wide values: a carried-over
 	// category list would.
 	few, _ := derived["select"].Categories("wide")
-	all, _ := parent.Categories("wide")
-	if len(few) >= len(all) || len(few) > 6 {
-		t.Errorf("select kept %d of the parent's %d wide categories", len(few), len(all))
+	wide, _ := parent.Categories("wide")
+	if len(few) >= len(wide) || len(few) > 6 {
+		t.Errorf("select kept %d of the parent's %d wide categories", len(few), len(wide))
 	}
 	// Deriving must not have disturbed the parent's memo either.
 	requireRefStatsFresh(t, "parent after deriving", parent, split)
+}
+
+// TestRefStatsConcurrentFirstUseOfSharedColumn races 16 goroutines onto the
+// first use of one column held by two tables — the parent and a table
+// derived from it — half asking through each (run under -race in CI): each
+// reads what a sequential reader of an untouched copy reads, and the column
+// keeps one entry per statistic.
+func TestRefStatsConcurrentFirstUseOfSharedColumn(t *testing.T) {
+	build := func() *Table { return randomSizedTable(rand.New(rand.NewSource(1506)), 3*morselRows+17) }
+	calm := build()
+	fullCalm, _ := calm.View(nil)
+	wantColor, _ := fullCalm.GroupBy("color")
+	wantBins, _ := fullCalm.BinCounts("level", 10)
+
+	parent := build()
+	child, err := parent.Derive("level_bucket", Bucket{Arg: Col{Name: "level"}, Width: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tab := []*Table{parent, child}[g%2]
+			full, err := tab.View(nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			<-start
+			if got, err := full.GroupBy("color"); err != nil || !reflect.DeepEqual(got, wantColor) {
+				t.Errorf("goroutine %d: GroupBy = %v, %v", g, got, err)
+			}
+			if got, err := full.BinCounts("level", 10); err != nil || !reflect.DeepEqual(got, wantBins) {
+				t.Errorf("goroutine %d: BinCounts = %v, %v", g, got, err)
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for _, name := range []string{"color", "level"} {
+		pc, _ := parent.Column(name)
+		cc, _ := child.Column(name)
+		if pc != cc {
+			t.Fatalf("column %s is not shared", name)
+		}
+	}
+	if encodings, tallies, binnings := memoEntries(child); encodings != 1 || tallies != 1 || binnings != 1 {
+		t.Errorf("shared columns hold %d encodings, %d tallies, %d binnings; want one each", encodings, tallies, binnings)
+	}
 }
 
 // TestRefStatsConcurrentFirstUse races 16 goroutines onto the empty memo of
@@ -283,8 +397,8 @@ func TestRefStatsConcurrentFirstUse(t *testing.T) {
 	close(start)
 	wg.Wait()
 	// Racing first users may each scan, but only one copy per entry is kept.
-	if n := len(tab.ref.codes) + len(tab.ref.bins) + len(tab.ref.bytes); n != 4 {
-		t.Errorf("memo holds %d entries, want 4 (color, flag, score/10, score found wide)", n)
+	if encodings, tallies, binnings := memoEntries(tab); encodings+tallies+binnings != 4 {
+		t.Errorf("memo holds %d entries, want 4 (color, flag, score/10, score found wide)", encodings+tallies+binnings)
 	}
 }
 

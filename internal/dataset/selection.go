@@ -574,11 +574,11 @@ func (v View) CountsFor(name string, categories []string) ([]int, error) {
 
 // codeCounts tallies the selected rows of a categorical or bool column per
 // code (bool columns: false at 0, true at 1) — per-morsel partial histograms
-// merged in morsel order, or the table's memoized tallies when the view is
+// merged in morsel order, or the column's memoized tallies when the view is
 // full. The result is read-only: it may be the memo's own slice.
 func (v View) codeCounts(c *Column) []int {
 	if v.full() {
-		return v.table.codeStats(c).counts
+		return c.codeStats().counts
 	}
 	if c.Type == Bool {
 		return reduceInts(v.table.execPool(), v.sel.n, 2, func(lo, hi int, acc []int) {
@@ -737,7 +737,7 @@ func (v View) tally(name string) (Tally, error) {
 	if err != nil {
 		return Tally{}, err
 	}
-	enc := v.table.byteCodes(c)
+	enc := c.byteCodes()
 	if enc.dict == nil {
 		rows, err := v.Floats(name)
 		return Tally{Rows: rows}, err
@@ -761,8 +761,8 @@ func (v View) Moments(name string, parent *obs.Span) (stats.Moments, error) {
 // BinCounts returns the per-bin counts of a numeric column among the selected
 // rows, using equal-width bins whose edges span the FULL table's range — the
 // axes a filtered histogram shares with the population it is compared
-// against. The per-row bin assignment is computed once per (table, column,
-// bins) and memoized on the table, so every subsequent view pays only one
+// against. The per-row bin assignment is computed once per (column, bins) and
+// memoized on the column, so every subsequent view pays only one
 // array lookup per selected row, and a full view none: the population's bin
 // counts are memoized with the assignment.
 func (v View) BinCounts(name string, bins int) ([]int, error) {
@@ -808,12 +808,19 @@ func (v View) Materialize() (*Table, error) {
 // population in one pass over the codes, where a wide column converts, scans
 // and bins every row.
 func (t *Table) binAssignments(column string, binCount int) (*binAssignment, error) {
-	return memoized(&t.ref, &t.ref.bins, binKey{column: column, bins: binCount}, func() (*binAssignment, error) {
-		c, err := t.numericColumn(column)
-		if err != nil {
-			return nil, err
+	c, err := t.numericColumn(column)
+	if err != nil {
+		return nil, err
+	}
+	get := func() *binAssignment { return c.ref.bins[binCount] }
+	put := func(ba *binAssignment) {
+		if c.ref.bins == nil {
+			c.ref.bins = make(map[int]*binAssignment)
 		}
-		enc := t.byteCodes(c)
+		c.ref.bins[binCount] = ba
+	}
+	return memoized(&c.ref, get, put, func() (*binAssignment, error) {
+		enc := c.byteCodes()
 		var all, ends []float64
 		if enc.dict != nil {
 			ends = []float64{enc.dict[0], enc.dict[len(enc.dict)-1]}

@@ -117,6 +117,9 @@ func typeOfKind(k colstore.Kind) ColumnType {
 // strings; row-at-a-time string access is a dict lookup, so no per-row string
 // payload exists at all. Bool columns need no explicit dictionary — their
 // native []bool representation is already the two-code encoding.
+//
+// The reference-statistics memo (ref) is the one mutable part of a column;
+// see refStats. A column must not be copied by value.
 type Column struct {
 	Name string
 	Type ColumnType
@@ -130,6 +133,8 @@ type Column struct {
 	dict   []string          // sorted distinct values (Categorical only)
 	codes  []uint32          // per-row index into dict (Categorical only)
 	codeOf map[string]uint32 // value -> code (Categorical only)
+
+	ref refStats
 }
 
 // wrapColumn builds the facade over a physical column.
@@ -233,9 +238,10 @@ func (c *Column) codeLabels() []string {
 	return c.dict
 }
 
-// gather returns a new column containing the rows at the given indices.
-func (c *Column) gather(indices []int) *Column {
-	phys := &colstore.Column{Name: c.Name, Kind: kindOfType(c.Type)}
+// gather returns a new column named name holding c's rows at the given
+// indices (int for Select and Shuffle, int32 for a join's row pairs).
+func gather[I int | int32](c *Column, indices []I, name string) *Column {
+	phys := &colstore.Column{Name: name, Kind: kindOfType(c.Type)}
 	switch c.Type {
 	case Float64:
 		phys.Floats = make([]float64, len(indices))
@@ -267,12 +273,9 @@ func (c *Column) gather(indices []int) *Column {
 }
 
 // Table is an immutable-by-convention collection of equal-length columns.
-//
-// The reference-statistics memo (ref) is the one exception to "immutable":
-// the constants of the dataset that every hypothesis compares a filter
-// against are computed on first use and kept for the table's lifetime. The
-// memo only ever grows and its entries are immutable once stored, so
-// concurrent readers are safe.
+// Tables derived without moving rows (Derive, Shuffle's untouched columns, a
+// join that keeps its probe side) share the parent's *Column values, and with
+// them the columns' reference-statistics memos.
 type Table struct {
 	columns []*Column
 	byName  map[string]*Column
@@ -281,8 +284,6 @@ type Table struct {
 	// store owns the physical column vectors the facade columns alias. For
 	// tables loaded from a snapshot it also owns the file mapping.
 	store *colstore.Store
-
-	ref refStats
 
 	// pool is the execution pool the parallel kernels run on; nil means the
 	// process-wide DefaultPool. It is an atomic pointer so SetPool is safe
@@ -310,7 +311,7 @@ func (t *Table) execPool() *Pool {
 	return DefaultPool()
 }
 
-// refStats is a table's lazily-filled memo of reference statistics. The
+// refStats is a column's lazily-filled memo of reference statistics. The
 // default hypothesis for a filtered chart (Section 2.3, rule 2) tests the
 // filtered distribution against the distribution over the whole dataset,
 // which no filter changes: one linear pass per column on first use, then
@@ -320,18 +321,21 @@ func (t *Table) execPool() *Pool {
 // codes of a low-cardinality numeric column that is filtered or binned (one
 // byte per row, byteCodes) and the per-row bin assignment of a wide one (four).
 //
-// Entries are computed outside the lock; when two goroutines race on first
-// use both scan and the first store is kept. The memo belongs to one Table:
-// Select, Shuffle, Derive, HashJoin and the hold-out split build new tables,
-// which start empty.
+// Population statistics are a property of a column's values, so the memo
+// lives on the Column: every table that holds the same *Column (Derive,
+// Shuffle's untouched columns, a join that keeps its probe side) reads and
+// fills one memo, and a column built by gathering rows (Select, Split, a
+// gathered join, a shuffled column) starts empty. Entries are computed
+// outside the lock; when two goroutines race on first use both scan and the
+// first store is kept. Stored entries are immutable, so readers are safe.
 type refStats struct {
 	mu    sync.RWMutex
-	codes map[string]*codeStats
-	bins  map[binKey]*binAssignment
-	bytes map[string]*byteCodes
+	codes *codeStats
+	bytes *byteCodes
+	bins  map[int]*binAssignment // keyed by bin count
 
 	// hits counts lookups answered from the memo, computed the scans that
-	// filled it (RefStats).
+	// filled it (Table.RefStats).
 	hits, computed atomic.Uint64
 }
 
@@ -344,14 +348,7 @@ type codeStats struct {
 	present []string
 }
 
-// binKey identifies one memoized binning: a numeric column cut into a fixed
-// number of equal-width bins spanning the full table's range.
-type binKey struct {
-	column string
-	bins   int
-}
-
-// binAssignment is the memoized result, computed once per (table, column, bin
+// binAssignment is the memoized result, computed once per (column, bin
 // count): the number of rows per bin, the "[lo, hi)" label of each bin, and
 // the bin of every row — assign[row] for a wide column, binOf[codes[row]] for
 // a byte-encoded one, whose codes are the column's own (byteCodes) and whose
@@ -365,32 +362,39 @@ type binAssignment struct {
 }
 
 // RefStats returns how many reference-statistics lookups (category lists,
-// full-table counts, bin assignments, byte encodings) the table answered from
-// its memo and how many column scans it ran to fill it.
+// full-table counts, bin assignments, byte encodings) the table's columns
+// answered from their memos and how many column scans filled them. A column
+// shared with another table counts what either table asked of it.
 func (t *Table) RefStats() (hits, computed uint64) {
-	return t.ref.hits.Load(), t.ref.computed.Load()
+	for _, c := range t.columns {
+		hits += c.ref.hits.Load()
+		computed += c.ref.computed.Load()
+	}
+	return hits, computed
 }
 
-// EncodedColumns returns how many numeric columns the table has byte-encoded
-// so far and the bytes their code vectors hold: what the encoding costs in
-// memory, one byte per row per column actually filtered or binned.
+// EncodedColumns returns how many of the table's numeric columns are
+// byte-encoded so far and the bytes their code vectors hold: what the
+// encoding costs in memory, one byte per row per column actually filtered or
+// binned.
 func (t *Table) EncodedColumns() (columns, bytes int) {
-	t.ref.mu.RLock()
-	defer t.ref.mu.RUnlock()
-	for _, enc := range t.ref.bytes {
-		if enc.dict != nil {
+	for _, c := range t.columns {
+		c.ref.mu.RLock()
+		if enc := c.ref.bytes; enc != nil && enc.dict != nil {
 			columns++
 			bytes += len(enc.codes)
 		}
+		c.ref.mu.RUnlock()
 	}
 	return columns, bytes
 }
 
-// memoized returns the entry of one of the memo's maps under key, running
-// compute to fill it on first use. A failed compute stores nothing.
-func memoized[K comparable, V any](r *refStats, entries *map[K]*V, key K, compute func() (*V, error)) (*V, error) {
+// memoized returns the memo entry get reads, running compute to fill it on
+// first use and recording the result with put. get runs under the read lock
+// and again, with put, under the write lock. A failed compute stores nothing.
+func memoized[V any](r *refStats, get func() *V, put func(*V), compute func() (*V, error)) (*V, error) {
 	r.mu.RLock()
-	v := (*entries)[key]
+	v := get()
 	r.mu.RUnlock()
 	if v != nil {
 		r.hits.Add(1)
@@ -402,13 +406,10 @@ func memoized[K comparable, V any](r *refStats, entries *map[K]*V, key K, comput
 	}
 	r.computed.Add(1)
 	r.mu.Lock()
-	if prev := (*entries)[key]; prev != nil {
+	if prev := get(); prev != nil {
 		v = prev // a concurrent caller computed it first; keep one copy
 	} else {
-		if *entries == nil {
-			*entries = make(map[K]*V)
-		}
-		(*entries)[key] = v
+		put(v)
 	}
 	r.mu.Unlock()
 	return v, nil
@@ -416,8 +417,10 @@ func memoized[K comparable, V any](r *refStats, entries *map[K]*V, key K, comput
 
 // codeStats returns the memoized population tallies of a categorical or bool
 // column, scanning the column on first use.
-func (t *Table) codeStats(c *Column) *codeStats {
-	cs, _ := memoized(&t.ref, &t.ref.codes, c.Name, func() (*codeStats, error) {
+func (c *Column) codeStats() *codeStats {
+	get := func() *codeStats { return c.ref.codes }
+	put := func(cs *codeStats) { c.ref.codes = cs }
+	cs, _ := memoized(&c.ref, get, put, func() (*codeStats, error) {
 		cs := &codeStats{}
 		if c.Type == Bool {
 			trues := 0
@@ -449,7 +452,7 @@ func (t *Table) codeStats(c *Column) *codeStats {
 // ascending order and codes holds one index into it per row, so the order of
 // two codes is the order of their values: a range over values is a range over
 // codes (whereRangeTuned) and a bin is a property of the code
-// (binAssignments), at one byte read per row instead of eight. A value is
+// (binAssignment), at one byte read per row instead of eight. A value is
 // what the predicates compare, float64(v) for both numeric types, so int64
 // values beyond 2^53 share a code exactly where float comparison cannot tell
 // them apart, and -0 and +0 share one: codes are compared and binned, never
@@ -475,8 +478,10 @@ const (
 
 // byteCodes returns the memoized byte encoding of a numeric column, building
 // it on first use: one pass over the column.
-func (t *Table) byteCodes(c *Column) *byteCodes {
-	enc, _ := memoized(&t.ref, &t.ref.bytes, c.Name, func() (*byteCodes, error) {
+func (c *Column) byteCodes() *byteCodes {
+	get := func() *byteCodes { return c.ref.bytes }
+	put := func(enc *byteCodes) { c.ref.bytes = enc }
+	enc, _ := memoized(&c.ref, get, put, func() (*byteCodes, error) {
 		if c.Type == Int64 {
 			return encodeBytes(c.ints), nil
 		}
@@ -660,7 +665,7 @@ func (t *Table) Select(indices []int) (*Table, error) {
 	}
 	cols := make([]*Column, len(t.columns))
 	for i, c := range t.columns {
-		cols[i] = c.gather(indices)
+		cols[i] = gather(c, indices, c.Name)
 	}
 	sub, err := NewTable(cols...)
 	if err != nil {
@@ -714,7 +719,7 @@ func (t *Table) Strings(name string) ([]string, error) {
 
 // Categories returns the sorted distinct values of a categorical or bool
 // column: the values that occur, in dictionary order (the dictionary is
-// sorted). The answer comes from the table's reference-statistics memo — one
+// sorted). The answer comes from the column's reference-statistics memo — one
 // column scan on first use — and is a fresh slice the caller may keep or
 // modify.
 func (t *Table) Categories(name string) ([]string, error) {
@@ -722,7 +727,7 @@ func (t *Table) Categories(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(t.codeStats(c).present), nil
+	return slices.Clone(c.codeStats().present), nil
 }
 
 // ValueCounts returns the count of each distinct value of a categorical or
@@ -734,7 +739,7 @@ func (t *Table) ValueCounts(name string) (map[string]int, error) {
 	}
 	labels := c.codeLabels()
 	counts := make(map[string]int)
-	for code, n := range t.codeStats(c).counts {
+	for code, n := range c.codeStats().counts {
 		if n > 0 {
 			counts[labels[code]] = n
 		}
@@ -765,7 +770,7 @@ func (t *Table) Shuffle(rng *rand.Rand, columns ...string) (*Table, error) {
 			continue
 		}
 		perm := rng.Perm(t.rows)
-		cols[i] = c.gather(perm)
+		cols[i] = gather(c, perm, c.Name)
 	}
 	shuffled, err := NewTable(cols...)
 	if err != nil {

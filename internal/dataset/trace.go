@@ -94,7 +94,7 @@ func (c *SelectionCache) ViewSpan(p Predicate, parent *obs.Span) (View, error) {
 }
 
 // statsSource names where a view's counts come from, for the kernel spans: a
-// full view reads the table's reference-statistics memo, any other view
+// full view reads its column's reference-statistics memo, any other view
 // scans its selected rows. It is what tells a trace reader why the
 // population side of a filter-vs-population step costs next to nothing.
 func (v View) statsSource() string {
