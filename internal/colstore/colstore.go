@@ -215,16 +215,6 @@ func NewCategoricalColumn(name string, values []string) *Column {
 	return c
 }
 
-// NewCodedColumn wraps an already-encoded categorical column (no copy): dict
-// must be sorted and unique, every code in range. The dataset layer uses it
-// to hand derived (gathered) code vectors back to the store without
-// re-encoding.
-func NewCodedColumn(name string, dict []string, codes []uint32) *Column {
-	c := &Column{Name: name, Kind: Categorical, Dict: dict, Codes: codes}
-	c.buildCodeOf()
-	return c
-}
-
 // Store is an immutable set of equal-length columns, optionally backed by a
 // snapshot file. The zero value is not useful; build one with NewStore, Open
 // or Decode.

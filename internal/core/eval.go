@@ -49,17 +49,12 @@ func referenceCounts(sub dataset.View, target string, span *obs.Span) ([]int, er
 	return sub.BinCountsSpan(target, numericBins, span)
 }
 
-// FilterVsPopulationTest runs heuristic rule 2's default test: the
+// FilterVsPopulationTestWith runs heuristic rule 2's default test: the
 // distribution of target under filter against its distribution over the whole
-// reference table, as a χ² goodness-of-fit test. It returns the test result
-// and the filtered support size.
-func FilterVsPopulationTest(ref *dataset.Table, target string, filter dataset.Predicate) (stats.TestResult, int, error) {
-	return FilterVsPopulationTestWith(dataset.NewSelectionCache(ref), target, filter)
-}
-
-// FilterVsPopulationTestWith is FilterVsPopulationTest resolving filters
-// through the given selection cache (the session's own, or a server-wide
-// per-dataset cache shared across sessions).
+// reference table, as a χ² goodness-of-fit test. Filters resolve through the
+// given selection cache (the session's own, or a server-wide per-dataset cache
+// shared across sessions). It returns the test result and the filtered
+// support size.
 func FilterVsPopulationTestWith(sel *dataset.SelectionCache, target string, filter dataset.Predicate) (stats.TestResult, int, error) {
 	return filterVsPopulationTest(sel, target, filter, nil)
 }
@@ -95,16 +90,11 @@ func filterVsPopulationTest(sel *dataset.SelectionCache, target string, filter d
 	return test, sub.NumRows(), nil
 }
 
-// ComparisonTest runs heuristic rule 3's default test: a χ² independence test
-// between the distributions of target under filterA and under filterB, with
-// the category set / bin edges fixed by the reference table. It returns the
-// test result and the two support sizes.
-func ComparisonTest(ref *dataset.Table, target string, filterA, filterB dataset.Predicate) (stats.TestResult, int, int, error) {
-	return ComparisonTestWith(dataset.NewSelectionCache(ref), target, filterA, filterB)
-}
-
-// ComparisonTestWith is ComparisonTest resolving filters through the given
-// selection cache.
+// ComparisonTestWith runs heuristic rule 3's default test: a χ² independence
+// test between the distributions of target under filterA and under filterB,
+// with the category set / bin edges fixed by the reference table and filters
+// resolved through the given selection cache. It returns the test result and
+// the two support sizes.
 func ComparisonTestWith(sel *dataset.SelectionCache, target string, filterA, filterB dataset.Predicate) (stats.TestResult, int, int, error) {
 	return comparisonTest(sel, target, filterA, filterB, nil)
 }

@@ -9,9 +9,11 @@ import (
 )
 
 // This file checks the vectorized evaluation layer against the
-// pre-vectorization implementation, kept here verbatim as the reference: for
-// randomized tables and filters, FilterVsPopulationTest and ComparisonTest
-// must produce bit-for-bit identical counts, statistics and p-values.
+// pre-vectorization counting, kept here verbatim as the reference over
+// sub-tables materialized by Table.Filter: for randomized tables and filters,
+// FilterVsPopulationTestWith and ComparisonTestWith must produce bit-for-bit
+// identical counts, statistics and p-values. That Where selects the rows a
+// row-at-a-time evaluation selects is pinned in the dataset package.
 
 // legacyReferenceCounts is the old materializing referenceCounts.
 func legacyReferenceCounts(ref, sub *dataset.Table, target string) ([]int, error) {
@@ -69,7 +71,7 @@ func legacyReferenceCounts(ref, sub *dataset.Table, target string) ([]int, error
 
 // legacyFilterVsPopulationTest is the old materializing rule-2 test.
 func legacyFilterVsPopulationTest(ref *dataset.Table, target string, filter dataset.Predicate) (stats.TestResult, int, error) {
-	sub, err := legacyFilter(ref, filter)
+	sub, err := ref.Filter(filter)
 	if err != nil {
 		return stats.TestResult{}, 0, err
 	}
@@ -94,11 +96,11 @@ func legacyFilterVsPopulationTest(ref *dataset.Table, target string, filter data
 
 // legacyComparisonTest is the old materializing rule-3 test.
 func legacyComparisonTest(ref *dataset.Table, target string, filterA, filterB dataset.Predicate) (stats.TestResult, int, int, error) {
-	subA, err := legacyFilter(ref, filterA)
+	subA, err := ref.Filter(filterA)
 	if err != nil {
 		return stats.TestResult{}, 0, 0, err
 	}
-	subB, err := legacyFilter(ref, filterB)
+	subB, err := ref.Filter(filterB)
 	if err != nil {
 		return stats.TestResult{}, 0, 0, err
 	}
@@ -115,25 +117,6 @@ func legacyComparisonTest(ref *dataset.Table, target string, filterA, filterB da
 		return stats.TestResult{}, 0, 0, err
 	}
 	return test, subA.NumRows(), subB.NumRows(), nil
-}
-
-// legacyFilter materializes a sub-table with the row-at-a-time reference
-// implementation (the pre-vectorization Table.Filter).
-func legacyFilter(t *dataset.Table, p dataset.Predicate) (*dataset.Table, error) {
-	if p == nil {
-		return t, nil
-	}
-	var indices []int
-	for i := 0; i < t.NumRows(); i++ {
-		ok, err := p.Matches(t, i)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			indices = append(indices, i)
-		}
-	}
-	return t.Select(indices)
 }
 
 func diffTestTable(rng *rand.Rand, rows int) *dataset.Table {

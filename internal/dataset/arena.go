@@ -107,9 +107,9 @@ func (s *Selection) Release() {
 		return
 	}
 	s.released = true
-	// Zero on return, not on re-issue: the generic OR-style kernels and the
-	// Matches fallback rely on all-clear words, and zeroing here keeps the
-	// re-issue path allocation- and work-free.
+	// Zero on return, not on re-issue: newSel's empty selection (Or's
+	// accumulator, an empty code range) relies on all-clear words, and zeroing
+	// here keeps the re-issue path allocation- and work-free.
 	for i := range s.words {
 		s.words[i] = 0
 	}

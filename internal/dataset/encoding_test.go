@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -17,9 +16,9 @@ import (
 // This file tests the order-preserving byte dictionaries of low-cardinality
 // numeric columns (byteCodes in table.go) and the one kernel that scans them
 // (fillRangeBytes in kernels.go). The contract: a table answers exactly as it
-// would without the encoding. Where stays word-identical to WhereGeneric and
-// row-identical to Matches; BinCounts, CrossCounts and the bin edge labels
-// equal both the wide path over the same values and a row-at-a-time
+// would without the encoding. Where stays word-identical to the row-at-a-time
+// reference and to the wide path; BinCounts, CrossCounts and the bin edge
+// labels equal both the wide path over the same values and a row-at-a-time
 // recomputation; a NaN or a 257th distinct value keeps a column wide; the
 // encoding belongs to one column, is shared by every table that shares the
 // column, fills safely under concurrent first use, and changes no error.
@@ -224,9 +223,8 @@ func encodingPredicates(rng *rand.Rand, column string, values []float64) []Predi
 }
 
 // requireEncodingExact holds one table to the whole contract, numeric column
-// by numeric column, against the generic kernels, the wide twin and (when
-// rowwise is set) the row-at-a-time reference.
-func requireEncodingExact(t *testing.T, rng *rand.Rand, label string, tab *Table, rowwise bool) {
+// by numeric column, against the row-at-a-time reference and the wide twin.
+func requireEncodingExact(t *testing.T, rng *rand.Rand, label string, tab *Table) {
 	t.Helper()
 	twin := wideTwin(tab)
 	split, err := tab.View(Equals{Column: "flag", Value: "true"})
@@ -236,31 +234,22 @@ func requireEncodingExact(t *testing.T, rng *rand.Rand, label string, tab *Table
 	full, _ := tab.View(nil)
 	for _, column := range []string{"f", "i"} {
 		all := columnFloats(t, tab, column)
-		for pi, pred := range encodingPredicates(rng, column, all) {
+		for _, pred := range encodingPredicates(rng, column, all) {
 			ctx := fmt.Sprintf("%s: %s", label, pred.Describe())
-			tuned, err := tab.Where(pred)
+			got, err := tab.Where(pred)
 			if err != nil {
 				t.Fatalf("%s: Where: %v", ctx, err)
 			}
-			generic, err := tab.WhereGeneric(pred)
+			want, err := referenceSelection(tab, pred)
 			if err != nil {
-				t.Fatalf("%s: WhereGeneric: %v", ctx, err)
+				t.Fatalf("%s: reference: %v", ctx, err)
 			}
-			requireSameWords(t, ctx, tuned, generic)
+			requireSameWords(t, ctx, got, want)
 			wide, err := twin.Where(pred)
 			if err != nil {
 				t.Fatalf("%s: wide Where: %v", ctx, err)
 			}
-			requireSameWords(t, ctx+" (wide twin)", tuned, wide)
-			if rowwise && pi%7 == 0 {
-				want, err := referenceIndices(tab, pred)
-				if err != nil {
-					t.Fatalf("%s: reference: %v", ctx, err)
-				}
-				if got := tuned.Indices(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-					t.Fatalf("%s: indices diverge from the Matches reference", ctx)
-				}
-			}
+			requireSameWords(t, ctx+" (wide twin)", got, wide)
 		}
 		hasNaN := false
 		for _, v := range all {
@@ -353,7 +342,7 @@ func TestByteEncodingMatchesValues(t *testing.T) {
 				for k := range pools {
 					p := pools[(ci+vi+k)%len(pools)]
 					tab.SetPool(p)
-					requireEncodingExact(t, rng, fmt.Sprintf("%s workers=%d", label, p.Workers()), tab, k == 0)
+					requireEncodingExact(t, rng, fmt.Sprintf("%s workers=%d", label, p.Workers()), tab)
 					if store != "memory" {
 						break
 					}
@@ -470,7 +459,7 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
 	parent := encodingTable(rng, 5000, 90, false, false)
-	requireEncodingExact(t, rng, "parent", parent, true)
+	requireEncodingExact(t, rng, "parent", parent)
 	if cols, _ := parent.EncodedColumns(); cols != 2 {
 		t.Fatalf("parent encoded %d columns, want 2", cols)
 	}
@@ -482,7 +471,7 @@ func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 		"derive":      all,
 		"shared join": all,
 	}, func(name string, tab *Table) {
-		requireEncodingExact(t, rng, name, tab, true)
+		requireEncodingExact(t, rng, name, tab)
 		if cols, size := tab.EncodedColumns(); cols != 2 || size != 2*tab.NumRows() {
 			t.Errorf("%s: after use %d encoded columns holding %d bytes, want 2 and %d", name, cols, size, 2*tab.NumRows())
 		}
@@ -492,7 +481,7 @@ func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 	if few, all := len(fc.byteCodes().dict), len(pc.byteCodes().dict); few > 6 || all != 90 {
 		t.Errorf("select's dictionary holds %d values, its parent's %d; want at most 6 and 90", few, all)
 	}
-	requireEncodingExact(t, rng, "parent after deriving", parent, false)
+	requireEncodingExact(t, rng, "parent after deriving", parent)
 }
 
 // TestByteEncodingConcurrentFirstUse races 16 goroutines onto the first use
@@ -511,7 +500,7 @@ func TestByteEncodingConcurrentFirstUse(t *testing.T) {
 	calm := build()
 	var wantSel []*Selection
 	for _, p := range preds {
-		sel, err := calm.WhereGeneric(p)
+		sel, err := referenceSelection(calm, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,8 +556,8 @@ func TestByteEncodingConcurrentFirstUse(t *testing.T) {
 // TestByteEncodingKeepsTypeErrors: the encoded path sits behind the column
 // and type resolution, so a numeric predicate on a bool or categorical column
 // and a categorical one on an encoded numeric column fail exactly as they
-// did — the same ErrTypeMismatch text as the generic kernels — and a failed
-// predicate memoizes nothing.
+// did — the same ErrTypeMismatch text as the row-at-a-time reference — and a
+// failed predicate memoizes nothing.
 func TestByteEncodingKeepsTypeErrors(t *testing.T) {
 	tab := encodingTable(rand.New(rand.NewSource(1705)), 300, 40, false, false)
 	warm, err := tab.Where(Range{Column: "i", Low: 0, High: 9}) // "i" is encoded from here on
@@ -589,13 +578,13 @@ func TestByteEncodingKeepsTypeErrors(t *testing.T) {
 		{NewIn("i", "1", "2"), "dataset: column type mismatch: i is int64, not categorical"},
 		{Range{Column: "absent", Low: 0, High: 1}, `dataset: column not found: "absent"`},
 	} {
-		_, tunedErr := tab.Where(tc.pred)
-		_, genericErr := tab.WhereGeneric(tc.pred)
-		if tunedErr == nil || genericErr == nil || tunedErr.Error() != tc.want || genericErr.Error() != tc.want {
-			t.Errorf("%s: tuned error %q, generic error %q, want %q", tc.pred.Describe(), tunedErr, genericErr, tc.want)
+		_, err := tab.Where(tc.pred)
+		_, refErr := referenceSelection(tab, tc.pred)
+		if err == nil || refErr == nil || err.Error() != tc.want || refErr.Error() != tc.want {
+			t.Errorf("%s: Where error %q, reference error %q, want %q", tc.pred.Describe(), err, refErr, tc.want)
 		}
-		if tc.pred.Describe() != (Range{Column: "absent", Low: 0, High: 1}).Describe() && !errors.Is(tunedErr, ErrTypeMismatch) {
-			t.Errorf("%s: error %v is not ErrTypeMismatch", tc.pred.Describe(), tunedErr)
+		if tc.pred.Describe() != (Range{Column: "absent", Low: 0, High: 1}).Describe() && !errors.Is(err, ErrTypeMismatch) {
+			t.Errorf("%s: error %v is not ErrTypeMismatch", tc.pred.Describe(), err)
 		}
 	}
 	view, _ := tab.View(nil)
@@ -648,8 +637,8 @@ func fuzzColumn(data []byte, asInts bool) *Column {
 
 // FuzzRangeCodes is the CI fuzz smoke target of the encoding: a float or int
 // column drawn from the fuzz bytes, a Range and a GreaterThan with arbitrary
-// bounds. Where, WhereGeneric and Matches must
-// select the same rows, word for word where words exist.
+// bounds. Where must select the rows the row-at-a-time reference selects,
+// word for word.
 func FuzzRangeCodes(f *testing.F) {
 	// The property test's edge cases: empty and one-row columns, a tail, a
 	// full word and a word plus tail, NaN (float byte 0) present and absent,
@@ -679,29 +668,15 @@ func FuzzRangeCodes(f *testing.F) {
 			Range{Column: "x", Low: low, High: high},
 			GreaterThan{Column: "x", Threshold: threshold},
 		} {
-			tuned, err := tab.Where(pred)
+			got, err := tab.Where(pred)
 			if err != nil {
 				t.Fatalf("%s: Where: %v", pred.Describe(), err)
 			}
-			generic, err := tab.WhereGeneric(pred)
-			if err != nil {
-				t.Fatalf("%s: WhereGeneric: %v", pred.Describe(), err)
-			}
-			requireSameWords(t, pred.Describe(), tuned, generic)
-			want, err := referenceIndices(tab, pred)
+			want, err := referenceSelection(tab, pred)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", pred.Describe(), err)
 			}
-			if got := tuned.Indices(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-				t.Fatalf("%s: rows %v, Matches selects %v", pred.Describe(), got, want)
-			}
-			pop := 0
-			for _, w := range tuned.words {
-				pop += bits.OnesCount64(w)
-			}
-			if pop != len(want) {
-				t.Fatalf("%s: %d bits set, Matches selects %d rows", pred.Describe(), pop, len(want))
-			}
+			requireSameWords(t, pred.Describe(), got, want)
 		}
 	})
 }

@@ -5,12 +5,14 @@ import (
 	"strings"
 )
 
-// Predicate is a row-level filter over a table.
+// Predicate is a row-level filter over a table: one of the seven types below
+// (Equals, In, Range, GreaterThan, Not, And, Or), and no other. The set is
+// closed — isPredicate is unexported — so Table.Where, the JSON codec and the
+// selection cache's key each handle every predicate there is.
 type Predicate interface {
 	// Describe returns a human-readable rendering such as "salary = >50k".
 	Describe() string
-	// Matches reports whether row i of the table satisfies the predicate.
-	Matches(t *Table, i int) (bool, error)
+	isPredicate()
 }
 
 // Equals matches rows whose categorical (or bool) column equals Value.
@@ -22,76 +24,26 @@ type Equals struct {
 // Describe implements Predicate.
 func (e Equals) Describe() string { return fmt.Sprintf("%s = %s", e.Column, e.Value) }
 
-// Matches implements Predicate.
-func (e Equals) Matches(t *Table, i int) (bool, error) {
-	c, err := t.Column(e.Column)
-	if err != nil {
-		return false, err
-	}
-	v, err := c.StringAt(i)
-	if err != nil {
-		return false, err
-	}
-	return v == e.Value, nil
-}
-
 // In matches rows whose categorical column equals any of Values.
 //
 // Build In with NewIn where possible: the constructor sorts Values into the
-// canonical order (so Describe, the JSON encoding and cache keys of
-// semantically equal predicates compare equal) and pre-builds the membership
-// set that Matches consults in O(1) per row. A plain In{...} literal still
-// works — Describe and the JSON codec sort on the fly, and Matches falls back
-// to a linear scan of Values.
+// canonical order, so Describe, the JSON encoding and cache keys of
+// semantically equal predicates compare equal. A plain In{...} literal still
+// works — Describe and the JSON codec sort on the fly.
 type In struct {
 	Column string
 	Values []string
-
-	// memo is the pre-built value-membership set (NewIn and the JSON decoder
-	// populate it). It is derived state, deliberately excluded from the wire
-	// format; two In values with equal Column and Values are semantically
-	// equal regardless of memo.
-	memo map[string]struct{}
 }
 
-// NewIn builds an In predicate with sorted values and a pre-built membership
-// set.
+// NewIn builds an In predicate with sorted values.
 func NewIn(column string, values ...string) In {
-	sorted := sortedStrings(values)
-	memo := make(map[string]struct{}, len(sorted))
-	for _, v := range sorted {
-		memo[v] = struct{}{}
-	}
-	return In{Column: column, Values: sorted, memo: memo}
+	return In{Column: column, Values: sortedStrings(values)}
 }
 
 // Describe implements Predicate. Values render in sorted order so that
 // semantically equal predicates describe identically.
 func (p In) Describe() string {
 	return fmt.Sprintf("%s in {%s}", p.Column, strings.Join(sortedStrings(p.Values), ", "))
-}
-
-// Matches implements Predicate: a set lookup when the predicate was built
-// with NewIn (or decoded from JSON), a linear scan for struct literals.
-func (p In) Matches(t *Table, i int) (bool, error) {
-	c, err := t.Column(p.Column)
-	if err != nil {
-		return false, err
-	}
-	v, err := c.StringAt(i)
-	if err != nil {
-		return false, err
-	}
-	if p.memo != nil {
-		_, ok := p.memo[v]
-		return ok, nil
-	}
-	for _, want := range p.Values {
-		if v == want {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // Range matches rows whose numeric column lies in [Low, High). Use math.Inf
@@ -105,19 +57,6 @@ type Range struct {
 // Describe implements Predicate.
 func (r Range) Describe() string { return fmt.Sprintf("%s in [%g, %g)", r.Column, r.Low, r.High) }
 
-// Matches implements Predicate.
-func (r Range) Matches(t *Table, i int) (bool, error) {
-	c, err := t.Column(r.Column)
-	if err != nil {
-		return false, err
-	}
-	v, err := c.Float(i)
-	if err != nil {
-		return false, err
-	}
-	return v >= r.Low && v < r.High, nil
-}
-
 // GreaterThan matches rows whose numeric column exceeds Threshold.
 type GreaterThan struct {
 	Column    string
@@ -126,19 +65,6 @@ type GreaterThan struct {
 
 // Describe implements Predicate.
 func (g GreaterThan) Describe() string { return fmt.Sprintf("%s > %g", g.Column, g.Threshold) }
-
-// Matches implements Predicate.
-func (g GreaterThan) Matches(t *Table, i int) (bool, error) {
-	c, err := t.Column(g.Column)
-	if err != nil {
-		return false, err
-	}
-	v, err := c.Float(i)
-	if err != nil {
-		return false, err
-	}
-	return v > g.Threshold, nil
-}
 
 // Not negates a predicate. AWARE's heuristic rule 3 (comparing a selection
 // against its complement, the "dashed line" in Figure 1) is expressed with
@@ -149,12 +75,6 @@ type Not struct {
 
 // Describe implements Predicate.
 func (n Not) Describe() string { return fmt.Sprintf("not(%s)", n.Inner.Describe()) }
-
-// Matches implements Predicate.
-func (n Not) Matches(t *Table, i int) (bool, error) {
-	ok, err := n.Inner.Matches(t, i)
-	return !ok, err
-}
 
 // And is the conjunction of predicates; an empty And matches every row.
 // Chained visualizations (Figure 1 D–F) accumulate their filters into an And.
@@ -174,20 +94,6 @@ func (a And) Describe() string {
 	return strings.Join(parts, " and ")
 }
 
-// Matches implements Predicate.
-func (a And) Matches(t *Table, i int) (bool, error) {
-	for _, term := range a.Terms {
-		ok, err := term.Matches(t, i)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // Or is the disjunction of predicates; an empty Or matches no row.
 type Or struct {
 	Terms []Predicate
@@ -205,19 +111,13 @@ func (o Or) Describe() string {
 	return "(" + strings.Join(parts, " or ") + ")"
 }
 
-// Matches implements Predicate.
-func (o Or) Matches(t *Table, i int) (bool, error) {
-	for _, term := range o.Terms {
-		ok, err := term.Matches(t, i)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
+func (Equals) isPredicate()      {}
+func (In) isPredicate()          {}
+func (Range) isPredicate()       {}
+func (GreaterThan) isPredicate() {}
+func (Not) isPredicate()         {}
+func (And) isPredicate()         {}
+func (Or) isPredicate()          {}
 
 // Filter returns the sub-table of rows matching the predicate. A nil
 // predicate matches every row (returning the table itself). The predicate is

@@ -8,11 +8,11 @@ import (
 	"aware/internal/colstore"
 )
 
-// This file is the tuned generation of the predicate leaf kernels — the
-// default path behind Table.Where. Five techniques push them toward the
-// hardware limit, each verified bit-identical to the generic kernels
-// (Table.WhereGeneric, the PR-5 bodies in selection.go) by the differential
-// tests in kernels_test.go and encoding_test.go:
+// This file holds the predicate leaf kernels behind Table.Where, one leaf per
+// predicate type (whereEquals, whereIn, whereRange, whereGreater). Five
+// techniques push them toward the hardware limit, each held word for word to
+// a row-at-a-time evaluation of the predicate by the differential tests in
+// kernels_test.go and encoding_test.go:
 //
 //   - branch-free compares: each row's predicate is computed as a 0/1 word
 //     (b2u compiles to SETcc/CSET, no branch) and shifted into an
@@ -32,8 +32,8 @@ import (
 //   - dict-width specialization: In over a narrow dictionary (<= 256
 //     categories, every census-shaped column) tests membership against a
 //     4-word bitset that lives in registers/L1; wider dictionaries use a
-//     per-code bitset sized to the dictionary. Both replace the generic
-//     kernel's per-row hash-map probe;
+//     per-code bitset sized to the dictionary. Neither probes a hash map
+//     per row;
 //   - compare codes, not values: a numeric column with at most 256 distinct
 //     values (age, hours: categorical in disguise) is scanned through its
 //     order-preserving byte dictionary (byteCodes in table.go), where
@@ -43,9 +43,8 @@ import (
 //     the 8-byte kernels (fillRange*/fillGt*) for wide columns only.
 //
 // Every kernel writes all words covering its window (the bit accumulator
-// naturally leaves tail bits zero), so tuned fills do not depend on
-// pre-zeroed storage — though arena-recycled words are zeroed anyway for
-// the generic kernels' sake.
+// naturally leaves tail bits zero), so a fill does not depend on pre-zeroed
+// storage.
 
 // b2u converts a bool to a 0/1 word without a branch: the compiler lowers
 // this exact shape to a flag materialization (SETcc on amd64, CSET on
@@ -94,8 +93,8 @@ func fillRangeFloats(dst []uint64, col []float64, low, high float64) int {
 
 // fillRangeInts is fillRangeFloats over an int column. The row value is
 // converted to float64 before comparing — the exact arithmetic of the
-// generic kernel and the row-at-a-time reference, so results stay
-// bit-identical even for int64 values a float64 cannot represent.
+// row-at-a-time reference, so results stay bit-identical even for int64
+// values a float64 cannot represent.
 func fillRangeInts(dst []uint64, col []int64, low, high float64) int {
 	n := 0
 	nw := len(col) / 64
@@ -369,10 +368,10 @@ func (t *Table) whereCodeRange(codes []uint8, lo, hi int) *Selection {
 	})
 }
 
-// whereBoolsTuned is Equals/In over a bool column. A []bool is already one
+// whereBools is Equals/In over a bool column. A []bool is already one
 // byte per row holding 0 or 1, so the wanted values lower to a code range —
 // [1,2) true, [0,1) false, [0,2) both, [1,1) neither — with no dictionary.
-func (t *Table) whereBoolsTuned(c *Column, values ...string) *Selection {
+func (t *Table) whereBools(c *Column, values ...string) *Selection {
 	lo, hi := 1, 1
 	for _, v := range values {
 		switch v {
@@ -385,16 +384,15 @@ func (t *Table) whereBoolsTuned(c *Column, values ...string) *Selection {
 	return t.whereCodeRange(colstore.BoolsAsBytes(c.bools), lo, hi)
 }
 
-// whereEqualsTuned is the tuned Equals leaf: the same column resolution and
-// missing-value semantics as whereEquals, with fillEqCodes/fillRangeBytes as
-// the scan.
-func (t *Table) whereEqualsTuned(q Equals) (*Selection, error) {
+// whereEquals is the Equals leaf: a value absent from the dictionary selects
+// nothing; fillEqCodes (fillRangeBytes on a bool column) is the scan.
+func (t *Table) whereEquals(q Equals) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
 	if c.Type == Bool {
-		return t.whereBoolsTuned(c, q.Value), nil
+		return t.whereBools(c, q.Value), nil
 	}
 	code, ok := c.codeOf[q.Value]
 	if !ok {
@@ -406,14 +404,14 @@ func (t *Table) whereEqualsTuned(q Equals) (*Selection, error) {
 	}), nil
 }
 
-// whereInTuned is the tuned In leaf, specialized per dictionary width.
-func (t *Table) whereInTuned(q In) (*Selection, error) {
+// whereIn is the In leaf, specialized per dictionary width.
+func (t *Table) whereIn(q In) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
 	if c.Type == Bool {
-		return t.whereBoolsTuned(c, q.Values...), nil
+		return t.whereBools(c, q.Values...), nil
 	}
 	col := c.codes
 	if len(c.dict) <= smallDictMax {
@@ -448,12 +446,11 @@ func (t *Table) whereInTuned(q In) (*Selection, error) {
 	}), nil
 }
 
-// whereRangeTuned is the tuned Range leaf, with the generic kernel's
-// type-resolution errors. On a byte-encoded column low <= v < high becomes
+// whereRange is the Range leaf. On a byte-encoded column low <= v < high becomes
 // lo <= code < hi, exactly: lo is the first dictionary entry >= low, hi the
 // first that is not < high (so a NaN bound, which no value satisfies, yields
 // an empty range by itself).
-func (t *Table) whereRangeTuned(q Range) (*Selection, error) {
+func (t *Table) whereRange(q Range) (*Selection, error) {
 	c, err := t.numericColumn(q.Column)
 	if err != nil {
 		return nil, err
@@ -475,10 +472,10 @@ func (t *Table) whereRangeTuned(q Range) (*Selection, error) {
 	}), nil
 }
 
-// whereGreaterTuned is the tuned GreaterThan leaf; on a byte-encoded column
+// whereGreater is the GreaterThan leaf; on a byte-encoded column
 // v > threshold becomes lo <= code with lo the first dictionary entry above
 // the threshold.
-func (t *Table) whereGreaterTuned(q GreaterThan) (*Selection, error) {
+func (t *Table) whereGreater(q GreaterThan) (*Selection, error) {
 	c, err := t.numericColumn(q.Column)
 	if err != nil {
 		return nil, err

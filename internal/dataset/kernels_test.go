@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -12,21 +13,20 @@ import (
 	"math/bits"
 )
 
-// This file is the differential test bed for the tuned kernel generation
+// This file is the differential test bed for the predicate kernels
 // (kernels.go) and the selection arena (arena.go). The contract under test:
 // for every predicate type, every dictionary width, every row count around
-// the word boundaries and up to 200k, and pools 1/2/8, Table.Where (tuned,
-// arena-backed) produces a Selection whose bitmap WORDS — not just whose
-// indices — are identical to Table.WhereGeneric (the PR-5 kernels) and whose
-// rows are identical to the row-at-a-time Matches reference.
+// the word boundaries and up to 200k, and pools 1/2/8, Table.Where
+// (arena-backed) produces a Selection whose bitmap WORDS — not just whose
+// indices — are identical to the row-at-a-time reference, referenceSelection.
 
 // kernelTable builds a table shaped to exercise every kernel
 // specialization: a narrow categorical (10 values → the 256-bit In lookup
 // table), a wide categorical (up to 300 values → the per-code bitset once
 // rows push the dictionary past 256), bools, floats with NaNs sprinkled in
 // (comparisons must stay false), and ints beyond 2^53 is not needed — the
-// generic kernel converts through float64 and the tuned kernel must match
-// that exactly, which the shared conversion guarantees.
+// reference converts through float64 and the kernel must match that exactly,
+// which the shared conversion guarantees.
 func kernelTable(rng *rand.Rand, rows int) *Table {
 	cats := make([]string, 10)
 	for i := range cats {
@@ -97,36 +97,35 @@ func kernelPredicates() []Predicate {
 // requireSameWords fails unless two selections are bitmap-word identical —
 // the strongest equality the kernels can be held to (index equality would
 // not catch a dirty tail word).
-func requireSameWords(t *testing.T, label string, tuned, generic *Selection) {
+func requireSameWords(t *testing.T, label string, got, want *Selection) {
 	t.Helper()
-	if tuned.n != generic.n || len(tuned.words) != len(generic.words) {
-		t.Fatalf("%s: span mismatch: tuned %d rows/%d words, generic %d rows/%d words",
-			label, tuned.n, len(tuned.words), generic.n, len(generic.words))
+	if got.n != want.n || len(got.words) != len(want.words) {
+		t.Fatalf("%s: span mismatch: got %d rows/%d words, want %d rows/%d words",
+			label, got.n, len(got.words), want.n, len(want.words))
 	}
-	if tuned.count != generic.count {
-		t.Fatalf("%s: count mismatch: tuned %d, generic %d", label, tuned.count, generic.count)
+	if got.count != want.count {
+		t.Fatalf("%s: count mismatch: got %d, want %d", label, got.count, want.count)
 	}
-	for i := range tuned.words {
-		if tuned.words[i] != generic.words[i] {
-			t.Fatalf("%s: word %d mismatch: tuned %064b generic %064b",
-				label, i, tuned.words[i], generic.words[i])
+	for i := range got.words {
+		if got.words[i] != want.words[i] {
+			t.Fatalf("%s: word %d mismatch: got %064b want %064b",
+				label, i, got.words[i], want.words[i])
 		}
 	}
 	// Both must hold the zero-tail invariant.
 	pop := 0
-	for _, w := range tuned.words {
+	for _, w := range got.words {
 		pop += bits.OnesCount64(w)
 	}
-	if pop != tuned.count {
-		t.Fatalf("%s: cached count %d != popcount %d", label, tuned.count, pop)
+	if pop != got.count {
+		t.Fatalf("%s: cached count %d != popcount %d", label, got.count, pop)
 	}
 }
 
 // TestTunedKernelsBitIdentical is the differential property test of the
-// tuned kernels: Where vs WhereGeneric (word-identical) vs Matches
-// (row-identical) across row counts spanning 1 to 200k, with pools 1/2/8
-// and the table's arena engaged so recycled words are part of what is
-// being verified.
+// kernels: Where vs the row-at-a-time reference, word for word, across row
+// counts spanning 1 to 200k, with pools 1/2/8 and the table's arena engaged
+// so recycled words are part of what is being verified.
 func TestTunedKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sizes := []int{1, 3, 63, 64, 65, 130, 1000, 16384, 16385}
@@ -144,37 +143,21 @@ func TestTunedKernelsBitIdentical(t *testing.T) {
 		tab.SetArena(NewWordArena(rows))
 		// The reference is pool-independent; compute it once per predicate.
 		for pi, pred := range kernelPredicates() {
-			var wantIdx []int
-			if pred == nil {
-				for i := 0; i < rows; i++ {
-					wantIdx = append(wantIdx, i)
-				}
-			} else {
-				var err error
-				wantIdx, err = referenceIndices(tab, pred)
-				if err != nil {
-					t.Fatalf("rows=%d pred=%d: reference: %v", rows, pi, err)
-				}
+			want, err := referenceSelection(tab, pred)
+			if err != nil {
+				t.Fatalf("rows=%d pred=%d: reference: %v", rows, pi, err)
 			}
 			for _, p := range pools {
 				tab.SetPool(p)
 				label := fmt.Sprintf("rows=%d pred=%d workers=%d", rows, pi, p.Workers())
-				tuned, err := tab.Where(pred)
+				got, err := tab.Where(pred)
 				if err != nil {
 					t.Fatalf("%s: Where: %v", label, err)
 				}
-				generic, err := tab.WhereGeneric(pred)
-				if err != nil {
-					t.Fatalf("%s: WhereGeneric: %v", label, err)
-				}
-				requireSameWords(t, label, tuned, generic)
-				if got := tuned.Indices(); !reflect.DeepEqual(got, wantIdx) && !(len(got) == 0 && len(wantIdx) == 0) {
-					t.Fatalf("%s: indices diverge from Matches reference", label)
-				}
+				requireSameWords(t, label, got, want)
 				// Exercise recycling inside the differential loop: the next
 				// predicate's kernels reuse these words.
-				tuned.Release()
-				generic.Release()
+				got.Release()
 			}
 		}
 	}
@@ -185,7 +168,7 @@ func TestTunedKernelsBitIdentical(t *testing.T) {
 // tail loop can split a window into — against values and bounds at the edges
 // of float comparison: NaN, both infinities, both zeros, the smallest
 // denormal, and int64 values no float64 represents. Where must stay
-// word-identical to WhereGeneric and row-identical to Matches.
+// word-identical to the row-at-a-time reference.
 func TestPackedKernelsEveryTailShape(t *testing.T) {
 	denormal := math.SmallestNonzeroFloat64
 	edges := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1),
@@ -216,32 +199,21 @@ func TestPackedKernelsEveryTailShape(t *testing.T) {
 		}
 		for pi, pred := range preds {
 			label := fmt.Sprintf("rows=%d pred=%d", rows, pi)
-			tuned, err := tab.Where(pred)
+			got, err := tab.Where(pred)
 			if err != nil {
 				t.Fatalf("%s: Where: %v", label, err)
 			}
-			generic, err := tab.WhereGeneric(pred)
-			if err != nil {
-				t.Fatalf("%s: WhereGeneric: %v", label, err)
-			}
-			requireSameWords(t, label, tuned, generic)
-			if pred == nil {
-				continue
-			}
-			wantIdx, err := referenceIndices(tab, pred)
+			want, err := referenceSelection(tab, pred)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", label, err)
 			}
-			if got := tuned.Indices(); !reflect.DeepEqual(got, wantIdx) && !(len(got) == 0 && len(wantIdx) == 0) {
-				t.Fatalf("%s: indices diverge from Matches reference", label)
-			}
+			requireSameWords(t, label, got, want)
 		}
 	}
 }
 
-// TestTunedKernelErrorParity pins the tuned leaves' error behavior to the
-// generic kernels and the reference: same missing-column and type-mismatch
-// outcomes on every path.
+// TestTunedKernelErrorParity pins the leaves' error behavior to the
+// reference: the same missing-column, type-mismatch and nil-inner outcomes.
 func TestTunedKernelErrorParity(t *testing.T) {
 	tab := kernelTable(rand.New(rand.NewSource(31)), 100)
 	bad := []Predicate{
@@ -253,34 +225,26 @@ func TestTunedKernelErrorParity(t *testing.T) {
 		Not{},
 	}
 	for i, pred := range bad {
-		_, tunedErr := tab.Where(pred)
-		_, genErr := tab.WhereGeneric(pred)
-		if (tunedErr == nil) != (genErr == nil) {
-			t.Errorf("pred %d: tuned err %v, generic err %v", i, tunedErr, genErr)
-		}
-		if pred == (Predicate)(Not{}) {
-			// Matches would dereference the nil inner; the compiled paths
-			// must reject it instead, which the parity check above covers.
-			if tunedErr == nil {
-				t.Errorf("pred %d: nil-inner Not compiled without error", i)
-			}
-			continue
-		}
-		_, refErr := referenceIndices(tab, pred)
-		if (refErr == nil) != (tunedErr == nil) {
-			t.Errorf("pred %d: reference err %v, tuned err %v", i, refErr, tunedErr)
+		_, err := tab.Where(pred)
+		_, refErr := referenceSelection(tab, pred)
+		if err == nil || refErr == nil {
+			t.Errorf("pred %d: Where err %v, reference err %v; want both to fail", i, err, refErr)
 		}
 	}
 }
 
 // TestArenaSteadyStateZeroFresh asserts the arena's whole point: once warm,
 // a compile→release loop issues only recycled selections — the fresh
-// counter stops moving. GC is disabled around the loop because a collection
-// may legitimately drop sync.Pool contents.
+// counter stops moving. GC is disabled before the warm-up because a
+// collection may legitimately drop sync.Pool contents, and the test runs on
+// one P because a selection Put on one P's private slot is invisible to a Get
+// on another.
 func TestArenaSteadyStateZeroFresh(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; zero-fresh cannot hold")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tab := kernelTable(rand.New(rand.NewSource(37)), 20000)
 	arena := NewWordArena(tab.NumRows())
 	tab.SetArena(arena)
@@ -298,7 +262,6 @@ func TestArenaSteadyStateZeroFresh(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		run() // warm the pool
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	before := arena.Stats()
 	for i := 0; i < 100; i++ {
 		run()

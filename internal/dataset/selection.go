@@ -14,9 +14,8 @@ import (
 )
 
 // This file is the vectorized execution path of the substrate. Instead of
-// interpreting a Predicate row by row (Predicate.Matches, kept as the
-// reference implementation for differential testing), each predicate compiles
-// into a columnar kernel producing a Selection — a dense bitmap over the
+// interpreting a Predicate row by row, each predicate compiles into a
+// columnar kernel producing a Selection — a dense bitmap over the
 // table's row indices. Boolean combinators become word-wise bitmap operations
 // (And = intersect, Or = union, Not = flip), and a View pairs the immutable
 // table with a Selection so that counting, histogramming and numeric
@@ -228,57 +227,32 @@ func (s *Selection) Indices() []int {
 // --- predicate kernels ---
 
 // Where compiles the predicate into a Selection over the table's rows. A nil
-// predicate selects every row. The seven built-in predicate types run as
-// columnar kernels (one type-dispatched pass per leaf, bitmap algebra for the
-// combinators); any other Predicate implementation falls back to the
-// row-at-a-time Matches loop, so external predicates keep working. Leaves run
-// the tuned branch-free kernels (kernels.go); WhereGeneric keeps the original
-// kernels reachable as a differential oracle. When the table has an arena
-// (SetArena), the result draws its words from it — the caller may Release it
-// if (and only if) it owns the selection exclusively.
-func (t *Table) Where(p Predicate) (*Selection, error) { return t.where(p, true) }
-
-// WhereGeneric is Where on the untuned predicate kernels — the PR-5 bodies
-// with a per-row branch and a read-modify-write per matching bit. It exists
-// as the comparison baseline for the tuned kernels: benchmarks pin slices to
-// it, and the differential tests assert Where and WhereGeneric produce
-// word-identical bitmaps.
-func (t *Table) WhereGeneric(p Predicate) (*Selection, error) { return t.where(p, false) }
-
-// where is the shared compile body behind Where (tuned=true) and WhereGeneric
-// (tuned=false): one combinator/short-circuit/error structure, two leaf kernel
-// generations. Combinator intermediates are exclusively owned here and are
-// released back to the table's arena as soon as they are consumed.
-func (t *Table) where(p Predicate, tuned bool) (*Selection, error) {
+// predicate selects every row; a nil term inside an And or Or, or a nil Not
+// inner, is an error. Each of the seven predicate types has one compiler: the
+// four leaves run the branch-free kernels of kernels.go, one type-dispatched
+// pass per leaf, and the combinators are bitmap algebra over their terms'
+// selections. When the table has an arena (SetArena), the result draws its
+// words from it — the caller may Release it if (and only if) it owns the
+// selection exclusively. Combinator intermediates are exclusively owned here
+// and are released back to the arena as soon as they are consumed.
+func (t *Table) Where(p Predicate) (*Selection, error) {
 	if p == nil {
 		return t.fullSel(), nil
 	}
 	switch q := p.(type) {
 	case Equals:
-		if tuned {
-			return t.whereEqualsTuned(q)
-		}
 		return t.whereEquals(q)
 	case In:
-		if tuned {
-			return t.whereInTuned(q)
-		}
 		return t.whereIn(q)
 	case Range:
-		if tuned {
-			return t.whereRangeTuned(q)
-		}
-		return t.whereNumeric(q.Column, func(v float64) bool { return v >= q.Low && v < q.High })
+		return t.whereRange(q)
 	case GreaterThan:
-		if tuned {
-			return t.whereGreaterTuned(q)
-		}
-		return t.whereNumeric(q.Column, func(v float64) bool { return v > q.Threshold })
+		return t.whereGreater(q)
 	case Not:
 		if q.Inner == nil {
 			return nil, fmt.Errorf("dataset: not predicate with nil inner predicate")
 		}
-		inner, err := t.where(q.Inner, tuned)
+		inner, err := t.Where(q.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -286,16 +260,21 @@ func (t *Table) where(p Predicate, tuned bool) (*Selection, error) {
 		inner.Release()
 		return out, nil
 	case And:
+		// A nil term is malformed, not "every row": rejected before anything
+		// compiles, so the short-circuit below cannot hide it.
+		if slices.Contains(q.Terms, nil) {
+			return nil, fmt.Errorf("dataset: and predicate with a nil term")
+		}
 		sel := t.fullSel()
 		for _, term := range q.Terms {
 			// Short-circuit on an empty accumulator: no row would reach the
 			// remaining terms row-at-a-time, so they must not be compiled —
-			// this keeps error behavior identical to the reference path (a
-			// term with a bad column after an all-false term never errors).
+			// this keeps error behavior identical to the reference (a term
+			// with a bad column after an all-false term never errors).
 			if sel.Count() == 0 {
 				break
 			}
-			ts, err := t.where(term, tuned)
+			ts, err := t.Where(term)
 			if err != nil {
 				sel.Release()
 				return nil, err
@@ -307,6 +286,9 @@ func (t *Table) where(p Predicate, tuned bool) (*Selection, error) {
 		}
 		return sel, nil
 	case Or:
+		if slices.Contains(q.Terms, nil) {
+			return nil, fmt.Errorf("dataset: or predicate with a nil term")
+		}
 		sel := t.newSel()
 		for _, term := range q.Terms {
 			// Mirror image of the And short-circuit: once every row is
@@ -314,7 +296,7 @@ func (t *Table) where(p Predicate, tuned bool) (*Selection, error) {
 			if sel.Count() == t.rows {
 				break
 			}
-			ts, err := t.where(term, tuned)
+			ts, err := t.Where(term)
 			if err != nil {
 				sel.Release()
 				return nil, err
@@ -326,18 +308,7 @@ func (t *Table) where(p Predicate, tuned bool) (*Selection, error) {
 		}
 		return sel, nil
 	default:
-		sel := t.newSel()
-		for i := 0; i < t.rows; i++ {
-			ok, err := p.Matches(t, i)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				sel.setBit(i)
-			}
-		}
-		sel.recount()
-		return sel, nil
+		return nil, fmt.Errorf("dataset: cannot compile predicate type %T", p)
 	}
 }
 
@@ -372,127 +343,6 @@ func (t *Table) numericColumn(name string) (*Column, error) {
 		return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 	}
 	return c, nil
-}
-
-func (t *Table) whereEquals(q Equals) (*Selection, error) {
-	c, err := t.categoricalColumn(q.Column)
-	if err != nil {
-		return nil, err
-	}
-	if c.Type == Bool {
-		switch q.Value {
-		case "true":
-			return t.whereBools(c, true), nil
-		case "false":
-			return t.whereBools(c, false), nil
-		default:
-			return t.stamp(EmptySelection(t.rows)), nil
-		}
-	}
-	code, ok := c.codeOf[q.Value]
-	if !ok {
-		return t.stamp(EmptySelection(t.rows)), nil
-	}
-	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		n := 0
-		for j, rc := range c.codes[lo:hi] {
-			if rc == code {
-				sel.setBit(lo + j)
-				n++
-			}
-		}
-		return n
-	}), nil
-}
-
-func (t *Table) whereIn(q In) (*Selection, error) {
-	c, err := t.categoricalColumn(q.Column)
-	if err != nil {
-		return nil, err
-	}
-	if c.Type == Bool {
-		var wantTrue, wantFalse bool
-		for _, v := range q.Values {
-			switch v {
-			case "true":
-				wantTrue = true
-			case "false":
-				wantFalse = true
-			}
-		}
-		switch {
-		case wantTrue && wantFalse:
-			return t.stamp(FullSelection(t.rows)), nil
-		case wantTrue:
-			return t.whereBools(c, true), nil
-		case wantFalse:
-			return t.whereBools(c, false), nil
-		default:
-			return t.stamp(EmptySelection(t.rows)), nil
-		}
-	}
-	// Translate the value set into a code set once, then scan codes.
-	want := make(map[uint32]struct{}, len(q.Values))
-	for _, v := range q.Values {
-		if code, ok := c.codeOf[v]; ok {
-			want[code] = struct{}{}
-		}
-	}
-	if len(want) == 0 {
-		return t.stamp(EmptySelection(t.rows)), nil
-	}
-	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		n := 0
-		for j, rc := range c.codes[lo:hi] {
-			if _, ok := want[rc]; ok {
-				sel.setBit(lo + j)
-				n++
-			}
-		}
-		return n
-	}), nil
-}
-
-func (t *Table) whereBools(c *Column, want bool) *Selection {
-	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		n := 0
-		for j, b := range c.bools[lo:hi] {
-			if b == want {
-				sel.setBit(lo + j)
-				n++
-			}
-		}
-		return n
-	})
-}
-
-func (t *Table) whereNumeric(name string, keep func(float64) bool) (*Selection, error) {
-	c, err := t.numericColumn(name)
-	if err != nil {
-		return nil, err
-	}
-	if c.Type == Float64 {
-		return t.fillSelection(func(sel *Selection, lo, hi int) int {
-			n := 0
-			for j, v := range c.floats[lo:hi] {
-				if keep(v) {
-					sel.setBit(lo + j)
-					n++
-				}
-			}
-			return n
-		}), nil
-	}
-	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		n := 0
-		for j, v := range c.ints[lo:hi] {
-			if keep(float64(v)) {
-				sel.setBit(lo + j)
-				n++
-			}
-		}
-		return n
-	}), nil
 }
 
 // --- views ---

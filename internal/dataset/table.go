@@ -451,7 +451,7 @@ func (c *Column) codeStats() *codeStats {
 // categorical columns in disguise. dict lists the distinct values in
 // ascending order and codes holds one index into it per row, so the order of
 // two codes is the order of their values: a range over values is a range over
-// codes (whereRangeTuned) and a bin is a property of the code
+// codes (whereRange) and a bin is a property of the code
 // (binAssignment), at one byte read per row instead of eight. A value is
 // what the predicates compare, float64(v) for both numeric types, so int64
 // values beyond 2^53 share a code exactly where float comparison cannot tell

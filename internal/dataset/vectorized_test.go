@@ -1,10 +1,12 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -12,8 +14,7 @@ import (
 // for randomized tables and randomized predicate trees covering all seven
 // predicate types over every column type, the bitmap kernels (Table.Where)
 // and the zero-copy View reads must agree exactly with the row-at-a-time
-// reference implementation (Predicate.Matches) and with reads over a
-// materialized sub-table.
+// reference (matchRow) and with reads over a materialized sub-table.
 
 // randomTable builds a table with one column of every type. Row counts hover
 // around the 64-bit word boundary so the bitmap tail masking is exercised.
@@ -100,20 +101,80 @@ func randomPredicate(rng *rand.Rand, depth int) Predicate {
 	}
 }
 
-// referenceIndices evaluates the predicate row by row with Matches — the
-// reference implementation the kernels are checked against.
-func referenceIndices(t *Table, p Predicate) ([]int, error) {
-	var out []int
+// matchRow evaluates the predicate on row i alone: the row-at-a-time
+// reference every compiled Selection is held to. It reads cells through the
+// public accessors, so a missing column or a type mismatch errors as Where
+// does; And and Or stop at the first term that decides the row. A nil
+// predicate is every row; a nil term or a nil Not inner is an error.
+func matchRow(t *Table, p Predicate, i int) (bool, error) {
+	switch q := p.(type) {
+	case nil:
+		return true, nil
+	case Equals:
+		v, err := cell(t, q.Column, i, (*Column).StringAt)
+		return v == q.Value, err
+	case In:
+		v, err := cell(t, q.Column, i, (*Column).StringAt)
+		return slices.Contains(q.Values, v), err
+	case Range:
+		v, err := cell(t, q.Column, i, (*Column).Float)
+		return v >= q.Low && v < q.High, err
+	case GreaterThan:
+		v, err := cell(t, q.Column, i, (*Column).Float)
+		return v > q.Threshold, err
+	case Not:
+		if q.Inner == nil {
+			return false, errors.New("not with a nil inner predicate")
+		}
+		ok, err := matchRow(t, q.Inner, i)
+		return !ok, err
+	case And:
+		return matchTerms(t, q.Terms, i, false)
+	case Or:
+		return matchTerms(t, q.Terms, i, true)
+	}
+	return false, fmt.Errorf("cannot evaluate predicate type %T", p)
+}
+
+// matchTerms evaluates an And (decisive false) or an Or (decisive true): the
+// first term whose outcome is decisive decides the row.
+func matchTerms(t *Table, terms []Predicate, i int, decisive bool) (bool, error) {
+	if slices.Contains(terms, nil) {
+		return false, errors.New("nil term")
+	}
+	for _, term := range terms {
+		if ok, err := matchRow(t, term, i); err != nil || ok == decisive {
+			return ok, err
+		}
+	}
+	return !decisive, nil
+}
+
+// cell reads row i of the named column through one of Column's accessors.
+func cell[V any](t *Table, column string, i int, read func(*Column, int) (V, error)) (V, error) {
+	c, err := t.Column(column)
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	return read(c, i)
+}
+
+// referenceSelection sets, row by row, the bits matchRow selects: what Where
+// must return word for word, count and tail bits included.
+func referenceSelection(t *Table, p Predicate) (*Selection, error) {
+	sel := newSelection(t.NumRows())
 	for i := 0; i < t.NumRows(); i++ {
-		ok, err := p.Matches(t, i)
+		ok, err := matchRow(t, p, i)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out = append(out, i)
+			sel.setBit(i)
 		}
 	}
-	return out, nil
+	sel.recount()
+	return sel, nil
 }
 
 // legacyBinCounts replicates the pre-vectorization numeric binning (the old
@@ -160,7 +221,7 @@ func TestVectorizedMatchesReference(t *testing.T) {
 		pred := randomPredicate(rng, 2+rng.Intn(2))
 		label := fmt.Sprintf("trial %d (%d rows): %s", trial, tab.NumRows(), pred.Describe())
 
-		wantIdx, wantErr := referenceIndices(tab, pred)
+		want, wantErr := referenceSelection(tab, pred)
 		sel, gotErr := tab.Where(pred)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error mismatch: reference %v, vectorized %v", label, wantErr, gotErr)
@@ -168,12 +229,8 @@ func TestVectorizedMatchesReference(t *testing.T) {
 		if wantErr != nil {
 			continue
 		}
-		if got := sel.Indices(); !reflect.DeepEqual(got, wantIdx) && !(len(got) == 0 && len(wantIdx) == 0) {
-			t.Fatalf("%s: indices mismatch:\n  reference  %v\n  vectorized %v", label, wantIdx, got)
-		}
-		if sel.Count() != len(wantIdx) {
-			t.Fatalf("%s: Count = %d, reference %d", label, sel.Count(), len(wantIdx))
-		}
+		requireSameWords(t, label, sel, want)
+		wantIdx := want.Indices()
 
 		// The zero-copy view must read exactly what the materialized
 		// sub-table reads.
@@ -280,7 +337,7 @@ func TestWhereShortCircuitErrorParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wantIdx, wantErr := referenceIndices(tab, tc.pred)
+			want, wantErr := referenceSelection(tab, tc.pred)
 			sel, gotErr := tab.Where(tc.pred)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("error mismatch: reference %v, vectorized %v", wantErr, gotErr)
@@ -288,10 +345,43 @@ func TestWhereShortCircuitErrorParity(t *testing.T) {
 			if wantErr != nil {
 				return
 			}
-			if sel.Count() != len(wantIdx) {
-				t.Errorf("count = %d, reference %d", sel.Count(), len(wantIdx))
-			}
+			requireSameWords(t, tc.name, sel, want)
 		})
+	}
+}
+
+// TestWhereRejectsNilTerms: a nil term of an And or an Or is a malformed
+// predicate, not "every row" or "no term". Where, the selection cache and the
+// reference reject it wherever it stands — first, last, and after a term
+// that already decided every row. A nil predicate is still every row.
+func TestWhereRejectsNilTerms(t *testing.T) {
+	tab := randomTable(rand.New(rand.NewSource(19)))
+	none := Equals{Column: "color", Value: "absent"}
+	all := Not{Inner: none}
+	for i, pred := range []Predicate{
+		And{Terms: []Predicate{nil}},
+		And{Terms: []Predicate{nil, all}},
+		And{Terms: []Predicate{all, nil}},
+		And{Terms: []Predicate{none, nil}},
+		Or{Terms: []Predicate{nil}},
+		Or{Terms: []Predicate{nil, none}},
+		Or{Terms: []Predicate{none, nil}},
+		Or{Terms: []Predicate{all, nil}},
+		Not{Inner: And{Terms: []Predicate{all, nil}}},
+		Not{},
+	} {
+		if sel, err := tab.Where(pred); err == nil {
+			t.Errorf("predicate %d: Where selected %d of %d rows, want an error", i, sel.Count(), tab.NumRows())
+		}
+		if _, err := NewSelectionCache(tab).Where(pred); err == nil {
+			t.Errorf("predicate %d: the selection cache compiled it", i)
+		}
+		if _, err := referenceSelection(tab, pred); err == nil {
+			t.Errorf("predicate %d: the reference evaluated it", i)
+		}
+	}
+	if sel, err := tab.Where(nil); err != nil || sel.Count() != tab.NumRows() {
+		t.Errorf("nil predicate: %v, want all %d rows", err, tab.NumRows())
 	}
 }
 
@@ -379,13 +469,11 @@ func TestSelectionCacheSharing(t *testing.T) {
 	}
 
 	// The cached result must still be correct.
-	wantIdx, err := referenceIndices(tab, p)
+	want, err := referenceSelection(tab, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := second.Indices(); !reflect.DeepEqual(got, wantIdx) && !(len(got) == 0 && len(wantIdx) == 0) {
-		t.Errorf("cached selection indices mismatch: %v vs %v", got, wantIdx)
-	}
+	requireSameWords(t, "cached selection", second, want)
 }
 
 func TestSelectionCacheCapBounds(t *testing.T) {

@@ -26,11 +26,6 @@ type Exp2Config struct {
 	Seed int64
 }
 
-// DefaultExp2Config mirrors the paper: 115 hypotheses over a full-size census.
-func DefaultExp2Config() Exp2Config {
-	return Exp2Config{Rows: 30000, Hypotheses: 115, Replications: 20, Seed: 1}
-}
-
 // Exp2 builds the census (or randomized census), generates the workflow,
 // labels ground truth with Bonferroni on the full data, and then replays the
 // workflow on down-samples of the data at each sample fraction, reporting the

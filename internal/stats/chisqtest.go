@@ -134,25 +134,3 @@ func ChiSquaredIndependence(table [][]int) (TestResult, error) {
 	}
 	return TestResult{Statistic: statistic, PValue: p, DF: df, EffectSize: v, N: int(grand), Method: method}, nil
 }
-
-// TwoProportionZTest tests whether the success proportions of two independent
-// binomial samples differ. successes/totals index 0 and 1 are the two groups.
-func TwoProportionZTest(successes, totals [2]int, alt Alternative) (TestResult, error) {
-	const method = "two-proportion z-test"
-	for i := 0; i < 2; i++ {
-		if totals[i] <= 0 || successes[i] < 0 || successes[i] > totals[i] {
-			return TestResult{}, fmt.Errorf("stats: invalid proportion inputs: %w", ErrDomain)
-		}
-	}
-	p1 := float64(successes[0]) / float64(totals[0])
-	p2 := float64(successes[1]) / float64(totals[1])
-	pooled := float64(successes[0]+successes[1]) / float64(totals[0]+totals[1])
-	se := math.Sqrt(pooled * (1 - pooled) * (1/float64(totals[0]) + 1/float64(totals[1])))
-	if se == 0 {
-		return TestResult{}, errors.New("stats: two-proportion z-test undefined when pooled proportion is 0 or 1")
-	}
-	z := (p1 - p2) / se
-	p := zTestPValue(z, alt)
-	h := 2*math.Asin(math.Sqrt(p1)) - 2*math.Asin(math.Sqrt(p2)) // Cohen's h
-	return TestResult{Statistic: z, PValue: p, DF: 0, EffectSize: h, N: totals[0] + totals[1], Method: method}, nil
-}

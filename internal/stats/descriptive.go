@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmptySample is returned when a computation requires at least one (or two)
@@ -205,35 +204,6 @@ func MeanVariance(xs []float64) (mean, variance float64, err error) {
 	return m.Mean, m.Variance(), nil
 }
 
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
-// Quantile returns the q-th sample quantile of xs (linear interpolation
-// between order statistics, the "type 7" definition used by R and NumPy).
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return math.NaN(), ErrEmptySample
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN(), ErrDomain
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
 // MinMax returns the smallest and largest values of xs.
 func MinMax(xs []float64) (min, max float64, err error) {
 	if len(xs) == 0 {
@@ -249,52 +219,6 @@ func MinMax(xs []float64) (min, max float64, err error) {
 		}
 	}
 	return min, max, nil
-}
-
-// Covariance returns the unbiased sample covariance of paired samples xs, ys.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return math.NaN(), errors.New("stats: covariance requires samples of equal length")
-	}
-	if len(xs) < 2 {
-		return math.NaN(), ErrEmptySample
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	sum := 0.0
-	for i := range xs {
-		sum += (xs[i] - mx) * (ys[i] - my)
-	}
-	return sum / float64(len(xs)-1), nil
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-func Correlation(xs, ys []float64) (float64, error) {
-	cov, err := Covariance(xs, ys)
-	if err != nil {
-		return math.NaN(), err
-	}
-	sx, err := StdDev(xs)
-	if err != nil {
-		return math.NaN(), err
-	}
-	sy, err := StdDev(ys)
-	if err != nil {
-		return math.NaN(), err
-	}
-	if sx == 0 || sy == 0 {
-		return math.NaN(), errors.New("stats: correlation undefined for constant sample")
-	}
-	return cov / (sx * sy), nil
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	total := 0.0
-	for _, x := range xs {
-		total += x
-	}
-	return total
 }
 
 // Histogram is a simple fixed-width binned histogram over a float sample.
@@ -334,28 +258,6 @@ func NewHistogram(xs []float64, bins int) (*Histogram, error) {
 		h.Counts[idx]++
 	}
 	return h, nil
-}
-
-// Total returns the number of observations in the histogram.
-func (h *Histogram) Total() int {
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	return total
-}
-
-// Proportions returns the per-bin fraction of observations.
-func (h *Histogram) Proportions() []float64 {
-	total := h.Total()
-	props := make([]float64, len(h.Counts))
-	if total == 0 {
-		return props
-	}
-	for i, c := range h.Counts {
-		props[i] = float64(c) / float64(total)
-	}
-	return props
 }
 
 // ConfidenceInterval95 returns the half-width of a normal-approximation 95%

@@ -61,33 +61,6 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 	}
 }
 
-func TestMedianAndQuantile(t *testing.T) {
-	xs := []float64{7, 1, 3, 9, 5}
-	med, err := Median(xs)
-	if err != nil || med != 5 {
-		t.Fatalf("Median = %v, %v", med, err)
-	}
-	even := []float64{1, 2, 3, 4}
-	med, _ = Median(even)
-	if med != 2.5 {
-		t.Fatalf("even Median = %v", med)
-	}
-	q, _ := Quantile([]float64{10, 20, 30, 40, 50}, 0.25)
-	if q != 20 {
-		t.Fatalf("Quantile(0.25) = %v", q)
-	}
-	if _, err := Quantile(xs, 1.5); !errors.Is(err, ErrDomain) {
-		t.Error("expected domain error for q > 1")
-	}
-	if _, err := Quantile(nil, 0.5); !errors.Is(err, ErrEmptySample) {
-		t.Error("expected empty-sample error")
-	}
-	single, _ := Quantile([]float64{42}, 0.9)
-	if single != 42 {
-		t.Fatalf("single-element quantile = %v", single)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	min, max, err := MinMax([]float64{3, -2, 8, 0})
 	if err != nil || min != -2 || max != 8 {
@@ -98,45 +71,17 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestCovarianceCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	cov, err := Covariance(xs, ys)
-	if err != nil || !approxEqual(cov, 5, 1e-12) {
-		t.Fatalf("Covariance = %v, %v", cov, err)
-	}
-	r, err := Correlation(xs, ys)
-	if err != nil || !approxEqual(r, 1, 1e-12) {
-		t.Fatalf("Correlation = %v, %v", r, err)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, _ = Correlation(xs, neg)
-	if !approxEqual(r, -1, 1e-12) {
-		t.Fatalf("negative Correlation = %v", r)
-	}
-	if _, err := Correlation(xs, []float64{1, 1, 1, 1, 1}); err == nil {
-		t.Error("expected error for constant sample")
-	}
-	if _, err := Covariance(xs, []float64{1}); err == nil {
-		t.Error("expected error for mismatched lengths")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	xs := []float64{0, 0.1, 0.2, 0.5, 0.6, 0.9, 1.0}
 	h, err := NewHistogram(xs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Total() != len(xs) {
-		t.Fatalf("Total = %d", h.Total())
-	}
 	if h.Counts[0] != 3 || h.Counts[1] != 4 {
 		t.Fatalf("Counts = %v", h.Counts)
 	}
-	props := h.Proportions()
-	if !approxEqual(props[0]+props[1], 1, 1e-12) {
-		t.Fatalf("Proportions = %v", props)
+	if len(h.Edges) != 3 || h.Edges[0] != 0 || h.Edges[1] != 0.5 || h.Edges[2] != 1 {
+		t.Fatalf("Edges = %v", h.Edges)
 	}
 	if _, err := NewHistogram(nil, 3); err == nil {
 		t.Error("expected error for empty sample")
@@ -146,7 +91,7 @@ func TestHistogram(t *testing.T) {
 	}
 	// Constant sample should still produce a valid histogram.
 	hc, err := NewHistogram([]float64{5, 5, 5}, 4)
-	if err != nil || hc.Total() != 3 {
+	if err != nil || hc.Counts[0] != 3 {
 		t.Fatalf("constant histogram: %v, %v", hc, err)
 	}
 }
@@ -167,36 +112,5 @@ func TestConfidenceInterval95(t *testing.T) {
 	}
 	if _, err := ConfidenceInterval95([]float64{1}); err == nil {
 		t.Error("expected error for tiny sample")
-	}
-}
-
-func TestSum(t *testing.T) {
-	if Sum([]float64{1.5, 2.5, -1}) != 3 {
-		t.Error("Sum mismatch")
-	}
-	if Sum(nil) != 0 {
-		t.Error("Sum(nil) should be 0")
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 3 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			xs[i] = math.Mod(v, 1e9)
-		}
-		q25, _ := Quantile(xs, 0.25)
-		q50, _ := Quantile(xs, 0.5)
-		q75, _ := Quantile(xs, 0.75)
-		return q25 <= q50 && q50 <= q75
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

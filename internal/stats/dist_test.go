@@ -63,6 +63,30 @@ func TestNormalPDFIntegratesToCDF(t *testing.T) {
 	}
 }
 
+// TestPDFsIntegrateToCDFs is the same trapezoid check for the t and χ²
+// densities: integrated over [lo, hi], each must give CDF(hi) - CDF(lo).
+func TestPDFsIntegrateToCDFs(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		pdf, cdf func(float64) float64
+		lo, hi   float64
+	}{
+		{"t(5)", StudentT{DF: 5}.PDF, StudentT{DF: 5}.CDF, -3, 2},
+		{"chi2(4)", ChiSquared{DF: 4}.PDF, ChiSquared{DF: 4}.CDF, 0.5, 9},
+	} {
+		const steps = 20000
+		h := (tc.hi - tc.lo) / steps
+		sum := 0.0
+		for i := 0; i < steps; i++ {
+			x0 := tc.lo + float64(i)*h
+			sum += (tc.pdf(x0) + tc.pdf(x0+h)) / 2 * h
+		}
+		if want := tc.cdf(tc.hi) - tc.cdf(tc.lo); !approxEqual(sum, want, 1e-6) {
+			t.Errorf("%s: integral %v vs CDF difference %v", tc.name, sum, want)
+		}
+	}
+}
+
 func TestNormalInvalidSigma(t *testing.T) {
 	n := Normal{Mu: 0, Sigma: 0}
 	if !math.IsNaN(n.PDF(0)) || !math.IsNaN(n.CDF(0)) {
@@ -167,114 +191,6 @@ func TestChiSquaredSurvivalComplement(t *testing.T) {
 	}
 }
 
-func TestFDistributionKnownValues(t *testing.T) {
-	// Critical values F(0.95; d1, d2).
-	cases := []struct {
-		d1, d2, crit float64
-	}{
-		{1, 10, 4.964602743730711},
-		{5, 20, 2.7108898146239264},
-		{10, 10, 2.9782370947247945},
-	}
-	for _, c := range cases {
-		dist := FDistribution{D1: c.d1, D2: c.d2}
-		if got := dist.CDF(c.crit); !approxEqual(got, 0.95, 1e-6) {
-			t.Errorf("F(%v,%v).CDF(%v) = %v, want 0.95", c.d1, c.d2, c.crit, got)
-		}
-		q, err := dist.Quantile(0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !approxEqual(q, c.crit, 1e-5) {
-			t.Errorf("F(%v,%v).Quantile(0.95) = %v, want %v", c.d1, c.d2, q, c.crit)
-		}
-	}
-}
-
-func TestFDistributionTSquaredRelationship(t *testing.T) {
-	// If T ~ t(df) then T^2 ~ F(1, df).
-	df := 9.0
-	tDist := StudentT{DF: df}
-	fDist := FDistribution{D1: 1, D2: df}
-	for _, x := range []float64{0.5, 1, 2, 3} {
-		pt := 1 - 2*tDist.Survival(x) // P(|T| <= x)
-		pf := fDist.CDF(x * x)
-		if !approxEqual(pt, pf, 1e-9) {
-			t.Errorf("x=%v: P(|T|<=x)=%v, P(F<=x^2)=%v", x, pt, pf)
-		}
-	}
-}
-
-func TestBinomialPMFSumsToOne(t *testing.T) {
-	b := Binomial{N: 20, P: 0.3}
-	sum := 0.0
-	for k := 0; k <= 20; k++ {
-		sum += b.PMF(k)
-	}
-	if !approxEqual(sum, 1, 1e-10) {
-		t.Errorf("PMF sums to %v", sum)
-	}
-	if !approxEqual(b.CDF(20), 1, 1e-12) {
-		t.Errorf("CDF(n) = %v", b.CDF(20))
-	}
-	if !approxEqual(b.CDF(5), b.PMF(0)+b.PMF(1)+b.PMF(2)+b.PMF(3)+b.PMF(4)+b.PMF(5), 1e-10) {
-		t.Error("CDF(5) does not match cumulative PMF")
-	}
-}
-
-func TestUniformBasics(t *testing.T) {
-	u := Uniform{A: 2, B: 6}
-	if got := u.CDF(4); !approxEqual(got, 0.5, 1e-15) {
-		t.Errorf("CDF(4) = %v", got)
-	}
-	if got := u.PDF(3); !approxEqual(got, 0.25, 1e-15) {
-		t.Errorf("PDF(3) = %v", got)
-	}
-	if got := u.CDF(1); got != 0 {
-		t.Errorf("CDF below support = %v", got)
-	}
-	if got := u.CDF(7); got != 1 {
-		t.Errorf("CDF above support = %v", got)
-	}
-	q, err := u.Quantile(0.25)
-	if err != nil || !approxEqual(q, 3, 1e-15) {
-		t.Errorf("Quantile(0.25) = %v, %v", q, err)
-	}
-}
-
-func TestCategoricalDistribution(t *testing.T) {
-	c, err := NewCategorical([]float64{1, 3, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEqual(c.Prob(0), 0.1, 1e-15) || !approxEqual(c.Prob(2), 0.6, 1e-15) {
-		t.Errorf("unexpected probabilities %v %v", c.Prob(0), c.Prob(2))
-	}
-	if c.Prob(-1) != 0 || c.Prob(3) != 0 {
-		t.Error("out-of-range probability should be 0")
-	}
-	if _, err := NewCategorical(nil); err == nil {
-		t.Error("expected error for empty weights")
-	}
-	if _, err := NewCategorical([]float64{0, 0}); err == nil {
-		t.Error("expected error for all-zero weights")
-	}
-	if _, err := NewCategorical([]float64{1, -1}); err == nil {
-		t.Error("expected error for negative weight")
-	}
-	rng := NewRNG(1)
-	counts := make([]int, 3)
-	for i := 0; i < 30000; i++ {
-		counts[c.Rand(rng)]++
-	}
-	for i, want := range []float64{0.1, 0.3, 0.6} {
-		got := float64(counts[i]) / 30000
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("category %d frequency %v, want ~%v", i, got, want)
-		}
-	}
-}
-
 func TestSamplingMatchesMoments(t *testing.T) {
 	rng := NewRNG(42)
 	const n = 60000
@@ -286,7 +202,7 @@ func TestSamplingMatchesMoments(t *testing.T) {
 			xs[i] = dist.Rand(rng)
 		}
 		m, v, _ := MeanVariance(xs)
-		if math.Abs(m-2) > 0.05 || math.Abs(v-9) > 0.3 {
+		if math.Abs(m-dist.Mean()) > 0.05 || math.Abs(v-dist.Variance()) > 0.3 {
 			t.Errorf("normal sample moments mean=%v var=%v", m, v)
 		}
 	})
@@ -297,7 +213,7 @@ func TestSamplingMatchesMoments(t *testing.T) {
 			xs[i] = dist.Rand(rng)
 		}
 		m, v, _ := MeanVariance(xs)
-		if math.Abs(m-5) > 0.1 || math.Abs(v-10) > 0.6 {
+		if math.Abs(m-dist.Mean()) > 0.1 || math.Abs(v-dist.Variance()) > 0.6 {
 			t.Errorf("chi2 sample moments mean=%v var=%v", m, v)
 		}
 	})
@@ -308,7 +224,7 @@ func TestSamplingMatchesMoments(t *testing.T) {
 			xs[i] = dist.Rand(rng)
 		}
 		m, v, _ := MeanVariance(xs)
-		if math.Abs(m) > 0.05 || math.Abs(v-1.2) > 0.15 {
+		if math.Abs(m-dist.Mean()) > 0.05 || math.Abs(v-dist.Variance()) > 0.15 {
 			t.Errorf("t sample moments mean=%v var=%v", m, v)
 		}
 	})
@@ -319,7 +235,7 @@ func TestSamplingMatchesMoments(t *testing.T) {
 			xs[i] = dist.Rand(rng)
 		}
 		m, _, _ := MeanVariance(xs)
-		if math.Abs(m-0.7) > 0.05 {
+		if math.Abs(m-dist.Mean()) > 0.05 {
 			t.Errorf("chi2(0.7) sample mean=%v", m)
 		}
 	})

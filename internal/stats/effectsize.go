@@ -4,57 +4,6 @@ import (
 	"math"
 )
 
-// CohensD returns Cohen's d for two independent samples using the pooled
-// standard deviation.
-func CohensD(xs, ys []float64) (float64, error) {
-	if len(xs) < 2 || len(ys) < 2 {
-		return math.NaN(), ErrEmptySample
-	}
-	mx, vx, err := MeanVariance(xs)
-	if err != nil {
-		return math.NaN(), err
-	}
-	my, vy, err := MeanVariance(ys)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return cohensDFromStats(mx, my, vx, vy, float64(len(xs)), float64(len(ys))), nil
-}
-
-// HedgesG returns Hedges' g, the small-sample bias-corrected version of
-// Cohen's d.
-func HedgesG(xs, ys []float64) (float64, error) {
-	d, err := CohensD(xs, ys)
-	if err != nil {
-		return math.NaN(), err
-	}
-	df := float64(len(xs) + len(ys) - 2)
-	correction := 1 - 3/(4*df-1)
-	return d * correction, nil
-}
-
-// CramersV returns Cramér's V for a contingency table of counts.
-func CramersV(table [][]int) (float64, error) {
-	res, err := ChiSquaredIndependence(table)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return res.EffectSize, nil
-}
-
-// PhiCoefficient returns the phi coefficient for a 2x2 contingency table,
-// which equals Cramér's V in that case but carries a sign indicating the
-// direction of association.
-func PhiCoefficient(table [2][2]int) (float64, error) {
-	a, b := float64(table[0][0]), float64(table[0][1])
-	c, d := float64(table[1][0]), float64(table[1][1])
-	den := math.Sqrt((a + b) * (c + d) * (a + c) * (b + d))
-	if den == 0 {
-		return math.NaN(), ErrDomain
-	}
-	return (a*d - b*c) / den, nil
-}
-
 // EffectMagnitude is a coarse qualitative label for a standardized effect
 // size, following Cohen's conventional thresholds. AWARE's UI color-codes
 // effect sizes with these labels (Figure 2 (D)).

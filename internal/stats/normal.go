@@ -70,6 +70,3 @@ func (n Normal) Mean() float64 { return n.Mu }
 
 // Variance returns the distribution variance.
 func (n Normal) Variance() float64 { return n.Sigma * n.Sigma }
-
-// ZScore standardizes x with respect to the distribution.
-func (n Normal) ZScore(x float64) float64 { return (x - n.Mu) / n.Sigma }

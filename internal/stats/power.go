@@ -66,29 +66,6 @@ func TwoSampleTTestSampleSize(d, alpha, power float64, alt Alternative) (int, er
 	return int(math.Ceil(n)), nil
 }
 
-// ChiSquaredPower returns the power of a chi-squared test with df degrees of
-// freedom, effect size w (Cohen's w), total sample size n, and level alpha.
-// It uses a normal approximation to the non-central chi-squared distribution
-// (Patnaik's approximation).
-func ChiSquaredPower(df float64, w float64, n int, alpha float64) (float64, error) {
-	if df <= 0 || n <= 0 {
-		return math.NaN(), ErrDomain
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return math.NaN(), fmt.Errorf("stats: power requires alpha in (0,1): %w", ErrDomain)
-	}
-	crit, err := ChiSquared{DF: df}.Quantile(1 - alpha)
-	if err != nil {
-		return math.NaN(), err
-	}
-	lambda := w * w * float64(n) // non-centrality parameter
-	// Patnaik: non-central chi2(df, lambda) ~ c * chi2(h) with
-	// c = (df + 2*lambda) / (df + lambda), h = (df + lambda)^2 / (df + 2*lambda).
-	c := (df + 2*lambda) / (df + lambda)
-	h := (df + lambda) * (df + lambda) / (df + 2*lambda)
-	return ChiSquared{DF: h}.Survival(crit / c), nil
-}
-
 // RequiredMultiplier returns the multiple of the current sample size (under
 // the assumption that additional data follows the currently observed effect
 // size d) that a two-sample t-test would need to reach significance at level

@@ -111,29 +111,6 @@ func TestSampleSizeErrors(t *testing.T) {
 	}
 }
 
-func TestChiSquaredPower(t *testing.T) {
-	small, err := ChiSquaredPower(1, 0.1, 100, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := ChiSquaredPower(1, 0.5, 100, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large <= small {
-		t.Errorf("power should grow with effect size: %v vs %v", small, large)
-	}
-	if large < 0.9 {
-		t.Errorf("w=0.5 n=100 should have high power, got %v", large)
-	}
-	if _, err := ChiSquaredPower(0, 0.3, 100, 0.05); err == nil {
-		t.Error("expected error for df = 0")
-	}
-	if _, err := ChiSquaredPower(1, 0.3, 100, 0); err == nil {
-		t.Error("expected error for alpha = 0")
-	}
-}
-
 func TestRequiredMultiplier(t *testing.T) {
 	// A medium effect measured on 20 points needs a few times more data for
 	// 80% power; a huge effect on 1000 points needs less than the current n.
@@ -157,47 +134,6 @@ func TestRequiredMultiplier(t *testing.T) {
 	}
 	if _, err := RequiredMultiplier(0, 0.5, 0.05, 0.8, TwoSided); err == nil {
 		t.Error("expected error for zero current sample")
-	}
-}
-
-func TestEffectSizes(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ys := []float64{3, 4, 5, 6, 7, 8}
-	d, err := CohensD(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEqual(d, -1.0690449676496976, 1e-9) {
-		t.Errorf("CohensD = %v", d)
-	}
-	g, err := HedgesG(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g) >= math.Abs(d) {
-		t.Errorf("Hedges g should shrink toward zero: %v vs %v", g, d)
-	}
-	if _, err := CohensD([]float64{1}, ys); err == nil {
-		t.Error("expected error for tiny sample")
-	}
-
-	v, err := CramersV([][]int{{30, 10}, {10, 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v <= 0 || v > 1 {
-		t.Errorf("CramersV = %v", v)
-	}
-
-	phi, err := PhiCoefficient([2][2]int{{30, 10}, {10, 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEqual(phi, 0.5, 1e-12) {
-		t.Errorf("Phi = %v, want 0.5", phi)
-	}
-	if _, err := PhiCoefficient([2][2]int{{0, 0}, {0, 0}}); err == nil {
-		t.Error("expected error for empty table")
 	}
 }
 

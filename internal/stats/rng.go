@@ -4,7 +4,7 @@ import "math/rand"
 
 // NewRNG returns a deterministic random source seeded with seed. Every
 // stochastic component of the reproduction (workload generation, synthetic
-// census data, permutation tests, simulation replications) threads one of
+// census data, simulation replications) threads one of
 // these through explicitly so that experiments are repeatable.
 func NewRNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))

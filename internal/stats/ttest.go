@@ -34,13 +34,14 @@ func (a Alternative) String() string {
 
 // TestResult is the outcome of a single statistical hypothesis test.
 type TestResult struct {
-	// Statistic is the value of the test statistic (t, z, or chi-squared).
+	// Statistic is the value of the test statistic (t, chi-squared, U, D, or
+	// Fisher's top-left cell).
 	Statistic float64
 	// PValue is the probability of observing a statistic at least as extreme
 	// under the null hypothesis.
 	PValue float64
-	// DF is the degrees of freedom of the reference distribution (0 for
-	// z-tests and permutation tests).
+	// DF is the degrees of freedom of the reference distribution (0 for the
+	// Mann–Whitney, Kolmogorov–Smirnov and Fisher exact tests).
 	DF float64
 	// EffectSize is the standardized effect size associated with the test
 	// (Cohen's d for t-tests, Cramér's V for chi-squared tests).
@@ -59,28 +60,6 @@ func (r TestResult) Reject(alpha float64) bool {
 // errSampleTooSmall builds a descriptive error for undersized test inputs.
 func errSampleTooSmall(method string, n int) error {
 	return fmt.Errorf("stats: %s requires at least 2 observations per sample, got %d: %w", method, n, ErrEmptySample)
-}
-
-// OneSampleTTest tests whether the mean of xs equals mu0.
-func OneSampleTTest(xs []float64, mu0 float64, alt Alternative) (TestResult, error) {
-	const method = "one-sample t-test"
-	if len(xs) < 2 {
-		return TestResult{}, errSampleTooSmall(method, len(xs))
-	}
-	mean, variance, err := MeanVariance(xs)
-	if err != nil {
-		return TestResult{}, err
-	}
-	n := float64(len(xs))
-	se := math.Sqrt(variance / n)
-	if se == 0 {
-		return TestResult{}, errors.New("stats: one-sample t-test undefined for zero-variance sample")
-	}
-	t := (mean - mu0) / se
-	df := n - 1
-	p := tTestPValue(t, df, alt)
-	d := (mean - mu0) / math.Sqrt(variance)
-	return TestResult{Statistic: t, PValue: p, DF: df, EffectSize: d, N: len(xs), Method: method}, nil
 }
 
 // TwoSampleTTest tests whether the means of xs and ys differ, assuming equal
@@ -137,68 +116,6 @@ func WelchFromMoments(x, y Moments, alt Alternative) (TestResult, error) {
 	p := tTestPValue(t, df, alt)
 	d := cohensDFromStats(mx, my, vx, vy, nx, ny)
 	return TestResult{Statistic: t, PValue: p, DF: df, EffectSize: d, N: x.N + y.N, Method: method}, nil
-}
-
-// PairedTTest tests whether the mean of the paired differences xs[i]-ys[i]
-// equals zero.
-func PairedTTest(xs, ys []float64, alt Alternative) (TestResult, error) {
-	const method = "paired t-test"
-	if len(xs) != len(ys) {
-		return TestResult{}, errors.New("stats: paired t-test requires samples of equal length")
-	}
-	if len(xs) < 2 {
-		return TestResult{}, errSampleTooSmall(method, len(xs))
-	}
-	diffs := make([]float64, len(xs))
-	for i := range xs {
-		diffs[i] = xs[i] - ys[i]
-	}
-	res, err := OneSampleTTest(diffs, 0, alt)
-	if err != nil {
-		return TestResult{}, err
-	}
-	res.Method = method
-	res.N = len(xs)
-	return res, nil
-}
-
-// ZTest performs a z-test of the mean of xs against mu0 when the population
-// standard deviation sigma is known.
-func ZTest(xs []float64, mu0, sigma float64, alt Alternative) (TestResult, error) {
-	const method = "z-test"
-	if len(xs) == 0 {
-		return TestResult{}, errSampleTooSmall(method, 0)
-	}
-	if sigma <= 0 {
-		return TestResult{}, fmt.Errorf("stats: z-test requires positive sigma: %w", ErrDomain)
-	}
-	mean, err := Mean(xs)
-	if err != nil {
-		return TestResult{}, err
-	}
-	n := float64(len(xs))
-	z := (mean - mu0) / (sigma / math.Sqrt(n))
-	p := zTestPValue(z, alt)
-	return TestResult{Statistic: z, PValue: p, DF: 0, EffectSize: (mean - mu0) / sigma, N: len(xs), Method: method}, nil
-}
-
-// TwoSampleZTest performs a two-sample z-test for a difference in means when
-// the common population standard deviation sigma is known.
-func TwoSampleZTest(xs, ys []float64, sigma float64, alt Alternative) (TestResult, error) {
-	const method = "two-sample z-test"
-	if len(xs) == 0 || len(ys) == 0 {
-		return TestResult{}, errSampleTooSmall(method, minInt(len(xs), len(ys)))
-	}
-	if sigma <= 0 {
-		return TestResult{}, fmt.Errorf("stats: two-sample z-test requires positive sigma: %w", ErrDomain)
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	nx, ny := float64(len(xs)), float64(len(ys))
-	se := sigma * math.Sqrt(1/nx+1/ny)
-	z := (mx - my) / se
-	p := zTestPValue(z, alt)
-	return TestResult{Statistic: z, PValue: p, DF: 0, EffectSize: (mx - my) / sigma, N: len(xs) + len(ys), Method: method}, nil
 }
 
 // tTestPValue converts a t statistic with df degrees of freedom to a p-value
