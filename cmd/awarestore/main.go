@@ -183,13 +183,11 @@ func cmdInspect(args []string) error {
 	}
 	fmt.Printf("%s: snapshot v%d, %d rows, %d columns, %d bytes (%s)\n",
 		path, st.Version(), st.Rows(), st.NumColumns(), st.SizeBytes(), mode)
+	if st.Rows() > 0 {
+		fmt.Printf("  %.2f bytes per row\n", float64(st.SizeBytes())/float64(st.Rows()))
+	}
 	for _, c := range st.Columns() {
-		switch c.Kind {
-		case colstore.Categorical:
-			fmt.Printf("  %-24s %-12s dict=%d\n", c.Name, c.Kind, len(c.Dict))
-		default:
-			fmt.Printf("  %-24s %-12s\n", c.Name, c.Kind)
-		}
+		fmt.Printf("  %-24s %-12s %s\n", c.Name, c.Kind, c.Encoding())
 	}
 	return nil
 }

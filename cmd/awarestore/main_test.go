@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,8 +106,9 @@ func TestBuildJSONL(t *testing.T) {
 	if st.Rows() != 2 {
 		t.Fatalf("snapshot has %d rows", st.Rows())
 	}
-	if got := st.Column("n").Ints[1]; got != 2 {
-		t.Fatalf("n[1] = %d", got)
+	n := st.Column("n")
+	if n.Encoding() != "codes=u8 values=2" || int64(n.Values[n.Codes8[1]]) != 2 {
+		t.Fatalf("n stored as %s, n[1] = %d", n.Encoding(), int64(n.Values[n.Codes8[1]]))
 	}
 }
 
@@ -167,6 +169,10 @@ func TestInspectAndVerify(t *testing.T) {
 	}
 	if err := cmdVerify([]string{"-q", out, bad}); err == nil {
 		t.Fatal("verify accepted a list containing a corrupt snapshot")
+	}
+	// A snapshot of the previous format is refused as a version to rebuild.
+	if err := cmdVerify([]string{"-q", "../../internal/colstore/testdata/golden_v1.aware"}); !errors.Is(err, colstore.ErrSnapshotVersion) {
+		t.Fatalf("verify of a v1 snapshot: %v, want ErrSnapshotVersion", err)
 	}
 }
 

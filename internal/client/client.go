@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -76,9 +75,6 @@ func New(baseURL string, opts ...Option) *Client {
 	}
 	return c
 }
-
-// BaseURL returns the server address the client is bound to.
-func (c *Client) BaseURL() string { return c.base }
 
 // do runs one JSON round trip. endpoint is the route shape used for
 // observation ("POST /v1/sessions/{id}/steps"); path is the concrete path.
@@ -183,31 +179,6 @@ func (c *Client) Datasets(ctx context.Context) (api.DatasetList, error) {
 	return out, err
 }
 
-// UploadDataset registers a CSV stream under name. Columns default to
-// categorical; floatCols, intCols and boolCols override per column.
-func (c *Client) UploadDataset(ctx context.Context, name string, csv io.Reader, floatCols, intCols, boolCols []string) (api.DatasetInfo, error) {
-	q := url.Values{"name": {name}}
-	for _, override := range []struct {
-		param string
-		cols  []string
-	}{{"float", floatCols}, {"int", intCols}, {"bool", boolCols}} {
-		if len(override.cols) > 0 {
-			q.Set(override.param, strings.Join(override.cols, ","))
-		}
-	}
-	endpoint := "POST /v1/datasets"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+api.Prefix+"/datasets?"+q.Encode(), csv)
-	if err != nil {
-		return api.DatasetInfo{}, fmt.Errorf("client: %s: %w", endpoint, err)
-	}
-	req.Header.Set("Content-Type", "text/csv")
-	var out api.DatasetInfo
-	if err := c.roundTrip(req, endpoint, &out); err != nil {
-		return api.DatasetInfo{}, err
-	}
-	return out, nil
-}
-
 // --- session lifecycle ---
 
 // CreateSession opens a session from a spec.
@@ -246,15 +217,6 @@ func (c *Client) RestoreSession(ctx context.Context, id int64, req api.RestoreSe
 }
 
 // --- the interactive loop ---
-
-// ApplyStep applies one typed step via the generic command endpoint.
-func (c *Client) ApplyStep(ctx context.Context, id int64, step core.Step) (api.StepResponse, error) {
-	raw, err := core.MarshalStep(step)
-	if err != nil {
-		return api.StepResponse{}, fmt.Errorf("client: encoding step: %w", err)
-	}
-	return c.ApplyRawStep(ctx, id, raw)
-}
 
 // ApplyRawStep applies one step already in the core step wire format.
 func (c *Client) ApplyRawStep(ctx context.Context, id int64, step json.RawMessage) (api.StepResponse, error) {

@@ -3,12 +3,11 @@
 // mmap-able binary snapshot format.
 //
 // A Store owns the physical representation every query in this repository
-// runs over — dictionary-encoded categorical code vectors, dense float64 /
-// int64 / bool value vectors, and the per-column metadata (name, kind,
-// dictionary) that internal/dataset previously assembled ad hoc inside
-// Table. dataset.Table is now a thin query facade over a Store: the kernels
-// keep scanning the exact same slices, but the slices are owned here, which
-// is what makes them persistable and shareable.
+// runs over — dictionary codes at the narrowest width that holds them, dense
+// float64 / int64 / bool value vectors, and the per-column metadata (name,
+// kind, dictionary). The representation is decided once, when a column is
+// built or ingested (encoding.go), and a snapshot stores exactly it, so the
+// kernels of dataset.Table scan the file's own bytes.
 //
 // Stores come from three places:
 //
@@ -31,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Kind enumerates the physical column representations. The values are part of
@@ -42,7 +42,7 @@ const (
 	Float64 Kind = 0
 	// Int64 columns hold 8-byte signed integers.
 	Int64 Kind = 1
-	// Categorical columns hold 4-byte dictionary codes plus a sorted string
+	// Categorical columns hold dictionary codes plus a sorted string
 	// dictionary.
 	Categorical Kind = 2
 	// Bool columns hold 1-byte values (0 or 1).
@@ -102,68 +102,109 @@ func (k *Kind) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Column is one named, typed column vector. Exactly one value slice is
-// populated, matching Kind; Categorical columns also carry their sorted
-// dictionary and the inverse value→code map. All fields are read-only after
-// construction (they may alias a read-only file mapping).
+// Column is one named, typed column vector. A coded column — every
+// categorical one, and a numeric one with at most MaxValues distinct values
+// and no NaN — holds one dictionary code per row, Width bytes wide, in the
+// one of Codes8, Codes16 and Codes32 that Width names, plus its dictionary:
+// Dict and the inverse map CodeOf for a categorical column, Values for a
+// numeric one. Every other column stores its rows in Floats, Ints or Bools.
+// The constructors and RowBuilder decide which (encoding.go). All fields are
+// read-only after construction (they may alias a read-only file mapping).
 type Column struct {
 	Name string
 	Kind Kind
 
-	Floats []float64 // Float64
-	Ints   []int64   // Int64
-	Codes  []uint32  // Categorical: per-row index into Dict
+	// Width is a coded column's code width in bytes — 1, 2 or 4 — and 0 for
+	// a column that stores its rows.
+	Width int
+
+	Floats []float64 // Float64, uncoded
+	Ints   []int64   // Int64, uncoded
 	Bools  []bool    // Bool
+
+	Codes8  []uint8  // Width 1: per-row index into the dictionary
+	Codes16 []uint16 // Width 2
+	Codes32 []uint32 // Width 4
 
 	Dict   []string          // Categorical: sorted distinct values
 	CodeOf map[string]uint32 // Categorical: value -> code
+
+	// Values is a coded numeric column's dictionary: the bit patterns of its
+	// values (math.Float64bits, or an int64's two's complement), ascending by
+	// value (orderKey). −0 and +0, or two int64 values no float64 tells
+	// apart, are two neighbouring entries.
+	Values []uint64
+
+	valid atomic.Bool // validate passed: a column shared by many stores is checked once
 }
 
 // Len returns the column's row count.
 func (c *Column) Len() int {
-	switch c.Kind {
-	case Float64:
+	switch {
+	case c.Width == 1:
+		return len(c.Codes8)
+	case c.Width == 2:
+		return len(c.Codes16)
+	case c.Width == 4:
+		return len(c.Codes32)
+	case c.Kind == Float64:
 		return len(c.Floats)
-	case Int64:
+	case c.Kind == Int64:
 		return len(c.Ints)
-	case Categorical:
-		return len(c.Codes)
-	case Bool:
-		return len(c.Bools)
 	default:
-		return 0
+		return len(c.Bools)
 	}
 }
 
-// validate checks the column's structural invariants: a populated payload
-// matching Kind, and for Categorical columns a sorted, duplicate-free
-// dictionary with every code in range. It is the shared gatekeeper of
+// validate checks the column's structural invariants: a known kind at its
+// canonical width (codeWidth of a categorical dictionary; byte codes into
+// 1..MaxValues values, or none, for a numeric column; none for a bool one),
+// a dictionary sorted without duplicates — Values ascending by orderKey and
+// free of NaN — and every code in range. It is the shared gatekeeper of
 // NewStore and the snapshot loader, so a corrupt or hand-rolled snapshot can
 // never hand the kernels an out-of-range code.
 func (c *Column) validate() error {
+	if c.valid.Load() {
+		return nil
+	}
 	if c.Name == "" {
 		return errors.New("colstore: column with empty name")
 	}
-	switch c.Kind {
-	case Float64, Int64, Bool:
-		if c.Dict != nil || c.Codes != nil {
-			return fmt.Errorf("colstore: column %q: %s column carries a dictionary", c.Name, c.Kind)
+	n := len(c.Values)
+	switch {
+	case c.Kind >= numKinds:
+		return fmt.Errorf("colstore: column %q: unknown kind %d", c.Name, int(c.Kind))
+	case c.Kind == Categorical:
+		if c.Values != nil || c.Width != codeWidth(len(c.Dict)) {
+			return fmt.Errorf("colstore: column %q: %d-byte codes for a dictionary of %d entries", c.Name, c.Width, len(c.Dict))
 		}
-	case Categorical:
 		for i := 1; i < len(c.Dict); i++ {
 			if c.Dict[i-1] >= c.Dict[i] {
 				return fmt.Errorf("colstore: column %q: dictionary not sorted and unique at entry %d", c.Name, i)
 			}
 		}
-		n := uint32(len(c.Dict))
-		for i, code := range c.Codes {
-			if code >= n {
-				return fmt.Errorf("colstore: column %q: row %d has code %d, dictionary has %d entries", c.Name, i, code, n)
-			}
+		n = len(c.Dict)
+	case c.Width == 0 || c.Kind == Bool:
+		if c.Width != 0 || c.Dict != nil || c.Values != nil {
+			return fmt.Errorf("colstore: column %q: %s column carries a dictionary", c.Name, c.Kind)
 		}
 	default:
-		return fmt.Errorf("colstore: column %q: unknown kind %d", c.Name, int(c.Kind))
+		if c.Dict != nil || c.Width != 1 || n == 0 || n > MaxValues {
+			return fmt.Errorf("colstore: column %q: %d-byte codes for %d %s values", c.Name, c.Width, n, c.Kind)
+		}
+		for i, b := range c.Values {
+			if c.Kind == Float64 && isNaN(b) {
+				return fmt.Errorf("colstore: column %q: value %d is NaN", c.Name, i)
+			}
+			if i > 0 && orderKey(c.Kind, c.Values[i-1]) >= orderKey(c.Kind, b) {
+				return fmt.Errorf("colstore: column %q: values not ascending at entry %d", c.Name, i)
+			}
+		}
 	}
+	if row := firstCodeOutside(c, n); row >= 0 {
+		return fmt.Errorf("colstore: column %q: row %d has a code past its dictionary of %d entries", c.Name, row, n)
+	}
+	c.valid.Store(true)
 	return nil
 }
 
@@ -178,14 +219,16 @@ func (c *Column) buildCodeOf() {
 	}
 }
 
-// NewFloatColumn wraps a float64 vector (no copy).
+// NewFloatColumn builds a float64 column: byte codes into its sorted values
+// when it holds at most MaxValues distinct ones and no NaN, the vector itself
+// (not copied) otherwise.
 func NewFloatColumn(name string, values []float64) *Column {
-	return &Column{Name: name, Kind: Float64, Floats: values}
+	return encodeNumeric(&Column{Name: name, Kind: Float64, Floats: values}, asSlice[uint64](asBytes(values), len(values)))
 }
 
-// NewIntColumn wraps an int64 vector (no copy).
+// NewIntColumn builds an int64 column, coded or not by NewFloatColumn's rule.
 func NewIntColumn(name string, values []int64) *Column {
-	return &Column{Name: name, Kind: Int64, Ints: values}
+	return encodeNumeric(&Column{Name: name, Kind: Int64, Ints: values}, asSlice[uint64](asBytes(values), len(values)))
 }
 
 // NewBoolColumn wraps a bool vector (no copy).
@@ -194,8 +237,8 @@ func NewBoolColumn(name string, values []bool) *Column {
 }
 
 // NewCategoricalColumn dictionary-encodes the values: the sorted distinct
-// strings become the dictionary, each row a 4-byte code. The input slice is
-// not retained.
+// strings become the dictionary, each row a code of the width its size calls
+// for. The input slice is not retained.
 func NewCategoricalColumn(name string, values []string) *Column {
 	distinct := make(map[string]struct{})
 	for _, v := range values {
@@ -206,11 +249,16 @@ func NewCategoricalColumn(name string, values []string) *Column {
 		dict = append(dict, v)
 	}
 	sort.Strings(dict)
-	c := &Column{Name: name, Kind: Categorical, Dict: dict}
+	c := &Column{Name: name, Kind: Categorical, Width: codeWidth(len(dict)), Dict: dict}
 	c.buildCodeOf()
-	c.Codes = make([]uint32, len(values))
-	for i, v := range values {
-		c.Codes[i] = c.CodeOf[v]
+	code := func(i int) uint32 { return c.CodeOf[values[i]] }
+	switch c.Width {
+	case 1:
+		c.Codes8 = makeCodes[uint8](len(values), code)
+	case 2:
+		c.Codes16 = makeCodes[uint16](len(values), code)
+	default:
+		c.Codes32 = makeCodes[uint32](len(values), code)
 	}
 	return c
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -92,12 +94,12 @@ func TestCorruptTrailingGarbage(t *testing.T) {
 // loudly and distinguishably.
 func TestSnapshotVersionGate(t *testing.T) {
 	orig := smallSnapshotBytes(t)
-	for _, v := range []uint32{0, 2, 7, 1 << 30} {
+	for _, v := range []uint32{0, 1, 3, 7, 1 << 30} {
 		mutant := append([]byte(nil), orig...)
 		binary.LittleEndian.PutUint32(mutant[8:], v)
 		_, err := decodeNoPanic(t, mutant)
-		if !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("version %d: got %v, want ErrSnapshotVersion", v, err)
+		if !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), "awarestore build or awarestore gen") {
+			t.Fatalf("version %d: got %v, want ErrSnapshotVersion naming the rebuild", v, err)
 		}
 	}
 }
@@ -143,13 +145,79 @@ func TestCorruptDictCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
-	// Codes are the final segment: 4 rows x 4 bytes, 8-byte aligned.
-	codeOff := len(data) - 16
-	binary.LittleEndian.PutUint32(data[codeOff:], 999)
+	// Codes are the final segment: 4 rows x 1 byte, padded to 8.
+	codeOff := len(data) - 8
+	data[codeOff] = 2
 	patchCRC(data)
 	_, err = decodeNoPanic(t, data)
 	if !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("out-of-range code: got %v, want ErrBadSnapshot", err)
+	}
+}
+
+// TestCorruptEncoding hand-crafts the v2 encodings no producer writes — each
+// patched into a valid snapshot with its CRC fixed up, so only the structural
+// checks stand between it and the kernels — and requires ErrBadSnapshot: a
+// numeric code past its value dictionary, an unsorted value dictionary (the
+// two zeros swapped, or two entries exchanged), a duplicated entry, a NaN
+// entry, and widths that are not the canonical one for the column.
+func TestCorruptEncoding(t *testing.T) {
+	st, err := NewStore(
+		NewFloatColumn("f", []float64{1.5, -2, 0, math.Copysign(0, -1)}), // values -2, -0, +0, 1.5
+		NewCategoricalColumn("c", []string{"a", "b", "a", "b"}),
+		NewFloatColumn("w", []float64{1, math.NaN(), 2, 3}), // wide
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "e.aware")
+	if err := st.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	orig, _ := os.ReadFile(path)
+	if _, err := decodeNoPanic(t, orig); err != nil {
+		t.Fatalf("pristine snapshot: %v", err)
+	}
+	// Each column is a 32-byte header, its name padded to 8, its dictionary
+	// blob padded to 8, its values padded to 8.
+	type segs struct{ header, dict, values int }
+	var cols []segs
+	for off := preambleSize; off < len(orig); {
+		h := parseColHeader(orig[off:])
+		s := segs{header: off}
+		s.dict = off + colHeaderSize + int(h.nameLen+uint32(pad8(uint64(h.nameLen))))
+		s.values = s.dict + int(h.dictBytes+pad8(h.dictBytes))
+		off = s.values + int(h.dataBytes+pad8(h.dataBytes))
+		cols = append(cols, s)
+	}
+	f, c, w := cols[0], cols[1], cols[2]
+	value := func(data []byte, k int) []byte { return data[f.dict+8*k : f.dict+8*k+8] }
+	for name, mutate := range map[string]func(data []byte){
+		"code past the values": func(data []byte) { data[f.values+1] = 4 },
+		"zeros swapped": func(data []byte) {
+			binary.LittleEndian.PutUint64(value(data, 1), 0)
+			binary.LittleEndian.PutUint64(value(data, 2), 1<<63)
+		},
+		"entries exchanged": func(data []byte) {
+			a := binary.LittleEndian.Uint64(value(data, 0))
+			copy(value(data, 0), value(data, 3))
+			binary.LittleEndian.PutUint64(value(data, 3), a)
+		},
+		"duplicate entry":           func(data []byte) { copy(value(data, 3), value(data, 2)) },
+		"NaN entry":                 func(data []byte) { binary.LittleEndian.PutUint64(value(data, 3), math.Float64bits(math.NaN())) },
+		"categorical at width 2":    func(data []byte) { data[c.header+1] = 2 },
+		"categorical uncoded":       func(data []byte) { data[c.header+1] = 0 },
+		"numeric coded at width 2":  func(data []byte) { data[f.header+1] = 2 },
+		"numeric uncoded with dict": func(data []byte) { data[f.header+1] = 0 },
+		"wide numeric at width 1":   func(data []byte) { data[w.header+1] = 1 },
+		"reserved header byte":      func(data []byte) { data[w.header+2] = 1 },
+	} {
+		data := append([]byte(nil), orig...)
+		mutate(data)
+		patchCRC(data)
+		if _, err := decodeNoPanic(t, data); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: got %v, want ErrBadSnapshot", name, err)
+		}
 	}
 }
 

@@ -8,14 +8,16 @@ import (
 	"math"
 )
 
-// Snapshot format v1 (".aware" files). All integers little-endian; every
+// Snapshot format v2 (".aware" files). All integers little-endian; every
 // segment is zero-padded to an 8-byte boundary so that, once the file is
 // mmap'd (page-aligned), every value vector is naturally aligned and can be
-// aliased in place.
+// aliased in place. v2 stores each column the way it is held in memory
+// (encoding.go): codes at the narrowest width, and a numeric column of at most
+// 256 distinct values as a value dictionary plus one byte per row.
 //
 //	preamble (48 bytes)
 //	  [ 0: 8)  magic   "AWARECS\n"
-//	  [ 8:12)  version u32 (currently 1)
+//	  [ 8:12)  version u32 (currently 2)
 //	  [12:16)  flags   u32 (must be 0)
 //	  [16:24)  rows    u64
 //	  [24:28)  ncols   u32
@@ -23,27 +25,36 @@ import (
 //	  [32:48)  reserved, must be zero
 //	per column, sequentially:
 //	  column header (32 bytes)
-//	    [ 0: 4)  kind      u32 (Kind values)
+//	    [ 0: 1)  kind      u8 (Kind values)
+//	    [ 1: 2)  width     u8   code width in bytes: 1, 2 or 4; 0 when the
+//	                            column stores its rows
+//	    [ 2: 4)  reserved, must be zero
 //	    [ 4: 8)  nameLen   u32
-//	    [ 8:16)  dictLen   u64  dictionary entries (0 unless categorical)
+//	    [ 8:16)  dictLen   u64  dictionary entries (0 unless coded)
 //	    [16:24)  dictBytes u64  dictionary blob payload bytes (before padding)
 //	    [24:32)  dataBytes u64  value segment payload bytes (before padding)
 //	  name       nameLen bytes, zero-padded to 8
-//	  dict blob  (categorical only) u32 offsets[dictLen+1] then the
-//	             concatenated UTF-8 dictionary bytes, zero-padded to 8;
-//	             entries must be sorted and unique, offsets ascending
+//	  dict blob  zero-padded to 8:
+//	               categorical    u32 offsets[dictLen+1] then the concatenated
+//	                              UTF-8 entries: sorted, unique, offsets ascending
+//	               coded numeric  dictLen × u64 value bit patterns, ascending
+//	                              by value (orderKey), no NaN
 //	  values     zero-padded to 8:
+//	               coded          rows × width bytes (codes < dictLen)
 //	               float64/int64  rows × 8 bytes
-//	               categorical    rows × 4 bytes (u32 codes < dictLen)
 //	               bool           rows × 1 byte  (0 or 1)
 //
-// The CRC covers everything after the preamble, including padding; the
-// preamble itself is covered by field-level validation (magic, version,
-// flags, zero reserved bytes, and rows/ncols agreeing with the structure), so
-// any single flipped byte anywhere in the file is detected.
+// Each kind has one width for a given dictionary: a categorical column's is
+// codeWidth(dictLen), a numeric column is coded at width 1 with 1 to 256
+// values or not at all, a bool column never. The CRC covers everything after
+// the preamble, including padding; the preamble itself is covered by
+// field-level validation (magic, version, flags, zero reserved bytes, and
+// rows/ncols agreeing with the structure), so any single flipped byte
+// anywhere in the file is detected. There is no v1 reader: a v1 file fails
+// with ErrSnapshotVersion and is rebuilt from its source.
 const (
 	// SnapshotVersion is the current format version WriteSnapshot emits.
-	SnapshotVersion = 1
+	SnapshotVersion = 2
 
 	// SnapshotExt is the conventional file extension awared -data discovers.
 	SnapshotExt = ".aware"
@@ -107,7 +118,8 @@ func parsePreamble(data []byte) (preamble, error) {
 	}
 	p.version = binary.LittleEndian.Uint32(data[8:12])
 	if p.version != SnapshotVersion {
-		return p, fmt.Errorf("%w: file declares version %d, this build reads %d", ErrSnapshotVersion, p.version, SnapshotVersion)
+		return p, fmt.Errorf("%w: file declares version %d, this build reads %d; rebuild it with awarestore build or awarestore gen",
+			ErrSnapshotVersion, p.version, SnapshotVersion)
 	}
 	if flags := binary.LittleEndian.Uint32(data[12:16]); flags != 0 {
 		return p, badf("unknown flags %#x", flags)
@@ -132,6 +144,8 @@ func parsePreamble(data []byte) (preamble, error) {
 // colHeader is one decoded per-column header.
 type colHeader struct {
 	kind      Kind
+	width     uint8
+	reserved  uint16
 	nameLen   uint32
 	dictLen   uint64
 	dictBytes uint64
@@ -141,7 +155,7 @@ type colHeader struct {
 // encodeColHeader renders the 32-byte column header.
 func encodeColHeader(h colHeader) [colHeaderSize]byte {
 	var b [colHeaderSize]byte
-	binary.LittleEndian.PutUint32(b[0:4], uint32(h.kind))
+	b[0], b[1] = byte(h.kind), h.width
 	binary.LittleEndian.PutUint32(b[4:8], h.nameLen)
 	binary.LittleEndian.PutUint64(b[8:16], h.dictLen)
 	binary.LittleEndian.PutUint64(b[16:24], h.dictBytes)
@@ -152,7 +166,9 @@ func encodeColHeader(h colHeader) [colHeaderSize]byte {
 // parseColHeader decodes one column header (bounds already checked).
 func parseColHeader(b []byte) colHeader {
 	return colHeader{
-		kind:      Kind(binary.LittleEndian.Uint32(b[0:4])),
+		kind:      Kind(b[0]),
+		width:     b[1],
+		reserved:  binary.LittleEndian.Uint16(b[2:4]),
 		nameLen:   binary.LittleEndian.Uint32(b[4:8]),
 		dictLen:   binary.LittleEndian.Uint64(b[8:16]),
 		dictBytes: binary.LittleEndian.Uint64(b[16:24]),
@@ -160,19 +176,41 @@ func parseColHeader(b []byte) colHeader {
 	}
 }
 
-// kindDataBytes returns the exact value-segment payload size for a kind at a
-// row count, or an error for unknown kinds.
-func kindDataBytes(k Kind, rows uint64) (uint64, error) {
-	switch k {
-	case Float64, Int64:
-		return rows * 8, nil
-	case Categorical:
-		return rows * 4, nil
-	case Bool:
-		return rows, nil
+// rowBytes is the value-segment size of one row of a column.
+func rowBytes(kind Kind, width int) uint64 {
+	switch {
+	case width != 0:
+		return uint64(width)
+	case kind == Bool:
+		return 1
 	default:
-		return 0, fmt.Errorf("unknown kind %d", int(k))
+		return 8
 	}
+}
+
+// checkColHeader holds a decoded header to the v2 rules: a known kind at its
+// one canonical width, the dictionary that width implies, and a value
+// segment of exactly rows × the row size.
+func checkColHeader(h colHeader, rows uint64) error {
+	canonical := false
+	switch h.kind {
+	case Categorical:
+		canonical = h.dictLen <= math.MaxUint32 && int(h.width) == codeWidth(int(h.dictLen))
+	case Float64, Int64:
+		canonical = h.width == 0 && h.dictLen == 0 && h.dictBytes == 0 ||
+			h.width == 1 && h.dictLen >= 1 && h.dictLen <= MaxValues && h.dictBytes == 8*h.dictLen
+	case Bool:
+		canonical = h.width == 0 && h.dictLen == 0 && h.dictBytes == 0
+	default:
+		return badf("unknown kind %d", int(h.kind))
+	}
+	if !canonical || h.reserved != 0 {
+		return badf("%s column coded at width %d with %d dictionary entries in %d bytes: not a v2 encoding", h.kind, h.width, h.dictLen, h.dictBytes)
+	}
+	if want := rowBytes(h.kind, int(h.width)) * rows; h.dataBytes != want {
+		return badf("%s data segment declares %d bytes, %d rows need %d", h.kind, h.dataBytes, rows, want)
+	}
+	return nil
 }
 
 // pad8 returns the number of zero bytes needed to align n up to 8.

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -50,6 +51,7 @@ func FuzzDecode(f *testing.F) {
 	add(onecol, "onecol.aware")
 	rng := rand.New(rand.NewSource(11))
 	add(randomStoreF(f, rng, 17), "allkinds.aware")
+	add(randomStoreF(f, rng, 300), "wide.aware") // past 256 distinct values: uncoded numerics, 2-byte codes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
@@ -82,7 +84,7 @@ func randomStoreF(f *testing.F, rng *rand.Rand, rows int) *Store {
 	for i := 0; i < rows; i++ {
 		floats[i] = rng.NormFloat64()
 		ints[i] = rng.Int63n(1000)
-		cats[i] = string(rune('a' + rng.Intn(5)))
+		cats[i] = fmt.Sprint(rng.Intn(rows))
 		bools[i] = rng.Intn(2) == 1
 	}
 	st, err := NewStore(

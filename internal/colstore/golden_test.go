@@ -2,18 +2,21 @@ package colstore
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata golden snapshot")
 
-// goldenStore is the fixed dataset behind testdata/golden_v1.aware: small
-// enough to commit, wide enough to cover every kind, dictionary and padding
-// path. Do not change its content — the committed fixture is the cross-commit
-// compatibility witness for format version 1.
+// goldenStore is the fixed dataset behind testdata/golden_v2.aware (and,
+// written by the previous format, golden_v1.aware): small enough to commit,
+// wide enough to cover every kind, dictionary and padding path. Do not change
+// its content — the committed fixture is the cross-commit compatibility
+// witness for format version 2.
 func goldenStore(t *testing.T) *Store {
 	t.Helper()
 	st, err := NewStore(
@@ -28,9 +31,12 @@ func goldenStore(t *testing.T) *Store {
 	return st
 }
 
-const goldenPath = "testdata/golden_v1.aware"
+const (
+	goldenPath   = "testdata/golden_v2.aware"
+	goldenV1Path = "testdata/golden_v1.aware"
+)
 
-// TestSnapshotGolden pins the version-1 wire format: the bytes WriteSnapshot
+// TestSnapshotGolden pins the version-2 wire format: the bytes WriteSnapshot
 // produces today must equal the committed fixture, and the committed fixture
 // must still decode to the expected content. A format change that breaks
 // either fails CI until the version is bumped and the fixture regenerated
@@ -74,4 +80,10 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Fatalf("fixture is version %d, decoder expects %d", loaded.Version(), SnapshotVersion)
 	}
 	sameStore(t, st, loaded)
+
+	// The same rows in format version 1 are refused as a version, not as
+	// damage, and the error says how to rebuild the file.
+	if _, err := Open(goldenV1Path); !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), "awarestore build") {
+		t.Fatalf("opening the v1 fixture: %v, want ErrSnapshotVersion", err)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -15,12 +16,14 @@ import (
 // This file is the streaming ingestion path: row-oriented text (CSV, JSONL) or
 // typed row values become a snapshot file in O(1) row memory. Rows are
 // appended to per-column spill files (fixed-width little-endian values;
-// categorical values as provisional first-seen dictionary codes), and Finish
-// re-streams the spills through the shared snapshotWriter — remapping
-// provisional codes onto the final sorted dictionary on the way — so the
-// resulting file is byte-identical to Store.WriteSnapshot over the same
+// categorical values as provisional first-seen dictionary codes) while each
+// numeric column keeps a distinct-value tally of at most 257 entries. Finish
+// re-streams the spills through the shared snapshotWriter, recoding on the
+// way — provisional codes onto the sorted dictionary at its code width, and
+// the values of a numeric column the tally found narrow onto byte codes — so
+// the resulting file is byte-identical to Store.WriteSnapshot over the same
 // logical content, without the store ever existing in memory. The only
-// per-dataset state held in RAM is each categorical column's dictionary.
+// per-dataset state held in RAM is each column's dictionary or tally.
 
 // spillBufSize is the buffered-writer size of each column spill file.
 const spillBufSize = 1 << 16
@@ -45,6 +48,7 @@ type colBuilder struct {
 	// sorts it and remaps the spilled codes.
 	dict    []string
 	codeOf  map[string]uint32
+	tally   *valueTally // numeric columns: the distinct values seen
 	scratch [8]byte
 }
 
@@ -66,8 +70,11 @@ func NewRowBuilder(schema Schema, dest string) (*RowBuilder, error) {
 			return nil, fmt.Errorf("colstore: creating spill file: %w", err)
 		}
 		cb := &colBuilder{schema: cs, f: f, bw: bufio.NewWriterSize(f, spillBufSize)}
-		if cs.Kind == Categorical {
+		switch cs.Kind {
+		case Categorical:
 			cb.codeOf = make(map[string]uint32)
+		case Float64, Int64:
+			cb.tally = &valueTally{kind: cs.Kind}
 		}
 		b.cols = append(b.cols, cb)
 	}
@@ -96,7 +103,7 @@ func (b *RowBuilder) Append(vals ...any) error {
 			if !ok {
 				err = fmt.Errorf("colstore: row %d column %q: want float64, got %T", b.rows, cb.schema.Name, vals[i])
 			} else {
-				err = cb.putU64(floatBits(v))
+				err = cb.putU64(math.Float64bits(v))
 			}
 		case Int64:
 			v, ok := vals[i].(int64)
@@ -150,7 +157,9 @@ func (b *RowBuilder) fail(err error) error {
 	return err
 }
 
+// putU64 spills one numeric value's bit pattern and tallies it.
 func (cb *colBuilder) putU64(v uint64) error {
+	cb.tally.add(v)
 	binary.LittleEndian.PutUint64(cb.scratch[:8], v)
 	_, err := cb.bw.Write(cb.scratch[:8])
 	return err
@@ -191,7 +200,7 @@ func (cb *colBuilder) putParsed(field string, row uint64) error {
 		if err != nil {
 			return fmt.Errorf("colstore: row %d column %q: %w", row, cb.schema.Name, err)
 		}
-		return cb.putU64(floatBits(v))
+		return cb.putU64(math.Float64bits(v))
 	case Int64:
 		v, err := strconv.ParseInt(field, 10, 64)
 		if err != nil {
@@ -223,9 +232,8 @@ func (b *RowBuilder) Abort() {
 }
 
 // Finish assembles the snapshot at dest from the spilled columns: one
-// sequential re-read per column, with categorical codes remapped from
-// first-seen to sorted-dictionary order in flight. The spill files are
-// removed in every outcome.
+// sequential re-read per column, recoded in flight as the constructors would
+// store the same rows. The spill files are removed in every outcome.
 func (b *RowBuilder) Finish() error {
 	defer b.Abort()
 	if b.failed {
@@ -263,7 +271,8 @@ func (cb *colBuilder) sortedDictAndRemap() ([]string, []uint32) {
 	return sorted, remap
 }
 
-// finishColumn streams one spilled column into the snapshot.
+// finishColumn streams one spilled column into the snapshot, encoded as the
+// constructors would store the same rows.
 func (b *RowBuilder) finishColumn(w *snapshotWriter, cb *colBuilder) error {
 	if err := cb.bw.Flush(); err != nil {
 		return err
@@ -271,77 +280,69 @@ func (b *RowBuilder) finishColumn(w *snapshotWriter, cb *colBuilder) error {
 	if _, err := cb.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	dataBytes, err := kindDataBytes(cb.schema.Kind, b.rows)
-	if err != nil {
+	kind, width, spilled := cb.schema.Kind, 0, 8 // spilled: bytes per record of a recoded spill
+	var dict []string
+	var values []uint64
+	var recode func(rec []byte) uint32 // nil: the spill is already the value segment
+	switch kind {
+	case Categorical:
+		var remap []uint32
+		dict, remap = cb.sortedDictAndRemap()
+		width, spilled = codeWidth(len(dict)), 4
+		recode = func(rec []byte) uint32 { return remap[binary.LittleEndian.Uint32(rec)] }
+	case Float64, Int64:
+		var final [MaxValues]uint8
+		if values, final = cb.tally.seal(); values != nil {
+			width = 1
+			recode = func(rec []byte) uint32 {
+				code, _ := cb.tally.add(binary.LittleEndian.Uint64(rec))
+				return uint32(final[code])
+			}
+		}
+	}
+	if err := w.writeColumnStart(kind, width, cb.schema.Name, dict, values, b.rows); err != nil {
 		return err
 	}
-	h := colHeader{kind: cb.schema.Kind, nameLen: uint32(len(cb.schema.Name)), dataBytes: dataBytes}
-	var remap []uint32
-	if cb.schema.Kind == Categorical {
-		sorted, rm := cb.sortedDictAndRemap()
-		remap = rm
-		h.dictLen = uint64(len(sorted))
-		h.dictBytes = dictBlobBytes(sorted)
-		if err := w.writeColumnHeader(h); err != nil {
-			return err
-		}
-		if err := w.writeName(cb.schema.Name); err != nil {
-			return err
-		}
-		if err := w.writeDict(sorted); err != nil {
-			return err
-		}
-	} else {
-		if err := w.writeColumnHeader(h); err != nil {
-			return err
-		}
-		if err := w.writeName(cb.schema.Name); err != nil {
-			return err
-		}
-	}
-	if err := copySpill(w, cb.f, cb.schema.Kind, remap); err != nil {
+	if err := copySpill(w, cb.f, spilled, width, recode); err != nil {
 		return err
 	}
 	return w.pad()
 }
 
-// copySpill streams the spill file into the snapshot writer. Non-categorical
-// spills are already in on-disk form and copy through in chunks; categorical
-// spills remap each provisional u32 code to its sorted-dictionary rank.
-func copySpill(w *snapshotWriter, f *os.File, kind Kind, remap []uint32) error {
+// copySpill streams the spill file into the snapshot writer. Without recode
+// the spill is already in on-disk form and copies through in chunks;
+// otherwise each spilled record of in bytes becomes the width-byte code
+// recode returns for it.
+func copySpill(w *snapshotWriter, f *os.File, in, width int, recode func(rec []byte) uint32) error {
 	br := bufio.NewReaderSize(f, spillBufSize)
 	buf := make([]byte, spillBufSize)
-	if kind != Categorical {
-		for {
-			n, err := br.Read(buf)
-			if n > 0 {
-				if werr := w.write(buf[:n]); werr != nil {
-					return werr
-				}
-			}
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-		}
+	if recode == nil {
+		_, err := io.CopyBuffer(writerFunc(w.write), br, buf)
+		return err
 	}
+	out := make([]byte, 0, spillBufSize)
 	for {
-		n, err := io.ReadFull(br, buf[:4])
-		if n == 0 && err == io.EOF {
+		n, err := io.ReadFull(br, buf[:spillBufSize/in*in])
+		for off := 0; off < n; off += in {
+			out = binary.LittleEndian.AppendUint32(out, recode(buf[off:off+in]))[:len(out)+width]
+		}
+		if werr := w.write(out); werr != nil {
+			return werr
+		}
+		out = out[:0]
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		code := binary.LittleEndian.Uint32(buf[:4])
-		binary.LittleEndian.PutUint32(buf[:4], remap[code])
-		if werr := w.write(buf[:4]); werr != nil {
-			return werr
-		}
 	}
 }
+
+// writerFunc adapts a write method to io.Writer.
+type writerFunc func([]byte) error
+
+func (f writerFunc) Write(p []byte) (int, error) { return len(p), f(p) }
 
 // --- CSV ---
 

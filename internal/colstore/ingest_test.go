@@ -56,19 +56,19 @@ func TestIngestCSV(t *testing.T) {
 		t.Fatalf("store has %d rows", st.Rows())
 	}
 	name := st.Column("name")
-	if got := name.Dict[name.Codes[0]]; got != "alice" {
+	if got := cell(name, 0); got != "alice" {
 		t.Errorf("name[0] = %q", got)
 	}
 	if len(name.Dict) != 2 {
 		t.Errorf("name dict has %d entries, want 2", len(name.Dict))
 	}
-	if got := st.Column("age").Ints[2]; got != 41 {
+	if got := cell(st.Column("age"), 2); got != int64(41) {
 		t.Errorf("age[2] = %d", got)
 	}
-	if got := st.Column("score").Floats[2]; got != -3.75 {
+	if got := cell(st.Column("score"), 2); got != -3.75 {
 		t.Errorf("score[2] = %v", got)
 	}
-	if got := st.Column("active").Bools[1]; got {
+	if got := cell(st.Column("active"), 1); got != false {
 		t.Errorf("active[1] = %v", got)
 	}
 }
@@ -175,14 +175,14 @@ func TestIngestJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if got := st.Column("age").Ints[1]; got != 25 {
+	if got := cell(st.Column("age"), 1); got != int64(25) {
 		t.Errorf("age[1] = %d", got)
 	}
-	if got := st.Column("score").Floats[0]; got != 1.5 {
+	if got := cell(st.Column("score"), 0); got != 1.5 {
 		t.Errorf("score[0] = %v", got)
 	}
 	c := st.Column("name")
-	if got := c.Dict[c.Codes[1]]; got != "bob" {
+	if got := cell(c, 1); got != "bob" {
 		t.Errorf("name[1] = %q", got)
 	}
 }

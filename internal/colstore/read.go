@@ -7,17 +7,19 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 )
 
-// Decode parses a version-1 snapshot held in memory. On little-endian hosts
+// Decode parses a version-2 snapshot held in memory. On little-endian hosts
 // the returned store's value vectors alias data directly (zero copy) — data
 // must stay immutable and alive for the store's lifetime; mmap regions and
 // ReadFile buffers both qualify. On big-endian hosts (or when data is not
 // 8-byte aligned) the vectors are decoded into fresh heap slices.
 //
 // Decode never panics on hostile input: every structural claim the file makes
-// is bounds-checked, the payload is CRC-verified before any aliasing, and
-// dictionary codes and bool bytes are range-validated, so a file that decodes
+// is bounds-checked, the payload is CRC-verified before any aliasing, every
+// column must be stored at its canonical width, and dictionaries, codes and
+// bool bytes are validated, so a file that decodes
 // successfully can be scanned by the kernels without further checks. Failures
 // wrap ErrBadSnapshot or ErrSnapshotVersion.
 func Decode(data []byte) (*Store, error) {
@@ -52,15 +54,8 @@ func Decode(data []byte) (*Store, error) {
 			return nil, err
 		}
 		h := parseColHeader(hb)
-		wantData, err := kindDataBytes(h.kind, pre.rows)
-		if err != nil {
-			return nil, badf("column %d: %v", i, err)
-		}
-		if h.dataBytes != wantData {
-			return nil, badf("column %d: %s data segment declares %d bytes, %d rows need %d", i, h.kind, h.dataBytes, pre.rows, wantData)
-		}
-		if h.kind != Categorical && (h.dictLen != 0 || h.dictBytes != 0) {
-			return nil, badf("column %d: %s column declares a dictionary", i, h.kind)
+		if err := checkColHeader(h, pre.rows); err != nil {
+			return nil, fmt.Errorf("column %d: %w", i, err)
 		}
 		if h.nameLen == 0 || h.nameLen > 1<<16 {
 			return nil, badf("column %d: implausible name length %d", i, h.nameLen)
@@ -73,22 +68,21 @@ func Decode(data []byte) (*Store, error) {
 		if _, err := take(pad8(uint64(h.nameLen)), "name padding"); err != nil {
 			return nil, err
 		}
-		c := &Column{Name: name, Kind: h.kind}
-		if h.kind == Categorical {
-			if h.dictLen > uint64(math.MaxUint32) {
-				return nil, badf("column %q: dictionary of %d entries overflows the 32-bit code space", name, h.dictLen)
-			}
-			blob, err := take(h.dictBytes, "dictionary blob")
-			if err != nil {
+		c := &Column{Name: name, Kind: h.kind, Width: int(h.width)}
+		blob, err := take(h.dictBytes, "dictionary blob")
+		if err != nil {
+			return nil, err
+		}
+		if _, err := take(pad8(h.dictBytes), "dictionary padding"); err != nil {
+			return nil, err
+		}
+		switch {
+		case h.kind == Categorical:
+			if c.Dict, err = parseDict(name, blob, h.dictLen); err != nil {
 				return nil, err
 			}
-			if _, err := take(pad8(h.dictBytes), "dictionary padding"); err != nil {
-				return nil, err
-			}
-			c.Dict, err = parseDict(name, blob, h.dictLen)
-			if err != nil {
-				return nil, err
-			}
+		case h.width != 0:
+			c.Values = decodeFixed[uint64](blob, int(h.dictLen), false)
 		}
 		values, err := take(h.dataBytes, "value segment")
 		if err != nil {
@@ -150,53 +144,45 @@ func parseDict(col string, blob []byte, dictLen uint64) ([]string, error) {
 // decodeValues attaches the value vector to the column, aliasing the segment
 // when zeroCopy allows it.
 func decodeValues(c *Column, seg []byte, rows int, zeroCopy bool) error {
-	switch c.Kind {
-	case Float64:
-		if zeroCopy {
-			c.Floats = asSlice[float64](seg, rows)
-			return nil
-		}
-		c.Floats = make([]float64, rows)
-		for i := range c.Floats {
-			c.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(seg[8*i:]))
-		}
-	case Int64:
-		if zeroCopy {
-			c.Ints = asSlice[int64](seg, rows)
-			return nil
-		}
-		c.Ints = make([]int64, rows)
-		for i := range c.Ints {
-			c.Ints[i] = int64(binary.LittleEndian.Uint64(seg[8*i:]))
-		}
-	case Categorical:
-		if zeroCopy {
-			c.Codes = asSlice[uint32](seg, rows)
-			return nil
-		}
-		c.Codes = make([]uint32, rows)
-		for i := range c.Codes {
-			c.Codes[i] = binary.LittleEndian.Uint32(seg[4*i:])
-		}
-	case Bool:
+	switch {
+	case c.Width == 1:
+		c.Codes8 = decodeFixed[uint8](seg, rows, zeroCopy)
+	case c.Width == 2:
+		c.Codes16 = decodeFixed[uint16](seg, rows, zeroCopy)
+	case c.Width == 4:
+		c.Codes32 = decodeFixed[uint32](seg, rows, zeroCopy)
+	case c.Kind == Float64:
+		c.Floats = decodeFixed[float64](seg, rows, zeroCopy)
+	case c.Kind == Int64:
+		c.Ints = decodeFixed[int64](seg, rows, zeroCopy)
+	default:
 		// A Go bool must be 0 or 1 in memory; validate before aliasing.
 		for i, b := range seg {
 			if b > 1 {
 				return badf("column %q: bool byte at row %d is %#x", c.Name, i, b)
 			}
 		}
-		if zeroCopy {
-			c.Bools = bytesAsBools(seg, rows)
-			return nil
-		}
-		c.Bools = make([]bool, rows)
-		for i := range c.Bools {
-			c.Bools[i] = seg[i] == 1
-		}
-	default:
-		return badf("column %q: unknown kind %d", c.Name, int(c.Kind))
+		c.Bools = bytesAsBools(decodeFixed[uint8](seg, rows, zeroCopy), rows)
 	}
 	return nil
+}
+
+// decodeFixed returns the n little-endian elements of seg: seg itself when
+// zeroCopy allows it, a heap copy in host order otherwise.
+func decodeFixed[T fixed](seg []byte, n int, zeroCopy bool) []T {
+	if zeroCopy || n == 0 {
+		return asSlice[T](seg, n)
+	}
+	out := make([]T, n)
+	raw := asBytes(out)
+	copy(raw, seg)
+	if !hostLittleEndian {
+		width := len(raw) / n
+		for off := 0; off < len(raw); off += width {
+			slices.Reverse(raw[off : off+width])
+		}
+	}
+	return out
 }
 
 // OpenOptions tunes Open.

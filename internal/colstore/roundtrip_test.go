@@ -10,21 +10,36 @@ import (
 	"testing"
 )
 
-// randomStore builds a store with every column kind and rng-driven content.
-// Dictionary cardinality and row count vary so padding paths (name pad, dict
-// pad, bool pad) all get exercised across seeds.
+// Value pools of the coded numeric columns: both zeros, an infinity, a
+// denormal, and int64 values no float64 tells apart (2^53 and 2^53+1).
+var (
+	narrowFloats = []float64{0, math.Copysign(0, -1), 1.5, -2.25, math.Inf(1), math.SmallestNonzeroFloat64, 1e300}
+	narrowInts   = []int64{1 << 53, 1<<53 + 1, 1<<53 - 1, math.MinInt64, math.MaxInt64, 0, -1}
+)
+
+// randomStore builds a store with every column kind and encoding — wide and
+// coded numeric columns, categorical codes of one or (past 256 distinct
+// values) two bytes — and rng-driven content. Dictionary cardinality and row
+// count vary so padding paths (name pad, dict pad, bool pad) all get
+// exercised across seeds.
 func randomStore(t *testing.T, rng *rand.Rand, rows int) *Store {
 	t.Helper()
 	floats := make([]float64, rows)
 	ints := make([]int64, rows)
 	cats := make([]string, rows)
 	bools := make([]bool, rows)
+	narrowF := make([]float64, rows)
+	narrowI := make([]int64, rows)
+	many := make([]string, rows)
 	card := 1 + rng.Intn(40)
 	for i := 0; i < rows; i++ {
 		floats[i] = math.Round(rng.NormFloat64()*1000) / 16
 		ints[i] = rng.Int63n(1<<40) - 1<<39
 		cats[i] = fmt.Sprintf("val-%03d", rng.Intn(card))
 		bools[i] = rng.Intn(2) == 1
+		narrowF[i] = narrowFloats[rng.Intn(len(narrowFloats))]
+		narrowI[i] = narrowInts[rng.Intn(len(narrowInts))]
+		many[i] = fmt.Sprintf("w%03d", rng.Intn(400))
 	}
 	// Occasionally include special float values — they must round-trip bit-for-bit.
 	if rows > 4 {
@@ -38,6 +53,9 @@ func randomStore(t *testing.T, rng *rand.Rand, rows int) *Store {
 		NewIntColumn("i", ints),
 		NewCategoricalColumn("c", cats),
 		NewBoolColumn("b", bools),
+		NewFloatColumn("fz", narrowF),
+		NewIntColumn("iz", narrowI),
+		NewCategoricalColumn("w", many),
 	)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
@@ -45,7 +63,45 @@ func randomStore(t *testing.T, rng *rand.Rand, rows int) *Store {
 	return st
 }
 
-// sameStore asserts b holds exactly a's logical content.
+// cell reads row i of a column, whatever its encoding, as the value its kind
+// holds: a float64, an int64, a string or a bool.
+func cell(c *Column, i int) any {
+	code := 0
+	switch c.Width {
+	case 1:
+		code = int(c.Codes8[i])
+	case 2:
+		code = int(c.Codes16[i])
+	case 4:
+		code = int(c.Codes32[i])
+	}
+	switch {
+	case c.Kind == Categorical:
+		return c.Dict[code]
+	case c.Kind == Float64 && c.Width != 0:
+		return math.Float64frombits(c.Values[code])
+	case c.Kind == Int64 && c.Width != 0:
+		return int64(c.Values[code])
+	case c.Kind == Float64:
+		return c.Floats[i]
+	case c.Kind == Int64:
+		return c.Ints[i]
+	default:
+		return c.Bools[i]
+	}
+}
+
+// sameCell compares two cells, float64 values bit for bit.
+func sameCell(a, b any) bool {
+	if x, ok := a.(float64); ok {
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	}
+	return a == b
+}
+
+// sameStore asserts b holds exactly a's logical content, in the same
+// encoding.
 func sameStore(t *testing.T, a, b *Store) {
 	t.Helper()
 	if a.Rows() != b.Rows() {
@@ -56,45 +112,16 @@ func sameStore(t *testing.T, a, b *Store) {
 	}
 	for idx, ca := range a.Columns() {
 		cb := b.Columns()[idx]
-		if ca.Name != cb.Name || ca.Kind != cb.Kind {
-			t.Fatalf("column %d: (%q,%v) vs (%q,%v)", idx, ca.Name, ca.Kind, cb.Name, cb.Kind)
+		if ca.Name != cb.Name || ca.Kind != cb.Kind || ca.Encoding() != cb.Encoding() {
+			t.Fatalf("column %d: (%q,%v,%s) vs (%q,%v,%s)", idx, ca.Name, ca.Kind, ca.Encoding(), cb.Name, cb.Kind, cb.Encoding())
 		}
-		switch ca.Kind {
-		case Float64:
-			for i := range ca.Floats {
-				if math.Float64bits(ca.Floats[i]) != math.Float64bits(cb.Floats[i]) {
-					t.Fatalf("column %q row %d: %v vs %v", ca.Name, i, ca.Floats[i], cb.Floats[i])
-				}
+		for i := 0; i < a.Rows(); i++ {
+			if x, y := cell(ca, i), cell(cb, i); !sameCell(x, y) {
+				t.Fatalf("column %q row %d: %v vs %v", ca.Name, i, x, y)
 			}
-		case Int64:
-			for i := range ca.Ints {
-				if ca.Ints[i] != cb.Ints[i] {
-					t.Fatalf("column %q row %d: %d vs %d", ca.Name, i, ca.Ints[i], cb.Ints[i])
-				}
-			}
-		case Categorical:
-			if len(ca.Dict) != len(cb.Dict) {
-				t.Fatalf("column %q: dict %d vs %d entries", ca.Name, len(ca.Dict), len(cb.Dict))
-			}
-			for i := range ca.Dict {
-				if ca.Dict[i] != cb.Dict[i] {
-					t.Fatalf("column %q dict[%d]: %q vs %q", ca.Name, i, ca.Dict[i], cb.Dict[i])
-				}
-			}
-			for i := range ca.Codes {
-				if ca.Codes[i] != cb.Codes[i] {
-					t.Fatalf("column %q row %d: code %d vs %d", ca.Name, i, ca.Codes[i], cb.Codes[i])
-				}
-			}
-			if cb.CodeOf == nil {
-				t.Fatalf("column %q: CodeOf not built", cb.Name)
-			}
-		case Bool:
-			for i := range ca.Bools {
-				if ca.Bools[i] != cb.Bools[i] {
-					t.Fatalf("column %q row %d: %v vs %v", ca.Name, i, ca.Bools[i], cb.Bools[i])
-				}
-			}
+		}
+		if ca.Kind == Categorical && cb.CodeOf == nil {
+			t.Fatalf("column %q: CodeOf not built", cb.Name)
 		}
 	}
 }
@@ -216,10 +243,12 @@ func TestBuilderMatchesWriteSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := st.Columns()
+	row := make([]any, st.NumColumns())
 	for i := 0; i < rows; i++ {
-		err := b.Append(cols[0].Floats[i], cols[1].Ints[i], cols[2].Dict[cols[2].Codes[i]], cols[3].Bools[i])
-		if err != nil {
+		for j, c := range st.Columns() {
+			row[j] = cell(c, i)
+		}
+		if err := b.Append(row...); err != nil {
 			t.Fatalf("Append row %d: %v", i, err)
 		}
 	}
@@ -231,6 +260,88 @@ func TestBuilderMatchesWriteSnapshot(t *testing.T) {
 	d2, _ := os.ReadFile(built)
 	if !bytes.Equal(d1, d2) {
 		t.Fatalf("builder output differs from WriteSnapshot: %d vs %d bytes", len(d2), len(d1))
+	}
+}
+
+// TestEncodingDecidedOnce holds the one encoding rule at its boundaries, on
+// both producer paths: categorical dictionaries of 255 to 257 and 65,535 to
+// 65,537 entries take 1-, 2- and 4-byte codes; a numeric column of 256
+// distinct bit patterns is byte-coded — both zeros, and int64 values no
+// float64 tells apart, as separate entries — and one of 257, or with a NaN,
+// or with no row, stays wide. The constructors' store and the RowBuilder's
+// snapshot of the same rows are byte-identical and decode cell for cell.
+func TestEncodingDecidedOnce(t *testing.T) {
+	type tc struct {
+		name string
+		col  *Column
+		want string
+	}
+	var cases []tc
+	for _, n := range []int{255, 256, 257, 65535, 65536, 65537} {
+		strs := make([]string, n+3)
+		for i := range strs {
+			strs[i] = fmt.Sprintf("v%06d", (i*7919+3)%n) // every value occurs
+		}
+		cases = append(cases, tc{fmt.Sprintf("categorical %d", n), NewCategoricalColumn("x", strs),
+			fmt.Sprintf("codes=u%d dict=%d", 8*codeWidth(n), n)})
+	}
+	patterns := func(n int) []float64 { // -0, then n-1 whole numbers descending through 0
+		out := []float64{math.Copysign(0, -1)}
+		for k := n - 2; k >= 0; k-- {
+			out = append(out, float64(k-n/2))
+		}
+		return out
+	}
+	around53 := func(n int) []int64 { // n int64 values around 2^53, descending
+		var out []int64
+		for k := n - 1; k >= 0; k-- {
+			out = append(out, 1<<53+int64(k-n/2))
+		}
+		return out
+	}
+	cases = append(cases,
+		tc{"float 256 patterns", NewFloatColumn("x", patterns(256)), "codes=u8 values=256"},
+		tc{"float 257 patterns", NewFloatColumn("x", patterns(257)), "wide"},
+		tc{"int 256 values", NewIntColumn("x", around53(256)), "codes=u8 values=256"},
+		tc{"int 257 values", NewIntColumn("x", around53(257)), "wide"},
+		tc{"float with NaN", NewFloatColumn("x", []float64{1, math.NaN(), 1}), "wide"},
+		tc{"no rows", NewFloatColumn("x", nil), "wide"},
+	)
+	dir := t.TempDir()
+	for _, c := range cases {
+		if got := c.col.Encoding(); got != c.want {
+			t.Fatalf("%s: stored as %s, want %s", c.name, got, c.want)
+		}
+		st, err := NewStore(c.col)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		direct, built := filepath.Join(dir, "direct.aware"), filepath.Join(dir, "built.aware")
+		if err := st.WriteSnapshot(direct); err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewRowBuilder(st.Schema(), built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < st.Rows(); i++ {
+			if err := b.Append(cell(c.col, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		d1, _ := os.ReadFile(direct)
+		d2, _ := os.ReadFile(built)
+		if !bytes.Equal(d1, d2) {
+			t.Fatalf("%s: builder output differs from WriteSnapshot", c.name)
+		}
+		back, err := Decode(d1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sameStore(t, st, back)
 	}
 }
 

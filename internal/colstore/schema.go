@@ -43,15 +43,6 @@ func (s Schema) Validate() error {
 	return nil
 }
 
-// Kinds returns the kinds in schema order.
-func (s Schema) Kinds() []Kind {
-	out := make([]Kind, len(s))
-	for i, c := range s {
-		out[i] = c.Kind
-	}
-	return out
-}
-
 // Names returns the names in schema order.
 func (s Schema) Names() []string {
 	out := make([]string, len(s))

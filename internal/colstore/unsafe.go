@@ -17,10 +17,15 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
+// fixed is the element type of a fixed-width vector the format stores.
+type fixed interface {
+	float64 | int64 | uint64 | uint32 | uint16 | uint8
+}
+
 // asBytes reinterprets a fixed-width numeric slice as its underlying bytes.
 // Caller must ensure hostLittleEndian (the on-disk order) before using the
 // result as file content.
-func asBytes[T float64 | int64 | uint32](s []T) []byte {
+func asBytes[T fixed](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
@@ -29,9 +34,9 @@ func asBytes[T float64 | int64 | uint32](s []T) []byte {
 }
 
 // asSlice reinterprets b (which must be at least n*sizeof(T) bytes and
-// 8-byte-aligned) as a slice of T without copying. Caller must ensure
-// hostLittleEndian.
-func asSlice[T float64 | int64 | uint32](b []byte, n int) []T {
+// aligned for T) as a slice of T without copying. Caller must ensure
+// hostLittleEndian when b is file content.
+func asSlice[T fixed](b []byte, n int) []T {
 	if n == 0 {
 		return nil
 	}

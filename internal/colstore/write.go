@@ -5,13 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 )
-
-// floatBits is math.Float64bits, named for the conversion slow path.
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
 
 // snapshotWriter streams a snapshot file: segments are appended through a
 // buffered writer while the running CRC-32C and byte count are maintained,
@@ -64,18 +60,34 @@ func (w *snapshotWriter) pad() error {
 	return nil
 }
 
-// writeColumnHeader emits one column's 32-byte header.
-func (w *snapshotWriter) writeColumnHeader(h colHeader) error {
+// writeColumnStart emits everything of a column before its value segment:
+// the header, the padded name, and the padded dictionary blob of a coded
+// column — dict's offsets and bytes, or values' bit patterns.
+func (w *snapshotWriter) writeColumnStart(kind Kind, width int, name string, dict []string, values []uint64, rows uint64) error {
+	h := colHeader{kind: kind, width: uint8(width), nameLen: uint32(len(name)), dataBytes: rowBytes(kind, width) * rows}
+	switch {
+	case kind == Categorical:
+		h.dictLen, h.dictBytes = uint64(len(dict)), dictBlobBytes(dict)
+	case width != 0:
+		h.dictLen, h.dictBytes = uint64(len(values)), 8*uint64(len(values))
+	}
 	b := encodeColHeader(h)
-	return w.write(b[:])
-}
-
-// writeName emits the column name, padded.
-func (w *snapshotWriter) writeName(name string) error {
+	if err := w.write(b[:]); err != nil {
+		return err
+	}
 	if err := w.write([]byte(name)); err != nil {
 		return err
 	}
-	return w.pad()
+	if err := w.pad(); err != nil {
+		return err
+	}
+	switch {
+	case h.kind == Categorical:
+		return w.writeDict(dict)
+	case h.width != 0:
+		return writeFixed(w, values)
+	}
+	return nil
 }
 
 // writeDict emits a categorical dictionary blob (offsets then bytes), padded.
@@ -144,7 +156,7 @@ func (w *snapshotWriter) abort() {
 	}
 }
 
-// WriteSnapshot persists the store as a version-1 snapshot at path, written
+// WriteSnapshot persists the store as a version-2 snapshot at path, written
 // atomically (temp file + rename). The write is one sequential pass per
 // column — O(columns) passes over memory, no row-at-a-time work — and on
 // little-endian hosts each fixed-width vector is emitted as a single blit.
@@ -167,73 +179,44 @@ func (s *Store) WriteSnapshot(path string) error {
 
 // writeColumn emits one column: header, name, dictionary, values.
 func (w *snapshotWriter) writeColumn(c *Column) error {
-	dataBytes, err := kindDataBytes(c.Kind, uint64(c.Len()))
+	if err := w.writeColumnStart(c.Kind, c.Width, c.Name, c.Dict, c.Values, uint64(c.Len())); err != nil {
+		return err
+	}
+	var err error
+	switch {
+	case c.Width == 1:
+		err = writeFixed(w, c.Codes8)
+	case c.Width == 2:
+		err = writeFixed(w, c.Codes16)
+	case c.Width == 4:
+		err = writeFixed(w, c.Codes32)
+	case c.Kind == Float64:
+		err = writeFixed(w, c.Floats)
+	case c.Kind == Int64:
+		err = writeFixed(w, c.Ints)
+	default:
+		err = w.write(BoolsAsBytes(c.Bools))
+	}
 	if err != nil {
-		return err
-	}
-	h := colHeader{kind: c.Kind, nameLen: uint32(len(c.Name)), dataBytes: dataBytes}
-	if c.Kind == Categorical {
-		h.dictLen = uint64(len(c.Dict))
-		h.dictBytes = dictBlobBytes(c.Dict)
-	}
-	if err := w.writeColumnHeader(h); err != nil {
-		return err
-	}
-	if err := w.writeName(c.Name); err != nil {
-		return err
-	}
-	if c.Kind == Categorical {
-		if err := w.writeDict(c.Dict); err != nil {
-			return err
-		}
-	}
-	if err := w.writeValues(c); err != nil {
 		return err
 	}
 	return w.pad()
 }
 
-// writeValues emits the column's value vector in on-disk (little-endian)
-// order: an aliasing blit on little-endian hosts, chunked conversion
-// otherwise.
-func (w *snapshotWriter) writeValues(c *Column) error {
-	switch c.Kind {
-	case Float64:
-		if hostLittleEndian {
-			return w.write(asBytes(c.Floats))
-		}
-		return writeConverted(w, len(c.Floats), 8, func(buf []byte, i int) {
-			binary.LittleEndian.PutUint64(buf, floatBits(c.Floats[i]))
-		})
-	case Int64:
-		if hostLittleEndian {
-			return w.write(asBytes(c.Ints))
-		}
-		return writeConverted(w, len(c.Ints), 8, func(buf []byte, i int) {
-			binary.LittleEndian.PutUint64(buf, uint64(c.Ints[i]))
-		})
-	case Categorical:
-		if hostLittleEndian {
-			return w.write(asBytes(c.Codes))
-		}
-		return writeConverted(w, len(c.Codes), 4, func(buf []byte, i int) {
-			binary.LittleEndian.PutUint32(buf, c.Codes[i])
-		})
-	case Bool:
-		return w.write(BoolsAsBytes(c.Bools))
-	default:
-		return fmt.Errorf("unknown kind %d", int(c.Kind))
+// writeFixed emits a fixed-width vector in on-disk (little-endian) order: an
+// aliasing blit on little-endian hosts, chunked conversion otherwise.
+func writeFixed[T fixed](w *snapshotWriter, s []T) error {
+	raw := asBytes(s)
+	if hostLittleEndian || len(s) == 0 {
+		return w.write(raw)
 	}
-}
-
-// writeConverted emits n elements of width bytes each through a scratch
-// buffer, encoding one element per put call — the endian-portable slow path.
-func writeConverted(w *snapshotWriter, n, width int, put func(buf []byte, i int)) error {
-	const chunk = 8192
-	buf := make([]byte, 0, chunk*8)
-	for i := 0; i < n; i++ {
-		buf = buf[:len(buf)+width]
-		put(buf[len(buf)-width:], i)
+	// Reverse each element's bytes, a chunk at a time.
+	width := len(raw) / len(s)
+	buf := make([]byte, 0, 1<<16)
+	for off := 0; off < len(raw); off += width {
+		for k := width - 1; k >= 0; k-- {
+			buf = append(buf, raw[off+k])
+		}
 		if len(buf)+width > cap(buf) {
 			if err := w.write(buf); err != nil {
 				return err
@@ -241,8 +224,5 @@ func writeConverted(w *snapshotWriter, n, width int, put func(buf []byte, i int)
 			buf = buf[:0]
 		}
 	}
-	if len(buf) > 0 {
-		return w.write(buf)
-	}
-	return nil
+	return w.write(buf)
 }

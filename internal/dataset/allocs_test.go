@@ -47,7 +47,7 @@ func TestAllocsOpenSnapshot(t *testing.T) {
 	if err := allocsCensus(t, 20000).Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	pinAllocs(t, "OpenSnapshot + Close", 84, func() { // measured 70
+	pinAllocs(t, "OpenSnapshot + Close", 84, func() { // measured 78
 		tab, err := dataset.OpenSnapshot(path)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +130,7 @@ func TestAllocsHashJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	right := occupationDim(t)
-	pinAllocs(t, "HashJoin", 83, func() { joinOccupations(t, left, right) }) // measured 69 (191 with map postings)
+	pinAllocs(t, "HashJoin", 83, func() { joinOccupations(t, left, right) }) // measured 78 (191 with map postings)
 }
 
 // TestAllocsHashJoinDimension pins the join of the full census view to the
@@ -154,7 +154,7 @@ func TestAllocsHashJoinDimension(t *testing.T) {
 		} else if joinedAge, _ := joined.Column(census.ColAge); joinedAge != age {
 			t.Fatalf("the join of the full census view gathered its columns")
 		}
-		pinAllocs(t, "HashJoin (dimension)", 57, func() { joinOccupations(t, left, right) }) // measured 47
+		pinAllocs(t, "HashJoin (dimension)", 57, func() { joinOccupations(t, left, right) }) // measured 50
 		counts = append(counts, testing.AllocsPerRun(5, func() { joinOccupations(t, left, right) }))
 	}
 	if counts[0] != counts[1] {

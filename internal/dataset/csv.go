@@ -25,13 +25,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		for j, c := range t.columns {
 			switch c.Type {
 			case Float64:
-				record[j] = strconv.FormatFloat(c.floats[i], 'g', -1, 64)
+				record[j] = strconv.FormatFloat(c.floatAt(i), 'g', -1, 64)
 			case Int64:
-				record[j] = strconv.FormatInt(c.ints[i], 10)
-			case Categorical:
-				record[j] = c.dict[c.codes[i]]
-			case Bool:
-				record[j] = strconv.FormatBool(c.bools[i])
+				record[j] = strconv.FormatInt(c.intAt(i), 10)
+			default:
+				record[j] = c.dict[c.code(i)]
 			}
 		}
 		if err := cw.Write(record); err != nil {

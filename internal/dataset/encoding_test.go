@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,22 +14,23 @@ import (
 	"aware/internal/stats"
 )
 
-// This file tests the order-preserving byte dictionaries of low-cardinality
-// numeric columns (byteCodes in table.go) and the one kernel that scans them
-// (fillRangeBytes in kernels.go). The contract: a table answers exactly as it
-// would without the encoding. Where stays word-identical to the row-at-a-time
-// reference and to the wide path; BinCounts, CrossCounts and the bin edge
-// labels equal both the wide path over the same values and a row-at-a-time
-// recomputation; a NaN or a 257th distinct value keeps a column wide; the
-// encoding belongs to one column, is shared by every table that shares the
-// column, fills safely under concurrent first use, and changes no error.
+// This file tests the stored byte codes of low-cardinality numeric columns
+// (colstore's encoding rule, decoded by wrapColumn in table.go) and the one
+// kernel that scans them (fillRangeBytes in kernels.go). The contract: a
+// table answers exactly as it would stored wide. Where stays word-identical
+// to the row-at-a-time reference and to the wide path; BinCounts,
+// CrossCounts and the bin edge labels equal both the wide path over the same
+// values and a row-at-a-time recomputation; the decoded rows are the
+// constructed ones bit for bit; a NaN or a 257th distinct bit pattern keeps a
+// column wide; a derived table answers the same; and no error changes.
 
 var (
 	negZero  = math.Copysign(0, -1)
 	denormal = math.SmallestNonzeroFloat64
 	// edgeFloats come first in every float value pool, edgeInts in every int
-	// pool: both zeros (one comparison value), denormals, and int64 values
-	// no float64 tells apart (2^53 and 2^53+1 compare equal once converted).
+	// pool: both zeros (two bit patterns, one comparison value), denormals,
+	// and int64 values no float64 tells apart (2^53 and 2^53+1 compare equal
+	// once converted).
 	edgeFloats     = []float64{0, negZero, denormal, -denormal, 1, -1, 0.5, 17, 90}
 	wildFloats     = []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64}
 	edgeInts       = []int64{0, 1, -1, 1 << 53, 1<<53 + 1, 1<<53 - 1, -(1 << 53), -(1<<53 + 1), -(1<<53 - 1)}
@@ -37,10 +39,11 @@ var (
 	encodingBounds = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero, denormal, -denormal}
 )
 
-// distinctValues draws card values that are pairwise distinct under float64
-// comparison, the edge values first, then whole and fractional numbers.
-func distinctValues[T float64 | int64](rng *rand.Rand, card int, edges []T, draw func() T) []T {
-	seen := make(map[float64]bool, card)
+// distinctValues draws card values with pairwise distinct bit patterns — what
+// the encoding rule counts — the edge values first, then whole and
+// fractional numbers.
+func distinctValues[T float64 | int64](rng *rand.Rand, card int, edges []T, draw func() T, bits func(T) uint64) []T {
+	seen := make(map[uint64]bool, card)
 	var out []T
 	for i := 0; len(out) < card; i++ {
 		var v T
@@ -49,8 +52,8 @@ func distinctValues[T float64 | int64](rng *rand.Rand, card int, edges []T, draw
 		} else {
 			v = draw()
 		}
-		if f := float64(v); !seen[f] { // -0 and +0 hash alike: one key
-			seen[f] = true
+		if !seen[bits(v)] {
+			seen[bits(v)] = true
 			out = append(out, v)
 		}
 	}
@@ -58,18 +61,23 @@ func distinctValues[T float64 | int64](rng *rand.Rand, card int, edges []T, draw
 }
 
 // encodingTable builds a table whose float column "f" and int column "i" hold
-// exactly card distinct comparison values each (every one of them occurring),
-// next to a categorical and a bool column to cross them with. wild adds the
-// infinities and the extremes of both types; nan plants one NaN in "f", which
-// must keep that column — and only it — wide.
-func encodingTable(rng *rand.Rand, rows, card int, wild, nan bool) *Table {
+// exactly card distinct bit patterns each (every one of them occurring, the
+// two zeros first appearing in either order), next to a categorical and a
+// bool column to cross them with. wild adds the infinities and the extremes
+// of both types; nan plants one NaN in "f", which must keep that column — and
+// only it — wide. It also returns the rows the numeric columns were built
+// from.
+func encodingTable(rng *rand.Rand, rows, card int, wild, nan bool) (*Table, []float64, []int64) {
 	fe, ie := edgeFloats, edgeInts
 	if wild {
 		fe = append(append([]float64(nil), wildFloats...), fe...)
 		ie = append(append([]int64(nil), wildInts...), ie...)
 	}
-	fpool := distinctValues(rng, card, fe, func() float64 { return float64(rng.Intn(4000)-2000) / 4 })
-	ipool := distinctValues(rng, card, ie, func() int64 { return int64(rng.Intn(4000) - 2000) })
+	fpool := distinctValues(rng, card, fe, func() float64 { return float64(rng.Intn(4000)-2000) / 4 }, math.Float64bits)
+	ipool := distinctValues(rng, card, ie, func() int64 { return int64(rng.Intn(4000) - 2000) }, func(v int64) uint64 { return uint64(v) })
+	if z := slices.Index(fpool, 0); z >= 0 && z+1 < len(fpool) && rng.Intn(2) == 0 {
+		fpool[z], fpool[z+1] = fpool[z+1], fpool[z] // -0 first
+	}
 	floats := make([]float64, rows)
 	ints := make([]int64, rows)
 	cats := make([]string, rows)
@@ -77,12 +85,9 @@ func encodingTable(rng *rand.Rand, rows, card int, wild, nan bool) *Table {
 	for r := 0; r < rows; r++ {
 		k := rng.Intn(card)
 		if r < card {
-			k = r // every value occurs
+			k = r // every value occurs, in pool order
 		}
 		floats[r], ints[r] = fpool[k], ipool[(k*7+3)%card]
-		if floats[r] == 0 && rng.Intn(2) == 0 {
-			floats[r] = -floats[r] // both zeros occur, in either order
-		}
 		cats[r] = fmt.Sprintf("c%d", rng.Intn(5))
 		flags[r] = rng.Intn(3) == 0
 	}
@@ -94,20 +99,27 @@ func encodingTable(rng *rand.Rand, rows, card int, wild, nan bool) *Table {
 	if err != nil {
 		panic(err)
 	}
-	return tab
+	return tab, floats, ints
 }
 
-// wideTwin returns a table over the same column vectors whose numeric
-// columns are memoized as wide before anyone asks: the 8-byte kernels and the
-// per-row bin assignment over the very same values. The columns are wrapped
-// afresh, so the twin's memos are its own and forcing them wide leaves the
-// original's alone.
+// wideTwin returns a table over the same values whose numeric columns are
+// stored wide, whatever they hold: the 8-byte kernels and the per-row bin
+// assignment over the very same rows. Every column is wrapped afresh, so the
+// twin's memos are its own.
 func wideTwin(tab *Table) *Table {
 	cols := make([]*Column, len(tab.columns))
 	for i, c := range tab.columns {
-		cols[i] = wrapColumn(c.phys)
-		if c.Type == Float64 || c.Type == Int64 {
-			cols[i].ref.bytes = &byteCodes{}
+		switch c.Type {
+		case Float64:
+			cols[i] = wrapColumn(&colstore.Column{Name: c.Name, Kind: colstore.Float64, Floats: c.floatValues()})
+		case Int64:
+			ints := make([]int64, c.Len())
+			for r := range ints {
+				ints[r] = c.intAt(r)
+			}
+			cols[i] = wrapColumn(&colstore.Column{Name: c.Name, Kind: colstore.Int64, Ints: ints})
+		default:
+			cols[i] = wrapColumn(c.phys)
 		}
 	}
 	twin, err := NewTable(cols...)
@@ -118,21 +130,18 @@ func wideTwin(tab *Table) *Table {
 	return twin
 }
 
-// memoEntries counts the entries a table's column memos hold: encodings,
-// code tallies and binnings.
-func memoEntries(tab *Table) (bytes, codes, bins int) {
+// memoEntries counts the entries a table's column memos hold: code tallies
+// and binnings.
+func memoEntries(tab *Table) (codes, bins int) {
 	for _, c := range tab.columns {
 		c.ref.mu.RLock()
-		if c.ref.bytes != nil {
-			bytes++
-		}
 		if c.ref.codes != nil {
 			codes++
 		}
 		bins += len(c.ref.bins)
 		c.ref.mu.RUnlock()
 	}
-	return bytes, codes, bins
+	return codes, bins
 }
 
 // columnFloats reads a numeric column through the row-at-a-time accessor.
@@ -166,31 +175,48 @@ func legacyBinEdgeLabels(t *testing.T, all []float64, bins int) []string {
 	return labels
 }
 
-// requireEncoded asserts the memoized encoding of a column is what its values
-// call for: wide exactly when wantWide, otherwise a strictly ascending
-// dictionary whose codes decode, row by row, to a value equal to the row's.
-func requireEncoded(t *testing.T, label string, tab *Table, column string, wantWide bool) {
+// requireStored asserts a column is stored as its rows call for — wide
+// exactly when wantWide, otherwise byte codes into values ascending by
+// comparison value — and that it reads back, row by row, the float64 rows it
+// was built from bit for bit (or, for an int column, the int64 rows exactly).
+func requireStored[T float64 | int64](t *testing.T, label string, tab *Table, column string, wantWide bool, rows []T) {
 	t.Helper()
 	c, _ := tab.Column(column)
-	enc := c.byteCodes()
-	if wantWide {
-		if enc.dict != nil || enc.codes != nil {
-			t.Fatalf("%s: column %s is encoded with %d values, want wide", label, column, len(enc.dict))
+	if wide := c.width == 0; wide != wantWide {
+		t.Fatalf("%s: column %s stored wide = %v, want %v", label, column, wide, wantWide)
+	}
+	for k := 1; k < len(c.values); k++ {
+		if !(c.values[k-1] <= c.values[k]) {
+			t.Fatalf("%s: column %s values not ascending at %d: %v, %v", label, column, k, c.values[k-1], c.values[k])
 		}
+	}
+	for row, want := range rows {
+		same := false
+		switch w := any(want).(type) {
+		case float64:
+			same = math.Float64bits(c.floatAt(row)) == math.Float64bits(w)
+		case int64:
+			same = c.intAt(row) == w
+		}
+		if !same {
+			t.Fatalf("%s: column %s row %d reads differently from the %v it was built from", label, column, row, want)
+		}
+	}
+}
+
+// requireEndsMatchMinMax asserts the bin edges of a coded numeric column come
+// from what stats.MinMax returns over its rows, signed zero included.
+func requireEndsMatchMinMax(t *testing.T, label string, tab *Table, column string) {
+	t.Helper()
+	c, _ := tab.Column(column)
+	all := columnFloats(t, tab, column)
+	if c.width == 0 || len(all) == 0 {
 		return
 	}
-	if enc.dict == nil {
-		t.Fatalf("%s: column %s stayed wide", label, column)
-	}
-	for k := 1; k < len(enc.dict); k++ {
-		if !(enc.dict[k-1] < enc.dict[k]) {
-			t.Fatalf("%s: column %s dictionary not strictly ascending at %d: %v, %v", label, column, k, enc.dict[k-1], enc.dict[k])
-		}
-	}
-	for row, v := range columnFloats(t, tab, column) {
-		if got := enc.dict[enc.codes[row]]; got != v {
-			t.Fatalf("%s: column %s row %d holds %v, its code decodes to %v", label, column, row, v, got)
-		}
+	least, most, _ := stats.MinMax(all)
+	ends := c.valueRange(c.codeStats().counts)
+	if math.Float64bits(ends[0]) != math.Float64bits(least) || math.Float64bits(ends[1]) != math.Float64bits(most) {
+		t.Fatalf("%s: column %s range %v, MinMax %v, %v", label, column, ends, least, most)
 	}
 }
 
@@ -258,6 +284,7 @@ func requireEncodingExact(t *testing.T, rng *rand.Rand, label string, tab *Table
 		if hasNaN || len(all) == 0 {
 			continue // no histogram accepts a NaN or an empty column, on any path
 		}
+		requireEndsMatchMinMax(t, label, tab, column)
 		for _, bins := range []int{1, 10, 300} {
 			ctx := fmt.Sprintf("%s: column %s bins %d", label, column, bins)
 			for name, v := range map[string]View{"full": full, "split": split} {
@@ -331,13 +358,13 @@ func TestByteEncodingMatchesValues(t *testing.T) {
 			if !testing.Short() && (card == 129 || card == 256) && vi == 0 {
 				rows = morselRows + 1 + rng.Intn(2*morselRows) // several morsels, a ragged tail
 			}
-			mem := encodingTable(rng, rows, card, variant.wild, variant.nan)
+			mem, floats, ints := encodingTable(rng, rows, card, variant.wild, variant.nan)
 			variants := snapshotVariants(t, mem)
 			variants["memory"] = mem
 			for store, tab := range variants {
 				label := fmt.Sprintf("card=%d wild=%v nan=%v rows=%d store=%s", card, variant.wild, variant.nan, rows, store)
-				requireEncoded(t, label, tab, "f", card > 256 || variant.nan)
-				requireEncoded(t, label, tab, "i", card > 256)
+				requireStored(t, label, tab, "f", card > 256 || variant.nan, floats)
+				requireStored(t, label, tab, "i", card > 256, ints)
 				// Every pool on the in-memory table; the reloaded ones take turns.
 				for k := range pools {
 					p := pools[(ci+vi+k)%len(pools)]
@@ -347,45 +374,46 @@ func TestByteEncodingMatchesValues(t *testing.T) {
 						break
 					}
 				}
-				// Everything above read one encoding per numeric column.
-				if n, _, _ := memoEntries(tab); n != 2 {
-					t.Errorf("%s: memo holds %d encodings, want 2", label, n)
-				}
-				wantCols := 0
-				for _, column := range []string{"f", "i"} {
-					if c, _ := tab.Column(column); c.byteCodes().dict != nil {
-						wantCols++
-					}
-				}
-				if cols, size := tab.EncodedColumns(); cols != wantCols || size != wantCols*rows {
-					t.Errorf("%s: EncodedColumns = %d columns, %d bytes; want %d, %d", label, cols, size, wantCols, wantCols*rows)
-				}
 			}
 		}
 	}
 }
 
-// TestEncodeBytesKeepsFirstAppearance pins the detail that keeps bin edges
-// bit-identical: a dictionary entry is the value's first appearance in the
-// column, so an all-zero minimum carries the sign a MinMax scan would return.
-func TestEncodeBytesKeepsFirstAppearance(t *testing.T) {
-	for _, col := range [][]float64{{3, negZero, 0, 1}, {3, 0, negZero, 1}, {negZero}, {0, negZero}} {
-		enc := encodeBytes(col)
-		least, most, _ := stats.MinMax(col)
-		if enc.dict == nil || math.Float64bits(enc.dict[0]) != math.Float64bits(least) ||
-			math.Float64bits(enc.dict[len(enc.dict)-1]) != math.Float64bits(most) {
-			t.Errorf("encodeBytes(%v).dict = %v, want ends bit-identical to MinMax's %v, %v", col, enc.dict, least, most)
+// TestCodedBinEdgesMatchMinMax pins the detail that keeps bin edges
+// bit-identical: of −0 and +0, both stored, the end of a coded column's range
+// is the one whose first row comes first — what a MinMax scan returns — in a
+// column and in rows gathered from it, whose shared dictionary then lists
+// values no row holds. 2^53 and 2^53+1 are two entries of one value.
+func TestCodedBinEdgesMatchMinMax(t *testing.T) {
+	for _, col := range [][]float64{{3, negZero, 0, 1}, {3, 0, negZero, 1}, {negZero}, {0, negZero}, {-3, negZero, 0}, {-3, 0, negZero}} {
+		tab, err := NewTable(NewFloatColumn("f", col))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprint(col)
+		requireStored(t, label, tab, "f", false, col)
+		requireEndsMatchMinMax(t, label, tab, "f")
+		for _, rows := range [][]int{{1, 2}, {2, 1}, {len(col) - 1}} {
+			if slices.Max(rows) >= len(col) {
+				continue
+			}
+			sub, err := tab.Select(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEndsMatchMinMax(t, fmt.Sprintf("%s rows %v", label, rows), sub, "f")
 		}
 	}
-	if enc := encodeBytes([]float64(nil)); enc.dict != nil {
-		t.Errorf("an empty column encoded as %v, want wide", enc.dict)
+	tab, err := NewTable(NewIntColumn("i", []int64{1<<53 + 1, 1 << 53, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 2^53 and 2^53+1 are one comparison value; the int64 extremes are two.
-	enc := encodeBytes([]int64{1<<53 + 1, 1 << 53, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1})
-	if want := []float64{math.MinInt64, 1 << 53, math.MaxInt64}; !reflect.DeepEqual(enc.dict, want) ||
-		!reflect.DeepEqual(enc.codes, []uint8{1, 1, 2, 0, 2}) {
-		t.Errorf("int64 edge column encoded as %v / %v", enc.dict, enc.codes)
+	c, _ := tab.Column("i")
+	if want := []float64{math.MinInt64, 1 << 53, 1 << 53, math.MaxInt64, math.MaxInt64}; !reflect.DeepEqual(c.values, want) ||
+		!reflect.DeepEqual(c.codes8, []uint8{2, 1, 4, 0, 3}) || !reflect.DeepEqual(c.distinct, []float64{math.MinInt64, 1 << 53, math.MaxInt64}) {
+		t.Errorf("int64 edge column stored as %v / %v, distinct %v", c.values, c.codes8, c.distinct)
 	}
+	requireEndsMatchMinMax(t, "int64 edges", tab, "i")
 }
 
 // TestRangeBytesEveryTailShape runs the byte kernel alone over every window
@@ -451,18 +479,16 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 	}
 }
 
-// TestByteEncodingCarriedExactlyWhereShared encodes a parent table and then
-// derives tables from it every way the package can. A column a derived table
-// shares keeps its encoding and is never re-encoded; every gathered column
-// builds its own: a Select of a few rows has a shorter dictionary than its
-// parent, and a carried-over one would select wrong rows.
+// TestByteEncodingCarriedExactlyWhereShared derives tables from a coded
+// parent every way the package can. A column a derived table shares is the
+// parent's; every gathered column keeps its width and shares the parent's
+// dictionary — a Select of a few rows lists values none of its rows hold,
+// and must still answer from the rows it has — and the derived bucket column
+// is coded by the same rule at construction.
 func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
-	parent := encodingTable(rng, 5000, 90, false, false)
+	parent, _, _ := encodingTable(rng, 5000, 90, false, false)
 	requireEncodingExact(t, rng, "parent", parent)
-	if cols, _ := parent.EncodedColumns(); cols != 2 {
-		t.Fatalf("parent encoded %d columns, want 2", cols)
-	}
 
 	derived := deriveEveryWay(t, rng, parent, []string{"f", "flag"}, "i", "cat")
 	all := parent.ColumnNames()
@@ -472,25 +498,28 @@ func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 		"shared join": all,
 	}, func(name string, tab *Table) {
 		requireEncodingExact(t, rng, name, tab)
-		if cols, size := tab.EncodedColumns(); cols != 2 || size != 2*tab.NumRows() {
-			t.Errorf("%s: after use %d encoded columns holding %d bytes, want 2 and %d", name, cols, size, 2*tab.NumRows())
+		for _, column := range []string{"f", "i"} {
+			c, _ := tab.Column(column)
+			pc, _ := parent.Column(column)
+			if c.width != 1 || &c.phys.Values[0] != &pc.phys.Values[0] {
+				t.Errorf("%s: column %s is not coded over its parent's values", name, column)
+			}
 		}
 	})
-	fc, _ := derived["select"].Column("f")
-	pc, _ := parent.Column("f")
-	if few, all := len(fc.byteCodes().dict), len(pc.byteCodes().dict); few > 6 || all != 90 {
-		t.Errorf("select's dictionary holds %d values, its parent's %d; want at most 6 and 90", few, all)
+	if c, _ := derived["derive"].Column("i_bucket"); c.width != 1 {
+		t.Errorf("the derived bucket column is stored wide")
 	}
 	requireEncodingExact(t, rng, "parent after deriving", parent)
 }
 
 // TestByteEncodingConcurrentFirstUse races 16 goroutines onto the first use
-// of one table's encodings, by filters and by binnings at once (run under
-// -race in CI): each must read what a sequential reader of an untouched copy
-// reads, and one encoding per column is kept.
+// of one table's code tallies and binnings, by filters and by binnings at
+// once (run under -race in CI): each must read what a sequential reader of
+// an untouched copy reads, and one memo entry per statistic is kept.
 func TestByteEncodingConcurrentFirstUse(t *testing.T) {
 	build := func() *Table {
-		return encodingTable(rand.New(rand.NewSource(1704)), 3*morselRows+17, 74, false, false)
+		tab, _, _ := encodingTable(rand.New(rand.NewSource(1704)), 3*morselRows+17, 74, false, false)
+		return tab
 	}
 	preds := []Predicate{
 		Range{Column: "f", Low: -100, High: 55.5},
@@ -536,35 +565,31 @@ func TestByteEncodingConcurrentFirstUse(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	// Racing first users may each build, but one copy per entry is kept, and
-	// the binnings alias the kept code vectors, not a loser's.
-	if n, _, _ := memoEntries(tab); n != 2 {
-		t.Errorf("memo holds %d encodings, want 2 (f, i)", n)
+	// Racing first users may each scan, but one copy per entry is kept: the
+	// code tallies of f and i, which their binnings count from, and the two
+	// binnings — which read the column's own codes.
+	if codes, bins := memoEntries(tab); codes != 2 || bins != 2 {
+		t.Errorf("memo holds %d code tallies and %d binnings, want 2 and 2", codes, bins)
 	}
 	for _, c := range tab.columns {
 		for bins, ba := range c.ref.bins {
-			if kept := c.ref.bytes; len(ba.codes) == 0 || &ba.codes[0] != &kept.codes[0] {
-				t.Errorf("binning of %s into %d bins does not read the memoized codes of its column", c.Name, bins)
+			if len(ba.codes) == 0 || &ba.codes[0] != &c.codes8[0] {
+				t.Errorf("binning of %s into %d bins does not read the codes of its column", c.Name, bins)
 			}
 		}
 	}
-	if cols, size := tab.EncodedColumns(); cols != 2 || size != 2*tab.NumRows() {
-		t.Errorf("EncodedColumns = %d, %d; want 2, %d", cols, size, 2*tab.NumRows())
-	}
 }
 
-// TestByteEncodingKeepsTypeErrors: the encoded path sits behind the column
-// and type resolution, so a numeric predicate on a bool or categorical column
-// and a categorical one on an encoded numeric column fail exactly as they
-// did — the same ErrTypeMismatch text as the row-at-a-time reference — and a
+// TestByteEncodingKeepsTypeErrors: the coded path sits behind the column and
+// type resolution, so a numeric predicate on a bool or categorical column
+// and a categorical one on a coded numeric column fail exactly as they did —
+// the same ErrTypeMismatch text as the row-at-a-time reference — and a
 // failed predicate memoizes nothing.
 func TestByteEncodingKeepsTypeErrors(t *testing.T) {
-	tab := encodingTable(rand.New(rand.NewSource(1705)), 300, 40, false, false)
-	warm, err := tab.Where(Range{Column: "i", Low: 0, High: 9}) // "i" is encoded from here on
-	if err != nil || warm.Count() == 0 {
-		t.Fatalf("warm-up filter: %v", err)
+	tab, _, _ := encodingTable(rand.New(rand.NewSource(1705)), 300, 40, false, false)
+	if c, _ := tab.Column("i"); c.width != 1 {
+		t.Fatal("column i is not coded")
 	}
-	_, computedBefore := tab.RefStats()
 	for _, tc := range []struct {
 		pred Predicate
 		want string
@@ -591,11 +616,8 @@ func TestByteEncodingKeepsTypeErrors(t *testing.T) {
 	if _, err := view.BinCounts("flag", 10); !errors.Is(err, ErrTypeMismatch) {
 		t.Errorf("BinCounts on a bool column: %v", err)
 	}
-	if _, computed := tab.RefStats(); computed != computedBefore {
-		t.Errorf("failed predicates filled the memo: %d scans (was %d)", computed, computedBefore)
-	}
-	if encodings, _, _ := memoEntries(tab); encodings != 1 {
-		t.Errorf("failed predicates filled the memo: %d encodings, want 1", encodings)
+	if _, computed := tab.RefStats(); computed != 0 {
+		t.Errorf("failed predicates filled the memo: %d scans", computed)
 	}
 }
 
@@ -619,8 +641,9 @@ func fuzzInt(b byte) int64 {
 	return int64(b) - 100
 }
 
-// fuzzColumn draws the column "x" from fuzz bytes, one value per byte.
-func fuzzColumn(data []byte, asInts bool) *Column {
+// fuzzColumn draws the column "x" from fuzz bytes, one value per byte; a
+// float column's values are first divided by divisor.
+func fuzzColumn(data []byte, asInts bool, divisor float64) *Column {
 	if asInts {
 		ints := make([]int64, len(data))
 		for i, b := range data {
@@ -630,7 +653,7 @@ func fuzzColumn(data []byte, asInts bool) *Column {
 	}
 	floats := make([]float64, len(data))
 	for i, b := range data {
-		floats[i] = fuzzFloat(b)
+		floats[i] = fuzzFloat(b) / divisor
 	}
 	return NewFloatColumn("x", floats)
 }
@@ -660,7 +683,7 @@ func FuzzRangeCodes(f *testing.F) {
 	f.Add(long, -15.0, -11.75, -12.0, false)
 	f.Add(long[:64], -15.0, -11.75, -12.0, true)
 	f.Fuzz(func(t *testing.T, data []byte, low, high, threshold float64, asInts bool) {
-		tab, err := NewTable(fuzzColumn(data, asInts))
+		tab, err := NewTable(fuzzColumn(data, asInts, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -681,12 +704,12 @@ func FuzzRangeCodes(f *testing.F) {
 	})
 }
 
-var benchSinkEnc *byteCodes
+var benchSinkCol *Column
 
-// BenchmarkEncodeColumn times the dictionary build at 300k rows, single
-// threaded, for the kinds of column it meets: whole numbers (census age),
-// arbitrary repeated values, and a continuous column, which must give up at
-// its 257th distinct value.
+// BenchmarkEncodeColumn times the encoding decided at construction at 300k
+// rows, single threaded, for the kinds of column it meets: whole numbers
+// (census age), arbitrary repeated values, and a continuous column, which
+// must give up at its 257th distinct value and stay wide.
 func BenchmarkEncodeColumn(b *testing.B) {
 	const n = 300_000
 	rng := rand.New(rand.NewSource(71))
@@ -705,21 +728,21 @@ func BenchmarkEncodeColumn(b *testing.B) {
 		continuous[i] = rng.NormFloat64()
 	}
 	for _, k := range []struct {
-		name    string
-		build   func() *byteCodes
-		encoded bool
+		name  string
+		build func() *Column
+		coded bool
 	}{
-		{"whole_floats", func() *byteCodes { return encodeBytes(whole) }, true},
-		{"whole_ints", func() *byteCodes { return encodeBytes(wholeInts) }, true},
-		{"arbitrary", func() *byteCodes { return encodeBytes(arbitrary) }, true},
-		{"continuous_bails", func() *byteCodes { return encodeBytes(continuous) }, false},
+		{"whole_floats", func() *Column { return NewFloatColumn("x", whole) }, true},
+		{"whole_ints", func() *Column { return NewIntColumn("x", wholeInts) }, true},
+		{"arbitrary", func() *Column { return NewFloatColumn("x", arbitrary) }, true},
+		{"continuous_bails", func() *Column { return NewFloatColumn("x", continuous) }, false},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSinkEnc = k.build()
+				benchSinkCol = k.build()
 			}
-			if (benchSinkEnc.dict != nil) != k.encoded {
-				b.Fatalf("encoded = %v, want %v", benchSinkEnc.dict != nil, k.encoded)
+			if coded := benchSinkCol.width != 0; coded != k.coded {
+				b.Fatalf("coded = %v, want %v", coded, k.coded)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 		})

@@ -95,9 +95,10 @@ func (Bucket) isExpr() {}
 // exprProg is one compiled expression node: columns resolved to their
 // physical vectors, ready for morsel evaluation.
 type exprProg struct {
-	op     string // "colf", "coli", "const", "add", "sub", "mul", "div", "bucket"
-	floats []float64
+	op     string    // "colf", "coli", "code", "const", "add", "sub", "mul", "div", "bucket"
+	floats []float64 // "colf": the rows; "code": the value of each code
 	ints   []int64
+	codes  []uint8
 	val    float64 // Const value or Bucket width
 	l, r   *exprProg
 }
@@ -112,13 +113,15 @@ func compileExpr(t *Table, e Expr) (*exprProg, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch c.Type {
-		case Float64:
-			return &exprProg{op: "colf", floats: c.floats}, nil
-		case Int64:
-			return &exprProg{op: "coli", ints: c.ints}, nil
-		default:
+		switch {
+		case c.Type != Float64 && c.Type != Int64:
 			return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
+		case c.width != 0:
+			return &exprProg{op: "code", floats: c.values, codes: c.codes8}, nil
+		case c.Type == Float64:
+			return &exprProg{op: "colf", floats: c.floats}, nil
+		default:
+			return &exprProg{op: "coli", ints: c.ints}, nil
 		}
 	case Const:
 		if math.IsNaN(q.Value) || math.IsInf(q.Value, 0) {
@@ -182,6 +185,11 @@ func (pg *exprProg) evalInto(dst []float64, lo int) {
 		src := pg.ints[lo : lo+len(dst)]
 		for i, v := range src {
 			dst[i] = float64(v)
+		}
+	case "code":
+		src := pg.codes[lo : lo+len(dst)]
+		for i, k := range src {
+			dst[i] = pg.floats[k]
 		}
 	case "const":
 		for i := range dst {

@@ -34,7 +34,7 @@ type axisCodes struct {
 }
 
 // crossAxis resolves one attribute of a cross-tab: categorical columns use
-// their dictionary codes, bool columns the false/true encoding, numeric
+// their dictionary codes, bool columns their false/true codes, numeric
 // columns the memoized equal-width bin assignment (bins bins over the full
 // table's range, labelled with their edges, which are memoized with it).
 func (t *Table) crossAxis(name string, bins int) (axisCodes, error) {
@@ -43,15 +43,8 @@ func (t *Table) crossAxis(name string, bins int) (axisCodes, error) {
 		return axisCodes{}, err
 	}
 	switch c.Type {
-	case Categorical:
-		return axisCodes{labels: c.dict, at: func(row int) int { return int(c.codes[row]) }}, nil
-	case Bool:
-		return axisCodes{labels: []string{"false", "true"}, at: func(row int) int {
-			if c.bools[row] {
-				return 1
-			}
-			return 0
-		}}, nil
+	case Categorical, Bool:
+		return axisCodes{labels: c.dict, at: c.code}, nil
 	case Float64, Int64:
 		if bins <= 0 {
 			return axisCodes{}, fmt.Errorf("dataset: numeric cross-tab attribute %q requires a positive bin count, got %d", name, bins)

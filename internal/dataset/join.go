@@ -92,27 +92,31 @@ func HashJoin(left, right View, leftKey, rightKey, rightPrefix string) (*Table, 
 }
 
 // hashJoinPairs resolves both key columns to dense codes and joins on them:
-// categorical keys are dictionary codes, the probe dictionary translated once
-// to build codes; bool keys are their own 0/1 bytes; int64 keys are coded
-// through one value → id map built over the build rows.
+// categorical and bool keys are their dictionary codes, the probe dictionary
+// translated once to build codes; int64 keys are coded through one value → id
+// map built over the build rows.
 func hashJoinPairs(probe View, probeCol *Column, build View, buildCol *Column, mayShare bool) (probeIdx, buildIdx []int32, shared bool) {
-	switch buildCol.Type {
-	case Categorical:
-		trans := make([]int32, len(probeCol.dict))
-		for code, val := range probeCol.dict {
-			if bcode, ok := buildCol.codeOf[val]; ok {
-				trans[code] = int32(bcode)
-			} else {
-				trans[code] = -1
-			}
-		}
-		return joinCodes(probe, probeCol.codes, trans, build, buildCol.codes, len(buildCol.dict), mayShare)
-	case Bool:
-		return joinCodes(probe, colstore.BoolsAsBytes(probeCol.bools), []int32{0, 1},
-			build, colstore.BoolsAsBytes(buildCol.bools), 2, mayShare)
-	default: // Int64, guarded by joinKeyColumns
+	if buildCol.Type == Int64 {
 		probeCodes, trans, buildCodes := intKeyCodes(probe, probeCol, build, buildCol)
-		return joinCodes(probe, probeCodes, trans, build, buildCodes, len(trans)-1, mayShare)
+		buildKey := func(row int) int { return int(buildCodes[row]) }
+		return joinCodes(probe, probeCodes, trans, build, buildKey, len(trans)-1, mayShare)
+	}
+	trans := make([]int32, len(probeCol.dict))
+	for code, val := range probeCol.dict {
+		if bcode, ok := buildCol.codeOf[val]; ok {
+			trans[code] = int32(bcode)
+		} else {
+			trans[code] = -1
+		}
+	}
+	keys := len(buildCol.dict)
+	switch probeCol.width {
+	case 1:
+		return joinCodes(probe, probeCol.codes8, trans, build, buildCol.code, keys, mayShare)
+	case 2:
+		return joinCodes(probe, probeCol.codes16, trans, build, buildCol.code, keys, mayShare)
+	default:
+		return joinCodes(probe, probeCol.codes32, trans, build, buildCol.code, keys, mayShare)
 	}
 }
 
@@ -125,10 +129,11 @@ func intKeyCodes(probe View, probeCol *Column, build View, buildCol *Column) (pr
 	ids := make(map[int64]uint32, build.sel.Count())
 	buildCodes = make([]uint32, build.sel.n)
 	build.sel.ForEach(func(row int) {
-		id, ok := ids[buildCol.ints[row]]
+		key := buildCol.intAt(row)
+		id, ok := ids[key]
 		if !ok {
 			id = uint32(len(ids))
-			ids[buildCol.ints[row]] = id
+			ids[key] = id
 		}
 		buildCodes[row] = id
 	})
@@ -138,7 +143,7 @@ func intKeyCodes(probe View, probeCol *Column, build View, buildCol *Column) (pr
 	probe.table.execPool().Run(chunks(n, morselRows), func(i int) {
 		lo := i * morselRows
 		probe.sel.forEachIn(lo, min(lo+morselRows, n), func(row int) {
-			if id, ok := ids[probeCol.ints[row]]; ok {
+			if id, ok := ids[probeCol.intAt(row)]; ok {
 				probeCodes[row] = id
 			} else {
 				probeCodes[row] = absent
@@ -153,7 +158,7 @@ func intKeyCodes(probe View, probeCol *Column, build View, buildCol *Column) (pr
 	return probeCodes, trans, buildCodes
 }
 
-// joinCodes joins on dense codes: a build row's key id is buildCodes[row] (<
+// joinCodes joins on dense codes: a build row's key id is buildKey(row) (<
 // keys), a probe row's is trans[probeCodes[row]], −1 when no build row holds
 // the key. It returns the matching (probe row, build row) index pairs ordered
 // probe-major (probe rows ascending, build rows ascending within one).
@@ -166,16 +171,16 @@ func intKeyCodes(probe View, probeCol *Column, build View, buildCol *Column) (pr
 // selects every row) and the counting pass saw every probe row match exactly
 // one build row, output row i is probe row i: joinCodes returns shared and no
 // probe indices, and writes only the build row of each.
-func joinCodes[C uint8 | uint32](probe View, probeCodes []C, trans []int32, build View, buildCodes []C, keys int, mayShare bool) (probeIdx, buildIdx []int32, shared bool) {
+func joinCodes[C colstore.Code](probe View, probeCodes []C, trans []int32, build View, buildKey func(row int) int, keys int, mayShare bool) (probeIdx, buildIdx []int32, shared bool) {
 	start := make([]int32, keys+1)
-	build.sel.ForEach(func(row int) { start[int(buildCodes[row])+1]++ })
+	build.sel.ForEach(func(row int) { start[buildKey(row)+1]++ })
 	for k := 1; k <= keys; k++ {
 		start[k] += start[k-1]
 	}
 	rows := make([]int32, start[keys])
 	next := slices.Clone(start[:keys])
 	build.sel.ForEach(func(row int) {
-		k := buildCodes[row]
+		k := buildKey(row)
 		rows[next[k]] = int32(row)
 		next[k]++
 	})

@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -52,7 +53,7 @@ func JoinOracle(left, right View, leftKey, rightKey, rightPrefix string) (*Table
 // joinKeyEqual compares one key pair through the generic value accessors.
 func joinKeyEqual(lc *Column, lrow int, rc *Column, rrow int) (bool, error) {
 	switch lc.Type {
-	case Categorical:
+	case Categorical, Bool:
 		lv, err := lc.StringAt(lrow)
 		if err != nil {
 			return false, err
@@ -63,9 +64,7 @@ func joinKeyEqual(lc *Column, lrow int, rc *Column, rrow int) (bool, error) {
 		}
 		return lv == rv, nil
 	case Int64:
-		return lc.ints[lrow] == rc.ints[rrow], nil
-	case Bool:
-		return lc.bools[lrow] == rc.bools[rrow], nil
+		return lc.intAt(lrow) == rc.intAt(rrow), nil
 	default:
 		return false, fmt.Errorf("%w: %s is %s", ErrJoinKeyType, lc.Name, lc.Type)
 	}
@@ -144,7 +143,7 @@ func dimensionTable(rng *rand.Rand, left *Table, drop, dup bool) *Table {
 	for row := 0; row < left.NumRows(); row++ {
 		var v string
 		if key.Type == Int64 {
-			v = fmt.Sprint(key.ints[row])
+			v = fmt.Sprint(key.intAt(row))
 		} else {
 			v, _ = key.StringAt(row)
 		}
@@ -244,24 +243,17 @@ func requireTablesEqual(t *testing.T, label string, a, b *Table) {
 			t.Fatalf("%s: column %q type %v vs %v", label, an[i], ac.Type, bc.Type)
 		}
 		for row := 0; row < a.NumRows(); row++ {
+			var x, y any
 			switch ac.Type {
 			case Float64:
-				if ac.floats[row] != bc.floats[row] {
-					t.Fatalf("%s: column %q row %d: %v vs %v", label, an[i], row, ac.floats[row], bc.floats[row])
-				}
+				x, y = math.Float64bits(ac.floatAt(row)), math.Float64bits(bc.floatAt(row))
 			case Int64:
-				if ac.ints[row] != bc.ints[row] {
-					t.Fatalf("%s: column %q row %d: %v vs %v", label, an[i], row, ac.ints[row], bc.ints[row])
-				}
-			case Bool:
-				if ac.bools[row] != bc.bools[row] {
-					t.Fatalf("%s: column %q row %d: %v vs %v", label, an[i], row, ac.bools[row], bc.bools[row])
-				}
-			case Categorical:
-				if ac.dict[ac.codes[row]] != bc.dict[bc.codes[row]] {
-					t.Fatalf("%s: column %q row %d: %q vs %q", label, an[i], row,
-						ac.dict[ac.codes[row]], bc.dict[bc.codes[row]])
-				}
+				x, y = ac.intAt(row), bc.intAt(row)
+			default:
+				x, y = ac.dict[ac.code(row)], bc.dict[bc.code(row)]
+			}
+			if x != y {
+				t.Fatalf("%s: column %q row %d: %v vs %v", label, an[i], row, x, y)
 			}
 		}
 	}

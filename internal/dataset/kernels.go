@@ -29,18 +29,19 @@ import (
 //   - bounds-check elimination: every kernel re-slices its column to the
 //     exact morsel window and walks fixed 64-element chunks, so the
 //     compiler proves the lane accesses in range and drops the checks;
-//   - dict-width specialization: In over a narrow dictionary (<= 256
-//     categories, every census-shaped column) tests membership against a
-//     4-word bitset that lives in registers/L1; wider dictionaries use a
-//     per-code bitset sized to the dictionary. Neither probes a hash map
-//     per row;
-//   - compare codes, not values: a numeric column with at most 256 distinct
-//     values (age, hours: categorical in disguise) is scanned through its
-//     order-preserving byte dictionary (byteCodes in table.go), where
-//     low <= v < high is lo <= code < hi, tested on eight rows per 64-bit
-//     word by fillRangeBytes. A bool column is its own byte codes, so the
-//     same kernel serves Equals/In over bools. Range and GreaterThan keep
-//     the 8-byte kernels (fillRange*/fillGt*) for wide columns only.
+//   - code-width specialization: the code kernels are generic over the
+//     width a column's codes are stored at (colstore.Code). In over a
+//     dictionary of at most 256 entries — stored as byte codes, like every
+//     census-shaped column — tests membership against a 4-word bitset that
+//     lives in registers/L1; wider dictionaries use a per-code bitset sized
+//     to the dictionary. Neither probes a hash map per row;
+//   - compare codes, not values: a numeric column stored with at most 256
+//     distinct values (age, hours: categorical in disguise) has byte codes
+//     into its sorted values, so low <= v < high is lo <= code < hi, tested
+//     on eight rows per 64-bit word by fillRangeBytes. The same kernel is
+//     Equals over any byte-coded column, [code, code+1) — a bool column is
+//     its own byte codes. Range and GreaterThan keep the 8-byte kernels
+//     (fillRange*/fillGt*) for wide columns only.
 //
 // Every kernel writes all words covering its window (the bit accumulator
 // naturally leaves tail bits zero), so a fill does not depend on pre-zeroed
@@ -195,7 +196,7 @@ func fillGtInts(dst []uint64, col []int64, threshold float64) int {
 
 // fillEqCodes writes the bitmap words for code == want over a
 // dictionary-code window.
-func fillEqCodes(dst []uint64, col []uint32, want uint32) int {
+func fillEqCodes[C colstore.Code](dst []uint64, col []C, want C) int {
 	n := 0
 	nw := len(col) / 64
 	for wi := 0; wi < nw; wi++ {
@@ -236,9 +237,9 @@ const (
 
 // fillRangeBytes writes the bitmap words for lo <= code < hi over a window of
 // one-byte codes, 0 <= lo < hi <= 256: the scan behind Range and GreaterThan
-// on a byte-encoded numeric column and behind Equals/In on a bool column
-// (false is code 0, true code 1). Eight rows are tested per 64-bit word,
-// without a per-byte branch or lane extraction:
+// on a byte-coded numeric column and behind Equals on any byte-coded column,
+// bool columns included (false is code 0, true code 1). Eight rows are
+// tested per 64-bit word, without a per-byte branch or lane extraction:
 //
 //	y    = x - lo          per byte, mod 256 (borrows kept inside each byte)
 //	ge   = carry out of y + (256-w) per byte, w = hi-lo: set when y >= w
@@ -287,8 +288,9 @@ func fillRangeBytes(dst []uint64, codes []uint8, lo, hi int) int {
 // fillInSmall is the narrow-dictionary In kernel: membership of a code in
 // the wanted set is one shift out of a 4-word (256-bit) lookup table that
 // fits in two cache lines. The (v>>6)&3 mask keeps the index provably in
-// range, so the lut access carries no bounds check.
-func fillInSmall(dst []uint64, col []uint32, lut *[4]uint64) int {
+// range, so the lut access carries no bounds check. A dictionary that small
+// is always stored as byte codes.
+func fillInSmall(dst []uint64, col []uint8, lut *[4]uint64) int {
 	n := 0
 	nw := len(col) / 64
 	for wi := 0; wi < nw; wi++ {
@@ -322,7 +324,7 @@ func fillInSmall(dst []uint64, col []uint32, lut *[4]uint64) int {
 // fillInWide is the wide-dictionary In kernel: the wanted set is a bitset
 // with one bit per dictionary code. Codes are storage-validated to be in
 // range, so the per-row bitset access is a load+shift, never a hash probe.
-func fillInWide(dst []uint64, col []uint32, set []uint64) int {
+func fillInWide[C colstore.Code](dst []uint64, col []C, set []uint64) int {
 	n := 0
 	nw := len(col) / 64
 	for wi := 0; wi < nw; wi++ {
@@ -353,10 +355,6 @@ func fillInWide(dst []uint64, col []uint32, set []uint64) int {
 	return n
 }
 
-// smallDictMax is the dictionary width at or below which In uses the
-// register-resident 256-bit lookup table.
-const smallDictMax = 256
-
 // whereCodeRange selects the rows whose one-byte code lies in [lo, hi); an
 // empty range is the empty selection.
 func (t *Table) whereCodeRange(codes []uint8, lo, hi int) *Selection {
@@ -368,69 +366,50 @@ func (t *Table) whereCodeRange(codes []uint8, lo, hi int) *Selection {
 	})
 }
 
-// whereBools is Equals/In over a bool column. A []bool is already one
-// byte per row holding 0 or 1, so the wanted values lower to a code range —
-// [1,2) true, [0,1) false, [0,2) both, [1,1) neither — with no dictionary.
-func (t *Table) whereBools(c *Column, values ...string) *Selection {
-	lo, hi := 1, 1
-	for _, v := range values {
-		switch v {
-		case "false":
-			lo = 0
-		case "true":
-			hi = 2
-		}
-	}
-	return t.whereCodeRange(colstore.BoolsAsBytes(c.bools), lo, hi)
+// selectEq selects the rows whose code is want, for codes wider than a byte.
+func selectEq[C colstore.Code](t *Table, col []C, want C) *Selection {
+	return t.fillSelection(func(sel *Selection, lo, hi int) int {
+		return fillEqCodes(sel.words[lo/64:(hi+63)/64], col[lo:hi], want)
+	})
 }
 
-// whereEquals is the Equals leaf: a value absent from the dictionary selects
-// nothing; fillEqCodes (fillRangeBytes on a bool column) is the scan.
+// selectIn selects the rows whose code is in set, one bit per code.
+func selectIn[C colstore.Code](t *Table, col []C, set []uint64) *Selection {
+	return t.fillSelection(func(sel *Selection, lo, hi int) int {
+		return fillInWide(sel.words[lo/64:(hi+63)/64], col[lo:hi], set)
+	})
+}
+
+// whereEquals is the Equals leaf over a categorical or bool column: a value
+// absent from the dictionary selects nothing; a byte-coded column is scanned
+// as the code range [code, code+1).
 func (t *Table) whereEquals(q Equals) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
-	if c.Type == Bool {
-		return t.whereBools(c, q.Value), nil
-	}
 	code, ok := c.codeOf[q.Value]
-	if !ok {
+	switch {
+	case !ok:
 		return t.stamp(EmptySelection(t.rows)), nil
+	case c.width == 1:
+		return t.whereCodeRange(c.codes8, int(code), int(code)+1), nil
+	case c.width == 2:
+		return selectEq(t, c.codes16, uint16(code)), nil
+	default:
+		return selectEq(t, c.codes32, code), nil
 	}
-	col := c.codes
-	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		return fillEqCodes(sel.words[lo/64:(hi+63)/64], col[lo:hi], code)
-	}), nil
 }
 
-// whereIn is the In leaf, specialized per dictionary width.
+// whereIn is the In leaf, specialized per code width: a byte-coded column
+// reads the register-resident 256-bit lookup table, a wider one a bitset
+// sized to its dictionary.
 func (t *Table) whereIn(q In) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
-	if c.Type == Bool {
-		return t.whereBools(c, q.Values...), nil
-	}
-	col := c.codes
-	if len(c.dict) <= smallDictMax {
-		var lut [4]uint64
-		found := false
-		for _, v := range q.Values {
-			if code, ok := c.codeOf[v]; ok {
-				lut[code>>6] |= 1 << (code & 63)
-				found = true
-			}
-		}
-		if !found {
-			return t.stamp(EmptySelection(t.rows)), nil
-		}
-		return t.fillSelection(func(sel *Selection, lo, hi int) int {
-			return fillInSmall(sel.words[lo/64:(hi+63)/64], col[lo:hi], &lut)
-		}), nil
-	}
-	set := make([]uint64, (len(c.dict)+63)/64)
+	set := make([]uint64, max(4, (len(c.dict)+63)/64))
 	found := false
 	for _, v := range q.Values {
 		if code, ok := c.codeOf[v]; ok {
@@ -438,27 +417,34 @@ func (t *Table) whereIn(q In) (*Selection, error) {
 			found = true
 		}
 	}
-	if !found {
+	switch {
+	case !found:
 		return t.stamp(EmptySelection(t.rows)), nil
+	case c.width == 1:
+		lut := (*[4]uint64)(set)
+		return t.fillSelection(func(sel *Selection, lo, hi int) int {
+			return fillInSmall(sel.words[lo/64:(hi+63)/64], c.codes8[lo:hi], lut)
+		}), nil
+	case c.width == 2:
+		return selectIn(t, c.codes16, set), nil
+	default:
+		return selectIn(t, c.codes32, set), nil
 	}
-	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		return fillInWide(sel.words[lo/64:(hi+63)/64], col[lo:hi], set)
-	}), nil
 }
 
-// whereRange is the Range leaf. On a byte-encoded column low <= v < high becomes
-// lo <= code < hi, exactly: lo is the first dictionary entry >= low, hi the
-// first that is not < high (so a NaN bound, which no value satisfies, yields
-// an empty range by itself).
+// whereRange is the Range leaf. On a coded column low <= v < high becomes
+// lo <= code < hi, exactly: lo is the first value >= low, hi the first that
+// is not < high (so a NaN bound, which no value satisfies, yields an empty
+// range by itself), and values of one comparison value are neighbours.
 func (t *Table) whereRange(q Range) (*Selection, error) {
 	c, err := t.numericColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
-	if enc := c.byteCodes(); enc.dict != nil {
-		lo := sort.Search(len(enc.dict), func(i int) bool { return enc.dict[i] >= q.Low })
-		hi := sort.Search(len(enc.dict), func(i int) bool { return !(enc.dict[i] < q.High) })
-		return t.whereCodeRange(enc.codes, lo, hi), nil
+	if c.width != 0 {
+		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] >= q.Low })
+		hi := sort.Search(len(c.values), func(i int) bool { return !(c.values[i] < q.High) })
+		return t.whereCodeRange(c.codes8, lo, hi), nil
 	}
 	if c.Type == Float64 {
 		col := c.floats
@@ -472,17 +458,16 @@ func (t *Table) whereRange(q Range) (*Selection, error) {
 	}), nil
 }
 
-// whereGreater is the GreaterThan leaf; on a byte-encoded column
-// v > threshold becomes lo <= code with lo the first dictionary entry above
-// the threshold.
+// whereGreater is the GreaterThan leaf; on a coded column v > threshold
+// becomes lo <= code with lo the first value above the threshold.
 func (t *Table) whereGreater(q GreaterThan) (*Selection, error) {
 	c, err := t.numericColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
-	if enc := c.byteCodes(); enc.dict != nil {
-		lo := sort.Search(len(enc.dict), func(i int) bool { return enc.dict[i] > q.Threshold })
-		return t.whereCodeRange(enc.codes, lo, len(enc.dict)), nil
+	if c.width != 0 {
+		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] > q.Threshold })
+		return t.whereCodeRange(c.codes8, lo, len(c.values)), nil
 	}
 	if c.Type == Float64 {
 		col := c.floats

@@ -21,13 +21,16 @@ import (
 // indices — are identical to the row-at-a-time reference, referenceSelection.
 
 // kernelTable builds a table shaped to exercise every kernel
-// specialization: a narrow categorical (10 values → the 256-bit In lookup
-// table), a wide categorical (up to 300 values → the per-code bitset once
-// rows push the dictionary past 256), bools, floats with NaNs sprinkled in
-// (comparisons must stay false), and ints beyond 2^53 is not needed — the
-// reference converts through float64 and the kernel must match that exactly,
-// which the shared conversion guarantees.
-func kernelTable(rng *rand.Rand, rows int) *Table {
+// specialization: a narrow categorical (10 values → byte codes and the
+// 256-bit In lookup table), a wide categorical (up to 300 values → two-byte
+// codes and the per-code bitset once rows push the dictionary past 256),
+// bools, floats with NaNs sprinkled in (comparisons must stay false; the
+// column stays wide) and ints of 40 values (byte-coded).
+func kernelTable(rng *rand.Rand, rows int) *Table { return editedKernelTable(rng, rows, nil) }
+
+// editedKernelTable is kernelTable with edit applied to its float and int
+// rows before the columns are built.
+func editedKernelTable(rng *rand.Rand, rows int, edit func(floats []float64, ints []int64)) *Table {
 	cats := make([]string, 10)
 	for i := range cats {
 		cats[i] = fmt.Sprintf("c%d", i)
@@ -47,6 +50,9 @@ func kernelTable(rng *rand.Rand, rows int) *Table {
 			floats[i] = math.Round(rng.NormFloat64()*100) / 10
 		}
 		ints[i] = int64(rng.Intn(40) - 20)
+	}
+	if edit != nil {
+		edit(floats, ints)
 	}
 	tab, err := NewTable(
 		NewCategoricalColumn("cat", strs),
@@ -124,8 +130,9 @@ func requireSameWords(t *testing.T, label string, got, want *Selection) {
 
 // TestTunedKernelsBitIdentical is the differential property test of the
 // kernels: Where vs the row-at-a-time reference, word for word, across row
-// counts spanning 1 to 200k, with pools 1/2/8 and the table's arena engaged
-// so recycled words are part of what is being verified.
+// counts spanning 1 to 200k and every code width (widthTables), with pools
+// 1/2/8 and the table's arena engaged so recycled words are part of what is
+// being verified.
 func TestTunedKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sizes := []int{1, 3, 63, 64, 65, 130, 1000, 16384, 16385}
@@ -138,23 +145,27 @@ func TestTunedKernelsBitIdentical(t *testing.T) {
 			p.Close()
 		}
 	}()
+	tables, preds := widthTables(t, rng)
 	for _, rows := range sizes {
-		tab := kernelTable(rng, rows)
-		tab.SetArena(NewWordArena(rows))
+		label := fmt.Sprintf("rows=%d", rows)
+		tables[label], preds[label] = kernelTable(rng, rows), kernelPredicates()
+	}
+	for label, tab := range tables {
+		tab.SetArena(NewWordArena(tab.NumRows()))
 		// The reference is pool-independent; compute it once per predicate.
-		for pi, pred := range kernelPredicates() {
+		for pi, pred := range preds[label] {
 			want, err := referenceSelection(tab, pred)
 			if err != nil {
-				t.Fatalf("rows=%d pred=%d: reference: %v", rows, pi, err)
+				t.Fatalf("%s pred=%d: reference: %v", label, pi, err)
 			}
 			for _, p := range pools {
 				tab.SetPool(p)
-				label := fmt.Sprintf("rows=%d pred=%d workers=%d", rows, pi, p.Workers())
+				ctx := fmt.Sprintf("%s pred=%d workers=%d", label, pi, p.Workers())
 				got, err := tab.Where(pred)
 				if err != nil {
-					t.Fatalf("%s: Where: %v", label, err)
+					t.Fatalf("%s: Where: %v", ctx, err)
 				}
-				requireSameWords(t, label, got, want)
+				requireSameWords(t, ctx, got, want)
 				// Exercise recycling inside the differential loop: the next
 				// predicate's kernels reuse these words.
 				got.Release()
@@ -186,17 +197,16 @@ func TestPackedKernelsEveryTailShape(t *testing.T) {
 	preds = append(preds, kernelPredicates()...)
 	rng := rand.New(rand.NewSource(59))
 	for rows := 0; rows <= 200; rows++ {
-		tab := kernelTable(rng, rows)
-		// Overwrite a third of the numeric cells with edge values (the
-		// vectors are the table's own: nothing has been shared yet).
-		score, _ := tab.Column("score")
-		level, _ := tab.Column("level")
-		for i := 0; i < rows; i++ {
-			if rng.Intn(3) == 0 {
-				score.floats[i] = edges[rng.Intn(len(edges))]
-				level.ints[i] = edgeInts[rng.Intn(len(edgeInts))]
+		// A third of the numeric cells hold edge values. Small tables without
+		// a NaN store score as byte codes, the rest wide.
+		tab := editedKernelTable(rng, rows, func(floats []float64, ints []int64) {
+			for i := range floats {
+				if rng.Intn(3) == 0 {
+					floats[i] = edges[rng.Intn(len(edges))]
+					ints[i] = edgeInts[rng.Intn(len(edgeInts))]
+				}
 			}
-		}
+		})
 		for pi, pred := range preds {
 			label := fmt.Sprintf("rows=%d pred=%d", rows, pi)
 			got, err := tab.Where(pred)
@@ -210,6 +220,75 @@ func TestPackedKernelsEveryTailShape(t *testing.T) {
 			requireSameWords(t, label, got, want)
 		}
 	}
+}
+
+// widthTables returns, for every dictionary size at a code-width boundary —
+// 255, 256 and 257 entries, then 65,535, 65,536 and 65,537 — a table whose
+// categorical column "d" holds that many values (byte, two-byte and
+// four-byte codes), the same rows gathered by Select, and "d" gathered
+// through a join of a filtered left side; each with the predicates that run
+// every code kernel on d: Equals, In through the lookup table or the per-code
+// bitset, Not and And, over its first, last and middle values and an absent
+// one.
+func widthTables(t *testing.T, rng *rand.Rand) (tables map[string]*Table, preds map[string][]Predicate) {
+	t.Helper()
+	tables, preds = map[string]*Table{}, map[string][]Predicate{}
+	for _, n := range []int{255, 256, 257, 65535, 65536, 65537} {
+		rows := n + 700
+		vals, keys := make([]string, rows), make([]string, rows)
+		for i := range vals {
+			k := i
+			if i >= n {
+				k = rng.Intn(n)
+			}
+			vals[i], keys[i] = fmt.Sprintf("v%05d", k), []string{"a", "b", "c"}[rng.Intn(3)]
+		}
+		rng.Shuffle(rows, func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
+		tab, err := NewTable(NewCategoricalColumn("d", vals), NewCategoricalColumn("k", keys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		picks := rng.Perm(rows)[:rows/2]
+		sub, err := tab.Select(picks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim, err := NewTable(NewCategoricalColumn("k", []string{"a", "b", "c"}), NewIntColumn("w", []int64{1, 2, 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		left, _ := tab.View(NewIn("k", "a", "b"))
+		right, _ := dim.View(nil)
+		joined, err := HashJoin(left, right, "k", "k", "r_")
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := 1
+		if n > 256 {
+			width = 2
+		}
+		if n > 65536 {
+			width = 4
+		}
+		for name, tab := range map[string]*Table{"table": tab, "select": sub, "join": joined} {
+			label := fmt.Sprintf("dict=%d %s", n, name)
+			if c, _ := tab.Column("d"); c.width != width {
+				t.Fatalf("%s: d stored at %d bytes per code, want %d", label, c.width, width)
+			}
+			v := []string{"v00000", fmt.Sprintf("v%05d", n-1), fmt.Sprintf("v%05d", n/2), fmt.Sprintf("v%05d", n/3), "absent"}
+			tables[label], preds[label] = tab, []Predicate{
+				Equals{Column: "d", Value: v[0]},
+				Equals{Column: "d", Value: v[1]},
+				Equals{Column: "d", Value: v[4]},
+				NewIn("d", v[0], v[1], v[2], v[4]),
+				In{Column: "d", Values: v[4:]},
+				Not{Inner: NewIn("d", v[2], v[3])},
+				And{Terms: []Predicate{Not{Inner: Equals{Column: "d", Value: v[2]}}, NewIn("d", v[2], v[3], v[0])}},
+				And{Terms: []Predicate{NewIn("d", v[:4]...), Equals{Column: "k", Value: "a"}}},
+			}
+		}
+	}
+	return tables, preds
 }
 
 // TestTunedKernelErrorParity pins the leaves' error behavior to the
@@ -431,7 +510,7 @@ func BenchmarkFillKernels(b *testing.B) {
 		{"GtInts", func() int { return fillGtInts(dst, ints, 90) }},
 		{"EqCodes", func() int { return fillEqCodes(dst, codes, 3) }},
 		{"RangeBytes", func() int { return fillRangeBytes(dst, bytes, 20, 30) }},
-		{"InSmall", func() int { return fillInSmall(dst, codes, &lut) }},
+		{"InSmall", func() int { return fillInSmall(dst, bytes, &lut) }},
 		{"InWide", func() int { return fillInWide(dst, codes, set) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {

@@ -13,7 +13,7 @@ import (
 // The invariant testing on counts buys: the numeric tests of a session read
 // each selection as a multiset, so nothing that leaves the multisets alone —
 // the order of the table's rows, the store it is loaded through, whether the
-// column is byte-encoded or forced wide, the size of the pool — can move a
+// column is stored as byte codes or wide, the size of the pool — can move a
 // p-value, a bid or the wealth by a single bit.
 
 // ledger is what a scripted session leaves behind, bit for bit: per
@@ -71,8 +71,8 @@ func TestNumericTestsSeeOnlyTheMultiset(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ledger(t, "memory", mem)
-	if cols, _ := mem.EncodedColumns(); cols != 2 {
-		t.Fatalf("%d columns byte-encoded, want hours and age", cols)
+	if mem.Store().Column("hours").Width != 1 || mem.Store().Column("age").Width != 1 {
+		t.Fatal("hours and age are not stored as byte codes")
 	}
 
 	variants := dataset.SnapshotVariants(t, mem)

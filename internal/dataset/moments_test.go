@@ -160,11 +160,13 @@ func requireMomentsExact(t *testing.T, rng *rand.Rand, label string, tab *Table)
 }
 
 // TestViewMomentsMatchGatheredRows is the property test of the identity:
-// random float and int columns at cardinalities 1, 2, 255, 256, 257 and a
-// wide 1,000 — both zeros mixed, denormals, int64 at ±2^53±1, with and
-// without the infinities and type extremes, with and without a NaN — in
-// memory and reloaded through the mmap, heap and CSV-ingest stores, on pools
-// of 1, 2 and 8 workers, some tables spanning several morsels.
+// random float and int columns of 1, 2, 255, 256, 257 and a wide 1,000
+// distinct bit patterns — both zeros as two stored values, first appearing in
+// either order, denormals, int64 at ±2^53±1 where two stored values are one
+// comparison value, with and without the infinities and type extremes, with
+// and without a NaN — in memory and reloaded through the mmap, heap and
+// CSV-ingest stores, on pools of 1, 2 and 8 workers, some tables spanning
+// several morsels.
 func TestViewMomentsMatchGatheredRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(2301))
 	pools := []*Pool{NewPool(1), NewPool(2), NewPool(8)}
@@ -179,13 +181,13 @@ func TestViewMomentsMatchGatheredRows(t *testing.T) {
 			if !testing.Short() && (card == 256 || card == 1000) && vi == 1 {
 				rows = morselRows + 1 + rng.Intn(2*morselRows) // several morsels, a ragged tail
 			}
-			mem := encodingTable(rng, rows, card, variant.wild, variant.nan)
+			mem, floats, ints := encodingTable(rng, rows, card, variant.wild, variant.nan)
 			variants := snapshotVariants(t, mem)
 			variants["memory"] = mem
 			for store, tab := range variants {
 				label := fmt.Sprintf("card=%d wild=%v nan=%v rows=%d store=%s", card, variant.wild, variant.nan, rows, store)
-				requireEncoded(t, label, tab, "f", card > 256 || variant.nan)
-				requireEncoded(t, label, tab, "i", card > 256)
+				requireStored(t, label, tab, "f", card > 256 || variant.nan, floats)
+				requireStored(t, label, tab, "i", card > 256, ints)
 				// Every pool on the in-memory table; the reloaded ones take turns.
 				for k := range pools {
 					p := pools[(ci+vi+k)%len(pools)]
@@ -225,7 +227,7 @@ func TestConstantSelectionsOfFractionsAreZeroVariance(t *testing.T) {
 	variants := snapshotVariants(t, mem)
 	variants["memory"], variants["wide twin"] = mem, wideTwin(mem)
 	for store, tab := range variants {
-		requireEncoded(t, store, tab, "f", store == "wide twin")
+		requireStored(t, store, tab, "f", store == "wide twin", floats)
 		requireMomentsExact(t, rng, "fractions, store="+store, tab)
 		var constants []stats.Moments
 		for k := 0; k < 40; k++ {
@@ -247,9 +249,9 @@ func TestConstantSelectionsOfFractionsAreZeroVariance(t *testing.T) {
 }
 
 // TestTallyKeepsTypeErrors: the aggregation resolves its column as every
-// numeric read does, and a failed one records no encoding.
+// numeric read does, and a failed one memoizes nothing.
 func TestTallyKeepsTypeErrors(t *testing.T) {
-	tab := encodingTable(rand.New(rand.NewSource(5)), 100, 10, false, false)
+	tab, _, _ := encodingTable(rand.New(rand.NewSource(5)), 100, 10, false, false)
 	v, _ := tab.View(nil)
 	for _, column := range []string{"cat", "flag", "missing"} {
 		_, want := v.Floats(column)
@@ -257,8 +259,8 @@ func TestTallyKeepsTypeErrors(t *testing.T) {
 			t.Errorf("Moments(%s): %v, Floats says %v", column, err, want)
 		}
 	}
-	if n, _, _ := memoEntries(tab); n != 0 {
-		t.Errorf("failed reads memoized %d encodings", n)
+	if codes, bins := memoEntries(tab); codes+bins != 0 {
+		t.Errorf("failed reads memoized %d entries", codes+bins)
 	}
 }
 
@@ -294,13 +296,11 @@ func FuzzMomentsOf(f *testing.F) {
 	f.Add([]byte{84, 84, 84}, []byte{0xff}, false, true)
 	f.Add([]byte{108, 40, 108, 41, 108, 108}, []byte{0b110101}, false, true)
 	f.Fuzz(func(t *testing.T, data, mask []byte, asInts, tenths bool) {
-		col := fuzzColumn(data, asInts)
-		for i := range col.floats {
-			if tenths {
-				col.floats[i] /= 10
-			}
+		divisor := 1.0
+		if tenths {
+			divisor = 10
 		}
-		tab, err := NewTable(col)
+		tab, err := NewTable(fuzzColumn(data, asInts, divisor))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ var benchSinkMoments stats.Moments
 
 // BenchmarkViewMoments times the aggregation behind compare_means at the
 // benchmark's cold shape — three million rows, a tenth selected — on a
-// byte-encoded column and on the same values forced wide (gather, then the
+// byte-coded column and on the same values stored wide (gather, then the
 // slice form), in ns per selected row. Run it with -cpu 1.
 func BenchmarkViewMoments(b *testing.B) {
 	const n = 3_000_000

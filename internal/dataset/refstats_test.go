@@ -159,12 +159,15 @@ func TestRefStatsMatchFreshRecomputation(t *testing.T) {
 				tab.SetPool(p)
 				requireRefStatsFresh(t, fmt.Sprintf("rows=%d store=%s workers=%d", rows, store, p.Workers()), tab, split)
 			}
-			// One scan per categorical or bool column; two per numeric column,
-			// which is first byte-encoded (level; score in the tables of up to
-			// 256 rows) or found wide (the split predicate looks that up
-			// again) and then binned.
-			if hits, computed := tab.RefStats(); computed != 6 || hits == 0 {
-				t.Errorf("rows=%d store=%s: memo filled by %d scans with %d hits, want 6 scans (color, flag; score and level twice)", rows, store, computed, hits)
+			// One scan per categorical or bool column and per binning; a coded
+			// numeric column (level; score in the tables of up to 256 rows)
+			// also tallies its codes, which the binning counts from.
+			want := uint64(5)
+			if c, _ := tab.Column("score"); c.width != 0 {
+				want = 6
+			}
+			if hits, computed := tab.RefStats(); computed != want || hits == 0 {
+				t.Errorf("rows=%d store=%s: memo filled by %d scans with %d hits, want %d", rows, store, computed, hits, want)
 			}
 		}
 	}
@@ -238,7 +241,7 @@ func requireMemoCarriedWhereShared(t *testing.T, parent *Table, derived map[stri
 				continue
 			}
 			if hits, computed := c.ref.hits.Load(), c.ref.computed.Load(); hits != 0 || computed != 0 ||
-				c.ref.codes != nil || c.ref.bytes != nil || len(c.ref.bins) != 0 {
+				c.ref.codes != nil || len(c.ref.bins) != 0 {
 				t.Errorf("%s: column %s is new but its memo is not empty (%d hits, %d scans)", name, c.Name, hits, computed)
 			}
 		}
@@ -348,8 +351,8 @@ func TestRefStatsConcurrentFirstUseOfSharedColumn(t *testing.T) {
 			t.Fatalf("column %s is not shared", name)
 		}
 	}
-	if encodings, tallies, binnings := memoEntries(child); encodings != 1 || tallies != 1 || binnings != 1 {
-		t.Errorf("shared columns hold %d encodings, %d tallies, %d binnings; want one each", encodings, tallies, binnings)
+	if tallies, binnings := memoEntries(child); tallies != 2 || binnings != 1 {
+		t.Errorf("shared columns hold %d code tallies and %d binnings; want 2 (color, level) and 1", tallies, binnings)
 	}
 }
 
@@ -397,8 +400,8 @@ func TestRefStatsConcurrentFirstUse(t *testing.T) {
 	close(start)
 	wg.Wait()
 	// Racing first users may each scan, but only one copy per entry is kept.
-	if encodings, tallies, binnings := memoEntries(tab); encodings+tallies+binnings != 4 {
-		t.Errorf("memo holds %d entries, want 4 (color, flag, score/10, score found wide)", encodings+tallies+binnings)
+	if tallies, binnings := memoEntries(tab); tallies+binnings != 3 {
+		t.Errorf("memo holds %d entries, want 3 (color, flag, score/10)", tallies+binnings)
 	}
 }
 

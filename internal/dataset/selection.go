@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aware/internal/colstore"
 	"aware/internal/obs"
 	"aware/internal/stats"
 )
@@ -22,9 +23,9 @@ import (
 // extraction iterate set bits without ever materializing a sub-table.
 //
 // The numeric hypothesis tests do not extract at all: View.Tally reduces the
-// selected rows of a byte-encoded column to one count per dictionary value,
-// and a t-test or a Kolmogorov–Smirnov test is computed from those at most
-// 256 (value, count) pairs. stats.MomentsOf reduces a slice through the same
+// selected rows of a byte-coded column to one count per distinct value, and
+// a t-test or a Kolmogorov–Smirnov test is computed from those at most 256
+// (value, count) pairs. stats.MomentsOf reduces a slice through the same
 // histogram and the same arithmetic, so testing on counts and testing on the
 // gathered rows (View.Floats, kept for wide columns and for callers that need
 // the values) are one function of the sample, bit for bit.
@@ -403,17 +404,6 @@ func (v View) CountsFor(name string, categories []string) ([]int, error) {
 	}
 	out := make([]int, len(categories))
 	byCode := v.codeCounts(c)
-	if c.Type == Bool {
-		for i, cat := range categories {
-			switch cat {
-			case "true":
-				out[i] = byCode[1]
-			case "false":
-				out[i] = byCode[0]
-			}
-		}
-		return out, nil
-	}
 	for i, cat := range categories {
 		if code, ok := c.codeOf[cat]; ok {
 			out[i] = byCode[code]
@@ -422,21 +412,26 @@ func (v View) CountsFor(name string, categories []string) ([]int, error) {
 	return out, nil
 }
 
-// codeCounts tallies the selected rows of a categorical or bool column per
-// code (bool columns: false at 0, true at 1) — per-morsel partial histograms
-// merged in morsel order, or the column's memoized tallies when the view is
-// full. The result is read-only: it may be the memo's own slice.
+// codeCounts tallies the selected rows of a coded column per code (bool
+// columns: false at 0, true at 1) — per-morsel partial histograms merged in
+// morsel order, or the column's memoized tallies when the view is full. The
+// result is read-only: it may be the memo's own slice.
 func (v View) codeCounts(c *Column) []int {
-	if v.full() {
+	switch {
+	case v.full():
 		return c.codeStats().counts
+	case c.width == 1:
+		return countCodes(v, c.codes8, c.dictLen())
+	case c.width == 2:
+		return countCodes(v, c.codes16, c.dictLen())
+	default:
+		return countCodes(v, c.codes32, c.dictLen())
 	}
-	if c.Type == Bool {
-		return reduceInts(v.table.execPool(), v.sel.n, 2, func(lo, hi int, acc []int) {
-			v.sel.forEachIn(lo, hi, func(row int) { acc[b2u(c.bools[row])]++ })
-		})
-	}
-	return reduceInts(v.table.execPool(), v.sel.n, len(c.dict), func(lo, hi int, acc []int) {
-		v.sel.forEachIn(lo, hi, func(row int) { acc[c.codes[row]]++ })
+}
+
+func countCodes[C colstore.Code](v View, codes []C, n int) []int {
+	return reduceInts(v.table.execPool(), v.sel.n, n, func(lo, hi int, acc []int) {
+		v.sel.forEachIn(lo, hi, func(row int) { acc[codes[row]]++ })
 	})
 }
 
@@ -449,11 +444,10 @@ func (v View) GroupBy(name string) ([]GroupCount, error) {
 		return nil, err
 	}
 	var out []GroupCount
-	// The labels are sorted (so is every dictionary), hence so is the output.
-	labels := c.codeLabels()
+	// Every dictionary is sorted, hence so is the output.
 	for code, n := range v.codeCounts(c) {
 		if n > 0 {
-			out = append(out, GroupCount{Value: labels[code], Count: n})
+			out = append(out, GroupCount{Value: c.dict[code], Count: n})
 		}
 	}
 	return out, nil
@@ -494,13 +488,22 @@ func (v View) Floats(name string) ([]float64, error) {
 
 // gatherFloats writes the values of a numeric column at the selected rows of
 // the word-aligned range [lo, hi) (hi word-aligned or s.n) into dst, in row
-// order; dst holds exactly that many values. One loop per column type: the
-// value load sits directly in the bit-scan loop, with no call per row.
+// order; dst holds exactly that many values. One loop per column storage:
+// the value load — a code's value, for a coded column — sits directly in the
+// bit-scan loop, with no call per row.
 func (s *Selection) gatherFloats(dst []float64, c *Column, lo, hi int) {
 	words := s.words[lo/64 : (hi+63)/64]
 	i := 0
-	switch c.Type {
-	case Float64:
+	switch {
+	case c.width != 0:
+		for wi, w := range words {
+			col := c.codes8[lo+wi*64:]
+			for ; w != 0; w &= w - 1 {
+				dst[i] = c.values[col[bits.TrailingZeros64(w)]]
+				i++
+			}
+		}
+	case c.Type == Float64:
 		for wi, w := range words {
 			col := c.floats[lo+wi*64:]
 			for ; w != 0; w &= w - 1 {
@@ -508,7 +511,7 @@ func (s *Selection) gatherFloats(dst []float64, c *Column, lo, hi int) {
 				i++
 			}
 		}
-	case Int64:
+	default:
 		for wi, w := range words {
 			col := c.ints[lo+wi*64:]
 			for ; w != 0; w &= w - 1 {
@@ -521,11 +524,12 @@ func (s *Selection) gatherFloats(dst []float64, c *Column, lo, hi int) {
 
 // Tally is the selected rows of one numeric column counted per distinct
 // value: what the numeric hypothesis tests read in place of a sample. For a
-// byte-encoded column Values is the column's dictionary — every distinct
-// value of the table in ascending order, shared and read-only — and Counts
-// the selected rows holding each, zero where the selection holds none. A wide
-// column has no dictionary: Values and Counts are nil and Rows is the gather,
-// View.Floats.
+// coded column Values is the column's distinct comparison values in
+// ascending order, shared and read-only — codes of one value (−0 and +0,
+// int64 values no float64 tells apart) counted as one — and Counts the
+// selected rows holding each, zero where the selection holds none. A wide
+// column has no dictionary: Values and Counts are nil and Rows is the
+// gather, View.Floats.
 type Tally struct {
 	Values []float64
 	Counts []int
@@ -552,15 +556,15 @@ func (t Tally) KS(u Tally) (stats.TestResult, error) {
 	return stats.KSFromCounts(t.Counts, u.Counts)
 }
 
-// A selection of a byte-encoded column must never hold more distinct values
-// than stats.MomentsOf reduces through a histogram, or Tally.Moments and the
+// A selection of a coded column must never hold more distinct values than
+// stats.MomentsOf reduces through a histogram, or Tally.Moments and the
 // gathered slice would part ways.
-var _ [stats.MaxCountedValues - maxByteDict]struct{}
+var _ [stats.MaxCountedValues - colstore.MaxValues]struct{}
 
 // Tally reduces the selected rows of a numeric column to a histogram over its
 // byte codes — the loop BinCounts runs: per-morsel partials merged in morsel
-// order, one byte read and no float touched per row — and falls back to the
-// gather for a wide column. A non-nil parent records the kernel span
+// order, one byte read and no float touched per row — folded onto its
+// distinct values, and falls back to the gather for a wide column. A non-nil parent records the kernel span
 // "view.moments"; a nil one costs nothing.
 func (v View) Tally(name string, parent *obs.Span) (Tally, error) {
 	if parent == nil {
@@ -587,15 +591,15 @@ func (v View) tally(name string) (Tally, error) {
 	if err != nil {
 		return Tally{}, err
 	}
-	enc := c.byteCodes()
-	if enc.dict == nil {
+	if c.width == 0 {
 		rows, err := v.Floats(name)
 		return Tally{Rows: rows}, err
 	}
-	counts := reduceInts(v.table.execPool(), v.sel.n, len(enc.dict), func(lo, hi int, acc []int) {
-		v.sel.forEachIn(lo, hi, func(row int) { acc[enc.codes[row]]++ })
-	})
-	return Tally{Values: enc.dict, Counts: counts}, nil
+	counts := make([]int, len(c.distinct))
+	for code, n := range v.codeCounts(c) {
+		counts[c.rank[code]] += n
+	}
+	return Tally{Values: c.distinct, Counts: counts}, nil
 }
 
 // Moments returns the size, mean and squared deviations of a numeric column
@@ -653,10 +657,9 @@ func (v View) Materialize() (*Table, error) {
 // int((v-lo)/width) with clamping, with a degenerate-width fallback that
 // assigns every row to bin 0 — so vectorized bin counts are bit-for-bit
 // identical to binning a materialized sub-table. The edges depend on the
-// column's smallest and largest value only; a byte-encoded column reads both
-// off its dictionary, bins each dictionary entry once and counts the
-// population in one pass over the codes, where a wide column converts, scans
-// and bins every row.
+// column's smallest and largest value only; a coded column reads both off
+// its sorted values and its memoized code tallies (valueRange) and bins each
+// value once, where a wide column converts, scans and bins every row.
 func (t *Table) binAssignments(column string, binCount int) (*binAssignment, error) {
 	c, err := t.numericColumn(column)
 	if err != nil {
@@ -670,10 +673,11 @@ func (t *Table) binAssignments(column string, binCount int) (*binAssignment, err
 		c.ref.bins[binCount] = ba
 	}
 	return memoized(&c.ref, get, put, func() (*binAssignment, error) {
-		enc := c.byteCodes()
 		var all, ends []float64
-		if enc.dict != nil {
-			ends = []float64{enc.dict[0], enc.dict[len(enc.dict)-1]}
+		var rows []int // a coded column's rows per code
+		if c.width != 0 {
+			rows = c.codeStats().counts
+			ends = c.valueRange(rows)
 		} else if all = c.floatValues(); len(all) > 0 {
 			least, most, _ := stats.MinMax(all)
 			ends = []float64{least, most}
@@ -694,7 +698,7 @@ func (t *Table) binAssignments(column string, binCount int) (*binAssignment, err
 		for b := range ba.labels {
 			ba.labels[b] = fmt.Sprintf("[%s, %s)", trimFloat(hist.Edges[b]), trimFloat(hist.Edges[b+1]))
 		}
-		if enc.dict == nil {
+		if c.width == 0 {
 			ba.assign = make([]int32, len(all))
 			for i, v := range all {
 				ba.assign[i] = binIndex(v)
@@ -702,12 +706,8 @@ func (t *Table) binAssignments(column string, binCount int) (*binAssignment, err
 			}
 			return ba, nil
 		}
-		ba.codes, ba.binOf = enc.codes, make([]int32, len(enc.dict))
-		var rows [maxByteDict]int
-		for _, code := range enc.codes {
-			rows[code]++
-		}
-		for code, v := range enc.dict {
+		ba.codes, ba.binOf = c.codes8, make([]int32, len(c.values))
+		for code, v := range c.values {
 			ba.binOf[code] = binIndex(v)
 			ba.counts[ba.binOf[code]] += rows[code]
 		}

@@ -71,25 +71,9 @@ var (
 	ErrEmptyTable = errors.New("dataset: empty table")
 )
 
-// kindOfType maps the dataset-level column type to its colstore kind. The
+// typeOfKind maps a colstore kind to the dataset-level column type. The
 // numeric values coincide, but the mapping is spelled out so neither
 // enumeration silently constrains the other.
-func kindOfType(t ColumnType) colstore.Kind {
-	switch t {
-	case Float64:
-		return colstore.Float64
-	case Int64:
-		return colstore.Int64
-	case Categorical:
-		return colstore.Categorical
-	case Bool:
-		return colstore.Bool
-	default:
-		panic(fmt.Sprintf("dataset: unknown column type %d", int(t)))
-	}
-}
-
-// typeOfKind inverts kindOfType.
 func typeOfKind(k colstore.Kind) ColumnType {
 	switch k {
 	case colstore.Float64:
@@ -111,12 +95,15 @@ func typeOfKind(k colstore.Kind) ColumnType {
 // predicate kernels in selection.go scan storage-owned memory directly —
 // there is no copy between the storage engine and the execution engine.
 //
-// Categorical columns are dictionary-encoded: dict holds the sorted distinct
-// values, codes holds one uint32 per row indexing into dict, and codeOf
-// inverts the dictionary. The kernels scan codes instead of comparing
-// strings; row-at-a-time string access is a dict lookup, so no per-row string
-// payload exists at all. Bool columns need no explicit dictionary — their
-// native []bool representation is already the two-code encoding.
+// A coded column holds one dictionary code per row at the width its
+// dictionary was stored with: width bytes, in codes8, codes16 or codes32.
+// Every categorical column is coded, dict holding its sorted distinct values
+// and codeOf inverting them; so is every bool column, its own byte codes
+// (false 0, true 1) under the labels boolLabels; and so is a numeric column
+// stored with at most 256 distinct values, values[code] the code's value.
+// The kernels compare, count and bin codes; only reads that hand values out
+// (Float, View.Floats, EvalExpr, WriteCSV) decode them. A numeric column
+// with more distinct values, or a NaN, is wide: its rows are floats or ints.
 //
 // The reference-statistics memo (ref) is the one mutable part of a column;
 // see refStats. A column must not be copied by value.
@@ -126,33 +113,57 @@ type Column struct {
 
 	phys *colstore.Column // the storage-engine column the slices below alias
 
-	floats []float64
-	ints   []int64
-	bools  []bool
+	floats []float64 // a wide Float64 column's rows
+	ints   []int64   // a wide Int64 column's rows
 
-	dict   []string          // sorted distinct values (Categorical only)
-	codes  []uint32          // per-row index into dict (Categorical only)
-	codeOf map[string]uint32 // value -> code (Categorical only)
+	width   int // bytes per code; 0 for a wide numeric column
+	codes8  []uint8
+	codes16 []uint16
+	codes32 []uint32
+
+	dict   []string          // categorical and bool: the value of each code, sorted
+	codeOf map[string]uint32 // categorical and bool: value -> code
+
+	// A coded numeric column: values[code] is the code's value as the
+	// predicates compare it, float64(v), ascending. Codes of one value — −0
+	// and +0, int64 values no float64 tells apart — are neighbours, and rank
+	// folds each onto that value's index in distinct, the column's distinct
+	// comparison values.
+	values   []float64
+	rank     []uint8
+	distinct []float64
 
 	ref refStats
 }
 
+// boolCodes inverts boolLabels. Read-only.
+var boolCodes = map[string]uint32{"false": 0, "true": 1}
+
 // wrapColumn builds the facade over a physical column.
 func wrapColumn(p *colstore.Column) *Column {
-	return &Column{
-		Name:   p.Name,
-		Type:   typeOfKind(p.Kind),
-		phys:   p,
-		floats: p.Floats,
-		ints:   p.Ints,
-		bools:  p.Bools,
-		dict:   p.Dict,
-		codes:  p.Codes,
-		codeOf: p.CodeOf,
+	c := &Column{Name: p.Name, Type: typeOfKind(p.Kind), phys: p, floats: p.Floats, ints: p.Ints,
+		width: p.Width, codes8: p.Codes8, codes16: p.Codes16, codes32: p.Codes32, dict: p.Dict, codeOf: p.CodeOf}
+	if p.Kind == colstore.Bool {
+		c.width, c.codes8, c.dict, c.codeOf = 1, colstore.BoolsAsBytes(p.Bools), boolLabels, boolCodes
 	}
+	if n := len(p.Values); n > 0 {
+		c.values, c.rank, c.distinct = make([]float64, n), make([]uint8, n), make([]float64, 0, n)
+	}
+	for code, bits := range p.Values {
+		v := math.Float64frombits(bits)
+		if p.Kind == colstore.Int64 {
+			v = float64(int64(bits))
+		}
+		if code == 0 || v != c.values[code-1] {
+			c.distinct = append(c.distinct, v)
+		}
+		c.values[code], c.rank[code] = v, uint8(len(c.distinct)-1)
+	}
+	return c
 }
 
-// NewFloatColumn builds a Float64 column.
+// NewFloatColumn builds a Float64 column, stored as byte codes when it holds
+// at most 256 distinct values and no NaN (colstore.NewFloatColumn).
 func NewFloatColumn(name string, values []float64) *Column {
 	return wrapColumn(colstore.NewFloatColumn(name, values))
 }
@@ -174,47 +185,23 @@ func NewBoolColumn(name string, values []bool) *Column {
 }
 
 // Len returns the number of rows in the column.
-func (c *Column) Len() int {
-	switch c.Type {
-	case Float64:
-		return len(c.floats)
-	case Int64:
-		return len(c.ints)
-	case Categorical:
-		return len(c.codes)
-	case Bool:
-		return len(c.bools)
-	default:
-		return 0
-	}
-}
+func (c *Column) Len() int { return c.phys.Len() }
 
 // Float returns the float value at row i (Float64 and Int64 columns).
 func (c *Column) Float(i int) (float64, error) {
-	switch c.Type {
-	case Float64:
-		return c.floats[i], nil
-	case Int64:
-		return float64(c.ints[i]), nil
-	default:
+	if c.Type != Float64 && c.Type != Int64 {
 		return math.NaN(), fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 	}
+	return c.floatAt(i), nil
 }
 
-// String returns the categorical value at row i. Bool columns stringify to
+// StringAt returns the categorical value at row i. Bool columns stringify to
 // "true"/"false"; numeric columns return an error.
 func (c *Column) StringAt(i int) (string, error) {
-	switch c.Type {
-	case Categorical:
-		return c.dict[c.codes[i]], nil
-	case Bool:
-		if c.bools[i] {
-			return "true", nil
-		}
-		return "false", nil
-	default:
+	if c.Type != Categorical && c.Type != Bool {
 		return "", fmt.Errorf("%w: %s is %s, not categorical", ErrTypeMismatch, c.Name, c.Type)
 	}
+	return c.dict[c.code(i)], nil
 }
 
 // Bool returns the boolean value at row i (Bool columns only).
@@ -222,54 +209,84 @@ func (c *Column) Bool(i int) (bool, error) {
 	if c.Type != Bool {
 		return false, fmt.Errorf("%w: %s is %s, not bool", ErrTypeMismatch, c.Name, c.Type)
 	}
-	return c.bools[i], nil
+	return c.codes8[i] == 1, nil
 }
 
 // boolLabels is the two-value "dictionary" of a bool column, indexed by its
 // code (false = 0, true = 1). Read-only.
 var boolLabels = []string{"false", "true"}
 
-// codeLabels returns the value each code of a categorical or bool column
-// stands for: the dictionary, or boolLabels.
-func (c *Column) codeLabels() []string {
-	if c.Type == Bool {
-		return boolLabels
+// code returns the code of row i of a coded column.
+func (c *Column) code(i int) int {
+	switch c.width {
+	case 1:
+		return int(c.codes8[i])
+	case 2:
+		return int(c.codes16[i])
+	default:
+		return int(c.codes32[i])
 	}
-	return c.dict
+}
+
+// dictLen returns how many codes a coded column's dictionary spans.
+func (c *Column) dictLen() int {
+	if c.values != nil {
+		return len(c.values)
+	}
+	return len(c.dict)
+}
+
+// floatAt returns row i of a numeric column as the predicates compare it.
+func (c *Column) floatAt(i int) float64 {
+	switch {
+	case c.width != 0:
+		return c.values[c.codes8[i]]
+	case c.Type == Float64:
+		return c.floats[i]
+	default:
+		return float64(c.ints[i])
+	}
+}
+
+// intAt returns row i of an Int64 column, exactly.
+func (c *Column) intAt(i int) int64 {
+	if c.width != 0 {
+		return int64(c.phys.Values[c.codes8[i]])
+	}
+	return c.ints[i]
 }
 
 // gather returns a new column named name holding c's rows at the given
-// indices (int for Select and Shuffle, int32 for a join's row pairs).
+// indices (int for Select and Shuffle, int32 for a join's row pairs). A coded
+// column keeps its width and shares its (immutable) dictionary, which may then
+// list values no gathered row holds — fine, the memos count only what occurs.
+// A wide numeric column is stored anew, by the one encoding rule.
 func gather[I int | int32](c *Column, indices []I, name string) *Column {
-	phys := &colstore.Column{Name: name, Kind: kindOfType(c.Type)}
-	switch c.Type {
-	case Float64:
-		phys.Floats = make([]float64, len(indices))
-		for i, idx := range indices {
-			phys.Floats[i] = c.floats[idx]
-		}
-	case Int64:
-		phys.Ints = make([]int64, len(indices))
-		for i, idx := range indices {
-			phys.Ints[i] = c.ints[idx]
-		}
-	case Categorical:
-		// Share the (immutable) dictionary and gather the codes directly; the
-		// gathered column may no longer contain every dictionary value, which
-		// is fine — Categories and ValueCounts report only codes that occur.
-		phys.Dict = c.dict
-		phys.CodeOf = c.codeOf
-		phys.Codes = make([]uint32, len(indices))
-		for i, idx := range indices {
-			phys.Codes[i] = c.codes[idx]
-		}
-	case Bool:
-		phys.Bools = make([]bool, len(indices))
-		for i, idx := range indices {
-			phys.Bools[i] = c.bools[idx]
-		}
+	p := c.phys
+	out := &colstore.Column{Name: name, Kind: p.Kind, Width: p.Width, Dict: p.Dict, CodeOf: p.CodeOf, Values: p.Values}
+	switch {
+	case p.Kind == colstore.Bool:
+		out.Bools = gatherRows(p.Bools, indices)
+	case p.Width == 1:
+		out.Codes8 = gatherRows(p.Codes8, indices)
+	case p.Width == 2:
+		out.Codes16 = gatherRows(p.Codes16, indices)
+	case p.Width == 4:
+		out.Codes32 = gatherRows(p.Codes32, indices)
+	case p.Kind == colstore.Float64:
+		return NewFloatColumn(name, gatherRows(p.Floats, indices))
+	default:
+		return NewIntColumn(name, gatherRows(p.Ints, indices))
 	}
-	return wrapColumn(phys)
+	return wrapColumn(out)
+}
+
+func gatherRows[T any, I int | int32](rows []T, indices []I) []T {
+	out := make([]T, len(indices))
+	for i, idx := range indices {
+		out[i] = rows[idx]
+	}
+	return out
 }
 
 // Table is an immutable-by-convention collection of equal-length columns.
@@ -316,10 +333,9 @@ func (t *Table) execPool() *Pool {
 // filtered distribution against the distribution over the whole dataset,
 // which no filter changes: one linear pass per column on first use, then
 // every full-table count, category list and histogram is a lookup. Nothing
-// is computed when a table is built or opened. The category entries are
-// O(dictionary) bytes and the bin counts O(bins); O(rows) are only the byte
-// codes of a low-cardinality numeric column that is filtered or binned (one
-// byte per row, byteCodes) and the per-row bin assignment of a wide one (four).
+// is computed when a table is built or opened. The code tallies are
+// O(dictionary) and the bin counts O(bins); O(rows) is only the per-row bin
+// assignment of a wide numeric column (four bytes per row).
 //
 // Population statistics are a property of a column's values, so the memo
 // lives on the Column: every table that holds the same *Column (Derive,
@@ -331,7 +347,6 @@ func (t *Table) execPool() *Pool {
 type refStats struct {
 	mu    sync.RWMutex
 	codes *codeStats
-	bytes *byteCodes
 	bins  map[int]*binAssignment // keyed by bin count
 
 	// hits counts lookups answered from the memo, computed the scans that
@@ -339,10 +354,10 @@ type refStats struct {
 	hits, computed atomic.Uint64
 }
 
-// codeStats is the memoized population side of a categorical or bool column:
-// how many rows carry each dictionary code (bool columns: false at 0, true
-// at 1) and which values occur at all, in sorted order. Both slices are
-// shared by every reader and must never be mutated or handed out.
+// codeStats is the memoized population side of a coded column: how many rows
+// carry each code and, for a categorical or bool column, which values occur
+// at all, in sorted order. Both slices are shared by every reader and must
+// never be mutated or handed out.
 type codeStats struct {
 	counts  []int
 	present []string
@@ -351,8 +366,8 @@ type codeStats struct {
 // binAssignment is the memoized result, computed once per (column, bin
 // count): the number of rows per bin, the "[lo, hi)" label of each bin, and
 // the bin of every row — assign[row] for a wide column, binOf[codes[row]] for
-// a byte-encoded one, whose codes are the column's own (byteCodes) and whose
-// binOf has one entry per dictionary value.
+// a coded one, whose codes are the column's own and whose binOf has one entry
+// per value.
 type binAssignment struct {
 	assign []int32
 	codes  []uint8
@@ -362,31 +377,15 @@ type binAssignment struct {
 }
 
 // RefStats returns how many reference-statistics lookups (category lists,
-// full-table counts, bin assignments, byte encodings) the table's columns
-// answered from their memos and how many column scans filled them. A column
-// shared with another table counts what either table asked of it.
+// full-table counts, bin assignments) the table's columns answered from
+// their memos and how many column scans filled them. A column shared with
+// another table counts what either table asked of it.
 func (t *Table) RefStats() (hits, computed uint64) {
 	for _, c := range t.columns {
 		hits += c.ref.hits.Load()
 		computed += c.ref.computed.Load()
 	}
 	return hits, computed
-}
-
-// EncodedColumns returns how many of the table's numeric columns are
-// byte-encoded so far and the bytes their code vectors hold: what the
-// encoding costs in memory, one byte per row per column actually filtered or
-// binned.
-func (t *Table) EncodedColumns() (columns, bytes int) {
-	for _, c := range t.columns {
-		c.ref.mu.RLock()
-		if enc := c.ref.bytes; enc != nil && enc.dict != nil {
-			columns++
-			bytes += len(enc.codes)
-		}
-		c.ref.mu.RUnlock()
-	}
-	return columns, bytes
 }
 
 // memoized returns the memo entry get reads, running compute to fill it on
@@ -415,30 +414,25 @@ func memoized[V any](r *refStats, get func() *V, put func(*V), compute func() (*
 	return v, nil
 }
 
-// codeStats returns the memoized population tallies of a categorical or bool
-// column, scanning the column on first use.
+// codeStats returns the memoized population tallies of a coded column,
+// scanning the column on first use.
 func (c *Column) codeStats() *codeStats {
 	get := func() *codeStats { return c.ref.codes }
 	put := func(cs *codeStats) { c.ref.codes = cs }
 	cs, _ := memoized(&c.ref, get, put, func() (*codeStats, error) {
-		cs := &codeStats{}
-		if c.Type == Bool {
-			trues := 0
-			for _, b := range c.bools {
-				trues += int(b2u(b))
-			}
-			cs.counts = []int{len(c.bools) - trues, trues}
-		} else {
-			cs.counts = make([]int, len(c.dict))
-			for _, code := range c.codes {
-				cs.counts[code]++
-			}
+		cs := &codeStats{counts: make([]int, c.dictLen())}
+		switch c.width {
+		case 1:
+			tallyCodes(c.codes8, cs.counts)
+		case 2:
+			tallyCodes(c.codes16, cs.counts)
+		default:
+			tallyCodes(c.codes32, cs.counts)
 		}
-		// The labels are sorted (so is every dictionary), hence so is present.
-		labels := c.codeLabels()
+		// Every dictionary is sorted, hence so is present.
 		for code, n := range cs.counts {
-			if n > 0 {
-				cs.present = append(cs.present, labels[code])
+			if n > 0 && c.dict != nil {
+				cs.present = append(cs.present, c.dict[code])
 			}
 		}
 		return cs, nil
@@ -446,108 +440,33 @@ func (c *Column) codeStats() *codeStats {
 	return cs
 }
 
-// byteCodes is the memoized byte encoding of a numeric column that holds at
-// most maxByteDict distinct comparison values — ages, hours, years, ratings:
-// categorical columns in disguise. dict lists the distinct values in
-// ascending order and codes holds one index into it per row, so the order of
-// two codes is the order of their values: a range over values is a range over
-// codes (whereRange) and a bin is a property of the code
-// (binAssignment), at one byte read per row instead of eight. A value is
-// what the predicates compare, float64(v) for both numeric types, so int64
-// values beyond 2^53 share a code exactly where float comparison cannot tell
-// them apart, and -0 and +0 share one: codes are compared and binned, never
-// decoded. A nil dict records that the column is wide — it holds a NaN, more
-// distinct values than a byte can index, or no row at all — and keeps the
-// 8-byte kernels.
-type byteCodes struct {
-	dict  []float64
-	codes []uint8
+// tallyCodes adds one to counts[code] for every code.
+func tallyCodes[C colstore.Code](codes []C, counts []int) {
+	for _, code := range codes {
+		counts[code]++
+	}
 }
 
-const (
-	// maxByteDict is the largest dictionary a one-byte code can index.
-	maxByteDict = 256
-	// encodeSlots sizes the open-addressed value table of a dictionary build:
-	// a power of two, four times the largest dictionary, so probes stay short.
-	encodeSlotBits = 10
-	encodeSlots    = 1 << encodeSlotBits
-	// encodeProbe is how many rows a build encodes before it allocates the
-	// full code vector; a continuous column gives up well within it.
-	encodeProbe = 4096
-)
-
-// byteCodes returns the memoized byte encoding of a numeric column, building
-// it on first use: one pass over the column.
-func (c *Column) byteCodes() *byteCodes {
-	get := func() *byteCodes { return c.ref.bytes }
-	put := func(enc *byteCodes) { c.ref.bytes = enc }
-	enc, _ := memoized(&c.ref, get, put, func() (*byteCodes, error) {
-		if c.Type == Int64 {
-			return encodeBytes(c.ints), nil
-		}
-		return encodeBytes(c.floats), nil
-	})
-	return enc
-}
-
-// encodeBytes builds the byte encoding of a column. Each row's value is
-// looked up by bit pattern in a small open-addressed table and given the
-// code of its first appearance; the pass stops at a NaN or at the 257th
-// distinct value. Sorting the values then fixes the final codes, and one
-// pass over the bytes renames them.
-func encodeBytes[T float64 | int64](col []T) *byteCodes {
-	var (
-		keys [encodeSlots]uint64 // the bit pattern held by each slot
-		used [encodeSlots]uint16 // 1 + the code of the slot's value; 0 is a free slot
-		vals []float64           // vals[code], in order of first appearance
-	)
-	codes := make([]uint8, min(len(col), encodeProbe))
-	for i, raw := range col {
-		if i == len(codes) {
-			codes = append(make([]uint8, 0, len(col)), codes...)[:len(col)]
-		}
-		v := float64(raw)
-		key := math.Float64bits(v)
+// valueRange returns the smallest and the largest value the rows of a coded
+// numeric column hold, given their per-code counts: bit for bit what
+// stats.MinMax returns over them — of −0 and +0, which compare equal, the one
+// in the first row holding either. A column without a row has no range.
+func (c *Column) valueRange(counts []int) []float64 {
+	lo := slices.IndexFunc(counts, func(n int) bool { return n > 0 })
+	if lo < 0 {
+		return nil
+	}
+	hi := len(counts) - 1
+	for counts[hi] == 0 {
+		hi--
+	}
+	ends := []float64{c.values[lo], c.values[hi]}
+	for i, v := range ends {
 		if v == 0 {
-			key = 0 // -0 and +0 compare equal: one code
+			ends[i] = c.values[c.codes8[slices.IndexFunc(c.codes8, func(k uint8) bool { return c.values[k] == 0 })]]
 		}
-		h := (key * 0x9e3779b97f4a7c15) >> (64 - encodeSlotBits) // Fibonacci hashing
-		if u := used[h]; u != 0 && keys[h] == key {
-			codes[i] = uint8(u - 1) // the common case by far: seen before, no collision
-			continue
-		}
-		if v != v {
-			return &byteCodes{}
-		}
-		for used[h] != 0 && keys[h] != key {
-			h = (h + 1) % encodeSlots
-		}
-		if used[h] == 0 {
-			if len(vals) == maxByteDict {
-				return &byteCodes{}
-			}
-			vals = append(vals, v)
-			keys[h], used[h] = key, uint16(len(vals))
-		}
-		codes[i] = uint8(used[h] - 1)
 	}
-	if len(vals) == 0 {
-		return &byteCodes{}
-	}
-	// A value's first appearance is its dictionary entry, so the smallest and
-	// largest entries are bit for bit what a MinMax scan of the column
-	// returns, signed zeros included: bin edges do not move.
-	dict := slices.Clone(vals)
-	slices.Sort(dict)
-	var final [maxByteDict]uint8
-	for code, v := range vals {
-		rank, _ := slices.BinarySearch(dict, v)
-		final[code] = uint8(rank)
-	}
-	for i, code := range codes {
-		codes[i] = final[code]
-	}
-	return &byteCodes{dict: dict, codes: codes}
+	return ends
 }
 
 // NewTable builds a table from columns, which must all have the same length
@@ -689,12 +608,8 @@ func (t *Table) Floats(name string) ([]float64, error) {
 // floatValues returns a fresh copy of a numeric column's values as float64s.
 func (c *Column) floatValues() []float64 {
 	out := make([]float64, c.Len())
-	if c.Type == Float64 {
-		copy(out, c.floats)
-		return out
-	}
-	for i, v := range c.ints {
-		out[i] = float64(v)
+	for i := range out {
+		out[i] = c.floatAt(i)
 	}
 	return out
 }
@@ -737,11 +652,10 @@ func (t *Table) ValueCounts(name string) (map[string]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	labels := c.codeLabels()
 	counts := make(map[string]int)
 	for code, n := range c.codeStats().counts {
 		if n > 0 {
-			counts[labels[code]] = n
+			counts[c.dict[code]] = n
 		}
 	}
 	return counts, nil
