@@ -2,7 +2,10 @@ package colstore
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -140,6 +143,35 @@ func encodeNumeric(c *Column, rows []uint64) *Column {
 	return c
 }
 
+// NewMappedFloatColumn stores the rows perCode[codes[i]] as NewFloatColumn
+// would, tallying only the codes that occur (counts[k] > 0) and writing the
+// codes in one pass through the tally's rename composed with perCode.
+func NewMappedFloatColumn(name string, perCode []float64, codes []uint8, counts []int) *Column {
+	t := valueTally{kind: Float64}
+	var lut [MaxValues]uint8
+	for k, v := range perCode {
+		if counts[k] > 0 {
+			lut[k], _ = t.add(math.Float64bits(v))
+		}
+	}
+	dict, final := t.seal()
+	if dict == nil { // a NaN occurs, or no row does
+		rows := make([]float64, len(codes))
+		for i, k := range codes {
+			rows[i] = perCode[k]
+		}
+		return &Column{Name: name, Kind: Float64, Floats: rows}
+	}
+	for k := range lut {
+		lut[k] = final[lut[k]]
+	}
+	out := make([]uint8, len(codes))
+	for i, k := range codes {
+		out[i] = lut[k]
+	}
+	return &Column{Name: name, Kind: Float64, Width: 1, Values: dict, Codes8: out}
+}
+
 // makeCodes returns n codes of one width, code(i) for row i.
 func makeCodes[C Code](n int, code func(i int) uint32) []C {
 	out := make([]C, n)
@@ -156,12 +188,35 @@ func firstCodeOutside(c *Column, n int) int {
 	case 0:
 		return -1
 	case 1:
-		return firstOutside(c.Codes8, n)
+		return firstByteOutside(c.Codes8, n)
 	case 2:
 		return firstOutside(c.Codes16, n)
 	default:
 		return firstOutside(c.Codes32, n)
 	}
+}
+
+// firstByteOutside is firstOutside eight bytes at a time: x >= n exactly when
+// x + (256-n) carries out of its byte, computed per byte without crossing
+// into the next. No byte reaches n = 256; n = 0 and the tail go scalar.
+func firstByteOutside(codes []uint8, n int) int {
+	const high, low7 = 0x8080808080808080, 0x7f7f7f7f7f7f7f7f
+	if n >= MaxValues {
+		return -1
+	}
+	i, b := 0, uint64(MaxValues-n)*0x0101010101010101
+	if n > 0 {
+		for ; i+8 <= len(codes); i += 8 {
+			x := binary.LittleEndian.Uint64(codes[i : i+8 : i+8])
+			if carry := ((x & b) | ((x | b) & ((x & low7) + (b & low7)))) & high; carry != 0 {
+				return i + bits.TrailingZeros64(carry)/8
+			}
+		}
+	}
+	if j := firstOutside(codes[i:], n); j >= 0 {
+		return i + j
+	}
+	return -1
 }
 
 func firstOutside[C Code](codes []C, n int) int {

@@ -130,13 +130,13 @@ func TestAllocsHashJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	right := occupationDim(t)
-	pinAllocs(t, "HashJoin", 83, func() { joinOccupations(t, left, right) }) // measured 78 (191 with map postings)
+	pinAllocs(t, "HashJoin", 83, func() { joinOccupations(t, left, right) }) // measured 75 (191 with map postings)
 }
 
 // TestAllocsHashJoinDimension pins the join of the full census view to the
 // occupation dimension: every census row matches one occupation, so the
-// result shares the census columns and gathers only the dimension's. The
-// count is the same at two fact-side sizes.
+// result shares the census columns and draws the dimension's through the
+// occupation codes. The count is the same at two fact-side sizes.
 func TestAllocsHashJoinDimension(t *testing.T) {
 	right := occupationDim(t)
 	var counts []float64
@@ -154,11 +154,50 @@ func TestAllocsHashJoinDimension(t *testing.T) {
 		} else if joinedAge, _ := joined.Column(census.ColAge); joinedAge != age {
 			t.Fatalf("the join of the full census view gathered its columns")
 		}
-		pinAllocs(t, "HashJoin (dimension)", 57, func() { joinOccupations(t, left, right) }) // measured 50
+		pinAllocs(t, "HashJoin (dimension)", 57, func() { joinOccupations(t, left, right) }) // measured 55
 		counts = append(counts, testing.AllocsPerRun(5, func() { joinOccupations(t, left, right) }))
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("HashJoin (dimension) allocates %v objects at 30k rows and %v at 90k", counts[0], counts[1])
+	}
+}
+
+// hoursBand is the relational workload's derived column: hours per week
+// bucketed by 10, a function of one byte-coded column.
+var hoursBand = dataset.Bucket{Arg: dataset.Col{Name: census.ColHoursPerWeek}, Width: 10}
+
+// TestAllocsDerive pins a DeriveColumn step's kernel over the census: the
+// bucket is evaluated once per value of the hours column and its codes mapped
+// in one pass, so the count is the same at two table sizes.
+func TestAllocsDerive(t *testing.T) {
+	var counts []float64
+	for _, rows := range []int{20000, 60000} {
+		table := allocsCensus(t, rows)
+		derive := func() {
+			if _, err := table.Derive("hours_band", hoursBand); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pinAllocs(t, "Derive", 36, derive) // measured 30
+		counts = append(counts, testing.AllocsPerRun(5, derive))
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("Derive allocates %v objects at 20k rows and %v at 60k", counts[0], counts[1])
+	}
+}
+
+// BenchmarkDerive times a DeriveColumn step's kernel at the relational
+// workload's scale, 300k census rows, on the default pool.
+func BenchmarkDerive(b *testing.B) {
+	table, err := census.Generate(census.Config{Rows: 300_000, Seed: 1, SignalStrength: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := table.Derive("hours_band", hoursBand); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

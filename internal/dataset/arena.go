@@ -138,10 +138,10 @@ func (s *Selection) sibling() *Selection {
 // SetArena pins the table's predicate kernels to the arena: compiled
 // selections and combinator intermediates draw their words from it, and
 // Release returns them. Nil detaches the table (kernels allocate from the
-// heap, the pre-arena behavior). An arena sized for a different row count
-// is ignored at use sites, so inheriting tables of other shapes is safe.
-// Like SetPool it applies table-wide and is safe against concurrent
-// kernels.
+// heap, the pre-arena behavior). WithColumn, Derive and a join that keeps
+// this table's rows inherit it; an arena sized for a different row count is
+// ignored at use sites. Like SetPool it applies table-wide and is safe
+// against concurrent kernels.
 func (t *Table) SetArena(a *WordArena) { t.arena.Store(a) }
 
 // Arena returns the table's arena, or nil.

@@ -9,7 +9,7 @@ import (
 
 // WithColumn returns a new table containing all existing columns plus the
 // given one, which must have the same number of rows. Existing columns are
-// shared, not copied.
+// shared, not copied, and the table keeps the parent's pool and arena.
 func (t *Table) WithColumn(c *Column) (*Table, error) {
 	if c == nil {
 		return nil, fmt.Errorf("dataset: nil column")
@@ -25,9 +25,10 @@ func (t *Table) WithColumn(c *Column) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Extended tables inherit the parent's execution pool, like Select does,
-	// so deriving a column never silently unpins a pinned lineage.
+	// Extended tables inherit the parent's execution pool and arena, so
+	// deriving a column never silently unpins a pinned lineage.
 	nt.pool.Store(t.pool.Load())
+	nt.arena.Store(t.arena.Load())
 	return nt, nil
 }
 

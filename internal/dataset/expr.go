@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"aware/internal/colstore"
 )
 
 // This file is the derived-column expression layer: a small arithmetic AST
@@ -15,6 +17,8 @@ import (
 // vectors are morsel-sized scratch buffers drawn from a shared arena
 // (sync.Pool), so a deep expression tree allocates no per-row intermediates
 // in steady state. Division by zero follows IEEE float semantics (±Inf, NaN).
+// Derive evaluates an expression whose column leaves all read one byte-coded
+// column once per dictionary entry instead of once per row (overDict).
 
 // Expr is a lazily evaluated arithmetic expression over a table's numeric
 // columns, producing one float64 per row.
@@ -99,6 +103,7 @@ type exprProg struct {
 	floats []float64 // "colf": the rows; "code": the value of each code
 	ints   []int64
 	codes  []uint8
+	col    *Column // "code": the column read
 	val    float64 // Const value or Bucket width
 	l, r   *exprProg
 }
@@ -117,7 +122,7 @@ func compileExpr(t *Table, e Expr) (*exprProg, error) {
 		case c.Type != Float64 && c.Type != Int64:
 			return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 		case c.width != 0:
-			return &exprProg{op: "code", floats: c.values, codes: c.codes8}, nil
+			return &exprProg{op: "code", floats: c.values, codes: c.codes8, col: c}, nil
 		case c.Type == Float64:
 			return &exprProg{op: "colf", floats: c.floats}, nil
 		default:
@@ -237,6 +242,11 @@ func (t *Table) EvalExpr(e Expr) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return t.evalRows(pg), nil
+}
+
+// evalRows evaluates a compiled program over every row.
+func (t *Table) evalRows(pg *exprProg) []float64 {
 	out := make([]float64, t.rows)
 	p := t.execPool()
 	m := chunks(t.rows, morselRows)
@@ -248,24 +258,56 @@ func (t *Table) EvalExpr(e Expr) ([]float64, error) {
 			lo := i * morselRows
 			pg.evalInto(out[lo:min(lo+morselRows, t.rows)], lo)
 		}
-		return out, nil
+		return out
 	}
 	p.Run(m, func(i int) {
 		lo := i * morselRows
 		pg.evalInto(out[lo:min(lo+morselRows, t.rows)], lo)
 	})
-	return out, nil
+	return out
+}
+
+// overDict rebinds every column leaf to the values of the one coded column
+// they read (src), so entry k of the evaluation is code k's result; nil when
+// a leaf reads a wide column or a second one.
+func (pg *exprProg) overDict(src **Column) *exprProg {
+	out := *pg
+	switch {
+	case pg.op == "code" && (*src == nil || *src == pg.col):
+		*src = pg.col
+		return &exprProg{op: "colf", floats: pg.floats}
+	case pg.op == "code" || pg.op == "colf" || pg.op == "coli":
+		return nil
+	case pg.l != nil:
+		if out.l = pg.l.overDict(src); out.l == nil {
+			return nil
+		}
+	}
+	if pg.r != nil {
+		if out.r = pg.r.overDict(src); out.r == nil {
+			return nil
+		}
+	}
+	return &out
 }
 
 // Derive returns a new table extended with a Float64 column named name,
 // computed by evaluating the expression over every row. Existing columns are
-// shared, not copied, and the result inherits the table's execution pool.
+// shared, not copied, and the result inherits the table's pool and arena. An
+// expression of one coded column runs once per dictionary entry, through the
+// same evalInto, and is stored from those results and the code tallies.
 func (t *Table) Derive(name string, e Expr) (*Table, error) {
-	vals, err := t.EvalExpr(e)
+	pg, err := compileExpr(t, e)
 	if err != nil {
 		return nil, err
 	}
-	return t.WithColumn(NewFloatColumn(name, vals))
+	var src *Column
+	if dict := pg.overDict(&src); dict != nil && src != nil {
+		perCode := make([]float64, len(src.values))
+		dict.evalInto(perCode, 0)
+		return t.WithColumn(wrapColumn(colstore.NewMappedFloatColumn(name, perCode, src.codes8, src.codeStats().counts)))
+	}
+	return t.WithColumn(NewFloatColumn(name, t.evalRows(pg)))
 }
 
 // --- JSON wire format ---

@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -254,4 +256,215 @@ func TestExprJSONStrictness(t *testing.T) {
 	if _, err := MarshalExpr(Binary{Op: OpAdd, L: Col{Name: "a"}}); err == nil {
 		t.Error("MarshalExpr with nil operand: want error")
 	}
+}
+
+// derivesOverDict reports whether Derive evaluates e over tab once per
+// dictionary entry rather than once per row.
+func derivesOverDict(t *testing.T, tab *Table, e Expr) bool {
+	t.Helper()
+	pg, err := compileExpr(tab, e)
+	if err != nil {
+		t.Fatalf("compiling %s: %v", e.Describe(), err)
+	}
+	var src *Column
+	return pg.overDict(&src) != nil && src != nil
+}
+
+// requireDerivedLikeRows derives e over tab and requires the stored column to
+// be what NewFloatColumn stores from EvalExpr's rows, bit for bit: the width,
+// the value dictionary's bit patterns and the codes, or the wide rows.
+func requireDerivedLikeRows(t *testing.T, label string, tab *Table, e Expr) *Column {
+	t.Helper()
+	derived, err := tab.Derive("d", e)
+	if err != nil {
+		t.Fatalf("%s: Derive(%s): %v", label, e.Describe(), err)
+	}
+	rows, err := tab.EvalExpr(e)
+	if err != nil {
+		t.Fatalf("%s: EvalExpr(%s): %v", label, e.Describe(), err)
+	}
+	got, _ := derived.Column("d")
+	g, w := got.phys, NewFloatColumn("d", rows).phys
+	if g.Width != w.Width || !slices.Equal(g.Values, w.Values) || !slices.Equal(g.Codes8, w.Codes8) || len(g.Floats) != len(w.Floats) {
+		t.Fatalf("%s: %s stored as %s %x, the rows as %s %x", label, e.Describe(), g.Encoding(), g.Values, w.Encoding(), w.Values)
+	}
+	for i := range g.Floats {
+		if !sameFloat(g.Floats[i], w.Floats[i]) {
+			t.Fatalf("%s: %s row %d: %v, the rows hold %v", label, e.Describe(), i, g.Floats[i], w.Floats[i])
+		}
+	}
+	return got
+}
+
+// TestDeriveOverDictionaryMatchesRowPath is the dictionary path's property
+// test. Over byte-coded float and int sources — one holding both zeros and
+// +Inf, a Select-gathered one whose shared dictionary lists values none of its
+// rows holds, and one with no row — on pools of 1, 2 and 8 workers, every
+// expression whose column leaves read one coded column is evaluated per
+// dictionary entry and stored exactly as the evaluated rows would be:
+// merging buckets, −0, ±Inf, and NaN, which makes the column wide only when
+// a row holds it.
+func TestDeriveOverDictionaryMatchesRowPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(3100))
+	rows := 2*morselRows + 5
+	floatPool := []float64{-3.5, negZero, 0, 0.25, 1, 2.5, 7, 19, 1e300, math.Inf(1)}
+	intPool := []int64{-7, 0, 3, 40, 1 << 53, 1<<53 + 1}
+	floats, ints := make([]float64, rows), make([]int64, rows)
+	for i := range floats {
+		floats[i], ints[i] = floatPool[rng.Intn(len(floatPool))], intPool[rng.Intn(len(intPool))]
+	}
+	full, err := NewTable(NewFloatColumn("x", floats), NewIntColumn("n", ints))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keep []int
+	for i, v := range floats {
+		if v != 0 && v != 7 && !math.IsInf(v, 0) && ints[i] != 3 {
+			keep = append(keep, i)
+		}
+	}
+	gathered, err := full.Select(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := full.Select(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, n := Col{Name: "x"}, Col{Name: "n"}
+	exprs := []Expr{
+		x, n,
+		Bucket{Arg: x, Width: 10},                                               // merges values
+		Bucket{Arg: n, Width: 1 << 20},                                          // merges 0, 3 and 40, and 2^53 with 2^53+1
+		Binary{Op: OpMul, L: x, R: Const{Value: -1}},                            // −0 from +0 and +0 from −0
+		Binary{Op: OpDiv, L: x, R: Const{Value: 0}},                             // ±Inf, and NaN at a zero
+		Binary{Op: OpDiv, L: x, R: x},                                           // NaN at a zero and at +Inf
+		Binary{Op: OpDiv, L: n, R: Binary{Op: OpSub, L: n, R: Const{Value: 3}}}, // +Inf at 3, −0 at 0
+		Binary{Op: OpAdd, L: Binary{Op: OpMul, L: x, R: x}, R: x},               // three leaves, one column
+		Bucket{Arg: Binary{Op: OpSub, L: Binary{Op: OpMul, L: n, R: n}, R: n}, Width: 3},
+	}
+	pools := []*Pool{NewPool(1), NewPool(2), NewPool(8)}
+	for _, p := range pools {
+		defer p.Close()
+	}
+	for _, src := range []struct {
+		name string
+		tab  *Table
+	}{{"both zeros", full}, {"gathered", gathered}, {"no rows", empty}} {
+		for _, e := range exprs {
+			if !derivesOverDict(t, src.tab, e) {
+				t.Fatalf("%s: %s takes the row path", src.name, e.Describe())
+			}
+			for _, p := range pools {
+				src.tab.SetPool(p)
+				requireDerivedLikeRows(t, fmt.Sprintf("%s, %d workers", src.name, p.workers), src.tab, e)
+			}
+		}
+	}
+	selfRatio := Binary{Op: OpDiv, L: x, R: x}
+	if got := requireDerivedLikeRows(t, "both zeros", full, selfRatio); got.width != 0 {
+		t.Errorf("x/x over rows holding 0 is stored as %s, want wide", got.phys.Encoding())
+	}
+	if got := requireDerivedLikeRows(t, "gathered", gathered, selfRatio); got.width == 0 {
+		t.Errorf("x/x over rows holding no 0 and no Inf is wide: a NaN of an absent entry leaked")
+	}
+}
+
+// TestDeriveRowPathShapes: an expression over two columns, over a wide
+// column, or with no column at all is evaluated per row, and stored as before.
+func TestDeriveRowPathShapes(t *testing.T) {
+	rows := 600
+	xs, ys, ws := make([]float64, rows), make([]float64, rows), make([]float64, rows)
+	for i := range xs {
+		xs[i], ys[i], ws[i] = float64(i%7), float64(i%5)-2, float64(i)/3
+	}
+	tab, err := NewTable(NewFloatColumn("x", xs), NewFloatColumn("y", ys), NewFloatColumn("w", ws))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Expr{
+		Binary{Op: OpAdd, L: Col{Name: "x"}, R: Col{Name: "y"}},
+		Binary{Op: OpMul, L: Col{Name: "x"}, R: Bucket{Arg: Col{Name: "y"}, Width: 2}},
+		Bucket{Arg: Col{Name: "w"}, Width: 10},
+		Binary{Op: OpSub, L: Col{Name: "x"}, R: Col{Name: "w"}},
+		Const{Value: 3},
+		Bucket{Arg: Binary{Op: OpMul, L: Const{Value: 2}, R: Const{Value: 5}}, Width: 4},
+	} {
+		if derivesOverDict(t, tab, e) {
+			t.Fatalf("%s takes the dictionary path", e.Describe())
+		}
+		requireDerivedLikeRows(t, "row path", tab, e)
+	}
+}
+
+// fuzzExpr decodes an expression over the column "x" from fuzz bytes, run as
+// a stack program: by byte mod 7, push x; push the next byte as a constant in
+// quarter steps; replace the top two by their sum, difference, product or
+// quotient; bucket the top by the next byte as a width in half steps. An
+// operator short of operands pushes x. The top of the stack is the
+// expression, x when it is empty.
+func fuzzExpr(prog []byte) Expr {
+	var stack []Expr
+	next := func(i *int) byte {
+		*i++
+		if *i < len(prog) {
+			return prog[*i]
+		}
+		return 1
+	}
+	ops := []BinaryOp{OpAdd, OpSub, OpMul, OpDiv}
+	for i := 0; i < len(prog) && i < 64; i++ {
+		switch op := prog[i] % 7; {
+		case op == 1:
+			stack = append(stack, Const{Value: float64(int8(next(&i))) / 4})
+		case op >= 2 && op <= 5 && len(stack) >= 2:
+			l, r := stack[len(stack)-2], stack[len(stack)-1]
+			stack = append(stack[:len(stack)-2], Binary{Op: ops[op-2], L: l, R: r})
+		case op == 6 && len(stack) >= 1:
+			stack[len(stack)-1] = Bucket{Arg: stack[len(stack)-1], Width: float64(1+next(&i)%32) / 2}
+		default:
+			stack = append(stack, Col{Name: "x"})
+		}
+	}
+	if len(stack) == 0 {
+		return Col{Name: "x"}
+	}
+	return stack[len(stack)-1]
+}
+
+// FuzzDeriveCodes is the CI fuzz smoke target of the dictionary path: a float
+// or int column drawn from the fuzz bytes (fuzzColumn), optionally gathered
+// without the rows of one byte value so its dictionary lists a value no row
+// holds, and an expression decoded from bytes (fuzzExpr). Derive must store
+// what NewFloatColumn stores from EvalExpr's rows, bit for bit.
+func FuzzDeriveCodes(f *testing.F) {
+	f.Add([]byte{}, []byte{0}, false, byte(0))
+	f.Add([]byte{5, 6, 7, 8}, []byte{0, 1, 40, 3}, false, byte(0))                  // x - 10
+	f.Add([]byte{5, 6, 7, 8, 9, 10}, []byte{0, 0, 5}, false, byte(5))               // x / x, +0 gathered out
+	f.Add([]byte{5, 6, 9, 10, 11, 12}, []byte{0, 1, 0, 5}, false, byte(0))          // x / 0
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6}, []byte{0, 0, 4, 0, 2, 6, 20}, true, byte(3)) // bucket(x*x + x)
+	f.Add([]byte{1, 2, 3, 4, 200, 201, 202}, []byte{0, 1, 252, 4, 6, 7}, false, byte(200))
+	long := make([]byte, 3*64+5)
+	for i := range long {
+		long[i] = byte(20 + i%37)
+	}
+	f.Add(long, []byte{0, 6, 19}, false, byte(21))
+	f.Fuzz(func(t *testing.T, data, prog []byte, asInts bool, drop byte) {
+		tab, err := NewTable(fuzzColumn(data, asInts, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drop != 0 {
+			var keep []int
+			for i, b := range data {
+				if b != drop {
+					keep = append(keep, i)
+				}
+			}
+			if tab, err = tab.Select(keep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireDerivedLikeRows(t, fmt.Sprintf("%x over %x without %d", prog, data, drop), tab, fuzzExpr(prog))
+	})
 }

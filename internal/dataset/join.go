@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"aware/internal/colstore"
 )
@@ -26,8 +25,10 @@ import (
 // selects every row, and every row matched exactly one build row, as against
 // a unique-key dimension — the result holds the left table's own *Column
 // values, shared like Derive shares them, with their reference-statistics
-// memos; only the right columns are gathered. Every other join gathers both
-// sides.
+// memos, and its arena. That shape is decided on the left key's present codes
+// (a dictionary's memoized tallies, or one pass over an int64 key's ids), and
+// each right column is drawn once per key code, then mapped over the left
+// key's codes. Every other join gathers both sides.
 
 // ErrJoinKeyType is returned when join key columns are not an equi-joinable
 // pair (both categorical, both int64, or both bool).
@@ -83,23 +84,34 @@ func HashJoin(left, right View, leftKey, rightKey, rightPrefix string) (*Table, 
 		// re-sort them into the canonical (l, r) order.
 		ridx, lidx, _ := hashJoinPairs(right, rc, left, lc, false)
 		sortPairs(lidx, ridx)
-		return materializeJoin(left.table, right.table, lidx, ridx, false, rightPrefix)
+		return materializeJoin(left.table, right.table, lidx, ridx, nil, rightPrefix)
 	}
 	// Build on the right, probe the left: probing in ascending left-row order
 	// with ascending postings makes the output (l, r)-sorted for free.
-	lidx, ridx, shared := hashJoinPairs(left, lc, right, rc, left.full())
-	return materializeJoin(left.table, right.table, lidx, ridx, shared, rightPrefix)
+	lidx, ridx, byKey := hashJoinPairs(left, lc, right, rc, left.full())
+	return materializeJoin(left.table, right.table, lidx, ridx, byKey, rightPrefix)
 }
 
 // hashJoinPairs resolves both key columns to dense codes and joins on them:
 // categorical and bool keys are their dictionary codes, the probe dictionary
 // translated once to build codes; int64 keys are coded through one value → id
-// map built over the build rows.
-func hashJoinPairs(probe View, probeCol *Column, build View, buildCol *Column, mayShare bool) (probeIdx, buildIdx []int32, shared bool) {
+// map built over the build rows. When mayShare is set (the probe view selects
+// every row), joinCodes decides the dimension shape on the probe codes' tallies.
+func hashJoinPairs(probe View, probeCol *Column, build View, buildCol *Column, mayShare bool) (probeIdx, buildIdx []int32, byKey func(c *Column, name string) *Column) {
+	var counts []int
 	if buildCol.Type == Int64 {
 		probeCodes, trans, buildCodes := intKeyCodes(probe, probeCol, build, buildCol)
+		if mayShare {
+			counts = make([]int, len(trans))
+			for _, id := range probeCodes {
+				counts[id]++
+			}
+		}
 		buildKey := func(row int) int { return int(buildCodes[row]) }
-		return joinCodes(probe, probeCodes, trans, build, buildKey, len(trans)-1, mayShare)
+		return joinCodes(probe, probeCodes, counts, trans, build, buildKey, len(trans)-1)
+	}
+	if mayShare {
+		counts = probeCol.codeStats().counts
 	}
 	trans := make([]int32, len(probeCol.dict))
 	for code, val := range probeCol.dict {
@@ -112,11 +124,11 @@ func hashJoinPairs(probe View, probeCol *Column, build View, buildCol *Column, m
 	keys := len(buildCol.dict)
 	switch probeCol.width {
 	case 1:
-		return joinCodes(probe, probeCol.codes8, trans, build, buildCol.code, keys, mayShare)
+		return joinCodes(probe, probeCol.codes8, counts, trans, build, buildCol.code, keys)
 	case 2:
-		return joinCodes(probe, probeCol.codes16, trans, build, buildCol.code, keys, mayShare)
+		return joinCodes(probe, probeCol.codes16, counts, trans, build, buildCol.code, keys)
 	default:
-		return joinCodes(probe, probeCol.codes32, trans, build, buildCol.code, keys, mayShare)
+		return joinCodes(probe, probeCol.codes32, counts, trans, build, buildCol.code, keys)
 	}
 }
 
@@ -167,11 +179,13 @@ func intKeyCodes(probe View, probeCol *Column, build View, buildCol *Column) (pr
 // rows[start[k]:start[k+1]], ascending. The probe side streams morsel-at-a-
 // time: a counting pass fixes each morsel's output offset (exclusive prefix
 // sum in morsel order), then every morsel writes its disjoint slice — the
-// output is byte-identical on any pool. When mayShare is set (the probe view
-// selects every row) and the counting pass saw every probe row match exactly
-// one build row, output row i is probe row i: joinCodes returns shared and no
-// probe indices, and writes only the build row of each.
-func joinCodes[C colstore.Code](probe View, probeCodes []C, trans []int32, build View, buildKey func(row int) int, keys int, mayShare bool) (probeIdx, buildIdx []int32, shared bool) {
+// output is byte-identical on any pool.
+//
+// When counts holds the probe codes' tallies (the probe view selects every
+// row) and every code that occurs names a key exactly one build row holds,
+// output row i is probe row i: joinCodes returns no pairs, only byKey, which
+// draws a build column through the probe codes.
+func joinCodes[C colstore.Code](probe View, probeCodes []C, counts []int, trans []int32, build View, buildKey func(row int) int, keys int) (probeIdx, buildIdx []int32, byKey func(c *Column, name string) *Column) {
 	start := make([]int32, keys+1)
 	build.sel.ForEach(func(row int) { start[buildKey(row)+1]++ })
 	for k := 1; k <= keys; k++ {
@@ -189,44 +203,28 @@ func joinCodes[C colstore.Code](probe View, probeCodes []C, trans []int32, build
 	n := probe.sel.n
 	m := chunks(n, morselRows)
 	if m == 0 {
-		return nil, nil, false
+		return nil, nil, nil
+	}
+	if rowOf := dimensionRows(counts, trans, start, rows); rowOf != nil {
+		return nil, nil, byKeyCode(probeCodes, rowOf)
 	}
 	offsets := make([]int, m)
-	var notOneEach atomic.Bool
 	p.Run(m, func(i int) {
 		lo := i * morselRows
-		c, oneEach := 0, true
+		c := 0
 		probe.sel.forEachIn(lo, min(lo+morselRows, n), func(row int) {
-			k := trans[probeCodes[row]]
-			if k < 0 {
-				oneEach = false
-				return
+			if k := trans[probeCodes[row]]; k >= 0 {
+				c += int(start[k+1] - start[k])
 			}
-			d := int(start[k+1] - start[k])
-			c += d
-			oneEach = oneEach && d == 1
 		})
 		offsets[i] = c
-		if !oneEach {
-			notOneEach.Store(true)
-		}
 	})
-	if mayShare && !notOneEach.Load() {
-		buildIdx = make([]int32, n)
-		p.Run(m, func(i int) {
-			for row := i * morselRows; row < min((i+1)*morselRows, n); row++ {
-				buildIdx[row] = rows[start[trans[probeCodes[row]]]]
-			}
-		})
-		return nil, buildIdx, true
-	}
 	total := 0
 	for i, c := range offsets {
 		offsets[i] = total
 		total += c
 	}
-	probeIdx = make([]int32, total)
-	buildIdx = make([]int32, total)
+	pidx, bidx := make([]int32, total), make([]int32, total)
 	p.Run(m, func(i int) {
 		lo := i * morselRows
 		j := offsets[i]
@@ -236,13 +234,34 @@ func joinCodes[C colstore.Code](probe View, probeCodes []C, trans []int32, build
 				return
 			}
 			for _, br := range rows[start[k]:start[k+1]] {
-				probeIdx[j] = int32(row)
-				buildIdx[j] = br
+				pidx[j] = int32(row)
+				bidx[j] = br
 				j++
 			}
 		})
 	})
-	return probeIdx, buildIdx, false
+	return pidx, bidx, nil
+}
+
+// dimensionRows returns the build row of each probe code when counts is set
+// and every code that occurs translates to a key with exactly one posting;
+// nil otherwise.
+func dimensionRows(counts []int, trans, start, rows []int32) []int32 {
+	if counts == nil {
+		return nil
+	}
+	rowOf := make([]int32, len(trans))
+	for code, n := range counts {
+		if n == 0 {
+			continue
+		}
+		k := trans[code]
+		if k < 0 || start[k+1]-start[k] != 1 {
+			return nil
+		}
+		rowOf[code] = rows[start[k]]
+	}
+	return rowOf
 }
 
 // sortPairs re-sorts parallel index slices into (l, r) ascending order — the
@@ -259,25 +278,41 @@ func sortPairs(lidx, ridx []int32) {
 	}
 }
 
-// materializeJoin builds the join's table from the matched row pairs: left
-// columns first under their own names — lt's own columns when shared, in
-// which case lidx is unused — then right columns gathered and renamed
-// rightPrefix+name. The result inherits the left table's execution pool.
-func materializeJoin(lt, rt *Table, lidx, ridx []int32, shared bool, rightPrefix string) (*Table, error) {
+// byKeyCode draws a dimension join's right column through the left key: its
+// rows rowOf[code], as stored, read at every left row's key code.
+func byKeyCode[C colstore.Code](codes []C, rowOf []int32) func(c *Column, name string) *Column {
+	return func(c *Column, name string) *Column {
+		return gather(wrapColumn(gatherPhys(c.phys, rowOf)), codes, name)
+	}
+}
+
+// materializeJoin builds the join's table: left columns first under their own
+// names, then right columns renamed rightPrefix+name. Given byKey, the output
+// is the left table: its own columns, its arena, and right columns drawn by
+// byKey. Otherwise both sides gather the matched row pairs. The result
+// inherits the left table's execution pool.
+func materializeJoin(lt, rt *Table, lidx, ridx []int32, byKey func(c *Column, name string) *Column, rightPrefix string) (*Table, error) {
 	cols := make([]*Column, 0, len(lt.columns)+len(rt.columns))
 	for _, c := range lt.columns {
-		if !shared {
+		if byKey == nil {
 			c = gather(c, lidx, c.Name)
 		}
 		cols = append(cols, c)
 	}
 	for _, c := range rt.columns {
-		cols = append(cols, gather(c, ridx, rightPrefix+c.Name))
+		if byKey != nil {
+			cols = append(cols, byKey(c, rightPrefix+c.Name))
+		} else {
+			cols = append(cols, gather(c, ridx, rightPrefix+c.Name))
+		}
 	}
 	out, err := NewTable(cols...)
 	if err != nil {
 		return nil, err
 	}
 	out.pool.Store(lt.pool.Load())
+	if byKey != nil {
+		out.arena.Store(lt.arena.Load())
+	}
 	return out, nil
 }

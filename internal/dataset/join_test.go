@@ -47,7 +47,7 @@ func JoinOracle(left, right View, leftKey, rightKey, rightPrefix string) (*Table
 	if cmpErr != nil {
 		return nil, cmpErr
 	}
-	return materializeJoin(left.table, right.table, lidx, ridx, false, rightPrefix)
+	return materializeJoin(left.table, right.table, lidx, ridx, nil, rightPrefix)
 }
 
 // joinKeyEqual compares one key pair through the generic value accessors.
@@ -132,22 +132,27 @@ func sideView(t *testing.T, rng *rand.Rand, tab *Table, colPrefix string) View {
 	return v
 }
 
+// keyString renders row's key the way the join compares it.
+func keyString(key *Column, row int) string {
+	if key.Type == Int64 {
+		return fmt.Sprint(key.intAt(row))
+	}
+	v, _ := key.StringAt(row)
+	return v
+}
+
 // dimensionTable builds a unique-key right side for left: one row per
 // distinct value of left's key column, in random order, so every left row
 // matches exactly one of its rows. drop leaves the first of those keys out,
-// dup repeats it.
+// dup repeats it. Besides a coded payload and a tag, each row carries a bool
+// and a wide float (one row holds a NaN), so every physical form of a right
+// column is drawn through the join.
 func dimensionTable(rng *rand.Rand, left *Table, drop, dup bool) *Table {
 	key, _ := left.Column("key")
 	var rows []int32
 	seen := map[string]bool{}
 	for row := 0; row < left.NumRows(); row++ {
-		var v string
-		if key.Type == Int64 {
-			v = fmt.Sprint(key.intAt(row))
-		} else {
-			v, _ = key.StringAt(row)
-		}
-		if !seen[v] {
+		if v := keyString(key, row); !seen[v] {
 			seen[v] = true
 			rows = append(rows, int32(row))
 		}
@@ -161,15 +166,77 @@ func dimensionTable(rng *rand.Rand, left *Table, drop, dup bool) *Table {
 	}
 	payload := make([]float64, len(rows))
 	tags := make([]string, len(rows))
+	flags := make([]bool, len(rows))
+	wide := make([]float64, len(rows))
 	for i := range rows {
 		payload[i] = float64(rng.Intn(1000))
 		tags[i] = []string{"x", "y", "z"}[rng.Intn(3)]
+		flags[i] = rng.Intn(2) == 0
+		wide[i] = rng.NormFloat64()
 	}
-	tab, err := NewTable(gather(key, rows, "key"), NewFloatColumn("r_payload", payload), NewCategoricalColumn("r_tag", tags))
+	if len(wide) > 0 {
+		wide[rng.Intn(len(wide))] = math.NaN()
+	}
+	tab, err := NewTable(gather(key, rows, "key"), NewFloatColumn("r_payload", payload), NewCategoricalColumn("r_tag", tags),
+		NewBoolColumn("r_flag", flags), NewFloatColumn("r_wide", wide))
 	if err != nil {
 		panic(err)
 	}
 	return tab
+}
+
+// absentKeyDimension gathers the rows of left whose key is not row 0's, so
+// the gathered key's shared dictionary lists a value none of its rows holds,
+// and builds a unique-key dimension over every value of left in which that
+// value is missing or, with dup, held by two rows. A dimension join of the
+// gathered rows still shares them: the value no row holds is never probed.
+func absentKeyDimension(rng *rand.Rand, left *Table, dup bool) (gathered, dim *Table) {
+	key, _ := left.Column("key")
+	absent := keyString(key, 0)
+	var keep []int
+	for row := 0; row < left.NumRows(); row++ {
+		if keyString(key, row) != absent {
+			keep = append(keep, row)
+		}
+	}
+	full := dimensionTable(rng, left, false, false)
+	fullKey, _ := full.Column("key")
+	var rows []int
+	for row := 0; row < full.NumRows(); row++ {
+		switch {
+		case keyString(fullKey, row) != absent:
+			rows = append(rows, row)
+		case dup:
+			rows = append(rows, row, row)
+		}
+	}
+	gathered, err := left.Select(keep)
+	if err != nil {
+		panic(err)
+	}
+	if dim, err = full.Select(rows); err != nil {
+		panic(err)
+	}
+	return gathered, dim
+}
+
+// withWideKey replaces tab's key with a categorical one over up to n distinct
+// values, the first n rows holding each once: past 256 values its codes are
+// two bytes wide.
+func withWideKey(rng *rand.Rand, tab *Table, n int) *Table {
+	strs := make([]string, tab.NumRows())
+	for i := range strs {
+		v := i
+		if i >= n {
+			v = rng.Intn(n)
+		}
+		strs[i] = fmt.Sprintf("k%04d", v)
+	}
+	out, err := NewTable(append([]*Column{NewCategoricalColumn("key", strs)}, tab.columns[1:]...)...)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // sharesProbeSide reports whether joining lv to rv on "key" outputs lv's
@@ -337,17 +404,29 @@ func TestHashJoinSharesOnlyTheDimensionShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases := []struct {
+		type shapeCase struct {
 			name        string
 			left, right View
 			shared      bool
-		}{
+		}
+		unmatchedLeft, unmatchedDim := absentKeyDimension(rng, left, false)
+		dupLeft, dupDim := absentKeyDimension(rng, left, true)
+		cases := []shapeCase{
 			{"dimension", view(left, nil), view(dim, nil), true},
 			{"filtered left", view(left, tagged), view(dim, nil), false},
 			{"unmatched left value", view(left, nil), view(dimensionTable(rng, left, true, false), nil), false},
 			{"duplicated build key", view(left, nil), view(dimensionTable(rng, left, false, true), nil), false},
 			{"build left", view(single, nil), view(dim, nil), false},
 			{"empty result", view(left, nil), view(dim, EmptySelection(dim.NumRows())), false},
+			{"gathered left, absent value unmatched", view(unmatchedLeft, nil), view(unmatchedDim, nil), true},
+			{"gathered left, absent value duplicated", view(dupLeft, nil), view(dupDim, nil), true},
+		}
+		if keyType == Categorical {
+			wideLeft := withWideKey(rng, randomKeyedTable(rng, 700, keyType, "l"), 300)
+			if key, _ := wideLeft.Column("key"); key.width != 2 {
+				t.Fatalf("a 300-value key is stored in %d-byte codes", key.width)
+			}
+			cases = append(cases, shapeCase{"u16 key", view(wideLeft, nil), view(dimensionTable(rng, wideLeft, false, false), nil), true})
 		}
 		for _, tc := range cases {
 			for _, p := range pools {
@@ -408,7 +487,11 @@ func TestJoinErrors(t *testing.T) {
 // nor share columns where it must gather. An even shape joins two random
 // sides; an odd one joins the full left side to a unique-key dimension over
 // its key values (the shared path), which shape bit 1 breaks by dropping one
-// key, bit 2 by duplicating one and bit 3 by filtering the left side.
+// key, bit 2 by duplicating one and bit 3 by filtering the left side. Bit 4
+// gathers the left side without the rows of one key value, which the
+// dimension then lacks or (bit 2) holds twice; the join still shares. Bit 5
+// gives a categorical left side a key of up to 300 values, two-byte codes
+// past 256 rows.
 func FuzzJoinOracle(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint16(5), uint8(0), uint8(0))
 	f.Add(int64(2), uint16(1), uint16(1), uint8(1), uint8(0))
@@ -420,6 +503,11 @@ func FuzzJoinOracle(f *testing.F) {
 	f.Add(int64(8), uint16(200), uint16(0), uint8(0), uint8(3))
 	f.Add(int64(9), uint16(200), uint16(0), uint8(1), uint8(5))
 	f.Add(int64(10), uint16(200), uint16(0), uint8(2), uint8(9))
+	f.Add(int64(11), uint16(300), uint16(0), uint8(0), uint8(17))
+	f.Add(int64(12), uint16(300), uint16(0), uint8(1), uint8(21))
+	f.Add(int64(13), uint16(399), uint16(0), uint8(2), uint8(17))
+	f.Add(int64(14), uint16(350), uint16(0), uint8(0), uint8(33))
+	f.Add(int64(15), uint16(350), uint16(0), uint8(0), uint8(53))
 	f.Fuzz(func(t *testing.T, seed int64, leftRows, rightRows uint16, keyKind, shape uint8) {
 		lr := 1 + int(leftRows)%400
 		rr := 1 + int(rightRows)%400
@@ -431,11 +519,20 @@ func FuzzJoinOracle(f *testing.F) {
 			right := randomKeyedTable(rng, rr, keyType, "r")
 			lv, rv = sideView(t, rng, left, "l"), sideView(t, rng, right, "r")
 		} else {
+			if shape&32 != 0 && keyType == Categorical {
+				left = withWideKey(rng, left, 300)
+			}
+			var dim *Table
+			if shape&16 != 0 {
+				left, dim = absentKeyDimension(rng, left, shape&4 != 0)
+			} else {
+				dim = dimensionTable(rng, left, shape&2 != 0, shape&4 != 0)
+			}
 			lv, _ = left.View(nil)
 			if shape&8 != 0 {
 				lv = sideView(t, rng, left, "l")
 			}
-			rv, _ = dimensionTable(rng, left, shape&2 != 0, shape&4 != 0).View(nil)
+			rv, _ = dim.View(nil)
 		}
 		requireJoinMatchesOracle(t, fmt.Sprintf("seed %d %v %dx%d shape %d", seed, keyType, lr, rr, shape), lv, rv)
 	})

@@ -403,6 +403,53 @@ func TestArenaReleaseSafety(t *testing.T) {
 	}
 }
 
+// TestArenaInheritedWithTheRows: a table built from an arena-pinned one with
+// its rows — a derived column, a join whose output is the left table's rows
+// — draws its filters' selections from the parent's arena. A join that
+// gathers has other rows and none.
+func TestArenaInheritedWithTheRows(t *testing.T) {
+	tab := kernelTable(rand.New(rand.NewSource(45)), 1000)
+	arena := NewWordArena(tab.NumRows())
+	tab.SetArena(arena)
+	derived, err := tab.Derive("twice", Binary{Op: OpMul, L: Col{Name: "level"}, R: Const{Value: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cats := make([]string, 10)
+	for i := range cats {
+		cats[i] = fmt.Sprintf("c%d", i)
+	}
+	dim, err := NewTable(NewCategoricalColumn("cat", cats), NewIntColumn("rank", []int64{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _ := tab.View(nil)
+	filtered, _ := tab.View(Range{Column: "level", Low: 0, High: 5})
+	dimView, _ := dim.View(nil)
+	joined, err := HashJoin(full, dimView, "cat", "cat", "dim_")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathered, err := HashJoin(filtered, dimView, "cat", "cat", "dim_")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		tab   *Table
+		arena *WordArena
+	}{{"derived", derived, arena}, {"dimension join", joined, arena}, {"gathered join", gathered, nil}} {
+		sel, err := tc.tab.Where(Range{Column: "level", Low: -5, High: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.arena != tc.arena {
+			t.Errorf("%s: a filter's selection is drawn from arena %p, want %p", tc.name, sel.arena, tc.arena)
+		}
+		sel.Release()
+	}
+}
+
 // TestArenaCachedSelectionsDetached asserts a SelectionCache never hands out
 // recyclable bitmaps: a cached selection survives any number of Releases by
 // other holders of the same arena.

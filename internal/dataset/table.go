@@ -256,14 +256,29 @@ func (c *Column) intAt(i int) int64 {
 	return c.ints[i]
 }
 
+// rowIndex is a row number (Select, a join's pairs) or a key code (byKeyCode).
+type rowIndex interface{ int | int32 | colstore.Code }
+
 // gather returns a new column named name holding c's rows at the given
-// indices (int for Select and Shuffle, int32 for a join's row pairs). A coded
-// column keeps its width and shares its (immutable) dictionary, which may then
-// list values no gathered row holds — fine, the memos count only what occurs.
-// A wide numeric column is stored anew, by the one encoding rule.
-func gather[I int | int32](c *Column, indices []I, name string) *Column {
-	p := c.phys
-	out := &colstore.Column{Name: name, Kind: p.Kind, Width: p.Width, Dict: p.Dict, CodeOf: p.CodeOf, Values: p.Values}
+// indices. A coded column keeps its width and shares its (immutable)
+// dictionary, which may then list values no gathered row holds — fine, the
+// memos count only what occurs. A wide numeric column is stored anew, by the
+// one encoding rule.
+func gather[I rowIndex](c *Column, indices []I, name string) *Column {
+	p := gatherPhys(c.phys, indices)
+	switch {
+	case p.Width == 0 && p.Kind == colstore.Float64:
+		return NewFloatColumn(name, p.Floats)
+	case p.Width == 0 && p.Kind == colstore.Int64:
+		return NewIntColumn(name, p.Ints)
+	}
+	p.Name = name
+	return wrapColumn(p)
+}
+
+// gatherPhys returns p's rows at the given indices as p stores them.
+func gatherPhys[I rowIndex](p *colstore.Column, indices []I) *colstore.Column {
+	out := &colstore.Column{Name: p.Name, Kind: p.Kind, Width: p.Width, Dict: p.Dict, CodeOf: p.CodeOf, Values: p.Values}
 	switch {
 	case p.Kind == colstore.Bool:
 		out.Bools = gatherRows(p.Bools, indices)
@@ -274,14 +289,14 @@ func gather[I int | int32](c *Column, indices []I, name string) *Column {
 	case p.Width == 4:
 		out.Codes32 = gatherRows(p.Codes32, indices)
 	case p.Kind == colstore.Float64:
-		return NewFloatColumn(name, gatherRows(p.Floats, indices))
+		out.Floats = gatherRows(p.Floats, indices)
 	default:
-		return NewIntColumn(name, gatherRows(p.Ints, indices))
+		out.Ints = gatherRows(p.Ints, indices)
 	}
-	return wrapColumn(out)
+	return out
 }
 
-func gatherRows[T any, I int | int32](rows []T, indices []I) []T {
+func gatherRows[T any, I rowIndex](rows []T, indices []I) []T {
 	out := make([]T, len(indices))
 	for i, idx := range indices {
 		out[i] = rows[idx]
