@@ -96,6 +96,35 @@ func TestAllocsStepCodec(t *testing.T) {
 	})
 }
 
+// TestAllocsCompareStep pins a rule-3 compare of two filtered charts, which
+// reads the counts the charts' own steps drew. Each call gets its own
+// prepared session, so wealth never runs out mid-measure.
+func TestAllocsCompareStep(t *testing.T) {
+	table := allocsCensus(t)
+	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
+	const runs = 20
+	sessions := make([]*core.Session, runs+1) // +1 for the warm-up call
+	for i := range sessions {
+		sess, err := core.NewSession(table, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, filter := range []dataset.Predicate{rich, dataset.Not{Inner: rich}} {
+			if _, err := sess.Apply(core.AddVisualization{Target: census.ColGender, Filter: filter}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sessions[i] = sess
+	}
+	i := 0
+	pinAllocs(t, "CompareVisualizations", runs, 50, func() { // measured 41 (56 recounting both charts)
+		if _, err := sessions[i].Apply(core.CompareVisualizations{A: 1, B: 2}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+}
+
 // TestAllocsCachedStep pins a served session's first step: a new session over
 // a shared selection cache that already holds the step's filter, as when one
 // analyst repeats a chart another has drawn.

@@ -19,6 +19,13 @@ import (
 // across a replayed log, or across every session of a served dataset — reuse
 // one bitmap), and all counting runs over zero-copy Views instead of
 // materialized sub-tables.
+//
+// A session counts a chart once: the rule-2 test of a filtered chart hands
+// back its counts, and the session keeps them on the chart with the table
+// they were counted on. A rule-3 comparison of two charts counted on the
+// session's current table runs its χ² on those counts; comparisonTest is the
+// rescan for every other case (an unfiltered chart, a chart drawn before a
+// derive or join) and for callers outside a session.
 
 // numericBins is the number of equal-width bins used when a visualization
 // targets a numeric attribute (the age histograms of Figure 1 D–F). Bin edges
@@ -56,28 +63,30 @@ func referenceCounts(sub dataset.View, target string, span *obs.Span) ([]int, er
 // shared across sessions). It returns the test result and the filtered
 // support size.
 func FilterVsPopulationTestWith(sel *dataset.SelectionCache, target string, filter dataset.Predicate) (stats.TestResult, int, error) {
-	return filterVsPopulationTest(sel, target, filter, nil)
+	test, _, support, err := filterVsPopulationTest(sel, target, filter, nil)
+	return test, support, err
 }
 
 // filterVsPopulationTest is the span-aware body behind
 // FilterVsPopulationTestWith: a traced session passes its step span so the
-// filter compilation and both counting passes appear as kernel spans.
-func filterVsPopulationTest(sel *dataset.SelectionCache, target string, filter dataset.Predicate, span *obs.Span) (stats.TestResult, int, error) {
+// filter compilation and both counting passes appear as kernel spans. It also
+// returns the filtered counts, which a session keeps on the chart.
+func filterVsPopulationTest(sel *dataset.SelectionCache, target string, filter dataset.Predicate, span *obs.Span) (stats.TestResult, []int, int, error) {
 	sub, err := sel.ViewSpan(filter, span)
 	if err != nil {
-		return stats.TestResult{}, 0, err
+		return stats.TestResult{}, nil, 0, err
 	}
 	observed, err := referenceCounts(sub, target, span)
 	if err != nil {
-		return stats.TestResult{}, 0, err
+		return stats.TestResult{}, nil, 0, err
 	}
 	pop, err := sel.ViewSpan(nil, span)
 	if err != nil {
-		return stats.TestResult{}, 0, err
+		return stats.TestResult{}, nil, 0, err
 	}
 	popCounts, err := referenceCounts(pop, target, span)
 	if err != nil {
-		return stats.TestResult{}, 0, err
+		return stats.TestResult{}, nil, 0, err
 	}
 	expected := make([]float64, len(popCounts))
 	for i, c := range popCounts {
@@ -85,9 +94,9 @@ func filterVsPopulationTest(sel *dataset.SelectionCache, target string, filter d
 	}
 	test, err := stats.ChiSquaredGoodnessOfFit(observed, expected)
 	if err != nil {
-		return stats.TestResult{}, 0, err
+		return stats.TestResult{}, nil, 0, err
 	}
-	return test, sub.NumRows(), nil
+	return test, observed, sub.NumRows(), nil
 }
 
 // ComparisonTestWith runs heuristic rule 3's default test: a χ² independence

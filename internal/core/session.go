@@ -341,7 +341,18 @@ func (s *Session) compareVisualizations(aID, bID int) (*Hypothesis, error) {
 	if a.Target != b.Target {
 		return nil, fmt.Errorf("%w: %q vs %q", ErrNotComplementary, a.Target, b.Target)
 	}
-	test, nA, nB, err := comparisonTest(s.sel, a.Target, a.Filter, b.Filter, s.trace)
+	var test stats.TestResult
+	var nA, nB int
+	if a.table == s.data && b.table == s.data {
+		// Both charts were counted on this (immutable) table: their bars are
+		// exactly what a rescan would produce.
+		s.trace.Set("counts", "chart")
+		test, err = stats.ChiSquaredIndependence([][]int{a.counts, b.counts})
+		nA, nB = a.support, b.support
+	} else {
+		s.trace.Set("counts", "scan")
+		test, nA, nB, err = comparisonTest(s.sel, a.Target, a.Filter, b.Filter, s.trace)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: comparison hypothesis for %q vs %q: %w", a.Describe(), b.Describe(), err)
 	}
@@ -514,12 +525,13 @@ func (s *Session) supersedeAttached(replacement *Hypothesis, vizzes ...*Visualiz
 }
 
 // testFilterVsPopulation runs the rule-2 default hypothesis for a filtered
-// visualization.
+// visualization and keeps the counts it drew on the chart.
 func (s *Session) testFilterVsPopulation(viz *Visualization) (*Hypothesis, error) {
-	test, support, err := filterVsPopulationTest(s.sel, viz.Target, viz.Filter, s.trace)
+	test, counts, support, err := filterVsPopulationTest(s.sel, viz.Target, viz.Filter, s.trace)
 	if err != nil {
 		return nil, fmt.Errorf("core: default hypothesis for %q: %w", viz.Describe(), err)
 	}
+	viz.counts, viz.support, viz.table = counts, support, s.data
 	return s.record(test, Hypothesis{
 		Null:            fmt.Sprintf("%s = %s", viz.Describe(), viz.Target),
 		Alternative:     fmt.Sprintf("%s <> %s", viz.Describe(), viz.Target),

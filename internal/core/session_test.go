@@ -67,7 +67,7 @@ func TestRule1UnfilteredVisualizationIsDescriptive(t *testing.T) {
 	if hyp != nil {
 		t.Error("rule 1: unfiltered visualization must not create a hypothesis")
 	}
-	if viz.Filtered() {
+	if viz.Filter != nil {
 		t.Error("visualization should be unfiltered")
 	}
 	if viz.Describe() != census.ColGender {

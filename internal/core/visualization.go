@@ -19,10 +19,15 @@ type Visualization struct {
 	// HypothesisID is the hypothesis currently attached to this visualization
 	// (0 when the visualization is purely descriptive).
 	HypothesisID int
-}
 
-// Filtered reports whether the visualization carries any filter condition.
-func (v *Visualization) Filtered() bool { return v.Filter != nil }
+	// counts and support are the bars and the row count the rule-2 test of a
+	// filtered chart counted on table, kept so that a rule-3 comparison on the
+	// same (immutable) table reads them instead of recounting. An unfiltered
+	// chart counts nothing, and its table is nil.
+	counts  []int
+	support int
+	table   *dataset.Table
+}
 
 // Describe renders the visualization as "target | filter" (or just the target
 // for unfiltered charts), the notation used in the paper's risk gauge.

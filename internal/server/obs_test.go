@@ -277,6 +277,68 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 	}
 }
 
+// TestCompareTraceReadsChartCounts: a compare of two filtered charts on the
+// session's table reads the counts their rule-2 steps drew — no filter or
+// counting kernel under the step, and counts=chart on it. After a derive the
+// session runs on a new table, so the same compare scans again (counts=scan).
+func TestCompareTraceReadsChartCounts(t *testing.T) {
+	_, ts := newTestServer(t)
+	path := createSession(t, ts.URL)
+	addVizStep(t, ts.URL, path)
+	doJSON(t, http.MethodPost, ts.URL+path+"/steps", map[string]any{
+		"op":     "add_visualization",
+		"target": census.ColGender,
+		"predicate": map[string]any{"type": "not", "term": map[string]any{
+			"type": "equals", "column": census.ColSalaryOver50K, "value": "true",
+		}},
+	}, nil)
+
+	compare := func(wantCounts string, wantScans bool) {
+		t.Helper()
+		doJSON(t, http.MethodPost, ts.URL+path+"/steps", map[string]any{"op": "compare_visualizations", "a": 1, "b": 2}, nil)
+		var resp struct {
+			Traces []obs.SpanJSON `json:"traces"`
+		}
+		doJSON(t, http.MethodGet, ts.URL+"/debug/trace?endpoint=POST+/sessions/{id}/steps&limit=1", nil, &resp)
+		if len(resp.Traces) != 1 {
+			t.Fatalf("returned %d traces for limit=1", len(resp.Traces))
+		}
+		var step *obs.SpanJSON
+		for i, sp := range resp.Traces[0].Children {
+			if sp.Name == "step.compare_visualizations" {
+				step = &resp.Traces[0].Children[i]
+			}
+		}
+		if step == nil {
+			t.Fatalf("no compare step span: %+v", resp.Traces[0])
+		}
+		if step.Attrs["counts"] != wantCounts || step.Attrs["p_value"] == nil {
+			t.Errorf("compare step attrs = %+v, want counts=%s and a p-value", step.Attrs, wantCounts)
+		}
+		scans := map[string]int{}
+		for _, k := range step.Children {
+			switch k.Name {
+			case "cache.where", "view.counts_for", "view.bin_counts":
+				scans[k.Name]++
+			}
+		}
+		if wantScans && (scans["cache.where"] != 2 || scans["view.counts_for"] != 2) {
+			t.Errorf("counts=%s compare ran kernels %v, want both filters and both counts", wantCounts, scans)
+		}
+		if !wantScans && len(scans) != 0 {
+			t.Errorf("counts=%s compare ran kernels %v, want none", wantCounts, scans)
+		}
+	}
+	compare("chart", false)
+
+	derive := map[string]any{"op": "derive_column"}
+	for k, v := range bucketHours {
+		derive[k] = v
+	}
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+path+"/steps", derive, nil), http.StatusCreated)
+	compare("scan", true)
+}
+
 // TestTracingDisabled runs a server with a negative trace capacity: requests
 // must work untraced, /debug/trace serves an empty ring, and the metrics
 // exposition still validates.
