@@ -19,16 +19,16 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unfiltered chart: descriptive.
-	_, hyp, err := session.AddVisualization("gender", nil)
-	if err != nil || hyp != nil {
-		t.Fatalf("descriptive chart: %v, %v", hyp, err)
+	res, err := session.Apply(aware.AddVisualization{Target: "gender"})
+	if err != nil || res.Hypothesis != nil {
+		t.Fatalf("descriptive chart: %v, %v", res.Hypothesis, err)
 	}
 	// Filtered chart: rule-2 hypothesis on a strongly planted correlation.
-	_, hyp, err = session.AddVisualization("gender", aware.Equals{Column: "salary_over_50k", Value: "true"})
+	res, err = session.Apply(aware.AddVisualization{Target: "gender", Filter: aware.Equals{Column: "salary_over_50k", Value: "true"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hyp == nil || !hyp.Rejected {
+	if hyp := res.Hypothesis; hyp == nil || !hyp.Rejected {
 		t.Fatalf("expected a discovery, got %+v", hyp)
 	}
 	gauge := session.Gauge()

@@ -25,49 +25,41 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Every action is a Step applied to the session; each one either
+	// succeeds or leaves the session unchanged.
+	apply := func(step aware.Step) aware.StepResult {
+		res, err := session.Apply(step)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
 	// Step A — gender over the whole dataset. Rule 1: descriptive, no
 	// hypothesis.
-	stepA, _, err := session.AddVisualization("gender", nil)
-	if err != nil {
-		log.Fatal(err)
-	}
+	stepA := apply(aware.AddVisualization{Target: "gender"}).Visualization
 	fmt.Println("Step A:", stepA.Describe(), "(descriptive, no hypothesis)")
 
 	// Step B — gender filtered to salary > 50k. Rule 2 creates m1: "the high
 	// salary class has the same gender distribution as the whole dataset".
 	rich := aware.Equals{Column: "salary_over_50k", Value: "true"}
-	stepB, m1, err := session.AddVisualization("gender", rich)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("Step B:", m1.Summary())
+	stepB := apply(aware.AddVisualization{Target: "gender", Filter: rich})
+	fmt.Println("Step B:", stepB.Hypothesis.Summary())
 
 	// Step C — gender filtered to the complement, placed next to B. Rule 3
 	// creates m1' ("the two gender distributions differ") and supersedes m1.
-	stepC, _, err := session.AddVisualization("gender", aware.Not{Inner: rich})
-	if err != nil {
-		log.Fatal(err)
-	}
-	m1prime, err := session.CompareVisualizations(stepB.ID, stepC.ID)
-	if err != nil {
-		log.Fatal(err)
-	}
+	stepC := apply(aware.AddVisualization{Target: "gender", Filter: aware.Not{Inner: rich}})
+	m1prime := apply(aware.CompareVisualizations{A: stepB.Visualization.ID, B: stepC.Visualization.ID}).Hypothesis
 	fmt.Println("Step C:", m1prime.Summary())
 
 	// Step D — marital status of PhDs: hypothesis m2.
 	phd := aware.Equals{Column: "education", Value: "PhD"}
-	_, m2, err := session.AddVisualization("marital_status", phd)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m2 := apply(aware.AddVisualization{Target: "marital_status", Filter: phd}).Hypothesis
 	fmt.Println("Step D:", m2.Summary())
 
 	// Step E — salary of unmarried PhDs: hypothesis m3.
 	phdSingle := aware.And{Terms: []aware.Predicate{phd, aware.Equals{Column: "marital_status", Value: "Never-Married"}}}
-	_, m3, err := session.AddVisualization("salary_over_50k", phdSingle)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m3 := apply(aware.AddVisualization{Target: "salary_over_50k", Filter: phdSingle}).Hypothesis
 	fmt.Println("Step E:", m3.Summary())
 
 	// Step F — the user compares the age distribution of high and low earners
@@ -75,31 +67,16 @@ func main() {
 	// age (m4 -> m4').
 	chainRich := aware.And{Terms: []aware.Predicate{phdSingle, rich}}
 	chainPoor := aware.And{Terms: []aware.Predicate{phdSingle, aware.Not{Inner: rich}}}
-	vizRich, _, err := session.AddVisualization("age", chainRich)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vizPoor, _, err := session.AddVisualization("age", chainPoor)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m4prime, err := session.CompareMeans("age", vizRich.ID, vizPoor.ID)
-	if err != nil {
-		log.Fatal(err)
-	}
+	vizRich := apply(aware.AddVisualization{Target: "age", Filter: chainRich}).Visualization
+	vizPoor := apply(aware.AddVisualization{Target: "age", Filter: chainPoor}).Visualization
+	m4prime := apply(aware.CompareMeans{Attribute: "age", A: vizRich.ID, B: vizPoor.ID}).Hypothesis
 	fmt.Println("Step F:", m4prime.Summary())
 
 	// Eve decides the marital-status chart (step D) was only a stepping stone
 	// and removes its hypothesis, then stars her headline findings.
-	if err := session.DeclareDescriptive(4); err != nil {
-		log.Fatal(err)
-	}
-	if err := session.Star(m1prime.ID, true); err != nil {
-		log.Fatal(err)
-	}
-	if err := session.Star(m4prime.ID, true); err != nil {
-		log.Fatal(err)
-	}
+	apply(aware.DeclareDescriptive{Visualization: 4})
+	apply(aware.Star{Hypothesis: m1prime.ID, Starred: true})
+	apply(aware.Star{Hypothesis: m4prime.ID, Starred: true})
 
 	fmt.Println("\nFinal risk gauge:")
 	fmt.Println(session.Gauge().Render())

@@ -30,11 +30,11 @@ func main() {
 
 	// 3. An unfiltered chart is descriptive: no hypothesis, no α-wealth spent
 	//    (heuristic rule 1).
-	genderViz, _, err := session.AddVisualization("gender", nil)
+	res, err := session.Apply(aware.AddVisualization{Target: "gender"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bars, err := genderViz.Histogram(table)
+	bars, err := res.Visualization.Histogram(table)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,17 +46,18 @@ func main() {
 	// 4. A filtered chart becomes a default hypothesis: "the filter makes no
 	//    difference" (heuristic rule 2). AWARE tests it immediately through
 	//    the α-investing procedure and reports whether it is a discovery.
-	_, hyp, err := session.AddVisualization("gender", aware.Equals{Column: "salary_over_50k", Value: "true"})
+	res, err = session.Apply(aware.AddVisualization{Target: "gender", Filter: aware.Equals{Column: "salary_over_50k", Value: "true"}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	hyp := res.Hypothesis
 	fmt.Println("\ndefault hypothesis for the filtered chart:")
 	fmt.Println(" ", hyp.Summary())
 	fmt.Printf("  need %.1fx the current data to flip this decision (n_H1 annotation)\n", hyp.DataMultiplier)
 
 	// 5. Mark it as an important discovery; by Theorem 1 the starred subset
 	//    keeps the same FDR guarantee.
-	if err := session.Star(hyp.ID, true); err != nil {
+	if _, err := session.Apply(aware.Star{Hypothesis: hyp.ID, Starred: true}); err != nil {
 		log.Fatal(err)
 	}
 

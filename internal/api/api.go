@@ -16,10 +16,9 @@ import (
 )
 
 // Prefix is the versioned route prefix. Every session and dataset endpoint is
-// canonically served under it; the unprefixed legacy paths remain as thin
-// aliases for one release. Infrastructure endpoints (/healthz, /metrics,
-// /debug/*) are deliberately unversioned: they address the process, not the
-// API.
+// served under it and only under it. Infrastructure endpoints (/healthz,
+// /metrics, /debug/*) are deliberately unversioned: they address the process,
+// not the API.
 const Prefix = "/v1"
 
 // NodeHeader is the response header carrying the serving node's name on every

@@ -48,16 +48,12 @@ const (
 	CodeInternal ErrorCode = "internal"
 	// CodeNodeUnavailable: a cluster router could not reach any replica that
 	// may own the resource. The request was never applied, so it is the one
-	// server-fault code that is safe to retry.
+	// code that can be safely re-sent: the router vouches the request never
+	// reached a session. Everything else either already happened
+	// (journal_failed), will deterministically fail again (the 4xx codes), or
+	// has unknown effect (internal).
 	CodeNodeUnavailable ErrorCode = "node_unavailable"
 )
-
-// Retryable reports whether a request failing with this code can be safely
-// re-sent. Only CodeNodeUnavailable qualifies: the router vouches the request
-// never reached a session. Everything else either already happened
-// (journal_failed), will deterministically fail again (the 4xx codes), or has
-// unknown effect (internal).
-func (c ErrorCode) Retryable() bool { return c == CodeNodeUnavailable }
 
 // ErrorBody is the JSON error envelope: a human-readable message plus the
 // machine-readable code. Every non-2xx response carries one.

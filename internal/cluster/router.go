@@ -129,29 +129,20 @@ func NewRouter(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// routes builds the router's mux: versioned and legacy aliases for the API
-// surface, aggregate infra endpoints, and a catch-all per-session proxy that
-// stays transparent to endpoints added after the router was written.
+// routes builds the router's mux: the API surface once under api.Prefix
+// (an unprefixed API path is a 404), aggregate infra endpoints, and a
+// catch-all per-session proxy that stays transparent to endpoints added after
+// the router was written.
 func (rt *Router) routes() http.Handler {
 	mux := http.NewServeMux()
-	both := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("cluster: route pattern without a method: " + pattern)
-		}
-		mux.HandleFunc(method+" "+api.Prefix+path, h)
-		mux.HandleFunc(pattern, h)
-	}
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	both("POST /sessions", rt.handleCreateSession)
-	both("GET /sessions", rt.handleListSessions)
-	both("GET /datasets", rt.handleAnyNode)
-	both("POST /datasets", rt.handleBroadcast)
-	for _, path := range []string{"/sessions/{id}", "/sessions/{id}/{rest...}"} {
-		mux.HandleFunc(api.Prefix+path, rt.handleSessionScoped)
-		mux.HandleFunc(path, rt.handleSessionScoped)
-	}
+	mux.HandleFunc("POST "+api.Prefix+"/sessions", rt.handleCreateSession)
+	mux.HandleFunc("GET "+api.Prefix+"/sessions", rt.handleListSessions)
+	mux.HandleFunc("GET "+api.Prefix+"/datasets", rt.handleAnyNode)
+	mux.HandleFunc("POST "+api.Prefix+"/datasets", rt.handleBroadcast)
+	mux.HandleFunc(api.Prefix+"/sessions/{id}", rt.handleSessionScoped)
+	mux.HandleFunc(api.Prefix+"/sessions/{id}/{rest...}", rt.handleSessionScoped)
 	return mux
 }
 

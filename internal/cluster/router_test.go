@@ -350,3 +350,17 @@ func TestRouterPassesThroughErrorEnvelopes(t *testing.T) {
 		t.Fatalf("create with unknown dataset = %v, want dataset_unknown", err)
 	}
 }
+
+// TestRouterRejectsUnprefixedAPIPaths checks that the router serves the API
+// only under api.Prefix: an unprefixed create is an unknown route.
+func TestRouterRejectsUnprefixedAPIPaths(t *testing.T) {
+	_, _, _, router := startCluster(t, 2)
+	resp, err := http.Post(router.URL+"/sessions", "application/json", strings.NewReader(`{"dataset": "census"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /sessions through the router: status %d, want 404", resp.StatusCode)
+	}
+}

@@ -52,7 +52,7 @@ const (
 )
 
 // String implements fmt.Stringer; the names double as the schema-file and
-// /datasets wire spelling.
+// /v1/datasets wire spelling.
 func (k Kind) String() string {
 	switch k {
 	case Float64:
@@ -84,7 +84,7 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// MarshalText implements encoding.TextMarshaler (schema files, /datasets).
+// MarshalText implements encoding.TextMarshaler (schema files, /v1/datasets).
 func (k Kind) MarshalText() ([]byte, error) {
 	if k >= numKinds {
 		return nil, fmt.Errorf("colstore: unknown column kind %d", int(k))

@@ -14,7 +14,7 @@ import (
 
 // ColumnSchema names and types one column of a dataset being ingested (and is
 // the per-column element of the schema the store reports back out through
-// /datasets).
+// /v1/datasets).
 type ColumnSchema struct {
 	Name string `json:"name"`
 	Kind Kind   `json:"kind"`

@@ -145,15 +145,11 @@ func TestCompareRescansAfterDeriveAndJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	addCharts(t, s, "color", groupA, notGroupA)
-	if err := s.DeriveColumn("x_bucket", dataset.Bucket{Arg: dataset.Col{Name: "x"}, Width: 1}); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, s, DeriveColumn{Name: "x_bucket", Expr: dataset.Bucket{Arg: dataset.Col{Name: "x"}, Width: 1}})
 	requireCompareMatchesScan(t, s, 1, 2, "scan")
 	addCharts(t, s, "color", groupA, notGroupA)
 	requireCompareMatchesScan(t, s, 3, 4, "chart")
-	if err := s.JoinDataset("groups", "group", "name", "g_"); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, s, JoinDataset{Dataset: "groups", LeftKey: "group", RightKey: "name", Prefix: "g_"})
 	if s.Data().NumRows() >= tab.NumRows() {
 		t.Fatalf("the join kept %d of %d rows; the test needs it to drop group c", s.Data().NumRows(), tab.NumRows())
 	}

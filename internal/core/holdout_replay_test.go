@@ -138,10 +138,11 @@ func TestHoldoutReplayLogToleratesHalfOnlyFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReplayLog must tolerate half-only step failures, got %v", err)
 	}
-	rareInExploration, err := hv.Exploration().CountWhere(dataset.Equals{Column: "marker", Value: "rare"})
+	rare, err := hv.Exploration().Where(dataset.Equals{Column: "marker", Value: "rare"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rareInExploration := rare.Count()
 	if replay.ValidationApplied > replay.ExplorationApplied {
 		t.Errorf("validation applied %d > exploration applied %d", replay.ValidationApplied, replay.ExplorationApplied)
 	}

@@ -15,35 +15,6 @@ import (
 // Where kernels; like every other step they do all fallible work before
 // mutating session state.
 
-// DeriveColumn extends the session's table with a computed numeric column and
-// continues the session over the extended table. Existing visualizations and
-// hypotheses stay valid (the row set is unchanged); later steps can filter,
-// group and test on the new column.
-func (s *Session) DeriveColumn(name string, e dataset.Expr) error {
-	_, err := s.Apply(DeriveColumn{Name: name, Expr: e})
-	return err
-}
-
-// JoinDataset equi-joins the session's table with a catalog dataset and
-// continues the session over the join result (left columns keep their names,
-// right columns gain prefix). The session must have been opened with
-// Options.Catalog.
-func (s *Session) JoinDataset(name, leftKey, rightKey, prefix string) error {
-	_, err := s.Apply(JoinDataset{Dataset: name, LeftKey: leftKey, RightKey: rightKey, Prefix: prefix})
-	return err
-}
-
-// GroupBy tests the independence of two attributes over the filtered rows
-// with a χ² test on their contingency table — the group-by generalization of
-// the rule-2/rule-3 defaults to arbitrary column pairs.
-func (s *Session) GroupBy(rowAttr, colAttr string, filter dataset.Predicate) (*Hypothesis, error) {
-	res, err := s.Apply(GroupByHypothesis{RowAttr: rowAttr, ColAttr: colAttr, Filter: filter})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
 // scanNode is the plan leaf every relational step builds on: the session's
 // current table read through its filter-bitmap cache, so scan-level filters
 // are served by exact and subsumption cache hits.
@@ -59,59 +30,59 @@ func (s *Session) adoptTable(t *dataset.Table) {
 	s.sel = dataset.NewSelectionCache(t)
 }
 
-func (s *Session) deriveColumn(name string, e dataset.Expr) error {
-	if name == "" {
-		return fmt.Errorf("core: derive step requires a column name")
+func (s *Session) deriveColumn(st DeriveColumn) (StepResult, error) {
+	if st.Name == "" {
+		return StepResult{}, fmt.Errorf("core: derive step requires a column name")
 	}
-	if e == nil {
-		return fmt.Errorf("core: derive step requires an expression")
+	if st.Expr == nil {
+		return StepResult{}, fmt.Errorf("core: derive step requires an expression")
 	}
-	res, err := plan.Run(plan.Derive{Input: s.scanNode(), Name: name, Expr: e}, s.catalog)
+	res, err := plan.Run(plan.Derive{Input: s.scanNode(), Name: st.Name, Expr: st.Expr}, s.catalog)
 	if err != nil {
-		return fmt.Errorf("core: deriving column %q: %w", name, err)
+		return StepResult{}, fmt.Errorf("core: deriving column %q: %w", st.Name, err)
 	}
 	s.adoptTable(res.View.Table())
-	return nil
+	return StepResult{}, nil
 }
 
-func (s *Session) joinDataset(name, leftKey, rightKey, prefix string) error {
-	if name == "" || leftKey == "" || rightKey == "" {
-		return fmt.Errorf("core: join step requires a dataset and both key columns")
+func (s *Session) joinDataset(st JoinDataset) (StepResult, error) {
+	if st.Dataset == "" || st.LeftKey == "" || st.RightKey == "" {
+		return StepResult{}, fmt.Errorf("core: join step requires a dataset and both key columns")
 	}
 	if s.catalog == nil {
-		return fmt.Errorf("core: join steps require a session catalog (Options.Catalog)")
+		return StepResult{}, fmt.Errorf("core: join steps require a session catalog (Options.Catalog)")
 	}
 	res, err := plan.Run(plan.Join{
 		Left:        s.scanNode(),
-		Right:       plan.Scan{Dataset: name},
-		LeftKey:     leftKey,
-		RightKey:    rightKey,
-		RightPrefix: prefix,
+		Right:       plan.Scan{Dataset: st.Dataset},
+		LeftKey:     st.LeftKey,
+		RightKey:    st.RightKey,
+		RightPrefix: st.Prefix,
 	}, s.catalog)
 	if err != nil {
-		return fmt.Errorf("core: joining with dataset %q: %w", name, err)
+		return StepResult{}, fmt.Errorf("core: joining with dataset %q: %w", st.Dataset, err)
 	}
 	s.adoptTable(res.View.Table())
-	return nil
+	return StepResult{}, nil
 }
 
-func (s *Session) groupByHypothesis(rowAttr, colAttr string, filter dataset.Predicate) (*Hypothesis, error) {
-	if rowAttr == "" || colAttr == "" {
-		return nil, fmt.Errorf("core: group-by step requires row and column attributes")
+func (s *Session) groupByHypothesis(st GroupByHypothesis) (StepResult, error) {
+	if st.RowAttr == "" || st.ColAttr == "" {
+		return StepResult{}, fmt.Errorf("core: group-by step requires row and column attributes")
 	}
 	node := plan.GroupBy{
-		Input:   plan.Filter{Input: s.scanNode(), Pred: filter},
-		RowAttr: rowAttr,
-		ColAttr: colAttr,
+		Input:   plan.Filter{Input: s.scanNode(), Pred: st.Filter},
+		RowAttr: st.RowAttr,
+		ColAttr: st.ColAttr,
 		Bins:    numericBins,
 	}
 	res, err := plan.Run(node, s.catalog)
 	if err != nil {
-		return nil, fmt.Errorf("core: group-by hypothesis %q × %q: %w", rowAttr, colAttr, err)
+		return StepResult{}, fmt.Errorf("core: group-by hypothesis %q × %q: %w", st.RowAttr, st.ColAttr, err)
 	}
 	test, err := stats.ChiSquaredIndependence(res.Cross.Counts)
 	if err != nil {
-		return nil, fmt.Errorf("core: group-by hypothesis %q × %q: %w", rowAttr, colAttr, err)
+		return StepResult{}, fmt.Errorf("core: group-by hypothesis %q × %q: %w", st.RowAttr, st.ColAttr, err)
 	}
 	support := 0
 	for _, row := range res.Cross.Counts {
@@ -119,10 +90,11 @@ func (s *Session) groupByHypothesis(rowAttr, colAttr string, filter dataset.Pred
 			support += c
 		}
 	}
-	return s.record(test, Hypothesis{
-		Null:        fmt.Sprintf("%s independent of %s | (%s)", rowAttr, colAttr, describeFilter(filter)),
-		Alternative: fmt.Sprintf("%s associated with %s | (%s)", rowAttr, colAttr, describeFilter(filter)),
+	hyp, err := s.record(test, Hypothesis{
+		Null:        fmt.Sprintf("%s independent of %s | (%s)", st.RowAttr, st.ColAttr, describeFilter(st.Filter)),
+		Alternative: fmt.Sprintf("%s associated with %s | (%s)", st.RowAttr, st.ColAttr, describeFilter(st.Filter)),
 		Source:      SourceUser,
 		SupportSize: support,
 	})
+	return StepResult{Hypothesis: hyp}, err
 }

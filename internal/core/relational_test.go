@@ -149,9 +149,7 @@ func TestRelationalStepsMatchDirectEvaluation(t *testing.T) {
 		Arg:   dataset.Binary{Op: dataset.OpMul, L: dataset.Col{Name: "x"}, R: dataset.Const{Value: 10}},
 		Width: 5,
 	}
-	if err := sess.DeriveColumn("x_bucket", expr); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, sess, DeriveColumn{Name: "x_bucket", Expr: expr})
 	wantDerived, err := tab.Derive("x_bucket", expr)
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +165,7 @@ func TestRelationalStepsMatchDirectEvaluation(t *testing.T) {
 		}
 	}
 
-	if err := sess.JoinDataset("groups", "group", "name", "g_"); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, sess, JoinDataset{Dataset: "groups", LeftKey: "group", RightKey: "name", Prefix: "g_"})
 	lv, err := dataset.NewView(wantDerived, dataset.FullSelection(wantDerived.NumRows()))
 	if err != nil {
 		t.Fatal(err)
@@ -213,10 +209,7 @@ func TestRelationalStepsMatchDirectEvaluation(t *testing.T) {
 	// The group-by hypothesis over the joined table: support must equal the
 	// filter's selectivity on the joined rows.
 	filter := dataset.GreaterThan{Column: "g_weight", Threshold: 1}
-	hyp, err := sess.GroupBy("group", "color", filter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hyp := mustApply(t, sess, GroupByHypothesis{RowAttr: "group", ColAttr: "color", Filter: filter}).Hypothesis
 	sel, err := wantJoined.Where(filter)
 	if err != nil {
 		t.Fatal(err)
@@ -299,14 +292,10 @@ func TestGoldenRelationalLogReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var report strings.Builder
-		if err := sess.Report(goldenTime).WriteJSON(&report); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(goldenRelationalLogPath, append(logJSON, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenRelationalReportPath, []byte(report.String()), 0o644); err != nil {
+		if err := os.WriteFile(goldenRelationalReportPath, reportJSON(t, sess), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,16 +316,13 @@ func TestGoldenRelationalLogReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replaying golden relational log: %v", err)
 	}
-	var got strings.Builder
-	if err := sess.Report(goldenTime).WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
+	got := reportJSON(t, sess)
 	want, err := os.ReadFile(goldenRelationalReportPath)
 	if err != nil {
 		t.Fatalf("reading golden relational report (regenerate with -update): %v", err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("replayed report differs from golden file:\n--- got ---\n%s\n--- want ---\n%s", got.String(), want)
+	if string(got) != string(want) {
+		t.Errorf("replayed report differs from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
 	gotLog, err := json.MarshalIndent(sess.Log(), "", "  ")

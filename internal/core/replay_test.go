@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -19,6 +18,17 @@ const (
 
 // goldenTime pins the report timestamp so the golden bytes are stable.
 var goldenTime = time.Unix(1700000000, 0)
+
+// reportJSON renders the session's report at goldenTime in the golden files'
+// form: two-space indented JSON ending in a newline.
+func reportJSON(t *testing.T, s *Session) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(s.Report(goldenTime), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
 
 // TestGoldenLogReplaysToGoldenReport is the golden-file satellite: a recorded
 // exploration log, committed as JSON, must replay to the exact committed
@@ -39,17 +49,13 @@ func TestGoldenLogReplaysToGoldenReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var report strings.Builder
-		if err := sess.Report(goldenTime).WriteJSON(&report); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.MkdirAll(filepath.Dir(goldenLogPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(goldenLogPath, append(logJSON, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenReportPath, []byte(report.String()), 0o644); err != nil {
+		if err := os.WriteFile(goldenReportPath, reportJSON(t, sess), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,16 +76,13 @@ func TestGoldenLogReplaysToGoldenReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replaying golden log: %v", err)
 	}
-	var got strings.Builder
-	if err := sess.Report(goldenTime).WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
+	got := reportJSON(t, sess)
 	want, err := os.ReadFile(goldenReportPath)
 	if err != nil {
 		t.Fatalf("reading golden report (regenerate with -update): %v", err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("replayed report differs from golden file:\n--- got ---\n%s\n--- want ---\n%s", got.String(), want)
+	if string(got) != string(want) {
+		t.Errorf("replayed report differs from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
 	// The replayed journal must also round-trip to the same bytes as the

@@ -106,17 +106,8 @@ func (s *Session) Report(now time.Time) Report {
 	return r
 }
 
-// WriteJSON serializes the report as indented JSON.
-func (r Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("core: encoding report: %w", err)
-	}
-	return nil
-}
-
-// ReadReport parses a report previously written with WriteJSON.
+// ReadReport parses a report in the JSON form GET /v1/sessions/{id}/report
+// serves.
 func ReadReport(r io.Reader) (Report, error) {
 	var out Report
 	dec := json.NewDecoder(r)

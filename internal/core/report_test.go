@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -14,18 +15,9 @@ import (
 func TestSessionReportRoundTrip(t *testing.T) {
 	s := newSession(t, testCensus(t))
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	_, hyp, err := s.AddVisualization(census.ColGender, rich)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Star(hyp.ID, true); err != nil {
-		t.Fatal(err)
-	}
-	_, m2, err := s.AddVisualization(census.ColMaritalStatus, dataset.Equals{Column: census.ColEducation, Value: "PhD"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = m2
+	hyp := mustApply(t, s, core.AddVisualization{Target: census.ColGender, Filter: rich}).Hypothesis
+	mustApply(t, s, core.Star{Hypothesis: hyp.ID, Starred: true})
+	mustApply(t, s, core.AddVisualization{Target: census.ColMaritalStatus, Filter: dataset.Equals{Column: census.ColEducation, Value: "PhD"}})
 
 	now := time.Date(2026, 6, 16, 12, 0, 0, 0, time.UTC)
 	report := s.Report(now)
@@ -49,14 +41,14 @@ func TestSessionReportRoundTrip(t *testing.T) {
 		t.Errorf("source/status %q %q", first.Source, first.Status)
 	}
 
-	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
+	raw, err := json.Marshal(report)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "\"alpha\": 0.05") {
+	if !strings.Contains(string(raw), `"alpha":0.05`) {
 		t.Error("JSON missing alpha")
 	}
-	back, err := core.ReadReport(&buf)
+	back, err := core.ReadReport(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,18 +68,14 @@ func TestReportEncodesInfiniteMultiplierAsSentinel(t *testing.T) {
 	// export must encode it as -1 rather than failing on +Inf.
 	s := newSession(t, testCensus(t))
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	_, hyp, err := s.AddVisualization(census.ColGender, rich)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hyp := mustApply(t, s, core.AddVisualization{Target: census.ColGender, Filter: rich}).Hypothesis
 	hyp.DataMultiplier = inf()
 	report := s.Report(time.Unix(0, 0))
 	if report.Hypotheses[0].DataMultiplier != -1 {
 		t.Errorf("multiplier sentinel = %v", report.Hypotheses[0].DataMultiplier)
 	}
-	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON with sentinel: %v", err)
+	if _, err := json.Marshal(report); err != nil {
+		t.Fatalf("encoding the report with the sentinel: %v", err)
 	}
 }
 

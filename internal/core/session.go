@@ -55,21 +55,18 @@ type Options struct {
 // α-investing procedure that decides, incrementally and irrevocably, which
 // null hypotheses are rejected.
 //
-// Every mutation is a Step applied through Apply — the exported mutating
-// methods (AddVisualization, CompareVisualizations, TestAgainstExpectation,
-// CompareMeans, CompareDistributions, DeclareDescriptive, Star) are one-line
-// wrappers that build the corresponding Step — and every successful Step is
-// recorded in the append-only journal returned by Log, so a session can be
-// persisted and reconstructed deterministically with Replay.
+// Every mutation is a Step applied through Apply (or ApplyTraced, which adds
+// a span tree), and every successful Step is recorded in the append-only
+// journal returned by Log, so a session can be persisted and reconstructed
+// deterministically with Replay.
 //
-// Session is not safe for concurrent use: every exported mutating method goes
-// through Apply, and the accessors read state Apply mutates. Accessors return
-// copied slices, but the *Visualization and *Hypothesis elements point at
-// live session state, so even "read-only" use must be serialized with
-// writers. A single-user front-end drives a Session from one event loop; a
-// multi-session service must own each Session behind a per-session lock and
-// finish serializing snapshots before releasing it, as
-// internal/server.SessionManager does.
+// Session is not safe for concurrent use: Apply mutates the session, and the
+// accessors read state Apply mutates. Accessors return copied slices, but the
+// *Visualization and *Hypothesis elements point at live session state, so
+// even "read-only" use must be serialized with writers. A single-user
+// front-end drives a Session from one event loop; a multi-session service
+// must own each Session behind a per-session lock and finish serializing
+// snapshots before releasing it, as internal/server.SessionManager does.
 type Session struct {
 	data     *dataset.Table
 	sel      *dataset.SelectionCache
@@ -147,13 +144,6 @@ func (s *Session) PolicyName() string { return s.investor.PolicyName() }
 // Wealth returns the remaining α-wealth.
 func (s *Session) Wealth() float64 { return s.investor.Wealth() }
 
-// Visualizations returns the visualizations created so far, in creation order.
-func (s *Session) Visualizations() []*Visualization {
-	out := make([]*Visualization, len(s.visualizations))
-	copy(out, s.visualizations)
-	return out
-}
-
 // Hypotheses returns every tracked hypothesis in creation order, including
 // superseded and deleted ones (the risk gauge shows them greyed out).
 func (s *Session) Hypotheses() []*Hypothesis {
@@ -215,131 +205,42 @@ func (s *Session) hypothesis(id int) (*Hypothesis, error) {
 	return s.hypotheses[id-1], nil
 }
 
-// AddVisualization creates a new chart for the target attribute restricted by
-// the given filter chain (nil for the whole dataset) and applies the default
-// hypothesis heuristics:
-//
-//   - Rule 1: an unfiltered visualization is descriptive — no hypothesis is
-//     created (the returned hypothesis is nil). The user can attach one later
-//     with TestAgainstExpectation.
-//   - Rule 2: a filtered visualization creates the default hypothesis that the
-//     filter makes no difference compared to the distribution of the target
-//     over the whole dataset, tested with a χ² goodness-of-fit test.
-func (s *Session) AddVisualization(target string, filter dataset.Predicate) (*Visualization, *Hypothesis, error) {
-	res, err := s.Apply(AddVisualization{Target: target, Filter: filter})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Visualization, res.Hypothesis, nil
-}
-
-// CompareVisualizations applies heuristic rule 3: the two visualizations show
-// the same target attribute under complementary (or simply different) filter
-// chains, and the user placed them next to each other, so the default
-// hypothesis becomes "the two visualized distributions do not differ", tested
-// with a χ² independence test. Any rule-2 hypotheses previously attached to
-// the two visualizations are superseded.
-func (s *Session) CompareVisualizations(aID, bID int) (*Hypothesis, error) {
-	res, err := s.Apply(CompareVisualizations{A: aID, B: bID})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
-// TestAgainstExpectation attaches a user-defined hypothesis to an unfiltered
-// visualization (rule 1's escape hatch): the user states the proportions they
-// expected for the target's categories, and the system tests the observed
-// distribution against that expectation with a χ² goodness-of-fit test.
-// The expected map gives relative weights per category; missing categories
-// count as weight zero.
-func (s *Session) TestAgainstExpectation(vizID int, expected map[string]float64) (*Hypothesis, error) {
-	res, err := s.Apply(TestAgainstExpectation{Visualization: vizID, Expected: expected})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
-// CompareMeans overrides the default distribution comparison with a Welch
-// t-test on the means of a numeric attribute between two filtered
-// sub-populations — the explicit test of Figure 1 (F) where the user drags
-// two age charts together and the default hypothesis m4 is replaced by m4'
-// about the average age. Hypotheses previously attached to the two
-// visualizations are superseded.
-func (s *Session) CompareMeans(numericAttr string, aID, bID int) (*Hypothesis, error) {
-	res, err := s.Apply(CompareMeans{Attribute: numericAttr, A: aID, B: bID})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
-// CompareDistributions overrides the default comparison with a two-sample
-// Kolmogorov–Smirnov test on a numeric attribute between two filtered
-// sub-populations — useful when the analyst cares about the whole shape of
-// the distribution rather than its mean, or when the attribute is too skewed
-// for a t-test. Hypotheses previously attached to the two visualizations are
-// superseded, exactly as in CompareMeans.
-func (s *Session) CompareDistributions(numericAttr string, aID, bID int) (*Hypothesis, error) {
-	res, err := s.Apply(CompareDistributions{Attribute: numericAttr, A: aID, B: bID})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
-// DeclareDescriptive marks the hypothesis attached to a visualization as
-// deleted: the user states that the chart was purely descriptive (or only a
-// stepping stone, Section 2.4). The α-wealth already spent on it is not
-// refunded — refunding would break the mFDR guarantee — but the hypothesis no
-// longer appears among the session's findings.
-func (s *Session) DeclareDescriptive(vizID int) error {
-	_, err := s.Apply(DeclareDescriptive{Visualization: vizID})
-	return err
-}
-
-// Star marks or unmarks a hypothesis as an important discovery (Figure 2 E).
-func (s *Session) Star(hypothesisID int, starred bool) error {
-	_, err := s.Apply(Star{Hypothesis: hypothesisID, Starred: starred})
-	return err
-}
-
 // --- step implementations ---
 //
-// Each of the following performs all fallible work (lookups, statistics, the
-// α-investing decision) before mutating session state, so that a failed step
-// leaves the session exactly as it was: Apply's atomicity contract.
+// Each of the following takes its own Step value, performs all fallible work
+// (lookups, statistics, the α-investing decision) before mutating session
+// state, so that a failed step leaves the session exactly as it was: Apply's
+// atomicity contract. Their contracts are documented on the Step types.
 
-func (s *Session) addVisualization(target string, filter dataset.Predicate) (*Visualization, *Hypothesis, error) {
-	if !s.data.HasColumn(target) {
-		return nil, nil, fmt.Errorf("%w: %q", dataset.ErrColumnNotFound, target)
+func (s *Session) addVisualization(st AddVisualization) (StepResult, error) {
+	if !s.data.HasColumn(st.Target) {
+		return StepResult{}, fmt.Errorf("%w: %q", dataset.ErrColumnNotFound, st.Target)
 	}
-	viz := &Visualization{ID: len(s.visualizations) + 1, Target: target, Filter: filter}
-	if filter == nil {
+	viz := &Visualization{ID: len(s.visualizations) + 1, Target: st.Target, Filter: st.Filter}
+	if st.Filter == nil {
 		s.visualizations = append(s.visualizations, viz)
-		return viz, nil, nil // Rule 1: descriptive.
+		return StepResult{Visualization: viz}, nil // Rule 1: descriptive.
 	}
 	hyp, err := s.testFilterVsPopulation(viz)
 	if err != nil {
-		return nil, nil, err
+		return StepResult{}, err
 	}
 	s.visualizations = append(s.visualizations, viz)
 	viz.HypothesisID = hyp.ID
-	return viz, hyp, nil
+	return StepResult{Visualization: viz, Hypothesis: hyp}, nil
 }
 
-func (s *Session) compareVisualizations(aID, bID int) (*Hypothesis, error) {
-	a, err := s.visualization(aID)
+func (s *Session) compareVisualizations(st CompareVisualizations) (StepResult, error) {
+	a, err := s.visualization(st.A)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
-	b, err := s.visualization(bID)
+	b, err := s.visualization(st.B)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	if a.Target != b.Target {
-		return nil, fmt.Errorf("%w: %q vs %q", ErrNotComplementary, a.Target, b.Target)
+		return StepResult{}, fmt.Errorf("%w: %q vs %q", ErrNotComplementary, a.Target, b.Target)
 	}
 	var test stats.TestResult
 	var nA, nB int
@@ -354,7 +255,7 @@ func (s *Session) compareVisualizations(aID, bID int) (*Hypothesis, error) {
 		test, nA, nB, err = comparisonTest(s.sel, a.Target, a.Filter, b.Filter, s.trace)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: comparison hypothesis for %q vs %q: %w", a.Describe(), b.Describe(), err)
+		return StepResult{}, fmt.Errorf("core: comparison hypothesis for %q vs %q: %w", a.Describe(), b.Describe(), err)
 	}
 	hyp, err := s.record(test, Hypothesis{
 		Null:            fmt.Sprintf("%s = %s", a.Describe(), b.Describe()),
@@ -364,38 +265,38 @@ func (s *Session) compareVisualizations(aID, bID int) (*Hypothesis, error) {
 		SupportSize:     nA + nB,
 	})
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	// Supersede the single-visualization hypotheses: the side-by-side
 	// comparison replaces them (Section 2.3, rule 3).
 	s.supersedeAttached(hyp, a, b)
-	return hyp, nil
+	return StepResult{Hypothesis: hyp}, nil
 }
 
-func (s *Session) testAgainstExpectation(vizID int, expected map[string]float64) (*Hypothesis, error) {
-	viz, err := s.visualization(vizID)
+func (s *Session) testAgainstExpectation(st TestAgainstExpectation) (StepResult, error) {
+	viz, err := s.visualization(st.Visualization)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	sub, err := s.sel.ViewSpan(viz.Filter, s.trace)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	cats, err := s.data.Categories(viz.Target)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	observed, err := sub.CountsForSpan(viz.Target, cats, s.trace)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	weights := make([]float64, len(cats))
 	for i, c := range cats {
-		weights[i] = expected[c]
+		weights[i] = st.Expected[c]
 	}
 	test, err := stats.ChiSquaredGoodnessOfFit(observed, weights)
 	if err != nil {
-		return nil, fmt.Errorf("core: testing expectation for %q: %w", viz.Describe(), err)
+		return StepResult{}, fmt.Errorf("core: testing expectation for %q: %w", viz.Describe(), err)
 	}
 	hyp, err := s.record(test, Hypothesis{
 		Null:            fmt.Sprintf("%s = expected distribution", viz.Describe()),
@@ -405,43 +306,43 @@ func (s *Session) testAgainstExpectation(vizID int, expected map[string]float64)
 		SupportSize:     sub.NumRows(),
 	})
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	s.supersedeAttached(hyp, viz)
-	return hyp, nil
+	return StepResult{Hypothesis: hyp}, nil
 }
 
-func (s *Session) compareMeans(numericAttr string, aID, bID int) (*Hypothesis, error) {
-	return s.compareNumeric("mean", numericAttr, aID, bID, func(subA, subB dataset.View) (stats.TestResult, error) {
-		x, err := subA.Moments(numericAttr, s.trace)
+func (s *Session) compareMeans(st CompareMeans) (StepResult, error) {
+	return s.compareNumeric("mean", st.Attribute, st.A, st.B, func(subA, subB dataset.View) (stats.TestResult, error) {
+		x, err := subA.Moments(st.Attribute, s.trace)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
-		y, err := subB.Moments(numericAttr, s.trace)
+		y, err := subB.Moments(st.Attribute, s.trace)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
 		res, err := stats.WelchFromMoments(x, y, stats.TwoSided)
 		if err != nil {
-			return res, fmt.Errorf("core: comparing means of %q: %w", numericAttr, err)
+			return res, fmt.Errorf("core: comparing means of %q: %w", st.Attribute, err)
 		}
 		return res, nil
 	})
 }
 
-func (s *Session) compareDistributions(numericAttr string, aID, bID int) (*Hypothesis, error) {
-	return s.compareNumeric("dist", numericAttr, aID, bID, func(subA, subB dataset.View) (stats.TestResult, error) {
-		x, err := subA.Tally(numericAttr, s.trace)
+func (s *Session) compareDistributions(st CompareDistributions) (StepResult, error) {
+	return s.compareNumeric("dist", st.Attribute, st.A, st.B, func(subA, subB dataset.View) (stats.TestResult, error) {
+		x, err := subA.Tally(st.Attribute, s.trace)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
-		y, err := subB.Tally(numericAttr, s.trace)
+		y, err := subB.Tally(st.Attribute, s.trace)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
 		res, err := x.KS(y)
 		if err != nil {
-			return res, fmt.Errorf("core: comparing distributions of %q: %w", numericAttr, err)
+			return res, fmt.Errorf("core: comparing distributions of %q: %w", st.Attribute, err)
 		}
 		return res, nil
 	})
@@ -450,26 +351,26 @@ func (s *Session) compareDistributions(numericAttr string, aID, bID int) (*Hypot
 // compareNumeric is the explicit comparison of two visualizations on a
 // numeric attribute: it resolves their filtered sub-populations, runs test
 // over the two views and records the hypothesis "what a | A = what a | B".
-func (s *Session) compareNumeric(what, numericAttr string, aID, bID int, test func(subA, subB dataset.View) (stats.TestResult, error)) (*Hypothesis, error) {
+func (s *Session) compareNumeric(what, numericAttr string, aID, bID int, test func(subA, subB dataset.View) (stats.TestResult, error)) (StepResult, error) {
 	a, err := s.visualization(aID)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	b, err := s.visualization(bID)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	subA, err := s.sel.ViewSpan(a.Filter, s.trace)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	subB, err := s.sel.ViewSpan(b.Filter, s.trace)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	res, err := test(subA, subB)
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	hyp, err := s.record(res, Hypothesis{
 		Null:            fmt.Sprintf("%s %s | (%s) = %s %s | (%s)", what, numericAttr, describeFilter(a.Filter), what, numericAttr, describeFilter(b.Filter)),
@@ -479,36 +380,36 @@ func (s *Session) compareNumeric(what, numericAttr string, aID, bID int, test fu
 		SupportSize:     res.N,
 	})
 	if err != nil {
-		return nil, err
+		return StepResult{}, err
 	}
 	s.supersedeAttached(hyp, a, b)
-	return hyp, nil
+	return StepResult{Hypothesis: hyp}, nil
 }
 
-func (s *Session) declareDescriptive(vizID int) error {
-	viz, err := s.visualization(vizID)
+func (s *Session) declareDescriptive(st DeclareDescriptive) (StepResult, error) {
+	viz, err := s.visualization(st.Visualization)
 	if err != nil {
-		return err
+		return StepResult{}, err
 	}
 	if viz.HypothesisID == 0 {
-		return nil
+		return StepResult{}, nil
 	}
 	hyp, err := s.hypothesis(viz.HypothesisID)
 	if err != nil {
-		return err
+		return StepResult{}, err
 	}
 	hyp.Status = StatusDeleted
 	viz.HypothesisID = 0
-	return nil
+	return StepResult{}, nil
 }
 
-func (s *Session) star(hypothesisID int, starred bool) error {
-	hyp, err := s.hypothesis(hypothesisID)
+func (s *Session) star(st Star) (StepResult, error) {
+	hyp, err := s.hypothesis(st.Hypothesis)
 	if err != nil {
-		return err
+		return StepResult{}, err
 	}
-	hyp.Starred = starred
-	return nil
+	hyp.Starred = st.Starred
+	return StepResult{}, nil
 }
 
 // supersedeAttached marks the active hypotheses currently attached to the

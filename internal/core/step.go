@@ -25,7 +25,9 @@ type Step interface {
 
 // AddVisualization creates a chart for Target restricted by Filter (nil for
 // the whole dataset). A filtered chart triggers heuristic rule 2's default
-// hypothesis; an unfiltered one is descriptive.
+// hypothesis, "the filter makes no difference", tested with a χ²
+// goodness-of-fit test against the whole dataset; an unfiltered one is
+// descriptive (rule 1).
 type AddVisualization struct {
 	Target string
 	Filter dataset.Predicate
@@ -54,14 +56,17 @@ type CompareDistributions struct {
 
 // TestAgainstExpectation attaches a user-defined hypothesis to the identified
 // visualization: the observed distribution is tested against the Expected
-// relative weights per category (rule 1's escape hatch).
+// relative weights per category (rule 1's escape hatch). Missing categories
+// count as weight zero.
 type TestAgainstExpectation struct {
 	Visualization int
 	Expected      map[string]float64
 }
 
 // DeclareDescriptive marks the hypothesis attached to the identified
-// visualization as deleted: the chart was purely descriptive after all.
+// visualization as deleted: the chart was purely descriptive after all. The
+// α-wealth already spent on it is not refunded; refunding would break the
+// mFDR guarantee.
 type DeclareDescriptive struct {
 	Visualization int
 }
@@ -196,49 +201,25 @@ func (s *Session) Apply(step Step) (StepResult, error) {
 func (s *Session) dispatch(step Step) (StepResult, error) {
 	switch st := step.(type) {
 	case AddVisualization:
-		viz, hyp, err := s.addVisualization(st.Target, st.Filter)
-		if err != nil {
-			return StepResult{}, err
-		}
-		return StepResult{Visualization: viz, Hypothesis: hyp}, nil
+		return s.addVisualization(st)
 	case CompareVisualizations:
-		hyp, err := s.compareVisualizations(st.A, st.B)
-		if err != nil {
-			return StepResult{}, err
-		}
-		return StepResult{Hypothesis: hyp}, nil
+		return s.compareVisualizations(st)
 	case CompareMeans:
-		hyp, err := s.compareMeans(st.Attribute, st.A, st.B)
-		if err != nil {
-			return StepResult{}, err
-		}
-		return StepResult{Hypothesis: hyp}, nil
+		return s.compareMeans(st)
 	case CompareDistributions:
-		hyp, err := s.compareDistributions(st.Attribute, st.A, st.B)
-		if err != nil {
-			return StepResult{}, err
-		}
-		return StepResult{Hypothesis: hyp}, nil
+		return s.compareDistributions(st)
 	case TestAgainstExpectation:
-		hyp, err := s.testAgainstExpectation(st.Visualization, st.Expected)
-		if err != nil {
-			return StepResult{}, err
-		}
-		return StepResult{Hypothesis: hyp}, nil
+		return s.testAgainstExpectation(st)
 	case DeclareDescriptive:
-		return StepResult{}, s.declareDescriptive(st.Visualization)
+		return s.declareDescriptive(st)
 	case Star:
-		return StepResult{}, s.star(st.Hypothesis, st.Starred)
+		return s.star(st)
 	case DeriveColumn:
-		return StepResult{}, s.deriveColumn(st.Name, st.Expr)
+		return s.deriveColumn(st)
 	case JoinDataset:
-		return StepResult{}, s.joinDataset(st.Dataset, st.LeftKey, st.RightKey, st.Prefix)
+		return s.joinDataset(st)
 	case GroupByHypothesis:
-		hyp, err := s.groupByHypothesis(st.RowAttr, st.ColAttr, st.Filter)
-		if err != nil {
-			return StepResult{}, err
-		}
-		return StepResult{Hypothesis: hyp}, nil
+		return s.groupByHypothesis(st)
 	case nil:
 		return StepResult{}, fmt.Errorf("%w: nil", ErrUnknownStep)
 	default:
@@ -247,7 +228,7 @@ func (s *Session) dispatch(step Step) (StepResult, error) {
 }
 
 // Log returns the session's append-only journal: every successfully applied
-// step in order, whether it arrived through Apply or a legacy method.
+// step in order.
 func (s *Session) Log() []AppliedStep {
 	out := make([]AppliedStep, len(s.journal))
 	copy(out, s.journal)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"testing"
-	"time"
 
 	"aware/internal/dataset"
 	"aware/internal/stats"
@@ -62,6 +60,16 @@ func mustSession(t *testing.T, tab *dataset.Table) *Session {
 	return s
 }
 
+// mustApply applies one step and fails the test on error.
+func mustApply(t *testing.T, s *Session, step Step) StepResult {
+	t.Helper()
+	res, err := s.Apply(step)
+	if err != nil {
+		t.Fatalf("%s: %v", step.Kind(), err)
+	}
+	return res
+}
+
 // scriptedSteps is a fixed exploration exercising every step kind.
 func scriptedSteps() []Step {
 	return []Step{
@@ -79,114 +87,6 @@ func scriptedSteps() []Step {
 		DeclareDescriptive{Visualization: 6},
 		Star{Hypothesis: 1, Starred: false},
 		Star{Hypothesis: 2, Starred: true},
-	}
-}
-
-// TestApplyMatchesLegacyMethods drives one session through the legacy mutating
-// methods and a second through the identical actions as Steps, and requires
-// byte-identical Report JSON (the tentpole's equivalence guarantee).
-func TestApplyMatchesLegacyMethods(t *testing.T) {
-	tab := stepTestTable(t)
-
-	legacy := mustSession(t, tab)
-	groupB := dataset.Equals{Column: "group", Value: "b"}
-	groupA := dataset.Equals{Column: "group", Value: "a"}
-	if _, _, err := legacy.AddVisualization("color", groupB); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("color", dataset.Not{Inner: groupB}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.CompareVisualizations(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("x", groupB); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("x", groupA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.CompareMeans("x", 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.CompareDistributions("x", 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("color", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.TestAgainstExpectation(5, map[string]float64{"red": 3, "blue": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Star(1, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("color", groupA); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.DeclareDescriptive(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Star(1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Star(2, true); err != nil {
-		t.Fatal(err)
-	}
-
-	stepped := mustSession(t, tab)
-	for i, step := range scriptedSteps() {
-		if _, err := stepped.Apply(step); err != nil {
-			t.Fatalf("step %d (%s): %v", i+1, step.Kind(), err)
-		}
-	}
-
-	now := time.Unix(1700000000, 0)
-	var legacyJSON, steppedJSON strings.Builder
-	if err := legacy.Report(now).WriteJSON(&legacyJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := stepped.Report(now).WriteJSON(&steppedJSON); err != nil {
-		t.Fatal(err)
-	}
-	if legacyJSON.String() != steppedJSON.String() {
-		t.Errorf("legacy and stepped reports differ:\nlegacy:  %s\nstepped: %s", legacyJSON.String(), steppedJSON.String())
-	}
-
-	// Replay of the stepped session's own log must reproduce it byte for byte.
-	replayed, err := Replay(tab, Options{}, StepsFromLog(stepped.Log()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayedJSON strings.Builder
-	if err := replayed.Report(now).WriteJSON(&replayedJSON); err != nil {
-		t.Fatal(err)
-	}
-	if replayedJSON.String() != steppedJSON.String() {
-		t.Error("replayed report differs from the original")
-	}
-
-	// Both sessions journal identically: the legacy wrappers funnel through
-	// Apply.
-	legacyLog, steppedLog := legacy.Log(), stepped.Log()
-	if len(legacyLog) != len(steppedLog) {
-		t.Fatalf("journal lengths differ: %d vs %d", len(legacyLog), len(steppedLog))
-	}
-	for i := range legacyLog {
-		a, err := MarshalStep(legacyLog[i].Step)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := MarshalStep(steppedLog[i].Step)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("journal entry %d differs: %s vs %s", i+1, a, b)
-		}
-		if legacyLog[i].Seq != i+1 || steppedLog[i].Seq != i+1 {
-			t.Errorf("entry %d has wrong seq", i+1)
-		}
 	}
 }
 
@@ -225,9 +125,7 @@ func TestApplyUnknownAndMalformedSteps(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := mustSession(t, tab)
-			if _, _, err := s.AddVisualization("color", dataset.Equals{Column: "group", Value: "b"}); err != nil {
-				t.Fatal(err)
-			}
+			mustApply(t, s, AddVisualization{Target: "color", Filter: dataset.Equals{Column: "group", Value: "b"}})
 			wealthBefore := s.Wealth()
 			logBefore := len(s.Log())
 			_, err := s.Apply(tc.step)
@@ -240,7 +138,7 @@ func TestApplyUnknownAndMalformedSteps(t *testing.T) {
 			if len(s.Log()) != logBefore {
 				t.Error("failed step was journaled")
 			}
-			if len(s.Hypotheses()) != 1 || len(s.Visualizations()) != 1 {
+			if len(s.Hypotheses()) != 1 || len(s.visualizations) != 1 {
 				t.Error("failed step mutated session state")
 			}
 		})
@@ -257,14 +155,11 @@ func TestApplyAtomicOnDegenerateFilter(t *testing.T) {
 	if _, err := s.Apply(AddVisualization{Target: "color", Filter: empty}); err == nil {
 		t.Fatal("expected the empty sub-population to fail")
 	}
-	if len(s.Visualizations()) != 0 || len(s.Hypotheses()) != 0 || len(s.Log()) != 0 {
+	if len(s.visualizations) != 0 || len(s.Hypotheses()) != 0 || len(s.Log()) != 0 {
 		t.Fatalf("failed step left state behind: %d viz, %d hyp, %d log entries",
-			len(s.Visualizations()), len(s.Hypotheses()), len(s.Log()))
+			len(s.visualizations), len(s.Hypotheses()), len(s.Log()))
 	}
-	viz, _, err := s.AddVisualization("color", dataset.Equals{Column: "group", Value: "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	viz := mustApply(t, s, AddVisualization{Target: "color", Filter: dataset.Equals{Column: "group", Value: "b"}}).Visualization
 	if viz.ID != 1 {
 		t.Errorf("first successful visualization got ID %d, want 1", viz.ID)
 	}

@@ -18,8 +18,8 @@ import (
 // Ownership contract: Release may only be called by a creator that has
 // exclusive ownership of the selection — nothing else may retain it. The
 // combinator loop inside Table.where releases its intermediates (they never
-// escape), Filter/CountWhere release their private compile, and benchmarks
-// release explicitly. Selections handed to a SelectionCache are detached
+// escape), Filter releases its private compile, and benchmarks release
+// explicitly. Selections handed to a SelectionCache are detached
 // from the arena first (detach), so a cached — and therefore arbitrarily
 // shared — bitmap can never be recycled under a reader.
 

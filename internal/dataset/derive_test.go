@@ -29,83 +29,3 @@ func TestWithColumn(t *testing.T) {
 		t.Error("length mismatch should error")
 	}
 }
-
-func TestBinNumeric(t *testing.T) {
-	tab := sampleTable(t)
-	binned, err := tab.BinNumeric("age", "age_band", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cats, err := binned.Categories("age_band")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cats) == 0 || len(cats) > 3 {
-		t.Errorf("age bands %v", cats)
-	}
-	counts, err := binned.ValueCounts("age_band")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != tab.NumRows() {
-		t.Errorf("binned counts cover %d rows", total)
-	}
-	// Derived column can drive the categorical machinery.
-	groups, err := binned.GroupBy("age_band")
-	if err != nil || len(groups) == 0 {
-		t.Errorf("GroupBy on derived column: %v, %v", groups, err)
-	}
-	if _, err := tab.BinNumeric("age", "bad", 0); err == nil {
-		t.Error("zero bins should error")
-	}
-	if _, err := tab.BinNumeric("gender", "bad", 3); err == nil {
-		t.Error("categorical source should error")
-	}
-	// Constant column still bins.
-	constTab, _ := NewTable(NewFloatColumn("x", []float64{5, 5, 5}))
-	if _, err := constTab.BinNumeric("x", "xb", 2); err != nil {
-		t.Errorf("constant column binning: %v", err)
-	}
-	empty, _ := NewTable(NewFloatColumn("x", nil))
-	if _, err := empty.BinNumeric("x", "xb", 2); !errors.Is(err, ErrEmptyTable) {
-		t.Error("empty table should error")
-	}
-}
-
-func TestQuantileBin(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	tab, err := NewTable(NewFloatColumn("income", vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	binned, err := tab.QuantileBin("income", "income_q", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := binned.ValueCounts("income_q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 4 {
-		t.Fatalf("quartile bins %v", counts)
-	}
-	for q, c := range counts {
-		if c < 20 || c > 30 {
-			t.Errorf("bin %s has %d rows, expected ~25", q, c)
-		}
-	}
-	if _, err := tab.QuantileBin("income", "bad", 0); err == nil {
-		t.Error("zero bins should error")
-	}
-	empty, _ := NewTable(NewFloatColumn("x", nil))
-	if _, err := empty.QuantileBin("x", "xb", 2); !errors.Is(err, ErrEmptyTable) {
-		t.Error("empty table should error")
-	}
-}

@@ -153,7 +153,7 @@ func columnFloats(t *testing.T, tab *Table, column string) []float64 {
 	}
 	all := make([]float64, tab.NumRows())
 	for i := range all {
-		if all[i], err = c.Float(i); err != nil {
+		if all[i], err = floatCell(c, i); err != nil {
 			t.Fatal(err)
 		}
 	}

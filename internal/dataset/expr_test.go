@@ -25,7 +25,7 @@ func refEvalExpr(t *testing.T, tab *Table, e Expr, row int) float64 {
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		v, err := c.Float(row)
+		v, err := floatCell(c, row)
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}

@@ -136,18 +136,3 @@ func (t *Table) Filter(p Predicate) (*Table, error) {
 	sel.Release() // private compile, exclusively owned
 	return t.Select(idx)
 }
-
-// CountWhere returns the number of rows matching the predicate without
-// materializing the sub-table.
-func (t *Table) CountWhere(p Predicate) (int, error) {
-	if p == nil {
-		return t.rows, nil
-	}
-	sel, err := t.Where(p)
-	if err != nil {
-		return 0, err
-	}
-	n := sel.Count()
-	sel.Release() // private compile, exclusively owned
-	return n, nil
-}

@@ -174,14 +174,15 @@ func TestPredicateJSONMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCount, err := table.CountWhere(orig)
+	wantSel, err := table.Where(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCount, err := table.CountWhere(decoded)
+	gotSel, err := table.Where(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantCount, gotCount := wantSel.Count(), gotSel.Count()
 	if wantCount != gotCount {
 		t.Errorf("decoded predicate matches %d rows, original %d", gotCount, wantCount)
 	}

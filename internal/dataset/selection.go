@@ -644,13 +644,6 @@ func (v View) binCounts(name string, bins int) ([]int, *binAssignment, error) {
 	return counts, ba, nil
 }
 
-// Materialize copies the selected rows into a standalone table. The
-// vectorized paths never need this; it exists for callers that must hand a
-// *Table to legacy APIs.
-func (v View) Materialize() (*Table, error) {
-	return v.table.Select(v.sel.Indices())
-}
-
 // binAssignments computes (or returns the memoized) binning of a numeric
 // column cut into equal-width bins spanning the full table's range. The
 // arithmetic replicates the reference path — stats.NewHistogram edges, then

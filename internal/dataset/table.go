@@ -187,14 +187,6 @@ func NewBoolColumn(name string, values []bool) *Column {
 // Len returns the number of rows in the column.
 func (c *Column) Len() int { return c.phys.Len() }
 
-// Float returns the float value at row i (Float64 and Int64 columns).
-func (c *Column) Float(i int) (float64, error) {
-	if c.Type != Float64 && c.Type != Int64 {
-		return math.NaN(), fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
-	}
-	return c.floatAt(i), nil
-}
-
 // StringAt returns the categorical value at row i. Bool columns stringify to
 // "true"/"false"; numeric columns return an error.
 func (c *Column) StringAt(i int) (string, error) {

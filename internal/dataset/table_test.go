@@ -179,20 +179,16 @@ func TestSelectAndFilter(t *testing.T) {
 	if err != nil || all.NumRows() != tab.NumRows() {
 		t.Fatal("nil predicate should match all rows")
 	}
-	// CountWhere agrees with Filter.
-	n, err := tab.CountWhere(chain)
-	if err != nil || n != 3 {
-		t.Fatalf("CountWhere = %d, %v", n, err)
-	}
-	nAll, _ := tab.CountWhere(nil)
-	if nAll != 8 {
-		t.Fatalf("CountWhere(nil) = %d", nAll)
+	// Where agrees with Filter.
+	sel, err := tab.Where(chain)
+	if err != nil || sel.Count() != 3 {
+		t.Fatalf("Where(chain).Count() = %d, %v", sel.Count(), err)
 	}
 	// Errors propagate.
 	if _, err := tab.Filter(Equals{Column: "missing", Value: "x"}); err == nil {
 		t.Error("expected missing column error")
 	}
-	if _, err := tab.CountWhere(GreaterThan{Column: "gender", Threshold: 1}); err == nil {
+	if _, err := tab.Where(GreaterThan{Column: "gender", Threshold: 1}); err == nil {
 		t.Error("expected type error")
 	}
 }
@@ -221,10 +217,16 @@ func TestPredicateDescriptions(t *testing.T) {
 	}
 	// Empty And matches everything, empty Or matches nothing.
 	tab := sampleTable(t)
-	nAnd, _ := tab.CountWhere(And{})
-	nOr, _ := tab.CountWhere(Or{})
-	if nAnd != tab.NumRows() || nOr != 0 {
-		t.Errorf("empty And/Or counts = %d/%d", nAnd, nOr)
+	selAnd, err := tab.Where(And{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	selOr, err := tab.Where(Or{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if selAnd.Count() != tab.NumRows() || selOr.Count() != 0 {
+		t.Errorf("empty And/Or counts = %d/%d", selAnd.Count(), selOr.Count())
 	}
 }
 
@@ -236,57 +238,6 @@ func TestGroupByAndMeans(t *testing.T) {
 	}
 	if len(groups) != 2 || groups[0].Value != "female" || groups[0].Count != 4 {
 		t.Fatalf("GroupBy = %v", groups)
-	}
-	means, err := tab.GroupMeans("gender", "income")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(means["male"]-50.5) > 1e-12 {
-		t.Errorf("male mean income = %v", means["male"])
-	}
-	if math.Abs(means["female"]-61.25) > 1e-12 {
-		t.Errorf("female mean income = %v", means["female"])
-	}
-	if _, err := tab.GroupMeans("gender", "education"); err == nil {
-		t.Error("expected error for non-numeric aggregate column")
-	}
-}
-
-func TestNumericHistogramAndCrosstab(t *testing.T) {
-	tab := sampleTable(t)
-	h, err := tab.NumericHistogram("age", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total := h.Counts[0] + h.Counts[1] + h.Counts[2] + h.Counts[3]; total != 8 {
-		t.Errorf("histogram total = %d", total)
-	}
-	if _, err := tab.NumericHistogram("gender", 4); err == nil {
-		t.Error("expected error for categorical histogram")
-	}
-
-	table, rowCats, colCats, err := tab.Crosstab("gender", "salary_over_50k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rowCats) != 2 || len(colCats) != 2 {
-		t.Fatalf("crosstab shape %v x %v", rowCats, colCats)
-	}
-	total := 0
-	for _, row := range table {
-		for _, c := range row {
-			total += c
-		}
-	}
-	if total != tab.NumRows() {
-		t.Errorf("crosstab total = %d", total)
-	}
-	// female x false should be 3 (rows 1,3,7).
-	if table[0][0] != 3 {
-		t.Errorf("crosstab[female][false] = %d, want 3", table[0][0])
-	}
-	if _, _, _, err := tab.Crosstab("gender", "age"); err == nil {
-		t.Error("expected error for numeric crosstab column")
 	}
 }
 

@@ -75,44 +75,42 @@ func dimTable(t *testing.T) *dataset.Table {
 	return tab
 }
 
-// requireSameView compares two views cell for cell through materialized
-// tables.
+// requireSameView compares two views column by column over their selected
+// rows.
 func requireSameView(t *testing.T, label string, got, want dataset.View) {
 	t.Helper()
-	gt, err := got.Materialize()
-	if err != nil {
-		t.Fatalf("%s: materialize got: %v", label, err)
+	if got.NumRows() != want.NumRows() {
+		t.Fatalf("%s: %d rows, want %d", label, got.NumRows(), want.NumRows())
 	}
-	wt, err := want.Materialize()
-	if err != nil {
-		t.Fatalf("%s: materialize want: %v", label, err)
-	}
-	if gt.NumRows() != wt.NumRows() {
-		t.Fatalf("%s: %d rows, want %d", label, gt.NumRows(), wt.NumRows())
-	}
-	gn, wn := gt.ColumnNames(), wt.ColumnNames()
+	gn, wn := got.Table().ColumnNames(), want.Table().ColumnNames()
 	if !reflect.DeepEqual(gn, wn) {
 		t.Fatalf("%s: columns %v, want %v", label, gn, wn)
 	}
+	gRows, wRows := got.Selection().Indices(), want.Selection().Indices()
 	for _, name := range gn {
-		gc, _ := gt.Column(name)
-		wc, _ := wt.Column(name)
-		for row := 0; row < gt.NumRows(); row++ {
-			gs, gerr := gc.StringAt(row)
-			ws, werr := wc.StringAt(row)
-			if gerr == nil && werr == nil {
-				if gs != ws {
-					t.Fatalf("%s: column %q row %d: %q, want %q", label, name, row, gs, ws)
+		gc, _ := got.Table().Column(name)
+		wc, _ := want.Table().Column(name)
+		if gc.Type == dataset.Float64 || gc.Type == dataset.Int64 {
+			gf, err := got.Floats(name)
+			if err != nil {
+				t.Fatalf("%s: column %q: %v", label, name, err)
+			}
+			wf, err := want.Floats(name)
+			if err != nil {
+				t.Fatalf("%s: column %q: %v", label, name, err)
+			}
+			for i := range gf {
+				if gf[i] != wf[i] {
+					t.Fatalf("%s: column %q row %d: %v, want %v", label, name, i, gf[i], wf[i])
 				}
-				continue
 			}
-			gf, gerr := gc.Float(row)
-			if gerr != nil {
-				t.Fatalf("%s: column %q row %d: %v", label, name, row, gerr)
-			}
-			wf, _ := wc.Float(row)
-			if gf != wf {
-				t.Fatalf("%s: column %q row %d: %v, want %v", label, name, row, gf, wf)
+			continue
+		}
+		for i := range gRows {
+			gs, gerr := gc.StringAt(gRows[i])
+			ws, werr := wc.StringAt(wRows[i])
+			if gerr != nil || werr != nil || gs != ws {
+				t.Fatalf("%s: column %q row %d: %q (%v), want %q (%v)", label, name, i, gs, gerr, ws, werr)
 			}
 		}
 	}

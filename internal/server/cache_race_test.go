@@ -58,7 +58,7 @@ func TestConcurrentSessionsShareFilterCache(t *testing.T) {
 			defer wg.Done()
 			err := sm.With(id, func(sess *core.Session) error {
 				for _, f := range filters {
-					if _, _, err := sess.AddVisualization(census.ColOccupation, f); err != nil {
+					if _, err := sess.Apply(core.AddVisualization{Target: census.ColOccupation, Filter: f}); err != nil {
 						return fmt.Errorf("add visualization: %w", err)
 					}
 				}

@@ -82,7 +82,7 @@ func TestRegisterSnapshotDir(t *testing.T) {
 	}
 }
 
-// TestDatasetListingStorageInfo checks what GET /datasets and
+// TestDatasetListingStorageInfo checks what GET /v1/datasets and
 // /debug/metrics report for heap-backed vs snapshot-backed datasets: schema
 // with kinds, storage mode, and snapshot provenance.
 func TestDatasetListingStorageInfo(t *testing.T) {
@@ -118,7 +118,7 @@ func TestDatasetListingStorageInfo(t *testing.T) {
 	var listing struct {
 		Datasets []DatasetInfo `json:"datasets"`
 	}
-	resp := doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, &listing)
+	resp := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &listing)
 	wantStatus(t, resp, http.StatusOK)
 	if len(listing.Datasets) != 2 {
 		t.Fatalf("got %d datasets, want 2", len(listing.Datasets))

@@ -41,15 +41,14 @@ func decodeErrorBody(t *testing.T, resp *http.Response) api.ErrorBody {
 // sessions (handler 404s). Every one must produce an application/json envelope
 // with an "error" message and the stable machine-readable "code" for that
 // failure — clients and the cluster router dispatch on the code, so it is
-// table-tested per endpoint here. API-surface cases run against both the
-// canonical /v1 path and its legacy unprefixed alias: the contract is
-// identical on both.
+// table-tested per endpoint here. API-surface cases run against their /v1
+// path, and the same path without the prefix must be an unknown route.
 func TestErrorResponsesAreJSON(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	// A live session so the malformed-body cases get past routing.
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
 
 	cases := []struct {
 		name   string
@@ -74,6 +73,7 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		{"create session bad body", http.MethodPost, "/sessions", `{"not json`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"steps bad body", http.MethodPost, "/sessions/1/steps", `{"op": 42}`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"steps unknown op", http.MethodPost, "/sessions/1/steps", `{"op": "warp"}`, http.StatusBadRequest, api.CodeStepInvalid},
+		{"steps oversized body", http.MethodPost, "/sessions/1/steps", strings.Repeat(" ", maxUploadBytes+1), http.StatusBadRequest, api.CodeStepInvalid},
 		{"visualizations bad body", http.MethodPost, "/sessions/1/visualizations", `[`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"compare bad body", http.MethodPost, "/sessions/1/compare", `{"a": "x"}`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"star bad body", http.MethodPost, "/sessions/1/hypotheses/1/star", `{`, http.StatusBadRequest, api.CodeStepInvalid},
@@ -101,44 +101,50 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		{"restore onto live session", http.MethodPost, "/sessions/1/restore", `{"spec": {"dataset": "census"}}`, http.StatusConflict, api.CodeSessionExists},
 	}
 	for _, tc := range cases {
-		// Every API-surface error contract holds identically on the canonical
-		// /v1 route and its legacy unprefixed alias.
-		prefixes := []string{""}
-		if strings.HasPrefix(tc.path, "/sessions") || strings.HasPrefix(tc.path, "/datasets") {
-			prefixes = []string{"/v1", ""}
-		}
-		for _, prefix := range prefixes {
-			name := tc.name
-			if prefix != "" {
-				name = tc.name + " (v1)"
-			}
-			t.Run(name, func(t *testing.T) {
-				var body io.Reader
-				if tc.body != "" {
-					body = strings.NewReader(tc.body)
-				}
-				req, err := http.NewRequest(tc.method, ts.URL+prefix+tc.path, body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := http.DefaultClient.Do(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				if resp.StatusCode != tc.status {
-					raw, _ := io.ReadAll(resp.Body)
-					t.Fatalf("%s %s: status %d, want %d (body: %s)", tc.method, prefix+tc.path, resp.StatusCode, tc.status, raw)
-				}
-				envelope := decodeErrorBody(t, resp)
-				if envelope.Code != tc.code {
-					t.Errorf("%s %s: code %q, want %q (message: %s)", tc.method, prefix+tc.path, envelope.Code, tc.code, envelope.Error)
-				}
-				if envelope.Code.Retryable() {
-					t.Errorf("%s %s: single-node server emitted retryable code %q; only the router may", tc.method, prefix+tc.path, envelope.Code)
-				}
+		if !strings.HasPrefix(tc.path, "/sessions") && !strings.HasPrefix(tc.path, "/datasets") {
+			t.Run(tc.name, func(t *testing.T) {
+				checkErrorResponse(t, tc.method, ts.URL+tc.path, tc.body, tc.status, tc.code)
 			})
+			continue
 		}
+		// Every API-surface error contract holds on the /v1 route, and the
+		// unprefixed path is no route at all.
+		t.Run(tc.name+" (v1)", func(t *testing.T) {
+			checkErrorResponse(t, tc.method, ts.URL+api.Prefix+tc.path, tc.body, tc.status, tc.code)
+		})
+		t.Run(tc.name, func(t *testing.T) {
+			checkErrorResponse(t, tc.method, ts.URL+tc.path, "", http.StatusNotFound, api.CodeNotFound)
+		})
+	}
+}
+
+// checkErrorResponse sends one request and requires the given status and
+// error envelope.
+func checkErrorResponse(t *testing.T, method, url, body string, status int, code api.ErrorCode) {
+	t.Helper()
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != status {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("%s %s: status %d, want %d (body: %s)", method, url, resp.StatusCode, status, raw)
+	}
+	envelope := decodeErrorBody(t, resp)
+	if envelope.Code != code {
+		t.Errorf("%s %s: code %q, want %q (message: %s)", method, url, envelope.Code, code, envelope.Error)
+	}
+	if envelope.Code == api.CodeNodeUnavailable {
+		t.Errorf("%s %s: single-node server emitted retryable code %q; only the router may", method, url, envelope.Code)
 	}
 }
 

@@ -28,12 +28,10 @@ const maxUploadBytes = 32 << 20
 // keyed by the registration pattern, so GET /debug/metrics reports exactly
 // the routes listed here.
 //
-// API endpoints are registered twice: canonically under the versioned
-// api.Prefix and as an unprefixed legacy alias, kept for one release so
-// pre-v1 clients keep working. Each registration is instrumented under its
-// own pattern, so the metrics tell v1 and legacy traffic apart.
-// Infrastructure endpoints (/healthz, /metrics, /debug/*) address the
-// process, not the API, and stay unversioned.
+// API endpoints are registered once, under the versioned api.Prefix; an
+// unprefixed API path is an unknown route (404). Infrastructure endpoints
+// (/healthz, /metrics, /debug/*) address the process, not the API, and stay
+// unversioned.
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	infra := func(pattern string, h http.HandlerFunc) {
@@ -44,9 +42,7 @@ func (s *Server) routes() *http.ServeMux {
 		if !ok {
 			panic("server: route pattern without a method: " + pattern)
 		}
-		v1 := method + " " + api.Prefix + path
-		mux.HandleFunc(v1, s.instrument(v1, h))
-		mux.HandleFunc(pattern, s.instrument(pattern, h))
+		infra(method+" "+api.Prefix+path, h)
 	}
 	infra("GET /healthz", s.handleHealth)
 	infra("GET /metrics", s.handlePromMetrics)
@@ -343,8 +339,8 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 // --- the interactive loop ---
 //
 // Every mutation — whether it arrives as a raw step on POST /steps or through
-// one of the legacy convenience endpoints, which are now thin constructors
-// for the equivalent core.Step — funnels through applyStep: one code path
+// one of the convenience endpoints, which are thin constructors for the
+// equivalent core.Step — funnels through applyStep: one code path
 // that applies the command under the session lock, journals it for restart
 // durability, and snapshots the outcome before the lock is released.
 
@@ -419,7 +415,7 @@ func (s *Server) handleApplyStep(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 	if err != nil {
-		writeErr(w, fmt.Errorf("invalid request body: %w", err))
+		writeErr(w, fmt.Errorf("%w: %w", errInvalidBody, err))
 		return
 	}
 	step, err := core.UnmarshalStep(body)

@@ -55,7 +55,7 @@ func TestConcurrentLifecycleWithSweeper(t *testing.T) {
 			case <-stopSweep:
 				return
 			case <-ticker.C:
-				s.Manager().SweepIdle()
+				s.manager.SweepIdle()
 			}
 		}
 	}()
@@ -93,8 +93,8 @@ func TestConcurrentLifecycleWithSweeper(t *testing.T) {
 	// With traffic stopped, one sweep past the TTL must reclaim everything:
 	// a session surviving here has a stuck activity clock — a leak.
 	time.Sleep(30 * time.Millisecond)
-	s.Manager().SweepIdle()
-	if n := s.Manager().Len(); n != 0 {
+	s.manager.SweepIdle()
+	if n := s.manager.Len(); n != 0 {
 		t.Fatalf("%d sessions leaked after the final sweep", n)
 	}
 }
@@ -107,10 +107,10 @@ var errExpired = errors.New("session expired mid-lifecycle")
 // classifies a 404 on an existing flow as the sweeper winning the race.
 func lifecycle(base string, client int) error {
 	var info SessionInfo
-	if err := reqJSON(http.MethodPost, base+"/sessions", map[string]any{"dataset": "census"}, &info, http.StatusCreated); err != nil {
+	if err := reqJSON(http.MethodPost, base+"/v1/sessions", map[string]any{"dataset": "census"}, &info, http.StatusCreated); err != nil {
 		return err
 	}
-	path := fmt.Sprintf("%s/sessions/%d", base, info.ID)
+	path := fmt.Sprintf("%s/v1/sessions/%d", base, info.ID)
 	step := map[string]any{
 		"op":     "add_visualization",
 		"target": "gender",

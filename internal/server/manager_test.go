@@ -131,9 +131,9 @@ func TestSessionManagerConcurrentAccess(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				for _, id := range []int64{shared.ID, own.ID} {
 					err := sm.With(id, func(sess *core.Session) error {
-						_, _, err := sess.AddVisualization(census.ColGender, dataset.Equals{
+						_, err := sess.Apply(core.AddVisualization{Target: census.ColGender, Filter: dataset.Equals{
 							Column: census.ColSalaryOver50K, Value: "true",
-						})
+						}})
 						if err != nil {
 							return err
 						}

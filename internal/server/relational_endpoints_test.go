@@ -11,7 +11,7 @@ import (
 	"aware/internal/dataset"
 )
 
-// This file tests the relational endpoints: POST /sessions/{id}/derive,
+// This file tests the relational endpoints: POST /v1/sessions/{id}/derive,
 // /join and /groupby, their journaling, and their restoration across a
 // daemon restart (join replay needs the registry-backed catalog).
 
@@ -60,8 +60,8 @@ func TestRelationalEndpoints(t *testing.T) {
 	registerOccupationDim(t, s)
 
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	type stepResp struct {
 		Seq        int               `json:"seq"`
@@ -129,8 +129,8 @@ func TestRelationalEndpointErrors(t *testing.T) {
 	registerOccupationDim(t, s)
 
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	cases := []struct {
 		name string
@@ -165,7 +165,7 @@ func TestRelationalEndpointErrors(t *testing.T) {
 	}
 
 	// Relational endpoints on a missing session 404.
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions/999/derive", bucketHours, nil), http.StatusNotFound)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/999/derive", bucketHours, nil), http.StatusNotFound)
 }
 
 // TestRelationalJournalSurvivesRestart replays derive + join + group-by from
@@ -177,8 +177,8 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 	s1, ts1 := newJournaledServer(t, dir)
 	registerOccupationDim(t, s1)
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
-	base := fmt.Sprintf("%s/sessions/%d", ts1.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts1.URL, info.ID)
 	wantStatus(t, doJSON(t, http.MethodPost, base+"/derive", bucketHours, nil), http.StatusCreated)
 	wantStatus(t, doJSON(t, http.MethodPost, base+"/join", map[string]any{
 		"dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
@@ -200,7 +200,7 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 	if restored != 1 {
 		t.Fatalf("restored %d sessions, want 1", restored)
 	}
-	base2 := fmt.Sprintf("%s/sessions/%d", ts2.URL, info.ID)
+	base2 := fmt.Sprintf("%s/v1/sessions/%d", ts2.URL, info.ID)
 	gaugeAfter := doJSON(t, http.MethodGet, base2+"/gauge", nil, nil)
 	wantStatus(t, gaugeAfter, http.StatusOK)
 	after, _ := io.ReadAll(gaugeAfter.Body)

@@ -241,9 +241,6 @@ func (s *Server) RestoreSessions() (int, error) {
 // Registry returns the dataset registry, for preloading tables.
 func (s *Server) Registry() *DatasetRegistry { return s.registry }
 
-// Manager returns the session manager.
-func (s *Server) Manager() *SessionManager { return s.manager }
-
 // Handler returns the fully-wrapped HTTP handler (routing, structured request
 // logging, panic recovery).
 func (s *Server) Handler() http.Handler { return s.handler }

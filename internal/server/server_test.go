@@ -110,13 +110,13 @@ func TestInteractiveLoopConcurrentClients(t *testing.T) {
 				create["policy"] = "gamma-fixed"
 			}
 			var info SessionInfo
-			resp := doJSON(t, http.MethodPost, ts.URL+"/sessions", create, &info)
+			resp := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", create, &info)
 			if resp.StatusCode != http.StatusCreated {
 				t.Errorf("client %d: create session status %d", c, resp.StatusCode)
 				return
 			}
 			ids[c] = info.ID
-			base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+			base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 			// A filtered visualization: rule 2 auto-creates a hypothesis.
 			var viz createVizResponse
@@ -203,7 +203,7 @@ func TestInteractiveLoopConcurrentClients(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if got := s.Manager().Len(); got != clients {
+	if got := s.manager.Len(); got != clients {
 		t.Errorf("manager tracks %d sessions, want %d", got, clients)
 	}
 }
@@ -212,17 +212,17 @@ func TestSessionLifecycleEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
 
 	var listing struct {
 		Sessions []SessionInfo `json:"sessions"`
 	}
-	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/sessions", nil, &listing), http.StatusOK)
+	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/v1/sessions", nil, &listing), http.StatusOK)
 	if len(listing.Sessions) != 1 || listing.Sessions[0].ID != info.ID {
 		t.Errorf("session listing = %+v, want the created session", listing.Sessions)
 	}
 
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 	wantStatus(t, doJSON(t, http.MethodGet, base, nil, nil), http.StatusOK)
 	wantStatus(t, doJSON(t, http.MethodDelete, base, nil, nil), http.StatusNoContent)
 	wantStatus(t, doJSON(t, http.MethodGet, base, nil, nil), http.StatusNotFound)
@@ -233,8 +233,8 @@ func TestCompareAndStarEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	// Two complementary visualizations of the same target.
 	var a, b createVizResponse
@@ -294,7 +294,7 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	csv := "city,temp\nBoston,8\nBoston,9\nPhoenix,31\nPhoenix,29\nPhoenix,33\nBoston,7\n"
-	url := ts.URL + "/datasets?name=weather&float=temp"
+	url := ts.URL + "/v1/datasets?name=weather&float=temp"
 	resp, err := http.Post(url, "text/csv", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	resp.Body.Close()
 
 	// Typing one column under two overrides is rejected.
-	resp, err = http.Post(ts.URL+"/datasets?name=w2&float=temp&int=temp", "text/csv", strings.NewReader(csv))
+	resp, err = http.Post(ts.URL+"/v1/datasets?name=w2&float=temp&int=temp", "text/csv", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,16 +321,16 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	var listing struct {
 		Datasets []DatasetInfo `json:"datasets"`
 	}
-	doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, &listing)
+	doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &listing)
 	if len(listing.Datasets) != 2 {
 		t.Fatalf("dataset listing has %d entries, want 2 (census + weather)", len(listing.Datasets))
 	}
 
 	// Explore the uploaded dataset.
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "weather"}, &info), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "weather"}, &info), http.StatusCreated)
 	var viz createVizResponse
-	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/sessions/%d/visualizations", ts.URL, info.ID), map[string]any{
+	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/visualizations", ts.URL, info.ID), map[string]any{
 		"target":    "temp",
 		"predicate": json.RawMessage(`{"type": "equals", "column": "city", "value": "Phoenix"}`),
 	}, &viz), http.StatusCreated)
@@ -412,8 +412,8 @@ func TestErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	cases := []struct {
 		name   string
@@ -422,11 +422,11 @@ func TestErrorStatuses(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"unknown dataset", http.MethodPost, ts.URL + "/sessions", map[string]any{"dataset": "nope"}, http.StatusNotFound},
-		{"missing dataset", http.MethodPost, ts.URL + "/sessions", map[string]any{}, http.StatusBadRequest},
-		{"unknown policy", http.MethodPost, ts.URL + "/sessions", map[string]any{"dataset": "census", "policy": "yolo"}, http.StatusBadRequest},
-		{"unknown session gauge", http.MethodGet, ts.URL + "/sessions/99999/gauge", nil, http.StatusNotFound},
-		{"non-numeric session id", http.MethodGet, ts.URL + "/sessions/abc/gauge", nil, http.StatusBadRequest},
+		{"unknown dataset", http.MethodPost, ts.URL + "/v1/sessions", map[string]any{"dataset": "nope"}, http.StatusNotFound},
+		{"missing dataset", http.MethodPost, ts.URL + "/v1/sessions", map[string]any{}, http.StatusBadRequest},
+		{"unknown policy", http.MethodPost, ts.URL + "/v1/sessions", map[string]any{"dataset": "census", "policy": "yolo"}, http.StatusBadRequest},
+		{"unknown session gauge", http.MethodGet, ts.URL + "/v1/sessions/99999/gauge", nil, http.StatusNotFound},
+		{"non-numeric session id", http.MethodGet, ts.URL + "/v1/sessions/abc/gauge", nil, http.StatusBadRequest},
 		{"unknown viz target", http.MethodPost, base + "/visualizations", map[string]any{"target": "shoe_size"}, http.StatusBadRequest},
 		{"bad predicate", http.MethodPost, base + "/visualizations",
 			map[string]any{"target": "gender", "predicate": json.RawMessage(`{"type": "xor"}`)}, http.StatusBadRequest},
@@ -453,8 +453,8 @@ func TestWealthExhaustionConflict(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census", "policy": "gamma-fixed"}, &info)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census", "policy": "gamma-fixed"}, &info)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	// gamma-fixed funds a bounded number of tests; ask for more than it can
 	// pay for. The shuffled-education predicate family keeps each test cheap.

@@ -206,13 +206,6 @@ func TestChiSquaredIndependenceErrors(t *testing.T) {
 	}
 }
 
-func TestRejectHelper(t *testing.T) {
-	r := TestResult{PValue: 0.04}
-	if !r.Reject(0.05) || r.Reject(0.01) {
-		t.Error("Reject threshold logic wrong")
-	}
-}
-
 func TestAlternativeString(t *testing.T) {
 	if TwoSided.String() != "two-sided" || Greater.String() != "greater" || Less.String() != "less" {
 		t.Error("Alternative.String mismatch")

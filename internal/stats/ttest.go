@@ -52,11 +52,6 @@ type TestResult struct {
 	Method string
 }
 
-// Reject reports whether the test rejects the null hypothesis at level alpha.
-func (r TestResult) Reject(alpha float64) bool {
-	return r.PValue <= alpha
-}
-
 // errSampleTooSmall builds a descriptive error for undersized test inputs.
 func errSampleTooSmall(method string, n int) error {
 	return fmt.Errorf("stats: %s requires at least 2 observations per sample, got %d: %w", method, n, ErrEmptySample)
