@@ -79,7 +79,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "seed for the synthetic census")
 	flag.DurationVar(&o.ttl, "session-ttl", 30*time.Minute, "idle time before a session is reclaimed (0 = never)")
 	flag.DurationVar(&o.sweep, "sweep", time.Minute, "how often the idle-session sweeper runs")
-	flag.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	flag.StringVar(&o.logLevel, "log-level", "info", "log level: debug (adds one line per request), info, warn, error")
 	flag.StringVar(&o.logFormat, "log-format", "json", "log format: json, text")
 	flag.StringVar(&o.journalDir, "journal-dir", "", "directory for per-session step journals; sessions survive restarts (empty = in-memory only)")
 	flag.StringVar(&o.dataDir, "data", "", "directory of *.aware columnar snapshots to mmap and serve (each registers under its file name; corrupt files are skipped with a warning)")

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"sort"
@@ -320,28 +322,16 @@ func (rt *Router) ownerFor(id int64) (*member, bool) {
 
 // --- error plumbing ---
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code api.ErrorCode, msg string) {
-	writeJSON(w, status, api.ErrorBody{Error: msg, Code: code})
-}
-
 // writeClientErr relays a typed-client failure: an *api.Error passes through
 // with its original status and code; a transport error becomes the one
 // retryable code, node_unavailable.
 func writeClientErr(w http.ResponseWriter, err error) {
 	var apiErr *api.Error
 	if errors.As(err, &apiErr) {
-		writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
+		api.WriteError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, err.Error())
+	api.WriteError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, err.Error())
 }
 
 // --- proxying ---
@@ -355,27 +345,27 @@ const maxProxyBody = 32 << 20
 // relays the response verbatim. Nothing is written to w on a transport error,
 // so the caller can retry against another node.
 func (rt *Router) proxyTo(m *member, w http.ResponseWriter, r *http.Request, body []byte) error {
-	out, err := http.NewRequestWithContext(r.Context(), r.Method,
-		strings.TrimRight(m.node.URL, "/")+r.URL.RequestURI(), strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	for k, vv := range r.Header {
-		out.Header[k] = vv
-	}
-	resp, err := rt.httpc.Do(out)
+	resp, err := rt.forward(m, r, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	h := w.Header()
-	for k, vv := range resp.Header {
-		h[k] = vv
-	}
+	maps.Copy(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	rt.proxied.Add(1)
 	return nil
+}
+
+// forward sends the request, with its buffered body and headers, to one node.
+func (rt *Router) forward(m *member, r *http.Request, body []byte) (*http.Response, error) {
+	out, err := http.NewRequestWithContext(r.Context(), r.Method,
+		strings.TrimRight(m.node.URL, "/")+r.URL.RequestURI(), bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	maps.Copy(out.Header, r.Header)
+	return rt.httpc.Do(out)
 }
 
 // handleSessionScoped routes everything under /sessions/{id} to the session's
@@ -388,13 +378,13 @@ func (rt *Router) proxyTo(m *member, w http.ResponseWriter, r *http.Request, bod
 func (rt *Router) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest,
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
 			fmt.Sprintf("invalid session id %q", r.PathValue("id")))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading request body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "reading request body: "+err.Error())
 		return
 	}
 	first := true
@@ -408,15 +398,12 @@ func (rt *Router) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 		}
 		first = false
 		err := rt.proxyTo(m, w, r, body)
-		if err == nil {
-			return
-		}
-		if r.Context().Err() != nil {
-			return // the client went away, not the node
+		if err == nil || r.Context().Err() != nil {
+			return // answered, or the client went away (not the node)
 		}
 		rt.declareDead(m, err)
 	}
-	writeError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node for session")
+	api.WriteError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node for session")
 }
 
 // handleAnyNode forwards to the first alive node (datasets are registered on
@@ -424,7 +411,7 @@ func (rt *Router) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleAnyNode(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading request body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "reading request body: "+err.Error())
 		return
 	}
 	for _, name := range rt.order {
@@ -432,15 +419,13 @@ func (rt *Router) handleAnyNode(w http.ResponseWriter, r *http.Request) {
 		if !m.alive.Load() {
 			continue
 		}
-		if err := rt.proxyTo(m, w, r, body); err == nil {
+		err := rt.proxyTo(m, w, r, body)
+		if err == nil || r.Context().Err() != nil {
 			return
-		} else if r.Context().Err() != nil {
-			return
-		} else {
-			rt.declareDead(m, err)
 		}
+		rt.declareDead(m, err)
 	}
-	writeError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node")
+	api.WriteError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node")
 }
 
 // handleBroadcast forwards the request to every alive node (dataset uploads
@@ -450,63 +435,41 @@ func (rt *Router) handleAnyNode(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading request body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "reading request body: "+err.Error())
 		return
 	}
-	type reply struct {
-		status int
-		header http.Header
-		body   []byte
-	}
-	var last *reply
+	var last *http.Response
+	var lastBody []byte
 	for _, name := range rt.order {
 		m := rt.members[name]
 		if !m.alive.Load() {
 			continue
 		}
-		out, err := http.NewRequestWithContext(r.Context(), r.Method,
-			strings.TrimRight(m.node.URL, "/")+r.URL.RequestURI(), strings.NewReader(string(body)))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
-			return
-		}
-		for k, vv := range r.Header {
-			out.Header[k] = vv
-		}
-		resp, err := rt.httpc.Do(out)
+		resp, err := rt.forward(m, r, body)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return
 			}
 			rt.declareDead(m, err)
-			writeError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable,
+			api.WriteError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable,
 				fmt.Sprintf("node %s died during broadcast: %v", name, err))
 			return
 		}
-		respBody, _ := io.ReadAll(resp.Body)
+		lastBody, _ = io.ReadAll(resp.Body)
 		resp.Body.Close()
 		rt.proxied.Add(1)
+		last = resp
 		if resp.StatusCode >= 400 {
-			h := w.Header()
-			for k, vv := range resp.Header {
-				h[k] = vv
-			}
-			w.WriteHeader(resp.StatusCode)
-			w.Write(respBody)
-			return
+			break
 		}
-		last = &reply{status: resp.StatusCode, header: resp.Header, body: respBody}
 	}
 	if last == nil {
-		writeError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node")
+		api.WriteError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node")
 		return
 	}
-	h := w.Header()
-	for k, vv := range last.header {
-		h[k] = vv
-	}
-	w.WriteHeader(last.status)
-	w.Write(last.body)
+	maps.Copy(w.Header(), last.Header)
+	w.WriteHeader(last.StatusCode)
+	w.Write(lastBody)
 }
 
 // --- placement-first creation ---
@@ -520,11 +483,11 @@ func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeStepInvalid, "invalid request body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, api.CodeStepInvalid, "invalid request body: "+err.Error())
 		return
 	}
 	if spec.Dataset == "" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing dataset name")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "missing dataset name")
 		return
 	}
 	// A session_exists answer means the ID raced something restored from a
@@ -534,7 +497,7 @@ func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		id := rt.nextID.Add(1)
 		m, ok := rt.ownerFor(id)
 		if !ok {
-			writeError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node")
+			api.WriteError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node")
 			return
 		}
 		info, err := m.client.RestoreSession(r.Context(), id, api.RestoreSessionRequest{Spec: spec})
@@ -544,7 +507,7 @@ func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			// re-stamp the owner: placement is observable from the very first
 			// response a session produces.
 			w.Header().Set(api.NodeHeader, m.node.Name)
-			writeJSON(w, http.StatusCreated, info)
+			api.WriteJSON(w, http.StatusCreated, info)
 			return
 		}
 		var apiErr *api.Error
@@ -563,7 +526,7 @@ func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		// happened (restore installs the session before journaling).
 		rt.nextID.CompareAndSwap(id, id-1)
 	}
-	writeError(w, http.StatusConflict, api.CodeSessionExists, "could not allocate a session id")
+	api.WriteError(w, http.StatusConflict, api.CodeSessionExists, "could not allocate a session id")
 }
 
 // --- scatter-gather ---
@@ -605,7 +568,7 @@ func (rt *Router) handleListSessions(w http.ResponseWriter, r *http.Request) {
 		merged.Sessions = append(merged.Sessions, res.list.Sessions...)
 	}
 	sort.Slice(merged.Sessions, func(a, b int) bool { return merged.Sessions[a].ID < merged.Sessions[b].ID })
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // NodeHealth is one replica's entry in the aggregate health document.
@@ -676,7 +639,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Nodes = append(out.Nodes, nh)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleMetrics scatter-gathers every alive node's Prometheus exposition and

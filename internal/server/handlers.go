@@ -79,22 +79,6 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// --- encoding helpers ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
-}
-
-// writeError writes the JSON error envelope: the human-readable message plus
-// the stable machine-readable code clients and routers dispatch on.
-func writeError(w http.ResponseWriter, status int, code api.ErrorCode, msg string) {
-	writeJSON(w, status, api.ErrorBody{Error: msg, Code: code})
-}
-
 // errInvalidBody marks request bodies that fail to decode, so writeErr can
 // classify them as step_invalid without string matching.
 var errInvalidBody = errors.New("invalid request body")
@@ -128,7 +112,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		// The step was applied but could not be made durable.
 		status, code = http.StatusInternalServerError, api.CodeJournalFailed
 	}
-	writeError(w, status, code, err.Error())
+	api.WriteError(w, status, code, err.Error())
 }
 
 func decodeBody(r *http.Request, v any) error {
@@ -202,7 +186,7 @@ func toVizJSON(v *core.Visualization) vizJSON {
 // --- health and datasets ---
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.Health{
+	api.WriteJSON(w, http.StatusOK, api.Health{
 		Status:   "ok",
 		Node:     s.node,
 		Sessions: s.manager.Len(),
@@ -212,7 +196,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.DatasetList{Datasets: s.registry.List()})
+	api.WriteJSON(w, http.StatusOK, api.DatasetList{Datasets: s.registry.List()})
 }
 
 // handleUploadDataset registers a CSV body under ?name=. Column types default
@@ -221,7 +205,7 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing ?name= for the uploaded dataset")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "missing ?name= for the uploaded dataset")
 		return
 	}
 	var specs []dataset.ColumnSpec
@@ -239,7 +223,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if prev, dup := seen[col]; dup {
-				writeError(w, http.StatusBadRequest, api.CodeBadRequest,
+				api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
 					fmt.Sprintf("column %q typed by both ?%s= and ?%s=", col, prev, override.param))
 				return
 			}
@@ -257,7 +241,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("dataset registered", "name", name, "rows", table.NumRows(), "columns", table.NumColumns())
-	writeJSON(w, http.StatusCreated, DatasetInfo{Name: name, Rows: table.NumRows(), Columns: table.ColumnNames()})
+	api.WriteJSON(w, http.StatusCreated, DatasetInfo{Name: name, Rows: table.NumRows(), Columns: table.ColumnNames()})
 }
 
 // --- session lifecycle ---
@@ -271,7 +255,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if spec.Dataset == "" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing dataset name")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "missing dataset name")
 		return
 	}
 	table, err := s.registry.Get(spec.Dataset)
@@ -300,11 +284,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("session created", "id", info.ID, "dataset", info.Dataset, "policy", info.Policy, "alpha", info.Alpha)
-	writeJSON(w, http.StatusCreated, info)
+	api.WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.SessionList{Sessions: s.manager.List()})
+	api.WriteJSON(w, http.StatusOK, api.SessionList{Sessions: s.manager.List()})
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
@@ -318,7 +302,7 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	api.WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -430,7 +414,7 @@ func (s *Server) handleApplyStep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, view.response(step.Kind()))
+	api.WriteJSON(w, http.StatusCreated, view.response(step.Kind()))
 }
 
 // handleLog returns the session's append-only step journal: the full
@@ -450,7 +434,7 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.LogResponse{Count: len(log), Steps: log})
+	api.WriteJSON(w, http.StatusOK, api.LogResponse{Count: len(log), Steps: log})
 }
 
 func (s *Server) handleCreateVisualization(w http.ResponseWriter, r *http.Request) {
@@ -478,7 +462,7 @@ func (s *Server) handleCreateVisualization(w http.ResponseWriter, r *http.Reques
 	if view.viz != nil {
 		resp.Visualization = *view.viz
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	api.WriteJSON(w, http.StatusCreated, resp)
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -493,7 +477,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.MeansOf != "" && req.DistributionsOf != "" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "means_of and distributions_of are mutually exclusive")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "means_of and distributions_of are mutually exclusive")
 		return
 	}
 	var step core.Step
@@ -514,7 +498,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if view.hyp != nil {
 		resp.Hypothesis = *view.hyp
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	api.WriteJSON(w, http.StatusCreated, resp)
 }
 
 // --- relational steps ---
@@ -533,7 +517,7 @@ func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Expression) == 0 || string(req.Expression) == "null" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "derive requires an expression")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "derive requires an expression")
 		return
 	}
 	expr, err := dataset.UnmarshalExpr(req.Expression)
@@ -547,7 +531,7 @@ func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, view.response(step.Kind()))
+	api.WriteJSON(w, http.StatusCreated, view.response(step.Kind()))
 }
 
 // handleJoin equi-joins the session's table with a registered dataset: the
@@ -570,7 +554,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, view.response(step.Kind()))
+	api.WriteJSON(w, http.StatusCreated, view.response(step.Kind()))
 }
 
 // handleGroupBy tests the independence of two attributes over the filtered
@@ -600,7 +584,7 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	if view.hyp != nil {
 		resp.Hypothesis = *view.hyp
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	api.WriteJSON(w, http.StatusCreated, resp)
 }
 
 func (s *Server) handleStar(w http.ResponseWriter, r *http.Request) {
@@ -611,7 +595,7 @@ func (s *Server) handleStar(w http.ResponseWriter, r *http.Request) {
 	}
 	hid, err := strconv.Atoi(r.PathValue("hid"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid hypothesis id %q", r.PathValue("hid")))
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid hypothesis id %q", r.PathValue("hid")))
 		return
 	}
 	var req starRequest
@@ -623,7 +607,7 @@ func (s *Server) handleStar(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.StarResponse{ID: hid, Starred: req.Starred})
+	api.WriteJSON(w, http.StatusOK, api.StarResponse{ID: hid, Starred: req.Starred})
 }
 
 func (s *Server) handleGauge(w http.ResponseWriter, r *http.Request) {
@@ -656,7 +640,7 @@ func (s *Server) handleGauge(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func parseAlternative(s string) (stats.Alternative, error) {
@@ -687,7 +671,7 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Attribute == "" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing attribute to validate")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "missing attribute to validate")
 		return
 	}
 	pred, err := decodePredicateField(req.Predicate)
@@ -696,7 +680,7 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if pred == nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "holdout validation requires a predicate selecting the sub-population")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "holdout validation requires a predicate selecting the sub-population")
 		return
 	}
 	alt, err := parseAlternative(req.Alternative)
@@ -740,7 +724,7 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHoldoutReplay re-validates the session's whole step log on a fresh
@@ -790,7 +774,7 @@ func (s *Server) handleHoldoutReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(steps) == 0 {
-		writeError(w, http.StatusConflict, api.CodeBadRequest, "session has an empty step log; nothing to replay")
+		api.WriteError(w, http.StatusConflict, api.CodeBadRequest, "session has an empty step log; nothing to replay")
 		return
 	}
 	// A fresh policy instance for the two replays: the live session's policy
@@ -832,7 +816,7 @@ func (s *Server) handleHoldoutReplay(w http.ResponseWriter, r *http.Request) {
 			Confirmed:    hv.Confirmed,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -850,5 +834,5 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, report)
+	api.WriteJSON(w, http.StatusOK, report)
 }

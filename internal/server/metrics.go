@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aware/internal/api"
 	"aware/internal/dataset"
 	"aware/internal/obs"
 )
@@ -212,5 +213,5 @@ func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
 			snap.SelectionArenas[info.Name] = arena.Stats()
 		}
 	}
-	writeJSON(w, http.StatusOK, snap)
+	api.WriteJSON(w, http.StatusOK, snap)
 }

@@ -2,7 +2,7 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -25,7 +25,7 @@ func withNodeHeader(node string, next http.Handler) http.Handler {
 	})
 }
 
-// statusRecorder captures the response status and size for the request log.
+// statusRecorder captures the response status and size.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -46,9 +46,14 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// withRequestLog emits one structured log line per request: method, path,
-// status, response size and duration.
+// withRequestLog emits one Debug line per request: method, path, status,
+// response size and duration. The level is fixed at startup, so below Debug
+// next is returned unwrapped: metrics count every request, and the slow-op
+// log keeps the outliers with their span trees.
 func withRequestLog(logger *slog.Logger, next http.Handler) http.Handler {
+	if !logger.Enabled(context.Background(), slog.LevelDebug) {
+		return next
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
@@ -56,7 +61,7 @@ func withRequestLog(logger *slog.Logger, next http.Handler) http.Handler {
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		logger.Info("request",
+		logger.Debug("request",
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", rec.status,
@@ -71,10 +76,9 @@ func withRequestLog(logger *slog.Logger, next http.Handler) http.Handler {
 // everywhere, but http.ServeMux writes its own text/plain bodies for
 // unmatched routes (404) and method mismatches (405) — and http.Error does
 // the same for any handler that slips through. When a response starts with an
-// error status and a non-JSON content type, the writer swallows the text body
-// and replaces it with the structured {"error": ...} document every other
-// error path produces. Headers the original response set (Allow on a 405 in
-// particular) are preserved.
+// error status and a non-JSON content type, the writer holds the status and
+// keeps the text as the message of the {"error": ...} document withJSONErrors
+// sends. Headers the original response set (Allow on a 405) are preserved.
 type jsonErrorWriter struct {
 	http.ResponseWriter
 	wroteHeader bool
@@ -91,10 +95,7 @@ func (w *jsonErrorWriter) WriteHeader(status int) {
 	w.status = status
 	if status >= 400 && !strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
 		w.convert = true
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		// The JSON body has a different length than the text one.
-		h.Del("Content-Length")
+		return
 	}
 	w.ResponseWriter.WriteHeader(status)
 }
@@ -135,7 +136,7 @@ func withJSONErrors(metrics *Metrics, next http.Handler) http.Handler {
 		case http.StatusMethodNotAllowed:
 			code = api.CodeMethodNotAllowed
 		}
-		_ = json.NewEncoder(jw.ResponseWriter).Encode(api.ErrorBody{Error: msg, Code: code})
+		api.WriteError(w, jw.status, code, msg)
 	})
 }
 
@@ -152,7 +153,7 @@ func withRecovery(logger *slog.Logger, next http.Handler) http.Handler {
 					"panic", v,
 					"stack", string(debug.Stack()),
 				)
-				writeError(w, http.StatusInternalServerError, api.CodeInternal, "internal server error")
+				api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "internal server error")
 			}
 		}()
 		next.ServeHTTP(w, r)

@@ -217,7 +217,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("min_ms"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid min_ms %q", raw))
+			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid min_ms %q", raw))
 			return
 		}
 		minMs = v
@@ -226,7 +226,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("limit"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid limit %q", raw))
+			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid limit %q", raw))
 			return
 		}
 		limit = v
@@ -253,5 +253,5 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		resp.Traces = append(resp.Traces, span.JSON())
 	}
 	resp.Returned = len(resp.Traces)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }

@@ -33,7 +33,7 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Spec.Dataset == "" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing dataset name in restore spec")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "missing dataset name in restore spec")
 		return
 	}
 	steps := make([]core.Step, 0, len(req.Steps))
@@ -87,5 +87,5 @@ func (s *Server) handleRestoreSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Info("session restored via API", "id", info.ID, "dataset", info.Dataset,
 		"steps", len(steps), "policy", info.Policy)
-	writeJSON(w, http.StatusCreated, info)
+	api.WriteJSON(w, http.StatusCreated, info)
 }

@@ -140,10 +140,10 @@ func New(cfg Config) (*Server, error) {
 		s.journal = journal
 	}
 	// Middleware, outermost first: every response is stamped with the node
-	// name, panics become JSON 500s, every request is logged, and router-level
-	// text errors (404/405) are converted to JSON and counted. Per-endpoint
-	// metrics wrap the individual handlers inside the mux, so they observe
-	// exactly the requests that were routed.
+	// name, panics become JSON 500s, at Debug every request is logged, and
+	// router-level text errors (404/405) are converted to JSON and counted.
+	// Per-endpoint metrics wrap the individual handlers inside the mux, so
+	// they observe exactly the requests that were routed.
 	s.handler = withNodeHeader(cfg.NodeName, withRecovery(logger, withRequestLog(logger, withJSONErrors(s.metrics, s.routes()))))
 	return s, nil
 }
@@ -241,8 +241,8 @@ func (s *Server) RestoreSessions() (int, error) {
 // Registry returns the dataset registry, for preloading tables.
 func (s *Server) Registry() *DatasetRegistry { return s.registry }
 
-// Handler returns the fully-wrapped HTTP handler (routing, structured request
-// logging, panic recovery).
+// Handler returns the fully-wrapped HTTP handler (routing, panic recovery,
+// and a structured line per request at Debug).
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Run serves the API on addr until ctx is cancelled. See Serve.
