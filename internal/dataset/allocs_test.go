@@ -82,6 +82,26 @@ func TestAllocsArenaWhere(t *testing.T) {
 	})
 }
 
+// TestAllocsSelectionCache pins a session's cache: building one over a table
+// and asking it for every row allocates the cache and its map, not a
+// full-row bitmap — that is built once per table and shared.
+func TestAllocsSelectionCache(t *testing.T) {
+	table := allocsCensus(t, 20000)
+	full, err := dataset.NewSelectionCacheCap(table, 1).Where(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinAllocs(t, "NewSelectionCacheCap + Where(nil)", 3, func() { // measured 2
+		sel, err := dataset.NewSelectionCacheCap(table, 1).Where(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel != full {
+			t.Fatal("a second cache over the table built its own full selection")
+		}
+	})
+}
+
 // occupationDim is the relational workload's dimension: the census
 // occupations padded to 120 rows, each with a sector and a median pay.
 func occupationDim(tb testing.TB) dataset.View {

@@ -15,14 +15,15 @@ import (
 )
 
 // This file tests the stored byte codes of low-cardinality numeric columns
-// (colstore's encoding rule, decoded by wrapColumn in table.go) and the one
-// kernel that scans them (fillRangeBytes in kernels.go). The contract: a
-// table answers exactly as it would stored wide. Where stays word-identical
-// to the row-at-a-time reference and to the wide path; BinCounts,
-// CrossCounts and the bin edge labels equal both the wide path over the same
-// values and a row-at-a-time recomputation; the decoded rows are the
-// constructed ones bit for bit; a NaN or a 257th distinct bit pattern keeps a
-// column wide; a derived table answers the same; and no error changes.
+// (colstore's encoding rule, decoded by wrapColumn in table.go) and the run
+// kernels that scan them and every byte-coded categorical column (byteRuns
+// in kernels.go). The contract: a table answers exactly as it would stored
+// wide. Where stays word-identical to the row-at-a-time reference and to the
+// wide path; BinCounts, CrossCounts and the bin edge labels equal both the
+// wide path over the same values and a row-at-a-time recomputation; the
+// decoded rows are the constructed ones bit for bit; a NaN or a 257th
+// distinct bit pattern keeps a column wide; a derived table answers the
+// same; and no error changes.
 
 var (
 	negZero  = math.Copysign(0, -1)
@@ -416,12 +417,51 @@ func TestCodedBinEdgesMatchMinMax(t *testing.T) {
 	requireEndsMatchMinMax(t, "int64 edges", tab, "i")
 }
 
-// TestRangeBytesEveryTailShape runs the byte kernel alone over every window
-// length from 0 to 200 rows — every split between the eight-rows-a-word main
-// loop and the per-row tail — and every kind of code range, a width of 256
-// and the bool ranges included, against a per-row loop.
+// TestRangeBytesEveryTailShape runs the run kernels alone (fillRuns) against
+// a per-row loop: every code range [lo, hi), 0 <= lo < hi <= 256, over a
+// window that holds every code; then every window length from 0 to 200 rows
+// — every split between the eight-rows-a-word main loop and the per-row
+// tail — with random ranges and random code sets, sets that straddle code
+// 128 and sets of three or more runs included; and the bool ranges.
 func TestRangeBytesEveryTailShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1702))
+	check := func(label string, codes []uint8, b byteRuns, set []uint64) {
+		t.Helper()
+		// Dirty destination words: the kernel must overwrite, not OR.
+		dst := make([]uint64, (len(codes)+63)/64)
+		for i := range dst {
+			dst[i] = rng.Uint64()
+		}
+		count := fillRuns(dst, codes, b, set)
+		want := make([]uint64, len(dst))
+		wantCount := 0
+		for i, c := range codes {
+			if set[c>>6]>>(c&63)&1 != 0 {
+				want[i/64] |= 1 << (i % 64)
+				wantCount++
+			}
+		}
+		if count != wantCount || !reflect.DeepEqual(dst, want) {
+			t.Fatalf("%s, %d runs, n=%d: count %d words %x, want %d %x", label, b.n, len(codes), count, dst, wantCount, want)
+		}
+	}
+	rangeSet := func(lo, hi int) []uint64 {
+		set := make([]uint64, 4)
+		for c := lo; c < hi; c++ {
+			set[c>>6] |= 1 << (c & 63)
+		}
+		return set
+	}
+	every := make([]uint8, 2*256+37)
+	for i := range every {
+		every[i] = uint8(i)
+	}
+	rng.Shuffle(len(every), func(i, j int) { every[i], every[j] = every[j], every[i] })
+	for lo := 0; lo < 256; lo++ {
+		for hi := lo + 1; hi <= 256; hi++ {
+			check(fmt.Sprintf("[%d,%d)", lo, hi), every, rangeRuns(lo, hi), rangeSet(lo, hi))
+		}
+	}
 	for n := 0; n <= 200; n++ {
 		for trial := 0; trial < 15; trial++ {
 			codes := make([]uint8, n)
@@ -438,6 +478,8 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 				lo, hi = 255, 256
 			case 4:
 				lo, hi = 128, 256
+			case 5:
+				lo, hi = 127, 129
 			}
 			for i := range codes {
 				switch trial % 3 {
@@ -449,33 +491,34 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 					codes[i] = uint8(lo - 2 + rng.Intn(hi-lo+4)) // around the bounds
 				}
 			}
-			// Dirty destination words: the kernel must overwrite, not OR.
-			dst := make([]uint64, (n+63)/64)
-			for i := range dst {
-				dst[i] = rng.Uint64()
-			}
-			count := fillRangeBytes(dst, codes, lo, hi)
-			want := make([]uint64, len(dst))
-			wantCount := 0
-			for i, c := range codes {
-				if int(c) >= lo && int(c) < hi {
-					want[i/64] |= 1 << (i % 64)
-					wantCount++
+			check(fmt.Sprintf("[%d,%d)", lo, hi), codes, rangeRuns(lo, hi), rangeSet(lo, hi))
+
+			// A random code set over a dictionary of size entries, dense or
+			// sparse, and on odd trials forced to straddle code 128.
+			size := 1 + rng.Intn(256)
+			set := make([]uint64, 4)
+			density := rng.Intn(4)
+			for c := 0; c < size; c++ {
+				if rng.Intn(4) < density || (trial%2 == 1 && c >= 126 && c < 131) {
+					set[c>>6] |= 1 << (c & 63)
 				}
 			}
-			if count != wantCount || !reflect.DeepEqual(dst, want) {
-				t.Fatalf("n=%d [%d,%d): count %d words %x, want %d %x", n, lo, hi, count, dst, wantCount, want)
+			for i := range codes {
+				codes[i] = uint8(rng.Intn(size))
+			}
+			if runs := setRuns(set, size); runs.n > 0 {
+				check(fmt.Sprintf("set %x of %d", set, size), codes, runs, set)
 			}
 		}
 	}
 	// A bool column is its own byte codes.
 	flags := []bool{true, false, false, true, true}
 	dst := make([]uint64, 1)
-	if n := fillRangeBytes(dst, colstore.BoolsAsBytes(flags), 1, 2); n != 3 || dst[0] != 0b11001 {
-		t.Errorf("bool true range: count %d word %b", n, dst[0])
+	if n := fillRuns(dst, colstore.BoolsAsBytes(flags), rangeRuns(1, 2), nil); n != 3 || dst[0] != 0b11001 {
+		t.Errorf("bool true run: count %d word %b", n, dst[0])
 	}
-	if n := fillRangeBytes(dst, colstore.BoolsAsBytes(flags), 0, 1); n != 2 || dst[0] != 0b00110 {
-		t.Errorf("bool false range: count %d word %b", n, dst[0])
+	if n := fillRuns(dst, colstore.BoolsAsBytes(flags), rangeRuns(0, 1), nil); n != 2 || dst[0] != 0b00110 {
+		t.Errorf("bool false run: count %d word %b", n, dst[0])
 	}
 }
 
@@ -691,6 +734,63 @@ func FuzzRangeCodes(f *testing.F) {
 			Range{Column: "x", Low: low, High: high},
 			GreaterThan{Column: "x", Threshold: threshold},
 		} {
+			got, err := tab.Where(pred)
+			if err != nil {
+				t.Fatalf("%s: Where: %v", pred.Describe(), err)
+			}
+			want, err := referenceSelection(tab, pred)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", pred.Describe(), err)
+			}
+			requireSameWords(t, pred.Describe(), got, want)
+		}
+	})
+}
+
+// FuzzCodeSet is the CI fuzz smoke target of the byte-coded Equals and In: a
+// categorical column over a dictionary of 1 to 256 values (size+1, every
+// value present, then one row per data byte), and a subset of values, one
+// per subset byte, some of them absent from the dictionary. Equals on each
+// subset value and In on the whole subset must select the rows the
+// row-at-a-time reference selects, word for word.
+func FuzzCodeSet(f *testing.F) {
+	// One value, the bool-sized dictionary, both sides of code 128 on a
+	// 129- and a 256-entry dictionary, adjacent codes merging into one run,
+	// three runs and more, absent values, an empty subset, a full word of
+	// rows plus a tail.
+	f.Add([]byte{}, uint8(0), []byte{0})
+	f.Add([]byte{1, 0, 1, 1}, uint8(1), []byte{1})
+	f.Add([]byte{127, 128, 0, 5}, uint8(128), []byte{127, 128})
+	f.Add([]byte{126, 127, 128, 129, 255}, uint8(255), []byte{126, 127, 128, 129})
+	f.Add([]byte{3, 4, 5, 6, 7, 8, 9}, uint8(20), []byte{4, 5, 6})
+	f.Add([]byte{3, 4, 5, 6, 7, 8, 9}, uint8(20), []byte{3, 5, 7, 9})
+	f.Add([]byte{1, 2, 3}, uint8(9), []byte{200, 250, 2})
+	f.Add([]byte{1, 2, 3}, uint8(9), []byte{})
+	long := make([]byte, 64+8+3)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	f.Add(long, uint8(200), []byte{0, 1, 2, 60, 130, 131, 199})
+	f.Fuzz(func(t *testing.T, data []byte, size uint8, subset []byte) {
+		name := func(b byte) string { return fmt.Sprintf("v%03d", b) }
+		values := make([]string, 0, int(size)+1+len(data))
+		for i := int(size); i >= 0; i-- {
+			values = append(values, name(byte(i)))
+		}
+		for _, b := range data {
+			values = append(values, name(byte(int(b)%(int(size)+1))))
+		}
+		tab, err := NewTable(NewCategoricalColumn("x", values))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := In{Column: "x"}
+		preds := []Predicate{}
+		for _, b := range subset {
+			in.Values = append(in.Values, name(b))
+			preds = append(preds, Equals{Column: "x", Value: name(b)})
+		}
+		for _, pred := range append(preds, in) {
 			got, err := tab.Where(pred)
 			if err != nil {
 				t.Fatalf("%s: Where: %v", pred.Describe(), err)

@@ -30,18 +30,15 @@ import (
 //     exact morsel window and walks fixed 64-element chunks, so the
 //     compiler proves the lane accesses in range and drops the checks;
 //   - code-width specialization: the code kernels are generic over the
-//     width a column's codes are stored at (colstore.Code). In over a
-//     dictionary of at most 256 entries — stored as byte codes, like every
-//     census-shaped column — tests membership against a 4-word bitset that
-//     lives in registers/L1; wider dictionaries use a per-code bitset sized
-//     to the dictionary. Neither probes a hash map per row;
-//   - compare codes, not values: a numeric column stored with at most 256
-//     distinct values (age, hours: categorical in disguise) has byte codes
-//     into its sorted values, so low <= v < high is lo <= code < hi, tested
-//     on eight rows per 64-bit word by fillRangeBytes. The same kernel is
-//     Equals over any byte-coded column, [code, code+1) — a bool column is
-//     its own byte codes. Range and GreaterThan keep the 8-byte kernels
-//     (fillRange*/fillGt*) for wide columns only.
+//     width a column's codes are stored at (colstore.Code). Over more than
+//     256 codes, Equals compares codes at their width and In reads a
+//     per-code bitset sized to the dictionary; neither probes a hash map;
+//   - compare codes, not values: a leaf over byte codes — any column of at
+//     most 256 codes, numeric ones (age, hours) coded into their sorted
+//     values so low <= v < high is lo <= code < hi, a bool column its own
+//     codes — is a list of runs of codes (byteRuns). fillRun tests one run
+//     on eight rows per 64-bit word, fillTwoRuns two; more read the per-code
+//     bitset. Wide columns keep the 8-byte kernels (fillRange*/fillGt*).
 //
 // Every kernel writes all words covering its window (the bit accumulator
 // naturally leaves tail bits zero), so a fill does not depend on pre-zeroed
@@ -227,96 +224,82 @@ func fillEqCodes[C colstore.Code](dst []uint64, col []C, want C) int {
 	return n
 }
 
-// SWAR constants of fillRangeBytes: the high bit, the low seven bits and the
-// low bit of each of a word's eight bytes.
+// SWAR constants: each byte's high bit, and the multiplier that gathers the
+// eight high bits into the top byte (bit 8k+7 to bit 56+k, without carries).
 const (
-	swarHigh = 0x8080808080808080
-	swarLow7 = 0x7f7f7f7f7f7f7f7f
-	swarOnes = 0x0101010101010101
+	swarHigh   = 0x8080808080808080
+	swarGather = 0x0002040810204081
 )
 
-// fillRangeBytes writes the bitmap words for lo <= code < hi over a window of
-// one-byte codes, 0 <= lo < hi <= 256: the scan behind Range and GreaterThan
-// on a byte-coded numeric column and behind Equals on any byte-coded column,
-// bool columns included (false is code 0, true code 1). Eight rows are
-// tested per 64-bit word, without a per-byte branch or lane extraction:
-//
-//	y    = x - lo          per byte, mod 256 (borrows kept inside each byte)
-//	ge   = carry out of y + (256-w) per byte, w = hi-lo: set when y >= w
-//	bits = the eight "not ge" flags gathered into one byte by a multiply
-//
-// w = 256 (every code matches) needs no special case: 256-w is 0 and nothing
-// carries. The little-endian load puts row j in byte 0, so flag k lands on
-// bit k. The eight loads of a chunk are written out with constant shifts: as
-// a loop over j with << (j&63) the kernel measured 0.75 ns/row against 0.45.
-func fillRangeBytes(dst []uint64, codes []uint8, lo, hi int) int {
-	w := uint64(hi - lo)
-	a := uint64(lo) * swarOnes
-	b := (256 - w) * swarOnes
-	match := func(s []uint8) uint64 {
+// codeRun is a run of byte codes [lo, hi) inside one half of the code space,
+// [0, 128) or [128, 256), as the constants of its SWAR test: lo' = lo&127
+// and hi' = ((hi-1)&127)+1 in every byte, half = swarHigh for the low half.
+type codeRun struct{ lo, hi, half uint64 }
+
+// match sets the high bit of each byte of x whose code lies in the run, given
+// y = x | swarHigh; the other bits are noise. Per byte y is in [128, 255] and
+// lo', hi' <= 128, so no borrow crosses a byte: y-lo' keeps the high bit iff
+// x&127 >= lo', y-hi' iff x&127 >= hi', and x^half iff x is in the half.
+func (r codeRun) match(x, y uint64) uint64 { return (y - r.lo) &^ (y - r.hi) & (x ^ r.half) }
+
+// fillRun writes the bitmap words for the codes in one run over a window of
+// byte codes: five operations test eight rows, a multiply gathers their flags
+// into a byte, and the little-endian load puts row j's flag on bit j. Eight
+// constant shifts, not a loop over j with << (j&63): 0.45 ns/row, not 0.75.
+func fillRun(dst []uint64, codes []uint8, r codeRun) int {
+	flags := func(s []uint8) uint64 {
 		x := binary.LittleEndian.Uint64(s)
-		y := ((x | swarHigh) - (a &^ swarHigh)) ^ ((x ^ ^a) & swarHigh)
-		ge := ((y & b) | ((y | b) & ((y & swarLow7) + (b & swarLow7)))) & swarHigh
-		return (((^ge & swarHigh) >> 7) * 0x0102040810204080) >> 56
+		return (r.match(x, x|swarHigh) & swarHigh) * swarGather >> 56
 	}
 	n := 0
 	nw := len(codes) / 64
 	for wi := 0; wi < nw; wi++ {
 		chunk := codes[wi*64 : wi*64+64 : wi*64+64]
-		word := match(chunk[0:8:8]) |
-			match(chunk[8:16:16])<<8 |
-			match(chunk[16:24:24])<<16 |
-			match(chunk[24:32:32])<<24 |
-			match(chunk[32:40:40])<<32 |
-			match(chunk[40:48:48])<<40 |
-			match(chunk[48:56:56])<<48 |
-			match(chunk[56:64:64])<<56
+		word := flags(chunk[0:8:8]) |
+			flags(chunk[8:16:16])<<8 |
+			flags(chunk[16:24:24])<<16 |
+			flags(chunk[24:32:32])<<24 |
+			flags(chunk[32:40:40])<<32 |
+			flags(chunk[40:48:48])<<40 |
+			flags(chunk[48:56:56])<<48 |
+			flags(chunk[56:64:64])<<56
+		dst[wi] = word
+		n += bits.OnesCount64(word)
+	}
+	return n + fillTwoRuns(dst[nw:], codes[nw*64:], r, r) // the tail, row by row
+}
+
+// fillTwoRuns is fillRun for the codes in either of two runs, which share
+// the load and y; a window under 64 rows is all tail, tested row by row.
+func fillTwoRuns(dst []uint64, codes []uint8, r, q codeRun) int {
+	flags := func(s []uint8) uint64 {
+		x := binary.LittleEndian.Uint64(s)
+		y := x | swarHigh
+		return ((r.match(x, y) | q.match(x, y)) & swarHigh) * swarGather >> 56
+	}
+	n := 0
+	nw := len(codes) / 64
+	for wi := 0; wi < nw; wi++ {
+		chunk := codes[wi*64 : wi*64+64 : wi*64+64]
+		word := flags(chunk[0:8:8]) |
+			flags(chunk[8:16:16])<<8 |
+			flags(chunk[16:24:24])<<16 |
+			flags(chunk[24:32:32])<<24 |
+			flags(chunk[32:40:40])<<32 |
+			flags(chunk[40:48:48])<<40 |
+			flags(chunk[48:56:56])<<48 |
+			flags(chunk[56:64:64])<<56
 		dst[wi] = word
 		n += bits.OnesCount64(word)
 	}
 	if tail := codes[nw*64:]; len(tail) > 0 {
 		var word uint64
 		for j, c := range tail {
-			word |= b2u(uint64(c)-uint64(lo) < w) << uint(j)
+			x := uint64(c)
+			word |= (r.match(x, x|swarHigh) | q.match(x, x|swarHigh)) >> 7 & 1 << uint(j)
 		}
 		dst[nw] = word
 		n += bits.OnesCount64(word)
-	}
-	return n
-}
-
-// fillInSmall is the narrow-dictionary In kernel: membership of a code in
-// the wanted set is one shift out of a 4-word (256-bit) lookup table that
-// fits in two cache lines. The (v>>6)&3 mask keeps the index provably in
-// range, so the lut access carries no bounds check. A dictionary that small
-// is always stored as byte codes.
-func fillInSmall(dst []uint64, col []uint8, lut *[4]uint64) int {
-	n := 0
-	nw := len(col) / 64
-	for wi := 0; wi < nw; wi++ {
-		chunk := col[wi*64 : wi*64+64 : wi*64+64]
-		var w uint64
-		for j := 0; j < 64; j += 8 {
-			s := chunk[j : j+8 : j+8]
-			w |= (((lut[(s[0]>>6)&3] >> (s[0] & 63)) & 1) |
-				((lut[(s[1]>>6)&3]>>(s[1]&63))&1)<<1 |
-				((lut[(s[2]>>6)&3]>>(s[2]&63))&1)<<2 |
-				((lut[(s[3]>>6)&3]>>(s[3]&63))&1)<<3 |
-				((lut[(s[4]>>6)&3]>>(s[4]&63))&1)<<4 |
-				((lut[(s[5]>>6)&3]>>(s[5]&63))&1)<<5 |
-				((lut[(s[6]>>6)&3]>>(s[6]&63))&1)<<6 |
-				((lut[(s[7]>>6)&3]>>(s[7]&63))&1)<<7) << (j & 63)
-		}
-		dst[wi] = w
-		n += bits.OnesCount64(w)
-	}
-	if tail := col[nw*64:]; len(tail) > 0 {
-		var w uint64
-		for j, v := range tail {
-			w |= ((lut[(v>>6)&3] >> (v & 63)) & 1) << uint(j)
-		}
-		dst[nw] = w
-		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -355,14 +338,65 @@ func fillInWide[C colstore.Code](dst []uint64, col []C, set []uint64) int {
 	return n
 }
 
-// whereCodeRange selects the rows whose one-byte code lies in [lo, hi); an
-// empty range is the empty selection.
-func (t *Table) whereCodeRange(codes []uint8, lo, hi int) *Selection {
-	if hi <= lo {
+// byteRuns is a byte-coded leaf lowered to the runs of codes it selects:
+// Equals one, Range and GreaterThan one (two if they straddle code 128), In
+// the runs of its code set. It keeps the first two; more read the code set.
+type byteRuns struct {
+	n    int
+	runs [2]codeRun
+}
+
+// add appends the run [lo, hi), cut at code 128; an empty run adds nothing.
+func (b *byteRuns) add(lo, hi int) {
+	if lo < 128 && hi > 128 {
+		b.add(lo, 128)
+		lo = 128
+	}
+	if lo >= hi {
+		return
+	}
+	if b.n < len(b.runs) {
+		const ones = 0x0101010101010101
+		b.runs[b.n] = codeRun{uint64(lo&127) * ones, uint64((hi-1)&127+1) * ones, swarHigh * b2u(lo < 128)}
+	}
+	b.n++
+}
+
+// rangeRuns lowers the codes [lo, hi).
+func rangeRuns(lo, hi int) (b byteRuns) {
+	b.add(lo, hi)
+	return b
+}
+
+// setRuns lowers a code set over a dictionary of size entries, adjacent
+// codes merged into one run.
+func setRuns(set []uint64, size int) (b byteRuns) {
+	for lo := 0; lo < size; lo++ {
+		hi := lo
+		for hi < size && set[hi>>6]>>(hi&63)&1 != 0 {
+			hi++
+		}
+		b.add(lo, hi)
+		lo = hi
+	}
+	return b
+}
+
+// whereRuns selects the rows whose byte code lies in one of the runs; past
+// two runs it tests set, the same codes one bit per code, with fillInWide.
+func (t *Table) whereRuns(codes []uint8, b byteRuns, set []uint64) *Selection {
+	if b.n == 0 {
 		return t.newSel()
 	}
-	return t.fillSelection(func(sel *Selection, from, to int) int {
-		return fillRangeBytes(sel.words[from/64:(to+63)/64], codes[from:to], lo, hi)
+	return t.fillSelection(func(sel *Selection, lo, hi int) int {
+		dst, window := sel.words[lo/64:(hi+63)/64], codes[lo:hi]
+		switch b.n {
+		case 1:
+			return fillRun(dst, window, b.runs[0])
+		case 2:
+			return fillTwoRuns(dst, window, b.runs[0], b.runs[1])
+		}
+		return fillInWide(dst, window, set)
 	})
 }
 
@@ -382,7 +416,7 @@ func selectIn[C colstore.Code](t *Table, col []C, set []uint64) *Selection {
 
 // whereEquals is the Equals leaf over a categorical or bool column: a value
 // absent from the dictionary selects nothing; a byte-coded column is scanned
-// as the code range [code, code+1).
+// as the run [code, code+1).
 func (t *Table) whereEquals(q Equals) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
@@ -393,7 +427,7 @@ func (t *Table) whereEquals(q Equals) (*Selection, error) {
 	case !ok:
 		return t.stamp(EmptySelection(t.rows)), nil
 	case c.width == 1:
-		return t.whereCodeRange(c.codes8, int(code), int(code)+1), nil
+		return t.whereRuns(c.codes8, rangeRuns(int(code), int(code)+1), nil), nil
 	case c.width == 2:
 		return selectEq(t, c.codes16, uint16(code)), nil
 	default:
@@ -402,14 +436,14 @@ func (t *Table) whereEquals(q Equals) (*Selection, error) {
 }
 
 // whereIn is the In leaf, specialized per code width: a byte-coded column
-// reads the register-resident 256-bit lookup table, a wider one a bitset
-// sized to its dictionary.
+// is scanned as the runs of its code set, a wider one against a bitset sized
+// to its dictionary.
 func (t *Table) whereIn(q In) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
 		return nil, err
 	}
-	set := make([]uint64, max(4, (len(c.dict)+63)/64))
+	set := make([]uint64, (len(c.dict)+63)/64)
 	found := false
 	for _, v := range q.Values {
 		if code, ok := c.codeOf[v]; ok {
@@ -421,10 +455,7 @@ func (t *Table) whereIn(q In) (*Selection, error) {
 	case !found:
 		return t.stamp(EmptySelection(t.rows)), nil
 	case c.width == 1:
-		lut := (*[4]uint64)(set)
-		return t.fillSelection(func(sel *Selection, lo, hi int) int {
-			return fillInSmall(sel.words[lo/64:(hi+63)/64], c.codes8[lo:hi], lut)
-		}), nil
+		return t.whereRuns(c.codes8, setRuns(set, len(c.dict)), set), nil
 	case c.width == 2:
 		return selectIn(t, c.codes16, set), nil
 	default:
@@ -444,7 +475,7 @@ func (t *Table) whereRange(q Range) (*Selection, error) {
 	if c.width != 0 {
 		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] >= q.Low })
 		hi := sort.Search(len(c.values), func(i int) bool { return !(c.values[i] < q.High) })
-		return t.whereCodeRange(c.codes8, lo, hi), nil
+		return t.whereRuns(c.codes8, rangeRuns(lo, hi), nil), nil
 	}
 	if c.Type == Float64 {
 		col := c.floats
@@ -467,7 +498,7 @@ func (t *Table) whereGreater(q GreaterThan) (*Selection, error) {
 	}
 	if c.width != 0 {
 		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] > q.Threshold })
-		return t.whereCodeRange(c.codes8, lo, len(c.values)), nil
+		return t.whereRuns(c.codes8, rangeRuns(lo, len(c.values)), nil), nil
 	}
 	if c.Type == Float64 {
 		col := c.floats

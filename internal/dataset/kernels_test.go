@@ -528,9 +528,25 @@ var (
 	benchSinkFloats []float64
 )
 
+// fillRuns runs, over one window, the kernel whereRuns picks for b: the
+// window-level entry of the run kernels' tests and benchmarks.
+func fillRuns(dst []uint64, codes []uint8, b byteRuns, set []uint64) int {
+	switch b.n {
+	case 1:
+		return fillRun(dst, codes, b.runs[0])
+	case 2:
+		return fillTwoRuns(dst, codes, b.runs[0], b.runs[1])
+	}
+	return fillInWide(dst, codes, set)
+}
+
 // BenchmarkFillKernels times each leaf kernel in isolation over one
 // million-row window on the calling goroutine (run it with -cpu 1): the
-// ns/row the packed main loops are judged by.
+// ns/row the packed main loops are judged by. The byte-code cases run the
+// kernel whereRuns picks (fillRuns): one run (a Range, or an Equals),
+// two runs (a non-adjacent In pair), a Range straddling code 128 on a
+// 256-entry dictionary (two runs), and an In of six runs (the per-code
+// bitset).
 func BenchmarkFillKernels(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(61))
@@ -538,15 +554,18 @@ func BenchmarkFillKernels(b *testing.B) {
 	ints := make([]int64, n)
 	codes := make([]uint32, n)
 	bytes := make([]uint8, n)
+	bytes256 := make([]uint8, n)
 	for i := 0; i < n; i++ {
 		floats[i] = rng.Float64() * 100
 		ints[i] = int64(rng.Intn(100))
 		codes[i] = uint32(rng.Intn(12))
 		bytes[i] = uint8(ints[i])
+		bytes256[i] = uint8(rng.Intn(256))
 	}
 	dst := make([]uint64, n/64)
-	lut := [4]uint64{0b101101}
 	set := []uint64{0b101101}
+	pair := []uint64{1<<20 | 1<<40, 0, 0, 0}
+	many := []uint64{0b101010101011, 0, 0, 0}
 	for _, k := range []struct {
 		name string
 		fill func() int
@@ -556,8 +575,10 @@ func BenchmarkFillKernels(b *testing.B) {
 		{"GtFloats", func() int { return fillGtFloats(dst, floats, 90) }},
 		{"GtInts", func() int { return fillGtInts(dst, ints, 90) }},
 		{"EqCodes", func() int { return fillEqCodes(dst, codes, 3) }},
-		{"RangeBytes", func() int { return fillRangeBytes(dst, bytes, 20, 30) }},
-		{"InSmall", func() int { return fillInSmall(dst, bytes, &lut) }},
+		{"OneRun", func() int { return fillRuns(dst, bytes, rangeRuns(20, 30), nil) }},
+		{"TwoRuns", func() int { return fillRuns(dst, bytes, setRuns(pair, 100), pair) }},
+		{"Straddle256", func() int { return fillRuns(dst, bytes256, rangeRuns(100, 160), nil) }},
+		{"ManyRuns", func() int { return fillRuns(dst, bytes, setRuns(many, 100), many) }},
 		{"InWide", func() int { return fillInWide(dst, codes, set) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {

@@ -710,6 +710,15 @@ func (t *Table) binAssignments(column string, binCount int) (*binAssignment, err
 
 // --- the filter-bitmap cache ---
 
+// fullRows returns the table's every-row selection, built once (a racing
+// first use keeps the first) and shared by every SelectionCache over it.
+func (t *Table) fullRows() *Selection {
+	if t.full.Load() == nil {
+		t.full.CompareAndSwap(nil, t.stamp(FullSelection(t.rows)))
+	}
+	return t.full.Load()
+}
+
 // defaultSelectionCacheCap bounds a SelectionCache; see NewSelectionCache.
 const defaultSelectionCacheCap = 4096
 
@@ -732,7 +741,6 @@ const defaultSelectionCacheCap = 4096
 type SelectionCache struct {
 	table *Table
 	cap   int
-	full  *Selection // the nil-predicate selection, shared by every caller
 
 	mu      sync.RWMutex
 	entries map[string]*Selection
@@ -755,7 +763,6 @@ func NewSelectionCacheCap(t *Table, capacity int) *SelectionCache {
 	return &SelectionCache{
 		table:   t,
 		cap:     capacity,
-		full:    t.stamp(FullSelection(t.NumRows())),
 		entries: make(map[string]*Selection),
 	}
 }
@@ -778,7 +785,7 @@ func (c *SelectionCache) Where(p Predicate) (*Selection, error) {
 // (WhereSpan) records on its kernel span.
 func (c *SelectionCache) whereCached(p Predicate) (*Selection, string, error) {
 	if p == nil {
-		return c.full, "full", nil
+		return c.table.fullRows(), "full", nil
 	}
 	key, err := CanonicalPredicateKey(p)
 	if err != nil {

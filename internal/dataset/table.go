@@ -319,6 +319,7 @@ type Table struct {
 	// build; nil means plain heap allocation. Like pool it is an execution
 	// hint only — see arena.go.
 	arena atomic.Pointer[WordArena]
+	full  atomic.Pointer[Selection] // every row, built on first use (fullRows)
 }
 
 // SetPool pins the table's kernels (Where, selection algebra, view

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -475,6 +476,29 @@ func TestSelectionCacheSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameWords(t, "cached selection", second, want)
+}
+
+// TestSelectionCacheFullRowsShared races the first Where(nil) of several
+// caches over one table: every cache must return the one every-row
+// selection, with every row set.
+func TestSelectionCacheFullRowsShared(t *testing.T) {
+	tab := randomTable(rand.New(rand.NewSource(5)))
+	fulls := make([]*Selection, 8)
+	var wg sync.WaitGroup
+	for i := range fulls {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fulls[i], _ = NewSelectionCacheCap(tab, 1).Where(nil)
+		}(i)
+	}
+	wg.Wait()
+	for i, sel := range fulls {
+		if sel != fulls[0] {
+			t.Fatalf("cache %d built its own full selection", i)
+		}
+	}
+	requireSameWords(t, "full rows", fulls[0], FullSelection(tab.NumRows()))
 }
 
 func TestSelectionCacheCapBounds(t *testing.T) {
