@@ -54,12 +54,6 @@ type Config struct {
 	SignalStrength float64
 }
 
-// DefaultConfig generates a 30k-row census, roughly the size of the UCI Adult
-// training split.
-func DefaultConfig() Config {
-	return Config{Rows: 30000, Seed: 1, SignalStrength: 1}
-}
-
 // Person is one generated census row, in the column order of the table
 // (Columns). EachRow streams Person values so million-row datasets can be
 // written to disk without ever materializing the table.

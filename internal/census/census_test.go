@@ -203,12 +203,13 @@ func TestRandomizeDestroysAssociations(t *testing.T) {
 
 func TestGenerateWorkflowShape(t *testing.T) {
 	tab := smallCensus(t)
-	w, err := GenerateWorkflow(tab, DefaultWorkflowConfig())
+	// The paper's Exp. 2: 115 hypotheses, chains up to depth 3.
+	w, err := GenerateWorkflow(tab, WorkflowConfig{Hypotheses: 115, Seed: 7, MaxChainDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Len() != 115 {
-		t.Fatalf("workflow length = %d, want 115", w.Len())
+	if len(w.Steps) != 115 {
+		t.Fatalf("workflow length = %d, want 115", len(w.Steps))
 	}
 	kinds := map[HypothesisKind]int{}
 	for i, step := range w.Steps {
@@ -265,13 +266,14 @@ func TestGenerateWorkflowDeterministicAndValidated(t *testing.T) {
 
 func TestEvaluateStepBothKinds(t *testing.T) {
 	tab := smallCensus(t)
+	cache := dataset.NewSelectionCache(tab)
 	popStep := WorkflowStep{
 		ID:     1,
 		Kind:   FilterVsPopulation,
 		Target: ColGender,
 		Filter: dataset.Equals{Column: ColSalaryOver50K, Value: "true"},
 	}
-	res, err := EvaluateStep(tab, popStep)
+	res, err := EvaluateStep(cache, popStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +290,7 @@ func TestEvaluateStepBothKinds(t *testing.T) {
 		Target: ColGender,
 		Filter: dataset.Equals{Column: ColSalaryOver50K, Value: "true"},
 	}
-	res2, err := EvaluateStep(tab, compStep)
+	res2, err := EvaluateStep(cache, compStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +299,13 @@ func TestEvaluateStepBothKinds(t *testing.T) {
 	}
 
 	// Errors: missing filter, unknown kind, bad target.
-	if _, err := EvaluateStep(tab, WorkflowStep{ID: 3, Target: ColGender}); err == nil {
+	if _, err := EvaluateStep(cache, WorkflowStep{ID: 3, Target: ColGender}); err == nil {
 		t.Error("expected error for nil filter")
 	}
-	if _, err := EvaluateStep(tab, WorkflowStep{ID: 4, Kind: HypothesisKind(9), Target: ColGender, Filter: popStep.Filter}); err == nil {
+	if _, err := EvaluateStep(cache, WorkflowStep{ID: 4, Kind: HypothesisKind(9), Target: ColGender, Filter: popStep.Filter}); err == nil {
 		t.Error("expected error for unknown kind")
 	}
-	if _, err := EvaluateStep(tab, WorkflowStep{ID: 5, Kind: FilterVsPopulation, Target: "missing", Filter: popStep.Filter}); err == nil {
+	if _, err := EvaluateStep(cache, WorkflowStep{ID: 5, Kind: FilterVsPopulation, Target: "missing", Filter: popStep.Filter}); err == nil {
 		t.Error("expected error for missing target")
 	}
 }
@@ -318,7 +320,7 @@ func TestEvaluateWorkflowAndGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != w.Len() {
+	if len(results) != len(w.Steps) {
 		t.Fatalf("results length %d", len(results))
 	}
 	pvals := PValues(results)
@@ -331,7 +333,7 @@ func TestEvaluateWorkflowAndGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trueNull) != w.Len() {
+	if len(trueNull) != len(w.Steps) {
 		t.Fatalf("ground truth length %d", len(trueNull))
 	}
 	// On the real census with planted correlations, at least some hypotheses
@@ -364,7 +366,7 @@ func TestEvaluateWorkflowOnTinySampleKeepsLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != w.Len() {
+	if len(results) != len(w.Steps) {
 		t.Fatalf("tiny-sample evaluation dropped steps: %d", len(results))
 	}
 	for _, r := range results {

@@ -58,9 +58,6 @@ type Workflow struct {
 	Steps []WorkflowStep
 }
 
-// Len returns the number of hypotheses in the workflow.
-func (w *Workflow) Len() int { return len(w.Steps) }
-
 // CoreSteps lowers the workflow onto the closed command algebra of
 // internal/core, so that the same user-study exploration can drive a live
 // Session (directly, over the HTTP steps endpoint, or through core.Replay)
@@ -107,12 +104,6 @@ type WorkflowConfig struct {
 	// MaxChainDepth bounds how many filter conditions are chained together
 	// (Figure 1 chains up to three).
 	MaxChainDepth int
-}
-
-// DefaultWorkflowConfig mirrors the paper's Exp. 2: 115 hypotheses, chains up
-// to depth 3.
-func DefaultWorkflowConfig() WorkflowConfig {
-	return WorkflowConfig{Hypotheses: 115, Seed: 7, MaxChainDepth: 3}
 }
 
 // categoricalAttrs are the attributes whose distributions the generated

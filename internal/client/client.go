@@ -170,15 +170,6 @@ func (c *Client) Health(ctx context.Context) (api.Health, error) {
 	return out, err
 }
 
-// --- datasets ---
-
-// Datasets lists the registered datasets.
-func (c *Client) Datasets(ctx context.Context) (api.DatasetList, error) {
-	var out api.DatasetList
-	err := c.do(ctx, http.MethodGet, "GET /v1/datasets", api.Prefix+"/datasets", nil, &out)
-	return out, err
-}
-
 // --- session lifecycle ---
 
 // CreateSession opens a session from a spec.
@@ -192,13 +183,6 @@ func (c *Client) CreateSession(ctx context.Context, spec api.SessionSpec) (api.S
 func (c *Client) Sessions(ctx context.Context) (api.SessionList, error) {
 	var out api.SessionList
 	err := c.do(ctx, http.MethodGet, "GET /v1/sessions", api.Prefix+"/sessions", nil, &out)
-	return out, err
-}
-
-// Session fetches one session's summary.
-func (c *Client) Session(ctx context.Context, id int64) (api.SessionInfo, error) {
-	var out api.SessionInfo
-	err := c.do(ctx, http.MethodGet, "GET /v1/sessions/{id}", sessionPath(id, ""), nil, &out)
 	return out, err
 }
 

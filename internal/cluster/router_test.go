@@ -17,7 +17,7 @@ import (
 	"aware/internal/census"
 	"aware/internal/client"
 	"aware/internal/cluster"
-	"aware/internal/obs"
+	"aware/internal/obs/obstest"
 	"aware/internal/server"
 )
 
@@ -185,7 +185,7 @@ func TestRouterMergesMetricsWithNodeLabels(t *testing.T) {
 	text := string(raw)
 	// The merged document must still be a valid exposition (the strict in-repo
 	// parser is the same gate the single-node /metrics passes).
-	if _, err := obs.ValidateExposition(text); err != nil {
+	if _, err := obstest.ValidateExposition(text); err != nil {
 		t.Fatalf("merged exposition invalid: %v\n%s", err, text)
 	}
 	for _, want := range []string{`node="n1"`, `node="n2"`, "aware_router_node_alive", "aware_sessions_live"} {

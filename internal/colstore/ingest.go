@@ -32,7 +32,6 @@ const spillBufSize = 1 << 16
 // snapshot on Finish. Builders are single-goroutine; a builder that returned
 // an error from any method must be Aborted, not Finished.
 type RowBuilder struct {
-	schema Schema
 	dest   string
 	rows   uint64
 	cols   []*colBuilder
@@ -62,7 +61,7 @@ func NewRowBuilder(schema Schema, dest string) (*RowBuilder, error) {
 	if len(schema) == 0 {
 		return nil, fmt.Errorf("colstore: ingest needs at least one column")
 	}
-	b := &RowBuilder{schema: schema, dest: dest}
+	b := &RowBuilder{dest: dest}
 	for _, cs := range schema {
 		f, err := os.CreateTemp("", ".aware-spill-*")
 		if err != nil {
@@ -83,9 +82,6 @@ func NewRowBuilder(schema Schema, dest string) (*RowBuilder, error) {
 
 // Rows returns the number of rows appended so far.
 func (b *RowBuilder) Rows() int { return int(b.rows) }
-
-// Schema returns the builder's schema.
-func (b *RowBuilder) Schema() Schema { return b.schema }
 
 // Append adds one row of typed values in schema order: float64 for Float64
 // columns, int64 for Int64, bool for Bool, string for Categorical. This is

@@ -120,10 +120,10 @@ func TestIngestCSVSchemaOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	got := st.Schema().Names()
+	got := st.Schema()
 	want := []string{"name", "age", "score", "active"}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i].Name != want[i] {
 			t.Fatalf("column order %v, want %v", got, want)
 		}
 	}

@@ -43,15 +43,6 @@ func (s Schema) Validate() error {
 	return nil
 }
 
-// Names returns the names in schema order.
-func (s Schema) Names() []string {
-	out := make([]string, len(s))
-	for i, c := range s {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // LoadSchema reads a schema JSON file.
 func LoadSchema(path string) (Schema, error) {
 	data, err := os.ReadFile(path)

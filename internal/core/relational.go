@@ -16,8 +16,8 @@ import (
 // mutating session state.
 
 // scanNode is the plan leaf every relational step builds on: the session's
-// current table read through its filter-bitmap cache, so scan-level filters
-// are served by exact and subsumption cache hits.
+// current table read through its filter-bitmap cache, so a scan-level filter
+// seen before is a cache hit.
 func (s *Session) scanNode() plan.Node {
 	return plan.TableScan{Table: s.data, Cache: s.sel}
 }

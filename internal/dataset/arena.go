@@ -59,9 +59,6 @@ func NewWordArena(rows int) *WordArena {
 	return &WordArena{words: (rows + 63) / 64, rows: rows}
 }
 
-// Rows returns the row count the arena was sized for.
-func (a *WordArena) Rows() int { return a.rows }
-
 // Stats returns a snapshot of the arena's counters.
 func (a *WordArena) Stats() ArenaStats {
 	return ArenaStats{

@@ -235,9 +235,7 @@ func UnmarshalPredicate(data []byte) (Predicate, error) {
 // sets written in any order, conjunctions and disjunctions with reordered
 // terms — produce equal keys. It is the cache key of SelectionCache (the wire
 // format produced by MarshalPredicate keeps the author's term order; only the
-// key sorts). The canonical key of And{t1..tn} is exactly the and wire object
-// over the terms' canonical keys in ascending order, which is what lets the
-// subsumption probe in SelectionCache rebuild prefix keys by concatenation.
+// key sorts).
 func CanonicalPredicateKey(p Predicate) (string, error) {
 	enc, err := encodePredicate(p)
 	if err != nil {

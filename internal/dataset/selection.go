@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -87,19 +86,6 @@ func (s *Selection) maskTail() {
 		s.words[len(s.words)-1] &= (uint64(1) << tail) - 1
 	}
 }
-
-// recount recomputes the cached population count after kernel writes.
-func (s *Selection) recount() {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	s.count = c
-}
-
-// setBit marks row i as selected. Kernels call it during construction; the
-// selection must not have been shared yet.
-func (s *Selection) setBit(i int) { s.words[i/64] |= uint64(1) << (i % 64) }
 
 // Len returns the number of rows the selection spans (set or not).
 func (s *Selection) Len() int { return s.n }
@@ -730,12 +716,6 @@ const defaultSelectionCacheCap = 4096
 // of concurrent sessions exploring the same dataset; all methods are safe for
 // concurrent use.
 //
-// The cache is additionally subsumption-aware: a conjunction P∧Q whose exact
-// key misses is probed for the longest cached prefix of its canonical
-// conjunct order, and a cached bitmap for P then serves as the scan base —
-// only the residual conjuncts compile, and one bitmap And replaces the full
-// scan. These partial hits are counted separately from exact hits.
-//
 // The cache is capacity-bounded: past cap entries, an arbitrary entry is
 // evicted per insert. Eviction never affects correctness, only hit rate.
 type SelectionCache struct {
@@ -745,9 +725,8 @@ type SelectionCache struct {
 	mu      sync.RWMutex
 	entries map[string]*Selection
 
-	hits        atomic.Uint64
-	partialHits atomic.Uint64
-	misses      atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // NewSelectionCache builds a cache over the table with the default capacity.
@@ -780,8 +759,7 @@ func (c *SelectionCache) Where(p Predicate) (*Selection, error) {
 }
 
 // whereCached is Where plus the cache outcome — "full" (shared nil-predicate
-// selection), "hit" (exact key), "partial" (served from a cached prefix of
-// the conjunction), "miss" or "uncacheable" — which the traced variant
+// selection), "hit", "miss" or "uncacheable" — which the traced variant
 // (WhereSpan) records on its kernel span.
 func (c *SelectionCache) whereCached(p Predicate) (*Selection, string, error) {
 	if p == nil {
@@ -795,12 +773,6 @@ func (c *SelectionCache) whereCached(p Predicate) (*Selection, string, error) {
 	if sel := c.lookup(key); sel != nil {
 		c.hits.Add(1)
 		return sel, "hit", nil
-	}
-	if and, ok := p.(And); ok && len(and.Terms) >= 2 {
-		if sel, ok := c.whereSubsumed(and, key); ok {
-			c.partialHits.Add(1)
-			return sel, "partial", nil
-		}
 	}
 	c.misses.Add(1)
 	sel, err := c.table.Where(p)
@@ -841,99 +813,6 @@ func (c *SelectionCache) store(key string, sel *Selection) *Selection {
 	return sel
 }
 
-// whereSubsumed tries to serve the conjunction from a cached prefix: the
-// terms are put into canonical key order, the cache is probed for the longest
-// prefix conjunction already compiled, and only the residual terms compile —
-// each And-ed into the cached base bitmap. The result is stored under the
-// full key, so the next identical query is an exact hit. It reports false —
-// and the caller falls through to a cold compile — when the terms have no
-// canonical keys, no prefix is cached, or a residual term fails to compile
-// (the cold path owns error semantics, including the reference path's
-// short-circuit behavior on empty accumulators).
-func (c *SelectionCache) whereSubsumed(q And, fullKey string) (*Selection, bool) {
-	keys := make([]string, len(q.Terms))
-	terms := make([]Predicate, len(q.Terms))
-	copy(terms, q.Terms)
-	for i, t := range q.Terms {
-		k, err := CanonicalPredicateKey(t)
-		if err != nil {
-			return nil, false
-		}
-		keys[i] = k
-	}
-	sort.Sort(&predsByKey{keys: keys, terms: terms})
-	for n := len(terms) - 1; n >= 1; n-- {
-		base := c.lookup(andKeyOf(keys[:n]))
-		if base == nil {
-			continue
-		}
-		sel, owned := base, false
-		for _, term := range terms[n:] {
-			// An empty accumulator already decides the conjunction; stop
-			// compiling residuals (mirrors the And short-circuit in where).
-			if sel.Count() == 0 {
-				break
-			}
-			ts, err := c.table.Where(term)
-			if err != nil {
-				if owned {
-					sel.Release()
-				}
-				return nil, false
-			}
-			next := sel.andWith(ts, c.table.execPool())
-			if owned {
-				sel.Release()
-			}
-			ts.Release()
-			sel, owned = next, true
-		}
-		// When the cached base was empty before any residual ran, sel is still
-		// the base bitmap itself — already detached, and aliasing it under the
-		// full key too is exactly right (the conjunction IS empty).
-		return c.store(fullKey, sel), true
-	}
-	return nil, false
-}
-
-// andKeyOf rebuilds the canonical key of the conjunction of terms whose
-// canonical keys are given in ascending order: the bare term key for one
-// term, the and wire object over the keys otherwise (exactly what
-// CanonicalPredicateKey produces for that conjunction).
-func andKeyOf(keys []string) string {
-	if len(keys) == 1 {
-		return keys[0]
-	}
-	total := len(`{"type":"and","terms":[]}`) + len(keys) - 1
-	for _, k := range keys {
-		total += len(k)
-	}
-	var b strings.Builder
-	b.Grow(total)
-	b.WriteString(`{"type":"and","terms":[`)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-	}
-	b.WriteString(`]}`)
-	return b.String()
-}
-
-// predsByKey sorts a predicate slice and its canonical keys in lockstep.
-type predsByKey struct {
-	keys  []string
-	terms []Predicate
-}
-
-func (s *predsByKey) Len() int           { return len(s.keys) }
-func (s *predsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *predsByKey) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.terms[i], s.terms[j] = s.terms[j], s.terms[i]
-}
-
 // View is Where wrapped into a zero-copy view.
 func (c *SelectionCache) View(p Predicate) (View, error) {
 	sel, err := c.Where(p)
@@ -950,10 +829,10 @@ func (c *SelectionCache) Len() int {
 	return len(c.entries)
 }
 
-// Stats returns the cumulative exact-hit, partial-hit (subsumption-served)
-// and miss counters.
-func (c *SelectionCache) Stats() (hits, partialHits, misses uint64) {
-	return c.hits.Load(), c.partialHits.Load(), c.misses.Load()
+// Stats returns the cumulative hit and miss counters. The middle value is
+// always 0: it stays only until the benchmark stops reading it.
+func (c *SelectionCache) Stats() (hits, partial, misses uint64) {
+	return c.hits.Load(), 0, c.misses.Load()
 }
 
 // sortedStrings returns a sorted copy of values (the canonical order used by

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -16,6 +17,18 @@ import (
 // predicate types over every column type, the bitmap kernels (Table.Where)
 // and the zero-copy View reads must agree exactly with the row-at-a-time
 // reference (matchRow) and with reads over a materialized sub-table.
+
+// setBit marks row i as selected in a selection a test builds by hand.
+func (s *Selection) setBit(i int) { s.words[i/64] |= uint64(1) << (i % 64) }
+
+// recount recomputes the cached population count after setBit writes.
+func (s *Selection) recount() {
+	c := 0
+	for _, w := range s.words {
+		c += bits.OnesCount64(w)
+	}
+	s.count = c
+}
 
 // randomTable builds a table with one column of every type. Row counts hover
 // around the 64-bit word boundary so the bitmap tail masking is exercised.

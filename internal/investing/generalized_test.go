@@ -2,10 +2,32 @@ package investing
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// TestClassic performs a generalized step that reproduces the original
+// Foster–Stine rule for the given level: cost α/(1-α), pay-out cost + ω.
+func (g *GeneralizedInvestor) TestClassic(pValue, alpha float64) (GeneralizedDecision, error) {
+	cost := alpha / (1 - alpha)
+	return g.Test(pValue, alpha, cost, cost+g.cfg.Omega)
+}
+
+// TestFlatCost performs a generalized step parameterized directly by the cost
+// φ rather than the level: it uses the largest level admissible with the full
+// pay-out ψ = φ + ω, which is α_j = φ / (1 + φ). Spending a flat cost per test
+// makes the wealth decrease exactly linearly in the number of accepted nulls,
+// which is how the γ-fixed rule budgets its session.
+func (g *GeneralizedInvestor) TestFlatCost(pValue, cost float64) (GeneralizedDecision, error) {
+	if cost <= 0 || math.IsNaN(cost) {
+		return GeneralizedDecision{}, fmt.Errorf("%w: cost must be positive, got %v", ErrInvalidParameter, cost)
+	}
+	payout := cost + g.cfg.Omega
+	alpha := cost / (1 + cost)
+	return g.Test(pValue, alpha, cost, payout)
+}
 
 func newGeneralized(t *testing.T) *GeneralizedInvestor {
 	t.Helper()

@@ -59,16 +59,6 @@ func (inv *Investor) Decisions() []Decision {
 	return out
 }
 
-// WealthHistory returns the wealth after each test, starting with W(0).
-func (inv *Investor) WealthHistory() []float64 {
-	out := make([]float64, 0, len(inv.decisions)+1)
-	out = append(out, inv.cfg.InitialWealth())
-	for _, d := range inv.decisions {
-		out = append(out, d.WealthAfter)
-	}
-	return out
-}
-
 // Test processes the next hypothesis in the stream: it asks the policy for a
 // level, compares the p-value against it, applies the wealth update and
 // returns the decision. The p-value must lie in [0, 1]. When the wealth is
@@ -113,12 +103,6 @@ func (inv *Investor) Test(pValue float64, ctx TestContext) (Decision, error) {
 	inv.decisions = append(inv.decisions, d)
 	inv.policy.Feedback(d)
 	return d, nil
-}
-
-// TestSimple is a convenience wrapper for streams without support-size
-// information.
-func (inv *Investor) TestSimple(pValue float64) (Decision, error) {
-	return inv.Test(pValue, TestContext{})
 }
 
 // Run consumes an entire stream of p-values, stopping early if the wealth is

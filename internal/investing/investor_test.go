@@ -8,6 +8,37 @@ import (
 	"testing/quick"
 )
 
+// TestSimple is a convenience wrapper for streams without support-size
+// information.
+func (inv *Investor) TestSimple(pValue float64) (Decision, error) {
+	return inv.Test(pValue, TestContext{})
+}
+
+// WealthHistory returns the wealth after each test, starting with W(0).
+func (inv *Investor) WealthHistory() []float64 {
+	out := make([]float64, 0, len(inv.decisions)+1)
+	out = append(out, inv.cfg.InitialWealth())
+	for _, d := range inv.decisions {
+		out = append(out, d.WealthAfter)
+	}
+	return out
+}
+
+// paperPolicies builds fresh instances of the five named rules at the
+// default level, in the paper's order.
+func paperPolicies(t testing.TB) []Policy {
+	t.Helper()
+	out := make([]Policy, 0, len(PolicyNames))
+	for _, name := range PolicyNames {
+		p, err := NewNamedPolicy(name, DefaultAlpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
 func mustInvestor(t *testing.T, policy Policy) *Investor {
 	t.Helper()
 	inv, err := NewInvestor(DefaultConfig(), policy)
@@ -110,11 +141,7 @@ func TestWealthNeverNegativeProperty(t *testing.T) {
 	// invariant W(j) >= 0 plus alpha_j <= W/(1+W).
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		policies, err := PaperPolicies(DefaultConfig())
-		if err != nil {
-			return false
-		}
-		for _, pol := range policies {
+		for _, pol := range paperPolicies(t) {
 			inv, err := NewInvestor(DefaultConfig(), pol)
 			if err != nil {
 				return false
@@ -500,10 +527,7 @@ func TestPolicyConstructorValidation(t *testing.T) {
 }
 
 func TestPaperPolicies(t *testing.T) {
-	policies, err := PaperPolicies(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	policies := paperPolicies(t)
 	if len(policies) != 5 {
 		t.Fatalf("expected 5 paper policies, got %d", len(policies))
 	}
@@ -516,7 +540,10 @@ func TestPaperPolicies(t *testing.T) {
 			t.Errorf("missing policy %q in %v", want, names)
 		}
 	}
-	if _, err := PaperPolicies(Config{Alpha: 2, Eta: 1, Omega: 0.05}); err == nil {
-		t.Error("invalid config should fail")
+	if _, err := NewNamedPolicy(PolicyNames[0], 2); err == nil {
+		t.Error("invalid alpha should fail")
+	}
+	if _, err := NewNamedPolicy("nope", DefaultAlpha); err == nil {
+		t.Error("unknown name should fail")
 	}
 }

@@ -68,13 +68,6 @@ func TestMFDRControlUnderCompleteNull(t *testing.T) {
 	const m = 32
 	rng := rand.New(rand.NewSource(71))
 
-	build := func() []Policy {
-		ps, err := PaperPolicies(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ps
-	}
 	outcomes := make(map[string][]multcomp.Outcome)
 	for r := 0; r < reps; r++ {
 		pvalues := make([]float64, m)
@@ -85,7 +78,7 @@ func TestMFDRControlUnderCompleteNull(t *testing.T) {
 		for i := range trueNull {
 			trueNull[i] = true
 		}
-		for _, pol := range build() {
+		for _, pol := range paperPolicies(t) {
 			o := runPolicy(t, pol, pvalues, trueNull)
 			outcomes[pol.Name()] = append(outcomes[pol.Name()], o)
 		}
@@ -112,11 +105,7 @@ func TestMFDRControlWithMixedSignal(t *testing.T) {
 	outcomes := make(map[string][]multcomp.Outcome)
 	for r := 0; r < reps; r++ {
 		pvalues, trueNull := simulateStream(rng, m, 0.75, 1.0, 40)
-		policies, err := PaperPolicies(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pol := range policies {
+		for _, pol := range paperPolicies(t) {
 			o := runPolicy(t, pol, pvalues, trueNull)
 			outcomes[pol.Name()] = append(outcomes[pol.Name()], o)
 		}

@@ -343,24 +343,6 @@ func (p *Support) Reset() {
 	p.alphaStar = p.InitialWealth / (p.Gamma + p.InitialWealth)
 }
 
-// PaperPolicies returns fresh instances of the five investing rules with the
-// parameters used in the paper's experiments (Section 7.2): β = 0.25, γ = 10,
-// δ = 10, ε = 0.5 with an unlimited window, and ψ = 1/2 on top of γ = 10.
-func PaperPolicies(cfg Config) ([]Policy, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]Policy, 0, len(PolicyNames))
-	for _, name := range PolicyNames {
-		p, err := namedPolicy(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // PolicyNames lists the names accepted by NewNamedPolicy, in the paper's
 // order.
 var PolicyNames = []string{
@@ -368,20 +350,16 @@ var PolicyNames = []string{
 }
 
 // NewNamedPolicy constructs the investing rule with the given name using the
-// paper's default parameters at control level alpha. It backs every front-end
-// that selects a rule by name (the aware CLI's -policy flag, awared's
-// "policy" session field).
+// paper's parameters (Section 7.2: β = 0.25, γ = 10, δ = 10, ε = 0.5 with an
+// unlimited window, and ψ = 1/2 on top of γ = 10) at control level alpha. It
+// is the single source of those parameters, and backs every front-end that
+// selects a rule by name (the aware CLI's -policy flag, awared's "policy"
+// session field, the simulation harness).
 func NewNamedPolicy(name string, alpha float64) (Policy, error) {
 	cfg, err := NewConfig(alpha)
 	if err != nil {
 		return nil, err
 	}
-	return namedPolicy(name, cfg)
-}
-
-// namedPolicy is the single source of the paper's per-rule parameters, shared
-// by NewNamedPolicy and PaperPolicies.
-func namedPolicy(name string, cfg Config) (Policy, error) {
 	switch name {
 	case "beta-farsighted":
 		return NewFarsighted(0.25, cfg.Alpha)

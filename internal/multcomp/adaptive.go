@@ -64,7 +64,7 @@ func (s StoreyAdaptiveBH) Apply(pvalues []float64, alpha float64) ([]bool, error
 	if adjusted >= 1 {
 		adjusted = 0.999999
 	}
-	return stepUpFDR(pvalues, adjusted, 1)
+	return stepUpFDR(pvalues, adjusted)
 }
 
 // TwoStageAdaptiveBH is the Benjamini–Krieger–Yekutieli two-stage adaptive
@@ -86,7 +86,7 @@ func (TwoStageAdaptiveBH) Apply(pvalues []float64, alpha float64) ([]bool, error
 		return nil, nil
 	}
 	alphaPrime := alpha / (1 + alpha)
-	first, err := stepUpFDR(pvalues, alphaPrime, 1)
+	first, err := stepUpFDR(pvalues, alphaPrime)
 	if err != nil {
 		return nil, err
 	}
@@ -107,55 +107,5 @@ func (TwoStageAdaptiveBH) Apply(pvalues []float64, alpha float64) ([]bool, error
 	if secondLevel >= 1 {
 		secondLevel = 0.999999
 	}
-	return stepUpFDR(pvalues, secondLevel, 1)
-}
-
-// AdjustedPValues returns multiplicity-adjusted p-values for the named
-// single-step / step-wise FWER procedures and BH. An adjusted value q_i has
-// the property that H_i is rejected at level alpha iff q_i <= alpha.
-// Supported procedures: Bonferroni, Holm, Hochberg, BHFDR.
-func AdjustedPValues(procedure string, pvalues []float64) ([]float64, error) {
-	if err := validate(pvalues, 0.5); err != nil {
-		return nil, err
-	}
-	m := len(pvalues)
-	adj := make([]float64, m)
-	if m == 0 {
-		return adj, nil
-	}
-	switch procedure {
-	case "Bonferroni":
-		for i, p := range pvalues {
-			adj[i] = math.Min(1, p*float64(m))
-		}
-		return adj, nil
-	case "Holm":
-		sorted := sortPValues(pvalues)
-		running := 0.0
-		for k, ip := range sorted {
-			val := math.Min(1, ip.p*float64(m-k))
-			if val < running {
-				val = running
-			}
-			running = val
-			adj[ip.idx] = val
-		}
-		return adj, nil
-	case "Hochberg":
-		sorted := sortPValues(pvalues)
-		running := 1.0
-		for k := m - 1; k >= 0; k-- {
-			val := math.Min(1, sorted[k].p*float64(m-k))
-			if val > running {
-				val = running
-			}
-			running = val
-			adj[sorted[k].idx] = val
-		}
-		return adj, nil
-	case "BHFDR":
-		return AdjustedPValuesBH(pvalues)
-	default:
-		return nil, fmt.Errorf("multcomp: no adjusted p-values for procedure %q", procedure)
-	}
+	return stepUpFDR(pvalues, secondLevel)
 }

@@ -135,53 +135,3 @@ func TestAdaptiveProceduresValidationAndNames(t *testing.T) {
 		t.Errorf("adaptive BH with custom lambda: %v, %v", rej, err)
 	}
 }
-
-func TestAdjustedPValuesConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	p := make([]float64, 40)
-	for i := range p {
-		p[i] = rng.Float64() * rng.Float64()
-	}
-	cases := []struct {
-		name string
-		proc Procedure
-	}{
-		{"Bonferroni", Bonferroni{}},
-		{"Holm", Holm{}},
-		{"Hochberg", Hochberg{}},
-		{"BHFDR", BenjaminiHochberg{}},
-	}
-	for _, c := range cases {
-		adj, err := AdjustedPValues(c.name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, alpha := range []float64{0.01, 0.05, 0.1, 0.25} {
-			rej, err := c.proc.Apply(p, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range p {
-				if rej[i] != (adj[i] <= alpha) {
-					t.Errorf("%s at alpha=%v, i=%d: reject=%v but q=%v", c.name, alpha, i, rej[i], adj[i])
-				}
-			}
-		}
-		// Adjusted p-values are bounded by 1 and at least the raw p-value.
-		for i := range p {
-			if adj[i] > 1 || adj[i] < p[i]-1e-12 {
-				t.Errorf("%s: adjusted p %v out of range for raw %v", c.name, adj[i], p[i])
-			}
-		}
-	}
-	if _, err := AdjustedPValues("nope", p); err == nil {
-		t.Error("unknown procedure should error")
-	}
-	if _, err := AdjustedPValues("Holm", []float64{2}); err == nil {
-		t.Error("invalid p-value should error")
-	}
-	empty, err := AdjustedPValues("Holm", nil)
-	if err != nil || len(empty) != 0 {
-		t.Error("empty input should succeed")
-	}
-}

@@ -1,9 +1,8 @@
-// Package multcomp implements the classic multiple-comparison procedures the
-// paper uses as baselines (Section 4): per-comparison error rate (no
-// correction), the FWER family (Bonferroni and its sequential variant, Šidák,
-// Holm, Hochberg, Simes), the FDR family (Benjamini–Hochberg,
-// Benjamini–Yekutieli) and the incremental Sequential FDR / ForwardStop
-// procedure of G'Sell et al. It also provides the confusion-matrix metrics
+// Package multcomp implements the multiple-comparison procedures the paper
+// uses as baselines (Section 4): per-comparison error rate (no correction),
+// Bonferroni, Benjamini–Hochberg and the incremental Sequential FDR /
+// ForwardStop procedure of G'Sell et al., plus the two adaptive BH variants
+// the aware package exports. It also provides the confusion-matrix metrics
 // (FDR, FWER, power) used throughout the evaluation.
 //
 // All batch procedures implement the Procedure interface: they receive the
@@ -112,144 +111,6 @@ func (Bonferroni) Apply(pvalues []float64, alpha float64) ([]bool, error) {
 	return out, nil
 }
 
-// SequentialBonferroni is the incremental Bonferroni variant mentioned in
-// Section 4.2: the j-th hypothesis (1-based, in arrival order) is rejected iff
-// p_j <= alpha * 2^-j. It controls FWER at level alpha without knowing m, at
-// the cost of an exponentially shrinking threshold.
-type SequentialBonferroni struct{}
-
-// Name implements Procedure.
-func (SequentialBonferroni) Name() string { return "SeqBonferroni" }
-
-// Apply implements Procedure.
-func (SequentialBonferroni) Apply(pvalues []float64, alpha float64) ([]bool, error) {
-	if err := validate(pvalues, alpha); err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(pvalues))
-	threshold := alpha
-	for i, p := range pvalues {
-		threshold /= 2
-		out[i] = p <= threshold
-	}
-	return out, nil
-}
-
-// Sidak is the Šidák correction: reject H_i iff p_i <= 1 - (1-alpha)^(1/m).
-// Slightly more powerful than Bonferroni under independence.
-type Sidak struct{}
-
-// Name implements Procedure.
-func (Sidak) Name() string { return "Sidak" }
-
-// Apply implements Procedure.
-func (Sidak) Apply(pvalues []float64, alpha float64) ([]bool, error) {
-	if err := validate(pvalues, alpha); err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(pvalues))
-	m := float64(len(pvalues))
-	if m == 0 {
-		return out, nil
-	}
-	threshold := 1 - math.Pow(1-alpha, 1/m)
-	for i, p := range pvalues {
-		out[i] = p <= threshold
-	}
-	return out, nil
-}
-
-// Holm is the Holm step-down procedure, a uniformly more powerful FWER control
-// than Bonferroni.
-type Holm struct{}
-
-// Name implements Procedure.
-func (Holm) Name() string { return "Holm" }
-
-// Apply implements Procedure.
-func (Holm) Apply(pvalues []float64, alpha float64) ([]bool, error) {
-	if err := validate(pvalues, alpha); err != nil {
-		return nil, err
-	}
-	m := len(pvalues)
-	out := make([]bool, m)
-	sorted := sortPValues(pvalues)
-	for k, ip := range sorted {
-		if ip.p > alpha/float64(m-k) {
-			break
-		}
-		out[ip.idx] = true
-	}
-	return out, nil
-}
-
-// Hochberg is the Hochberg step-up procedure; valid under independence (or
-// positive dependence) and more powerful than Holm.
-type Hochberg struct{}
-
-// Name implements Procedure.
-func (Hochberg) Name() string { return "Hochberg" }
-
-// Apply implements Procedure.
-func (Hochberg) Apply(pvalues []float64, alpha float64) ([]bool, error) {
-	if err := validate(pvalues, alpha); err != nil {
-		return nil, err
-	}
-	m := len(pvalues)
-	out := make([]bool, m)
-	sorted := sortPValues(pvalues)
-	// Find the largest k (1-based) with p_(k) <= alpha / (m - k + 1).
-	cut := -1
-	for k := m - 1; k >= 0; k-- {
-		if sorted[k].p <= alpha/float64(m-k) {
-			cut = k
-			break
-		}
-	}
-	for k := 0; k <= cut; k++ {
-		out[sorted[k].idx] = true
-	}
-	return out, nil
-}
-
-// Simes tests the global null hypothesis with the Simes inequality and, when
-// that global test rejects, rejects the individual hypotheses whose sorted
-// p-values satisfy p_(k) <= k*alpha/m (the same thresholds as BH but with the
-// FWER-style interpretation used in the paper's related-work discussion).
-type Simes struct{}
-
-// Name implements Procedure.
-func (Simes) Name() string { return "Simes" }
-
-// Apply implements Procedure.
-func (Simes) Apply(pvalues []float64, alpha float64) ([]bool, error) {
-	if err := validate(pvalues, alpha); err != nil {
-		return nil, err
-	}
-	m := len(pvalues)
-	out := make([]bool, m)
-	if m == 0 {
-		return out, nil
-	}
-	sorted := sortPValues(pvalues)
-	globalReject := false
-	for k, ip := range sorted {
-		if ip.p <= float64(k+1)*alpha/float64(m) {
-			globalReject = true
-			break
-		}
-	}
-	if !globalReject {
-		return out, nil
-	}
-	for k, ip := range sorted {
-		if ip.p <= float64(k+1)*alpha/float64(m) {
-			out[ip.idx] = true
-		}
-	}
-	return out, nil
-}
-
 // BenjaminiHochberg is the classic step-up FDR-controlling procedure: find the
 // largest k with p_(k) <= k*alpha/m and reject the k smallest p-values.
 type BenjaminiHochberg struct{}
@@ -262,35 +123,11 @@ func (BenjaminiHochberg) Apply(pvalues []float64, alpha float64) ([]bool, error)
 	if err := validate(pvalues, alpha); err != nil {
 		return nil, err
 	}
-	return stepUpFDR(pvalues, alpha, 1)
+	return stepUpFDR(pvalues, alpha)
 }
 
-// BenjaminiYekutieli is the FDR procedure valid under arbitrary dependence; it
-// replaces alpha by alpha / H_m where H_m is the m-th harmonic number.
-type BenjaminiYekutieli struct{}
-
-// Name implements Procedure.
-func (BenjaminiYekutieli) Name() string { return "BYFDR" }
-
-// Apply implements Procedure.
-func (BenjaminiYekutieli) Apply(pvalues []float64, alpha float64) ([]bool, error) {
-	if err := validate(pvalues, alpha); err != nil {
-		return nil, err
-	}
-	m := len(pvalues)
-	harmonic := 0.0
-	for i := 1; i <= m; i++ {
-		harmonic += 1 / float64(i)
-	}
-	if harmonic == 0 {
-		harmonic = 1
-	}
-	return stepUpFDR(pvalues, alpha, harmonic)
-}
-
-// stepUpFDR implements the generic BH-style step-up rule with a penalty
-// divisor applied to alpha.
-func stepUpFDR(pvalues []float64, alpha, penalty float64) ([]bool, error) {
+// stepUpFDR implements the BH step-up rule at level alpha.
+func stepUpFDR(pvalues []float64, alpha float64) ([]bool, error) {
 	m := len(pvalues)
 	out := make([]bool, m)
 	if m == 0 {
@@ -299,7 +136,7 @@ func stepUpFDR(pvalues []float64, alpha, penalty float64) ([]bool, error) {
 	sorted := sortPValues(pvalues)
 	cut := -1
 	for k := m - 1; k >= 0; k-- {
-		if sorted[k].p <= float64(k+1)*alpha/(float64(m)*penalty) {
+		if sorted[k].p <= float64(k+1)*alpha/float64(m) {
 			cut = k
 			break
 		}
@@ -308,43 +145,4 @@ func stepUpFDR(pvalues []float64, alpha, penalty float64) ([]bool, error) {
 		out[sorted[k].idx] = true
 	}
 	return out, nil
-}
-
-// AdjustedPValuesBH returns the Benjamini–Hochberg adjusted p-values
-// (q-values): q_i <= alpha iff H_i is rejected by BH at level alpha.
-func AdjustedPValuesBH(pvalues []float64) ([]float64, error) {
-	if err := validate(pvalues, 0.5); err != nil {
-		return nil, err
-	}
-	m := len(pvalues)
-	adj := make([]float64, m)
-	if m == 0 {
-		return adj, nil
-	}
-	sorted := sortPValues(pvalues)
-	running := 1.0
-	for k := m - 1; k >= 0; k-- {
-		val := sorted[k].p * float64(m) / float64(k+1)
-		if val < running {
-			running = val
-		}
-		adj[sorted[k].idx] = running
-	}
-	return adj, nil
-}
-
-// All returns one instance of every batch procedure in this package, in the
-// order used by the paper's figures.
-func All() []Procedure {
-	return []Procedure{
-		PCER{},
-		Bonferroni{},
-		SequentialBonferroni{},
-		Sidak{},
-		Holm{},
-		Hochberg{},
-		Simes{},
-		BenjaminiHochberg{},
-		BenjaminiYekutieli{},
-	}
 }

@@ -1,9 +1,6 @@
 package multcomp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // SequentialFDR implements the ForwardStop rule of G'Sell et al. (2016),
 // referred to as "Sequential FDR" / SeqFDR in the paper. Hypotheses arrive in
@@ -15,9 +12,7 @@ import (
 // As discussed in Section 4.3 and 5 of the paper, the rule is incremental
 // (it can be updated as hypotheses stream in) but not interactive: a later
 // hypothesis can turn an earlier acceptance into a rejection, because k-hat
-// can only grow forward through the sequence. The Incremental driver below
-// exposes exactly that behaviour so that the AWARE experiments can compare
-// against it.
+// can only grow forward through the sequence.
 type SequentialFDR struct{}
 
 // Name implements Procedure.
@@ -56,59 +51,3 @@ func forwardStopIndex(pvalues []float64, alpha float64) int {
 	}
 	return khat
 }
-
-// SeqFDRState is an incremental ForwardStop evaluator. Observing hypotheses
-// one at a time, it reports the current rejection prefix after each step.
-// Decisions are monotone in the prefix sense (k-hat never shrinks), but a new
-// observation can extend the prefix and thereby flip earlier acceptances to
-// rejections — the "incremental but non-interactive" behaviour the paper
-// contrasts with α-investing.
-type SeqFDRState struct {
-	alpha   float64
-	sum     float64
-	n       int
-	khat    int
-	pvalues []float64
-}
-
-// NewSeqFDRState returns an incremental ForwardStop evaluator at level alpha.
-func NewSeqFDRState(alpha float64) (*SeqFDRState, error) {
-	if alpha <= 0 || alpha >= 1 || math.IsNaN(alpha) {
-		return nil, fmt.Errorf("%w: got %v", ErrInvalidAlpha, alpha)
-	}
-	return &SeqFDRState{alpha: alpha}, nil
-}
-
-// Observe adds the next p-value in arrival order and returns the current
-// number of rejected leading hypotheses (k-hat).
-func (s *SeqFDRState) Observe(p float64) (int, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return s.khat, fmt.Errorf("%w: got %v", ErrInvalidPValue, p)
-	}
-	if p >= 1 {
-		s.sum = math.Inf(1)
-	} else {
-		s.sum += -math.Log(1 - p)
-	}
-	s.n++
-	s.pvalues = append(s.pvalues, p)
-	if s.sum/float64(s.n) <= s.alpha {
-		s.khat = s.n
-	}
-	return s.khat, nil
-}
-
-// Rejections returns the current per-hypothesis decisions in arrival order.
-func (s *SeqFDRState) Rejections() []bool {
-	out := make([]bool, s.n)
-	for i := 0; i < s.khat; i++ {
-		out[i] = true
-	}
-	return out
-}
-
-// RejectedCount returns the current k-hat.
-func (s *SeqFDRState) RejectedCount() int { return s.khat }
-
-// Observed returns the number of hypotheses seen so far.
-func (s *SeqFDRState) Observed() int { return s.n }

@@ -2,7 +2,6 @@ package multcomp
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -58,77 +57,24 @@ func TestSequentialFDRHandlesPEqualOne(t *testing.T) {
 	}
 }
 
-func TestSeqFDRStateMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	p := make([]float64, 50)
-	for i := range p {
-		if i%3 == 0 {
-			p[i] = rng.Float64() * 0.01
-		} else {
-			p[i] = rng.Float64()
-		}
-	}
-	batch, err := SequentialFDR{}.Apply(p, 0.05)
+// TestSequentialFDRCanOverturnAcceptances documents the non-interactive
+// behaviour the paper contrasts with α-investing: hypothesis 2 is accepted
+// after two arrivals, then flipped to rejected when two more arrive.
+func TestSequentialFDRCanOverturnAcceptances(t *testing.T) {
+	p := []float64{0.01, 0.25, 0.0001, 0.0001}
+	early, err := SequentialFDR{}.Apply(p[:2], 0.10) // running avg now > alpha
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := NewSeqFDRState(0.05)
+	if early[1] {
+		t.Fatalf("hypothesis 2 should initially be accepted: %v", early)
+	}
+	late, err := SequentialFDR{}.Apply(p, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range p {
-		if _, err := state.Observe(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inc := state.Rejections()
-	for i := range p {
-		if batch[i] != inc[i] {
-			t.Fatalf("incremental and batch SeqFDR disagree at %d", i)
-		}
-	}
-	if state.Observed() != len(p) {
-		t.Errorf("Observed = %d", state.Observed())
-	}
-	if state.RejectedCount() != countTrue(batch) {
-		t.Errorf("RejectedCount = %d, want %d", state.RejectedCount(), countTrue(batch))
-	}
-}
-
-func TestSeqFDRStateCanOverturnAcceptances(t *testing.T) {
-	// This documents the non-interactive behaviour: hypothesis 2 is initially
-	// accepted, then flipped to rejected when hypothesis 3 arrives.
-	state, err := NewSeqFDRState(0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := state.Observe(0.01); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := state.Observe(0.25); err != nil { // running avg now > alpha
-		t.Fatal(err)
-	}
-	if got := state.Rejections(); got[1] {
-		t.Fatalf("hypothesis 2 should initially be accepted: %v", got)
-	}
-	if _, err := state.Observe(0.0001); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := state.Observe(0.0001); err != nil {
-		t.Fatal(err)
-	}
-	if got := state.Rejections(); !got[1] {
-		t.Fatalf("hypothesis 2 should have been overturned to rejected: %v", got)
-	}
-}
-
-func TestSeqFDRStateErrors(t *testing.T) {
-	if _, err := NewSeqFDRState(0); !errors.Is(err, ErrInvalidAlpha) {
-		t.Error("expected alpha error")
-	}
-	state, _ := NewSeqFDRState(0.05)
-	if _, err := state.Observe(1.5); !errors.Is(err, ErrInvalidPValue) {
-		t.Error("expected p-value error")
+	if !late[1] {
+		t.Fatalf("hypothesis 2 should have been overturned to rejected: %v", late)
 	}
 }
 

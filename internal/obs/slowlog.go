@@ -31,14 +31,6 @@ func NewSlowLog(logger *slog.Logger, threshold time.Duration) *SlowLog {
 	return &SlowLog{logger: logger, threshold: threshold}
 }
 
-// Threshold returns the configured threshold (0 on nil).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Logged returns how many slow operations have been logged (0 on nil).
 func (l *SlowLog) Logged() uint64 {
 	if l == nil {

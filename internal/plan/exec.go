@@ -14,10 +14,9 @@ type Result struct {
 }
 
 // Run optimizes and executes a plan. Scan-level filters resolve through the
-// scanned dataset's SelectionCache — exact hits and subsumption partial hits
-// included — so the cost of re-exploring overlapping predicates is the cache
-// lookup, not a rescan. The catalog may be nil for plans built purely from
-// TableScan nodes.
+// scanned dataset's SelectionCache, so the cost of re-exploring a predicate
+// is the cache lookup, not a rescan. The catalog may be nil for plans built
+// purely from TableScan nodes.
 func Run(n Node, cat Catalog) (Result, error) {
 	opt, err := Optimize(n, cat)
 	if err != nil {
@@ -113,8 +112,7 @@ func exec(n Node, cat Catalog) (execOut, error) {
 		}
 		if in.cache != nil {
 			// Still on the cached-scan lineage: resolve the accumulated
-			// conjunction through the cache, where an earlier filter's bitmap
-			// is an exact or subsumption hit.
+			// conjunction through the cache, keyed on the whole conjunction.
 			combined := mergeAnd(in.pred, node.Pred)
 			sel, err := in.cache.Where(combined)
 			if err != nil {

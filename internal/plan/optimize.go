@@ -10,8 +10,8 @@ import (
 // Optimize rewrites a plan into its executable normal form:
 //
 //   - adjacent Filter nodes merge into one flat conjunction, inner predicate
-//     first — so a previously cached inner selection is a subsumption prefix
-//     of the merged cache key;
+//     first — the order the stacked filters apply in, which And's
+//     short-circuit (and so which term's error surfaces) follows;
 //   - filter conjuncts push through Join and Derive nodes down to the scan
 //     that owns their columns (right-side conjuncts are rewritten back to the
 //     unprefixed column names), shrinking both join sides before the hash
@@ -73,8 +73,7 @@ func pushFilter(input Node, pred dataset.Predicate, cat Catalog) Node {
 	}
 	switch in := input.(type) {
 	case Filter:
-		// Merge with the filter below; its predicate evaluates first, so a
-		// cached bitmap for it subsumes the merged conjunction.
+		// Merge with the filter below; its predicate evaluates first.
 		return pushFilter(in.Input, mergeAnd(in.Pred, pred), cat)
 	case Derive:
 		// Conjuncts that do not touch the derived column slide below it.
@@ -239,8 +238,7 @@ func conjuncts(p dataset.Predicate) []dataset.Predicate {
 }
 
 // mergeAnd conjoins two predicates into one flat And, a-first (nil operands
-// are identities). Keeping a's conjuncts as the prefix is what lets the
-// subsumption cache serve the merged predicate from a's cached bitmap.
+// are identities), so a's conjuncts evaluate before b's.
 func mergeAnd(a, b dataset.Predicate) dataset.Predicate {
 	switch {
 	case a == nil:

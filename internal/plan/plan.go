@@ -2,9 +2,8 @@
 // the columnar kernels: session steps compile into a small logical plan
 // (scan → filter → derive → join → group-by), the optimizer pushes filter
 // predicates down to the scans that own their columns, and execution resolves
-// every scan-level filter through the dataset's subsumption-aware
-// SelectionCache so repeated exploration of overlapping predicates reuses
-// compiled bitmaps instead of rescanning.
+// every scan-level filter through the dataset's SelectionCache so a repeated
+// predicate reuses its compiled bitmap instead of rescanning.
 //
 // The plan is deliberately tiny — AWARE's exploration steps only ever need
 // these five shapes — but it gives every step one shared contract: predicates
@@ -37,7 +36,7 @@ type Scan struct {
 
 // TableScan reads a table the caller already holds. Cache, when non-nil, must
 // be a SelectionCache over the same table and makes filters over this scan
-// cache-served (and subsumption-eligible); nil compiles filters cold.
+// cache-served; nil compiles filters cold.
 type TableScan struct {
 	Table *dataset.Table
 	Cache *dataset.SelectionCache

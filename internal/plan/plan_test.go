@@ -213,7 +213,8 @@ func TestOptimizeKeepsFilterWhenSchemaUnresolvable(t *testing.T) {
 
 // TestRunFiltersThroughCache proves scan-level filters resolve through the
 // dataset's SelectionCache: re-running a filter is an exact hit, and
-// extending it (a second Filter node above) is a subsumption partial hit.
+// extending it (a second Filter node above) compiles the conjunction once —
+// a miss — and is an exact hit when run again.
 func TestRunFiltersThroughCache(t *testing.T) {
 	cat := newTestCatalog()
 	cat.add("fact", factTable(t, 500, 4))
@@ -223,7 +224,7 @@ func TestRunFiltersThroughCache(t *testing.T) {
 	if _, err := Run(base, cat); err != nil {
 		t.Fatal(err)
 	}
-	hits0, partial0, misses0 := cache.Stats()
+	hits0, _, misses0 := cache.Stats()
 	if misses0 == 0 {
 		t.Fatal("first filter run compiled nothing")
 	}
@@ -240,11 +241,17 @@ func TestRunFiltersThroughCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, partial1, _ := cache.Stats(); partial1 != partial0+1 {
-		t.Fatalf("refining a cached filter: partial hits %d -> %d, want a subsumption hit", partial0, partial1)
+	if hits1, _, misses1 := cache.Stats(); hits1 != hits0+1 || misses1 != misses0+1 {
+		t.Fatalf("refining a cached filter: hits %d -> %d, misses %d -> %d; want one miss", hits0, hits1, misses0, misses1)
+	}
+	if _, err := Run(refined, cat); err != nil {
+		t.Fatal(err)
+	}
+	if hits2, _, misses2 := cache.Stats(); hits2 != hits0+2 || misses2 != misses0+1 {
+		t.Fatalf("re-running the refined filter: hits %d -> %d, misses %d -> %d; want an exact hit", hits0, hits2, misses0, misses2)
 	}
 
-	// And the subsumption-served rows must equal the cold evaluation.
+	// And the cache-served rows must equal the cold evaluation.
 	tab := cat.tables["fact"]
 	coldSel, err := tab.Where(dataset.And{Terms: []dataset.Predicate{base.Pred, refined.Pred}})
 	if err != nil {
@@ -254,7 +261,7 @@ func TestRunFiltersThroughCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameView(t, "subsumption-served filter", res.View, cold)
+	requireSameView(t, "cache-served filter", res.View, cold)
 }
 
 // TestRunJoinPlanMatchesDirectEvaluation runs the full pipeline — filters

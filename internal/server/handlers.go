@@ -273,7 +273,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// The journal file (with its header) is written before the session is
 	// published: IDs are guessable, and a step racing onto a fresh ID must
 	// find the journal already there.
-	info, err := s.manager.CreateWith(spec, table, sel, func(id int64) error {
+	info, err := s.manager.Create(spec, table, sel, func(id int64) error {
 		if s.journal == nil {
 			return nil
 		}

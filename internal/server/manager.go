@@ -100,21 +100,17 @@ func NewSessionManager(ttl time.Duration, now func() time.Time) *SessionManager 
 // Create opens a new session over the given table and returns its summary.
 // IDs are monotonic across the life of the manager: an ID is never reused,
 // even after the session is deleted, so clients can safely treat a 404 as
-// "session expired" rather than "someone else's session".
-func (sm *SessionManager) Create(spec SessionSpec, table *dataset.Table) (SessionInfo, error) {
-	return sm.CreateWith(spec, table, nil, nil)
-}
-
-// CreateWith is Create with two extensions. sel (if non-nil) is the dataset's
-// shared filter-bitmap cache: the session resolves its predicates through it,
-// so concurrent sessions over one immutable dataset reuse each other's
-// compiled filters; it must be a cache over table. prepublish (if non-nil)
-// runs with the claimed session ID before the session becomes reachable, so
-// side effects that must exist for every visible session — the journal file
-// with its header line — cannot race a request arriving on the fresh ID. If
-// prepublish errors the session is never published and its ID is simply
-// burned (IDs are monotonic, never reused).
-func (sm *SessionManager) CreateWith(spec SessionSpec, table *dataset.Table, sel *dataset.SelectionCache, prepublish func(id int64) error) (SessionInfo, error) {
+// "session expired" rather than "someone else's session". sel (if non-nil)
+// is the dataset's shared filter-bitmap cache: the session resolves its
+// predicates through it, so concurrent sessions over one immutable dataset
+// reuse each other's compiled filters; it must be a cache over table.
+// prepublish (if non-nil) runs with the claimed session ID before the
+// session becomes reachable, so side effects that must exist for every
+// visible session — the journal file with its header line — cannot race a
+// request arriving on the fresh ID. If prepublish errors the session is
+// never published and its ID is simply burned (IDs are monotonic, never
+// reused).
+func (sm *SessionManager) Create(spec SessionSpec, table *dataset.Table, sel *dataset.SelectionCache, prepublish func(id int64) error) (SessionInfo, error) {
 	opts, err := spec.Options()
 	if err != nil {
 		return SessionInfo{}, err

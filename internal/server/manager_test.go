@@ -23,11 +23,11 @@ func testTable(t *testing.T) *dataset.Table {
 func TestSessionManagerMonotonicIDs(t *testing.T) {
 	table := testTable(t)
 	sm := NewSessionManager(0, nil)
-	first, err := sm.Create(SessionSpec{Dataset: "census"}, table)
+	first, err := sm.Create(SessionSpec{Dataset: "census"}, table, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := sm.Create(SessionSpec{Dataset: "census"}, table)
+	second, err := sm.Create(SessionSpec{Dataset: "census"}, table, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSessionManagerMonotonicIDs(t *testing.T) {
 	if !sm.Delete(first.ID) {
 		t.Errorf("Delete(%d) = false, want true", first.ID)
 	}
-	third, err := sm.Create(SessionSpec{Dataset: "census"}, table)
+	third, err := sm.Create(SessionSpec{Dataset: "census"}, table, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestSessionManagerSweepIdle(t *testing.T) {
 	now := func() time.Time { return clock }
 	sm := NewSessionManager(time.Minute, now)
 
-	stale, err := sm.Create(SessionSpec{Dataset: "census"}, table)
+	stale, err := sm.Create(SessionSpec{Dataset: "census"}, table, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock = clock.Add(45 * time.Second)
-	fresh, err := sm.Create(SessionSpec{Dataset: "census"}, table)
+	fresh, err := sm.Create(SessionSpec{Dataset: "census"}, table, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSessionManagerZeroTTLNeverSweeps(t *testing.T) {
 	table := testTable(t)
 	clock := time.Unix(1000, 0)
 	sm := NewSessionManager(0, func() time.Time { return clock })
-	if _, err := sm.Create(SessionSpec{Dataset: "census"}, table); err != nil {
+	if _, err := sm.Create(SessionSpec{Dataset: "census"}, table, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	clock = clock.Add(1000 * time.Hour)
@@ -112,7 +112,7 @@ func TestSessionManagerZeroTTLNeverSweeps(t *testing.T) {
 func TestSessionManagerConcurrentAccess(t *testing.T) {
 	table := testTable(t)
 	sm := NewSessionManager(0, nil)
-	shared, err := sm.Create(SessionSpec{Dataset: "census"}, table)
+	shared, err := sm.Create(SessionSpec{Dataset: "census"}, table, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSessionManagerConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			own, err := sm.Create(SessionSpec{Dataset: "census"}, table)
+			own, err := sm.Create(SessionSpec{Dataset: "census"}, table, nil, nil)
 			if err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return

@@ -109,13 +109,11 @@ type EndpointMetrics struct {
 }
 
 // CacheMetrics is the wire form of one dataset's shared SelectionCache
-// counters. PartialHits counts selections served from a cached prefix of a
-// conjunction (subsumption) rather than an exact key match.
+// counters.
 type CacheMetrics struct {
-	Hits        uint64 `json:"hits"`
-	PartialHits uint64 `json:"partial_hits"`
-	Misses      uint64 `json:"misses"`
-	Entries     int    `json:"entries"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	Entries int    `json:"entries"`
 }
 
 // MetricsSnapshot is the GET /debug/metrics document: expvar-style JSON the
@@ -207,8 +205,8 @@ func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
 			s.log.Warn("registered dataset has no selection cache", "name", info.Name, "err", err)
 			continue
 		}
-		hits, partial, misses := cache.Stats()
-		snap.SelectionCaches[info.Name] = CacheMetrics{Hits: hits, PartialHits: partial, Misses: misses, Entries: cache.Len()}
+		hits, _, misses := cache.Stats()
+		snap.SelectionCaches[info.Name] = CacheMetrics{Hits: hits, Misses: misses, Entries: cache.Len()}
 		if arena, err := s.registry.Arena(info.Name); err == nil {
 			snap.SelectionArenas[info.Name] = arena.Stats()
 		}

@@ -132,7 +132,7 @@ func TestDebugMetricsRecordsPanicsAs5xx(t *testing.T) {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
 
-	snap := s.Metrics().snapshot(s.manager.now())
+	snap := s.metrics.snapshot(s.manager.now())
 	em, ok := snap.Endpoints["GET /boom"]
 	if !ok {
 		t.Fatal("panicking endpoint not in snapshot")

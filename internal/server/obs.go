@@ -121,10 +121,10 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	datasets := s.registry.List()
 	ew.Header("aware_selection_cache_hits_total", "Filter-bitmap cache hits, by dataset.", "counter")
 	type cacheRow struct {
-		name                  string
-		hits, partial, misses uint64
-		entries               int
-		refHits, refComputed  uint64
+		name                 string
+		hits, misses         uint64
+		entries              int
+		refHits, refComputed uint64
 	}
 	rows := make([]cacheRow, 0, len(datasets))
 	for _, info := range datasets {
@@ -132,17 +132,13 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		hits, partial, misses := cache.Stats()
+		hits, _, misses := cache.Stats()
 		refHits, refComputed := cache.Table().RefStats()
-		rows = append(rows, cacheRow{name: info.Name, hits: hits, partial: partial, misses: misses, entries: cache.Len(),
+		rows = append(rows, cacheRow{name: info.Name, hits: hits, misses: misses, entries: cache.Len(),
 			refHits: refHits, refComputed: refComputed})
 	}
 	for _, row := range rows {
 		ew.Sample("aware_selection_cache_hits_total", obs.L{obs.Label("dataset", row.name)}, float64(row.hits))
-	}
-	ew.Header("aware_selection_cache_partial_hits_total", "Filter-bitmap cache partial hits served from a cached conjunction prefix, by dataset.", "counter")
-	for _, row := range rows {
-		ew.Sample("aware_selection_cache_partial_hits_total", obs.L{obs.Label("dataset", row.name)}, float64(row.partial))
 	}
 	ew.Header("aware_selection_cache_misses_total", "Filter-bitmap cache misses, by dataset.", "counter")
 	for _, row := range rows {
@@ -213,14 +209,17 @@ type traceResponse struct {
 // result count (default: the whole ring).
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	minMs := 0.0
+	var minDur time.Duration
 	if raw := q.Get("min_ms"); raw != "" {
+		// NaN fails v >= 0; Inf and values past int64 nanoseconds fail the
+		// bound, which a Duration conversion would wrap to min int64.
 		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v < 0 {
+		ns := v * float64(time.Millisecond)
+		if err != nil || !(v >= 0) || ns >= 1<<63 {
 			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid min_ms %q", raw))
 			return
 		}
-		minMs = v
+		minDur = time.Duration(ns)
 	}
 	limit := -1
 	if raw := q.Get("limit"); raw != "" {
@@ -247,7 +246,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		if endpoint != "" && span.Name() != endpoint {
 			continue
 		}
-		if span.Duration() < time.Duration(minMs*float64(time.Millisecond)) {
+		if span.Duration() < minDur {
 			continue
 		}
 		resp.Traces = append(resp.Traces, span.JSON())

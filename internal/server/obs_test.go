@@ -15,6 +15,7 @@ import (
 
 	"aware/internal/census"
 	"aware/internal/obs"
+	"aware/internal/obs/obstest"
 )
 
 // addVizStep posts one filtered-visualization step — the request whose trace
@@ -77,7 +78,7 @@ func TestPromMetricsExposition(t *testing.T) {
 	}
 	text := string(body)
 
-	samples, err := obs.ValidateExposition(text)
+	samples, err := obstest.ValidateExposition(text)
 	if err != nil {
 		t.Fatalf("exposition does not validate: %v\n%s", err, text)
 	}
@@ -265,7 +266,7 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 	if resp.Returned != 0 {
 		t.Errorf("min_ms=1e9 still returned %d traces", resp.Returned)
 	}
-	for _, q := range []string{"?min_ms=-1", "?min_ms=abc", "?limit=-2", "?limit=x"} {
+	for _, q := range []string{"?min_ms=-1", "?min_ms=abc", "?min_ms=NaN", "?min_ms=Inf", "?min_ms=1e300", "?limit=-2", "?limit=x"} {
 		r, err := http.Get(ts.URL + "/debug/trace" + q)
 		if err != nil {
 			t.Fatal(err)
@@ -376,7 +377,7 @@ func TestTracingDisabled(t *testing.T) {
 	}
 	defer body.Body.Close()
 	text, _ := io.ReadAll(body.Body)
-	if _, err := obs.ValidateExposition(string(text)); err != nil {
+	if _, err := obstest.ValidateExposition(string(text)); err != nil {
 		t.Errorf("exposition with tracing off does not validate: %v", err)
 	}
 }

@@ -148,10 +148,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Metrics returns the server's instrumentation registry — the same counters
-// GET /debug/metrics serves.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Tracer returns the request-trace ring (nil when tracing is disabled) — the
 // same spans GET /debug/trace serves.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
@@ -163,10 +159,10 @@ func (s *Server) Build() obs.BuildInfo { return s.build }
 // morsel-parallel kernels on.
 func (s *Server) Pool() *dataset.Pool { return s.pool }
 
-// Close releases resources a server owns outside Run's lifetime: the
+// Close releases resources a server owns outside Serve's lifetime: the
 // dedicated execution pool (when Config.Workers > 0 built one) stops its
 // background workers. Callers that serve the Handler themselves (tests,
-// in-process load generation) should Close when done; Run calls it on exit.
+// in-process load generation) should Close when done; Serve calls it on exit.
 // Close is idempotent and does not touch the shared DefaultPool.
 func (s *Server) Close() {
 	if s.ownPool {
@@ -245,19 +241,6 @@ func (s *Server) Registry() *DatasetRegistry { return s.registry }
 // and a structured line per request at Debug).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Run serves the API on addr until ctx is cancelled. See Serve.
-func (s *Server) Run(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		s.Close()
-		if s.journal != nil {
-			s.journal.Close()
-		}
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
 // Serve serves the API on an already-bound listener until ctx is cancelled,
 // then shuts down gracefully: in-flight requests get shutdownGrace to finish
 // before the listener is torn down. The idle-session sweeper runs alongside
@@ -275,9 +258,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	// The sweeper stops when ctx is cancelled OR when Run exits early (for
-	// example a failed listen) — otherwise an immediate bind error would
-	// leave Run waiting on a goroutine that never returns.
+	// The sweeper stops when ctx is cancelled OR when the listener fails
+	// early — otherwise a dead listener would leave Serve waiting on a
+	// goroutine that never returns.
 	sweepCtx, stopSweeper := context.WithCancel(ctx)
 	defer stopSweeper()
 	sweepDone := make(chan struct{})
@@ -323,7 +306,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return err
 }
 
-// shutdownGrace bounds how long Run waits for in-flight requests on shutdown.
+// shutdownGrace bounds how long Serve waits for in-flight requests on shutdown.
 const shutdownGrace = 5 * time.Second
 
 // removeJournals drops the journal files of deleted or expired sessions so a

@@ -339,14 +339,15 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	}
 }
 
-// TestRunFailsFastOnBindError occupies a port and checks Run reports the
-// bind failure instead of hanging on its sweeper goroutine.
+// TestRunFailsFastOnBindError hands Serve a listener that is already closed
+// and checks it reports the failure instead of hanging on its sweeper
+// goroutine.
 func TestRunFailsFastOnBindError(t *testing.T) {
 	listener, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer listener.Close()
+	listener.Close()
 
 	s, err := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err != nil {
@@ -355,26 +356,25 @@ func TestRunFailsFastOnBindError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx, listener.Addr().String()) }()
+	go func() { done <- s.Serve(ctx, listener) }()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Error("Run on an occupied port returned nil, want bind error")
+			t.Error("Serve on a closed listener returned nil, want an accept error")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return after a bind failure")
+		t.Fatal("Serve did not return after its listener failed")
 	}
 }
 
 // TestRunGracefulShutdown serves one request, cancels the context and checks
-// Run returns cleanly.
+// Serve returns cleanly.
 func TestRunGracefulShutdown(t *testing.T) {
 	listener, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := listener.Addr().String()
-	listener.Close() // free the port for Run
 
 	s, err := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err != nil {
@@ -382,7 +382,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx, addr) }()
+	go func() { done <- s.Serve(ctx, listener) }()
 
 	// Wait for the listener to come up, then shut down.
 	var up bool
@@ -401,10 +401,10 @@ func TestRunGracefulShutdown(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Errorf("Run returned %v on graceful shutdown, want nil", err)
+			t.Errorf("Serve returned %v on graceful shutdown, want nil", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return after context cancellation")
+		t.Fatal("Serve did not return after context cancellation")
 	}
 }
 

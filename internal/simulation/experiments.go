@@ -95,18 +95,6 @@ func Exp1c(cfg Exp1cConfig) ([]Measurement, error) {
 	return Sweep(SampleFractions, sourceFor, IncrementalRunners(), PaperAlpha, cfg.Replications, cfg.Seed)
 }
 
-// FilterMeasurements returns the measurements for a single procedure, in
-// sweep order — convenient for asserting monotone trends in tests.
-func FilterMeasurements(ms []Measurement, procedure string) []Measurement {
-	var out []Measurement
-	for _, m := range ms {
-		if m.Procedure == procedure {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // IntroExample quantifies the Section 1 and Section 2.4 motivating numbers.
 type IntroExample struct {
 	// Hypotheses and power/alpha of the Section 1 example.

@@ -39,15 +39,31 @@ func TestRunPointValidation(t *testing.T) {
 	}
 }
 
-func TestRunnerByName(t *testing.T) {
-	for _, name := range []string{"PCER", "Bonferroni", "BHFDR", "SeqFDR", "beta-farsighted", "gamma-fixed", "delta-hopeful", "epsilon-hybrid", "psi-support"} {
-		r, err := RunnerByName(name)
-		if err != nil || r.Name() != name {
-			t.Errorf("RunnerByName(%q) = %v, %v", name, r, err)
+// FilterMeasurements returns the measurements for a single procedure, in
+// sweep order — convenient for asserting monotone trends in tests.
+func FilterMeasurements(ms []Measurement, procedure string) []Measurement {
+	var out []Measurement
+	for _, m := range ms {
+		if m.Procedure == procedure {
+			out = append(out, m)
 		}
 	}
-	if _, err := RunnerByName("nope"); err == nil {
-		t.Error("unknown runner should fail")
+	return out
+}
+
+func TestRunnerByName(t *testing.T) {
+	want := []string{"PCER", "Bonferroni", "BHFDR", "SeqFDR", "beta-farsighted", "gamma-fixed", "delta-hopeful", "epsilon-hybrid", "psi-support"}
+	runners := append(StaticRunners(), IncrementalRunners()...)
+	if len(runners) != len(want) {
+		t.Fatalf("%d runners, want %d", len(runners), len(want))
+	}
+	for i, r := range runners {
+		if r.Name() != want[i] {
+			t.Errorf("runner %d is %q, want %q", i, r.Name(), want[i])
+		}
+	}
+	if _, err := investingRunner("nope").Run(Stream{PValues: []float64{0.5}}, PaperAlpha); err == nil {
+		t.Error("unknown rule should fail")
 	}
 }
 

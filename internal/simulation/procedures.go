@@ -1,8 +1,6 @@
 package simulation
 
 import (
-	"fmt"
-
 	"aware/internal/investing"
 	"aware/internal/multcomp"
 )
@@ -33,23 +31,13 @@ func (b batchRunner) Run(s Stream, alpha float64) ([]bool, error) {
 	return b.proc.Apply(s.PValues, alpha)
 }
 
-// PolicyFactory builds a fresh policy instance for one replication; investing
-// policies are stateful, so each replication needs its own.
-type PolicyFactory func(cfg investing.Config) (investing.Policy, error)
-
-// investingRunner adapts an α-investing policy factory.
-type investingRunner struct {
-	name    string
-	factory PolicyFactory
-}
-
-// InvestingRunner wraps an α-investing rule.
-func InvestingRunner(name string, factory PolicyFactory) Runner {
-	return investingRunner{name: name, factory: factory}
-}
+// investingRunner replays one of the paper's named α-investing rules
+// (investing.PolicyNames), built fresh for each replication because
+// policies are stateful.
+type investingRunner string
 
 // Name implements Runner.
-func (r investingRunner) Name() string { return r.name }
+func (r investingRunner) Name() string { return string(r) }
 
 // Run implements Runner.
 func (r investingRunner) Run(s Stream, alpha float64) ([]bool, error) {
@@ -57,7 +45,7 @@ func (r investingRunner) Run(s Stream, alpha float64) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy, err := r.factory(cfg)
+	policy, err := investing.NewNamedPolicy(string(r), alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -81,33 +69,9 @@ func StaticRunners() []Runner {
 // (Figures 4–6): Sequential FDR plus the five α-investing rules with the
 // paper's parameters.
 func IncrementalRunners() []Runner {
-	return []Runner{
-		BatchRunner(multcomp.SequentialFDR{}),
-		InvestingRunner("beta-farsighted", func(cfg investing.Config) (investing.Policy, error) {
-			return investing.NewFarsighted(0.25, cfg.Alpha)
-		}),
-		InvestingRunner("gamma-fixed", func(cfg investing.Config) (investing.Policy, error) {
-			return investing.NewFixed(10, cfg.InitialWealth())
-		}),
-		InvestingRunner("delta-hopeful", func(cfg investing.Config) (investing.Policy, error) {
-			return investing.NewHopeful(10, cfg.Alpha, cfg.InitialWealth())
-		}),
-		InvestingRunner("epsilon-hybrid", func(cfg investing.Config) (investing.Policy, error) {
-			return investing.NewHybrid(0.5, 10, 10, cfg.Alpha, cfg.InitialWealth(), 0)
-		}),
-		InvestingRunner("psi-support", func(cfg investing.Config) (investing.Policy, error) {
-			return investing.NewSupport(0.5, 10, cfg.InitialWealth())
-		}),
+	runners := []Runner{BatchRunner(multcomp.SequentialFDR{})}
+	for _, name := range investing.PolicyNames {
+		runners = append(runners, investingRunner(name))
 	}
-}
-
-// RunnerByName returns the runner with the given name from the union of
-// static and incremental runners.
-func RunnerByName(name string) (Runner, error) {
-	for _, r := range append(StaticRunners(), IncrementalRunners()...) {
-		if r.Name() == name {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("simulation: unknown procedure %q", name)
+	return runners
 }

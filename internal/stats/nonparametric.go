@@ -38,20 +38,21 @@ func MannWhitneyU(xs, ys []float64, alt Alternative) (TestResult, error) {
 	}
 	sd := math.Sqrt(variance)
 
-	// Continuity-corrected z statistic.
-	var z float64
+	// The continuity-corrected z statistic's tail under the standard normal.
+	std := StandardNormal()
+	var p float64
 	switch alt {
 	case Greater:
-		z = (u - mean - 0.5) / sd
+		p = std.Survival((u - mean - 0.5) / sd)
 	case Less:
-		z = (u - mean + 0.5) / sd
+		p = std.CDF((u - mean + 0.5) / sd)
 	default:
-		z = (u - mean - math.Copysign(0.5, u-mean)) / sd
+		z := (u - mean - math.Copysign(0.5, u-mean)) / sd
 		if u == mean {
 			z = 0
 		}
+		p = 2 * std.Survival(math.Abs(z))
 	}
-	p := zTestPValue(z, alt)
 
 	// Effect size: rank-biserial correlation r = 2U/(nx*ny) - 1.
 	effect := 2*u/(nx*ny) - 1

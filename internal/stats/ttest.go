@@ -127,20 +127,6 @@ func tTestPValue(t, df float64, alt Alternative) float64 {
 	}
 }
 
-// zTestPValue converts a z statistic to a p-value for the requested
-// alternative.
-func zTestPValue(z float64, alt Alternative) float64 {
-	dist := StandardNormal()
-	switch alt {
-	case Greater:
-		return dist.Survival(z)
-	case Less:
-		return dist.CDF(z)
-	default:
-		return 2 * dist.Survival(math.Abs(z))
-	}
-}
-
 // cohensDFromStats computes Cohen's d from summary statistics using the pooled
 // standard deviation.
 func cohensDFromStats(mx, my, vx, vy, nx, ny float64) float64 {
