@@ -161,7 +161,7 @@ type (
 	// View is a zero-copy filtered look at a table (table + Selection).
 	View = dataset.View
 	// SelectionCache memoizes compiled filter bitmaps for one immutable
-	// table, shareable across concurrent sessions.
+	// table, shareable across concurrent sessions and bounded in bytes.
 	SelectionCache = dataset.SelectionCache
 	// Pool is the bounded worker pool the morsel-parallel kernels execute on;
 	// pin one to a table with Table.SetPool (or via SessionOptions.Pool).
@@ -200,7 +200,9 @@ var (
 	// NewIn builds an In predicate with canonically sorted values and an O(1)
 	// membership set.
 	NewIn = dataset.NewIn
-	// NewSelectionCache builds a shared filter-bitmap cache over a table.
+	// NewSelectionCache builds a shared filter-bitmap cache over a table,
+	// bounded to 32 MiB of bitmap and key bytes by evicting arbitrary
+	// entries (see SelectionCache for why 32 MiB).
 	NewSelectionCache = dataset.NewSelectionCache
 	// CanonicalPredicateKey serializes a predicate into its canonical cache
 	// key (semantically equal predicates key equal).

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -135,5 +136,84 @@ func TestSelectionCacheKeyOrderInsensitive(t *testing.T) {
 	}
 	if cache.Len() != 1 {
 		t.Fatalf("cache holds %d entries; want 1", cache.Len())
+	}
+}
+
+// TestSelectionCacheByteRule holds the byte budget at the row counts the
+// system serves: an entry counts (rows+63)/64 words of 8 bytes plus its key,
+// a cache keeps exactly the entries its budget fits, a 0-row table counts
+// only keys, and a bitmap larger than the whole budget is still kept, alone.
+// fits is how many 3-byte-key entries the shipped 32 MiB budget holds.
+func TestSelectionCacheByteRule(t *testing.T) {
+	for _, tc := range []struct {
+		rows, bitmap, budget, want, fits int
+	}{
+		{rows: 0, bitmap: 0, budget: 3 * 3, want: 3, fits: 11184810},
+		{rows: 10, bitmap: 8, budget: 3 * (8 + 3), want: 3, fits: 3050402},
+		{rows: 10_000, bitmap: 1256, budget: 3 * (1256 + 3), want: 3, fits: 26651},
+		{rows: 300_000, bitmap: 37504, budget: 3 * (37504 + 3), want: 3, fits: 894},
+		{rows: 3_000_000, bitmap: 375000, budget: 3 * (375000 + 3), want: 3, fits: 89},
+		{rows: 10_000, bitmap: 1256, budget: 100, want: 1, fits: 26651},
+	} {
+		tab, err := NewTable(NewBoolColumn("b", make([]bool, tc.rows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := newSelectionCache(tab, 0, tc.budget)
+		entry := tc.bitmap + 3
+		if got := cache.entryBytes("k00"); got != entry {
+			t.Fatalf("%d rows: an entry counts %d bytes, want %d", tc.rows, got, entry)
+		}
+		if got := selectionCacheBytes / entry; got != tc.fits {
+			t.Errorf("%d rows: the shipped budget fits %d entries, want %d", tc.rows, got, tc.fits)
+		}
+		for i := 0; i < 10; i++ {
+			sel, err := tab.Where(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache.store(fmt.Sprintf("k%02d", i), sel)
+		}
+		if cache.Len() != tc.want || cache.Bytes() != tc.want*entry {
+			t.Errorf("%d rows, budget %d: %d entries of %d bytes, want %d of %d",
+				tc.rows, tc.budget, cache.Len(), cache.Bytes(), tc.want, tc.want*entry)
+		}
+	}
+}
+
+// TestSelectionCacheLostRaceReleases stores one key twice, as two sessions
+// compiling the same new filter at once do: the second, losing copy is
+// still exclusively owned, so it goes back to the arena, and the cached
+// copy is the first one, detached.
+func TestSelectionCacheLostRaceReleases(t *testing.T) {
+	tab := kernelTable(rand.New(rand.NewSource(61)), 1000)
+	arena := NewWordArena(tab.NumRows())
+	tab.SetArena(arena)
+	cache := NewSelectionCache(tab)
+	p := Range{Column: "score", Low: -2, High: 2}
+	key, err := CanonicalPredicateKey(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := tab.Where(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tab.Where(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := arena.Stats().ReturnedSelections
+	if got := cache.store(key, first); got != first {
+		t.Fatal("the first store did not keep its selection")
+	}
+	if got := cache.store(key, second); got != first {
+		t.Fatal("the losing store did not return the cached selection")
+	}
+	if returned := arena.Stats().ReturnedSelections - before; returned != 1 {
+		t.Errorf("the arena got back %d selections, want the losing copy", returned)
+	}
+	if first.arena != nil {
+		t.Error("the cached selection is still arena-backed")
 	}
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -705,8 +706,9 @@ func (t *Table) fullRows() *Selection {
 	return t.full.Load()
 }
 
-// defaultSelectionCacheCap bounds a SelectionCache; see NewSelectionCache.
-const defaultSelectionCacheCap = 4096
+// selectionCacheBytes is every SelectionCache's memory budget; see
+// SelectionCache for what it counts and why it is 32 MiB.
+const selectionCacheBytes = 32 << 20
 
 // SelectionCache memoizes compiled filter bitmaps for one immutable table,
 // keyed by the canonical predicate serialization (CanonicalPredicateKey), so
@@ -716,34 +718,60 @@ const defaultSelectionCacheCap = 4096
 // of concurrent sessions exploring the same dataset; all methods are safe for
 // concurrent use.
 //
-// The cache is capacity-bounded: past cap entries, an arbitrary entry is
-// evicted per insert. Eviction never affects correctness, only hit rate.
+// The cache is bounded in bytes, not entries, so its memory does not grow
+// with the table's row count: each entry counts its bitmap ((rows+63)/64
+// words of 8 bytes) plus its key, and an insert evicts arbitrary entries
+// until the total fits a 32 MiB budget — ≈ 894 bitmaps at 300k rows, 89 at
+// 3M. A bitmap larger than the whole budget is still cached, alone.
+// Eviction never affects correctness, only hit rate. Why 32 MiB: bitmaps are
+// reused almost only inside a session, so a few hundred serve the open-loop
+// 300k-row benchmark (http_open_mixed_300k, 2-CPU host) as well as
+// thousands. Its server's peak RSS read 334–339 MB under the former
+// 4,096-entry cap, 156 MB at 64 MiB, 86 MB at 32 MiB and 51 MB at 16 MiB,
+// with CPU per step flat throughout.
 type SelectionCache struct {
-	table *Table
-	cap   int
+	table  *Table
+	cap    int // at most this many entries
+	budget int // at most this many bytes, unless one entry alone exceeds it
 
 	mu      sync.RWMutex
 	entries map[string]*Selection
+	bytes   int // the entries' bitmap and key bytes
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-// NewSelectionCache builds a cache over the table with the default capacity.
+// NewSelectionCache builds a cache over the table bounded by the 32 MiB
+// byte budget alone (bitmap plus key bytes, arbitrary eviction; see
+// SelectionCache).
 func NewSelectionCache(t *Table) *SelectionCache {
-	return NewSelectionCacheCap(t, defaultSelectionCacheCap)
+	return newSelectionCache(t, 0, selectionCacheBytes)
 }
 
-// NewSelectionCacheCap builds a cache with an explicit capacity (entries).
+// NewSelectionCacheCap builds a cache holding at most capacity bitmaps, also
+// within the byte budget; capacity <= 0 is NewSelectionCache.
 func NewSelectionCacheCap(t *Table, capacity int) *SelectionCache {
+	return newSelectionCache(t, capacity, selectionCacheBytes)
+}
+
+// newSelectionCache builds a cache of at most capacity entries (<= 0: no
+// entry bound) and budget bytes.
+func newSelectionCache(t *Table, capacity, budget int) *SelectionCache {
 	if capacity <= 0 {
-		capacity = defaultSelectionCacheCap
+		capacity = math.MaxInt
 	}
 	return &SelectionCache{
 		table:   t,
 		cap:     capacity,
+		budget:  budget,
 		entries: make(map[string]*Selection),
 	}
+}
+
+// entryBytes is what one entry under key counts against the budget.
+func (c *SelectionCache) entryBytes(key string) int {
+	return (c.table.rows+63)/64*8 + len(key)
 }
 
 // Table returns the table the cache compiles against.
@@ -790,25 +818,30 @@ func (c *SelectionCache) lookup(key string) *Selection {
 	return sel
 }
 
-// store detaches sel from the table's arena and inserts it under key,
-// returning the canonical copy (the already-present one when a concurrent
-// caller won the benign insert race).
+// store inserts the freshly compiled sel under key, detached from the
+// table's arena, and returns the canonical copy. When a concurrent caller
+// won the benign insert race it returns that caller's copy and releases sel,
+// which nothing else holds, back to the arena.
 func (c *SelectionCache) store(key string, sel *Selection) *Selection {
+	size := c.entryBytes(key)
+	c.mu.Lock()
+	if prev, ok := c.entries[key]; ok {
+		c.mu.Unlock()
+		sel.Release()
+		return prev
+	}
+	for k := range c.entries {
+		if c.bytes+size <= c.budget && len(c.entries) < c.cap {
+			break
+		}
+		delete(c.entries, k)
+		c.bytes -= c.entryBytes(k)
+	}
 	// A cached selection is shared with every future caller for the cache's
 	// lifetime, so it must never return to the table's arena.
 	sel.detach()
-	c.mu.Lock()
-	if prev, ok := c.entries[key]; ok {
-		sel = prev // lost a benign race; keep the first copy
-	} else {
-		if len(c.entries) >= c.cap {
-			for k := range c.entries {
-				delete(c.entries, k)
-				break
-			}
-		}
-		c.entries[key] = sel
-	}
+	c.entries[key] = sel
+	c.bytes += size
 	c.mu.Unlock()
 	return sel
 }
@@ -827,6 +860,14 @@ func (c *SelectionCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.entries)
+}
+
+// Bytes returns the cached bitmaps' and keys' bytes, the quantity the
+// budget bounds.
+func (c *SelectionCache) Bytes() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.bytes
 }
 
 // Stats returns the cumulative hit and miss counters. The middle value is

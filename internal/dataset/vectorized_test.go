@@ -514,15 +514,30 @@ func TestSelectionCacheFullRowsShared(t *testing.T) {
 	requireSameWords(t, "full rows", fulls[0], FullSelection(tab.NumRows()))
 }
 
+// TestSelectionCacheCapBounds compiles many distinct filters through caches
+// bounded by entries and by bytes: NewSelectionCacheCap(t, n) never holds
+// more than n entries (exactly one at n = 1), and a budget-bounded cache
+// never holds more bytes than its budget.
 func TestSelectionCacheCapBounds(t *testing.T) {
-	tab := randomTable(rand.New(rand.NewSource(3)))
-	cache := NewSelectionCacheCap(tab, 4)
-	for i := 0; i < 32; i++ {
-		if _, err := cache.Where(GreaterThan{Column: "score", Threshold: float64(i)}); err != nil {
-			t.Fatal(err)
+	tab := kernelTable(rand.New(rand.NewSource(3)), 1000) // 128-byte bitmaps
+	const budget = 1 << 10
+	capped, single := NewSelectionCacheCap(tab, 4), NewSelectionCacheCap(tab, 1)
+	bounded := newSelectionCache(tab, 0, budget)
+	for i := 0; i < 200; i++ {
+		p := GreaterThan{Column: "score", Threshold: float64(i) / 50}
+		for _, cache := range []*SelectionCache{capped, single, bounded} {
+			if _, err := cache.Where(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if cache.Len() > 4 {
-			t.Fatalf("cache grew to %d entries, cap is 4", cache.Len())
+		if capped.Len() > 4 || single.Len() != 1 {
+			t.Fatalf("after %d filters the caches of cap 4 and 1 hold %d and %d entries", i+1, capped.Len(), single.Len())
 		}
+		if bounded.Bytes() > budget {
+			t.Fatalf("after %d filters the cache holds %d bytes, budget %d", i+1, bounded.Bytes(), budget)
+		}
+	}
+	if bounded.Len() < 2 {
+		t.Errorf("a %d-byte budget kept %d 128-byte bitmaps", budget, bounded.Len())
 	}
 }

@@ -109,11 +109,13 @@ type EndpointMetrics struct {
 }
 
 // CacheMetrics is the wire form of one dataset's shared SelectionCache
-// counters.
+// counters. Bytes is what the cache's byte budget bounds: its bitmaps' and
+// keys' bytes.
 type CacheMetrics struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Entries int    `json:"entries"`
+	Bytes   int    `json:"bytes"`
 }
 
 // MetricsSnapshot is the GET /debug/metrics document: expvar-style JSON the
@@ -206,7 +208,7 @@ func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		hits, _, misses := cache.Stats()
-		snap.SelectionCaches[info.Name] = CacheMetrics{Hits: hits, Misses: misses, Entries: cache.Len()}
+		snap.SelectionCaches[info.Name] = CacheMetrics{Hits: hits, Misses: misses, Entries: cache.Len(), Bytes: cache.Bytes()}
 		if arena, err := s.registry.Arena(info.Name); err == nil {
 			snap.SelectionArenas[info.Name] = arena.Stats()
 		}

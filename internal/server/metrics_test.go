@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"aware/internal/dataset"
 )
 
 // TestDebugMetricsCounters drives a few requests through the API and checks
@@ -97,6 +99,16 @@ func TestDebugMetricsCounters(t *testing.T) {
 	}
 	if cm.Hits+cm.Misses == 0 {
 		t.Errorf("selection cache saw no traffic after a filtered step: %+v", cm)
+	}
+	// The one filtered step cached one bitmap; bytes counts its words and
+	// its key, the quantity the cache's byte budget bounds.
+	key, err := dataset.CanonicalPredicateKey(dataset.Equals{Column: "salary_over_50k", Value: "true"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := snap.DatasetStorage["census"].Rows
+	if want := (rows+63)/64*8 + len(key); cm.Entries != 1 || cm.Bytes != want {
+		t.Errorf("selection_caches.census = %d entries of %d bytes, want 1 of %d", cm.Entries, cm.Bytes, want)
 	}
 
 	// The morsel-parallel pool's counters travel in the same snapshot. The

@@ -123,7 +123,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	type cacheRow struct {
 		name                 string
 		hits, misses         uint64
-		entries              int
+		entries, bytes       int
 		refHits, refComputed uint64
 	}
 	rows := make([]cacheRow, 0, len(datasets))
@@ -135,7 +135,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		hits, _, misses := cache.Stats()
 		refHits, refComputed := cache.Table().RefStats()
 		rows = append(rows, cacheRow{name: info.Name, hits: hits, misses: misses, entries: cache.Len(),
-			refHits: refHits, refComputed: refComputed})
+			bytes: cache.Bytes(), refHits: refHits, refComputed: refComputed})
 	}
 	for _, row := range rows {
 		ew.Sample("aware_selection_cache_hits_total", obs.L{obs.Label("dataset", row.name)}, float64(row.hits))
@@ -147,6 +147,10 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	ew.Header("aware_selection_cache_entries", "Cached filter bitmaps, by dataset.", "gauge")
 	for _, row := range rows {
 		ew.Sample("aware_selection_cache_entries", obs.L{obs.Label("dataset", row.name)}, float64(row.entries))
+	}
+	ew.Header("aware_selection_cache_bytes", "Bitmap and key bytes of the cached filter bitmaps, by dataset: the quantity the cache's byte budget bounds.", "gauge")
+	for _, row := range rows {
+		ew.Sample("aware_selection_cache_bytes", obs.L{obs.Label("dataset", row.name)}, float64(row.bytes))
 	}
 
 	ew.Header("aware_dataset_refstats_total", "Reference-statistics lookups (category lists, full-table counts, bin assignments), by dataset: answered from the table's memo (hit) or by the column scan that filled it (computed).", "counter")

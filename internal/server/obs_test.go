@@ -58,7 +58,7 @@ func createSession(t *testing.T, base string) string {
 // validates the exposition with the same strict parser the CI gate uses —
 // then checks every family the dashboard relies on is present.
 func TestPromMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	path := createSession(t, ts.URL)
 	addVizStep(t, ts.URL, path)
 	addHoursVizStep(t, ts.URL, path)
@@ -97,6 +97,7 @@ func TestPromMetricsExposition(t *testing.T) {
 		"aware_http_unrouted_total",
 		"aware_selection_cache_hits_total",
 		"aware_selection_cache_entries",
+		"aware_selection_cache_bytes",
 		"aware_dataset_refstats_total",
 		"aware_pool_workers",
 		"aware_pool_morsels_total",
@@ -120,6 +121,18 @@ func TestPromMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, "\n"+sample) {
 			t.Errorf("exposition is missing %s", sample)
 		}
+	}
+	// The two filtered charts cached one 2,000-row bitmap (32 words) each,
+	// and the bytes gauge counts them with their keys.
+	cache, err := srv.Registry().Cache("census")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 2 || cache.Bytes() <= 2*32*8 {
+		t.Errorf("census cache holds %d entries of %d bytes, want 2 of more than %d", cache.Len(), cache.Bytes(), 2*32*8)
+	}
+	if sample := fmt.Sprintf(`aware_selection_cache_bytes{dataset="census"} %d`, cache.Bytes()); !strings.Contains(text, "\n"+sample+"\n") {
+		t.Errorf("exposition is missing %s", sample)
 	}
 	// The steps endpoint must have landed in the latency histogram.
 	if !strings.Contains(text, `aware_http_request_duration_seconds_bucket{endpoint="POST /v1/sessions/{id}/steps",le="+Inf"}`) {

@@ -45,7 +45,12 @@ type (
 // safe for concurrent use): every session opened over the dataset resolves
 // its predicates through it, so a filter compiled by one session is a cache
 // hit for every other — the cross-session reuse is sound precisely because
-// the table never changes.
+// the table never changes. The cache holds at most 32 MiB of bitmap and key
+// bytes and evicts arbitrary entries past that, so a dataset's cache costs
+// the same memory at 300k rows as at 3M (≈ 894 bitmaps against 89); the
+// budget took the open-loop 300k-row benchmark's peak RSS from 334–339 MB
+// under the former 4,096-entry cap to 86 MB with CPU flat (see
+// dataset.SelectionCache).
 // Each dataset also carries one shared Selection word arena
 // (dataset.WordArena): filter compiles across every session over the dataset
 // recycle their bitmap words through it, so steady-state serving allocates
