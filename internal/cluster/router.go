@@ -46,9 +46,6 @@ type Config struct {
 	Nodes []Node
 	// Logger receives routing and failover logs; nil means slog.Default().
 	Logger *slog.Logger
-	// HTTPClient overrides the transport to the nodes (nil uses a dedicated
-	// client with sane timeouts).
-	HTTPClient *http.Client
 	// VNodes is the virtual-node count per replica; 0 means DefaultVNodes.
 	VNodes int
 	// HealthInterval is the background health-prober period; 0 means 1s,
@@ -106,10 +103,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	httpc := cfg.HTTPClient
-	if httpc == nil {
-		httpc = &http.Client{Timeout: 2 * time.Minute}
-	}
+	httpc := &http.Client{Timeout: 2 * time.Minute}
 	probe := cfg.HealthInterval
 	if probe == 0 {
 		probe = time.Second
@@ -352,10 +346,21 @@ func (rt *Router) proxyTo(m *member, w http.ResponseWriter, r *http.Request, bod
 	defer resp.Body.Close()
 	maps.Copy(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	io.CopyBuffer(writerOnly{w}, resp.Body, buf[:])
+	copyBufs.Put(buf)
 	rt.proxied.Add(1)
 	return nil
 }
+
+// copyBufs holds the buffers proxyTo relays response bodies through.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// writerOnly hides the ResponseWriter's ReadFrom from io.CopyBuffer. Over a
+// TCP connection net/http's ReadFrom sends the header with the first 512
+// body bytes and the rest in a second write; through Write the body is
+// buffered behind the header and a small response leaves in one write.
+type writerOnly struct{ io.Writer }
 
 // forward sends the request, with its buffered body and headers, to one node.
 func (rt *Router) forward(m *member, r *http.Request, body []byte) (*http.Response, error) {

@@ -2,12 +2,16 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aware/internal/api"
@@ -139,4 +143,90 @@ func TestJSONResponsesCompactAndSized(t *testing.T) {
 			t.Errorf("gauge with every node dead answered %q, want %q", unavailable.Code, api.CodeNodeUnavailable)
 		}
 	})
+}
+
+// writeCountingConn counts the writes made on a server connection and, like
+// *net.TCPConn, implements io.ReaderFrom, which net/http's response writer
+// uses for bodies copied into it with io.Copy.
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c writeCountingConn) ReadFrom(r io.Reader) (int64, error) {
+	return io.Copy(struct{ io.Writer }{c}, r)
+}
+
+type writeCountingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l writeCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return writeCountingConn{Conn: c, writes: l.writes}, nil
+}
+
+// TestRouterOneWritePerProxiedResponse: a step answer relayed by the router
+// leaves it in one write, header and body together, as it leaves awared.
+func TestRouterOneWritePerProxiedResponse(t *testing.T) {
+	_, ts := startNode(t, "n1", t.TempDir())
+	rt, err := cluster.NewRouter(cluster.Config{
+		Nodes:          []cluster.Node{{Name: "n1", URL: ts.URL}},
+		Logger:         discardLogger(),
+		HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int64
+	router := httptest.NewUnstartedServer(rt.Handler())
+	router.Listener = writeCountingListener{Listener: router.Listener, writes: &writes}
+	router.Start()
+	t.Cleanup(router.Close)
+
+	c := router.Client()
+	resp, err := c.Post(router.URL+api.Prefix+"/sessions", "application/json", strings.NewReader(`{"dataset": "census"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info api.SessionInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	steps := router.URL + api.Prefix + "/sessions/" + cluster.SessionKey(info.ID) + "/steps"
+	for _, target := range []string{"gender", "education", "occupation"} {
+		body := `{"op": "add_visualization", "target": "` + target + `", "predicate": {"type": "equals", "column": "salary_over_50k", "value": "true"}}`
+		before := writes.Load()
+		resp, err := c.Post(steps, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("step on %s: status %d: %s", target, resp.StatusCode, raw)
+		}
+		if len(raw) <= 512 {
+			t.Fatalf("step on %s answered %d bytes; the check needs more than 512", target, len(raw))
+		}
+		if got := writes.Load() - before; got != 1 {
+			t.Errorf("step on %s: the router's answer took %d writes, want 1", target, got)
+		}
+	}
 }

@@ -76,6 +76,7 @@ func filterVsPopulationTest(sel *dataset.SelectionCache, target string, filter d
 	if err != nil {
 		return stats.TestResult{}, nil, 0, err
 	}
+	defer sub.Release()
 	observed, err := referenceCounts(sub, target, span)
 	if err != nil {
 		return stats.TestResult{}, nil, 0, err
@@ -84,6 +85,7 @@ func filterVsPopulationTest(sel *dataset.SelectionCache, target string, filter d
 	if err != nil {
 		return stats.TestResult{}, nil, 0, err
 	}
+	defer pop.Release()
 	popCounts, err := referenceCounts(pop, target, span)
 	if err != nil {
 		return stats.TestResult{}, nil, 0, err
@@ -114,10 +116,12 @@ func comparisonTest(sel *dataset.SelectionCache, target string, filterA, filterB
 	if err != nil {
 		return stats.TestResult{}, 0, 0, err
 	}
+	defer subA.Release()
 	subB, err := sel.ViewSpan(filterB, span)
 	if err != nil {
 		return stats.TestResult{}, 0, 0, err
 	}
+	defer subB.Release()
 	countsA, err := referenceCounts(subA, target, span)
 	if err != nil {
 		return stats.TestResult{}, 0, 0, err

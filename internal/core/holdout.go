@@ -89,12 +89,14 @@ func (h *HoldoutValidator) CompareMeansSpan(numericAttr string, filter dataset.P
 		if err != nil {
 			return stats.TestResult{}, err
 		}
+		defer in.Release()
 		// The complement is a bitmap flip of the cached filter selection; no
-		// second scan, no materialized sub-table.
+		// second scan, no materialized sub-table; this call holds its only reference.
 		out, err := dataset.NewView(sel.Table(), in.Selection().Not())
 		if err != nil {
 			return stats.TestResult{}, err
 		}
+		defer out.Release()
 		x, err := in.Moments(numericAttr, span)
 		if err != nil {
 			return stats.TestResult{}, err

@@ -282,6 +282,7 @@ func (s *Session) testAgainstExpectation(st TestAgainstExpectation) (StepResult,
 	if err != nil {
 		return StepResult{}, err
 	}
+	defer sub.Release()
 	cats, err := s.data.Categories(viz.Target)
 	if err != nil {
 		return StepResult{}, err
@@ -364,10 +365,12 @@ func (s *Session) compareNumeric(what, numericAttr string, aID, bID int, test fu
 	if err != nil {
 		return StepResult{}, err
 	}
+	defer subA.Release()
 	subB, err := s.sel.ViewSpan(b.Filter, s.trace)
 	if err != nil {
 		return StepResult{}, err
 	}
+	defer subB.Release()
 	res, err := test(subA, subB)
 	if err != nil {
 		return StepResult{}, err

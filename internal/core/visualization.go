@@ -46,5 +46,6 @@ func (v *Visualization) Histogram(t *dataset.Table) ([]dataset.GroupCount, error
 	if err != nil {
 		return nil, err
 	}
+	defer view.Release()
 	return view.GroupBy(v.Target)
 }

@@ -15,13 +15,17 @@ import (
 // every compile draws its output and its And/Or intermediates from the pool
 // and the intermediates go straight back.
 //
-// Ownership contract: Release may only be called by a creator that has
-// exclusive ownership of the selection — nothing else may retain it. The
+// Ownership contract: an arena-backed selection is reference-counted, and
+// whoever drops its last reference zeroes its words and returns them to the
+// arena. Table.Where returns one reference, exclusively owned: the
 // combinator loop inside Table.where releases its intermediates (they never
 // escape), Filter releases its private compile, and benchmarks release
-// explicitly. Selections handed to a SelectionCache are detached
-// from the arena first (detach), so a cached — and therefore arbitrarily
-// shared — bitmap can never be recycled under a reader.
+// explicitly. A SelectionCache keeps a compile's reference as its own and
+// hands every Where/View caller a new one, taken under its lock, so an
+// eviction drops only the cache's reference and a bitmap some caller still
+// reads stays intact until that caller's Release. A reference that is never
+// released is only garbage; a Release after the reader is done is what
+// recycles. Releasing early is not safe: the words go to the next kernel.
 
 // WordArena recycles the Selections of one table size. All methods are safe
 // for concurrent use; a server shares one arena per registered dataset
@@ -74,27 +78,37 @@ func (a *WordArena) Stats() ArenaStats {
 // released one when the pool has it. n must satisfy (n+63)/64 == a.words
 // (callers guard via Table.execArena).
 func (a *WordArena) newSelection(n int) *Selection {
-	if s, ok := a.pool.Get().(*Selection); ok {
+	s, ok := a.pool.Get().(*Selection)
+	if ok {
 		a.recycled.Add(1)
 		s.n = n
 		s.count = 0
 		s.pool = nil
-		s.released = false
-		return s
+	} else {
+		a.fresh.Add(1)
+		s = &Selection{n: n, words: make([]uint64, a.words), arena: a}
 	}
-	a.fresh.Add(1)
-	return &Selection{n: n, words: make([]uint64, a.words), arena: a}
+	s.refs.Store(1)
+	return s
 }
 
-// Release returns the selection's storage to its arena. It is a no-op for
-// heap selections (no arena, e.g. cache-detached bitmaps), so callers can
-// release unconditionally. The caller must own the selection exclusively:
-// after Release the words may be handed to any concurrent kernel. Releasing
-// twice is tolerated (the second call no-ops) as long as the selection was
-// not re-issued in between.
+// Release drops one reference to the selection; the last one returns its
+// storage to the arena. It is a no-op for heap selections (no arena), so
+// callers can release unconditionally. After Release the caller must not
+// read the selection: its words may be handed to any concurrent kernel.
+// Releasing an exclusively owned selection twice is tolerated (the second
+// call no-ops) as long as it was not re-issued in between; a Release that
+// would drop the last reference while a SelectionCache still holds the
+// selection panics instead of recycling a bitmap the cache serves.
 func (s *Selection) Release() {
-	if s == nil || s.arena == nil || s.released {
+	if s == nil || s.arena == nil {
 		return
+	}
+	if s.refs.Add(-1) != 0 {
+		return
+	}
+	if s.cached.Load() {
+		panic("dataset: Selection released more often than it was taken")
 	}
 	a := s.arena
 	if len(s.words) != a.words {
@@ -103,23 +117,14 @@ func (s *Selection) Release() {
 		s.arena = nil
 		return
 	}
-	s.released = true
 	// Zero on return, not on re-issue: newSel's empty selection (Or's
 	// accumulator, an empty code range) relies on all-clear words, and zeroing
 	// here keeps the re-issue path allocation- and work-free.
-	for i := range s.words {
-		s.words[i] = 0
-	}
+	clear(s.words)
 	s.count = 0
 	a.returned.Add(1)
 	a.pool.Put(s)
 }
-
-// detach permanently severs the selection from its arena, making Release a
-// no-op forever. The SelectionCache detaches every bitmap it stores: cached
-// selections are shared with arbitrarily many sessions for the lifetime of
-// the cache, so they must never be recyclable.
-func (s *Selection) detach() { s.arena = nil }
 
 // sibling returns an all-clear selection with the same span as s, drawn
 // from s's arena when it has one — the allocation the selection algebra

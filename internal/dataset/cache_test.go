@@ -183,8 +183,9 @@ func TestSelectionCacheByteRule(t *testing.T) {
 
 // TestSelectionCacheLostRaceReleases stores one key twice, as two sessions
 // compiling the same new filter at once do: the second, losing copy is
-// still exclusively owned, so it goes back to the arena, and the cached
-// copy is the first one, detached.
+// still exclusively owned, so it goes back to the arena, and both callers
+// get a reference to the first copy, which the cache keeps holding after
+// they release theirs.
 func TestSelectionCacheLostRaceReleases(t *testing.T) {
 	tab := kernelTable(rand.New(rand.NewSource(61)), 1000)
 	arena := NewWordArena(tab.NumRows())
@@ -213,7 +214,52 @@ func TestSelectionCacheLostRaceReleases(t *testing.T) {
 	if returned := arena.Stats().ReturnedSelections - before; returned != 1 {
 		t.Errorf("the arena got back %d selections, want the losing copy", returned)
 	}
-	if first.arena != nil {
-		t.Error("the cached selection is still arena-backed")
+	first.Release()
+	first.Release()
+	if returned := arena.Stats().ReturnedSelections - before; returned != 1 {
+		t.Errorf("the arena got back %d selections after both callers released, want 1: the cache holds the first copy", returned)
 	}
+	if got := cache.lookup(key); got != first {
+		t.Error("the cache no longer serves the first copy")
+	}
+}
+
+// TestSelectionCacheOverReleasePanics: one Release too many on a selection
+// the cache still holds panics, and the bitmap stays in the cache, intact,
+// instead of going back to the arena.
+func TestSelectionCacheOverReleasePanics(t *testing.T) {
+	tab := kernelTable(rand.New(rand.NewSource(67)), 1000)
+	arena := NewWordArena(tab.NumRows())
+	tab.SetArena(arena)
+	cache := NewSelectionCache(tab)
+	p := Range{Column: "score", Low: -2, High: 2}
+	want, err := tab.Where(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := cache.Where(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel.Release()
+	before := arena.Stats().ReturnedSelections
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("releasing a cached selection twice did not panic")
+			}
+		}()
+		sel.Release()
+	}()
+	if got := arena.Stats().ReturnedSelections - before; got != 0 {
+		t.Errorf("the over-release returned %d selections to the arena, want 0", got)
+	}
+	again, err := cache.Where(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != sel {
+		t.Fatal("the cache no longer serves the over-released selection")
+	}
+	requireSameBitmap(t, "over-released cached selection", again, want)
 }

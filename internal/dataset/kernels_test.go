@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -356,8 +355,8 @@ func TestArenaSteadyStateZeroFresh(t *testing.T) {
 }
 
 // TestArenaReleaseSafety covers the release contract edge cases: double
-// release no-ops, heap selections no-op, detach makes Release permanent
-// no-op, geometry-mismatched tables fall back to the heap.
+// release no-ops, heap selections no-op, geometry-mismatched tables fall back
+// to the heap.
 func TestArenaReleaseSafety(t *testing.T) {
 	tab := kernelTable(rand.New(rand.NewSource(41)), 130)
 	arena := NewWordArena(tab.NumRows())
@@ -374,17 +373,6 @@ func TestArenaReleaseSafety(t *testing.T) {
 	sel.Release() // second release must be a no-op
 	if got := arena.Stats().ReturnedSelections; got != 1 {
 		t.Errorf("returned = %d after double release, want 1", got)
-	}
-
-	// Detached selections never return.
-	sel2, err := tab.Where(GreaterThan{Column: "score", Threshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel2.detach()
-	sel2.Release()
-	if got := arena.Stats().ReturnedSelections; got != 1 {
-		t.Errorf("returned = %d after detached release, want 1", got)
 	}
 
 	// Heap selections tolerate Release, and so does nil.
@@ -450,33 +438,90 @@ func TestArenaInheritedWithTheRows(t *testing.T) {
 	}
 }
 
-// TestArenaCachedSelectionsDetached asserts a SelectionCache never hands out
-// recyclable bitmaps: a cached selection survives any number of Releases by
-// other holders of the same arena.
-func TestArenaCachedSelectionsDetached(t *testing.T) {
+// TestArenaCachedSelectionReferences holds the reference contract of a
+// cached bitmap: a caller's reference keeps it bit-identical through its
+// eviction and through arena churn that recycles every other bitmap, and
+// the caller's Release, the last reference, then returns it to the arena.
+func TestArenaCachedSelectionReferences(t *testing.T) {
 	tab := kernelTable(rand.New(rand.NewSource(47)), 1000)
-	tab.SetArena(NewWordArena(tab.NumRows()))
-	cache := NewSelectionCache(tab)
+	arena := NewWordArena(tab.NumRows())
+	tab.SetArena(arena)
+	cache := NewSelectionCacheCap(tab, 1)
 	p := Range{Column: "score", Low: -2, High: 2}
 	cached, err := cache.Where(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached.arena != nil {
-		t.Fatal("cached selection still arena-backed")
+	if cached.arena != arena {
+		t.Fatal("cached selection not arena-backed")
 	}
-	want := append([]int(nil), cached.Indices()...)
-	// Churn the arena hard; if the cached bitmap were recyclable its words
-	// would be stolen and zeroed.
+	want, err := tab.Where(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Evict it, then churn the arena hard: a recycled bitmap would be zeroed
+	// and handed to the next compile.
 	for i := 0; i < 50; i++ {
-		sel, err := tab.Where(GreaterThan{Column: "level", Threshold: float64(i%7 - 3)})
+		sel, err := cache.Where(GreaterThan{Column: "level", Threshold: float64(i%7 - 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sel.Release()
+		if sel, err = tab.Where(Equals{Column: "cat", Value: fmt.Sprintf("c%d", i%10)}); err != nil {
+			t.Fatal(err)
+		}
+		sel.Release()
 	}
-	if got := cached.Indices(); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-		t.Fatal("cached selection mutated by arena churn")
+	requireSameBitmap(t, "evicted cached selection after churn", cached, want)
+	before := arena.Stats().ReturnedSelections
+	cached.Release()
+	if got := arena.Stats().ReturnedSelections - before; got != 1 {
+		t.Errorf("releasing the last reference returned %d selections, want 1", got)
+	}
+}
+
+// TestArenaCacheSteadyStateZeroFresh: a session's 1-entry cache compiling
+// alternating filters, each view released once read, takes no fresh
+// selection after warm-up — every evicted bitmap goes back to the arena and
+// the next compile draws it.
+func TestArenaCacheSteadyStateZeroFresh(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts by design; zero-fresh cannot hold")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tab := kernelTable(rand.New(rand.NewSource(49)), 20000)
+	arena := NewWordArena(tab.NumRows())
+	tab.SetArena(arena)
+	cache := NewSelectionCacheCap(tab, 1)
+	preds := []Predicate{
+		And{Terms: []Predicate{Equals{Column: "flag", Value: "true"}, Range{Column: "level", Low: -10, High: 10}}},
+		GreaterThan{Column: "score", Threshold: 0},
+	}
+	run := func(i int) {
+		v, err := cache.View(preds[i%len(preds)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.CountsFor("cat", []string{"c0", "c1"}); err != nil {
+			t.Fatal(err)
+		}
+		v.Release()
+	}
+	for i := 0; i < 6; i++ {
+		run(i) // warm the pool
+	}
+	before := arena.Stats()
+	for i := 0; i < 100; i++ {
+		run(i)
+	}
+	after := arena.Stats()
+	if after.FreshSelections != before.FreshSelections {
+		t.Errorf("steady state allocated %d fresh selections, want 0 (stats: %+v)",
+			after.FreshSelections-before.FreshSelections, after)
+	}
+	if _, _, misses := cache.Stats(); misses < 100 {
+		t.Errorf("%d misses: the filters did not alternate through the 1-entry cache", misses)
 	}
 }
 

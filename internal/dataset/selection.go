@@ -34,7 +34,10 @@ import (
 // set when row i is selected. Selections are created by the predicate kernels
 // (Table.Where) and combined with And/Or/Not, each of which returns a new
 // Selection; once returned, a Selection is never mutated, so it may be shared
-// freely across goroutines and cached across sessions.
+// freely across goroutines and cached across sessions. Each call that
+// returns an arena-backed selection returns one reference to it, and Release
+// drops that reference; a selection is read only while its reader holds a
+// reference (see arena.go).
 type Selection struct {
 	n     int
 	words []uint64
@@ -47,10 +50,12 @@ type Selection struct {
 	pool *Pool
 
 	// arena, when non-nil, is the WordArena the selection's storage came from
-	// and may be returned to via Release. released guards against double
-	// returns; see arena.go for the ownership contract.
-	arena    *WordArena
-	released bool
+	// and returns to when Release drops the last of its refs. cached is set
+	// while a SelectionCache holds one of them; see arena.go for the
+	// ownership contract.
+	arena  *WordArena
+	refs   atomic.Int32
+	cached atomic.Bool
 }
 
 // execPool resolves the pool the selection's algebra runs on.
@@ -371,6 +376,10 @@ func (v View) Table() *Table { return v.table }
 
 // Selection returns the view's row selection.
 func (v View) Selection() *Selection { return v.sel }
+
+// Release drops the view's reference to its selection (Selection.Release).
+// The view must not be read afterwards.
+func (v View) Release() { v.sel.Release() }
 
 // NumRows returns the number of selected rows.
 func (v View) NumRows() int { return v.sel.Count() }
@@ -780,7 +789,10 @@ func (c *SelectionCache) Table() *Table { return c.table }
 // Where returns the selection for the predicate, compiling and caching it on
 // first use. A nil predicate returns the shared full selection (built once —
 // it is on the hot path of every population-vs-filter test); predicates that
-// cannot be canonically serialized are compiled uncached.
+// cannot be canonically serialized are compiled uncached. Every call returns
+// one reference of its own: the caller may Release it once done reading, so
+// that a bitmap the cache has evicted goes back to the table's arena. Not
+// releasing is safe; releasing early or twice is not.
 func (c *SelectionCache) Where(p Predicate) (*Selection, error) {
 	sel, _, err := c.whereCached(p)
 	return sel, err
@@ -810,43 +822,52 @@ func (c *SelectionCache) whereCached(p Predicate) (*Selection, string, error) {
 	return c.store(key, sel), "miss", nil
 }
 
-// lookup returns the cached selection under key, or nil.
+// lookup returns a new reference to the cached selection under key, or nil.
+// It is taken under the lock, so no eviction can recycle the bitmap first.
 func (c *SelectionCache) lookup(key string) *Selection {
 	c.mu.RLock()
 	sel := c.entries[key]
+	if sel != nil {
+		sel.refs.Add(1)
+	}
 	c.mu.RUnlock()
 	return sel
 }
 
-// store inserts the freshly compiled sel under key, detached from the
-// table's arena, and returns the canonical copy. When a concurrent caller
-// won the benign insert race it returns that caller's copy and releases sel,
-// which nothing else holds, back to the arena.
+// store inserts the freshly compiled sel under key, keeping the compile's
+// reference as the cache's own, and returns a new reference to the canonical
+// copy. When a concurrent caller won the benign insert race it returns that
+// caller's copy and releases sel, which nothing else holds, back to the
+// arena. Each eviction drops the cache's reference; the evicted bitmap
+// returns to the arena unless a caller still holds one.
 func (c *SelectionCache) store(key string, sel *Selection) *Selection {
 	size := c.entryBytes(key)
 	c.mu.Lock()
 	if prev, ok := c.entries[key]; ok {
+		prev.refs.Add(1)
 		c.mu.Unlock()
 		sel.Release()
 		return prev
 	}
-	for k := range c.entries {
+	for k, old := range c.entries {
 		if c.bytes+size <= c.budget && len(c.entries) < c.cap {
 			break
 		}
 		delete(c.entries, k)
 		c.bytes -= c.entryBytes(k)
+		old.cached.Store(false)
+		old.Release()
 	}
-	// A cached selection is shared with every future caller for the cache's
-	// lifetime, so it must never return to the table's arena.
-	sel.detach()
+	sel.cached.Store(true)
+	sel.refs.Add(1) // the caller's; the compile's is the cache's
 	c.entries[key] = sel
 	c.bytes += size
 	c.mu.Unlock()
 	return sel
 }
 
-// View is Where wrapped into a zero-copy view.
+// View is Where wrapped into a zero-copy view; Release the view to drop the
+// reference Where returned.
 func (c *SelectionCache) View(p Predicate) (View, error) {
 	sel, err := c.Where(p)
 	if err != nil {

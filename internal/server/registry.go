@@ -54,8 +54,10 @@ type (
 // Each dataset also carries one shared Selection word arena
 // (dataset.WordArena): filter compiles across every session over the dataset
 // recycle their bitmap words through it, so steady-state serving allocates
-// zero words per filter; cached bitmaps are detached from the arena by the
-// SelectionCache, so sharing stays safe.
+// zero words per filter. Cached bitmaps are reference-counted: the cache
+// holds one reference, each session step one more, and a bitmap returns to
+// the arena only when its eviction and every step's Release have dropped
+// them all, so sharing stays safe.
 type DatasetRegistry struct {
 	mu     sync.RWMutex
 	tables map[string]*dataset.Table
