@@ -145,8 +145,10 @@ func encodeNumeric(c *Column, rows []uint64) *Column {
 
 // NewMappedFloatColumn stores the rows perCode[codes[i]] as NewFloatColumn
 // would, tallying only the codes that occur (counts[k] > 0) and writing the
-// codes in one pass through the tally's rename composed with perCode.
-func NewMappedFloatColumn(name string, perCode []float64, codes []uint8, counts []int) *Column {
+// codes in one pass through the tally's rename composed with perCode. It also
+// returns how many rows hold each code of the stored column, counts summed
+// through the rename — nil when the column is stored wide.
+func NewMappedFloatColumn(name string, perCode []float64, codes []uint8, counts []int) (*Column, []int) {
 	t := valueTally{kind: Float64}
 	var lut [MaxValues]uint8
 	for k, v := range perCode {
@@ -160,16 +162,20 @@ func NewMappedFloatColumn(name string, perCode []float64, codes []uint8, counts 
 		for i, k := range codes {
 			rows[i] = perCode[k]
 		}
-		return &Column{Name: name, Kind: Float64, Floats: rows}
+		return &Column{Name: name, Kind: Float64, Floats: rows}, nil
 	}
 	for k := range lut {
 		lut[k] = final[lut[k]]
+	}
+	stored := make([]int, len(dict))
+	for k, n := range counts {
+		stored[lut[k]] += n
 	}
 	out := make([]uint8, len(codes))
 	for i, k := range codes {
 		out[i] = lut[k]
 	}
-	return &Column{Name: name, Kind: Float64, Width: 1, Values: dict, Codes8: out}
+	return &Column{Name: name, Kind: Float64, Width: 1, Values: dict, Codes8: out}, stored
 }
 
 // makeCodes returns n codes of one width, code(i) for row i.

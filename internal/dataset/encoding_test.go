@@ -215,7 +215,7 @@ func requireEndsMatchMinMax(t *testing.T, label string, tab *Table, column strin
 		return
 	}
 	least, most, _ := stats.MinMax(all)
-	ends := c.valueRange(c.codeStats().counts)
+	ends := c.valueRange(c.codeTallies())
 	if math.Float64bits(ends[0]) != math.Float64bits(least) || math.Float64bits(ends[1]) != math.Float64bits(most) {
 		t.Fatalf("%s: column %s range %v, MinMax %v, %v", label, column, ends, least, most)
 	}
@@ -527,7 +527,8 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 // parent's; every gathered column keeps its width and shares the parent's
 // dictionary — a Select of a few rows lists values none of its rows hold,
 // and must still answer from the rows it has — and the derived bucket column
-// is coded by the same rule at construction.
+// is coded by the same rule at construction. The derived column and the
+// dimension join's right columns arrive with their exact code tallies.
 func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
 	parent, _, _ := encodingTable(rng, 5000, 90, false, false)
@@ -539,6 +540,9 @@ func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 		"shuffle":     {"i", "cat"},
 		"derive":      all,
 		"shared join": all,
+	}, map[string][]string{
+		"derive":      {"i_bucket"},
+		"shared join": {"dim_cat", "dim_rank"},
 	}, func(name string, tab *Table) {
 		requireEncodingExact(t, rng, name, tab)
 		for _, column := range []string{"f", "i"} {

@@ -295,7 +295,8 @@ func (pg *exprProg) overDict(src **Column) *exprProg {
 // computed by evaluating the expression over every row. Existing columns are
 // shared, not copied, and the result inherits the table's pool and arena. An
 // expression of one coded column runs once per dictionary entry, through the
-// same evalInto, and is stored from those results and the code tallies.
+// same evalInto, and is stored from those results and the code tallies,
+// which also give the new column's own: no reader re-tallies its rows.
 func (t *Table) Derive(name string, e Expr) (*Table, error) {
 	pg, err := compileExpr(t, e)
 	if err != nil {
@@ -305,7 +306,10 @@ func (t *Table) Derive(name string, e Expr) (*Table, error) {
 	if dict := pg.overDict(&src); dict != nil && src != nil {
 		perCode := make([]float64, len(src.values))
 		dict.evalInto(perCode, 0)
-		return t.WithColumn(wrapColumn(colstore.NewMappedFloatColumn(name, perCode, src.codes8, src.codeStats().counts)))
+		p, counts := colstore.NewMappedFloatColumn(name, perCode, src.codes8, src.codeTallies())
+		c := wrapColumn(p)
+		c.seedCodes(counts)
+		return t.WithColumn(c)
 	}
 	return t.WithColumn(NewFloatColumn(name, t.evalRows(pg)))
 }

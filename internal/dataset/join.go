@@ -28,7 +28,8 @@ import (
 // memos, and its arena. That shape is decided on the left key's present codes
 // (a dictionary's memoized tallies, or one pass over an int64 key's ids), and
 // each right column is drawn once per key code, then mapped over the left
-// key's codes. Every other join gathers both sides.
+// key's codes, its code tallies summed from the left key's. Every other join
+// gathers both sides.
 
 // ErrJoinKeyType is returned when join key columns are not an equi-joinable
 // pair (both categorical, both int64, or both bool).
@@ -111,7 +112,7 @@ func hashJoinPairs(probe View, probeCol *Column, build View, buildCol *Column, m
 		return joinCodes(probe, probeCodes, counts, trans, build, buildKey, len(trans)-1)
 	}
 	if mayShare {
-		counts = probeCol.codeStats().counts
+		counts = probeCol.codeTallies()
 	}
 	trans := make([]int32, len(probeCol.dict))
 	for code, val := range probeCol.dict {
@@ -206,7 +207,7 @@ func joinCodes[C colstore.Code](probe View, probeCodes []C, counts []int, trans 
 		return nil, nil, nil
 	}
 	if rowOf := dimensionRows(counts, trans, start, rows); rowOf != nil {
-		return nil, nil, byKeyCode(probeCodes, rowOf)
+		return nil, nil, byKeyCode(probeCodes, rowOf, counts)
 	}
 	offsets := make([]int, m)
 	p.Run(m, func(i int) {
@@ -279,10 +280,19 @@ func sortPairs(lidx, ridx []int32) {
 }
 
 // byKeyCode draws a dimension join's right column through the left key: its
-// rows rowOf[code], as stored, read at every left row's key code.
-func byKeyCode[C colstore.Code](codes []C, rowOf []int32) func(c *Column, name string) *Column {
+// rows rowOf[code], as stored, read at every left row's key code. A coded
+// column's tallies are the left key's counts summed per right-row code.
+func byKeyCode[C colstore.Code](codes []C, rowOf []int32, counts []int) func(c *Column, name string) *Column {
 	return func(c *Column, name string) *Column {
-		return gather(wrapColumn(gatherPhys(c.phys, rowOf)), codes, name)
+		out := gather(gatherPhys(c.phys, rowOf), codes, name)
+		if c.width != 0 {
+			tallies := make([]int, c.dictLen())
+			for k, n := range counts {
+				tallies[c.code(int(rowOf[k]))] += n
+			}
+			out.seedCodes(tallies)
+		}
+		return out
 	}
 }
 
@@ -295,7 +305,7 @@ func materializeJoin(lt, rt *Table, lidx, ridx []int32, byKey func(c *Column, na
 	cols := make([]*Column, 0, len(lt.columns)+len(rt.columns))
 	for _, c := range lt.columns {
 		if byKey == nil {
-			c = gather(c, lidx, c.Name)
+			c = gather(c.phys, lidx, c.Name)
 		}
 		cols = append(cols, c)
 	}
@@ -303,7 +313,7 @@ func materializeJoin(lt, rt *Table, lidx, ridx []int32, byKey func(c *Column, na
 		if byKey != nil {
 			cols = append(cols, byKey(c, rightPrefix+c.Name))
 		} else {
-			cols = append(cols, gather(c, ridx, rightPrefix+c.Name))
+			cols = append(cols, gather(c.phys, ridx, rightPrefix+c.Name))
 		}
 	}
 	out, err := NewTable(cols...)

@@ -177,7 +177,7 @@ func dimensionTable(rng *rand.Rand, left *Table, drop, dup bool) *Table {
 	if len(wide) > 0 {
 		wide[rng.Intn(len(wide))] = math.NaN()
 	}
-	tab, err := NewTable(gather(key, rows, "key"), NewFloatColumn("r_payload", payload), NewCategoricalColumn("r_tag", tags),
+	tab, err := NewTable(gather(key.phys, rows, "key"), NewFloatColumn("r_payload", payload), NewCategoricalColumn("r_tag", tags),
 		NewBoolColumn("r_flag", flags), NewFloatColumn("r_wide", wide))
 	if err != nil {
 		panic(err)

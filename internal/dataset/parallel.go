@@ -18,8 +18,9 @@ import (
 //
 //   - selection kernels give each morsel a disjoint, word-aligned range of the
 //     output bitmap, so workers never share a word and no merge step exists;
-//   - aggregations accumulate into per-morsel partials that are merged in
-//     morsel order after the pool drains;
+//   - aggregations are integer tallies: each participating goroutine counts
+//     the morsels it draws into its own accumulator, and the accumulators are
+//     summed after the pool drains — integer sums do not depend on order;
 //   - Floats writes each morsel's values at a precomputed prefix-sum offset,
 //     preserving row order exactly.
 //
@@ -157,28 +158,33 @@ func (p *Pool) worker() {
 // Iterations must be independent (they run concurrently, in no particular
 // order); determinism of results is the callers' responsibility and is
 // achieved by writing to disjoint or order-merged outputs.
-func (p *Pool) Run(n int, fn func(i int)) {
+func (p *Pool) Run(n int, fn func(i int)) { p.runLanes(n, func(_, i int) { fn(i) }) }
+
+// runLanes is Run, also passing the lane that runs iteration i: 0 for the
+// calling goroutine, 1 to Workers()-1 for helpers. A lane runs one iteration
+// at a time, so state indexed by lane needs no lock.
+func (p *Pool) runLanes(n int, fn func(lane, i int)) {
 	if n <= 0 {
 		return
 	}
-	body := func(i int) {
+	body := func(lane, i int) {
 		p.morselsProcessed.Add(1)
-		fn(i)
+		fn(lane, i)
 	}
 	if n == 1 || p.workers == 1 {
 		for i := 0; i < n; i++ {
-			body(i)
+			body(0, i)
 		}
 		return
 	}
 	var next atomic.Int64
-	loop := func() {
+	loop := func(lane int) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			body(i)
+			body(lane, i)
 		}
 	}
 	var (
@@ -189,7 +195,7 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	if helpers > n-1 {
 		helpers = n - 1
 	}
-	for i := 0; i < helpers; i++ {
+	for lane := 1; lane <= helpers; lane++ {
 		wg.Add(1)
 		// handedAt is written before the channel send and read by the worker
 		// after the receive, so the send's happens-before edge covers it.
@@ -204,7 +210,7 @@ func (p *Pool) Run(n int, fn func(i int)) {
 			if wait := time.Since(handedAt); wait > 0 {
 				p.queueWaitNs.Add(uint64(wait.Nanoseconds()))
 			}
-			loop()
+			loop(lane)
 		}
 		// Hand the helper to an idle worker; if none is free (other callers
 		// own them right now), this caller simply does the work itself.
@@ -218,7 +224,7 @@ func (p *Pool) Run(n int, fn func(i int)) {
 			wg.Done()
 		}
 	}
-	loop()
+	loop(0)
 	wg.Wait()
 	if r := panicked.Load(); r != nil {
 		panic(*r)
@@ -254,10 +260,12 @@ func runCounted(p *Pool, n, chunk int, fn func(lo, hi int) int) int {
 	return total
 }
 
-// reduceInts splits the n rows into morsels, gives each morsel a fresh
-// width-sized accumulator, and merges the per-morsel partials in morsel order
-// — the deterministic reduction behind the parallel aggregations (per-code
-// counts, per-bin counts, bool tallies).
+// reduceInts tallies the n rows, morsel by morsel, into a width-sized result
+// (per-code counts, per-bin counts, cross-tabs). Each lane that draws a
+// morsel counts into its own accumulator, the caller's being the result, and
+// the helpers' are added in after the pool drains: integer sums do not depend
+// on order, so the result is bit-identical on any pool, and memory is at most
+// Workers() accumulators however many morsels the rows span.
 func reduceInts(p *Pool, n, width int, fn func(lo, hi int, acc []int)) []int {
 	acc := make([]int, width)
 	if n <= 0 {
@@ -269,15 +277,16 @@ func reduceInts(p *Pool, n, width int, fn func(lo, hi int, acc []int)) []int {
 		fn(0, n, acc)
 		return acc
 	}
-	partials := make([][]int, m)
-	p.Run(m, func(i int) {
-		part := make([]int, width)
+	lanes := make([][]int, p.workers)
+	lanes[0] = acc
+	p.runLanes(m, func(lane, i int) {
+		if lanes[lane] == nil {
+			lanes[lane] = make([]int, width)
+		}
 		lo := i * morselRows
-		hi := min(lo+morselRows, n)
-		fn(lo, hi, part)
-		partials[i] = part
+		fn(lo, min(lo+morselRows, n), lanes[lane])
 	})
-	for _, part := range partials {
+	for _, part := range lanes[1:] {
 		for k, v := range part {
 			acc[k] += v
 		}

@@ -225,14 +225,17 @@ func deriveEveryWay(t *testing.T, rng *rand.Rand, parent *Table, shuffle []strin
 // requireMemoCarriedWhereShared runs use over each derived table and holds
 // its column memos to the sharing rule: the columns it shares with parent
 // are exactly wantShared[name] and run no new scan, and every other column
-// starts with an empty memo.
-func requireMemoCarriedWhereShared(t *testing.T, parent *Table, derived map[string]*Table, wantShared map[string][]string, use func(name string, tab *Table)) {
+// starts with no binning and no lookup. Its code tallies are absent, except
+// on the columns wantSeeded[name] names — a derived column, a dimension
+// join's right columns — which arrive with tallies equal to a fresh count of
+// their rows.
+func requireMemoCarriedWhereShared(t *testing.T, parent *Table, derived map[string]*Table, wantShared, wantSeeded map[string][]string, use func(name string, tab *Table)) {
 	t.Helper()
 	for name, tab := range derived {
 		if tab.NumRows() == 0 {
 			t.Fatalf("%s: derived table is empty", name)
 		}
-		var shared []string
+		var shared, seeded []string
 		before := map[*Column]uint64{}
 		for _, c := range tab.columns {
 			if pc, ok := parent.byName[c.Name]; ok && pc == c {
@@ -240,10 +243,23 @@ func requireMemoCarriedWhereShared(t *testing.T, parent *Table, derived map[stri
 				before[c] = c.ref.computed.Load()
 				continue
 			}
-			if hits, computed := c.ref.hits.Load(), c.ref.computed.Load(); hits != 0 || computed != 0 ||
-				c.ref.codes != nil || len(c.ref.bins) != 0 {
+			if hits, computed := c.ref.hits.Load(), c.ref.computed.Load(); hits != 0 || computed != 0 || len(c.ref.bins) != 0 {
 				t.Errorf("%s: column %s is new but its memo is not empty (%d hits, %d scans)", name, c.Name, hits, computed)
 			}
+			if c.ref.codes == nil {
+				continue
+			}
+			seeded = append(seeded, c.Name)
+			fresh := make([]int, c.dictLen())
+			for row := 0; row < c.Len(); row++ {
+				fresh[c.code(row)]++
+			}
+			if !reflect.DeepEqual(c.ref.codes, fresh) {
+				t.Errorf("%s: column %s arrived with tallies %v, its rows hold %v", name, c.Name, c.ref.codes, fresh)
+			}
+		}
+		if !reflect.DeepEqual(seeded, wantSeeded[name]) {
+			t.Errorf("%s: columns %v arrived with their tallies, want %v", name, seeded, wantSeeded[name])
 		}
 		if !reflect.DeepEqual(shared, wantShared[name]) {
 			t.Fatalf("%s: shares %v with its parent, want %v", name, shared, wantShared[name])
@@ -262,7 +278,9 @@ func requireMemoCarriedWhereShared(t *testing.T, parent *Table, derived map[stri
 // column (Derive, Shuffle's untouched columns, a join that keeps its probe
 // side) shares its memo and runs no new scan for it; every gathered column
 // (Select, Split, a gathered join, a shuffled column) computes its own
-// answers — a Select of a few rows loses categories its parent has.
+// answers — a Select of a few rows loses categories its parent has — and the
+// derived column and the dimension join's right columns arrive with exact
+// code tallies but no binning.
 func TestRefStatsCarriedExactlyWhereShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1502))
 	parent := kernelTable(rng, 5000)
@@ -290,6 +308,9 @@ func TestRefStatsCarriedExactlyWhereShared(t *testing.T) {
 		"shuffle":     {"cat", "score", "level"},
 		"derive":      all,
 		"shared join": all,
+	}, map[string][]string{
+		"derive":      {"level_bucket"},
+		"shared join": {"dim_cat", "dim_rank"},
 	}, func(name string, tab *Table) {
 		requireRefStatsFresh(t, name, tab, split)
 	})
@@ -308,7 +329,8 @@ func TestRefStatsCarriedExactlyWhereShared(t *testing.T) {
 // first use of one column held by two tables — the parent and a table
 // derived from it — half asking through each (run under -race in CI): each
 // reads what a sequential reader of an untouched copy reads, and the column
-// keeps one entry per statistic.
+// keeps one entry per statistic. The derived column arrived with its code
+// tallies, so the child holds one more, and no binning of its own.
 func TestRefStatsConcurrentFirstUseOfSharedColumn(t *testing.T) {
 	build := func() *Table { return randomSizedTable(rand.New(rand.NewSource(1506)), 3*morselRows+17) }
 	calm := build()
@@ -351,8 +373,8 @@ func TestRefStatsConcurrentFirstUseOfSharedColumn(t *testing.T) {
 			t.Fatalf("column %s is not shared", name)
 		}
 	}
-	if tallies, binnings := memoEntries(child); tallies != 2 || binnings != 1 {
-		t.Errorf("shared columns hold %d code tallies and %d binnings; want 2 (color, level) and 1", tallies, binnings)
+	if tallies, binnings := memoEntries(child); tallies != 3 || binnings != 1 {
+		t.Errorf("the child's columns hold %d code tallies and %d binnings; want 3 (color, level, level_bucket) and 1", tallies, binnings)
 	}
 }
 

@@ -415,7 +415,7 @@ func (v View) CountsFor(name string, categories []string) ([]int, error) {
 func (v View) codeCounts(c *Column) []int {
 	switch {
 	case v.full():
-		return c.codeStats().counts
+		return c.codeTallies()
 	case c.width == 1:
 		return countCodes(v, c.codes8, c.dictLen())
 	case c.width == 2:
@@ -665,7 +665,7 @@ func (t *Table) binAssignments(column string, binCount int) (*binAssignment, err
 		var all, ends []float64
 		var rows []int // a coded column's rows per code
 		if c.width != 0 {
-			rows = c.codeStats().counts
+			rows = c.codeTallies()
 			ends = c.valueRange(rows)
 		} else if all = c.floatValues(); len(all) > 0 {
 			least, most, _ := stats.MinMax(all)
@@ -688,9 +688,9 @@ func (t *Table) binAssignments(column string, binCount int) (*binAssignment, err
 			ba.labels[b] = fmt.Sprintf("[%s, %s)", trimFloat(hist.Edges[b]), trimFloat(hist.Edges[b+1]))
 		}
 		if c.width == 0 {
-			ba.assign = make([]int32, len(all))
+			ba.assign = make([]uint32, len(all))
 			for i, v := range all {
-				ba.assign[i] = binIndex(v)
+				ba.assign[i] = uint32(binIndex(v))
 				ba.counts[ba.assign[i]]++
 			}
 			return ba, nil

@@ -251,13 +251,13 @@ func (c *Column) intAt(i int) int64 {
 // rowIndex is a row number (Select, a join's pairs) or a key code (byKeyCode).
 type rowIndex interface{ int | int32 | colstore.Code }
 
-// gather returns a new column named name holding c's rows at the given
-// indices. A coded column keeps its width and shares its (immutable)
-// dictionary, which may then list values no gathered row holds — fine, the
-// memos count only what occurs. A wide numeric column is stored anew, by the
-// one encoding rule.
-func gather[I rowIndex](c *Column, indices []I, name string) *Column {
-	p := gatherPhys(c.phys, indices)
+// gather returns a new column named name holding the rows of the physical
+// column c at the given indices. A coded column keeps its width and shares
+// its (immutable) dictionary, which may then list values no gathered row
+// holds — fine, the memos count only what occurs. A wide numeric column is
+// stored anew, by the one encoding rule.
+func gather[I rowIndex](c *colstore.Column, indices []I, name string) *Column {
+	p := gatherPhys(c, indices)
 	switch {
 	case p.Width == 0 && p.Kind == colstore.Float64:
 		return NewFloatColumn(name, p.Floats)
@@ -341,7 +341,8 @@ func (t *Table) execPool() *Pool {
 // filtered distribution against the distribution over the whole dataset,
 // which no filter changes: one linear pass per column on first use, then
 // every full-table count, category list and histogram is a lookup. Nothing
-// is computed when a table is built or opened. The code tallies are
+// is computed when a table is built or opened; only a column built from
+// another's codes arrives with its code tallies (seedCodes). The tallies are
 // O(dictionary) and the bin counts O(bins); O(rows) is only the per-row bin
 // assignment of a wide numeric column (four bytes per row).
 //
@@ -354,7 +355,7 @@ func (t *Table) execPool() *Pool {
 // first store is kept. Stored entries are immutable, so readers are safe.
 type refStats struct {
 	mu    sync.RWMutex
-	codes *codeStats
+	codes []int                  // how many rows hold each code of a coded column
 	bins  map[int]*binAssignment // keyed by bin count
 
 	// hits counts lookups answered from the memo, computed the scans that
@@ -362,22 +363,13 @@ type refStats struct {
 	hits, computed atomic.Uint64
 }
 
-// codeStats is the memoized population side of a coded column: how many rows
-// carry each code and, for a categorical or bool column, which values occur
-// at all, in sorted order. Both slices are shared by every reader and must
-// never be mutated or handed out.
-type codeStats struct {
-	counts  []int
-	present []string
-}
-
 // binAssignment is the memoized result, computed once per (column, bin
 // count): the number of rows per bin, the "[lo, hi)" label of each bin, and
 // the bin of every row — assign[row] for a wide column, binOf[codes[row]] for
 // a coded one, whose codes are the column's own and whose binOf has one entry
-// per value.
+// per value. A wide column's assign is a code column CrossCounts reads.
 type binAssignment struct {
-	assign []int32
+	assign []uint32
 	codes  []uint8
 	binOf  []int32
 	counts []int
@@ -422,31 +414,38 @@ func memoized[V any](r *refStats, get func() *V, put func(*V), compute func() (*
 	return v, nil
 }
 
-// codeStats returns the memoized population tallies of a coded column,
-// scanning the column on first use.
-func (c *Column) codeStats() *codeStats {
-	get := func() *codeStats { return c.ref.codes }
-	put := func(cs *codeStats) { c.ref.codes = cs }
-	cs, _ := memoized(&c.ref, get, put, func() (*codeStats, error) {
-		cs := &codeStats{counts: make([]int, c.dictLen())}
+// codeTallies returns the memoized population tallies of a coded column —
+// how many rows hold each code — scanning the column on first use unless it
+// was built with them (seedCodes). The slice is shared by every reader and
+// must never be mutated or handed out.
+func (c *Column) codeTallies() []int {
+	get := func() *[]int {
+		if c.ref.codes == nil {
+			return nil
+		}
+		return &c.ref.codes // set once, never written again
+	}
+	put := func(counts *[]int) { c.ref.codes = *counts }
+	counts, _ := memoized(&c.ref, get, put, func() (*[]int, error) {
+		counts := make([]int, c.dictLen())
 		switch c.width {
 		case 1:
-			tallyCodes(c.codes8, cs.counts)
+			tallyCodes(c.codes8, counts)
 		case 2:
-			tallyCodes(c.codes16, cs.counts)
+			tallyCodes(c.codes16, counts)
 		default:
-			tallyCodes(c.codes32, cs.counts)
+			tallyCodes(c.codes32, counts)
 		}
-		// Every dictionary is sorted, hence so is present.
-		for code, n := range cs.counts {
-			if n > 0 && c.dict != nil {
-				cs.present = append(cs.present, c.dict[code])
-			}
-		}
-		return cs, nil
+		return &counts, nil
 	})
-	return cs
+	return *counts
 }
+
+// seedCodes records the per-code tallies of a column under construction,
+// known from the column it was built from (Derive's source, a dimension
+// join's left key), so that no reader scans its rows for them; nil records
+// nothing.
+func (c *Column) seedCodes(counts []int) { c.ref.codes = counts }
 
 // tallyCodes adds one to counts[code] for every code.
 func tallyCodes[C colstore.Code](codes []C, counts []int) {
@@ -592,7 +591,7 @@ func (t *Table) Select(indices []int) (*Table, error) {
 	}
 	cols := make([]*Column, len(t.columns))
 	for i, c := range t.columns {
-		cols[i] = gather(c, indices, c.Name)
+		cols[i] = gather(c.phys, indices, c.Name)
 	}
 	sub, err := NewTable(cols...)
 	if err != nil {
@@ -650,7 +649,14 @@ func (t *Table) Categories(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(c.codeStats().present), nil
+	counts := c.codeTallies()
+	out := make([]string, 0, len(counts))
+	for code, n := range counts {
+		if n > 0 {
+			out = append(out, c.dict[code])
+		}
+	}
+	return out, nil
 }
 
 // ValueCounts returns the count of each distinct value of a categorical or
@@ -661,7 +667,7 @@ func (t *Table) ValueCounts(name string) (map[string]int, error) {
 		return nil, err
 	}
 	counts := make(map[string]int)
-	for code, n := range c.codeStats().counts {
+	for code, n := range c.codeTallies() {
 		if n > 0 {
 			counts[c.dict[code]] = n
 		}
@@ -692,7 +698,7 @@ func (t *Table) Shuffle(rng *rand.Rand, columns ...string) (*Table, error) {
 			continue
 		}
 		perm := rng.Perm(t.rows)
-		cols[i] = gather(c, perm, c.Name)
+		cols[i] = gather(c.phys, perm, c.Name)
 	}
 	shuffled, err := NewTable(cols...)
 	if err != nil {

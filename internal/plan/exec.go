@@ -36,6 +36,7 @@ func Run(n Node, cat Catalog) (Result, error) {
 			bins = DefaultBins
 		}
 		ct, err := v.CrossCounts(gb.RowAttr, gb.ColAttr, bins)
+		v.Release()
 		if err != nil {
 			return Result{}, err
 		}
@@ -55,7 +56,9 @@ func Run(n Node, cat Catalog) (Result, error) {
 // execOut is one executed subtree: a table, the selected rows over it, and —
 // while the lineage is still a pure cached scan plus filters — the scan's
 // cache together with the predicate applied through it so far. Derives and
-// joins produce fresh tables and clear the cache lineage.
+// joins produce fresh tables and clear the cache lineage. The selection is a
+// reference the consuming node releases once it has read it, so a cached
+// filter bitmap goes back to the table's arena after its eviction.
 type execOut struct {
 	table *dataset.Table
 	sel   *dataset.Selection
@@ -118,6 +121,7 @@ func exec(n Node, cat Catalog) (execOut, error) {
 			if err != nil {
 				return execOut{}, err
 			}
+			in.sel.Release()
 			return execOut{table: in.table, sel: sel, cache: in.cache, pred: combined}, nil
 		}
 		// Post-derive/post-join table: compile cold and intersect with the
@@ -127,10 +131,12 @@ func exec(n Node, cat Catalog) (execOut, error) {
 			return execOut{}, err
 		}
 		if in.sel.Count() == in.sel.Len() {
+			in.sel.Release()
 			return execOut{table: in.table, sel: ts}, nil
 		}
 		sel := in.sel.And(ts)
 		ts.Release()
+		in.sel.Release()
 		return execOut{table: in.table, sel: sel}, nil
 
 	case Derive:
@@ -165,6 +171,8 @@ func exec(n Node, cat Catalog) (execOut, error) {
 			return execOut{}, err
 		}
 		jt, err := dataset.HashJoin(lv, rv, node.LeftKey, node.RightKey, node.RightPrefix)
+		lv.Release()
+		rv.Release()
 		if err != nil {
 			return execOut{}, err
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -360,6 +362,59 @@ func TestRunGroupBy(t *testing.T) {
 	_, err = Run(Filter{Input: GroupBy{Input: Scan{Dataset: "fact"}, RowAttr: "region", ColAttr: "sku"}, Pred: pred}, cat)
 	if err == nil || !strings.Contains(err.Error(), "root") {
 		t.Fatalf("non-root group-by: %v, want a root-position error", err)
+	}
+}
+
+// TestRunGroupByArenaSteadyStateZeroFresh: group-by plans over a 1-entry
+// cache, their filters alternating, take no fresh selection after warm-up,
+// whether they count the filtered rows, a join of them, or them filtered
+// again on a derived column. Every node releases the selection it consumes
+// and the root the view it counts, so every evicted filter bitmap goes back
+// to the table's arena and the next compile draws it.
+func TestRunGroupByArenaSteadyStateZeroFresh(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts by design; zero-fresh cannot hold")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dim := dimTable(t)
+	preds := []dataset.Predicate{
+		dataset.Equals{Column: "region", Value: "north"},
+		dataset.GreaterThan{Column: "amount", Threshold: 250},
+	}
+	for _, shape := range []string{"filter", "join", "derive"} {
+		fact := factTable(t, 20000, 41)
+		arena := dataset.NewWordArena(fact.NumRows())
+		fact.SetArena(arena)
+		cache := dataset.NewSelectionCacheCap(fact, 1)
+		run := func(i int) {
+			var in Node = Filter{Input: TableScan{Table: fact, Cache: cache}, Pred: preds[i%len(preds)]}
+			switch shape {
+			case "join":
+				in = Join{Left: in, Right: TableScan{Table: dim}, LeftKey: "sku", RightKey: "sku", RightPrefix: "dim_"}
+			case "derive":
+				in = Derive{Input: in, Name: "band", Expr: dataset.Bucket{Arg: dataset.Col{Name: "amount"}, Width: 50}}
+				in = Filter{Input: in, Pred: dataset.GreaterThan{Column: "band", Threshold: 100}}
+			}
+			if _, err := Run(GroupBy{Input: in, RowAttr: "sku", ColAttr: "amount"}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			run(i) // warm the pool
+		}
+		before := arena.Stats()
+		for i := 0; i < 100; i++ {
+			run(i)
+		}
+		after := arena.Stats()
+		if after.FreshSelections != before.FreshSelections {
+			t.Errorf("%s: steady state allocated %d fresh selections, want 0 (stats: %+v)",
+				shape, after.FreshSelections-before.FreshSelections, after)
+		}
+		if _, _, misses := cache.Stats(); misses < 100 {
+			t.Errorf("%s: %d misses: the filters did not alternate through the 1-entry cache", shape, misses)
+		}
 	}
 }
 
