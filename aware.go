@@ -133,6 +133,10 @@ var (
 // step set.
 var ErrUnknownStep = core.ErrUnknownStep
 
+// ErrJoinFansOut is returned by HashJoin, and by Session.Apply for a
+// JoinDataset step, when a left row's key is held by more than one right row.
+var ErrJoinFansOut = dataset.ErrJoinFansOut
+
 // Data substrate re-exports.
 type (
 	// Table is an immutable columnar table.
@@ -215,8 +219,10 @@ var (
 	// NewWordArena builds a Selection word arena for tables of a fixed row
 	// count.
 	NewWordArena = dataset.NewWordArena
-	// HashJoin equi-joins two filtered views into a new table (build side
-	// chosen by exact bitmap cardinality, output in (left, right) row order).
+	// HashJoin equi-joins two filtered views into a new table as a keyed
+	// lookup: one row per left row whose key a right row holds, in left row
+	// order; a left key two or more right rows hold fails with
+	// ErrJoinFansOut.
 	HashJoin = dataset.HashJoin
 	// MarshalExpr serializes a computed-column expression to JSON.
 	MarshalExpr = dataset.MarshalExpr

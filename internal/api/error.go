@@ -33,6 +33,11 @@ const (
 	// CodeStepInvalid: the request body does not decode into a valid step (or
 	// endpoint-specific document) — malformed JSON, unknown op, bad predicate.
 	CodeStepInvalid ErrorCode = "step_invalid"
+	// CodeJoinFansOut: a join step names a key that two or more rows of the
+	// right dataset hold. The join would copy the session's rows, and every
+	// later test would count the copies as independent units, so it is
+	// refused and the session is unchanged.
+	CodeJoinFansOut ErrorCode = "join_fans_out"
 	// CodeBadRequest: any other client-shaped failure (bad path value, missing
 	// field, unparsable query parameter).
 	CodeBadRequest ErrorCode = "bad_request"

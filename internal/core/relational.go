@@ -11,7 +11,7 @@ import (
 // This file implements the relational steps: deriving computed columns,
 // joining a second registered dataset into the session, and group-by
 // hypotheses over arbitrary attribute pairs. All three compile into a logical
-// plan (internal/plan), so their filters push down into the cached, tuned
+// plan (internal/plan), so their filters resolve through the cached, tuned
 // Where kernels; like every other step they do all fallible work before
 // mutating session state.
 

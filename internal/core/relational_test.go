@@ -3,6 +3,9 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -331,5 +334,82 @@ func TestGoldenRelationalLogReplay(t *testing.T) {
 	}
 	if string(append(gotLog, '\n')) != string(rawLog) {
 		t.Error("replayed journal differs from the golden relational log")
+	}
+}
+
+// TestJoinKeepsGroupByPValuesValid holds a join step to the mFDR bound's
+// premise, a valid p-value. A fact table of 2,000 rows carries independent
+// attributes a (2 levels) and b (3 levels) and a key over 20 values; each of
+// 400 seeds joins it to a dimension and tests a against b by group-by. With
+// two dimension rows per key the join would copy every row, and the χ²
+// statistic with it, so every such join is refused, before the session
+// changes. With one row per key the null rejection rate at 0.05 stays within
+// three binomial standard errors of 0.05.
+func TestJoinKeepsGroupByPValuesValid(t *testing.T) {
+	const (
+		seeds = 400
+		rows  = 2000
+		keys  = 20
+		alpha = 0.05
+	)
+	keyNames := make([]string, keys)
+	for i := range keyNames {
+		keyNames[i] = fmt.Sprintf("k%02d", i)
+	}
+	dimension := func(perKey int) *dataset.Table {
+		var names, tags []string
+		for _, k := range keyNames {
+			for j := 0; j < perKey; j++ {
+				names = append(names, k)
+				tags = append(tags, fmt.Sprintf("t%d", j))
+			}
+		}
+		dim, err := dataset.NewTable(dataset.NewCategoricalColumn("name", names), dataset.NewCategoricalColumn("tag", tags))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dim
+	}
+	cat := &stepTestCatalog{tables: map[string]*dataset.Table{"unique": dimension(1), "doubled": dimension(2)}}
+	cat.caches = map[string]*dataset.SelectionCache{}
+	for name, tab := range cat.tables {
+		cat.caches[name] = dataset.NewSelectionCache(tab)
+	}
+	rejected := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b, k := make([]string, rows), make([]string, rows), make([]string, rows)
+		for i := range a {
+			a[i] = []string{"a0", "a1"}[rng.Intn(2)]
+			b[i] = []string{"b0", "b1", "b2"}[rng.Intn(3)]
+			k[i] = keyNames[rng.Intn(keys)]
+		}
+		fact, err := dataset.NewTable(dataset.NewCategoricalColumn("a", a), dataset.NewCategoricalColumn("b", b),
+			dataset.NewCategoricalColumn("key", k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSession(fact, Options{Catalog: cat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sess.Apply(JoinDataset{Dataset: "doubled", LeftKey: "key", RightKey: "name", Prefix: "d_"})
+		if !errors.Is(err, dataset.ErrJoinFansOut) {
+			t.Fatalf("seed %d: joining two rows per key = %v, want ErrJoinFansOut", seed, err)
+		}
+		if sess.Data() != fact || len(sess.Log()) != 0 {
+			t.Fatalf("seed %d: the refused join changed the session", seed)
+		}
+		mustApply(t, sess, JoinDataset{Dataset: "unique", LeftKey: "key", RightKey: "name", Prefix: "d_"})
+		if sess.Data().NumRows() != rows {
+			t.Fatalf("seed %d: joining one row per key kept %d of %d rows", seed, sess.Data().NumRows(), rows)
+		}
+		if mustApply(t, sess, GroupByHypothesis{RowAttr: "a", ColAttr: "b"}).Hypothesis.Test.PValue <= alpha {
+			rejected++
+		}
+	}
+	rate := float64(rejected) / seeds
+	if se := math.Sqrt(alpha * (1 - alpha) / seeds); math.Abs(rate-alpha) > 3*se {
+		t.Errorf("null P(p <= %v) = %.4f over %d seeds, want within %.4f of %v", alpha, rate, seeds, 3*se, alpha)
 	}
 }

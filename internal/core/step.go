@@ -86,10 +86,14 @@ type DeriveColumn struct {
 	Expr dataset.Expr
 }
 
-// JoinDataset hash equi-joins the session's table (left side) with a dataset
-// registered in the session's catalog (right side) on LeftKey = RightKey. The
-// session continues over the join result: left columns keep their names,
-// right columns are renamed Prefix+name. Requires Options.Catalog.
+// JoinDataset equi-joins the session's table (left side) with a dataset
+// registered in the session's catalog (right side) on LeftKey = RightKey, as
+// a lookup: each row whose key one right row holds gains that row's columns,
+// and rows whose key no right row holds drop. A key that two or more right
+// rows hold fails the step with dataset.ErrJoinFansOut, since the copies of
+// a row would count as independent units in every later test. The session
+// continues over the join result: left columns keep their names, right
+// columns are renamed Prefix+name. Requires Options.Catalog.
 type JoinDataset struct {
 	Dataset  string
 	LeftKey  string

@@ -142,15 +142,16 @@ func joinOccupations(tb testing.TB, left, right dataset.View) *dataset.Table {
 }
 
 // TestAllocsHashJoin pins the join of a filtered census view to the
-// occupation dimension, which gathers both sides. The count does not grow
-// with the fact side's rows.
+// occupation dimension, which gathers the selected census rows and draws the
+// dimension's columns through their occupation codes. The count does not
+// grow with the fact side's rows.
 func TestAllocsHashJoin(t *testing.T) {
 	left, err := allocsCensus(t, 30000).View(allocsFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	right := occupationDim(t)
-	pinAllocs(t, "HashJoin", 83, func() { joinOccupations(t, left, right) }) // measured 75 (191 with map postings)
+	pinAllocs(t, "HashJoin", 83, func() { joinOccupations(t, left, right) }) // measured 81
 }
 
 // TestAllocsHashJoinDimension pins the join of the full census view to the
@@ -174,7 +175,7 @@ func TestAllocsHashJoinDimension(t *testing.T) {
 		} else if joinedAge, _ := joined.Column(census.ColAge); joinedAge != age {
 			t.Fatalf("the join of the full census view gathered its columns")
 		}
-		pinAllocs(t, "HashJoin (dimension)", 57, func() { joinOccupations(t, left, right) }) // measured 52
+		pinAllocs(t, "HashJoin (dimension)", 55, func() { joinOccupations(t, left, right) }) // measured 50
 		counts = append(counts, testing.AllocsPerRun(5, func() { joinOccupations(t, left, right) }))
 	}
 	if counts[0] != counts[1] {
@@ -224,7 +225,7 @@ func BenchmarkDerive(b *testing.B) {
 // BenchmarkHashJoin times a JoinDataset step's kernel at the relational
 // workload's scale, 300k census rows joined to the 120-row occupation
 // dimension, on the default pool: the full view (the left columns are shared)
-// and a filtered one (both sides gathered).
+// and a filtered one (the selected left rows gathered).
 func BenchmarkHashJoin(b *testing.B) {
 	table, err := census.Generate(census.Config{Rows: 300_000, Seed: 1, SignalStrength: 1})
 	if err != nil {

@@ -527,8 +527,8 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 // parent's; every gathered column keeps its width and shares the parent's
 // dictionary — a Select of a few rows lists values none of its rows hold,
 // and must still answer from the rows it has — and the derived bucket column
-// is coded by the same rule at construction. The derived column and the
-// dimension join's right columns arrive with their exact code tallies.
+// is coded by the same rule at construction. The derived column and both
+// joins' right columns arrive with their exact code tallies.
 func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
 	parent, _, _ := encodingTable(rng, 5000, 90, false, false)
@@ -542,6 +542,7 @@ func TestByteEncodingCarriedExactlyWhereShared(t *testing.T) {
 		"shared join": all,
 	}, map[string][]string{
 		"derive":      {"i_bucket"},
+		"join":        {"dim_cat", "dim_rank"},
 		"shared join": {"dim_cat", "dim_rank"},
 	}, func(name string, tab *Table) {
 		requireEncodingExact(t, rng, name, tab)

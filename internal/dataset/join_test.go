@@ -5,19 +5,24 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// This file is the differential test bed for the hash equi-join: for
-// randomized table pairs over every joinable key type, filtered on both
-// sides, on sequential and parallel pools, HashJoin must produce a table
-// column-for-column identical to the nested-loop JoinOracle — including the
-// canonical (left, right)-ascending row order, whichever side builds — and
+// This file is the differential test bed for the equi-join: for randomized
+// table pairs over every joinable key type, filtered on both sides, on
+// sequential and parallel pools, HashJoin must produce a table column-for-
+// column identical to the nested-loop JoinOracle — one row per matched left
+// row, in left row order — refuse exactly the joins the oracle refuses, and
 // share the left table's columns exactly when the output is that table.
 
 // JoinOracle is the nested-loop differential reference: every (left, right)
 // row pair is compared through the row-at-a-time value accessors, with no
-// hashing, no dictionary-code translation, no parallelism and no sharing.
+// hashing, no dictionary-code translation, no parallelism and no sharing. A
+// selected left row with more than one selected right match refuses the join
+// with ErrJoinFansOut.
 func JoinOracle(left, right View, leftKey, rightKey, rightPrefix string) (*Table, error) {
 	lc, rc, err := joinKeyColumns(left, right, leftKey, rightKey)
 	if err != nil {
@@ -29,6 +34,7 @@ func JoinOracle(left, right View, leftKey, rightKey, rightPrefix string) (*Table
 	var lidx, ridx []int32
 	var cmpErr error
 	left.sel.ForEach(func(lrow int) {
+		matches := 0
 		right.sel.ForEach(func(rrow int) {
 			if cmpErr != nil {
 				return
@@ -39,15 +45,28 @@ func JoinOracle(left, right View, leftKey, rightKey, rightPrefix string) (*Table
 				return
 			}
 			if eq {
-				lidx = append(lidx, int32(lrow))
-				ridx = append(ridx, int32(rrow))
+				if matches == 0 {
+					lidx = append(lidx, int32(lrow))
+					ridx = append(ridx, int32(rrow))
+				}
+				matches++
 			}
 		})
+		if matches > 1 && cmpErr == nil {
+			cmpErr = fmt.Errorf("%w: left row %d matches %d right rows", ErrJoinFansOut, lrow, matches)
+		}
 	})
 	if cmpErr != nil {
 		return nil, cmpErr
 	}
-	return materializeJoin(left.table, right.table, lidx, ridx, nil, rightPrefix)
+	cols := make([]*Column, 0, len(left.table.columns)+len(right.table.columns))
+	for _, c := range left.table.columns {
+		cols = append(cols, gather(c.phys, lidx, c.Name))
+	}
+	for _, c := range right.table.columns {
+		cols = append(cols, gather(c.phys, ridx, rightPrefix+c.Name))
+	}
+	return NewTable(cols...)
 }
 
 // joinKeyEqual compares one key pair through the generic value accessors.
@@ -239,53 +258,81 @@ func withWideKey(rng *rand.Rand, tab *Table, n int) *Table {
 	return out
 }
 
-// sharesProbeSide reports whether joining lv to rv on "key" outputs lv's
-// table itself: the left side probes, selects every row of a non-empty table,
-// and every row matches exactly one selected right row.
-func sharesProbeSide(lv, rv View) bool {
-	lc, rc, err := joinKeyColumns(lv, rv, "key", "key")
-	if err != nil || !lv.full() || lv.sel.n == 0 || rv.sel.Count() > lv.sel.Count() {
-		return false
-	}
-	for lrow := 0; lrow < lv.sel.n; lrow++ {
-		matches := 0
-		rv.sel.ForEach(func(rrow int) {
-			if eq, _ := joinKeyEqual(lc, lrow, rc, rrow); eq {
-				matches++
+// fanOuts renders, for every key a selected row of lv holds and two or more
+// selected rows of rv hold, the clause a refusal names it by: the key column,
+// the key (quoted unless an int) and its multiplicity.
+func fanOuts(lv, rv View) map[string]bool {
+	lc, _ := lv.table.Column("key")
+	rc, _ := rv.table.Column("key")
+	held := map[string]int{}
+	rv.sel.ForEach(func(row int) { held[keyString(rc, row)]++ })
+	out := map[string]bool{}
+	lv.sel.ForEach(func(row int) {
+		k := keyString(lc, row)
+		if n := held[k]; n > 1 {
+			if lc.Type != Int64 {
+				k = strconv.Quote(k)
 			}
-		})
-		if matches != 1 {
-			return false
+			out[fmt.Sprintf("key %s is held by %d right rows", k, n)] = true
 		}
-	}
-	return true
+	})
+	return out
 }
 
-// requireJoinMatchesOracle joins lv to rv on "key" and requires HashJoin to
-// equal JoinOracle cell for cell and to hold the left table's own columns
-// exactly when its output is that table (sharesProbeSide), every one of them
-// or none. It returns whether the columns were shared.
-func requireJoinMatchesOracle(t *testing.T, label string, lv, rv View) (shared bool) {
+// requireJoinMatchesOracle joins lv to rv on "key". HashJoin must refuse with
+// ErrJoinFansOut exactly when JoinOracle does, naming a key that fans out and
+// its multiplicity. Otherwise it must equal the oracle cell for cell, the
+// right columns that arrive with tallies must hold exactly those, and it must
+// hold the left table's own columns, every one of them, exactly when its
+// output is that table: every row selected and matched. It returns
+// "refused", "shared" or "gathered".
+func requireJoinMatchesOracle(t *testing.T, label string, lv, rv View) string {
 	t.Helper()
-	want, err := JoinOracle(lv, rv, "key", "key", "r_")
-	if err != nil {
-		t.Fatalf("%s: oracle: %v", label, err)
-	}
+	want, oracleErr := JoinOracle(lv, rv, "key", "key", "r_")
 	got, err := HashJoin(lv, rv, "key", "key", "r_")
+	if oracleErr != nil {
+		if !errors.Is(oracleErr, ErrJoinFansOut) {
+			t.Fatalf("%s: oracle: %v", label, oracleErr)
+		}
+		if !errors.Is(err, ErrJoinFansOut) {
+			t.Fatalf("%s: hash join = %v, want ErrJoinFansOut (%v)", label, err, oracleErr)
+		}
+		clauses := fanOuts(lv, rv)
+		named := err.Error()[strings.LastIndex(err.Error(), ": ")+2:]
+		if !clauses[named] {
+			t.Fatalf("%s: refusal %q names no key that fans out (%v)", label, err, clauses)
+		}
+		return "refused"
+	}
 	if err != nil {
 		t.Fatalf("%s: hash join: %v", label, err)
 	}
 	requireTablesEqual(t, label, got, want)
-	shared = got.columns[0] == lv.table.columns[0]
+	for _, c := range got.columns[len(lv.table.columns):] {
+		if c.ref.codes == nil {
+			continue // a wide right column the gather stored coded: tallied on first use
+		}
+		fresh := make([]int, c.dictLen())
+		for row := 0; row < c.Len(); row++ {
+			fresh[c.code(row)]++
+		}
+		if !slices.Equal(c.ref.codes, fresh) {
+			t.Fatalf("%s: right column %s arrived with tallies %v, its rows hold %v", label, c.Name, c.ref.codes, fresh)
+		}
+	}
+	shared := got.columns[0] == lv.table.columns[0]
 	for i, c := range lv.table.columns {
 		if (got.columns[i] == c) != shared {
 			t.Fatalf("%s: left column %s shared = %v, column %s shared = %v", label, c.Name, !shared, lv.table.columns[0].Name, shared)
 		}
 	}
-	if wantShared := sharesProbeSide(lv, rv); shared != wantShared {
+	if wantShared := lv.full() && want.NumRows() == lv.sel.n; shared != wantShared {
 		t.Fatalf("%s: left columns shared = %v, want %v", label, shared, wantShared)
 	}
-	return shared
+	if shared {
+		return "shared"
+	}
+	return "gathered"
 }
 
 // requireTablesEqual compares two tables cell for cell through the typed
@@ -326,9 +373,11 @@ func requireTablesEqual(t *testing.T, label string, a, b *Table) {
 	}
 }
 
-// TestHashJoinMatchesOracleRandomized is the join property test: random table
-// pairs (sizes chosen so both build directions occur), every key type, random
-// side filters, pools of 1, 2 and 8 workers.
+// TestHashJoinMatchesOracleRandomized is the join property test: every key
+// type, random side filters, pools of 1, 2 and 8 workers. Half the seeds join
+// two random sides, which repeat their keys and so mostly fan out; the other
+// half join a dimension over the left side's keys, one key sometimes dropped
+// or repeated, which the right side's filter may leave out again.
 func TestHashJoinMatchesOracleRandomized(t *testing.T) {
 	pools := []*Pool{NewPool(1), NewPool(2), NewPool(8)}
 	for _, p := range pools {
@@ -338,11 +387,11 @@ func TestHashJoinMatchesOracleRandomized(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		keyType := []ColumnType{Categorical, Int64, Bool}[rng.Intn(3)]
 		leftRows, rightRows := 1+rng.Intn(300), 1+rng.Intn(40)
-		if rng.Intn(2) == 0 {
-			leftRows, rightRows = rightRows, leftRows // flip which side builds
-		}
 		left := randomKeyedTable(rng, leftRows, keyType, "l")
 		right := randomKeyedTable(rng, rightRows, keyType, "r")
+		if seed%2 == 1 {
+			right = dimensionTable(rng, left, rng.Intn(2) == 0, rng.Intn(2) == 0)
+		}
 		lv, rv := sideView(t, rng, left, "l"), sideView(t, rng, right, "r")
 		for _, p := range pools {
 			left.SetPool(p)
@@ -354,14 +403,15 @@ func TestHashJoinMatchesOracleRandomized(t *testing.T) {
 }
 
 // TestHashJoinMatchesOracleAtScale crosses the morsel boundary: a 200k-row
-// probe side against a small dimension, sequential and parallel.
+// left side, filtered, against a small dimension that lacks one of its keys,
+// sequential and parallel.
 func TestHashJoinMatchesOracleAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200k-row join in -short mode")
 	}
 	rng := rand.New(rand.NewSource(7))
 	left := randomKeyedTable(rng, 200000, Categorical, "l")
-	right := randomKeyedTable(rng, 12, Categorical, "r")
+	right := dimensionTable(rng, left, true, false)
 	lv := sideView(t, rng, left, "l")
 	rv, err := NewView(right, FullSelection(right.NumRows()))
 	if err != nil {
@@ -370,7 +420,9 @@ func TestHashJoinMatchesOracleAtScale(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		p := NewPool(workers)
 		left.SetPool(p)
-		requireJoinMatchesOracle(t, fmt.Sprintf("%d workers", workers), lv, rv)
+		if got := requireJoinMatchesOracle(t, fmt.Sprintf("%d workers", workers), lv, rv); got != "gathered" {
+			t.Fatalf("%d workers: the join was %s, want gathered", workers, got)
+		}
 		p.Close()
 	}
 }
@@ -378,8 +430,10 @@ func TestHashJoinMatchesOracleAtScale(t *testing.T) {
 // TestHashJoinSharesOnlyTheDimensionShape: a full left view joined to a
 // unique-key dimension that covers every left value outputs the left table
 // itself, so the result holds the left table's own columns, on every key type
-// and pool. Each condition that breaks the shape gathers instead. Every case
-// equals the oracle cell for cell.
+// and pool, however few left rows there are. A filtered left view or an
+// unmatched left value gathers instead, and a key a left row holds twice on
+// the right refuses the join; a repeated right key no left row holds does
+// not. Every case agrees with the oracle.
 func TestHashJoinSharesOnlyTheDimensionShape(t *testing.T) {
 	pools := []*Pool{NewPool(1), NewPool(2), NewPool(8)}
 	for _, p := range pools {
@@ -407,34 +461,34 @@ func TestHashJoinSharesOnlyTheDimensionShape(t *testing.T) {
 		type shapeCase struct {
 			name        string
 			left, right View
-			shared      bool
+			want        string
 		}
 		unmatchedLeft, unmatchedDim := absentKeyDimension(rng, left, false)
 		dupLeft, dupDim := absentKeyDimension(rng, left, true)
 		cases := []shapeCase{
-			{"dimension", view(left, nil), view(dim, nil), true},
-			{"filtered left", view(left, tagged), view(dim, nil), false},
-			{"unmatched left value", view(left, nil), view(dimensionTable(rng, left, true, false), nil), false},
-			{"duplicated build key", view(left, nil), view(dimensionTable(rng, left, false, true), nil), false},
-			{"build left", view(single, nil), view(dim, nil), false},
-			{"empty result", view(left, nil), view(dim, EmptySelection(dim.NumRows())), false},
-			{"gathered left, absent value unmatched", view(unmatchedLeft, nil), view(unmatchedDim, nil), true},
-			{"gathered left, absent value duplicated", view(dupLeft, nil), view(dupDim, nil), true},
+			{"dimension", view(left, nil), view(dim, nil), "shared"},
+			{"filtered left", view(left, tagged), view(dim, nil), "gathered"},
+			{"unmatched left value", view(left, nil), view(dimensionTable(rng, left, true, false), nil), "gathered"},
+			{"duplicated right key", view(left, nil), view(dimensionTable(rng, left, false, true), nil), "refused"},
+			{"one left row", view(single, nil), view(dim, nil), "shared"},
+			{"empty result", view(left, nil), view(dim, EmptySelection(dim.NumRows())), "gathered"},
+			{"gathered left, absent value unmatched", view(unmatchedLeft, nil), view(unmatchedDim, nil), "shared"},
+			{"gathered left, absent value duplicated", view(dupLeft, nil), view(dupDim, nil), "shared"},
 		}
 		if keyType == Categorical {
 			wideLeft := withWideKey(rng, randomKeyedTable(rng, 700, keyType, "l"), 300)
 			if key, _ := wideLeft.Column("key"); key.width != 2 {
 				t.Fatalf("a 300-value key is stored in %d-byte codes", key.width)
 			}
-			cases = append(cases, shapeCase{"u16 key", view(wideLeft, nil), view(dimensionTable(rng, wideLeft, false, false), nil), true})
+			cases = append(cases, shapeCase{"u16 key", view(wideLeft, nil), view(dimensionTable(rng, wideLeft, false, false), nil), "shared"})
 		}
 		for _, tc := range cases {
 			for _, p := range pools {
 				tc.left.table.SetPool(p)
 				tc.right.table.SetPool(p)
 				label := fmt.Sprintf("%v key, %s, %d workers", keyType, tc.name, p.workers)
-				if shared := requireJoinMatchesOracle(t, label, tc.left, tc.right); shared != tc.shared {
-					t.Fatalf("%s: left columns shared = %v, want %v", label, shared, tc.shared)
+				if got := requireJoinMatchesOracle(t, label, tc.left, tc.right); got != tc.want {
+					t.Fatalf("%s: the join was %s, want %s", label, got, tc.want)
 				}
 			}
 		}
@@ -484,14 +538,16 @@ func TestJoinErrors(t *testing.T) {
 
 // FuzzJoinOracle is the CI fuzz smoke target: arbitrary shapes and seeds must
 // never make the hash join diverge from the nested-loop oracle (or crash),
-// nor share columns where it must gather. An even shape joins two random
-// sides; an odd one joins the full left side to a unique-key dimension over
+// refuse where the oracle joins or join where it refuses, nor share columns
+// where it must gather. An even shape joins two random sides, which mostly
+// fan out; an odd one joins the full left side to a unique-key dimension over
 // its key values (the shared path), which shape bit 1 breaks by dropping one
-// key, bit 2 by duplicating one and bit 3 by filtering the left side. Bit 4
-// gathers the left side without the rows of one key value, which the
-// dimension then lacks or (bit 2) holds twice; the join still shares. Bit 5
-// gives a categorical left side a key of up to 300 values, two-byte codes
-// past 256 rows.
+// key, bit 2 by duplicating one (a refusal) and bit 3 by filtering the left
+// side. Bit 4 gathers the left side without the rows of one key value, which
+// the dimension then lacks or (bit 2) holds twice; the join still shares. Bit
+// 5 gives a categorical left side a key of up to 300 values, two-byte codes
+// past 256 rows, and bit 6 filters the dimension, which may leave out a
+// duplicated key's copy or a key's only row.
 func FuzzJoinOracle(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint16(5), uint8(0), uint8(0))
 	f.Add(int64(2), uint16(1), uint16(1), uint8(1), uint8(0))
@@ -508,6 +564,10 @@ func FuzzJoinOracle(f *testing.F) {
 	f.Add(int64(13), uint16(399), uint16(0), uint8(2), uint8(17))
 	f.Add(int64(14), uint16(350), uint16(0), uint8(0), uint8(33))
 	f.Add(int64(15), uint16(350), uint16(0), uint8(0), uint8(53))
+	f.Add(int64(16), uint16(120), uint16(0), uint8(1), uint8(5))
+	f.Add(int64(17), uint16(250), uint16(0), uint8(0), uint8(21))
+	f.Add(int64(18), uint16(250), uint16(0), uint8(1), uint8(69))
+	f.Add(int64(19), uint16(300), uint16(0), uint8(0), uint8(67))
 	f.Fuzz(func(t *testing.T, seed int64, leftRows, rightRows uint16, keyKind, shape uint8) {
 		lr := 1 + int(leftRows)%400
 		rr := 1 + int(rightRows)%400
@@ -533,6 +593,9 @@ func FuzzJoinOracle(f *testing.F) {
 				lv = sideView(t, rng, left, "l")
 			}
 			rv, _ = dim.View(nil)
+			if shape&64 != 0 {
+				rv = sideView(t, rng, dim, "r")
+			}
 		}
 		requireJoinMatchesOracle(t, fmt.Sprintf("seed %d %v %dx%d shape %d", seed, keyType, lr, rr, shape), lv, rv)
 	})

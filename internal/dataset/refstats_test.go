@@ -175,9 +175,9 @@ func TestRefStatsMatchFreshRecomputation(t *testing.T) {
 
 // deriveEveryWay derives tables from parent every way the package can:
 // Select (a duplicated row included), Shuffle of the named columns, Derive of
-// a bucket over a numeric column, both hold-out halves, a join of a filtered
-// left side (gathered) and a join of the full parent against a unique-key
-// dimension over its categorical column key (shared).
+// a bucket over a numeric column, both hold-out halves, and two joins against
+// a unique-key dimension over its categorical column key: one of a filtered
+// left side (gathered), one of the full parent (shared).
 func deriveEveryWay(t *testing.T, rng *rand.Rand, parent *Table, shuffle []string, numeric, key string) map[string]*Table {
 	t.Helper()
 	derived := map[string]*Table{}
@@ -194,17 +194,6 @@ func deriveEveryWay(t *testing.T, rng *rand.Rand, parent *Table, shuffle []strin
 	if derived["explore"], derived["holdout"], err = parent.Split(rng, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	left, err := parent.View(GreaterThan{Column: numeric, Threshold: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := derived["select"].View(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derived["join"], err = HashJoin(left, right, key, key, "r_"); err != nil {
-		t.Fatal(err)
-	}
 	keys, _ := parent.Column(key)
 	ranks := make([]int64, len(keys.dict))
 	for i := range ranks {
@@ -214,8 +203,15 @@ func deriveEveryWay(t *testing.T, rng *rand.Rand, parent *Table, shuffle []strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _ := parent.View(nil)
 	dimView, _ := dim.View(nil)
+	left, err := parent.View(GreaterThan{Column: numeric, Threshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derived["join"], err = HashJoin(left, dimView, key, key, "dim_"); err != nil {
+		t.Fatal(err)
+	}
+	full, _ := parent.View(nil)
 	if derived["shared join"], err = HashJoin(full, dimView, key, key, "dim_"); err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +275,8 @@ func requireMemoCarriedWhereShared(t *testing.T, parent *Table, derived map[stri
 // side) shares its memo and runs no new scan for it; every gathered column
 // (Select, Split, a gathered join, a shuffled column) computes its own
 // answers — a Select of a few rows loses categories its parent has — and the
-// derived column and the dimension join's right columns arrive with exact
-// code tallies but no binning.
+// derived column and both joins' right columns arrive with exact code
+// tallies but no binning.
 func TestRefStatsCarriedExactlyWhereShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1502))
 	parent := kernelTable(rng, 5000)
@@ -310,6 +306,7 @@ func TestRefStatsCarriedExactlyWhereShared(t *testing.T) {
 		"shared join": all,
 	}, map[string][]string{
 		"derive":      {"level_bucket"},
+		"join":        {"dim_cat", "dim_rank"},
 		"shared join": {"dim_cat", "dim_rank"},
 	}, func(name string, tab *Table) {
 		requireRefStatsFresh(t, name, tab, split)

@@ -298,7 +298,7 @@ func gatherRows[T any, I rowIndex](rows []T, indices []I) []T {
 
 // Table is an immutable-by-convention collection of equal-length columns.
 // Tables derived without moving rows (Derive, Shuffle's untouched columns, a
-// join that keeps its probe side) share the parent's *Column values, and with
+// join that keeps every left row) share the parent's *Column values, and with
 // them the columns' reference-statistics memos.
 type Table struct {
 	columns []*Column
@@ -348,7 +348,7 @@ func (t *Table) execPool() *Pool {
 //
 // Population statistics are a property of a column's values, so the memo
 // lives on the Column: every table that holds the same *Column (Derive,
-// Shuffle's untouched columns, a join that keeps its probe side) reads and
+// Shuffle's untouched columns, a join that keeps every left row) reads and
 // fills one memo, and a column built by gathering rows (Select, Split, a
 // gathered join, a shuffled column) starts empty. Entries are computed
 // outside the lock; when two goroutines race on first use both scan and the

@@ -1,15 +1,15 @@
 // Package plan is the relational query layer between the session engine and
 // the columnar kernels: session steps compile into a small logical plan
-// (scan → filter → derive → join → group-by), the optimizer pushes filter
-// predicates down to the scans that own their columns, and execution resolves
-// every scan-level filter through the dataset's SelectionCache so a repeated
-// predicate reuses its compiled bitmap instead of rescanning.
+// (scan → filter → derive → join → group-by), the optimizer merges stacked
+// filters, and execution resolves every scan-level filter through the
+// dataset's SelectionCache so a repeated predicate reuses its compiled bitmap
+// instead of rescanning.
 //
 // The plan is deliberately tiny — AWARE's exploration steps only ever need
 // these five shapes — but it gives every step one shared contract: predicates
-// run through the tuned Where kernels at the lowest possible node, joins pick
-// their build side from exact bitmap cardinalities, and a group-by feeds one
-// contingency table into the core evaluation layer.
+// run through the tuned Where kernels, a join is a keyed lookup that refuses
+// to repeat a row, and a group-by feeds one contingency table into the core
+// evaluation layer.
 package plan
 
 import "aware/internal/dataset"
@@ -43,8 +43,8 @@ type TableScan struct {
 }
 
 // Filter restricts its input to the rows matching Pred (nil keeps every row).
-// The optimizer merges adjacent filters into one conjunction and pushes
-// conjuncts through joins and derives to the scan that owns their columns.
+// The optimizer merges adjacent filters into one conjunction; it moves no
+// filter across a Join or a Derive.
 type Filter struct {
 	Input Node
 	Pred  dataset.Predicate
@@ -58,9 +58,11 @@ type Derive struct {
 	Expr  dataset.Expr
 }
 
-// Join hash equi-joins two inputs on LeftKey = RightKey. The output holds
-// every left column under its own name and every right column renamed
-// RightPrefix+name, one row per matching pair in (left, right) row order.
+// Join equi-joins two inputs on LeftKey = RightKey as a keyed lookup (see
+// dataset.HashJoin): one output row per left row whose key a right row holds,
+// in left row order, holding every left column under its own name and every
+// right column renamed RightPrefix+name. A left key that two or more right
+// rows hold fails the join with dataset.ErrJoinFansOut.
 type Join struct {
 	Left        Node
 	Right       Node

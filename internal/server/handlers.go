@@ -108,6 +108,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		status, code = http.StatusConflict, api.CodeWealthExhausted
 	case errors.Is(err, core.ErrUnknownStep), errors.Is(err, errInvalidBody):
 		code = api.CodeStepInvalid
+	case errors.Is(err, dataset.ErrJoinFansOut):
+		code = api.CodeJoinFansOut
 	case errors.Is(err, ErrJournal):
 		// The step was applied but could not be made durable.
 		status, code = http.StatusInternalServerError, api.CodeJournalFailed

@@ -1,12 +1,23 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"aware/internal/api"
 	"aware/internal/census"
+	"aware/internal/client"
 	"aware/internal/core"
 	"aware/internal/dataset"
 )
@@ -19,22 +30,31 @@ import (
 // occupation names under "occupations".
 func registerOccupationDim(t *testing.T, s *Server) {
 	t.Helper()
-	n := len(census.Occupations)
-	sectors := make([]string, n)
-	pay := make([]float64, n)
-	for i := range census.Occupations {
-		sectors[i] = []string{"public", "private"}[i%2]
-		pay[i] = 30000 + float64(i)*5000
+	registerOccupations(t, s, "occupations", 1)
+}
+
+// registerOccupations registers under name a dimension that holds every
+// census occupation perKey times, each row with a sector and a median pay.
+func registerOccupations(t *testing.T, s *Server, name string, perKey int) {
+	t.Helper()
+	var occupations, sectors []string
+	var pay []float64
+	for rep := 0; rep < perKey; rep++ {
+		for i, occ := range census.Occupations {
+			occupations = append(occupations, occ)
+			sectors = append(sectors, []string{"public", "private"}[(i+rep)%2])
+			pay = append(pay, 30000+float64(i)*5000+float64(rep)*100)
+		}
 	}
 	dim, err := dataset.NewTable(
-		dataset.NewCategoricalColumn("occupation", census.Occupations),
+		dataset.NewCategoricalColumn("occupation", occupations),
 		dataset.NewCategoricalColumn("sector", sectors),
 		dataset.NewFloatColumn("median_pay", pay),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Registry().Register("occupations", dim); err != nil {
+	if err := s.Registry().Register(name, dim); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -213,4 +233,125 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 	wantStatus(t, doJSON(t, http.MethodPost, base2+"/groupby", map[string]any{
 		"row": "dim_sector", "col": "gender",
 	}, nil), http.StatusCreated)
+}
+
+// fanOutJoin is a join of the census session to a dimension that holds every
+// occupation twice.
+var fanOutJoin = api.JoinRequest{Dataset: "occupations_doubled", LeftKey: "occupation", RightKey: "occupation", Prefix: "dim_"}
+
+// TestJoinFanOutRefusedOverHTTP sends a join whose right key repeats through
+// POST /steps and through /join. Both answer 400 with the join_fans_out
+// envelope, naming the key and its multiplicity, the typed client returns an
+// *api.Error with that code, and the session's log and gauge are unchanged.
+func TestJoinFanOutRefusedOverHTTP(t *testing.T) {
+	s, ts := newTestServer(t)
+	registerOccupations(t, s, "occupations_doubled", 2)
+	var info SessionInfo
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+		"target": "gender", "predicate": json.RawMessage(highEarners),
+	}, nil), http.StatusCreated)
+	read := func(path string) []byte {
+		resp := doJSON(t, http.MethodGet, base+path, nil, nil)
+		wantStatus(t, resp, http.StatusOK)
+		raw, _ := io.ReadAll(resp.Body)
+		return raw
+	}
+	gaugeBefore, logBefore := read("/gauge"), read("/log")
+
+	step, err := json.Marshal(map[string]any{"op": "join_dataset", "dataset": fanOutJoin.Dataset,
+		"left_key": fanOutJoin.LeftKey, "right_key": fanOutJoin.RightKey, "prefix": fanOutJoin.Prefix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/steps", "/join"} {
+		body := string(step)
+		if path == "/join" {
+			raw, _ := json.Marshal(fanOutJoin)
+			body = string(raw)
+		}
+		checkErrorResponse(t, http.MethodPost, base+path, body, http.StatusBadRequest, api.CodeJoinFansOut)
+	}
+
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	_, stepErr := c.ApplyRawStep(ctx, info.ID, step)
+	_, joinErr := c.Join(ctx, info.ID, fanOutJoin)
+	for name, err := range map[string]error{"steps": stepErr, "join": joinErr} {
+		var apiErr *api.Error
+		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeJoinFansOut || apiErr.Status != http.StatusBadRequest {
+			t.Fatalf("client %s: %v, want an *api.Error with code %s", name, err, api.CodeJoinFansOut)
+		}
+		if !strings.Contains(apiErr.Message, "occupation \"") || !strings.Contains(apiErr.Message, "held by 2 right rows") {
+			t.Errorf("client %s: message %q names no key and multiplicity", name, apiErr.Message)
+		}
+	}
+
+	if gauge := read("/gauge"); !bytes.Equal(gauge, gaugeBefore) {
+		t.Errorf("the refused joins changed the gauge:\nbefore: %s\nafter:  %s", gaugeBefore, gauge)
+	}
+	if log := read("/log"); !bytes.Equal(log, logBefore) {
+		t.Errorf("the refused joins changed the log:\nbefore: %s\nafter:  %s", logBefore, log)
+	}
+}
+
+// TestRestoreSkipsJournalWhoseJoinFansOut restores a journal directory whose
+// first session joined "occupations" while its key was unique. The restarted
+// daemon registers an "occupations" that holds every key twice, so that
+// journal's join fans out on replay: RestoreSessions skips it with a warning
+// that carries the error and leaves it on disk, and restores the second,
+// valid journal.
+func TestRestoreSkipsJournalWhoseJoinFansOut(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newJournaledServer(t, dir)
+	registerOccupationDim(t, s1)
+	var joined, plain SessionInfo
+	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &joined), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/join", ts1.URL, joined.ID), map[string]any{
+		"dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
+	}, nil), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &plain), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/visualizations", ts1.URL, plain.ID), map[string]any{
+		"target": "gender", "predicate": json.RawMessage(highEarners),
+	}, nil), http.StatusCreated)
+
+	var logs bytes.Buffer
+	s2, err := New(Config{Logger: slog.New(slog.NewJSONHandler(&logs, nil)), JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Close)
+	table, err := census.Generate(census.Config{Rows: 2000, Seed: 7, SignalStrength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Registry().Register("census", table); err != nil {
+		t.Fatal(err)
+	}
+	registerOccupations(t, s2, "occupations", 2)
+	restored, err := s2.RestoreSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != 1 {
+		t.Fatalf("restored %d sessions, want 1", restored)
+	}
+	warned := false
+	for _, line := range logLines(t, &logs) {
+		if line["level"] == "WARN" && line["id"] == float64(joined.ID) {
+			msg, _ := line["err"].(string)
+			warned = strings.Contains(msg, dataset.ErrJoinFansOut.Error())
+		}
+	}
+	if !warned {
+		t.Errorf("no warning carries the refused join of session %d:\n%s", joined.ID, logs.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("session-%d.jsonl", joined.ID))); err != nil {
+		t.Errorf("the skipped journal is gone: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(ts2.Close)
+	wantStatus(t, doJSON(t, http.MethodGet, fmt.Sprintf("%s/v1/sessions/%d/gauge", ts2.URL, plain.ID), nil, nil), http.StatusOK)
+	wantStatus(t, doJSON(t, http.MethodGet, fmt.Sprintf("%s/v1/sessions/%d/gauge", ts2.URL, joined.ID), nil, nil), http.StatusNotFound)
 }
