@@ -1,9 +1,11 @@
 // Package api is the versioned wire contract of the awared HTTP API: the /v1
 // route prefix, the JSON error envelope with its machine-readable codes, the
-// node-identity header, and the request/response document types of every v1
-// endpoint. The server (internal/server), the typed client (internal/client)
-// and the cluster router (internal/cluster) all compile against this one
-// package, so the API surface and its consumers cannot drift apart silently.
+// node-identity header, the request/response document types of every v1
+// endpoint, and the typed step forms internal/client sends to
+// POST /v1/sessions/{id}/steps. The server (internal/server), the typed
+// client (internal/client) and the cluster router (internal/cluster) all
+// compile against this one package, so the API surface and its consumers
+// cannot drift apart silently.
 package api
 
 import (
@@ -168,8 +170,8 @@ type LogResponse struct {
 	Steps []core.AppliedStep `json:"steps"`
 }
 
-// CreateVisualizationRequest is the POST /v1/sessions/{id}/visualizations
-// body.
+// CreateVisualizationRequest is the typed form of the add_visualization step
+// that client.CreateVisualization sends to POST /v1/sessions/{id}/steps.
 type CreateVisualizationRequest struct {
 	// Target is the visualized attribute.
 	Target string `json:"target"`
@@ -179,7 +181,7 @@ type CreateVisualizationRequest struct {
 	Predicate json.RawMessage `json:"predicate,omitempty"`
 }
 
-// CreateVisualizationResponse is its response document.
+// CreateVisualizationResponse is client.CreateVisualization's result.
 type CreateVisualizationResponse struct {
 	Visualization Visualization `json:"visualization"`
 	// Hypothesis is the auto-created rule-2 hypothesis, or null for an
@@ -188,24 +190,29 @@ type CreateVisualizationResponse struct {
 	RemainingWealth float64           `json:"remaining_wealth"`
 }
 
-// CompareRequest is the POST /v1/sessions/{id}/compare body.
+// CompareRequest is the typed form of the compare_visualizations,
+// compare_means and compare_distributions steps that client.Compare sends.
 type CompareRequest struct {
 	// A and B are the visualization IDs to compare (rule 3).
 	A int `json:"a"`
 	B int `json:"b"`
-	// MeansOf switches to an explicit Welch t-test on this numeric attribute.
+	// MeansOf switches to compare_means: an explicit Welch t-test on this
+	// numeric attribute.
 	MeansOf string `json:"means_of,omitempty"`
-	// DistributionsOf switches to a two-sample Kolmogorov–Smirnov test.
+	// DistributionsOf switches to compare_distributions: a two-sample
+	// Kolmogorov–Smirnov test. It excludes MeansOf.
 	DistributionsOf string `json:"distributions_of,omitempty"`
 }
 
-// HypothesisResponse wraps one tracked hypothesis plus the session's wealth.
+// HypothesisResponse wraps one tracked hypothesis plus the session's wealth:
+// client.Compare's and client.GroupBy's result.
 type HypothesisResponse struct {
 	Hypothesis      core.ReportEntry `json:"hypothesis"`
 	RemainingWealth float64          `json:"remaining_wealth"`
 }
 
-// DeriveRequest is the POST /v1/sessions/{id}/derive body.
+// DeriveRequest is the typed form of the derive_column step that
+// client.Derive sends.
 type DeriveRequest struct {
 	// Name is the new column's name.
 	Name string `json:"name"`
@@ -214,7 +221,8 @@ type DeriveRequest struct {
 	Expression json.RawMessage `json:"expression"`
 }
 
-// JoinRequest is the POST /v1/sessions/{id}/join body.
+// JoinRequest is the typed form of the join_dataset step that client.Join
+// sends.
 type JoinRequest struct {
 	// Dataset is the registered dataset to join with (the right side).
 	Dataset string `json:"dataset"`
@@ -226,7 +234,8 @@ type JoinRequest struct {
 	Prefix string `json:"prefix,omitempty"`
 }
 
-// GroupByRequest is the POST /v1/sessions/{id}/groupby body.
+// GroupByRequest is the typed form of the group_by step that client.GroupBy
+// sends.
 type GroupByRequest struct {
 	// Row and Col are the two attributes whose contingency table is tested.
 	Row string `json:"row"`
@@ -236,12 +245,8 @@ type GroupByRequest struct {
 	Predicate json.RawMessage `json:"predicate,omitempty"`
 }
 
-// StarRequest is the POST /v1/sessions/{id}/hypotheses/{hid}/star body.
-type StarRequest struct {
-	Starred bool `json:"starred"`
-}
-
-// StarResponse echoes the starred state back.
+// StarResponse is client.Star's result: the star step's hypothesis and
+// state.
 type StarResponse struct {
 	ID      int  `json:"id"`
 	Starred bool `json:"starred"`

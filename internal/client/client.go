@@ -204,9 +204,24 @@ func (c *Client) RestoreSession(ctx context.Context, id int64, req api.RestoreSe
 
 // ApplyRawStep applies one step already in the core step wire format.
 func (c *Client) ApplyRawStep(ctx context.Context, id int64, step json.RawMessage) (api.StepResponse, error) {
+	return c.step(ctx, id, step)
+}
+
+// step posts one step document to POST /v1/sessions/{id}/steps, the one route
+// that applies a step. The typed calls below build their documents in the
+// core step wire format, so each journals exactly what ApplyRawStep would.
+func (c *Client) step(ctx context.Context, id int64, step any) (api.StepResponse, error) {
 	var out api.StepResponse
 	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/steps", sessionPath(id, "/steps"), step, &out)
 	return out, err
+}
+
+func hypothesisResponse(r api.StepResponse) api.HypothesisResponse {
+	out := api.HypothesisResponse{RemainingWealth: r.RemainingWealth}
+	if r.Hypothesis != nil {
+		out.Hypothesis = *r.Hypothesis
+	}
+	return out
 }
 
 // Log fetches the session's replayable step journal.
@@ -217,47 +232,81 @@ func (c *Client) Log(ctx context.Context, id int64) (api.LogResponse, error) {
 }
 
 // CreateVisualization adds a visualization (and, when filtered, its rule-2
-// hypothesis).
+// hypothesis): an add_visualization step.
 func (c *Client) CreateVisualization(ctx context.Context, id int64, req api.CreateVisualizationRequest) (api.CreateVisualizationResponse, error) {
-	var out api.CreateVisualizationResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/visualizations", sessionPath(id, "/visualizations"), req, &out)
+	r, err := c.step(ctx, id, struct {
+		Op string `json:"op"`
+		api.CreateVisualizationRequest
+	}{core.AddVisualization{}.Kind(), req})
+	out := api.CreateVisualizationResponse{Hypothesis: r.Hypothesis, RemainingWealth: r.RemainingWealth}
+	if r.Visualization != nil {
+		out.Visualization = *r.Visualization
+	}
 	return out, err
 }
 
-// Compare tests two visualizations against each other (rule 3).
+// Compare tests two visualizations against each other (rule 3): a
+// compare_visualizations step, or compare_means with MeansOf and
+// compare_distributions with DistributionsOf. Setting both is an error, and
+// nothing is sent.
 func (c *Client) Compare(ctx context.Context, id int64, req api.CompareRequest) (api.HypothesisResponse, error) {
-	var out api.HypothesisResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/compare", sessionPath(id, "/compare"), req, &out)
-	return out, err
+	step := struct {
+		Op        string `json:"op"`
+		Attribute string `json:"attribute,omitempty"`
+		A         int    `json:"a"`
+		B         int    `json:"b"`
+	}{Op: core.CompareVisualizations{}.Kind(), A: req.A, B: req.B}
+	switch {
+	case req.MeansOf != "" && req.DistributionsOf != "":
+		return api.HypothesisResponse{}, fmt.Errorf("client: compare: means_of and distributions_of are mutually exclusive")
+	case req.MeansOf != "":
+		step.Op, step.Attribute = core.CompareMeans{}.Kind(), req.MeansOf
+	case req.DistributionsOf != "":
+		step.Op, step.Attribute = core.CompareDistributions{}.Kind(), req.DistributionsOf
+	}
+	r, err := c.step(ctx, id, step)
+	return hypothesisResponse(r), err
 }
 
-// Derive extends the session's table with a computed column.
+// Derive extends the session's table with a computed column: a
+// derive_column step.
 func (c *Client) Derive(ctx context.Context, id int64, req api.DeriveRequest) (api.StepResponse, error) {
-	var out api.StepResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/derive", sessionPath(id, "/derive"), req, &out)
-	return out, err
+	return c.step(ctx, id, struct {
+		Op string `json:"op"`
+		api.DeriveRequest
+	}{core.DeriveColumn{}.Kind(), req})
 }
 
-// Join equi-joins the session's table with a registered dataset.
+// Join equi-joins the session's table with a registered dataset: a
+// join_dataset step.
 func (c *Client) Join(ctx context.Context, id int64, req api.JoinRequest) (api.StepResponse, error) {
-	var out api.StepResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/join", sessionPath(id, "/join"), req, &out)
-	return out, err
+	return c.step(ctx, id, struct {
+		Op string `json:"op"`
+		api.JoinRequest
+	}{core.JoinDataset{}.Kind(), req})
 }
 
-// GroupBy tests the independence of two attributes.
+// GroupBy tests the independence of two attributes: a group_by step.
 func (c *Client) GroupBy(ctx context.Context, id int64, req api.GroupByRequest) (api.HypothesisResponse, error) {
-	var out api.HypothesisResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/groupby", sessionPath(id, "/groupby"), req, &out)
-	return out, err
+	r, err := c.step(ctx, id, struct {
+		Op string `json:"op"`
+		api.GroupByRequest
+	}{core.GroupByHypothesis{}.Kind(), req})
+	return hypothesisResponse(r), err
 }
 
-// Star marks or unmarks a hypothesis as a finding.
+// Star marks or unmarks a hypothesis as a finding: a star step. "starred" is
+// always sent, because the step codec reads an absent one as true.
 func (c *Client) Star(ctx context.Context, id int64, hypothesis int, starred bool) (api.StarResponse, error) {
-	var out api.StarResponse
-	path := sessionPath(id, "/hypotheses/"+strconv.Itoa(hypothesis)+"/star")
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/hypotheses/{hid}/star", path, api.StarRequest{Starred: starred}, &out)
-	return out, err
+	_, err := c.step(ctx, id, struct {
+		Op         string `json:"op"`
+		Hypothesis int    `json:"hypothesis"`
+		Starred    bool   `json:"starred"`
+	}{core.Star{}.Kind(), hypothesis, starred})
+	if err != nil {
+		return api.StarResponse{}, err
+	}
+	return api.StarResponse{ID: hypothesis, Starred: starred}, nil
 }
 
 // Gauge fetches the session's risk gauge.

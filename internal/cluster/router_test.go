@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -348,6 +349,26 @@ func TestRouterPassesThroughErrorEnvelopes(t *testing.T) {
 	_, err = c.CreateSession(ctx, api.SessionSpec{Dataset: "nope"})
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeDatasetUnknown {
 		t.Fatalf("create with unknown dataset = %v, want dataset_unknown", err)
+	}
+
+	// A step enters a session only through /steps: the owner answers the
+	// typed step paths, proxied, as unknown routes.
+	info, err := c.CreateSession(ctx, api.SessionSpec{Dataset: "census"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"visualizations", "compare", "derive", "join", "groupby", "hypotheses/1/star"} {
+		url := fmt.Sprintf("%s%s/sessions/%d/%s", router.URL, api.Prefix, info.ID, path)
+		resp, err := http.Post(url, "application/json", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body api.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNotFound || body.Code != api.CodeNotFound {
+			t.Errorf("POST %s through the router: status %d, code %q (%v), want 404 %s", path, resp.StatusCode, body.Code, err, api.CodeNotFound)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"aware/internal/dataset"
 )
@@ -213,9 +214,13 @@ func MarshalStep(s Step) ([]byte, error) {
 
 // UnmarshalStep parses the JSON wire format into a step. Unknown fields are
 // rejected.
-func UnmarshalStep(data []byte) (Step, error) {
+func UnmarshalStep(data []byte) (Step, error) { return DecodeStep(bytes.NewReader(data)) }
+
+// DecodeStep reads one step in the JSON wire format from r, as strictly as
+// UnmarshalStep, without first buffering the whole document.
+func DecodeStep(r io.Reader) (Step, error) {
 	var sj stepJSON
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sj); err != nil {
 		return nil, fmt.Errorf("core: parsing step JSON: %w", err)

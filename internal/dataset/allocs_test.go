@@ -151,7 +151,7 @@ func TestAllocsHashJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	right := occupationDim(t)
-	pinAllocs(t, "HashJoin", 83, func() { joinOccupations(t, left, right) }) // measured 81
+	pinAllocs(t, "HashJoin", 80, func() { joinOccupations(t, left, right) }) // measured 72
 }
 
 // TestAllocsHashJoinDimension pins the join of the full census view to the
@@ -175,7 +175,7 @@ func TestAllocsHashJoinDimension(t *testing.T) {
 		} else if joinedAge, _ := joined.Column(census.ColAge); joinedAge != age {
 			t.Fatalf("the join of the full census view gathered its columns")
 		}
-		pinAllocs(t, "HashJoin (dimension)", 55, func() { joinOccupations(t, left, right) }) // measured 50
+		pinAllocs(t, "HashJoin (dimension)", 52, func() { joinOccupations(t, left, right) }) // measured 47
 		counts = append(counts, testing.AllocsPerRun(5, func() { joinOccupations(t, left, right) }))
 	}
 	if counts[0] != counts[1] {

@@ -52,7 +52,7 @@ func crossTable(tb testing.TB) *Table {
 			draws[i] = rng.Intn(len(big))
 		}
 		tab, err := NewTable(NewCategoricalColumn("cat8", cat8), NewCategoricalColumn("cat16", cat16),
-			gather(NewCategoricalColumn("cat32", big).phys, draws, "cat32"), NewBoolColumn("flag", flags),
+			gather(nil, NewCategoricalColumn("cat32", big).phys, draws, "cat32"), NewBoolColumn("flag", flags),
 			NewFloatColumn("coded", coded), NewFloatColumn("wide", wide))
 		if err != nil {
 			panic(err)

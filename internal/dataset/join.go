@@ -202,7 +202,7 @@ func lookupJoin[C colstore.Code](left, right View, codes []C, counts []int, matc
 // tallies are the output codes' counts summed per right-row code.
 func byKeyCode[C colstore.Code](codes []C, rowOf []int32, counts []int) func(c *Column, name string) *Column {
 	return func(c *Column, name string) *Column {
-		out := gather(gatherPhys(c.phys, rowOf), codes, name)
+		out := gather(c, gatherPhys(c.phys, rowOf), codes, name)
 		if c.width != 0 {
 			tallies := make([]int, c.dictLen())
 			for k, row := range rowOf {
@@ -223,7 +223,7 @@ func materializeJoin(lt, rt *Table, lidx []int32, byKey func(c *Column, name str
 	cols := make([]*Column, 0, len(lt.columns)+len(rt.columns))
 	for _, c := range lt.columns {
 		if lidx != nil {
-			c = gather(c.phys, lidx, c.Name)
+			c = gather(c, c.phys, lidx, c.Name)
 		}
 		cols = append(cols, c)
 	}

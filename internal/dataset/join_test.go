@@ -61,10 +61,10 @@ func JoinOracle(left, right View, leftKey, rightKey, rightPrefix string) (*Table
 	}
 	cols := make([]*Column, 0, len(left.table.columns)+len(right.table.columns))
 	for _, c := range left.table.columns {
-		cols = append(cols, gather(c.phys, lidx, c.Name))
+		cols = append(cols, gather(nil, c.phys, lidx, c.Name))
 	}
 	for _, c := range right.table.columns {
-		cols = append(cols, gather(c.phys, ridx, rightPrefix+c.Name))
+		cols = append(cols, gather(nil, c.phys, ridx, rightPrefix+c.Name))
 	}
 	return NewTable(cols...)
 }
@@ -196,7 +196,7 @@ func dimensionTable(rng *rand.Rand, left *Table, drop, dup bool) *Table {
 	if len(wide) > 0 {
 		wide[rng.Intn(len(wide))] = math.NaN()
 	}
-	tab, err := NewTable(gather(key.phys, rows, "key"), NewFloatColumn("r_payload", payload), NewCategoricalColumn("r_tag", tags),
+	tab, err := NewTable(gather(nil, key.phys, rows, "key"), NewFloatColumn("r_payload", payload), NewCategoricalColumn("r_tag", tags),
 		NewBoolColumn("r_flag", flags), NewFloatColumn("r_wide", wide))
 	if err != nil {
 		panic(err)

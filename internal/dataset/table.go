@@ -140,11 +140,20 @@ type Column struct {
 var boolCodes = map[string]uint32{"false": 0, "true": 1}
 
 // wrapColumn builds the facade over a physical column.
-func wrapColumn(p *colstore.Column) *Column {
+func wrapColumn(p *colstore.Column) *Column { return wrapDecoded(p, nil) }
+
+// wrapDecoded builds the facade over p. When like is not nil it is a column
+// over the same Values as p, and a coded numeric p shares its (immutable)
+// decode tables instead of building its own.
+func wrapDecoded(p *colstore.Column, like *Column) *Column {
 	c := &Column{Name: p.Name, Type: typeOfKind(p.Kind), phys: p, floats: p.Floats, ints: p.Ints,
 		width: p.Width, codes8: p.Codes8, codes16: p.Codes16, codes32: p.Codes32, dict: p.Dict, codeOf: p.CodeOf}
 	if p.Kind == colstore.Bool {
 		c.width, c.codes8, c.dict, c.codeOf = 1, colstore.BoolsAsBytes(p.Bools), boolLabels, boolCodes
+	}
+	if like != nil {
+		c.values, c.rank, c.distinct = like.values, like.rank, like.distinct
+		return c
 	}
 	if n := len(p.Values); n > 0 {
 		c.values, c.rank, c.distinct = make([]float64, n), make([]uint8, n), make([]float64, 0, n)
@@ -251,13 +260,14 @@ func (c *Column) intAt(i int) int64 {
 // rowIndex is a row number (Select, a join's pairs) or a key code (byKeyCode).
 type rowIndex interface{ int | int32 | colstore.Code }
 
-// gather returns a new column named name holding the rows of the physical
-// column c at the given indices. A coded column keeps its width and shares
-// its (immutable) dictionary, which may then list values no gathered row
-// holds — fine, the memos count only what occurs. A wide numeric column is
-// stored anew, by the one encoding rule.
-func gather[I rowIndex](c *colstore.Column, indices []I, name string) *Column {
-	p := gatherPhys(c, indices)
+// gather returns a new column named name holding the rows of p at the given
+// indices, where p is c's physical column or rows gathered from it. A coded
+// column keeps its width and shares p's (immutable) dictionary and c's decode
+// tables (built anew when c is nil), which may then list values no gathered
+// row holds — fine, the memos count only what occurs. A wide numeric column
+// is stored anew, by the one encoding rule.
+func gather[I rowIndex](c *Column, p *colstore.Column, indices []I, name string) *Column {
+	p = gatherPhys(p, indices)
 	switch {
 	case p.Width == 0 && p.Kind == colstore.Float64:
 		return NewFloatColumn(name, p.Floats)
@@ -265,7 +275,7 @@ func gather[I rowIndex](c *colstore.Column, indices []I, name string) *Column {
 		return NewIntColumn(name, p.Ints)
 	}
 	p.Name = name
-	return wrapColumn(p)
+	return wrapDecoded(p, c)
 }
 
 // gatherPhys returns p's rows at the given indices as p stores them.
@@ -591,7 +601,7 @@ func (t *Table) Select(indices []int) (*Table, error) {
 	}
 	cols := make([]*Column, len(t.columns))
 	for i, c := range t.columns {
-		cols[i] = gather(c.phys, indices, c.Name)
+		cols[i] = gather(c, c.phys, indices, c.Name)
 	}
 	sub, err := NewTable(cols...)
 	if err != nil {
@@ -698,7 +708,7 @@ func (t *Table) Shuffle(rng *rand.Rand, columns ...string) (*Table, error) {
 			continue
 		}
 		perm := rng.Perm(t.rows)
-		cols[i] = gather(c.phys, perm, c.Name)
+		cols[i] = gather(c, c.phys, perm, c.Name)
 	}
 	shuffled, err := NewTable(cols...)
 	if err != nil {

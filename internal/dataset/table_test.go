@@ -328,3 +328,69 @@ func TestSampleOnEmptyTable(t *testing.T) {
 		t.Error("expected empty table error")
 	}
 }
+
+// TestGatheredCodedColumnSharesDecodeTables: a coded numeric column gathered
+// by Select, Shuffle, Split or a join — its left rows gathered, its right
+// rows drawn per key code — shares its source's decode tables instead of
+// rebuilding them, and still reads its own rows.
+func TestGatheredCodedColumnSharesDecodeTables(t *testing.T) {
+	age := NewFloatColumn("age", []float64{30, 40, 30, 50, 40, 60, 30, 50})
+	tab, err := NewTable(age, NewCategoricalColumn("key", []string{"a", "b", "a", "c", "b", "c", "a", "b"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pay := NewIntColumn("pay", []int64{7, 9, 8})
+	dim, err := NewTable(NewCategoricalColumn("key", []string{"a", "b", "c"}), pay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := func(label string, out *Table, name string, src *Column) {
+		t.Helper()
+		c, err := out.Column(name)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if c == src || c.width == 0 || len(c.values) == 0 {
+			t.Fatalf("%s: %s is not a gathered coded column", label, name)
+		}
+		if &c.values[0] != &src.values[0] || &c.rank[0] != &src.rank[0] || &c.distinct[0] != &src.distinct[0] {
+			t.Errorf("%s: %s rebuilt its decode tables", label, name)
+		}
+	}
+	sel, err := tab.Select([]int{3, 0, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares("Select", sel, "age", age)
+	if v := sel.columns[0].floatAt(0); v != 50 {
+		t.Errorf("Select: row 0 reads %v, want 50", v)
+	}
+	shuffled, err := tab.Shuffle(stats.NewRNG(1), "age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares("Shuffle", shuffled, "age", age)
+	exploration, validation, err := tab.Split(stats.NewRNG(2), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares("Split exploration", exploration, "age", age)
+	shares("Split validation", validation, "age", age)
+	left, err := tab.View(Range{Column: "age", Low: 35, High: 70})
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := dim.View(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, err := HashJoin(left, right, "key", "key", "dim_")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares("join left", joined, "age", age)
+	shares("join right", joined, "dim_pay", pay)
+	if v := joined.byName["dim_pay"].intAt(0); v != 9 {
+		t.Errorf("join: row 0's dim_pay reads %v, want 9", v)
+	}
+}

@@ -69,5 +69,5 @@ func TestAllocsServeGauge(t *testing.T) {
 // chart already put in the dataset's selection cache.
 func TestAllocsServeCachedStep(t *testing.T) {
 	h := allocsServer(t)
-	pinServe(t, h, http.MethodPost, api.Prefix+"/sessions/1/steps", logTestStep, http.StatusCreated, 20, 171) // measured 142
+	pinServe(t, h, http.MethodPost, api.Prefix+"/sessions/1/steps", logTestStep, http.StatusCreated, 20, 168) // measured 140
 }

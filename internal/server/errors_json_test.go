@@ -62,6 +62,15 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		{"unknown root path", http.MethodGet, "/no/such/route", "", http.StatusNotFound, api.CodeNotFound},
 		{"unknown session subresource", http.MethodGet, "/sessions/1/nope", "", http.StatusNotFound, api.CodeNotFound},
 
+		// Router-level 404s: a step enters a session only through /steps, so
+		// the typed step routes are unknown paths.
+		{"no visualizations route", http.MethodPost, "/sessions/1/visualizations", `{"target": "gender"}`, http.StatusNotFound, api.CodeNotFound},
+		{"no compare route", http.MethodPost, "/sessions/1/compare", `{"a": 1, "b": 2}`, http.StatusNotFound, api.CodeNotFound},
+		{"no derive route", http.MethodPost, "/sessions/1/derive", `{"name": "x"}`, http.StatusNotFound, api.CodeNotFound},
+		{"no join route", http.MethodPost, "/sessions/1/join", `{"dataset": "census"}`, http.StatusNotFound, api.CodeNotFound},
+		{"no groupby route", http.MethodPost, "/sessions/1/groupby", `{"row": "gender"}`, http.StatusNotFound, api.CodeNotFound},
+		{"no star route", http.MethodPost, "/sessions/1/hypotheses/1/star", `{"starred": true}`, http.StatusNotFound, api.CodeNotFound},
+
 		// Router-level 405s: the path exists under another method.
 		{"PUT sessions", http.MethodPut, "/sessions", "", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed},
 		{"GET steps", http.MethodGet, "/sessions/1/steps", "", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed},
@@ -72,11 +81,12 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		// step_invalid (the body failed to decode into the endpoint's document).
 		{"create session bad body", http.MethodPost, "/sessions", `{"not json`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"steps bad body", http.MethodPost, "/sessions/1/steps", `{"op": 42}`, http.StatusBadRequest, api.CodeStepInvalid},
+		{"visualizations bad body", http.MethodPost, "/sessions/1/steps", `{"op": "add_visualization", "target": [`, http.StatusBadRequest, api.CodeStepInvalid},
+		{"compare bad body", http.MethodPost, "/sessions/1/steps", `{"op": "compare_visualizations", "a": "x", "b": 2}`, http.StatusBadRequest, api.CodeStepInvalid},
+		{"star bad body", http.MethodPost, "/sessions/1/steps", `{"op": "star", "hypothesis": 1, "starred": "yes"}`, http.StatusBadRequest, api.CodeStepInvalid},
+		{"bad hypothesis id", http.MethodPost, "/sessions/1/steps", `{"op": "star", "hypothesis": "x", "starred": true}`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"steps unknown op", http.MethodPost, "/sessions/1/steps", `{"op": "warp"}`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"steps oversized body", http.MethodPost, "/sessions/1/steps", strings.Repeat(" ", maxUploadBytes+1), http.StatusBadRequest, api.CodeStepInvalid},
-		{"visualizations bad body", http.MethodPost, "/sessions/1/visualizations", `[`, http.StatusBadRequest, api.CodeStepInvalid},
-		{"compare bad body", http.MethodPost, "/sessions/1/compare", `{"a": "x"}`, http.StatusBadRequest, api.CodeStepInvalid},
-		{"star bad body", http.MethodPost, "/sessions/1/hypotheses/1/star", `{`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"holdout validate bad body", http.MethodPost, "/sessions/1/holdout/validate", `nope`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"holdout replay bad body", http.MethodPost, "/sessions/1/holdout/replay", `"`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"restore bad body", http.MethodPost, "/sessions/1/restore", `{`, http.StatusBadRequest, api.CodeStepInvalid},
@@ -85,7 +95,6 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		{"upload dataset without name", http.MethodPost, "/datasets", "a,b\n1,2\n", http.StatusBadRequest, api.CodeBadRequest},
 		{"holdout validate no attribute", http.MethodPost, "/sessions/1/holdout/validate", `{}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"bad session id", http.MethodGet, "/sessions/abc", "", http.StatusBadRequest, api.CodeBadRequest},
-		{"bad hypothesis id", http.MethodPost, "/sessions/1/hypotheses/x/star", `{"starred": true}`, http.StatusBadRequest, api.CodeBadRequest},
 
 		// Handler-level 404s: valid shape, missing resources. session_not_found
 		// vs dataset_unknown vs hypothesis_not_found matter to the router: only
@@ -93,8 +102,8 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		{"missing session", http.MethodGet, "/sessions/999999", "", http.StatusNotFound, api.CodeSessionNotFound},
 		{"missing session delete", http.MethodDelete, "/sessions/999999", "", http.StatusNotFound, api.CodeSessionNotFound},
 		{"missing session gauge", http.MethodGet, "/sessions/999999/gauge", "", http.StatusNotFound, api.CodeSessionNotFound},
-		{"missing hypothesis star", http.MethodPost, "/sessions/1/hypotheses/999/star", `{"starred": true}`, http.StatusNotFound, api.CodeHypothesisNotFound},
-		{"missing viz compare", http.MethodPost, "/sessions/1/compare", `{"a": 998, "b": 999}`, http.StatusNotFound, api.CodeVizNotFound},
+		{"missing hypothesis star", http.MethodPost, "/sessions/1/steps", `{"op": "star", "hypothesis": 999, "starred": true}`, http.StatusNotFound, api.CodeHypothesisNotFound},
+		{"missing viz compare", http.MethodPost, "/sessions/1/steps", `{"op": "compare_visualizations", "a": 998, "b": 999}`, http.StatusNotFound, api.CodeVizNotFound},
 		{"unknown dataset", http.MethodPost, "/sessions", `{"dataset": "nope"}`, http.StatusNotFound, api.CodeDatasetUnknown},
 
 		// Conflict: restoring onto a live session ID.

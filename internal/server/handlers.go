@@ -1,11 +1,9 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -66,12 +64,6 @@ func (s *Server) routes() *http.ServeMux {
 	handle("POST /sessions/{id}/restore", s.handleRestoreSession)
 	handle("POST /sessions/{id}/steps", s.handleApplyStep)
 	handle("GET /sessions/{id}/log", s.handleLog)
-	handle("POST /sessions/{id}/visualizations", s.handleCreateVisualization)
-	handle("POST /sessions/{id}/compare", s.handleCompare)
-	handle("POST /sessions/{id}/derive", s.handleDerive)
-	handle("POST /sessions/{id}/join", s.handleJoin)
-	handle("POST /sessions/{id}/groupby", s.handleGroupBy)
-	handle("POST /sessions/{id}/hypotheses/{hid}/star", s.handleStar)
 	handle("GET /sessions/{id}/gauge", s.handleGauge)
 	handle("POST /sessions/{id}/holdout/validate", s.handleHoldoutValidate)
 	handle("POST /sessions/{id}/holdout/replay", s.handleHoldoutReplay)
@@ -143,31 +135,8 @@ func decodePredicateField(raw json.RawMessage) (dataset.Predicate, error) {
 	return dataset.UnmarshalPredicate(raw)
 }
 
-// The endpoint documents are defined by the wire contract in internal/api;
-// the handlers keep their local names as aliases so the marshalling code
-// reads the same as before the API was versioned.
-type (
-	testResultJSON           = api.TestResult
-	vizJSON                  = api.Visualization
-	stepResponse             = api.StepResponse
-	createVizRequest         = api.CreateVisualizationRequest
-	createVizResponse        = api.CreateVisualizationResponse
-	compareRequest           = api.CompareRequest
-	hypothesisResponse       = api.HypothesisResponse
-	deriveRequest            = api.DeriveRequest
-	joinRequest              = api.JoinRequest
-	groupByRequest           = api.GroupByRequest
-	starRequest              = api.StarRequest
-	gaugeResponse            = api.Gauge
-	holdoutRequest           = api.HoldoutValidateRequest
-	holdoutResponse          = api.HoldoutValidateResponse
-	holdoutReplayRequest     = api.HoldoutReplayRequest
-	holdoutReplayResponse    = api.HoldoutReplayResponse
-	hypothesisValidationJSON = api.HypothesisValidation
-)
-
-func toTestResultJSON(t stats.TestResult) testResultJSON {
-	return testResultJSON{
+func toTestResultJSON(t stats.TestResult) api.TestResult {
+	return api.TestResult{
 		Method:     t.Method,
 		Statistic:  t.Statistic,
 		PValue:     t.PValue,
@@ -177,8 +146,8 @@ func toTestResultJSON(t stats.TestResult) testResultJSON {
 	}
 }
 
-func toVizJSON(v *core.Visualization) vizJSON {
-	out := vizJSON{ID: v.ID, Target: v.Target, Filter: "all", HypothesisID: v.HypothesisID}
+func toVizJSON(v *core.Visualization) api.Visualization {
+	out := api.Visualization{ID: v.ID, Target: v.Target, Filter: "all", HypothesisID: v.HypothesisID}
 	if v.Filter != nil {
 		out.Filter = v.Filter.Describe()
 	}
@@ -324,27 +293,36 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 
 // --- the interactive loop ---
 //
-// Every mutation — whether it arrives as a raw step on POST /steps or through
-// one of the convenience endpoints, which are thin constructors for the
-// equivalent core.Step — funnels through applyStep: one code path
-// that applies the command under the session lock, journals it for restart
-// durability, and snapshots the outcome before the lock is released.
+// Every mutation arrives as one step on POST /steps, in the core step wire
+// format that the journal and replay share. handleApplyStep applies it under
+// the session lock, journals it for restart durability, and snapshots the
+// outcome before the lock is released.
 
-// appliedStepView is the lock-free snapshot of a StepResult.
-type appliedStepView struct {
-	seq    int
-	viz    *vizJSON
-	hyp    *core.ReportEntry
-	wealth float64
-}
-
-// applyStep applies one step to the identified session, journals it, and
-// snapshots the result. A traced request's span rides in on ctx and collects
-// the step's span tree (kind, p-value path, kernels) under the session lock.
-func (s *Server) applyStep(ctx context.Context, id int64, step core.Step) (appliedStepView, error) {
-	var view appliedStepView
-	span := obs.SpanFromContext(ctx)
-	err := s.manager.With(id, func(sess *core.Session) error {
+// handleApplyStep is the command endpoint: the body is one step in the core
+// step wire format, e.g.
+//
+//	{"op": "add_visualization", "target": "gender",
+//	 "predicate": {"type": "equals", "column": "salary_over_50k", "value": "true"}}
+//
+// A traced request's span rides in on the request context and collects the
+// step's span tree (kind, p-value path, kernels) under the session lock.
+func (s *Server) handleApplyStep(w http.ResponseWriter, r *http.Request) {
+	id, err := sessionID(r)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	step, err := core.DecodeStep(http.MaxBytesReader(w, r.Body, maxUploadBytes))
+	if err != nil {
+		// Whatever the parse failure — malformed JSON, unknown op, bad field
+		// type, an oversized body — the body is not a valid step:
+		// step_invalid, not bad_request.
+		writeErr(w, fmt.Errorf("%w: %w", errInvalidBody, err))
+		return
+	}
+	resp := api.StepResponse{Op: step.Kind()}
+	span := obs.SpanFromContext(r.Context())
+	err = s.manager.With(id, func(sess *core.Session) error {
 		stepStart := time.Now()
 		res, err := sess.ApplyTraced(span, step)
 		// A slow step is logged even when it fails (failing slow is still
@@ -363,60 +341,23 @@ func (s *Server) applyStep(ctx context.Context, id int64, step core.Step) (appli
 				return fmt.Errorf("%w (step %q was applied but is not durable; do not retry)", err, step.Kind())
 			}
 		}
-		view.seq = res.Seq
+		resp.Seq = res.Seq
 		if res.Visualization != nil {
 			v := toVizJSON(res.Visualization)
-			view.viz = &v
+			resp.Visualization = &v
 		}
 		if res.Hypothesis != nil {
 			e := res.Hypothesis.Entry()
-			view.hyp = &e
+			resp.Hypothesis = &e
 		}
-		view.wealth = sess.Wealth()
+		resp.RemainingWealth = sess.Wealth()
 		return nil
 	})
-	return view, err
-}
-
-func (view appliedStepView) response(op string) stepResponse {
-	return stepResponse{
-		Seq:             view.seq,
-		Op:              op,
-		Visualization:   view.viz,
-		Hypothesis:      view.hyp,
-		RemainingWealth: view.wealth,
-	}
-}
-
-// handleApplyStep is the generic command endpoint: the body is one step in
-// the core step wire format, e.g.
-//
-//	{"op": "add_visualization", "target": "gender",
-//	 "predicate": {"type": "equals", "column": "salary_over_50k", "value": "true"}}
-func (s *Server) handleApplyStep(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %w", errInvalidBody, err))
-		return
-	}
-	step, err := core.UnmarshalStep(body)
-	if err != nil {
-		// Whatever the parse failure — malformed JSON, unknown op, bad field
-		// type — the body is not a valid step: step_invalid, not bad_request.
-		writeErr(w, fmt.Errorf("%w: %w", errInvalidBody, err))
-		return
-	}
-	view, err := s.applyStep(r.Context(), id, step)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusCreated, view.response(step.Kind()))
+	api.WriteJSON(w, http.StatusCreated, resp)
 }
 
 // handleLog returns the session's append-only step journal: the full
@@ -439,189 +380,16 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, api.LogResponse{Count: len(log), Steps: log})
 }
 
-func (s *Server) handleCreateVisualization(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req createVizRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	pred, err := decodePredicateField(req.Predicate)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	view, err := s.applyStep(r.Context(), id, core.AddVisualization{Target: req.Target, Filter: pred})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := createVizResponse{Hypothesis: view.hyp, RemainingWealth: view.wealth}
-	if view.viz != nil {
-		resp.Visualization = *view.viz
-	}
-	api.WriteJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req compareRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.MeansOf != "" && req.DistributionsOf != "" {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "means_of and distributions_of are mutually exclusive")
-		return
-	}
-	var step core.Step
-	switch {
-	case req.MeansOf != "":
-		step = core.CompareMeans{Attribute: req.MeansOf, A: req.A, B: req.B}
-	case req.DistributionsOf != "":
-		step = core.CompareDistributions{Attribute: req.DistributionsOf, A: req.A, B: req.B}
-	default:
-		step = core.CompareVisualizations{A: req.A, B: req.B}
-	}
-	view, err := s.applyStep(r.Context(), id, step)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := hypothesisResponse{RemainingWealth: view.wealth}
-	if view.hyp != nil {
-		resp.Hypothesis = *view.hyp
-	}
-	api.WriteJSON(w, http.StatusCreated, resp)
-}
-
-// --- relational steps ---
-
-// handleDerive extends the session's table with a computed numeric column:
-// the derive_column step as a convenience endpoint.
-func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req deriveRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if len(req.Expression) == 0 || string(req.Expression) == "null" {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "derive requires an expression")
-		return
-	}
-	expr, err := dataset.UnmarshalExpr(req.Expression)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	step := core.DeriveColumn{Name: req.Name, Expr: expr}
-	view, err := s.applyStep(r.Context(), id, step)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusCreated, view.response(step.Kind()))
-}
-
-// handleJoin equi-joins the session's table with a registered dataset: the
-// join_dataset step as a convenience endpoint. The session continues over the
-// join result.
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req joinRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	step := core.JoinDataset{Dataset: req.Dataset, LeftKey: req.LeftKey, RightKey: req.RightKey, Prefix: req.Prefix}
-	view, err := s.applyStep(r.Context(), id, step)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusCreated, view.response(step.Kind()))
-}
-
-// handleGroupBy tests the independence of two attributes over the filtered
-// rows: the group_by step as a convenience endpoint.
-func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req groupByRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	pred, err := decodePredicateField(req.Predicate)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	view, err := s.applyStep(r.Context(), id, core.GroupByHypothesis{RowAttr: req.Row, ColAttr: req.Col, Filter: pred})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := hypothesisResponse{RemainingWealth: view.wealth}
-	if view.hyp != nil {
-		resp.Hypothesis = *view.hyp
-	}
-	api.WriteJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleStar(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	hid, err := strconv.Atoi(r.PathValue("hid"))
-	if err != nil {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid hypothesis id %q", r.PathValue("hid")))
-		return
-	}
-	var req starRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if _, err := s.applyStep(r.Context(), id, core.Star{Hypothesis: hid, Starred: req.Starred}); err != nil {
-		writeErr(w, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, api.StarResponse{ID: hid, Starred: req.Starred})
-}
-
 func (s *Server) handleGauge(w http.ResponseWriter, r *http.Request) {
 	id, err := sessionID(r)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	var resp gaugeResponse
+	var resp api.Gauge
 	err = s.manager.With(id, func(sess *core.Session) error {
 		g := sess.Gauge()
-		resp = gaugeResponse{
+		resp = api.Gauge{
 			Alpha:           g.Alpha,
 			Policy:          g.Policy,
 			InitialWealth:   g.InitialWealth,
@@ -667,7 +435,7 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	var req holdoutRequest
+	var req api.HoldoutValidateRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, err)
 		return
@@ -698,7 +466,7 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = 1
 	}
-	var resp holdoutResponse
+	var resp api.HoldoutValidateResponse
 	err = s.manager.With(id, func(sess *core.Session) error {
 		alpha := req.Alpha
 		if alpha == 0 {
@@ -712,7 +480,7 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		resp = holdoutResponse{
+		resp = api.HoldoutValidateResponse{
 			Confirmed:       result.Confirmed,
 			Alpha:           result.Alpha,
 			ExplorationRows: validator.Exploration().NumRows(),
@@ -739,7 +507,7 @@ func (s *Server) handleHoldoutReplay(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	var req holdoutReplayRequest
+	var req api.HoldoutReplayRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, err)
 		return
@@ -796,17 +564,17 @@ func (s *Server) handleHoldoutReplay(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	resp := holdoutReplayResponse{
+	resp := api.HoldoutReplayResponse{
 		Alpha:           replay.Alpha,
 		ExplorationRows: validator.Exploration().NumRows(),
 		ValidationRows:  validator.Validation().NumRows(),
 		StepsReplayed:   len(steps),
 		Confirmed:       replay.Confirmed,
 		ActiveTotal:     replay.ActiveTotal,
-		Hypotheses:      make([]hypothesisValidationJSON, 0, len(replay.Hypotheses)),
+		Hypotheses:      make([]api.HypothesisValidation, 0, len(replay.Hypotheses)),
 	}
 	for _, hv := range replay.Hypotheses {
-		resp.Hypotheses = append(resp.Hypotheses, hypothesisValidationJSON{
+		resp.Hypotheses = append(resp.Hypotheses, api.HypothesisValidation{
 			Seq:          hv.Seq,
 			Kind:         hv.Kind,
 			HypothesisID: hv.HypothesisID,

@@ -22,9 +22,10 @@ import (
 	"aware/internal/dataset"
 )
 
-// This file tests the relational endpoints: POST /v1/sessions/{id}/derive,
-// /join and /groupby, their journaling, and their restoration across a
-// daemon restart (join replay needs the registry-backed catalog).
+// This file tests the relational steps over POST /v1/sessions/{id}/steps:
+// derive_column, join_dataset and group_by, their journaling, and their
+// restoration across a daemon restart (join replay needs the registry-backed
+// catalog).
 
 // registerOccupationDim registers a small dimension table keyed by the census
 // occupation names under "occupations".
@@ -59,7 +60,8 @@ func registerOccupations(t *testing.T, s *Server, name string, perKey int) {
 	}
 }
 
-// bucketHours is the derive request used throughout: annual hours, bucketed.
+// bucketHours is the derive_column step used throughout: annual hours,
+// bucketed.
 var bucketHours = map[string]any{
 	"name": "annual_hours_bucket",
 	"expression": map[string]any{
@@ -89,13 +91,13 @@ func TestRelationalEndpoints(t *testing.T) {
 		Hypothesis *core.ReportEntry `json:"hypothesis"`
 	}
 	var derived stepResp
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/derive", bucketHours, &derived), http.StatusCreated)
+	wantStatus(t, postStep(t, base, "derive_column", bucketHours, &derived), http.StatusCreated)
 	if derived.Seq != 1 || derived.Op != "derive_column" {
 		t.Fatalf("derive response %+v", derived)
 	}
 
 	var joined stepResp
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/join", map[string]any{
+	wantStatus(t, postStep(t, base, "join_dataset", map[string]any{
 		"dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
 	}, &joined), http.StatusCreated)
 	if joined.Seq != 2 || joined.Op != "join_dataset" {
@@ -105,13 +107,13 @@ func TestRelationalEndpoints(t *testing.T) {
 	// The joined and derived columns are immediately explorable: a group-by
 	// over one column from each side.
 	var grouped struct {
-		Hypothesis      core.ReportEntry `json:"hypothesis"`
-		RemainingWealth float64          `json:"remaining_wealth"`
+		Hypothesis      *core.ReportEntry `json:"hypothesis"`
+		RemainingWealth float64           `json:"remaining_wealth"`
 	}
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/groupby", map[string]any{
+	wantStatus(t, postStep(t, base, "group_by", map[string]any{
 		"row": "dim_sector", "col": "annual_hours_bucket",
 	}, &grouped), http.StatusCreated)
-	if grouped.Hypothesis.ID == 0 {
+	if grouped.Hypothesis == nil || grouped.Hypothesis.ID == 0 {
 		t.Fatalf("group-by recorded no hypothesis: %+v", grouped)
 	}
 	if grouped.RemainingWealth <= 0 {
@@ -119,7 +121,7 @@ func TestRelationalEndpoints(t *testing.T) {
 	}
 
 	// A plain visualization on a joined column still works.
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+	wantStatus(t, postStep(t, base, "add_visualization", map[string]any{
 		"target": "dim_sector",
 		"predicate": map[string]any{
 			"type": "gt", "column": "dim_median_pay", "threshold": 40000,
@@ -143,7 +145,8 @@ func TestRelationalEndpoints(t *testing.T) {
 	}
 }
 
-// TestRelationalEndpointErrors pins the HTTP statuses of relational misuse.
+// TestRelationalEndpointErrors pins the HTTP statuses of misused relational
+// steps.
 func TestRelationalEndpointErrors(t *testing.T) {
 	s, ts := newTestServer(t)
 	registerOccupationDim(t, s)
@@ -154,24 +157,24 @@ func TestRelationalEndpointErrors(t *testing.T) {
 
 	cases := []struct {
 		name string
-		path string
+		op   string
 		body map[string]any
 		want int
 	}{
-		{"derive without expression", "/derive", map[string]any{"name": "x"}, http.StatusBadRequest},
-		{"derive without name", "/derive", map[string]any{"expression": map[string]any{"expr": "col", "column": "age"}}, http.StatusBadRequest},
-		{"derive duplicate column", "/derive", map[string]any{"name": "age", "expression": map[string]any{"expr": "col", "column": "age"}}, http.StatusBadRequest},
-		{"derive categorical operand", "/derive", map[string]any{"name": "x", "expression": map[string]any{"expr": "col", "column": "gender"}}, http.StatusBadRequest},
-		{"join unknown dataset", "/join", map[string]any{"dataset": "nope", "left_key": "occupation", "right_key": "occupation"}, http.StatusNotFound},
-		{"join missing keys", "/join", map[string]any{"dataset": "occupations"}, http.StatusBadRequest},
-		{"join key type mismatch", "/join", map[string]any{"dataset": "occupations", "left_key": "age", "right_key": "occupation"}, http.StatusBadRequest},
-		{"groupby missing attributes", "/groupby", map[string]any{"row": "gender"}, http.StatusBadRequest},
-		{"groupby unknown column", "/groupby", map[string]any{"row": "gender", "col": "nope"}, http.StatusBadRequest},
-		{"groupby bad predicate", "/groupby", map[string]any{"row": "gender", "col": "education", "predicate": map[string]any{"type": "nope"}}, http.StatusBadRequest},
+		{"derive without expression", "derive_column", map[string]any{"name": "x"}, http.StatusBadRequest},
+		{"derive without name", "derive_column", map[string]any{"expression": map[string]any{"expr": "col", "column": "age"}}, http.StatusBadRequest},
+		{"derive duplicate column", "derive_column", map[string]any{"name": "age", "expression": map[string]any{"expr": "col", "column": "age"}}, http.StatusBadRequest},
+		{"derive categorical operand", "derive_column", map[string]any{"name": "x", "expression": map[string]any{"expr": "col", "column": "gender"}}, http.StatusBadRequest},
+		{"join unknown dataset", "join_dataset", map[string]any{"dataset": "nope", "left_key": "occupation", "right_key": "occupation"}, http.StatusNotFound},
+		{"join missing keys", "join_dataset", map[string]any{"dataset": "occupations"}, http.StatusBadRequest},
+		{"join key type mismatch", "join_dataset", map[string]any{"dataset": "occupations", "left_key": "age", "right_key": "occupation"}, http.StatusBadRequest},
+		{"groupby missing attributes", "group_by", map[string]any{"row": "gender"}, http.StatusBadRequest},
+		{"groupby unknown column", "group_by", map[string]any{"row": "gender", "col": "nope"}, http.StatusBadRequest},
+		{"groupby bad predicate", "group_by", map[string]any{"row": "gender", "col": "education", "predicate": map[string]any{"type": "nope"}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wantStatus(t, doJSON(t, http.MethodPost, base+tc.path, tc.body, nil), tc.want)
+			wantStatus(t, postStep(t, base, tc.op, tc.body, nil), tc.want)
 		})
 	}
 
@@ -184,8 +187,8 @@ func TestRelationalEndpointErrors(t *testing.T) {
 		t.Fatalf("journal has %d entries after only failed steps", log.Count)
 	}
 
-	// Relational endpoints on a missing session 404.
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/999/derive", bucketHours, nil), http.StatusNotFound)
+	// A relational step on a missing session is a 404.
+	wantStatus(t, postStep(t, ts.URL+"/v1/sessions/999", "derive_column", bucketHours, nil), http.StatusNotFound)
 }
 
 // TestRelationalJournalSurvivesRestart replays derive + join + group-by from
@@ -199,11 +202,11 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 	var info SessionInfo
 	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
 	base := fmt.Sprintf("%s/v1/sessions/%d", ts1.URL, info.ID)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/derive", bucketHours, nil), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/join", map[string]any{
+	wantStatus(t, postStep(t, base, "derive_column", bucketHours, nil), http.StatusCreated)
+	wantStatus(t, postStep(t, base, "join_dataset", map[string]any{
 		"dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
 	}, nil), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/groupby", map[string]any{
+	wantStatus(t, postStep(t, base, "group_by", map[string]any{
 		"row": "dim_sector", "col": "annual_hours_bucket",
 	}, nil), http.StatusCreated)
 
@@ -230,7 +233,7 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 
 	// The restored session's table kept the derived and joined columns: a
 	// group-by over them still works.
-	wantStatus(t, doJSON(t, http.MethodPost, base2+"/groupby", map[string]any{
+	wantStatus(t, postStep(t, base2, "group_by", map[string]any{
 		"row": "dim_sector", "col": "gender",
 	}, nil), http.StatusCreated)
 }
@@ -239,17 +242,18 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 // occupation twice.
 var fanOutJoin = api.JoinRequest{Dataset: "occupations_doubled", LeftKey: "occupation", RightKey: "occupation", Prefix: "dim_"}
 
-// TestJoinFanOutRefusedOverHTTP sends a join whose right key repeats through
-// POST /steps and through /join. Both answer 400 with the join_fans_out
-// envelope, naming the key and its multiplicity, the typed client returns an
-// *api.Error with that code, and the session's log and gauge are unchanged.
+// TestJoinFanOutRefusedOverHTTP sends a join whose right key repeats to
+// POST /steps, raw and through the typed client's Join. It answers 400 with
+// the join_fans_out envelope, naming the key and its multiplicity, the client
+// returns an *api.Error with that code either way, and the session's log and
+// gauge are unchanged.
 func TestJoinFanOutRefusedOverHTTP(t *testing.T) {
 	s, ts := newTestServer(t)
 	registerOccupations(t, s, "occupations_doubled", 2)
 	var info SessionInfo
 	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
 	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+	wantStatus(t, postStep(t, base, "add_visualization", map[string]any{
 		"target": "gender", "predicate": json.RawMessage(highEarners),
 	}, nil), http.StatusCreated)
 	read := func(path string) []byte {
@@ -265,14 +269,7 @@ func TestJoinFanOutRefusedOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/steps", "/join"} {
-		body := string(step)
-		if path == "/join" {
-			raw, _ := json.Marshal(fanOutJoin)
-			body = string(raw)
-		}
-		checkErrorResponse(t, http.MethodPost, base+path, body, http.StatusBadRequest, api.CodeJoinFansOut)
-	}
+	checkErrorResponse(t, http.MethodPost, base+"/steps", string(step), http.StatusBadRequest, api.CodeJoinFansOut)
 
 	c := client.New(ts.URL)
 	ctx := context.Background()
@@ -308,11 +305,11 @@ func TestRestoreSkipsJournalWhoseJoinFansOut(t *testing.T) {
 	registerOccupationDim(t, s1)
 	var joined, plain SessionInfo
 	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &joined), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/join", ts1.URL, joined.ID), map[string]any{
+	wantStatus(t, postStep(t, fmt.Sprintf("%s/v1/sessions/%d", ts1.URL, joined.ID), "join_dataset", map[string]any{
 		"dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
 	}, nil), http.StatusCreated)
 	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &plain), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/visualizations", ts1.URL, plain.ID), map[string]any{
+	wantStatus(t, postStep(t, fmt.Sprintf("%s/v1/sessions/%d", ts1.URL, plain.ID), "add_visualization", map[string]any{
 		"target": "gender", "predicate": json.RawMessage(highEarners),
 	}, nil), http.StatusCreated)
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"aware/internal/api"
 	"aware/internal/census"
 	"aware/internal/core"
 )
@@ -75,6 +76,17 @@ func doJSON(t *testing.T, method, url string, body, out any) *http.Response {
 	return resp
 }
 
+// postStep posts one step document, fields plus "op", to base's /steps route
+// and decodes the response into out (unless out is nil).
+func postStep(t *testing.T, base, op string, fields map[string]any, out any) *http.Response {
+	t.Helper()
+	body := map[string]any{"op": op}
+	for k, v := range fields {
+		body[k] = v
+	}
+	return doJSON(t, http.MethodPost, base+"/steps", body, out)
+}
+
 func wantStatus(t *testing.T, resp *http.Response, want int) {
 	t.Helper()
 	if resp.StatusCode != want {
@@ -119,8 +131,8 @@ func TestInteractiveLoopConcurrentClients(t *testing.T) {
 			base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 			// A filtered visualization: rule 2 auto-creates a hypothesis.
-			var viz createVizResponse
-			resp = doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+			var viz api.StepResponse
+			resp = postStep(t, base, "add_visualization", map[string]any{
 				"target":    "gender",
 				"predicate": json.RawMessage(highEarners),
 			}, &viz)
@@ -134,14 +146,14 @@ func TestInteractiveLoopConcurrentClients(t *testing.T) {
 			}
 
 			// An unfiltered visualization: rule 1, descriptive, no hypothesis.
-			var descriptive createVizResponse
-			doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{"target": "age"}, &descriptive)
+			var descriptive api.StepResponse
+			postStep(t, base, "add_visualization", map[string]any{"target": "age"}, &descriptive)
 			if descriptive.Hypothesis != nil {
 				t.Errorf("client %d: descriptive visualization created hypothesis %d", c, descriptive.Hypothesis.ID)
 			}
 
 			// The gauge reflects exactly this client's own session.
-			var gauge gaugeResponse
+			var gauge api.Gauge
 			resp = doJSON(t, http.MethodGet, base+"/gauge", nil, &gauge)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("client %d: gauge status %d", c, resp.StatusCode)
@@ -157,7 +169,7 @@ func TestInteractiveLoopConcurrentClients(t *testing.T) {
 			}
 
 			// Hold-out validation of a mean comparison, per-client split seed.
-			var holdout holdoutResponse
+			var holdout api.HoldoutValidateResponse
 			resp = doJSON(t, http.MethodPost, base+"/holdout/validate", map[string]any{
 				"attribute": "hours_per_week",
 				"predicate": json.RawMessage(highEarners),
@@ -237,21 +249,21 @@ func TestCompareAndStarEndpoints(t *testing.T) {
 	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	// Two complementary visualizations of the same target.
-	var a, b createVizResponse
-	doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+	var a, b api.StepResponse
+	postStep(t, base, "add_visualization", map[string]any{
 		"target": "gender", "predicate": json.RawMessage(highEarners),
 	}, &a)
-	doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+	postStep(t, base, "add_visualization", map[string]any{
 		"target": "gender", "predicate": json.RawMessage(`{"type": "not", "term": ` + highEarners + `}`),
 	}, &b)
 
 	// Rule 3: comparing them supersedes the two rule-2 hypotheses.
-	var cmp hypothesisResponse
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/compare", map[string]any{
+	var cmp api.StepResponse
+	wantStatus(t, postStep(t, base, "compare_visualizations", map[string]any{
 		"a": a.Visualization.ID, "b": b.Visualization.ID,
 	}, &cmp), http.StatusCreated)
 
-	var gauge gaugeResponse
+	var gauge api.Gauge
 	doJSON(t, http.MethodGet, base+"/gauge", nil, &gauge)
 	if gauge.Tests != 1 {
 		t.Errorf("after rule 3, gauge reports %d active tests, want 1 (rule-2 pair superseded)", gauge.Tests)
@@ -267,18 +279,17 @@ func TestCompareAndStarEndpoints(t *testing.T) {
 	}
 
 	// Explicit t-test on means (the Figure 1 F interaction).
-	var means hypothesisResponse
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/compare", map[string]any{
-		"a": a.Visualization.ID, "b": b.Visualization.ID, "means_of": "age",
+	var means api.StepResponse
+	wantStatus(t, postStep(t, base, "compare_means", map[string]any{
+		"a": a.Visualization.ID, "b": b.Visualization.ID, "attribute": "age",
 	}, &means), http.StatusCreated)
 	if !strings.Contains(means.Hypothesis.Method, "t-test") {
 		t.Errorf("means_of comparison used %q, want a t-test", means.Hypothesis.Method)
 	}
 
-	// Star the mean hypothesis if it was rejected; either way the endpoint
-	// must round-trip.
-	starURL := fmt.Sprintf("%s/hypotheses/%d/star", base, means.Hypothesis.ID)
-	wantStatus(t, doJSON(t, http.MethodPost, starURL, starRequest{Starred: true}, nil), http.StatusOK)
+	// Star the mean hypothesis if it was rejected; either way the step must
+	// round-trip.
+	wantStatus(t, postStep(t, base, "star", map[string]any{"hypothesis": means.Hypothesis.ID, "starred": true}, nil), http.StatusCreated)
 	doJSON(t, http.MethodGet, base+"/gauge", nil, &gauge)
 	for _, h := range gauge.Hypotheses {
 		if h.ID == means.Hypothesis.ID && !h.Starred {
@@ -287,7 +298,7 @@ func TestCompareAndStarEndpoints(t *testing.T) {
 	}
 
 	// Starring an unknown hypothesis is a 404.
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/hypotheses/999/star", starRequest{Starred: true}, nil), http.StatusNotFound)
+	wantStatus(t, postStep(t, base, "star", map[string]any{"hypothesis": 999, "starred": true}, nil), http.StatusNotFound)
 }
 
 func TestDatasetUploadAndSession(t *testing.T) {
@@ -329,8 +340,8 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	// Explore the uploaded dataset.
 	var info SessionInfo
 	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "weather"}, &info), http.StatusCreated)
-	var viz createVizResponse
-	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/visualizations", ts.URL, info.ID), map[string]any{
+	var viz api.StepResponse
+	wantStatus(t, postStep(t, fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID), "add_visualization", map[string]any{
 		"target":    "temp",
 		"predicate": json.RawMessage(`{"type": "equals", "column": "city", "value": "Phoenix"}`),
 	}, &viz), http.StatusCreated)
@@ -427,12 +438,12 @@ func TestErrorStatuses(t *testing.T) {
 		{"unknown policy", http.MethodPost, ts.URL + "/v1/sessions", map[string]any{"dataset": "census", "policy": "yolo"}, http.StatusBadRequest},
 		{"unknown session gauge", http.MethodGet, ts.URL + "/v1/sessions/99999/gauge", nil, http.StatusNotFound},
 		{"non-numeric session id", http.MethodGet, ts.URL + "/v1/sessions/abc/gauge", nil, http.StatusBadRequest},
-		{"unknown viz target", http.MethodPost, base + "/visualizations", map[string]any{"target": "shoe_size"}, http.StatusBadRequest},
-		{"bad predicate", http.MethodPost, base + "/visualizations",
-			map[string]any{"target": "gender", "predicate": json.RawMessage(`{"type": "xor"}`)}, http.StatusBadRequest},
-		{"unknown fields rejected", http.MethodPost, base + "/visualizations",
-			map[string]any{"target": "gender", "predicte": json.RawMessage(highEarners)}, http.StatusBadRequest},
-		{"compare unknown viz", http.MethodPost, base + "/compare", map[string]any{"a": 90, "b": 91}, http.StatusNotFound},
+		{"unknown viz target", http.MethodPost, base + "/steps", map[string]any{"op": "add_visualization", "target": "shoe_size"}, http.StatusBadRequest},
+		{"bad predicate", http.MethodPost, base + "/steps",
+			map[string]any{"op": "add_visualization", "target": "gender", "predicate": json.RawMessage(`{"type": "xor"}`)}, http.StatusBadRequest},
+		{"unknown fields rejected", http.MethodPost, base + "/steps",
+			map[string]any{"op": "add_visualization", "target": "gender", "predicte": json.RawMessage(highEarners)}, http.StatusBadRequest},
+		{"compare unknown viz", http.MethodPost, base + "/steps", map[string]any{"op": "compare_visualizations", "a": 90, "b": 91}, http.StatusNotFound},
 		{"holdout without predicate", http.MethodPost, base + "/holdout/validate",
 			map[string]any{"attribute": "age"}, http.StatusBadRequest},
 		{"holdout bad alternative", http.MethodPost, base + "/holdout/validate",
@@ -460,12 +471,11 @@ func TestWealthExhaustionConflict(t *testing.T) {
 	// pay for. The shuffled-education predicate family keeps each test cheap.
 	sawConflict := false
 	for i := 0; i < 64 && !sawConflict; i++ {
-		body := map[string]any{
+		resp := postStep(t, base, "add_visualization", map[string]any{
 			"target": "gender",
 			"predicate": json.RawMessage(fmt.Sprintf(
 				`{"type": "range", "column": "age", "low": %d, "high": %d}`, 18+i, 23+i)),
-		}
-		resp := doJSON(t, http.MethodPost, base+"/visualizations", body, nil)
+		}, nil)
 		switch resp.StatusCode {
 		case http.StatusCreated:
 		case http.StatusConflict:
@@ -479,7 +489,7 @@ func TestWealthExhaustionConflict(t *testing.T) {
 	}
 
 	// The session survives exhaustion: the gauge still renders and flags it.
-	var gauge gaugeResponse
+	var gauge api.Gauge
 	wantStatus(t, doJSON(t, http.MethodGet, base+"/gauge", nil, &gauge), http.StatusOK)
 	if !gauge.Exhausted {
 		t.Error("gauge does not report exhaustion")

@@ -133,21 +133,20 @@ func newJournaledServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 func TestJournalSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	// First daemon lifetime: one session driven through both the convenience
-	// endpoints and the generic steps endpoint, plus one session that is
-	// deleted again.
+	// First daemon lifetime: one session driven through the steps endpoint,
+	// plus one session that is deleted again.
 	_, ts1 := newJournaledServer(t, dir)
 	var info SessionInfo
 	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions",
 		map[string]any{"dataset": "census", "policy": "gamma-fixed", "alpha": 0.1}, &info), http.StatusCreated)
 	base := fmt.Sprintf("%s/v1/sessions/%d", ts1.URL, info.ID)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+	wantStatus(t, postStep(t, base, "add_visualization", map[string]any{
 		"target": "gender", "predicate": json.RawMessage(highEarners),
 	}, nil), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
-		"op": "add_visualization", "target": "education", "predicate": json.RawMessage(graduates),
+	wantStatus(t, postStep(t, base, "add_visualization", map[string]any{
+		"target": "education", "predicate": json.RawMessage(graduates),
 	}, nil), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/hypotheses/1/star", map[string]any{"starred": true}, nil), http.StatusOK)
+	wantStatus(t, postStep(t, base, "star", map[string]any{"hypothesis": 1, "starred": true}, nil), http.StatusCreated)
 
 	var doomed SessionInfo
 	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &doomed), http.StatusCreated)
