@@ -135,12 +135,23 @@ type Column struct {
 	// apart, are two neighbouring entries.
 	Values []uint64
 
+	// Source and Via make a mapped column, which stores no row: its rows are
+	// Source's, row i holding its own code Via[k] where Source's row i holds
+	// code k. Source is a coded or bool column that is not mapped itself;
+	// Kind, Width and the dictionary (Dict and CodeOf, or Values; a bool's
+	// two codes) are the mapped column's own, what it would be stored with.
+	// A snapshot holds the codes written out (Materialize), never a mapping.
+	Source *Column
+	Via    []uint32
+
 	valid atomic.Bool // validate passed: a column shared by many stores is checked once
 }
 
 // Len returns the column's row count.
 func (c *Column) Len() int {
 	switch {
+	case c.Source != nil:
+		return c.Source.Len()
 	case c.Width == 1:
 		return len(c.Codes8)
 	case c.Width == 2:
@@ -160,9 +171,11 @@ func (c *Column) Len() int {
 // canonical width (codeWidth of a categorical dictionary; byte codes into
 // 1..MaxValues values, or none, for a numeric column; none for a bool one),
 // a dictionary sorted without duplicates — Values ascending by orderKey and
-// free of NaN — and every code in range. It is the shared gatekeeper of
-// NewStore and the snapshot loader, so a corrupt or hand-rolled snapshot can
-// never hand the kernels an out-of-range code.
+// free of NaN — and every code in range: every row's, or for a mapped column
+// every Via entry's, which bounds every row's as well, Source's codes having
+// been checked in turn. It is the shared gatekeeper of NewStore and the
+// snapshot loader, so a corrupt or hand-rolled snapshot can never hand the
+// kernels an out-of-range code.
 func (c *Column) validate() error {
 	if c.valid.Load() {
 		return nil
@@ -188,6 +201,7 @@ func (c *Column) validate() error {
 		if c.Width != 0 || c.Dict != nil || c.Values != nil {
 			return fmt.Errorf("colstore: column %q: %s column carries a dictionary", c.Name, c.Kind)
 		}
+		n = c.dictLen()
 	default:
 		if c.Dict != nil || c.Width != 1 || n == 0 || n > MaxValues {
 			return fmt.Errorf("colstore: column %q: %d-byte codes for %d %s values", c.Name, c.Width, n, c.Kind)
@@ -201,11 +215,53 @@ func (c *Column) validate() error {
 			}
 		}
 	}
-	if row := firstCodeOutside(c, n); row >= 0 {
+	if c.Source != nil {
+		if err := c.validateVia(n); err != nil {
+			return err
+		}
+	} else if row := firstCodeOutside(c, n); row >= 0 {
 		return fmt.Errorf("colstore: column %q: row %d has a code past its dictionary of %d entries", c.Name, row, n)
 	}
 	c.valid.Store(true)
 	return nil
+}
+
+// validateVia checks a mapped column over a valid coded or bool column that
+// is not mapped itself: no row of its own, one Via entry per Source code, and
+// each below n, the length of its own dictionary.
+func (c *Column) validateVia(n int) error {
+	s := c.Source
+	switch {
+	case s.Source != nil:
+		return fmt.Errorf("colstore: column %q: mapped over the mapped column %q", c.Name, s.Name)
+	case s.Width == 0 && s.Kind != Bool || c.Width == 0 && c.Kind != Bool:
+		return fmt.Errorf("colstore: column %q: a column mapped over %q must be coded, and so must its source", c.Name, s.Name)
+	case c.Floats != nil || c.Ints != nil || c.Bools != nil || c.Codes8 != nil || c.Codes16 != nil || c.Codes32 != nil:
+		return fmt.Errorf("colstore: column %q: a mapped column stores rows", c.Name)
+	case len(c.Via) != s.dictLen():
+		return fmt.Errorf("colstore: column %q: %d mapped codes for the %d codes of %q", c.Name, len(c.Via), s.dictLen(), s.Name)
+	}
+	if err := s.validate(); err != nil {
+		return err
+	}
+	for k, code := range c.Via {
+		if int(code) >= n {
+			return fmt.Errorf("colstore: column %q: code %d of %q maps past its dictionary of %d entries", c.Name, k, s.Name, n)
+		}
+	}
+	return nil
+}
+
+// dictLen returns how many codes a coded or bool column's rows may hold.
+func (c *Column) dictLen() int {
+	switch c.Kind {
+	case Categorical:
+		return len(c.Dict)
+	case Bool:
+		return 2
+	default:
+		return len(c.Values)
+	}
 }
 
 // buildCodeOf (re)derives the inverse dictionary map.

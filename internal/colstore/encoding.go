@@ -143,39 +143,87 @@ func encodeNumeric(c *Column, rows []uint64) *Column {
 	return c
 }
 
-// NewMappedFloatColumn stores the rows perCode[codes[i]] as NewFloatColumn
-// would, tallying only the codes that occur (counts[k] > 0) and writing the
-// codes in one pass through the tally's rename composed with perCode. It also
-// returns how many rows hold each code of the stored column, counts summed
-// through the rename — nil when the column is stored wide.
-func NewMappedFloatColumn(name string, perCode []float64, codes []uint8, counts []int) (*Column, []int) {
+// NewMappedFloatColumn builds the Float64 column whose row i holds
+// perCode[k], k being src's code of row i, as a column mapped over src: the
+// values of the codes that occur (counts[k] > 0) tallied into a sorted
+// dictionary, and Via each code's place in it. Nothing is written per row.
+// It also returns how many rows hold each code of the new column, counts
+// summed through Via. When the values that occur do not fit byte codes — a
+// NaN occurs, more than MaxValues values do, or no row does — it returns
+// nil: NewFloatColumn stores those rows wide.
+func NewMappedFloatColumn(name string, perCode []float64, src *Column, counts []int) (*Column, []int) {
 	t := valueTally{kind: Float64}
-	var lut [MaxValues]uint8
+	via := make([]uint32, len(perCode))
 	for k, v := range perCode {
 		if counts[k] > 0 {
-			lut[k], _ = t.add(math.Float64bits(v))
+			code, ok := t.add(math.Float64bits(v))
+			if !ok {
+				return nil, nil
+			}
+			via[k] = uint32(code)
 		}
 	}
 	dict, final := t.seal()
-	if dict == nil { // a NaN occurs, or no row does
-		rows := make([]float64, len(codes))
-		for i, k := range codes {
-			rows[i] = perCode[k]
-		}
-		return &Column{Name: name, Kind: Float64, Floats: rows}, nil
-	}
-	for k := range lut {
-		lut[k] = final[lut[k]]
+	if dict == nil {
+		return nil, nil
 	}
 	stored := make([]int, len(dict))
 	for k, n := range counts {
-		stored[lut[k]] += n
+		via[k] = uint32(final[via[k]])
+		stored[via[k]] += n
 	}
-	out := make([]uint8, len(codes))
+	return &Column{Name: name, Kind: Float64, Width: 1, Values: dict, Source: src, Via: via}, stored
+}
+
+// NewMappedColumn returns a column named name mapped over src: like's kind,
+// width and dictionary, and row i holding code via[k] where src's row i
+// holds k. src must not be mapped itself; NewStore checks the rest.
+func NewMappedColumn(name string, like, src *Column, via []uint32) *Column {
+	return &Column{Name: name, Kind: like.Kind, Width: like.Width, Dict: like.Dict, CodeOf: like.CodeOf, Values: like.Values, Source: src, Via: via}
+}
+
+// Materialize returns a mapped column as a snapshot stores it: the same
+// name and dictionary, each row's own code written out. Any other column is
+// returned as it is. Every Via entry must be below the dictionary's length,
+// as NewStore checks.
+func (c *Column) Materialize() *Column {
+	if c.Source == nil {
+		return c
+	}
+	out := &Column{Name: c.Name, Kind: c.Kind, Width: c.Width, Dict: c.Dict, CodeOf: c.CodeOf, Values: c.Values}
+	switch c.Width {
+	case 0: // bool: Via holds only 0 and 1
+		out.Bools = bytesAsBools(mapRows[uint8](c.Source, c.Via), c.Len())
+	case 1:
+		out.Codes8 = mapRows[uint8](c.Source, c.Via)
+	case 2:
+		out.Codes16 = mapRows[uint16](c.Source, c.Via)
+	default:
+		out.Codes32 = mapRows[uint32](c.Source, c.Via)
+	}
+	return out
+}
+
+// mapRows returns via[k] for the code k of each row of src, at width O.
+func mapRows[O Code](src *Column, via []uint32) []O {
+	switch {
+	case src.Kind == Bool:
+		return mapCodes[O](BoolsAsBytes(src.Bools), via)
+	case src.Width == 1:
+		return mapCodes[O](src.Codes8, via)
+	case src.Width == 2:
+		return mapCodes[O](src.Codes16, via)
+	default:
+		return mapCodes[O](src.Codes32, via)
+	}
+}
+
+func mapCodes[O, S Code](codes []S, via []uint32) []O {
+	out := make([]O, len(codes))
 	for i, k := range codes {
-		out[i] = lut[k]
+		out[i] = O(via[k])
 	}
-	return &Column{Name: name, Kind: Float64, Width: 1, Values: dict, Codes8: out}, stored
+	return out
 }
 
 // makeCodes returns n codes of one width, code(i) for row i.
@@ -236,7 +284,8 @@ func firstOutside[C Code](codes []C, n int) int {
 
 // Encoding names how the column is stored, as awarestore inspect prints it:
 // "codes=u8 dict=6" for a categorical column, "codes=u8 values=73" for a
-// coded numeric one and "wide" for one that stores its rows.
+// coded numeric one and "wide" for one that stores its rows. A mapped column
+// names the encoding a snapshot writes it in.
 func (c *Column) Encoding() string {
 	switch {
 	case c.Width == 0:

@@ -177,8 +177,10 @@ func (s *Store) WriteSnapshot(path string) error {
 	return nil
 }
 
-// writeColumn emits one column: header, name, dictionary, values.
+// writeColumn emits one column: header, name, dictionary, values; a mapped
+// column's codes written out.
 func (w *snapshotWriter) writeColumn(c *Column) error {
+	c = c.Materialize()
 	if err := w.writeColumnStart(c.Kind, c.Width, c.Name, c.Dict, c.Values, uint64(c.Len())); err != nil {
 		return err
 	}

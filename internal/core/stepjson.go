@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -148,6 +149,9 @@ func decodeStep(sj *stepJSON) (Step, error) {
 		if sj.Visualization == 0 {
 			return nil, fmt.Errorf("core: test_against_expectation step requires a visualization id")
 		}
+		if len(sj.Expected) == 0 {
+			sj.Expected = nil // "expected": {} is the absent field MarshalStep writes for it
+		}
 		return TestAgainstExpectation{Visualization: sj.Visualization, Expected: sj.Expected}, nil
 	case "declare_descriptive":
 		if sj.Visualization == 0 {
@@ -212,20 +216,38 @@ func MarshalStep(s Step) ([]byte, error) {
 	return json.Marshal(enc)
 }
 
-// UnmarshalStep parses the JSON wire format into a step. Unknown fields are
-// rejected.
+// UnmarshalStep parses the JSON wire format into a step. Unknown fields, and
+// anything but whitespace after the step's object, are rejected.
 func UnmarshalStep(data []byte) (Step, error) { return DecodeStep(bytes.NewReader(data)) }
 
+// errTrailingData refuses a document holding more than one JSON value: a
+// second step, or anything else after the first value but whitespace.
+var errTrailingData = errors.New("data after the JSON value")
+
 // DecodeStep reads one step in the JSON wire format from r, as strictly as
-// UnmarshalStep, without first buffering the whole document.
+// UnmarshalStep, without first buffering the whole document: r must hold the
+// one step and nothing after it but whitespace.
 func DecodeStep(r io.Reader) (Step, error) {
 	var sj stepJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sj); err != nil {
+	if err := DecodeStrict(r, &sj); err != nil {
 		return nil, fmt.Errorf("core: parsing step JSON: %w", err)
 	}
 	return decodeStep(&sj)
+}
+
+// DecodeStrict decodes the one JSON value r holds into v: unknown fields are
+// refused, and so is anything after the value but whitespace
+// (errTrailingData).
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
 }
 
 // appliedStepJSON is the wire form of a journal entry.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,6 +120,10 @@ func TestUnmarshalStepStrictness(t *testing.T) {
 		{"expectation without viz", `{"op": "test_against_expectation"}`, "requires a visualization"},
 		{"descriptive without viz", `{"op": "declare_descriptive"}`, "requires a visualization"},
 		{"star without hypothesis", `{"op": "star", "starred": true}`, "requires a hypothesis"},
+		{"trailing garbage", `{"op": "star", "hypothesis": 1, "starred": true} trailing garbage`, "data after"},
+		{"two steps", `{"op": "star", "hypothesis": 1, "starred": true}{"op": "star", "hypothesis": 2}`, "data after"},
+		{"two steps on two lines", "{\"op\": \"star\", \"hypothesis\": 1}\n{\"op\": \"star\", \"hypothesis\": 2}\n", "data after"},
+		{"trailing bracket", `{"op": "star", "hypothesis": 1}]`, "data after"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,6 +135,12 @@ func TestUnmarshalStepStrictness(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+	// Whitespace after the step is no second value.
+	for _, in := range []string{"{\"op\": \"star\", \"hypothesis\": 1}\n", " {\"op\": \"star\", \"hypothesis\": 1} \r\n\t"} {
+		if step, err := UnmarshalStep([]byte(in)); err != nil || step != (Star{Hypothesis: 1, Starred: true}) {
+			t.Errorf("UnmarshalStep(%q) = %#v, %v; want the star", in, step, err)
+		}
 	}
 	// Unknown ops specifically surface ErrUnknownStep so servers can 400 them
 	// with a typed check.
@@ -164,4 +175,44 @@ func TestAppliedStepJSONRoundTrip(t *testing.T) {
 	if back.Step.(CompareMeans) != entry.Step.(CompareMeans) {
 		t.Errorf("step changed: %#v -> %#v", entry.Step, back.Step)
 	}
+}
+
+// FuzzDecodeStep holds the codec to a round trip: any document UnmarshalStep
+// accepts re-marshals through MarshalStep into a document that decodes to the
+// same step and marshals to the same bytes.
+func FuzzDecodeStep(f *testing.F) {
+	for _, doc := range []string{
+		`{"op": "add_visualization", "target": "gender"}`,
+		`{"op": "add_visualization", "target": "gender", "predicate": {"type": "and", "terms": [{"type": "equals", "column": "salary", "value": ">50k"}, {"type": "range", "column": "age", "low": 30, "high": 40}]}}`,
+		`{"op": "compare_means", "attribute": "age", "a": 1, "b": 2}`,
+		`{"op": "test_against_expectation", "visualization": 1, "expected": {"Male": 3, "Female": 1}}`,
+		`{"op": "test_against_expectation", "visualization": 1, "expected": {}}`,
+		`{"op": "star", "hypothesis": 4, "starred": false}` + "\n",
+		`{"op": "star", "hypothesis": 4} {"op": "star", "hypothesis": 5}`,
+		`{"op": "derive_column", "name": "band", "expression": {"expr": "bucket", "arg": {"expr": "col", "column": "age"}, "width": 10}}`,
+		`{"op": "join_dataset", "dataset": "dim", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_"}`,
+		`{"op": "group_by", "row": "gender", "col": "education"}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		step, err := UnmarshalStep(doc)
+		if err != nil {
+			return
+		}
+		wire, err := MarshalStep(step)
+		if err != nil {
+			t.Fatalf("MarshalStep(%#v) of the accepted %q: %v", step, doc, err)
+		}
+		again, err := UnmarshalStep(wire)
+		if err != nil {
+			t.Fatalf("UnmarshalStep(%s), the re-marshaled %q: %v", wire, doc, err)
+		}
+		if !reflect.DeepEqual(again, step) {
+			t.Fatalf("%q decodes to %#v, its re-marshaled %s to %#v", doc, step, wire, again)
+		}
+		if rewire, err := MarshalStep(again); err != nil || string(rewire) != string(wire) {
+			t.Fatalf("%s re-marshals to %s (%v)", wire, rewire, err)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package dataset_test
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"aware/internal/census"
@@ -37,6 +38,35 @@ func pinAllocs(t *testing.T, op string, pin float64, fn func()) {
 	t.Helper()
 	if got := testing.AllocsPerRun(20, fn); got > pin {
 		t.Errorf("%s allocates %v objects per call, pinned at %v", op, got, pin)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun counting bytes: the heap bytes one call
+// of fn allocates, averaged over runs calls after a warm-up call, on one
+// processor.
+func bytesPerRun(runs int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// pinScaleFree requires fn, run at each of two table sizes, to allocate the
+// same objects and the same bytes at both: a step that writes per row fails.
+func pinScaleFree(t *testing.T, op string, rows [2]int, fn [2]func()) {
+	t.Helper()
+	var objects [2]float64
+	var bytes [2]uint64
+	for i := range fn {
+		objects[i], bytes[i] = testing.AllocsPerRun(5, fn[i]), bytesPerRun(5, fn[i])
+	}
+	if objects[0] != objects[1] || bytes[0] != bytes[1] {
+		t.Errorf("%s allocates %v objects, %d B at %d rows and %v objects, %d B at %d", op, objects[0], bytes[0], rows[0], objects[1], bytes[1], rows[1])
 	}
 }
 
@@ -142,26 +172,28 @@ func joinOccupations(tb testing.TB, left, right dataset.View) *dataset.Table {
 }
 
 // TestAllocsHashJoin pins the join of a filtered census view to the
-// occupation dimension, which gathers the selected census rows and draws the
-// dimension's columns through their occupation codes. The count does not
-// grow with the fact side's rows.
+// occupation dimension, which gathers the selected census rows and maps the
+// dimension's columns over their occupation codes. The count does not grow
+// with the fact side's rows.
 func TestAllocsHashJoin(t *testing.T) {
 	left, err := allocsCensus(t, 30000).View(allocsFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	right := occupationDim(t)
-	pinAllocs(t, "HashJoin", 80, func() { joinOccupations(t, left, right) }) // measured 72
+	pinAllocs(t, "HashJoin", 78, func() { joinOccupations(t, left, right) }) // measured 65
 }
 
 // TestAllocsHashJoinDimension pins the join of the full census view to the
 // occupation dimension: every census row matches one occupation, so the
-// result shares the census columns and draws the dimension's through the
-// occupation codes. The count is the same at two fact-side sizes.
+// result shares the census columns and maps the dimension's over the
+// occupation codes. The objects and bytes are the same at two fact-side
+// sizes: nothing is written per row.
 func TestAllocsHashJoinDimension(t *testing.T) {
 	right := occupationDim(t)
-	var counts []float64
-	for _, rows := range []int{30000, 90000} {
+	sizes := [2]int{30000, 90000}
+	var joins [2]func()
+	for i, rows := range sizes {
 		left, err := allocsCensus(t, rows).View(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -175,12 +207,10 @@ func TestAllocsHashJoinDimension(t *testing.T) {
 		} else if joinedAge, _ := joined.Column(census.ColAge); joinedAge != age {
 			t.Fatalf("the join of the full census view gathered its columns")
 		}
-		pinAllocs(t, "HashJoin (dimension)", 52, func() { joinOccupations(t, left, right) }) // measured 47
-		counts = append(counts, testing.AllocsPerRun(5, func() { joinOccupations(t, left, right) }))
+		joins[i] = func() { joinOccupations(t, left, right) }
+		pinAllocs(t, "HashJoin (dimension)", 50, joins[i]) // measured 41
 	}
-	if counts[0] != counts[1] {
-		t.Errorf("HashJoin (dimension) allocates %v objects at 30k rows and %v at 90k", counts[0], counts[1])
-	}
+	pinScaleFree(t, "HashJoin (dimension)", sizes, joins)
 }
 
 // hoursBand is the relational workload's derived column: hours per week
@@ -188,23 +218,32 @@ func TestAllocsHashJoinDimension(t *testing.T) {
 var hoursBand = dataset.Bucket{Arg: dataset.Col{Name: census.ColHoursPerWeek}, Width: 10}
 
 // TestAllocsDerive pins a DeriveColumn step's kernel over the census: the
-// bucket is evaluated once per value of the hours column and its codes mapped
-// in one pass, so the count is the same at two table sizes.
+// bucket is evaluated once per value of the hours column and the column
+// mapped over the hours codes, so the objects and bytes are the same at two
+// table sizes: nothing is written per row. The smaller table is the first
+// rows of the larger, so the hours dictionary, which sizes the per-value
+// work, is the same at both.
 func TestAllocsDerive(t *testing.T) {
-	var counts []float64
-	for _, rows := range []int{20000, 60000} {
-		table := allocsCensus(t, rows)
-		derive := func() {
+	sizes := [2]int{20000, 60000}
+	full := allocsCensus(t, sizes[1])
+	head := make([]int, sizes[0])
+	for i := range head {
+		head[i] = i
+	}
+	first, err := full.Select(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var derives [2]func()
+	for i, table := range []*dataset.Table{first, full} {
+		derives[i] = func() {
 			if _, err := table.Derive("hours_band", hoursBand); err != nil {
 				t.Fatal(err)
 			}
 		}
-		pinAllocs(t, "Derive", 36, derive) // measured 31
-		counts = append(counts, testing.AllocsPerRun(5, derive))
+		pinAllocs(t, "Derive", 36, derives[i]) // measured 32
 	}
-	if counts[0] != counts[1] {
-		t.Errorf("Derive allocates %v objects at 20k rows and %v at 60k", counts[0], counts[1])
-	}
+	pinScaleFree(t, "Derive", sizes, derives)
 }
 
 // BenchmarkDerive times a DeriveColumn step's kernel at the relational
@@ -225,7 +264,8 @@ func BenchmarkDerive(b *testing.B) {
 // BenchmarkHashJoin times a JoinDataset step's kernel at the relational
 // workload's scale, 300k census rows joined to the 120-row occupation
 // dimension, on the default pool: the full view (the left columns are shared)
-// and a filtered one (the selected left rows gathered).
+// and a filtered one (the selected left rows gathered); the dimension's
+// columns are mapped over the occupation codes either way.
 func BenchmarkHashJoin(b *testing.B) {
 	table, err := census.Generate(census.Config{Rows: 300_000, Seed: 1, SignalStrength: 1})
 	if err != nil {

@@ -98,7 +98,7 @@ func crossOracle(v View, rowAttr, colAttr string, bins int) (*CrossTab, error) {
 			return nil, nil, err
 		}
 		if ba.codes != nil {
-			return ba.labels, func(row int) int { return int(ba.binOf[ba.codes[row]]) }, nil
+			return ba.labels, func(row int) int { return int(ba.binOf[c.rows().code(row)]) }, nil
 		}
 		return ba.labels, func(row int) int { return int(ba.assign[row]) }, nil
 	}

@@ -621,7 +621,7 @@ func TestByteEncodingConcurrentFirstUse(t *testing.T) {
 	}
 	for _, c := range tab.columns {
 		for bins, ba := range c.ref.bins {
-			if len(ba.codes) == 0 || &ba.codes[0] != &c.codes8[0] {
+			if codes, _ := ba.codes.([]uint8); len(codes) == 0 || &codes[0] != &c.codes8[0] {
 				t.Errorf("binning of %s into %d bins does not read the codes of its column", c.Name, bins)
 			}
 		}

@@ -17,8 +17,9 @@ import (
 // vectors are morsel-sized scratch buffers drawn from a shared arena
 // (sync.Pool), so a deep expression tree allocates no per-row intermediates
 // in steady state. Division by zero follows IEEE float semantics (±Inf, NaN).
-// Derive evaluates an expression whose column leaves all read one byte-coded
-// column once per dictionary entry instead of once per row (overDict).
+// Derive evaluates an expression whose column leaves all read the codes of
+// one coded column once per code instead of once per row (overDict), and
+// stores the result as a column mapped over those codes.
 
 // Expr is a lazily evaluated arithmetic expression over a table's numeric
 // columns, producing one float64 per row.
@@ -102,8 +103,8 @@ type exprProg struct {
 	op     string    // "colf", "coli", "code", "const", "add", "sub", "mul", "div", "bucket"
 	floats []float64 // "colf": the rows; "code": the value of each code
 	ints   []int64
-	codes  []uint8
-	col    *Column // "code": the column read
+	codes  any     // "code": the rows' codes, a []uint8, []uint16 or []uint32
+	col    *Column // "code": the column whose codes are read (a mapped column's source)
 	val    float64 // Const value or Bucket width
 	l, r   *exprProg
 }
@@ -122,7 +123,8 @@ func compileExpr(t *Table, e Expr) (*exprProg, error) {
 		case c.Type != Float64 && c.Type != Int64:
 			return nil, fmt.Errorf("%w: %s is %s, not numeric", ErrTypeMismatch, c.Name, c.Type)
 		case c.width != 0:
-			return &exprProg{op: "code", floats: c.values, codes: c.codes8, col: c}, nil
+			codes, values := c.rowValues()
+			return &exprProg{op: "code", floats: values, codes: codes, col: c.rows()}, nil
 		case c.Type == Float64:
 			return &exprProg{op: "colf", floats: c.floats}, nil
 		default:
@@ -192,10 +194,7 @@ func (pg *exprProg) evalInto(dst []float64, lo int) {
 			dst[i] = float64(v)
 		}
 	case "code":
-		src := pg.codes[lo : lo+len(dst)]
-		for i, k := range src {
-			dst[i] = pg.floats[k]
-		}
+		decodeRows(dst, pg.codes, pg.floats, lo)
 	case "const":
 		for i := range dst {
 			dst[i] = pg.val
@@ -267,9 +266,10 @@ func (t *Table) evalRows(pg *exprProg) []float64 {
 	return out
 }
 
-// overDict rebinds every column leaf to the values of the one coded column
-// they read (src), so entry k of the evaluation is code k's result; nil when
-// a leaf reads a wide column or a second one.
+// overDict rebinds every column leaf to the values of the codes of the one
+// column they read (src: the column itself, or the source of the mapped
+// columns they read), so entry k of the evaluation is code k's result; nil
+// when a leaf reads a wide column or the codes of a second one.
 func (pg *exprProg) overDict(src **Column) *exprProg {
 	out := *pg
 	switch {
@@ -294,9 +294,12 @@ func (pg *exprProg) overDict(src **Column) *exprProg {
 // Derive returns a new table extended with a Float64 column named name,
 // computed by evaluating the expression over every row. Existing columns are
 // shared, not copied, and the result inherits the table's pool and arena. An
-// expression of one coded column runs once per dictionary entry, through the
-// same evalInto, and is stored from those results and the code tallies,
-// which also give the new column's own: no reader re-tallies its rows.
+// expression whose column leaves read the codes of one column runs once per
+// code, through the same evalInto. When the results that occur fit byte
+// codes the column is mapped over those codes (colstore.NewMappedFloatColumn),
+// nothing written per row, and arrives with its code tallies, summed from
+// its source's. Otherwise, as for any other expression, the rows are
+// evaluated and stored by NewFloatColumn.
 func (t *Table) Derive(name string, e Expr) (*Table, error) {
 	pg, err := compileExpr(t, e)
 	if err != nil {
@@ -304,12 +307,15 @@ func (t *Table) Derive(name string, e Expr) (*Table, error) {
 	}
 	var src *Column
 	if dict := pg.overDict(&src); dict != nil && src != nil {
-		perCode := make([]float64, len(src.values))
-		dict.evalInto(perCode, 0)
-		p, counts := colstore.NewMappedFloatColumn(name, perCode, src.codes8, src.codeTallies())
-		c := wrapColumn(p)
-		c.seedCodes(counts)
-		return t.WithColumn(c)
+		perCode := make([]float64, src.dictLen())
+		for lo := 0; lo < len(perCode); lo += morselRows { // evalInto's scratch holds a morsel
+			dict.evalInto(perCode[lo:min(lo+morselRows, len(perCode))], lo)
+		}
+		if p, counts := colstore.NewMappedFloatColumn(name, perCode, src.phys, src.codeTallies()); p != nil {
+			c := wrapDecoded(p, nil, src)
+			c.seedCodes(counts)
+			return t.WithColumn(c)
+		}
 	}
 	return t.WithColumn(NewFloatColumn(name, t.evalRows(pg)))
 }

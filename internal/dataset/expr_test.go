@@ -272,7 +272,8 @@ func derivesOverDict(t *testing.T, tab *Table, e Expr) bool {
 
 // requireDerivedLikeRows derives e over tab and requires the stored column to
 // be what NewFloatColumn stores from EvalExpr's rows, bit for bit: the width,
-// the value dictionary's bit patterns and the codes, or the wide rows.
+// the value dictionary's bit patterns and the codes — a mapped column's
+// written out, as a snapshot stores them — or the wide rows.
 func requireDerivedLikeRows(t *testing.T, label string, tab *Table, e Expr) *Column {
 	t.Helper()
 	derived, err := tab.Derive("d", e)
@@ -284,7 +285,7 @@ func requireDerivedLikeRows(t *testing.T, label string, tab *Table, e Expr) *Col
 		t.Fatalf("%s: EvalExpr(%s): %v", label, e.Describe(), err)
 	}
 	got, _ := derived.Column("d")
-	g, w := got.phys, NewFloatColumn("d", rows).phys
+	g, w := got.phys.Materialize(), NewFloatColumn("d", rows).phys
 	if g.Width != w.Width || !slices.Equal(g.Values, w.Values) || !slices.Equal(g.Codes8, w.Codes8) || len(g.Floats) != len(w.Floats) {
 		t.Fatalf("%s: %s stored as %s %x, the rows as %s %x", label, e.Describe(), g.Encoding(), g.Values, w.Encoding(), w.Values)
 	}

@@ -43,7 +43,8 @@ type crossAxis struct {
 // their dictionary codes, bool columns their false/true codes, numeric
 // columns the memoized equal-width bin assignment (bins bins over the full
 // table's range, labelled with their edges, which are memoized with it):
-// a coded column's codes through binOf, a wide column's assign as codes.
+// a coded column's codes through binOf, a wide column's assign as codes. A
+// mapped column reads its source's codes, its slots composed through via.
 func (t *Table) crossAxis(name string, bins int) (crossAxis, error) {
 	c, err := t.Column(name)
 	if err != nil {
@@ -51,14 +52,8 @@ func (t *Table) crossAxis(name string, bins int) (crossAxis, error) {
 	}
 	switch c.Type {
 	case Categorical, Bool:
-		var codes any = c.codes32
-		switch c.width {
-		case 1:
-			codes = c.codes8
-		case 2:
-			codes = c.codes16
-		}
-		return crossAxis{labels: c.dict, codes: codes, slot: identity(len(c.dict))}, nil
+		slot := identity(len(c.dict))
+		return crossAxis{labels: c.dict, codes: c.rows().codeVector(), slot: throughVia(c, slot)}, nil
 	case Float64, Int64:
 		if bins <= 0 {
 			return crossAxis{}, fmt.Errorf("dataset: numeric cross-tab attribute %q requires a positive bin count, got %d", name, bins)
@@ -83,6 +78,17 @@ func identity(n int) []int32 {
 		slot[i] = int32(i)
 	}
 	return slot
+}
+
+// countThrough adds one to acc[slot[codes[row]]] for every selected row in
+// the word-aligned range [lo, hi).
+func countThrough[C colstore.Code](s *Selection, lo, hi int, codes []C, slot []int32, acc []int) {
+	for wi := lo / 64; wi < (hi+63)/64; wi++ {
+		base := wi * 64
+		for w := s.words[wi]; w != 0; w &= w - 1 {
+			acc[slot[codes[base+bits.TrailingZeros64(w)]]]++
+		}
+	}
 }
 
 // crossCount adds one to acc[rslot[rc[row]]+cslot[cc[row]]] for every

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"aware/internal/colstore"
@@ -30,8 +31,12 @@ import (
 // itself: the result holds its own *Column values, shared like Derive shares
 // them, with their reference-statistics memos, and its arena. Otherwise the
 // matched left rows are gathered. Either way each right column is drawn once
-// per key code, then mapped over the output rows' key codes, its code tallies
-// summed from theirs.
+// per key code. On a categorical or bool key a coded right column is then a
+// column mapped over the output key column (over its source, when the key is
+// mapped itself): its own code at each key code, nothing written per row. A
+// wide right column, and every right column of an int64 key, is gathered
+// through the output rows' key codes. Each coded right column arrives with
+// its code tallies, summed from the key codes'.
 
 // ErrJoinKeyType is returned when join key columns are not an equi-joinable
 // pair (both categorical, both int64, or both bool).
@@ -76,7 +81,8 @@ func checkJoinSpans(left, right View) error {
 
 // HashJoin equi-joins two filtered views into a new table: each selected left
 // row looks its key up among the selected right rows (see the output contract
-// above).
+// above). On a categorical or bool key the coded right columns are mapped
+// over the output key column, and no right row is written per output row.
 func HashJoin(left, right View, leftKey, rightKey, rightPrefix string) (*Table, error) {
 	lc, rc, err := joinKeyColumns(left, right, leftKey, rightKey)
 	if err != nil {
@@ -88,18 +94,18 @@ func HashJoin(left, right View, leftKey, rightKey, rightPrefix string) (*Table, 
 	if lc.Type == Int64 {
 		codes, matches, values := intKeyCodes(left, lc, right, rc)
 		key := func(id int) string { return lc.Name + " " + strconv.FormatInt(values[id], 10) }
-		return lookupJoin(left, right, codes, countCodes(left, codes, len(matches)), matches, key, rightPrefix)
+		return lookupJoin(left, right, nil, codes, countCodes(left, codes, len(matches)), matches, key, rightPrefix)
 	}
 	matches := codeMatches(lc, right, rc)
 	counts := left.codeCounts(lc)
 	key := func(code int) string { return lc.Name + " " + strconv.Quote(lc.dict[code]) }
-	switch lc.width {
+	switch r := lc.rows(); r.width {
 	case 1:
-		return lookupJoin(left, right, lc.codes8, counts, matches, key, rightPrefix)
+		return lookupJoin(left, right, lc, r.codes8, counts, matches, key, rightPrefix)
 	case 2:
-		return lookupJoin(left, right, lc.codes16, counts, matches, key, rightPrefix)
+		return lookupJoin(left, right, lc, r.codes16, counts, matches, key, rightPrefix)
 	default:
-		return lookupJoin(left, right, lc.codes32, counts, matches, key, rightPrefix)
+		return lookupJoin(left, right, lc, r.codes32, counts, matches, key, rightPrefix)
 	}
 }
 
@@ -165,9 +171,12 @@ func intKeyCodes(left View, lc *Column, right View, rc *Column) (codes []uint32,
 
 // lookupJoin joins on the left key's codes: codes[row] is a left row's code,
 // counts[code] how many selected left rows hold it, and matches[code] what it
-// finds on the right. A code a left row holds and two or more right rows hold
-// refuses the join, naming the key as key(code) does.
-func lookupJoin[C colstore.Code](left, right View, codes []C, counts []int, matches []keyMatch, key func(code int) string, rightPrefix string) (*Table, error) {
+// finds on the right. lc is the key column of a categorical or bool key,
+// whose rows codes holds (its source's, when lc is mapped; counts and matches
+// are over lc's own codes), and nil for an int64 key's ids. A code a left row
+// holds and two or more right rows hold refuses the join, naming the key as
+// key(code) does.
+func lookupJoin[C colstore.Code](left, right View, lc *Column, codes []C, counts []int, matches []keyMatch, key func(code int) string, rightPrefix string) (*Table, error) {
 	rowOf := make([]int32, len(matches))
 	kept := make([]int, len(matches))
 	matched := 0
@@ -185,16 +194,36 @@ func lookupJoin[C colstore.Code](left, right View, codes []C, counts []int, matc
 	if matched == 0 {
 		rowOf = nil // no output row draws a right row, and the right side may hold none
 	}
-	if left.full() && matched == left.sel.n {
-		return materializeJoin(left.table, right.table, nil, byKeyCode(codes, rowOf, kept), rightPrefix)
-	}
-	lidx := make([]int32, 0, matched)
-	left.sel.ForEach(func(row int) {
-		if kept[codes[row]] != 0 {
-			lidx = append(lidx, int32(row))
+	var lidx []int32 // the gathered left rows; nil when the output is the left table
+	if !left.full() || matched != left.sel.n {
+		keep := kept
+		if lc != nil {
+			keep = throughVia(lc, kept)
 		}
-	})
-	return materializeJoin(left.table, right.table, lidx, byKeyCode(gatherRows(codes, lidx), rowOf, kept), rightPrefix)
+		lidx = make([]int32, 0, matched)
+		left.sel.ForEach(func(row int) {
+			if keep[codes[row]] != 0 {
+				lidx = append(lidx, int32(row))
+			}
+		})
+	}
+	cols := make([]*Column, 0, len(left.table.columns)+len(right.table.columns))
+	for _, c := range left.table.columns {
+		if lidx != nil {
+			c = gather(c, c.phys, lidx, c.Name)
+		}
+		cols = append(cols, c)
+	}
+	var byKey func(c *Column, name string) *Column
+	switch {
+	case lc != nil && matched > 0:
+		byKey = mapByKey(cols[slices.Index(left.table.columns, lc)], rowOf, kept)
+	case lidx != nil:
+		byKey = byKeyCode(gatherRows(codes, lidx), rowOf, kept)
+	default:
+		byKey = byKeyCode(codes, rowOf, kept)
+	}
+	return materializeJoin(left.table, right.table, cols, lidx == nil, byKey, rightPrefix)
 }
 
 // byKeyCode draws a right column through the output rows' key codes: its rows
@@ -204,29 +233,55 @@ func byKeyCode[C colstore.Code](codes []C, rowOf []int32, counts []int) func(c *
 	return func(c *Column, name string) *Column {
 		out := gather(c, gatherPhys(c.phys, rowOf), codes, name)
 		if c.width != 0 {
-			tallies := make([]int, c.dictLen())
-			for k, row := range rowOf {
-				tallies[c.code(int(row))] += counts[k]
-			}
-			out.seedCodes(tallies)
+			out.seedCodes(keyTallies(c, rowOf, counts))
 		}
 		return out
 	}
 }
 
-// materializeJoin builds the join's table: left columns first under their own
-// names, then right columns renamed rightPrefix+name and drawn by byKey. With
-// lidx nil the output is the left table: its own columns and its arena;
-// otherwise the left columns gather the rows lidx. The result inherits the
-// left table's execution pool.
-func materializeJoin(lt, rt *Table, lidx []int32, byKey func(c *Column, name string) *Column, rightPrefix string) (*Table, error) {
-	cols := make([]*Column, 0, len(lt.columns)+len(rt.columns))
-	for _, c := range lt.columns {
-		if lidx != nil {
-			c = gather(c, c.phys, lidx, c.Name)
+// mapByKey draws a right column through the output key column key, where
+// counts[k] output rows hold key code k and draw the right row rowOf[k]. A
+// coded column is mapped over key, its own code at k that of the row
+// rowOf[k]; a wide one is gathered through key's codes.
+func mapByKey(key *Column, rowOf []int32, counts []int) func(c *Column, name string) *Column {
+	return func(c *Column, name string) *Column {
+		if c.width == 0 {
+			p := gatherPhys(c.phys, throughVia(key, rowOf))
+			switch r := key.rows(); r.width {
+			case 1:
+				return gather(c, p, r.codes8, name)
+			case 2:
+				return gather(c, p, r.codes16, name)
+			default:
+				return gather(c, p, r.codes32, name)
+			}
 		}
-		cols = append(cols, c)
+		via := make([]uint32, len(rowOf))
+		for k, row := range rowOf {
+			via[k] = uint32(c.code(int(row)))
+		}
+		src := key.rows() // never chain: over a mapped key, map over its source
+		out := wrapDecoded(colstore.NewMappedColumn(name, c.phys, src.phys, throughVia(key, via)), c, src)
+		out.seedCodes(keyTallies(c, rowOf, counts))
+		return out
 	}
+}
+
+// keyTallies sums counts[k], the output rows holding key code k, per code of
+// the coded right column c at the row rowOf[k] each key code draws.
+func keyTallies(c *Column, rowOf []int32, counts []int) []int {
+	tallies := make([]int, c.dictLen())
+	for k, row := range rowOf {
+		tallies[c.code(int(row))] += counts[k]
+	}
+	return tallies
+}
+
+// materializeJoin builds the join's table: the left columns cols first,
+// then the right columns renamed rightPrefix+name and drawn by byKey. When
+// shared, cols are the left table's own and the result takes its arena. The
+// result inherits the left table's execution pool.
+func materializeJoin(lt, rt *Table, cols []*Column, shared bool, byKey func(c *Column, name string) *Column, rightPrefix string) (*Table, error) {
 	for _, c := range rt.columns {
 		cols = append(cols, byKey(c, rightPrefix+c.Name))
 	}
@@ -235,7 +290,7 @@ func materializeJoin(lt, rt *Table, lidx []int32, byKey func(c *Column, name str
 		return nil, err
 	}
 	out.pool.Store(lt.pool.Load())
-	if lidx == nil {
+	if shared {
 		out.arena.Store(lt.arena.Load())
 	}
 	return out, nil

@@ -400,6 +400,38 @@ func (t *Table) whereRuns(codes []uint8, b byteRuns, set []uint64) *Selection {
 	})
 }
 
+// whereSet selects the rows of an unmapped coded column whose code is in
+// set, one bit per code: byte codes as the runs of the set, wider ones
+// against the bitset.
+func (t *Table) whereSet(c *Column, set []uint64) *Selection {
+	switch c.width {
+	case 1:
+		return t.whereRuns(c.codes8, setRuns(set, c.dictLen()), set)
+	case 2:
+		return selectIn(t, c.codes16, set)
+	default:
+		return selectIn(t, c.codes32, set)
+	}
+}
+
+// whereMapped selects the rows of a mapped column whose own code satisfies
+// in: the source codes that map to such a code become a set over the
+// source's codes, which whereSet scans.
+func (t *Table) whereMapped(c *Column, in func(code int) bool) *Selection {
+	set := make([]uint64, (len(c.via)+63)/64)
+	found := false
+	for k, code := range c.via {
+		if in(int(code)) {
+			set[k>>6] |= 1 << (k & 63)
+			found = true
+		}
+	}
+	if !found {
+		return t.stamp(EmptySelection(t.rows))
+	}
+	return t.whereSet(c.src, set)
+}
+
 // selectEq selects the rows whose code is want, for codes wider than a byte.
 func selectEq[C colstore.Code](t *Table, col []C, want C) *Selection {
 	return t.fillSelection(func(sel *Selection, lo, hi int) int {
@@ -416,7 +448,7 @@ func selectIn[C colstore.Code](t *Table, col []C, set []uint64) *Selection {
 
 // whereEquals is the Equals leaf over a categorical or bool column: a value
 // absent from the dictionary selects nothing; a byte-coded column is scanned
-// as the run [code, code+1).
+// as the run [code, code+1), a mapped one as the source codes mapping to it.
 func (t *Table) whereEquals(q Equals) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
@@ -426,6 +458,8 @@ func (t *Table) whereEquals(q Equals) (*Selection, error) {
 	switch {
 	case !ok:
 		return t.stamp(EmptySelection(t.rows)), nil
+	case c.via != nil:
+		return t.whereMapped(c, func(k int) bool { return k == int(code) }), nil
 	case c.width == 1:
 		return t.whereRuns(c.codes8, rangeRuns(int(code), int(code)+1), nil), nil
 	case c.width == 2:
@@ -437,7 +471,7 @@ func (t *Table) whereEquals(q Equals) (*Selection, error) {
 
 // whereIn is the In leaf, specialized per code width: a byte-coded column
 // is scanned as the runs of its code set, a wider one against a bitset sized
-// to its dictionary.
+// to its dictionary, a mapped one as the source codes mapping into the set.
 func (t *Table) whereIn(q In) (*Selection, error) {
 	c, err := t.categoricalColumn(q.Column)
 	if err != nil {
@@ -454,19 +488,18 @@ func (t *Table) whereIn(q In) (*Selection, error) {
 	switch {
 	case !found:
 		return t.stamp(EmptySelection(t.rows)), nil
-	case c.width == 1:
-		return t.whereRuns(c.codes8, setRuns(set, len(c.dict)), set), nil
-	case c.width == 2:
-		return selectIn(t, c.codes16, set), nil
+	case c.via != nil:
+		return t.whereMapped(c, func(k int) bool { return set[k>>6]>>(k&63)&1 != 0 }), nil
 	default:
-		return selectIn(t, c.codes32, set), nil
+		return t.whereSet(c, set), nil
 	}
 }
 
 // whereRange is the Range leaf. On a coded column low <= v < high becomes
 // lo <= code < hi, exactly: lo is the first value >= low, hi the first that
 // is not < high (so a NaN bound, which no value satisfies, yields an empty
-// range by itself), and values of one comparison value are neighbours.
+// range by itself), and values of one comparison value are neighbours. A
+// mapped column selects the source codes mapping into the range.
 func (t *Table) whereRange(q Range) (*Selection, error) {
 	c, err := t.numericColumn(q.Column)
 	if err != nil {
@@ -475,6 +508,9 @@ func (t *Table) whereRange(q Range) (*Selection, error) {
 	if c.width != 0 {
 		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] >= q.Low })
 		hi := sort.Search(len(c.values), func(i int) bool { return !(c.values[i] < q.High) })
+		if c.via != nil {
+			return t.whereMapped(c, func(k int) bool { return lo <= k && k < hi }), nil
+		}
 		return t.whereRuns(c.codes8, rangeRuns(lo, hi), nil), nil
 	}
 	if c.Type == Float64 {
@@ -498,6 +534,9 @@ func (t *Table) whereGreater(q GreaterThan) (*Selection, error) {
 	}
 	if c.width != 0 {
 		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] > q.Threshold })
+		if c.via != nil {
+			return t.whereMapped(c, func(k int) bool { return lo <= k }), nil
+		}
 		return t.whereRuns(c.codes8, rangeRuns(lo, len(c.values)), nil), nil
 	}
 	if c.Type == Float64 {

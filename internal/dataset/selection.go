@@ -410,18 +410,20 @@ func (v View) CountsFor(name string, categories []string) ([]int, error) {
 
 // codeCounts tallies the selected rows of a coded column per code (bool
 // columns: false at 0, true at 1) — per-morsel partial histograms merged in
-// morsel order, or the column's memoized tallies when the view is full. The
+// morsel order, a mapped column's over its source's codes and then folded
+// through via, or the column's memoized tallies when the view is full. The
 // result is read-only: it may be the memo's own slice.
 func (v View) codeCounts(c *Column) []int {
-	switch {
-	case v.full():
+	if v.full() {
 		return c.codeTallies()
-	case c.width == 1:
-		return countCodes(v, c.codes8, c.dictLen())
-	case c.width == 2:
-		return countCodes(v, c.codes16, c.dictLen())
+	}
+	switch r := c.rows(); r.width {
+	case 1:
+		return c.fold(countCodes(v, r.codes8, r.dictLen()))
+	case 2:
+		return c.fold(countCodes(v, r.codes16, r.dictLen()))
 	default:
-		return countCodes(v, c.codes32, c.dictLen())
+		return c.fold(countCodes(v, r.codes32, r.dictLen()))
 	}
 }
 
@@ -461,10 +463,15 @@ func (v View) Floats(name string) ([]float64, error) {
 	}
 	sel, p := v.sel, v.table.execPool()
 	out := make([]float64, sel.count)
+	var codes any
+	var values []float64
+	if c.width != 0 {
+		codes, values = c.rowValues()
+	}
 	m := chunks(sel.n, morselRows)
 	if m <= 1 || p.workers == 1 {
 		p.cutoffHits.Add(1)
-		sel.gatherFloats(out, c, 0, sel.n)
+		sel.gatherFloats(out, c, codes, values, 0, sel.n)
 		return out, nil
 	}
 	offsets := make([]int, m+1)
@@ -477,43 +484,57 @@ func (v View) Floats(name string) ([]float64, error) {
 	}
 	p.Run(m, func(i int) {
 		lo := i * morselRows
-		sel.gatherFloats(out[offsets[i]:offsets[i+1]], c, lo, min(lo+morselRows, sel.n))
+		sel.gatherFloats(out[offsets[i]:offsets[i+1]], c, codes, values, lo, min(lo+morselRows, sel.n))
 	})
 	return out, nil
 }
 
 // gatherFloats writes the values of a numeric column at the selected rows of
 // the word-aligned range [lo, hi) (hi word-aligned or s.n) into dst, in row
-// order; dst holds exactly that many values. One loop per column storage:
-// the value load — a code's value, for a coded column — sits directly in the
-// bit-scan loop, with no call per row.
-func (s *Selection) gatherFloats(dst []float64, c *Column, lo, hi int) {
+// order; dst holds exactly that many values. A coded column passes its
+// rows' codes and each code's value (Column.rowValues). One loop per column
+// storage: the value load — a code's value, for a coded column — sits
+// directly in the bit-scan loop, with no call per row.
+func (s *Selection) gatherFloats(dst []float64, c *Column, codes any, values []float64, lo, hi int) {
 	words := s.words[lo/64 : (hi+63)/64]
 	i := 0
-	switch {
-	case c.width != 0:
-		for wi, w := range words {
-			col := c.codes8[lo+wi*64:]
-			for ; w != 0; w &= w - 1 {
-				dst[i] = c.values[col[bits.TrailingZeros64(w)]]
-				i++
+	switch cs := codes.(type) {
+	case []uint8:
+		gatherCodes(dst, words, cs[lo:], values)
+	case []uint16:
+		gatherCodes(dst, words, cs[lo:], values)
+	case []uint32:
+		gatherCodes(dst, words, cs[lo:], values)
+	case nil:
+		if c.Type == Float64 {
+			for wi, w := range words {
+				col := c.floats[lo+wi*64:]
+				for ; w != 0; w &= w - 1 {
+					dst[i] = col[bits.TrailingZeros64(w)]
+					i++
+				}
 			}
+			return
 		}
-	case c.Type == Float64:
-		for wi, w := range words {
-			col := c.floats[lo+wi*64:]
-			for ; w != 0; w &= w - 1 {
-				dst[i] = col[bits.TrailingZeros64(w)]
-				i++
-			}
-		}
-	default:
 		for wi, w := range words {
 			col := c.ints[lo+wi*64:]
 			for ; w != 0; w &= w - 1 {
 				dst[i] = float64(col[bits.TrailingZeros64(w)])
 				i++
 			}
+		}
+	}
+}
+
+// gatherCodes writes values[codes[row]] for each set bit of words, row
+// counted from the window's first.
+func gatherCodes[C colstore.Code](dst []float64, words []uint64, codes []C, values []float64) {
+	i := 0
+	for wi, w := range words {
+		col := codes[wi*64:]
+		for ; w != 0; w &= w - 1 {
+			dst[i] = values[col[bits.TrailingZeros64(w)]]
+			i++
 		}
 	}
 }
@@ -631,11 +652,16 @@ func (v View) binCounts(name string, bins int) ([]int, *binAssignment, error) {
 		return slices.Clone(ba.counts), ba, nil
 	}
 	counts := reduceInts(v.table.execPool(), v.sel.n, bins, func(lo, hi int, acc []int) {
-		if ba.codes != nil {
-			v.sel.forEachIn(lo, hi, func(row int) { acc[ba.binOf[ba.codes[row]]]++ })
-			return
+		switch codes := ba.codes.(type) {
+		case []uint8:
+			countThrough(v.sel, lo, hi, codes, ba.binOf, acc)
+		case []uint16:
+			countThrough(v.sel, lo, hi, codes, ba.binOf, acc)
+		case []uint32:
+			countThrough(v.sel, lo, hi, codes, ba.binOf, acc)
+		default:
+			v.sel.forEachIn(lo, hi, func(row int) { acc[ba.assign[row]]++ })
 		}
-		v.sel.forEachIn(lo, hi, func(row int) { acc[ba.assign[row]]++ })
 	})
 	return counts, ba, nil
 }
@@ -648,7 +674,8 @@ func (v View) binCounts(name string, bins int) ([]int, *binAssignment, error) {
 // identical to binning a materialized sub-table. The edges depend on the
 // column's smallest and largest value only; a coded column reads both off
 // its sorted values and its memoized code tallies (valueRange) and bins each
-// value once, where a wide column converts, scans and bins every row.
+// value once — a mapped column's bins then composed through via over its
+// source's codes — where a wide column converts, scans and bins every row.
 func (t *Table) binAssignments(column string, binCount int) (*binAssignment, error) {
 	c, err := t.numericColumn(column)
 	if err != nil {
@@ -695,11 +722,12 @@ func (t *Table) binAssignments(column string, binCount int) (*binAssignment, err
 			}
 			return ba, nil
 		}
-		ba.codes, ba.binOf = c.codes8, make([]int32, len(c.values))
+		binOf := make([]int32, len(c.values))
 		for code, v := range c.values {
-			ba.binOf[code] = binIndex(v)
-			ba.counts[ba.binOf[code]] += rows[code]
+			binOf[code] = binIndex(v)
+			ba.counts[binOf[code]] += rows[code]
 		}
+		ba.codes, ba.binOf = c.rows().codeVector(), throughVia(c, binOf)
 		return ba, nil
 	})
 }

@@ -105,6 +105,15 @@ func typeOfKind(k colstore.Kind) ColumnType {
 // (Float, View.Floats, EvalExpr, WriteCSV) decode them. A numeric column
 // with more distinct values, or a NaN, is wide: its rows are floats or ints.
 //
+// A mapped column (a derive over one coded column, a dimension join's right
+// column) stores no row: its rows hold the codes of its source, src, and
+// via[k] is its own code where src holds k. Its width, dictionary and decode
+// tables are its own; codes8, codes16 and codes32 are nil. Each reader
+// composes via into the per-code table it reads once per call (throughVia,
+// fold), then runs the source's codes through the kernel an unmapped column
+// takes. src is never mapped itself: a column mapped over a mapped one maps
+// over its source.
+//
 // The reference-statistics memo (ref) is the one mutable part of a column;
 // see refStats. A column must not be copied by value.
 type Column struct {
@@ -133,6 +142,9 @@ type Column struct {
 	rank     []uint8
 	distinct []float64
 
+	src *Column  // a mapped column's source
+	via []uint32 // a mapped column's own code of each code of src
+
 	ref refStats
 }
 
@@ -140,16 +152,23 @@ type Column struct {
 var boolCodes = map[string]uint32{"false": 0, "true": 1}
 
 // wrapColumn builds the facade over a physical column.
-func wrapColumn(p *colstore.Column) *Column { return wrapDecoded(p, nil) }
+func wrapColumn(p *colstore.Column) *Column { return wrapDecoded(p, nil, nil) }
 
 // wrapDecoded builds the facade over p. When like is not nil it is a column
 // over the same Values as p, and a coded numeric p shares its (immutable)
-// decode tables instead of building its own.
-func wrapDecoded(p *colstore.Column, like *Column) *Column {
+// decode tables instead of building its own. A mapped p reads src, the
+// facade over p.Source (built anew when src is nil).
+func wrapDecoded(p *colstore.Column, like, src *Column) *Column {
 	c := &Column{Name: p.Name, Type: typeOfKind(p.Kind), phys: p, floats: p.Floats, ints: p.Ints,
 		width: p.Width, codes8: p.Codes8, codes16: p.Codes16, codes32: p.Codes32, dict: p.Dict, codeOf: p.CodeOf}
 	if p.Kind == colstore.Bool {
 		c.width, c.codes8, c.dict, c.codeOf = 1, colstore.BoolsAsBytes(p.Bools), boolLabels, boolCodes
+	}
+	if p.Source != nil {
+		if src == nil {
+			src = wrapColumn(p.Source)
+		}
+		c.src, c.via = src, p.Via
 	}
 	if like != nil {
 		c.values, c.rank, c.distinct = like.values, like.rank, like.distinct
@@ -210,7 +229,7 @@ func (c *Column) Bool(i int) (bool, error) {
 	if c.Type != Bool {
 		return false, fmt.Errorf("%w: %s is %s, not bool", ErrTypeMismatch, c.Name, c.Type)
 	}
-	return c.codes8[i] == 1, nil
+	return c.code(i) == 1, nil
 }
 
 // boolLabels is the two-value "dictionary" of a bool column, indexed by its
@@ -219,6 +238,9 @@ var boolLabels = []string{"false", "true"}
 
 // code returns the code of row i of a coded column.
 func (c *Column) code(i int) int {
+	if c.via != nil {
+		return int(c.via[c.src.code(i)])
+	}
 	switch c.width {
 	case 1:
 		return int(c.codes8[i])
@@ -241,7 +263,7 @@ func (c *Column) dictLen() int {
 func (c *Column) floatAt(i int) float64 {
 	switch {
 	case c.width != 0:
-		return c.values[c.codes8[i]]
+		return c.values[c.code(i)]
 	case c.Type == Float64:
 		return c.floats[i]
 	default:
@@ -252,9 +274,83 @@ func (c *Column) floatAt(i int) float64 {
 // intAt returns row i of an Int64 column, exactly.
 func (c *Column) intAt(i int) int64 {
 	if c.width != 0 {
-		return int64(c.phys.Values[c.codes8[i]])
+		return int64(c.phys.Values[c.code(i)])
 	}
 	return c.ints[i]
+}
+
+// rows returns the column whose code vector holds c's rows: c, or the source
+// of a mapped column.
+func (c *Column) rows() *Column {
+	if c.src != nil {
+		return c.src
+	}
+	return c
+}
+
+// codeVector returns the codes of an unmapped coded column's rows: a
+// []uint8, []uint16 or []uint32.
+func (c *Column) codeVector() any {
+	switch c.width {
+	case 1:
+		return c.codes8
+	case 2:
+		return c.codes16
+	default:
+		return c.codes32
+	}
+}
+
+// throughVia returns a table over c's own codes as a table over the codes
+// its rows hold: perCode itself for an unmapped column, perCode[via[k]] at
+// each source code k of a mapped one.
+func throughVia[T any](c *Column, perCode []T) []T {
+	if c.via == nil {
+		return perCode
+	}
+	out := make([]T, len(c.via))
+	for k, own := range c.via {
+		out[k] = perCode[own]
+	}
+	return out
+}
+
+// fold sums counts over the codes c's rows hold into counts over its own
+// codes: counts itself for an unmapped column.
+func (c *Column) fold(counts []int) []int {
+	if c.via == nil {
+		return counts
+	}
+	own := make([]int, c.dictLen())
+	for k, n := range counts {
+		own[c.via[k]] += n
+	}
+	return own
+}
+
+// rowValues returns the code vector a coded numeric column's rows hold and
+// the value of each of its codes, composed through via for a mapped column.
+func (c *Column) rowValues() (codes any, values []float64) {
+	return c.rows().codeVector(), throughVia(c, c.values)
+}
+
+// decodeRows writes values[k] into dst for the code k of each row of codes —
+// a []uint8, []uint16 or []uint32 — from row lo on.
+func decodeRows(dst []float64, codes any, values []float64, lo int) {
+	switch cs := codes.(type) {
+	case []uint8:
+		decodeCodes(dst, cs[lo:lo+len(dst)], values)
+	case []uint16:
+		decodeCodes(dst, cs[lo:lo+len(dst)], values)
+	case []uint32:
+		decodeCodes(dst, cs[lo:lo+len(dst)], values)
+	}
+}
+
+func decodeCodes[C colstore.Code](dst []float64, codes []C, values []float64) {
+	for i, k := range codes {
+		dst[i] = values[k]
+	}
 }
 
 // rowIndex is a row number (Select, a join's pairs) or a key code (byKeyCode).
@@ -275,11 +371,15 @@ func gather[I rowIndex](c *Column, p *colstore.Column, indices []I, name string)
 		return NewIntColumn(name, p.Ints)
 	}
 	p.Name = name
-	return wrapDecoded(p, c)
+	return wrapDecoded(p, c, nil)
 }
 
-// gatherPhys returns p's rows at the given indices as p stores them.
+// gatherPhys returns p's rows at the given indices as p stores them; a
+// mapped p's come out with its own codes written out.
 func gatherPhys[I rowIndex](p *colstore.Column, indices []I) *colstore.Column {
+	if p.Source != nil {
+		return colstore.NewMappedColumn(p.Name, p, gatherPhys(p.Source, indices), p.Via).Materialize()
+	}
 	out := &colstore.Column{Name: p.Name, Kind: p.Kind, Width: p.Width, Dict: p.Dict, CodeOf: p.CodeOf, Values: p.Values}
 	switch {
 	case p.Kind == colstore.Bool:
@@ -376,11 +476,13 @@ type refStats struct {
 // binAssignment is the memoized result, computed once per (column, bin
 // count): the number of rows per bin, the "[lo, hi)" label of each bin, and
 // the bin of every row — assign[row] for a wide column, binOf[codes[row]] for
-// a coded one, whose codes are the column's own and whose binOf has one entry
-// per value. A wide column's assign is a code column CrossCounts reads.
+// a coded one, whose codes are the column's own (a []uint8), or a mapped
+// column's source's (a []uint8, []uint16 or []uint32), and whose binOf has
+// one entry per code. A wide column's assign is a code column CrossCounts
+// reads.
 type binAssignment struct {
 	assign []uint32
-	codes  []uint8
+	codes  any
 	binOf  []int32
 	counts []int
 	labels []string
@@ -437,6 +539,10 @@ func (c *Column) codeTallies() []int {
 	}
 	put := func(counts *[]int) { c.ref.codes = *counts }
 	counts, _ := memoized(&c.ref, get, put, func() (*[]int, error) {
+		if c.via != nil {
+			counts := c.fold(c.src.codeTallies())
+			return &counts, nil
+		}
 		counts := make([]int, c.dictLen())
 		switch c.width {
 		case 1:
@@ -453,7 +559,7 @@ func (c *Column) codeTallies() []int {
 
 // seedCodes records the per-code tallies of a column under construction,
 // known from the column it was built from (Derive's source, a dimension
-// join's left key), so that no reader scans its rows for them; nil records
+// join's left key), so that no reader scans or folds them; nil records
 // nothing.
 func (c *Column) seedCodes(counts []int) { c.ref.codes = counts }
 
@@ -480,10 +586,32 @@ func (c *Column) valueRange(counts []int) []float64 {
 	ends := []float64{c.values[lo], c.values[hi]}
 	for i, v := range ends {
 		if v == 0 {
-			ends[i] = c.values[c.codes8[slices.IndexFunc(c.codes8, func(k uint8) bool { return c.values[k] == 0 })]]
+			ends[i] = firstZero(c.rowValues())
 		}
 	}
 	return ends
+}
+
+// firstZero returns the value of the first row whose value is ±0, given the
+// rows' codes — a []uint8, []uint16 or []uint32 — and each code's value.
+func firstZero(codes any, values []float64) float64 {
+	switch cs := codes.(type) {
+	case []uint8:
+		return firstZeroOf(cs, values)
+	case []uint16:
+		return firstZeroOf(cs, values)
+	default:
+		return firstZeroOf(cs.([]uint32), values)
+	}
+}
+
+func firstZeroOf[C colstore.Code](codes []C, values []float64) float64 {
+	for _, k := range codes {
+		if values[k] == 0 {
+			return values[k]
+		}
+	}
+	return 0
 }
 
 // NewTable builds a table from columns, which must all have the same length
@@ -625,6 +753,11 @@ func (t *Table) Floats(name string) ([]float64, error) {
 // floatValues returns a fresh copy of a numeric column's values as float64s.
 func (c *Column) floatValues() []float64 {
 	out := make([]float64, c.Len())
+	if c.width != 0 {
+		codes, values := c.rowValues()
+		decodeRows(out, codes, values, 0)
+		return out
+	}
 	for i := range out {
 		out[i] = c.floatAt(i)
 	}

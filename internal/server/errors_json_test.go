@@ -87,6 +87,9 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		{"bad hypothesis id", http.MethodPost, "/sessions/1/steps", `{"op": "star", "hypothesis": "x", "starred": true}`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"steps unknown op", http.MethodPost, "/sessions/1/steps", `{"op": "warp"}`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"steps oversized body", http.MethodPost, "/sessions/1/steps", strings.Repeat(" ", maxUploadBytes+1), http.StatusBadRequest, api.CodeStepInvalid},
+		{"steps trailing garbage", http.MethodPost, "/sessions/1/steps", `{"op": "declare_descriptive", "visualization": 1} trailing garbage`, http.StatusBadRequest, api.CodeStepInvalid},
+		{"steps two steps", http.MethodPost, "/sessions/1/steps", `{"op": "declare_descriptive", "visualization": 1}{"op": "declare_descriptive", "visualization": 2}`, http.StatusBadRequest, api.CodeStepInvalid},
+		{"create session two bodies", http.MethodPost, "/sessions", `{"dataset": "census"} {"dataset": "census"}`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"holdout validate bad body", http.MethodPost, "/sessions/1/holdout/validate", `nope`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"holdout replay bad body", http.MethodPost, "/sessions/1/holdout/replay", `"`, http.StatusBadRequest, api.CodeStepInvalid},
 		{"restore bad body", http.MethodPost, "/sessions/1/restore", `{`, http.StatusBadRequest, api.CodeStepInvalid},

@@ -110,9 +110,7 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxUploadBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := core.DecodeStrict(http.MaxBytesReader(nil, r.Body, maxUploadBytes), v); err != nil {
 		return fmt.Errorf("%w: %w", errInvalidBody, err)
 	}
 	return nil

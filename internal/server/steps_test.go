@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"aware/internal/api"
 	"aware/internal/census"
 	"aware/internal/core"
 )
@@ -207,6 +209,52 @@ func TestJournalSurvivesRestart(t *testing.T) {
 	}
 	if lines != 1+4 { // header + 3 steps before restart + 1 after
 		t.Errorf("journal has %d lines, want 5:\n%s", lines, data)
+	}
+}
+
+// TestStepsRefuseTrailingData: a /steps body holding anything after the
+// step but whitespace — garbage, or a second step — is 400 step_invalid and
+// leaves the session, its log and its journal as they were; a trailing
+// newline is whitespace, and the step applies.
+func TestStepsRefuseTrailingData(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newJournaledServer(t, dir)
+	var info SessionInfo
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
+	wantStatus(t, postStep(t, base, "add_visualization", map[string]any{
+		"target": "gender", "predicate": json.RawMessage(highEarners),
+	}, nil), http.StatusCreated)
+	journal := filepath.Join(dir, fmt.Sprintf("session-%d.jsonl", info.ID))
+	state := func() string {
+		data, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gauge, _ := io.ReadAll(doJSON(t, http.MethodGet, base+"/gauge", nil, nil).Body)
+		log, _ := io.ReadAll(doJSON(t, http.MethodGet, base+"/log", nil, nil).Body)
+		return string(data) + string(gauge) + string(log)
+	}
+	before := state()
+	star := `{"op": "star", "hypothesis": 1, "starred": true}`
+	for _, body := range []string{
+		star + ` trailing garbage`,
+		star + star,
+		star + "\n" + `{"op": "star", "hypothesis": 1, "starred": false}`,
+	} {
+		checkErrorResponse(t, http.MethodPost, base+"/steps", body, http.StatusBadRequest, api.CodeStepInvalid)
+		if after := state(); after != before {
+			t.Fatalf("%q changed the session:\nbefore: %s\nafter:  %s", body, before, after)
+		}
+	}
+	resp, err := http.Post(base+"/steps", "application/json", strings.NewReader(star+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	wantStatus(t, resp, http.StatusCreated)
+	if data, _ := os.ReadFile(journal); strings.Count(string(data), "\n") != 1+2 {
+		t.Errorf("journal after the star with a trailing newline:\n%s", data)
 	}
 }
 
