@@ -200,7 +200,7 @@ var (
 	NewIntColumn         = dataset.NewIntColumn
 	NewCategoricalColumn = dataset.NewCategoricalColumn
 	NewBoolColumn        = dataset.NewBoolColumn
-	ReadCSV              = dataset.ReadCSV
+	LoadCSV              = dataset.LoadCSV
 	// NewIn builds an In predicate with canonically sorted values and an O(1)
 	// membership set.
 	NewIn = dataset.NewIn

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	aware                          # explore the built-in synthetic census
-//	aware -csv data.csv            # explore a CSV file (columns default to categorical)
+//	aware -csv data.csv            # explore a CSV file (column types are inferred)
 //	aware -policy gamma-fixed      # choose the investing rule
 //
 // Commands inside the session:
@@ -98,12 +98,7 @@ func loadTable(csvPath string, rows int, seed int64) (*dataset.Table, error) {
 	if csvPath == "" {
 		return census.Generate(census.Config{Rows: rows, Seed: seed, SignalStrength: 1})
 	}
-	f, err := os.Open(csvPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return dataset.ReadCSV(f, nil)
+	return dataset.LoadCSV(csvPath, nil)
 }
 
 // buildPolicy constructs the named investing rule with the paper's parameters.

@@ -1,8 +1,9 @@
 // Command awared is the AWARE service daemon: the always-on, multi-session
 // backend the paper ran behind the Vizdom front-end. It preloads the
-// synthetic census dataset, optionally registers CSV datasets from disk, and
-// serves the interactive exploration loop as a JSON HTTP API (see
-// internal/server for the endpoint list).
+// synthetic census dataset, optionally registers CSV datasets from disk
+// (loaded through the snapshot builder, their column types inferred exactly
+// as awarestore build infers them), and serves the interactive exploration
+// loop as a JSON HTTP API (see internal/server for the endpoint list).
 //
 // Usage:
 //
@@ -89,7 +90,7 @@ func main() {
 	flag.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiling has no business on an exposed port)")
 	version := flag.Bool("version", false, "print build metadata and exit")
 	o.datasets = make(map[string]string)
-	flag.Func("dataset", "register a CSV dataset as name=path (repeatable; columns import as categorical)", func(v string) error {
+	flag.Func("dataset", "register a CSV dataset as name=path (repeatable; column types are inferred, as awarestore build infers them)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")
 		if !ok || name == "" || path == "" {
 			return fmt.Errorf("want name=path, got %q", v)
@@ -216,12 +217,7 @@ func registerDatasets(registry *server.DatasetRegistry, rows int, seed int64, da
 		}
 	}
 	for name, path := range datasets {
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("dataset %q: %w", name, err)
-		}
-		table, err := dataset.ReadCSV(f, nil)
-		f.Close()
+		table, err := dataset.LoadCSV(path, nil)
 		if err != nil {
 			return fmt.Errorf("dataset %q: %w", name, err)
 		}

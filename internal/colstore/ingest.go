@@ -132,8 +132,8 @@ func (b *RowBuilder) Append(vals ...any) error {
 }
 
 // AppendStrings adds one row of text fields in schema order, parsing each
-// according to its column kind with the same strconv semantics the CSV reader
-// of internal/dataset uses.
+// according to its column kind with the strconv parsers schema inference
+// tests the values against (ParseBool, ParseInt base 10, ParseFloat).
 func (b *RowBuilder) AppendStrings(fields []string) error {
 	if len(fields) != len(b.cols) {
 		return b.fail(fmt.Errorf("colstore: row has %d fields, schema has %d", len(fields), len(b.cols)))

@@ -4,14 +4,12 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
-)
 
-// ColumnSpec describes one column of a CSV file for ReadCSV.
-type ColumnSpec struct {
-	Name string
-	Type ColumnType
-}
+	"aware/internal/colstore"
+)
 
 // WriteCSV serializes the table as CSV with a header row. Float values use
 // the shortest representation that round-trips.
@@ -32,6 +30,15 @@ func (t *Table) WriteCSV(w io.Writer) error {
 				record[j] = c.dict[c.code(i)]
 			}
 		}
+		if len(record) == 1 && record[0] == "" {
+			// csv.Writer writes a lone empty field as a blank line, which
+			// csv.Reader skips: quote it so the row survives a reload.
+			cw.Flush()
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return fmt.Errorf("dataset: writing CSV row %d: %w", i, err)
+			}
+			continue
+		}
 		if err := cw.Write(record); err != nil {
 			return fmt.Errorf("dataset: writing CSV row %d: %w", i, err)
 		}
@@ -40,82 +47,29 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a CSV stream with a header row into a table. The specs give
-// the expected type of each column by name; columns present in the CSV but
-// absent from specs are imported as Categorical.
-func ReadCSV(r io.Reader, specs []ColumnSpec) (*Table, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+// LoadCSV reads a CSV file with a header row into a heap-held table through
+// the snapshot builder (colstore.IngestCSVFile), so a CSV becomes the same
+// table by every route that loads it, awarestore build included. A nil
+// schema infers each column's kind from its values (bool ⊂ int ⊂ float ⊂
+// categorical); a given one must name the header's columns exactly. The
+// intermediate snapshot is removed in every outcome.
+func LoadCSV(path string, schema colstore.Schema) (*Table, error) {
+	dir, err := os.MkdirTemp("", ".aware-csv-*")
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
+		return nil, fmt.Errorf("dataset: loading CSV: %w", err)
 	}
-	typeByName := make(map[string]ColumnType, len(specs))
-	for _, s := range specs {
-		typeByName[s.Name] = s.Type
+	defer os.RemoveAll(dir)
+	snap := filepath.Join(dir, "table.aware")
+	if _, _, err := colstore.IngestCSVFile(path, schema, snap); err != nil {
+		return nil, fmt.Errorf("dataset: loading CSV: %w", err)
 	}
-	types := make([]ColumnType, len(header))
-	for i, name := range header {
-		if t, ok := typeByName[name]; ok {
-			types[i] = t
-		} else {
-			types[i] = Categorical
-		}
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: loading CSV: %w", err)
 	}
-	floats := make([][]float64, len(header))
-	ints := make([][]int64, len(header))
-	strs := make([][]string, len(header))
-	bools := make([][]bool, len(header))
-
-	row := 0
-	for {
-		record, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading CSV row %d: %w", row, err)
-		}
-		if len(record) != len(header) {
-			return nil, fmt.Errorf("dataset: CSV row %d has %d fields, expected %d", row, len(record), len(header))
-		}
-		for i, field := range record {
-			switch types[i] {
-			case Float64:
-				v, err := strconv.ParseFloat(field, 64)
-				if err != nil {
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", row, header[i], err)
-				}
-				floats[i] = append(floats[i], v)
-			case Int64:
-				v, err := strconv.ParseInt(field, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", row, header[i], err)
-				}
-				ints[i] = append(ints[i], v)
-			case Bool:
-				v, err := strconv.ParseBool(field)
-				if err != nil {
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", row, header[i], err)
-				}
-				bools[i] = append(bools[i], v)
-			default:
-				strs[i] = append(strs[i], field)
-			}
-		}
-		row++
+	store, err := colstore.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: loading CSV: %w", err)
 	}
-	cols := make([]*Column, len(header))
-	for i, name := range header {
-		switch types[i] {
-		case Float64:
-			cols[i] = NewFloatColumn(name, floats[i])
-		case Int64:
-			cols[i] = NewIntColumn(name, ints[i])
-		case Bool:
-			cols[i] = NewBoolColumn(name, bools[i])
-		default:
-			cols[i] = NewCategoricalColumn(name, strs[i])
-		}
-	}
-	return NewTable(cols...)
+	return FromStore(store)
 }

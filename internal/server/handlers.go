@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"aware/internal/api"
+	"aware/internal/colstore"
 	"aware/internal/core"
 	"aware/internal/dataset"
 	"aware/internal/obs"
@@ -168,39 +171,33 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, api.DatasetList{Datasets: s.registry.List()})
 }
 
-// handleUploadDataset registers a CSV body under ?name=. Column types default
-// to categorical; override per column with the comma-separated query
-// parameters ?float=, ?int= and ?bool=.
+// handleUploadDataset registers a CSV body under ?name=. It loads through the
+// snapshot builder like every CSV route: column types are inferred from the
+// values (bool ⊂ int ⊂ float ⊂ categorical), or fixed by ?schema=, the JSON
+// that awarestore build -emit-schema writes, which must name the header's
+// columns exactly.
 func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	query := r.URL.Query()
+	name := query.Get("name")
 	if name == "" {
 		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "missing ?name= for the uploaded dataset")
 		return
 	}
-	var specs []dataset.ColumnSpec
-	seen := make(map[string]string)
-	for _, override := range []struct {
-		param string
-		typ   dataset.ColumnType
-	}{
-		{"float", dataset.Float64},
-		{"int", dataset.Int64},
-		{"bool", dataset.Bool},
-	} {
-		for _, col := range strings.Split(r.URL.Query().Get(override.param), ",") {
-			if col = strings.TrimSpace(col); col == "" {
-				continue
-			}
-			if prev, dup := seen[col]; dup {
-				api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
-					fmt.Sprintf("column %q typed by both ?%s= and ?%s=", col, prev, override.param))
-				return
-			}
-			seen[col] = override.param
-			specs = append(specs, dataset.ColumnSpec{Name: col, Type: override.typ})
+	for param := range query {
+		if param != "name" && param != "schema" {
+			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest,
+				fmt.Sprintf("unknown query parameter %q: column types are inferred, or fixed by ?schema=", param))
+			return
 		}
 	}
-	table, err := dataset.ReadCSV(http.MaxBytesReader(w, r.Body, maxUploadBytes), specs)
+	var schema colstore.Schema
+	if raw := query.Get("schema"); raw != "" {
+		if err := json.Unmarshal([]byte(raw), &schema); err != nil {
+			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("parsing ?schema=: %v", err))
+			return
+		}
+	}
+	table, err := loadUploadedCSV(http.MaxBytesReader(w, r.Body, maxUploadBytes), schema)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -210,7 +207,26 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("dataset registered", "name", name, "rows", table.NumRows(), "columns", table.NumColumns())
-	api.WriteJSON(w, http.StatusCreated, DatasetInfo{Name: name, Rows: table.NumRows(), Columns: table.ColumnNames()})
+	api.WriteJSON(w, http.StatusCreated, describeDataset(name, table))
+}
+
+// loadUploadedCSV spools an upload body to a temp file, which schema
+// inference reads twice, and loads it with dataset.LoadCSV. The file is
+// removed whatever the outcome.
+func loadUploadedCSV(body io.Reader, schema colstore.Schema) (*dataset.Table, error) {
+	spool, err := os.CreateTemp("", ".aware-upload-*.csv")
+	if err != nil {
+		return nil, fmt.Errorf("spooling the upload: %w", err)
+	}
+	defer os.Remove(spool.Name())
+	_, err = io.Copy(spool, body)
+	if cerr := spool.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("spooling the upload: %w", err)
+	}
+	return dataset.LoadCSV(spool.Name(), schema)
 }
 
 // --- session lifecycle ---

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -305,36 +306,53 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	csv := "city,temp\nBoston,8\nBoston,9\nPhoenix,31\nPhoenix,29\nPhoenix,33\nBoston,7\n"
-	url := ts.URL + "/v1/datasets?name=weather&float=temp"
-	resp, err := http.Post(url, "text/csv", strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
+	// tempKind uploads csv under query and returns the kind the answer gives
+	// column temp.
+	tempKind := func(query string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/datasets?"+query, "text/csv", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		wantStatus(t, resp, http.StatusCreated)
+		var info DatasetInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Rows != 6 || info.Storage != "heap" || info.Snapshot != nil || len(info.Schema) != 2 {
+			t.Errorf("upload %s answered %+v, want 6 rows of 2 columns on the heap, no snapshot", query, info)
+		}
+		for _, c := range info.Schema {
+			if c.Name == "temp" {
+				return c.Kind
+			}
+		}
+		return ""
 	}
-	wantStatus(t, resp, http.StatusCreated)
-	resp.Body.Close()
+	if kind := tempKind("name=weather"); kind != "int64" {
+		t.Errorf("temp inferred as %q, want int64", kind)
+	}
+	// ?schema= fixes the types inference would choose.
+	schema := `[{"name": "temp", "kind": "float64"}, {"name": "city", "kind": "categorical"}]`
+	if kind := tempKind("name=w2&schema=" + neturl.QueryEscape(schema)); kind != "float64" {
+		t.Errorf("temp typed %q under ?schema=, want float64", kind)
+	}
 
 	// Re-registering the same name conflicts.
-	resp, err = http.Post(url, "text/csv", strings.NewReader(csv))
+	resp, err := http.Post(ts.URL+"/v1/datasets?name=weather", "text/csv", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantStatus(t, resp, http.StatusConflict)
 	resp.Body.Close()
 
-	// Typing one column under two overrides is rejected.
-	resp, err = http.Post(ts.URL+"/v1/datasets?name=w2&float=temp&int=temp", "text/csv", strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, resp, http.StatusBadRequest)
-	resp.Body.Close()
-
 	var listing struct {
 		Datasets []DatasetInfo `json:"datasets"`
 	}
 	doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &listing)
-	if len(listing.Datasets) != 2 {
-		t.Fatalf("dataset listing has %d entries, want 2 (census + weather)", len(listing.Datasets))
+	if len(listing.Datasets) != 3 {
+		t.Fatalf("dataset listing has %d entries, want 3 (census, weather, w2)", len(listing.Datasets))
 	}
 
 	// Explore the uploaded dataset.
