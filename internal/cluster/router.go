@@ -387,46 +387,39 @@ func (rt *Router) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("invalid session id %q", r.PathValue("id")))
 		return
 	}
+	rt.proxyFirst(w, r, rt.ring.Sequence(SessionKey(id)), true)
+}
+
+// handleAnyNode forwards to the first alive node (datasets are registered on
+// every replica, so any one can answer).
+func (rt *Router) handleAnyNode(w http.ResponseWriter, r *http.Request) {
+	rt.proxyFirst(w, r, rt.order, false)
+}
+
+// proxyFirst buffers the request body and relays the request to the first
+// alive node of names that answers. A transport failure declares the node
+// dead (running its failover) and re-sends the body to the next; with
+// countRetries each re-send counts in retried. With no node left it answers
+// 503 node_unavailable.
+func (rt *Router) proxyFirst(w http.ResponseWriter, r *http.Request, names []string, countRetries bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "reading request body: "+err.Error())
 		return
 	}
 	first := true
-	for _, name := range rt.ring.Sequence(SessionKey(id)) {
+	for _, name := range names {
 		m := rt.members[name]
 		if !m.alive.Load() {
 			continue
 		}
-		if !first {
+		if !first && countRetries {
 			rt.retried.Add(1)
 		}
 		first = false
 		err := rt.proxyTo(m, w, r, body)
 		if err == nil || r.Context().Err() != nil {
 			return // answered, or the client went away (not the node)
-		}
-		rt.declareDead(m, err)
-	}
-	api.WriteError(w, http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no alive node for session")
-}
-
-// handleAnyNode forwards to the first alive node (datasets are registered on
-// every replica, so any one can answer).
-func (rt *Router) handleAnyNode(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
-	if err != nil {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	for _, name := range rt.order {
-		m := rt.members[name]
-		if !m.alive.Load() {
-			continue
-		}
-		err := rt.proxyTo(m, w, r, body)
-		if err == nil || r.Context().Err() != nil {
-			return
 		}
 		rt.declareDead(m, err)
 	}
@@ -485,9 +478,7 @@ func (rt *Router) handleBroadcast(w http.ResponseWriter, r *http.Request) {
 // so clients cannot tell a cluster from one daemon.
 func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var spec api.SessionSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxProxyBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, maxProxyBody), &spec); err != nil {
 		api.WriteError(w, http.StatusBadRequest, api.CodeStepInvalid, "invalid request body: "+err.Error())
 		return
 	}
@@ -527,8 +518,9 @@ func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rt.declareDead(m, err)
-		// Retry the same ID on the successor: the failed create never
-		// happened (restore installs the session before journaling).
+		// Retry the same ID on the successor. Had the dead node opened it,
+		// the failover declareDead just ran restored it there, and the retry
+		// answers session_exists and moves on to the next ID.
 		rt.nextID.CompareAndSwap(id, id-1)
 	}
 	api.WriteError(w, http.StatusConflict, api.CodeSessionExists, "could not allocate a session id")

@@ -385,3 +385,36 @@ func TestRouterRejectsUnprefixedAPIPaths(t *testing.T) {
 		t.Fatalf("POST /sessions through the router: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestRouterCreateDecodesLikeANode sends each malformed create body to a
+// node and through the router: both answer the same status and the same
+// error envelope, trailing data included.
+func TestRouterCreateDecodesLikeANode(t *testing.T) {
+	_, servers, _, router := startCluster(t, 1)
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+api.Prefix+"/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	for _, body := range []string{
+		`{"dataset": "census"} trailing garbage`,
+		`{"dataset": "census"}{"dataset": "census"}`,
+		`{"dataset": "census", "shards": 2}`,
+		`{"not json`,
+		`{}`,
+	} {
+		nodeStatus, nodeBody := post(servers[0].URL, body)
+		routerStatus, routerBody := post(router.URL, body)
+		if nodeStatus != http.StatusBadRequest || routerStatus != nodeStatus || routerBody != nodeBody {
+			t.Errorf("%s:\nnode   %d %s\nrouter %d %s", body, nodeStatus, nodeBody, routerStatus, routerBody)
+		}
+	}
+}

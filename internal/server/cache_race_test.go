@@ -39,7 +39,7 @@ func TestConcurrentSessionsShareFilterCache(t *testing.T) {
 	const sessions = 16
 	ids := make([]int64, sessions)
 	for i := range ids {
-		info, err := sm.Create(SessionSpec{Dataset: "census"}, table, shared, nil)
+		info, err := sm.Open(0, SessionSpec{Dataset: "census"}, censusSession(t, table, shared), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

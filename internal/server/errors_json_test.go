@@ -97,6 +97,7 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		// Handler-level 400s: well-formed requests with client-shaped faults.
 		{"upload dataset without name", http.MethodPost, "/datasets", "a,b\n1,2\n", http.StatusBadRequest, api.CodeBadRequest},
 		{"holdout validate no attribute", http.MethodPost, "/sessions/1/holdout/validate", `{}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"holdout replay empty log", http.MethodPost, "/sessions/1/holdout/replay", `{}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"bad session id", http.MethodGet, "/sessions/abc", "", http.StatusBadRequest, api.CodeBadRequest},
 
 		// Handler-level 404s: valid shape, missing resources. session_not_found

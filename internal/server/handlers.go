@@ -190,6 +190,12 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// A taken name is refused before the body is read; Register refuses
+	// again if an upload under the same name wins the race meanwhile.
+	if _, err := s.registry.Get(name); err == nil {
+		writeErr(w, fmt.Errorf("%w: %q", ErrDatasetExists, name))
+		return
+	}
 	var schema colstore.Schema
 	if raw := query.Get("schema"); raw != "" {
 		if err := json.Unmarshal([]byte(raw), &schema); err != nil {
@@ -239,31 +245,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if spec.Dataset == "" {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "missing dataset name")
-		return
-	}
-	table, err := s.registry.Get(spec.Dataset)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	// The dataset's shared filter cache: sessions over the same (immutable)
-	// dataset reuse each other's compiled filter bitmaps.
-	sel, err := s.registry.Cache(spec.Dataset)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	// The journal file (with its header) is written before the session is
-	// published: IDs are guessable, and a step racing onto a fresh ID must
-	// find the journal already there.
-	info, err := s.manager.Create(spec, table, sel, func(id int64) error {
-		if s.journal == nil {
-			return nil
-		}
-		return s.journal.Create(id, spec)
-	})
+	info, err := s.openSession(0, spec, nil, s.createJournal(spec, nil))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -440,6 +422,19 @@ func parseAlternative(s string) (stats.Alternative, error) {
 	}
 }
 
+// holdoutSplit applies a hold-out request's defaults: an even split (fraction
+// 0 means 0.5) drawn with seed 1 (seed 0 means 1), so repeated calls validate
+// on the same split.
+func holdoutSplit(fraction float64, seed int64) (float64, *rand.Rand) {
+	if fraction == 0 {
+		fraction = 0.5
+	}
+	if seed == 0 {
+		seed = 1
+	}
+	return fraction, rand.New(rand.NewSource(seed))
+}
+
 // handleHoldoutValidate re-tests a mean-comparison finding on a fresh
 // exploration/validation split of the session's dataset (Section 4.1): the
 // finding is confirmed only when both halves independently reject.
@@ -472,21 +467,14 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	fraction := req.ExplorationFraction
-	if fraction == 0 {
-		fraction = 0.5
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	fraction, rng := holdoutSplit(req.ExplorationFraction, req.Seed)
 	var resp api.HoldoutValidateResponse
 	err = s.manager.With(id, func(sess *core.Session) error {
 		alpha := req.Alpha
 		if alpha == 0 {
 			alpha = sess.Alpha()
 		}
-		validator, err := core.NewHoldoutValidator(sess.Data(), fraction, alpha, rand.New(rand.NewSource(seed)))
+		validator, err := core.NewHoldoutValidator(sess.Data(), fraction, alpha, rng)
 		if err != nil {
 			return err
 		}
@@ -526,14 +514,7 @@ func (s *Server) handleHoldoutReplay(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	fraction := req.ExplorationFraction
-	if fraction == 0 {
-		fraction = 0.5
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	fraction, rng := holdoutSplit(req.ExplorationFraction, req.Seed)
 	spec, err := s.manager.Spec(id)
 	if err != nil {
 		writeErr(w, err)
@@ -558,7 +539,7 @@ func (s *Server) handleHoldoutReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(steps) == 0 {
-		api.WriteError(w, http.StatusConflict, api.CodeBadRequest, "session has an empty step log; nothing to replay")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "session has an empty step log; nothing to replay")
 		return
 	}
 	// A fresh policy instance for the two replays: the live session's policy
@@ -568,7 +549,7 @@ func (s *Server) handleHoldoutReplay(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	validator, err := core.NewHoldoutValidator(data, fraction, alpha, rand.New(rand.NewSource(seed)))
+	validator, err := core.NewHoldoutValidator(data, fraction, alpha, rng)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -22,12 +22,15 @@ import (
 var ErrJournal = errors.New("server: session journal")
 
 // journalStore persists one append-only file per session under a directory:
-// the header line followed by one step (core step wire JSON) per line. The
-// format is the same codec the steps endpoint speaks, so a journal can be
-// replayed with core.Replay — which is exactly what RestoreSessions does
-// after a daemon restart.
+// the header line (the session's SessionSpec) followed by one step (core step
+// wire JSON) per line. The format is the same codec the steps endpoint speaks,
+// so a journal replays with core.Replay, as RestoreSessions does after a
+// daemon restart.
 //
-// Appends for one session are serialized by the SessionManager's per-session
+// A session's file is written before the session is reachable: Create (a new
+// or API-restored session) or Reopen (a restart) runs as the prepublish step
+// of SessionManager.Open. Every Append after that comes from a request holding
+// the session's lock, so the appends of one session are serialized by that
 // lock; the store's own mutex only guards the file-handle map.
 type journalStore struct {
 	dir string
@@ -49,20 +52,29 @@ func (j *journalStore) path(id int64) string {
 	return filepath.Join(j.dir, fmt.Sprintf("session-%d.jsonl", id))
 }
 
-// Create starts the journal of a new session by writing its header line:
-// the session's SessionSpec.
-func (j *journalStore) Create(id int64, spec SessionSpec) error {
+// Create starts the journal of a session opened with steps already applied
+// (none for a new session): the header line, then one line per step, in one
+// write. A file it cannot write in full is removed.
+func (j *journalStore) Create(id int64, spec SessionSpec, steps []core.Step) error {
+	buf, err := json.Marshal(spec)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrJournal, err)
+	}
+	buf = append(buf, '\n')
+	for _, step := range steps {
+		line, err := core.MarshalStep(step)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrJournal, err)
+		}
+		buf = append(append(buf, line...), '\n')
+	}
 	f, err := os.OpenFile(j.path(id), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
-	line, err := json.Marshal(spec)
-	if err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
-		return fmt.Errorf("%w: %v", ErrJournal, err)
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
+		os.Remove(j.path(id))
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	j.mu.Lock()
@@ -141,14 +153,16 @@ func (j *journalStore) Close() {
 	}
 }
 
-// journaledSession is one recovered journal: the session ID parsed from the
-// file name, the creation header, the recorded steps, and the length of the
-// intact file prefix those were parsed from (a crash mid-append can leave a
-// torn final line beyond it, which Reopen cuts off before appending again).
-type journaledSession struct {
+// JournaledSession is one session journal as read off disk: the session ID
+// parsed from the file name, the spec from the header line, the replayable
+// step log, the file it came from, and the length of the intact file prefix
+// those were parsed from (a crash mid-append can leave a torn final line
+// beyond it, which Reopen cuts off before appending again).
+type JournaledSession struct {
 	ID         int64
-	Header     SessionSpec
+	Spec       SessionSpec
 	Steps      []core.Step
+	Path       string
 	ValidBytes int64
 }
 
@@ -160,7 +174,7 @@ type journaledSession struct {
 // session ID seen on disk including skipped files, so the caller can keep
 // new session IDs from colliding with (and Create from truncating) journals
 // that were kept for the operator.
-func (j *journalStore) Load() (sessions []journaledSession, skipped []string, maxID int64, err error) {
+func (j *journalStore) Load() (sessions []JournaledSession, skipped []string, maxID int64, err error) {
 	entries, err := os.ReadDir(j.dir)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: %v", ErrJournal, err)
@@ -193,12 +207,12 @@ func (j *journalStore) Load() (sessions []journaledSession, skipped []string, ma
 // tracking how many leading bytes are intact. An unterminated or unparsable
 // final line — the artifact of a crash mid-append — is dropped and excluded
 // from ValidBytes; corruption anywhere else fails the file.
-func (j *journalStore) load(id int64) (journaledSession, error) {
+func (j *journalStore) load(id int64) (JournaledSession, error) {
 	data, err := os.ReadFile(j.path(id))
 	if err != nil {
-		return journaledSession{}, err
+		return JournaledSession{}, err
 	}
-	js := journaledSession{ID: id}
+	js := JournaledSession{ID: id, Path: j.path(id)}
 	sawHeader := false
 	offset := 0
 	for offset < len(data) {
@@ -214,11 +228,11 @@ func (j *journalStore) load(id int64) (journaledSession, error) {
 			continue
 		}
 		if !sawHeader {
-			if err := json.Unmarshal(line, &js.Header); err != nil {
-				return journaledSession{}, fmt.Errorf("header: %v", err)
+			if err := json.Unmarshal(line, &js.Spec); err != nil {
+				return JournaledSession{}, fmt.Errorf("header: %v", err)
 			}
-			if js.Header.Dataset == "" {
-				return journaledSession{}, fmt.Errorf("header names no dataset")
+			if js.Spec.Dataset == "" {
+				return JournaledSession{}, fmt.Errorf("header names no dataset")
 			}
 			sawHeader = true
 		} else {
@@ -227,7 +241,7 @@ func (j *journalStore) load(id int64) (journaledSession, error) {
 				if !hasContentAfter(data, next) {
 					break // truncated final append; replay the intact prefix
 				}
-				return journaledSession{}, fmt.Errorf("step %d: %v", len(js.Steps)+1, err)
+				return JournaledSession{}, fmt.Errorf("step %d: %v", len(js.Steps)+1, err)
 			}
 			js.Steps = append(js.Steps, step)
 		}
@@ -235,7 +249,7 @@ func (j *journalStore) load(id int64) (journaledSession, error) {
 		js.ValidBytes = int64(next)
 	}
 	if !sawHeader {
-		return journaledSession{}, fmt.Errorf("journal is empty")
+		return JournaledSession{}, fmt.Errorf("journal is empty")
 	}
 	return js, nil
 }
@@ -245,30 +259,12 @@ func hasContentAfter(data []byte, offset int) bool {
 	return len(bytes.TrimSpace(data[offset:])) > 0
 }
 
-// JournaledSession is one recoverable session journal as read off disk: the
-// spec from the header line, the replayable step log, and the file it came
-// from.
-type JournaledSession struct {
-	ID    int64
-	Spec  SessionSpec
-	Steps []core.Step
-	Path  string
-}
-
 // LoadJournals reads every session journal under dir without taking ownership
 // of the files — the read-only counterpart of the store's recovery path, used
 // by a cluster router to ship a dead node's sessions to successor replicas.
 // Unparsable journals are reported in skipped (as "file: reason") and left on
 // disk, mirroring RestoreSessions.
 func LoadJournals(dir string) ([]JournaledSession, []string, error) {
-	j := &journalStore{dir: dir, files: make(map[int64]*os.File)}
-	sessions, skipped, _, err := j.Load()
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]JournaledSession, 0, len(sessions))
-	for _, js := range sessions {
-		out = append(out, JournaledSession{ID: js.ID, Spec: js.Header, Steps: js.Steps, Path: j.path(js.ID)})
-	}
-	return out, skipped, nil
+	sessions, skipped, _, err := (&journalStore{dir: dir}).Load()
+	return sessions, skipped, err
 }

@@ -10,17 +10,15 @@ import (
 
 	"aware/internal/api"
 	"aware/internal/core"
-	"aware/internal/dataset"
-	"aware/internal/plan"
 )
 
 // ErrSessionNotFound is returned when a session ID does not exist (never
 // created, deleted, or expired by the idle sweeper).
 var ErrSessionNotFound = errors.New("server: session not found")
 
-// ErrSessionExists is returned by Restore when the target ID is already live:
-// a cluster router restoring a dead node's sessions treats it as "someone got
-// there first", not a failure.
+// ErrSessionExists is returned by Open when the target ID is live or claimed
+// by another Open: a cluster router restoring a dead node's sessions treats
+// it as "someone got there first", not a failure.
 var ErrSessionExists = errors.New("server: session already exists")
 
 // SessionSpec is the serializable recipe for a session — the api package owns
@@ -62,27 +60,18 @@ func (m *managedSession) info() SessionInfo {
 	}
 }
 
-// SessionManager owns the live exploration sessions of the service: creation
-// with monotonically increasing IDs, per-session locking, listing, deletion
+// SessionManager owns the live exploration sessions of the service: opening
+// under monotonically increasing IDs, per-session locking, listing, deletion
 // and idle-TTL expiry. All methods are safe for concurrent use.
 type SessionManager struct {
 	ttl time.Duration
 	now func() time.Time
 
-	// catalog resolves dataset names for the sessions' JoinDataset steps
-	// (core.Options.Catalog). Set once at server construction, before any
-	// session exists.
-	catalog plan.Catalog
-
 	mu       sync.Mutex
-	sessions map[int64]*managedSession
+	sessions map[int64]*managedSession // published: reachable by every method
+	claimed  map[int64]bool            // claimed by an Open still running prepublish
 	nextID   int64
 }
-
-// SetCatalog makes every subsequently created session resolve JoinDataset
-// steps through cat (typically the server's dataset registry). Call before
-// serving traffic; sessions created earlier keep their catalog.
-func (sm *SessionManager) SetCatalog(cat plan.Catalog) { sm.catalog = cat }
 
 // NewSessionManager builds a manager whose sessions expire after sitting idle
 // for ttl (0 disables expiry). now supplies the clock; pass nil for time.Now.
@@ -94,39 +83,38 @@ func NewSessionManager(ttl time.Duration, now func() time.Time) *SessionManager 
 		ttl:      ttl,
 		now:      now,
 		sessions: make(map[int64]*managedSession),
+		claimed:  make(map[int64]bool),
 	}
 }
 
-// Create opens a new session over the given table and returns its summary.
-// IDs are monotonic across the life of the manager: an ID is never reused,
-// even after the session is deleted, so clients can safely treat a 404 as
-// "session expired" rather than "someone else's session". sel (if non-nil)
-// is the dataset's shared filter-bitmap cache: the session resolves its
-// predicates through it, so concurrent sessions over one immutable dataset
-// reuse each other's compiled filters; it must be a cache over table.
-// prepublish (if non-nil) runs with the claimed session ID before the
-// session becomes reachable, so side effects that must exist for every
-// visible session — the journal file with its header line — cannot race a
-// request arriving on the fresh ID. If prepublish errors the session is
-// never published and its ID is simply burned (IDs are monotonic, never
-// reused).
-func (sm *SessionManager) Create(spec SessionSpec, table *dataset.Table, sel *dataset.SelectionCache, prepublish func(id int64) error) (SessionInfo, error) {
-	opts, err := spec.Options()
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	opts.Selections = sel
-	opts.Catalog = sm.catalog
-	sess, err := core.NewSession(table, opts)
-	if err != nil {
-		return SessionInfo{}, err
-	}
+// Open publishes sess, built from spec, under id, or under the next unused ID
+// when id is 0, and returns its summary. It first claims the ID: one that is
+// live, or claimed by an Open still running, is ErrSessionExists. prepublish
+// (if non-nil) then runs with the ID, and the session is published only once
+// it succeeds, so what must exist for every reachable session (its journal,
+// holding the header and every step sess was opened with) is there before a
+// request can reach it. Until then With, Info, List, Len, Delete and SweepIdle
+// do not see the ID. If prepublish fails the claim is released and its error
+// returned: a given ID can be opened again, an allocated one stays burned.
+// Allocated IDs are monotonic across the life of the manager and never handed
+// out twice, so a client can treat a 404 as "session expired" rather than
+// "someone else's session"; a given ID moves the sequence past it.
+func (sm *SessionManager) Open(id int64, spec SessionSpec, sess *core.Session, prepublish func(id int64) error) (SessionInfo, error) {
 	sm.mu.Lock()
-	sm.nextID++
-	id := sm.nextID
+	if id == 0 {
+		id = sm.nextID + 1
+	} else if _, live := sm.sessions[id]; live || sm.claimed[id] {
+		sm.mu.Unlock()
+		return SessionInfo{}, fmt.Errorf("%w: %d", ErrSessionExists, id)
+	}
+	sm.nextID = max(sm.nextID, id)
+	sm.claimed[id] = true
 	sm.mu.Unlock()
 	if prepublish != nil {
 		if err := prepublish(id); err != nil {
+			sm.mu.Lock()
+			delete(sm.claimed, id)
+			sm.mu.Unlock()
 			return SessionInfo{}, err
 		}
 	}
@@ -141,41 +129,9 @@ func (sm *SessionManager) Create(spec SessionSpec, table *dataset.Table, sel *da
 	}
 	ms.lastActive.Store(now.UnixNano())
 	sm.mu.Lock()
+	delete(sm.claimed, id)
 	sm.sessions[id] = ms
 	sm.mu.Unlock()
-	return ms.info(), nil
-}
-
-// Restore installs an already-built session (typically reconstructed with
-// core.Replay from a journal) under a specific ID, as journal recovery after
-// a daemon restart requires. The ID must be positive and unused; nextID is
-// bumped past it so sessions created later never collide with restored ones.
-func (sm *SessionManager) Restore(id int64, spec SessionSpec, sess *core.Session) (SessionInfo, error) {
-	if sess == nil {
-		return SessionInfo{}, fmt.Errorf("server: cannot restore a nil session")
-	}
-	if id <= 0 {
-		return SessionInfo{}, fmt.Errorf("server: cannot restore session with id %d", id)
-	}
-	now := sm.now()
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if _, taken := sm.sessions[id]; taken {
-		return SessionInfo{}, fmt.Errorf("%w: %d", ErrSessionExists, id)
-	}
-	if id > sm.nextID {
-		sm.nextID = id
-	}
-	ms := &managedSession{
-		id:        id,
-		spec:      spec,
-		alpha:     sess.Alpha(),
-		policy:    sess.PolicyName(),
-		createdAt: now,
-		session:   sess,
-	}
-	ms.lastActive.Store(now.UnixNano())
-	sm.sessions[id] = ms
 	return ms.info(), nil
 }
 

@@ -130,8 +130,6 @@ func New(cfg Config) (*Server, error) {
 	// Every dataset registered from here on runs its kernels on the server's
 	// pool: one bounded set of workers shared by all sessions and datasets.
 	s.registry.SetPool(pool)
-	// Sessions resolve JoinDataset steps through the registry (plan.Catalog).
-	s.manager.SetCatalog(s.registry)
 	if cfg.JournalDir != "" {
 		journal, err := newJournalStore(cfg.JournalDir)
 		if err != nil {
@@ -170,13 +168,54 @@ func (s *Server) Close() {
 	}
 }
 
+// openSession builds the session spec describes over its registered dataset,
+// replays steps onto it and opens it in the manager under id (0 allocates the
+// next ID). It is the one way a session opens: created (no steps), restored
+// through the API, or restored from a journal at startup. writeJournal, the
+// manager's prepublish step, makes the session durable before it is
+// reachable: its journal then holds the header and every step it was opened
+// with.
+func (s *Server) openSession(id int64, spec SessionSpec, steps []core.Step, writeJournal func(id int64) error) (SessionInfo, error) {
+	if spec.Dataset == "" {
+		return SessionInfo{}, errors.New("missing dataset name")
+	}
+	table, sel, err := s.registry.Dataset(spec.Dataset)
+	if err != nil {
+		return SessionInfo{}, err
+	}
+	opts, err := spec.Options()
+	if err != nil {
+		return SessionInfo{}, err
+	}
+	// The dataset's shared filter cache: sessions over one immutable dataset,
+	// live or replayed, reuse each other's compiled filter bitmaps.
+	opts.Selections = sel
+	// Join steps resolve their right-hand dataset through the registry.
+	opts.Catalog = s.registry
+	sess, err := core.Replay(table, opts, steps)
+	if err != nil {
+		return SessionInfo{}, err
+	}
+	return s.manager.Open(id, spec, sess, writeJournal)
+}
+
+// createJournal returns the prepublish step that writes a fresh journal of
+// spec and steps, or nil when journaling is disabled.
+func (s *Server) createJournal(spec SessionSpec, steps []core.Step) func(id int64) error {
+	if s.journal == nil {
+		return nil
+	}
+	return func(id int64) error { return s.journal.Create(id, spec, steps) }
+}
+
 // RestoreSessions recovers journaled sessions from the journal directory:
-// each journal's steps are replayed with core.Replay against the named
-// registered dataset, and the reconstructed session is installed under its
-// original ID. Journals for unknown datasets or with non-replayable steps are
-// skipped with a warning (and kept on disk), never discarded silently. It
-// returns the number of sessions restored and is a no-op without a journal
-// directory.
+// each journal opens through openSession under its original ID, its steps
+// replayed with core.Replay against the named registered dataset, and its
+// file reopened for appending before the session is reachable. Journals for
+// unknown datasets or with non-replayable steps are skipped with a warning
+// (and kept on disk), never discarded silently; a journal that cannot be
+// reopened stops the recovery with its error. It returns the number of
+// sessions restored and is a no-op without a journal directory.
 func (s *Server) RestoreSessions() (int, error) {
 	if s.journal == nil {
 		return 0, nil
@@ -189,43 +228,19 @@ func (s *Server) RestoreSessions() (int, error) {
 		s.log.Warn("unreadable session journal kept on disk; skipping", "journal", reason)
 	}
 	// Keep future session IDs clear of every journal on disk — including the
-	// skipped ones, which a colliding Create would otherwise truncate.
+	// skipped ones, which a colliding create would otherwise truncate.
 	s.manager.ReserveIDs(maxID)
 	restored := 0
 	for _, js := range journaled {
-		table, err := s.registry.Get(js.Header.Dataset)
-		if err != nil {
-			s.log.Warn("journaled session references an unregistered dataset; skipping",
-				"id", js.ID, "dataset", js.Header.Dataset)
-			continue
-		}
-		opts, err := js.Header.Options()
-		if err != nil {
-			s.log.Warn("journaled session has an invalid header; skipping", "id", js.ID, "err", err)
-			continue
-		}
-		// Replay through the dataset's shared filter cache: restoring many
-		// journals over one dataset compiles each distinct filter once, and
-		// the restored sessions keep sharing bitmaps with live traffic.
-		if sel, err := s.registry.Cache(js.Header.Dataset); err == nil {
-			opts.Selections = sel
-		}
-		// Journaled join steps re-resolve their right-hand dataset through the
-		// registry, exactly as the live session did.
-		opts.Catalog = s.registry
-		sess, err := core.Replay(table, opts, js.Steps)
-		if err != nil {
-			s.log.Warn("journaled session does not replay; skipping", "id", js.ID, "err", err)
-			continue
-		}
-		info, err := s.manager.Restore(js.ID, js.Header, sess)
-		if err != nil {
-			s.log.Warn("journaled session could not be installed; skipping", "id", js.ID, "err", err)
-			continue
-		}
-		if err := s.journal.Reopen(js.ID, js.ValidBytes); err != nil {
-			s.manager.Delete(js.ID)
+		info, err := s.openSession(js.ID, js.Spec, js.Steps, func(id int64) error {
+			return s.journal.Reopen(id, js.ValidBytes)
+		})
+		if errors.Is(err, ErrJournal) {
 			return restored, err
+		}
+		if err != nil {
+			s.log.Warn("journaled session does not replay; skipping", "id", js.ID, "dataset", js.Spec.Dataset, "err", err)
+			continue
 		}
 		s.log.Info("session restored from journal", "id", info.ID, "dataset", info.Dataset,
 			"steps", len(js.Steps), "policy", info.Policy)

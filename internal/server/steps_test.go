@@ -341,7 +341,7 @@ func TestAppendRefusesRemovedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Create(1, SessionSpec{Dataset: "census"}); err != nil {
+	if err := j.Create(1, SessionSpec{Dataset: "census"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append(1, core.Star{Hypothesis: 1, Starred: true}); err != nil {

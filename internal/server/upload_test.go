@@ -50,6 +50,8 @@ func TestUploadInfersLikeAwarestore(t *testing.T) {
 // TestRefusedUploadsLeaveNothingBehind refuses uploads at every stage: the
 // query, the body's size, the CSV, the schema and the registry. Each answers
 // its error code and leaves no spooled body or snapshot in the temp directory.
+// A taken name is refused before the body is read, so a ragged body under it
+// is a conflict, not a bad CSV.
 func TestRefusedUploadsLeaveNothingBehind(t *testing.T) {
 	s, err := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err != nil {
@@ -71,6 +73,7 @@ func TestRefusedUploadsLeaveNothingBehind(t *testing.T) {
 		{"ragged row", "name=w", strings.NewReader("a,b\n1,2\n3\n"), http.StatusBadRequest, api.CodeBadRequest},
 		{"bad quote", "name=w", strings.NewReader("a\n\"1\n"), http.StatusBadRequest, api.CodeBadRequest},
 		{"duplicate name", "name=taken", strings.NewReader("a\n1\n"), http.StatusConflict, api.CodeDatasetExists},
+		{"duplicate name, ragged body", "name=taken", strings.NewReader("a,b\n1,2\n3\n"), http.StatusConflict, api.CodeDatasetExists},
 		{"schema misses a column", schema(`[{"name": "a", "kind": "int64"}]`), strings.NewReader("a,b\n1,2\n"), http.StatusBadRequest, api.CodeBadRequest},
 		{"schema adds a column", schema(`[{"name": "a", "kind": "int64"}, {"name": "b", "kind": "int64"}]`), strings.NewReader("a\n1\n"), http.StatusBadRequest, api.CodeBadRequest},
 		{"schema is not JSON", schema(`a:int64`), strings.NewReader("a\n1\n"), http.StatusBadRequest, api.CodeBadRequest},
