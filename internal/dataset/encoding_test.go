@@ -417,23 +417,44 @@ func TestCodedBinEdgesMatchMinMax(t *testing.T) {
 	requireEndsMatchMinMax(t, "int64 edges", tab, "i")
 }
 
-// TestRangeBytesEveryTailShape runs the run kernels alone (fillRuns) against
-// a per-row loop: every code range [lo, hi), 0 <= lo < hi <= 256, over a
+// TestRangeBytesEveryTailShape runs the run kernels alone (fillRuns, the
+// SSE2 kernel on amd64 and the SWAR one under -tags purego) against a
+// per-row loop: every code range [lo, hi), 0 <= lo < hi <= 256, over a
 // window that holds every code; then every window length from 0 to 200 rows
-// — every split between the eight-rows-a-word main loop and the per-row
-// tail — with random ranges and random code sets, sets that straddle code
-// 128 and sets of three or more runs included; and the bool ranges.
+// — every split between the whole-word main loop and the per-row tail —
+// with random ranges and random code sets, sets that straddle code 128 and
+// sets of three or more runs included; then every window start 0–63 bytes
+// into its buffer, so the 16-byte loads are unaligned; and the bool ranges.
+// Each window sits in a larger buffer whose codes outside it are in the
+// set, and its words between two guard words: the kernel must write exactly
+// the window's words and take no bit from a code outside the window.
 func TestRangeBytesEveryTailShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1702))
-	check := func(label string, codes []uint8, b byteRuns, set []uint64) {
+	const guard = 0x5a5a5a5a5a5a5a5a
+	calls := 0
+	checkAt := func(label string, off int, window []uint8, b byteRuns, set []uint64) {
 		t.Helper()
-		// Dirty destination words: the kernel must overwrite, not OR.
-		dst := make([]uint64, (len(codes)+63)/64)
-		for i := range dst {
-			dst[i] = rng.Uint64()
+		in := uint8(0) // a code in the set, for every byte outside the window
+		for in < 255 && set[in>>6]>>(in&63)&1 == 0 {
+			in++
 		}
+		buf := make([]uint8, off+len(window)+64)
+		for i := range buf {
+			buf[i] = in
+		}
+		codes := buf[off : off+len(window)]
+		copy(codes, window)
+		// Dirty destination words between two guards: the kernel must
+		// overwrite, not OR, and write no word past the window's.
+		nw := (len(codes) + 63) / 64
+		words := make([]uint64, nw+2)
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		words[0], words[nw+1] = guard, guard
+		dst := words[1 : 1+nw]
 		count := fillRuns(dst, codes, b, set)
-		want := make([]uint64, len(dst))
+		want := make([]uint64, nw)
 		wantCount := 0
 		for i, c := range codes {
 			if set[c>>6]>>(c&63)&1 != 0 {
@@ -441,9 +462,18 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 				wantCount++
 			}
 		}
-		if count != wantCount || !reflect.DeepEqual(dst, want) {
-			t.Fatalf("%s, %d runs, n=%d: count %d words %x, want %d %x", label, b.n, len(codes), count, dst, wantCount, want)
+		if words[0] != guard || words[nw+1] != guard {
+			t.Fatalf("%s, %d runs, n=%d at offset %d: guard words %x %x written", label, b.n, len(codes), off, words[0], words[nw+1])
 		}
+		if count != wantCount || !reflect.DeepEqual(dst, want) {
+			t.Fatalf("%s, %d runs, n=%d at offset %d: count %d words %x, want %d %x", label, b.n, len(codes), off, count, dst, wantCount, want)
+		}
+	}
+	// check places each window at the next offset of 0–63 in turn.
+	check := func(label string, codes []uint8, b byteRuns, set []uint64) {
+		t.Helper()
+		checkAt(label, calls%64, codes, b, set)
+		calls++
 	}
 	rangeSet := func(lo, hi int) []uint64 {
 		set := make([]uint64, 4)
@@ -509,6 +539,23 @@ func TestRangeBytesEveryTailShape(t *testing.T) {
 			if runs := setRuns(set, size); runs.n > 0 {
 				check(fmt.Sprintf("set %x of %d", set, size), codes, runs, set)
 			}
+		}
+	}
+	// Every window start inside a buffer, for the lengths around one and two
+	// words, each against a random range and the straddling set {126, ...,
+	// 130} ∪ {200}.
+	straddle := rangeSet(126, 131)
+	straddle[200>>6] |= 1 << (200 & 63)
+	for off := 0; off < 64; off++ {
+		for _, n := range []int{0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200} {
+			codes := make([]uint8, n)
+			for i := range codes {
+				codes[i] = uint8(rng.Intn(256))
+			}
+			lo := rng.Intn(256)
+			hi := lo + 1 + rng.Intn(256-lo)
+			checkAt(fmt.Sprintf("[%d,%d)", lo, hi), off, codes, rangeRuns(lo, hi), rangeSet(lo, hi))
+			checkAt("straddle set", off, codes, setRuns(straddle, 256), straddle)
 		}
 	}
 	// A bool column is its own byte codes.

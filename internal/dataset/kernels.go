@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"sort"
 
@@ -36,8 +35,11 @@ import (
 //   - compare codes, not values: a leaf over byte codes — any column of at
 //     most 256 codes, numeric ones (age, hours) coded into their sorted
 //     values so low <= v < high is lo <= code < hi, a bool column its own
-//     codes — is a list of runs of codes (byteRuns). fillRun tests one run
-//     on eight rows per 64-bit word, fillTwoRuns two; more read the per-code
+//     codes — is a list of runs of codes [lo, hi) (byteRuns). fillRuns
+//     tests one or two runs on sixteen rows per SSE2 compare on amd64
+//     (kernels_amd64.s: lo <= code < hi is the one unsigned byte compare
+//     code-lo <= hi-lo-1), on eight rows per 64-bit word elsewhere and
+//     under -tags purego (kernels_generic.go); more runs read the per-code
 //     bitset. Wide columns keep the 8-byte kernels (fillRange*/fillGt*).
 //
 // Every kernel writes all words covering its window (the bit accumulator
@@ -224,86 +226,6 @@ func fillEqCodes[C colstore.Code](dst []uint64, col []C, want C) int {
 	return n
 }
 
-// SWAR constants: each byte's high bit, and the multiplier that gathers the
-// eight high bits into the top byte (bit 8k+7 to bit 56+k, without carries).
-const (
-	swarHigh   = 0x8080808080808080
-	swarGather = 0x0002040810204081
-)
-
-// codeRun is a run of byte codes [lo, hi) inside one half of the code space,
-// [0, 128) or [128, 256), as the constants of its SWAR test: lo' = lo&127
-// and hi' = ((hi-1)&127)+1 in every byte, half = swarHigh for the low half.
-type codeRun struct{ lo, hi, half uint64 }
-
-// match sets the high bit of each byte of x whose code lies in the run, given
-// y = x | swarHigh; the other bits are noise. Per byte y is in [128, 255] and
-// lo', hi' <= 128, so no borrow crosses a byte: y-lo' keeps the high bit iff
-// x&127 >= lo', y-hi' iff x&127 >= hi', and x^half iff x is in the half.
-func (r codeRun) match(x, y uint64) uint64 { return (y - r.lo) &^ (y - r.hi) & (x ^ r.half) }
-
-// fillRun writes the bitmap words for the codes in one run over a window of
-// byte codes: five operations test eight rows, a multiply gathers their flags
-// into a byte, and the little-endian load puts row j's flag on bit j. Eight
-// constant shifts, not a loop over j with << (j&63): 0.45 ns/row, not 0.75.
-func fillRun(dst []uint64, codes []uint8, r codeRun) int {
-	flags := func(s []uint8) uint64 {
-		x := binary.LittleEndian.Uint64(s)
-		return (r.match(x, x|swarHigh) & swarHigh) * swarGather >> 56
-	}
-	n := 0
-	nw := len(codes) / 64
-	for wi := 0; wi < nw; wi++ {
-		chunk := codes[wi*64 : wi*64+64 : wi*64+64]
-		word := flags(chunk[0:8:8]) |
-			flags(chunk[8:16:16])<<8 |
-			flags(chunk[16:24:24])<<16 |
-			flags(chunk[24:32:32])<<24 |
-			flags(chunk[32:40:40])<<32 |
-			flags(chunk[40:48:48])<<40 |
-			flags(chunk[48:56:56])<<48 |
-			flags(chunk[56:64:64])<<56
-		dst[wi] = word
-		n += bits.OnesCount64(word)
-	}
-	return n + fillTwoRuns(dst[nw:], codes[nw*64:], r, r) // the tail, row by row
-}
-
-// fillTwoRuns is fillRun for the codes in either of two runs, which share
-// the load and y; a window under 64 rows is all tail, tested row by row.
-func fillTwoRuns(dst []uint64, codes []uint8, r, q codeRun) int {
-	flags := func(s []uint8) uint64 {
-		x := binary.LittleEndian.Uint64(s)
-		y := x | swarHigh
-		return ((r.match(x, y) | q.match(x, y)) & swarHigh) * swarGather >> 56
-	}
-	n := 0
-	nw := len(codes) / 64
-	for wi := 0; wi < nw; wi++ {
-		chunk := codes[wi*64 : wi*64+64 : wi*64+64]
-		word := flags(chunk[0:8:8]) |
-			flags(chunk[8:16:16])<<8 |
-			flags(chunk[16:24:24])<<16 |
-			flags(chunk[24:32:32])<<24 |
-			flags(chunk[32:40:40])<<32 |
-			flags(chunk[40:48:48])<<40 |
-			flags(chunk[48:56:56])<<48 |
-			flags(chunk[56:64:64])<<56
-		dst[wi] = word
-		n += bits.OnesCount64(word)
-	}
-	if tail := codes[nw*64:]; len(tail) > 0 {
-		var word uint64
-		for j, c := range tail {
-			x := uint64(c)
-			word |= (r.match(x, x|swarHigh) | q.match(x, x|swarHigh)) >> 7 & 1 << uint(j)
-		}
-		dst[nw] = word
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
-
 // fillInWide is the wide-dictionary In kernel: the wanted set is a bitset
 // with one bit per dictionary code. Codes are storage-validated to be in
 // range, so the per-row bitset access is a load+shift, never a hash probe.
@@ -338,26 +260,25 @@ func fillInWide[C colstore.Code](dst []uint64, col []C, set []uint64) int {
 	return n
 }
 
+// codeRange is the byte codes [lo, hi), 0 <= lo < hi <= 256.
+type codeRange struct{ lo, hi int }
+
 // byteRuns is a byte-coded leaf lowered to the runs of codes it selects:
-// Equals one, Range and GreaterThan one (two if they straddle code 128), In
-// the runs of its code set. It keeps the first two; more read the code set.
+// Equals, Range and GreaterThan one, In the runs of its code set. It keeps
+// the first two; more read the code set. Each build lowers the runs to the
+// constants of its own kernel in fillRuns.
 type byteRuns struct {
 	n    int
-	runs [2]codeRun
+	runs [2]codeRange
 }
 
-// add appends the run [lo, hi), cut at code 128; an empty run adds nothing.
+// add appends the run [lo, hi); an empty run adds nothing.
 func (b *byteRuns) add(lo, hi int) {
-	if lo < 128 && hi > 128 {
-		b.add(lo, 128)
-		lo = 128
-	}
 	if lo >= hi {
 		return
 	}
 	if b.n < len(b.runs) {
-		const ones = 0x0101010101010101
-		b.runs[b.n] = codeRun{uint64(lo&127) * ones, uint64((hi-1)&127+1) * ones, swarHigh * b2u(lo < 128)}
+		b.runs[b.n] = codeRange{lo, hi}
 	}
 	b.n++
 }
@@ -389,15 +310,26 @@ func (t *Table) whereRuns(codes []uint8, b byteRuns, set []uint64) *Selection {
 		return t.newSel()
 	}
 	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		dst, window := sel.words[lo/64:(hi+63)/64], codes[lo:hi]
-		switch b.n {
-		case 1:
-			return fillRun(dst, window, b.runs[0])
-		case 2:
-			return fillTwoRuns(dst, window, b.runs[0], b.runs[1])
-		}
-		return fillInWide(dst, window, set)
+		return fillRuns(sel.words[lo/64:(hi+63)/64], codes[lo:hi], b, set)
 	})
+}
+
+// fillRunsTail writes the word of a window's last len(tail) < 64 rows: the
+// rows whose code lies in one of b's runs, of which there are one or two,
+// tested row by row. An empty tail writes nothing. Both builds' fillRuns end
+// with it.
+func fillRunsTail(dst []uint64, tail []uint8, b byteRuns) int {
+	if len(tail) == 0 {
+		return 0
+	}
+	r, q := b.runs[0], b.runs[b.n-1]
+	var word uint64
+	for j, c := range tail {
+		x := int(c)
+		word |= (b2u(r.lo <= x && x < r.hi) | b2u(q.lo <= x && x < q.hi)) << uint(j)
+	}
+	dst[0] = word
+	return bits.OnesCount64(word)
 }
 
 // whereSet selects the rows of an unmapped coded column whose code is in

@@ -573,25 +573,13 @@ var (
 	benchSinkFloats []float64
 )
 
-// fillRuns runs, over one window, the kernel whereRuns picks for b: the
-// window-level entry of the run kernels' tests and benchmarks.
-func fillRuns(dst []uint64, codes []uint8, b byteRuns, set []uint64) int {
-	switch b.n {
-	case 1:
-		return fillRun(dst, codes, b.runs[0])
-	case 2:
-		return fillTwoRuns(dst, codes, b.runs[0], b.runs[1])
-	}
-	return fillInWide(dst, codes, set)
-}
-
 // BenchmarkFillKernels times each leaf kernel in isolation over one
 // million-row window on the calling goroutine (run it with -cpu 1): the
-// ns/row the packed main loops are judged by. The byte-code cases run the
-// kernel whereRuns picks (fillRuns): one run (a Range, or an Equals),
-// two runs (a non-adjacent In pair), a Range straddling code 128 on a
-// 256-entry dictionary (two runs), and an In of six runs (the per-code
-// bitset).
+// ns/row the packed main loops are judged by. The byte-code cases run
+// fillRuns, the kernel whereRuns calls: one run (a Range, or an Equals), two
+// runs (a non-adjacent In pair), a Range straddling code 128 on a 256-entry
+// dictionary (one run for SSE2, two SWAR tests in the portable build), and an
+// In of six runs (the per-code bitset).
 func BenchmarkFillKernels(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(61))
@@ -633,6 +621,41 @@ func BenchmarkFillKernels(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 		})
 	}
+}
+
+// BenchmarkCountCodes times the count behind every chart of a filtered view:
+// View.CountsFor of a byte-coded target of six values over a random tenth
+// of a million rows (an Equals on a ten-value column), reported per
+// selected row. It is the selected-row walk (forEachIn) and its per-row
+// tally (countCodes); run it with -cpu 1 to time it on one thread.
+func BenchmarkCountCodes(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(71))
+	targets := []string{"a", "b", "c", "d", "e", "f"}
+	picks := []string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9"}
+	target := make([]string, n)
+	pick := make([]string, n)
+	for i := range target {
+		target[i] = targets[rng.Intn(len(targets))]
+		pick[i] = picks[rng.Intn(len(picks))]
+	}
+	tab, err := NewTable(NewCategoricalColumn("target", target), NewCategoricalColumn("pick", pick))
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := tab.View(Equals{Column: "pick", Value: "0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		counts, err := v.CountsFor("target", targets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSinkInt = counts[0]
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(v.NumRows()), "ns/selected-row")
 }
 
 // BenchmarkViewFloats times the numeric gather behind compare_means over a
