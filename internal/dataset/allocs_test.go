@@ -112,6 +112,33 @@ func TestAllocsArenaWhere(t *testing.T) {
 	})
 }
 
+// TestAllocsPlaneCount pins a warm count by bit planes (gender, occupation
+// and education: 2 to 8 codes each) over a filtered view to what the scan it
+// replaces allocated: 3 objects per CountsFor (the result, the accumulator
+// and the morsel closure), measured on the scan before the planes. The first
+// count builds the planes and is not timed.
+func TestAllocsPlaneCount(t *testing.T) {
+	table := allocsCensus(t, 20000)
+	view, err := table.View(allocsFilter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, column := range []string{census.ColGender, census.ColOccupation, census.ColEducation} {
+		cats, err := table.Categories(column)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := view.CountsFor(column, cats); err != nil {
+			t.Fatal(err)
+		}
+		pinAllocs(t, "warm plane CountsFor of "+column, 3, func() { // measured 3
+			if _, err := view.CountsFor(column, cats); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestAllocsSelectionCache pins a session's cache: building one over a table
 // and asking it for every row allocates the cache and its map, not a
 // full-row bitmap — that is built once per table and shared.

@@ -166,6 +166,13 @@ func TestRefStatsMatchFreshRecomputation(t *testing.T) {
 			if c, _ := tab.Column("score"); c.width != 0 {
 				want = 6
 			}
+			// The scanned CountsFor of part and rest build the bit planes of
+			// flag (two codes) and of color when it holds 2 to 4 values (one
+			// value, at 1 row, keeps the scan): one build each.
+			want++
+			if c, _ := tab.Column("color"); c.planeCounted() {
+				want++
+			}
 			if hits, computed := tab.RefStats(); computed != want || hits == 0 {
 				t.Errorf("rows=%d store=%s: memo filled by %d scans with %d hits, want %d", rows, store, computed, hits, want)
 			}
@@ -421,6 +428,49 @@ func TestRefStatsConcurrentFirstUse(t *testing.T) {
 	// Racing first users may each scan, but only one copy per entry is kept.
 	if tallies, binnings := memoEntries(tab); tallies+binnings != 3 {
 		t.Errorf("memo holds %d entries, want 3 (color, flag, score/10)", tallies+binnings)
+	}
+
+	// Then the first counts over views that are not full race onto the
+	// planes of color and flag, which must be built once each.
+	part, err := tab.View(GreaterThan{Column: "score", Threshold: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := View{table: tab, sel: part.sel.Not()}
+	views := []View{part, rest}
+	wantParts := make([]map[string][]int, len(views))
+	for i, v := range views {
+		wantParts[i] = map[string][]int{
+			"color": referenceCounts(t, v, "color", wantCats),
+			"flag":  referenceCounts(t, v, "flag", boolLabels),
+		}
+	}
+	_, before := tab.RefStats()
+	start = make(chan struct{})
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 4; i++ {
+				k := (g + i) % len(views)
+				for _, name := range []string{"color", "flag"} {
+					want := wantParts[k][name]
+					cats := wantCats
+					if name == "flag" {
+						cats = boolLabels
+					}
+					if got, err := views[k].CountsFor(name, cats); err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("goroutine %d: view %d CountsFor(%s) = %v, %v; want %v", g, k, name, got, err, want)
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if _, after := tab.RefStats(); after-before != 2 {
+		t.Errorf("first counts over views that are not full filled the memo by %d scans, want 2 (the planes of color and flag)", after-before)
 	}
 }
 

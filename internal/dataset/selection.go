@@ -411,16 +411,20 @@ func (v View) CountsFor(name string, categories []string) ([]int, error) {
 // codeCounts tallies the selected rows of a coded column per code (bool
 // columns: false at 0, true at 1) — per-morsel partial histograms merged in
 // morsel order, a mapped column's over its source's codes and then folded
-// through via, or the column's memoized tallies when the view is full. The
-// result is read-only: it may be the memo's own slice.
+// through via, or the column's memoized tallies when the view is full. A
+// byte-coded column of at most eight codes is counted by its bit planes
+// (countPlanes), any other by the scan. The result is read-only: it may be
+// the memo's own slice.
 func (v View) codeCounts(c *Column) []int {
 	if v.full() {
 		return c.codeTallies()
 	}
-	switch r := c.rows(); r.width {
-	case 1:
+	switch r := c.rows(); {
+	case r.planeCounted():
+		return c.fold(countPlanes(v, r.codePlanes(), r.dictLen()))
+	case r.width == 1:
 		return c.fold(countCodes(v, r.codes8, r.dictLen()))
-	case 2:
+	case r.width == 2:
 		return c.fold(countCodes(v, r.codes16, r.dictLen()))
 	default:
 		return c.fold(countCodes(v, r.codes32, r.dictLen()))
@@ -579,10 +583,12 @@ func (t Tally) KS(u Tally) (stats.TestResult, error) {
 var _ [stats.MaxCountedValues - colstore.MaxValues]struct{}
 
 // Tally reduces the selected rows of a numeric column to a histogram over its
-// byte codes — the loop BinCounts runs: per-morsel partials merged in morsel
-// order, one byte read and no float touched per row — folded onto its
-// distinct values, and falls back to the gather for a wide column. A non-nil parent records the kernel span
-// "view.moments"; a nil one costs nothing.
+// byte codes (View.codeCounts: the bit planes of at most eight codes, else
+// the scan) folded onto its distinct values, and falls back to the gather
+// for a wide column. A non-nil parent records the kernel span
+// "view.moments" and, unless the column's memo answered a full view, the
+// kernel that counted (kernel: planes|scan; a wide column's gather is a
+// scan); a nil one costs nothing.
 func (v View) Tally(name string, parent *obs.Span) (Tally, error) {
 	if parent == nil {
 		return v.tally(name)
@@ -595,9 +601,14 @@ func (v View) Tally(name string, parent *obs.Span) (Tally, error) {
 		k.span.Set("error", err.Error())
 	case t.Values == nil:
 		k.span.Set("encoding", "wide")
+		k.span.Set("kernel", "scan")
 	default:
 		k.span.Set("encoding", "byte")
 		k.span.Set("distinct", len(t.Values))
+		if !v.full() {
+			c, _ := v.table.numericColumn(name)
+			k.span.Set("kernel", c.countKernel())
+		}
 	}
 	k.end(v.sel.n, v.sel.count)
 	return t, err

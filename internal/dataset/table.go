@@ -453,8 +453,11 @@ func (t *Table) execPool() *Pool {
 // every full-table count, category list and histogram is a lookup. Nothing
 // is computed when a table is built or opened; only a column built from
 // another's codes arrives with its code tallies (seedCodes). The tallies are
-// O(dictionary) and the bin counts O(bins); O(rows) is only the per-row bin
-// assignment of a wide numeric column (four bytes per row).
+// O(dictionary) and the bin counts O(bins); O(rows) are the per-row bin
+// assignment of a wide numeric column (four bytes per row) and the bit
+// planes of a byte-coded column of at most eight codes (planes.go: at most
+// 3/8 byte per row), which every later count over a view that is not full
+// reads, filled by the first such count.
 //
 // Population statistics are a property of a column's values, so the memo
 // lives on the Column: every table that holds the same *Column (Derive,
@@ -462,11 +465,16 @@ func (t *Table) execPool() *Pool {
 // fills one memo, and a column built by gathering rows (Select, Split, a
 // gathered join, a shuffled column) starts empty. Entries are computed
 // outside the lock; when two goroutines race on first use both scan and the
-// first store is kept. Stored entries are immutable, so readers are safe.
+// first store is kept — except the planes, whose racing first users wait on
+// planeMu so that one of them builds them. Stored entries are immutable, so
+// readers are safe.
 type refStats struct {
-	mu    sync.RWMutex
-	codes []int                  // how many rows hold each code of a coded column
-	bins  map[int]*binAssignment // keyed by bin count
+	mu     sync.RWMutex
+	codes  []int                  // how many rows hold each code of a coded column
+	bins   map[int]*binAssignment // keyed by bin count
+	planes *codePlanes            // a byte-coded column's bit planes (2 to 8 codes)
+
+	planeMu sync.Mutex // held while the planes are built
 
 	// hits counts lookups answered from the memo, computed the scans that
 	// filled it (Table.RefStats).
@@ -489,9 +497,9 @@ type binAssignment struct {
 }
 
 // RefStats returns how many reference-statistics lookups (category lists,
-// full-table counts, bin assignments) the table's columns answered from
-// their memos and how many column scans filled them. A column shared with
-// another table counts what either table asked of it.
+// full-table counts, bin assignments, bit planes) the table's columns
+// answered from their memos and how many column scans filled them. A column
+// shared with another table counts what either table asked of it.
 func (t *Table) RefStats() (hits, computed uint64) {
 	for _, c := range t.columns {
 		hits += c.ref.hits.Load()

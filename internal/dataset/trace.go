@@ -104,7 +104,9 @@ func (v View) statsSource() string {
 	return "scan"
 }
 
-// CountsForSpan is View.CountsFor with a kernel span under parent.
+// CountsForSpan is View.CountsFor with a kernel span under parent. A view
+// that is not full also records the kernel that counts it (kernel:
+// planes|scan, Column.countKernel).
 func (v View) CountsForSpan(name string, categories []string, parent *obs.Span) ([]int, error) {
 	if parent == nil {
 		return v.CountsFor(name, categories)
@@ -115,6 +117,9 @@ func (v View) CountsForSpan(name string, categories []string, parent *obs.Span) 
 	out, err := v.CountsFor(name, categories)
 	if err != nil {
 		k.span.Set("error", err.Error())
+	} else if !v.full() {
+		c, _ := v.table.categoricalColumn(name)
+		k.span.Set("kernel", c.countKernel())
 	}
 	k.end(v.sel.n, v.sel.count)
 	return out, err

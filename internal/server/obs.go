@@ -153,7 +153,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		ew.Sample("aware_selection_cache_bytes", obs.L{obs.Label("dataset", row.name)}, float64(row.bytes))
 	}
 
-	ew.Header("aware_dataset_refstats_total", "Reference-statistics lookups (category lists, full-table counts, bin assignments), by dataset: answered from the table's memo (hit) or by the column scan that filled it (computed).", "counter")
+	ew.Header("aware_dataset_refstats_total", "Reference-statistics lookups (category lists, full-table counts, bin assignments, bit planes), by dataset: answered from the table's memo (hit) or by the column scan that filled it (computed).", "counter")
 	for _, row := range rows {
 		ew.Sample("aware_dataset_refstats_total", obs.L{obs.Label("dataset", row.name), obs.Label("result", "computed")}, float64(row.refComputed))
 		ew.Sample("aware_dataset_refstats_total", obs.L{obs.Label("dataset", row.name), obs.Label("result", "hit")}, float64(row.refHits))

@@ -113,9 +113,11 @@ func TestPromMetricsExposition(t *testing.T) {
 	// The chart steps above filled the census table's reference-statistics
 	// memo and then read it again: one code tally each of the categorical
 	// target and of the binned numeric column, whose binning is the third
-	// scan. The filtered numeric column needs no memo: its codes are stored.
+	// scan, and the bit planes of the categorical target, which its filtered
+	// count builds, the fourth. The filtered numeric column needs no memo:
+	// its codes are stored.
 	for _, sample := range []string{
-		`aware_dataset_refstats_total{dataset="census",result="computed"} 3`,
+		`aware_dataset_refstats_total{dataset="census",result="computed"} 4`,
 		`aware_dataset_refstats_total{dataset="census",result="hit"} `,
 	} {
 		if !strings.Contains(text, "\n"+sample) {
@@ -178,12 +180,13 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 		t.Errorf("step span = %+v", step)
 	}
 	kernels := map[string]obs.SpanJSON{}
-	var countSources []any
+	var countSources, countKernels []any
 	for _, k := range step.Children {
 		if k.Kind == obs.KindKernel {
 			kernels[k.Name] = k
 			if k.Name == "view.counts_for" {
 				countSources = append(countSources, k.Attrs["source"])
+				countKernels = append(countKernels, k.Attrs["kernel"])
 			}
 		}
 	}
@@ -204,6 +207,11 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 	// the table's reference-statistics memo.
 	if len(countSources) != 2 || countSources[0] != "scan" || countSources[1] != "memo" {
 		t.Errorf("view.counts_for sources = %v, want [scan memo]", countSources)
+	}
+	// The scanned side counts gender, a dictionary of at most eight codes,
+	// by its bit planes; the memo side runs no kernel.
+	if len(countKernels) != 2 || countKernels[0] != "planes" || countKernels[1] != nil {
+		t.Errorf("view.counts_for kernels = %v, want [planes <nil>]", countKernels)
 	}
 
 	// A numeric chart bins through the column's byte codes, and says so.
@@ -248,8 +256,9 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 			case "view.moments":
 				spans++
 				a := sp.Attrs
+				// hours_per_week has more than eight codes: the scan counts it.
 				if a["column"] != census.ColHoursPerWeek || a["encoding"] != "byte" || a["distinct"] == nil ||
-					a["rows"] == nil || a["selected"] == nil || a["morsels"] == nil {
+					a["kernel"] != "scan" || a["rows"] == nil || a["selected"] == nil || a["morsels"] == nil {
 					t.Errorf("%s: view.moments annotations = %+v", endpoint, a)
 				}
 				if endpoint != "/steps" && parent != "holdout.compare_means" {
