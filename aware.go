@@ -208,8 +208,10 @@ var (
 	// bounded to 32 MiB of bitmap and key bytes by evicting arbitrary
 	// entries (see SelectionCache for why 32 MiB).
 	NewSelectionCache = dataset.NewSelectionCache
-	// CanonicalPredicateKey serializes a predicate into its canonical cache
-	// key (semantically equal predicates key equal).
+	// CanonicalPredicateKey serializes a predicate into its JSON wire form
+	// with In values and And/Or terms sorted, so spellings that differ only
+	// in those orders serialize equal. The selection cache keys by it only
+	// the filters it cannot key by the codes they select.
 	CanonicalPredicateKey = dataset.CanonicalPredicateKey
 	// NewPool builds a bounded execution pool for the morsel-parallel kernels
 	// (workers <= 0 means GOMAXPROCS; 1 pins execution to the caller).

@@ -340,3 +340,82 @@ func BenchmarkCrossCounts(b *testing.B) {
 		})
 	}
 }
+
+// hitShapes are the filter shapes the benchmark's sessions send — a bare
+// age term, an age term and an Equals, an age term and an In — and one Or.
+var hitShapes = []dataset.Predicate{
+	dataset.Range{Column: census.ColAge, Low: 30.37, High: 41.12},
+	dataset.GreaterThan{Column: census.ColAge, Threshold: 52.6},
+	allocsFilter,
+	dataset.And{Terms: []dataset.Predicate{
+		dataset.GreaterThan{Column: census.ColAge, Threshold: 38.9},
+		dataset.NewIn(census.ColOccupation, "Craft", "Sales"),
+	}},
+	dataset.Or{Terms: []dataset.Predicate{
+		dataset.Equals{Column: census.ColGender, Value: "Female"},
+		dataset.Range{Column: census.ColAge, Low: 30, High: 50},
+	}},
+}
+
+// BenchmarkSelectionCacheKey times the selection cache's key of each of
+// hitShapes, against CanonicalPredicateKey, the key before filters were
+// keyed by their codes, on a 300k-row census.
+func BenchmarkSelectionCacheKey(b *testing.B) {
+	table, err := census.Generate(census.Config{Rows: 300_000, Seed: 1, SignalStrength: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := dataset.NewSelectionCache(table)
+	for i, p := range hitShapes {
+		b.Run(fmt.Sprintf("shape=%d/codes", i), func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]byte, 0, 64)
+			for n := 0; n < b.N; n++ {
+				if _, err := cache.CacheKey(p, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("shape=%d/json", i), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, err := dataset.CanonicalPredicateKey(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestAllocsSelectionCacheHit pins a warm hit, which every step over a
+// cached filter takes: a filter of coded leaves keys by its codes with no
+// allocation (the JSON key cost 6 to 22 objects a hit), and one the key
+// cannot lower keys by its JSON, as it always did.
+func TestAllocsSelectionCacheHit(t *testing.T) {
+	table := allocsCensus(t, 20000)
+	cache := dataset.NewSelectionCache(table)
+	for i, pin := range []float64{
+		0,  // measured 0; the JSON key 9
+		0,  // measured 0; the JSON key 6
+		0,  // measured 0; the JSON key 22
+		0,  // measured 0; the JSON key 18
+		22, // measured 21; the JSON key 22
+	} {
+		p := hitShapes[i]
+		sel, err := cache.Where(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel.Release()
+		pinAllocs(t, "a warm SelectionCache.Where("+p.Describe()+")", pin, func() {
+			sel, err := cache.Where(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel.Release()
+		})
+	}
+	if hits, _, misses := cache.Stats(); misses != uint64(len(hitShapes)) || hits == 0 {
+		t.Errorf("%d hits and %d misses; want a miss per shape, then hits", hits, misses)
+	}
+}

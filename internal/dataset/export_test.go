@@ -8,3 +8,7 @@ var (
 )
 
 const RaceEnabled = raceEnabled
+
+// CacheKey is the selection cache's key of p, a code-set key appended to
+// dst.
+func (c *SelectionCache) CacheKey(p Predicate, dst []byte) ([]byte, error) { return c.key(p, dst) }

@@ -471,7 +471,7 @@ func TestHashJoinSharesOnlyTheDimensionShape(t *testing.T) {
 			{"unmatched left value", view(left, nil), view(dimensionTable(rng, left, true, false), nil), "gathered"},
 			{"duplicated right key", view(left, nil), view(dimensionTable(rng, left, false, true), nil), "refused"},
 			{"one left row", view(single, nil), view(dim, nil), "shared"},
-			{"empty result", view(left, nil), view(dim, EmptySelection(dim.NumRows())), "gathered"},
+			{"empty result", view(left, nil), view(dim, newSelection(dim.NumRows())), "gathered"},
 			{"gathered left, absent value unmatched", view(unmatchedLeft, nil), view(unmatchedDim, nil), "shared"},
 			{"gathered left, absent value duplicated", view(dupLeft, nil), view(dupDim, nil), "shared"},
 		}

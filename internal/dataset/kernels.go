@@ -1,14 +1,17 @@
 package dataset
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"aware/internal/colstore"
 )
 
-// This file holds the predicate leaf kernels behind Table.Where, one leaf per
-// predicate type (whereEquals, whereIn, whereRange, whereGreater). Five
+// This file holds the predicate leaf kernels behind Table.Where: each leaf
+// lowers once to the codes it selects (lower) and compiles from them
+// (whereLeaf), a wide numeric one from its bounds. Five
 // techniques push them toward the hardware limit, each held word for word to
 // a row-at-a-time evaluation of the predicate by the differential tests in
 // kernels_test.go and encoding_test.go:
@@ -263,9 +266,9 @@ func fillInWide[C colstore.Code](dst []uint64, col []C, set []uint64) int {
 // codeRange is the byte codes [lo, hi), 0 <= lo < hi <= 256.
 type codeRange struct{ lo, hi int }
 
-// byteRuns is a byte-coded leaf lowered to the runs of codes it selects:
-// Equals, Range and GreaterThan one, In the runs of its code set. It keeps
-// the first two; more read the code set. Each build lowers the runs to the
+// byteRuns is a byte-coded leaf's code set as runs of codes (setRuns):
+// Equals, Range and GreaterThan one, In as many as its set has. It keeps the
+// first two; more read the code set. Each build lowers the runs to the
 // constants of its own kernel in fillRuns.
 type byteRuns struct {
 	n    int
@@ -281,12 +284,6 @@ func (b *byteRuns) add(lo, hi int) {
 		b.runs[b.n] = codeRange{lo, hi}
 	}
 	b.n++
-}
-
-// rangeRuns lowers the codes [lo, hi).
-func rangeRuns(lo, hi int) (b byteRuns) {
-	b.add(lo, hi)
-	return b
 }
 
 // setRuns lowers a code set over a dictionary of size entries, adjacent
@@ -332,36 +329,144 @@ func fillRunsTail(dst []uint64, tail []uint8, b byteRuns) int {
 	return bits.OnesCount64(word)
 }
 
-// whereSet selects the rows of an unmapped coded column whose code is in
-// set, one bit per code: byte codes as the runs of the set, wider ones
-// against the bitset.
-func (t *Table) whereSet(c *Column, set []uint64) *Selection {
-	switch c.width {
-	case 1:
-		return t.whereRuns(c.codes8, setRuns(set, c.dictLen()), set)
-	case 2:
-		return selectIn(t, c.codes16, set)
+// lower lowers a leaf to the codes it selects: Equals and In over a
+// categorical or bool column, Range and GreaterThan over a coded numeric one,
+// become the column whose codes the rows hold (c.rows()) and the set of its
+// codes that satisfy the leaf, one bit per code, appended to dst. A mapped
+// column lowers through via onto its source's codes. A Range or GreaterThan
+// over a wide numeric column lowers to that column (width 0) and no set. It
+// is the one place a leaf's bounds meet the codes, so the compiler
+// (whereLeaf) and the selection cache's key cannot disagree on one.
+//
+// On a coded numeric column low <= v < high becomes lo <= code < hi,
+// exactly: lo is the first value >= low, hi the first that is not < high (so
+// a NaN bound, which no value satisfies, yields an empty range by itself),
+// and values of one comparison value (−0 and +0, int64 values one float64
+// holds) are neighbours; v > threshold becomes lo <= code with lo the first
+// value above the threshold.
+func (t *Table) lower(p Predicate, dst []uint64) (*Column, []uint64, error) {
+	var c *Column
+	var err error
+	switch q := p.(type) {
+	case Equals:
+		c, err = t.categoricalColumn(q.Column)
+	case In:
+		c, err = t.categoricalColumn(q.Column)
+	case Range:
+		c, err = t.numericColumn(q.Column)
+	case GreaterThan:
+		c, err = t.numericColumn(q.Column)
 	default:
-		return selectIn(t, c.codes32, set)
+		return nil, dst, fmt.Errorf("dataset: cannot lower predicate type %T", p)
+	}
+	if err != nil || c.width == 0 {
+		return c, dst, err
+	}
+	n, own := len(dst), (c.dictLen()+63)/64
+	dst = append(dst, make([]uint64, own)...)
+	set := dst[n:]
+	switch q := p.(type) {
+	case Equals:
+		if code, ok := c.codeOf[q.Value]; ok {
+			setCodes(set, int(code), int(code)+1)
+		}
+	case In:
+		for _, v := range q.Values {
+			if code, ok := c.codeOf[v]; ok {
+				setCodes(set, int(code), int(code)+1)
+			}
+		}
+	case Range:
+		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] >= q.Low })
+		hi := sort.Search(len(c.values), func(i int) bool { return !(c.values[i] < q.High) })
+		setCodes(set, lo, hi)
+	case GreaterThan:
+		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] > q.Threshold })
+		setCodes(set, lo, len(c.values))
+	}
+	if c.via == nil {
+		return c, dst, nil
+	}
+	dst = append(dst, make([]uint64, (len(c.via)+63)/64)...)
+	set, src := dst[n:n+own], dst[n+own:]
+	for k, code := range c.via {
+		src[k>>6] |= set[code>>6] >> (code & 63) & 1 << (k & 63)
+	}
+	return c.src, append(dst[:n], src...), nil
+}
+
+// setCodes adds the codes [lo, hi) to set.
+func setCodes(set []uint64, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		set[k>>6] |= 1 << (k & 63)
 	}
 }
 
-// whereMapped selects the rows of a mapped column whose own code satisfies
-// in: the source codes that map to such a code become a set over the
-// source's codes, which whereSet scans.
-func (t *Table) whereMapped(c *Column, in func(code int) bool) *Selection {
-	set := make([]uint64, (len(c.via)+63)/64)
-	found := false
-	for k, code := range c.via {
-		if in(int(code)) {
-			set[k>>6] |= 1 << (k & 63)
-			found = true
+// whereLeaf compiles a leaf (Equals, In, Range, GreaterThan): a coded one
+// scans the code set it lowers to, a wide numeric one runs the 8-byte
+// kernels over its values.
+func (t *Table) whereLeaf(p Predicate) (*Selection, error) {
+	var buf [4]uint64 // a byte-coded column's set, on the stack: whereSet copies what a kernel keeps
+	c, set, err := t.lower(p, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	if c.width != 0 {
+		return t.whereSet(c, set), nil
+	}
+	if q, ok := p.(Range); ok {
+		if c.Type == Float64 {
+			return t.fillSelection(func(sel *Selection, lo, hi int) int {
+				return fillRangeFloats(sel.words[lo/64:(hi+63)/64], c.floats[lo:hi], q.Low, q.High)
+			}), nil
+		}
+		return t.fillSelection(func(sel *Selection, lo, hi int) int {
+			return fillRangeInts(sel.words[lo/64:(hi+63)/64], c.ints[lo:hi], q.Low, q.High)
+		}), nil
+	}
+	threshold := p.(GreaterThan).Threshold
+	if c.Type == Float64 {
+		return t.fillSelection(func(sel *Selection, lo, hi int) int {
+			return fillGtFloats(sel.words[lo/64:(hi+63)/64], c.floats[lo:hi], threshold)
+		}), nil
+	}
+	return t.fillSelection(func(sel *Selection, lo, hi int) int {
+		return fillGtInts(sel.words[lo/64:(hi+63)/64], c.ints[lo:hi], threshold)
+	}), nil
+}
+
+// whereSet selects the rows of an unmapped coded column whose code is in
+// set, one bit per code: byte codes as the runs of the set; over wider codes
+// no code selects nothing, one code is compared at the codes' width and more
+// are read from the bitset. A kernel that reads set reads a copy, so set
+// does not escape.
+func (t *Table) whereSet(c *Column, set []uint64) *Selection {
+	if c.width == 1 {
+		b := setRuns(set, c.dictLen())
+		var kept []uint64 // one run is at most two tests in either build; more may read the set
+		if b.n > 1 {
+			kept = slices.Clone(set)
+		}
+		return t.whereRuns(c.codes8, b, kept)
+	}
+	n, code := 0, 0
+	for i, w := range set {
+		if w != 0 {
+			n, code = n+bits.OnesCount64(w), i<<6+bits.TrailingZeros64(w)
 		}
 	}
-	if !found {
-		return t.stamp(EmptySelection(t.rows))
+	switch {
+	case n == 0:
+		return t.newSel()
+	case n == 1 && c.width == 2:
+		return selectEq(t, c.codes16, uint16(code))
+	case n == 1:
+		return selectEq(t, c.codes32, uint32(code))
+	case c.width == 2:
+		return selectIn(t, c.codes16, slices.Clone(set))
+	default:
+		return selectIn(t, c.codes32, slices.Clone(set))
 	}
-	return t.whereSet(c.src, set)
 }
 
 // selectEq selects the rows whose code is want, for codes wider than a byte.
@@ -376,109 +481,4 @@ func selectIn[C colstore.Code](t *Table, col []C, set []uint64) *Selection {
 	return t.fillSelection(func(sel *Selection, lo, hi int) int {
 		return fillInWide(sel.words[lo/64:(hi+63)/64], col[lo:hi], set)
 	})
-}
-
-// whereEquals is the Equals leaf over a categorical or bool column: a value
-// absent from the dictionary selects nothing; a byte-coded column is scanned
-// as the run [code, code+1), a mapped one as the source codes mapping to it.
-func (t *Table) whereEquals(q Equals) (*Selection, error) {
-	c, err := t.categoricalColumn(q.Column)
-	if err != nil {
-		return nil, err
-	}
-	code, ok := c.codeOf[q.Value]
-	switch {
-	case !ok:
-		return t.stamp(EmptySelection(t.rows)), nil
-	case c.via != nil:
-		return t.whereMapped(c, func(k int) bool { return k == int(code) }), nil
-	case c.width == 1:
-		return t.whereRuns(c.codes8, rangeRuns(int(code), int(code)+1), nil), nil
-	case c.width == 2:
-		return selectEq(t, c.codes16, uint16(code)), nil
-	default:
-		return selectEq(t, c.codes32, code), nil
-	}
-}
-
-// whereIn is the In leaf, specialized per code width: a byte-coded column
-// is scanned as the runs of its code set, a wider one against a bitset sized
-// to its dictionary, a mapped one as the source codes mapping into the set.
-func (t *Table) whereIn(q In) (*Selection, error) {
-	c, err := t.categoricalColumn(q.Column)
-	if err != nil {
-		return nil, err
-	}
-	set := make([]uint64, (len(c.dict)+63)/64)
-	found := false
-	for _, v := range q.Values {
-		if code, ok := c.codeOf[v]; ok {
-			set[code>>6] |= 1 << (code & 63)
-			found = true
-		}
-	}
-	switch {
-	case !found:
-		return t.stamp(EmptySelection(t.rows)), nil
-	case c.via != nil:
-		return t.whereMapped(c, func(k int) bool { return set[k>>6]>>(k&63)&1 != 0 }), nil
-	default:
-		return t.whereSet(c, set), nil
-	}
-}
-
-// whereRange is the Range leaf. On a coded column low <= v < high becomes
-// lo <= code < hi, exactly: lo is the first value >= low, hi the first that
-// is not < high (so a NaN bound, which no value satisfies, yields an empty
-// range by itself), and values of one comparison value are neighbours. A
-// mapped column selects the source codes mapping into the range.
-func (t *Table) whereRange(q Range) (*Selection, error) {
-	c, err := t.numericColumn(q.Column)
-	if err != nil {
-		return nil, err
-	}
-	if c.width != 0 {
-		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] >= q.Low })
-		hi := sort.Search(len(c.values), func(i int) bool { return !(c.values[i] < q.High) })
-		if c.via != nil {
-			return t.whereMapped(c, func(k int) bool { return lo <= k && k < hi }), nil
-		}
-		return t.whereRuns(c.codes8, rangeRuns(lo, hi), nil), nil
-	}
-	if c.Type == Float64 {
-		col := c.floats
-		return t.fillSelection(func(sel *Selection, lo, hi int) int {
-			return fillRangeFloats(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Low, q.High)
-		}), nil
-	}
-	col := c.ints
-	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		return fillRangeInts(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Low, q.High)
-	}), nil
-}
-
-// whereGreater is the GreaterThan leaf; on a coded column v > threshold
-// becomes lo <= code with lo the first value above the threshold.
-func (t *Table) whereGreater(q GreaterThan) (*Selection, error) {
-	c, err := t.numericColumn(q.Column)
-	if err != nil {
-		return nil, err
-	}
-	if c.width != 0 {
-		lo := sort.Search(len(c.values), func(i int) bool { return c.values[i] > q.Threshold })
-		if c.via != nil {
-			return t.whereMapped(c, func(k int) bool { return lo <= k }), nil
-		}
-		return t.whereRuns(c.codes8, rangeRuns(lo, len(c.values)), nil), nil
-	}
-	if c.Type == Float64 {
-		col := c.floats
-		return t.fillSelection(func(sel *Selection, lo, hi int) int {
-			return fillGtFloats(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Threshold)
-		}), nil
-	}
-	col := c.ints
-	return t.fillSelection(func(sel *Selection, lo, hi int) int {
-		return fillGtInts(sel.words[lo/64:(hi+63)/64], col[lo:hi], q.Threshold)
-	}), nil
 }

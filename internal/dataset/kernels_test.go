@@ -700,3 +700,9 @@ func BenchmarkViewFloats(b *testing.B) {
 		})
 	}
 }
+
+// rangeRuns lowers the codes [lo, hi).
+func rangeRuns(lo, hi int) (b byteRuns) {
+	b.add(lo, hi)
+	return b
+}

@@ -231,24 +231,31 @@ func UnmarshalPredicate(data []byte) (Predicate, error) {
 
 // CanonicalPredicateKey returns a canonical string key for the predicate: its
 // JSON wire form with In values sorted and And/Or terms recursively sorted by
-// their own canonical serialization, so semantically equal predicates — In
-// sets written in any order, conjunctions and disjunctions with reordered
-// terms — produce equal keys. It is the cache key of SelectionCache (the wire
-// format produced by MarshalPredicate keeps the author's term order; only the
-// key sorts).
+// their own canonical serialization, so spellings that differ only in the
+// order of In values or of And/Or terms produce equal keys. It sorts, no
+// more: bounds that fall between the same two values of a column, or a
+// repeated term, still key apart. SelectionCache keys by it only what it
+// cannot key by the codes a filter selects (an Or, a Not, a leaf over a wide
+// column). The wire format produced by MarshalPredicate keeps the author's
+// term order; only the key sorts.
 func CanonicalPredicateKey(p Predicate) (string, error) {
-	enc, err := encodePredicate(p)
-	if err != nil {
-		return "", err
-	}
-	if err := canonicalizeTermOrder(enc); err != nil {
-		return "", err
-	}
-	data, err := json.Marshal(enc)
+	data, err := canonicalJSON(p)
 	if err != nil {
 		return "", err
 	}
 	return string(data), nil
+}
+
+// canonicalJSON is CanonicalPredicateKey's bytes.
+func canonicalJSON(p Predicate) ([]byte, error) {
+	enc, err := encodePredicate(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := canonicalizeTermOrder(enc); err != nil {
+		return nil, err
+	}
+	return json.Marshal(enc)
 }
 
 // canonicalizeTermOrder recursively sorts the Terms of every and/or node by

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -81,9 +82,6 @@ func FullSelection(n int) *Selection {
 	s.count = n
 	return s
 }
-
-// EmptySelection returns a selection over n rows with no row set.
-func EmptySelection(n int) *Selection { return newSelection(n) }
 
 // maskTail clears the bits past the last row in the final word, preserving
 // the invariant that unused bits are always zero (Not and Count rely on it).
@@ -233,14 +231,8 @@ func (t *Table) Where(p Predicate) (*Selection, error) {
 		return t.fullSel(), nil
 	}
 	switch q := p.(type) {
-	case Equals:
-		return t.whereEquals(q)
-	case In:
-		return t.whereIn(q)
-	case Range:
-		return t.whereRange(q)
-	case GreaterThan:
-		return t.whereGreater(q)
+	case Equals, In, Range, GreaterThan:
+		return t.whereLeaf(q)
 	case Not:
 		if q.Inner == nil {
 			return nil, fmt.Errorf("dataset: not predicate with nil inner predicate")
@@ -759,24 +751,29 @@ func (t *Table) fullRows() *Selection {
 const selectionCacheBytes = 32 << 20
 
 // SelectionCache memoizes compiled filter bitmaps for one immutable table,
-// keyed by the canonical predicate serialization (CanonicalPredicateKey), so
-// semantically equal filters — including In predicates written with their
-// values in different orders and And/Or trees with reordered terms — share one
-// Selection. Selections are immutable, so a cache may be shared by any number
-// of concurrent sessions exploring the same dataset; all methods are safe for
-// concurrent use.
+// keyed by the codes a filter selects (key): a coded leaf or a conjunction
+// of them keys as its per-column code sets, so the spellings of one
+// selection — bounds anywhere between the same two values of a column, In
+// values in any order, And terms in any order or nesting, a column
+// constrained twice, a joined or derived column's leaf and the source codes
+// it maps to — share one Selection. An Or, a Not or a leaf over a wide
+// column keys as its sorted JSON (CanonicalPredicateKey). Selections are
+// immutable, so a cache may be shared by any number of concurrent sessions
+// exploring the same dataset; all methods are safe for concurrent use.
 //
 // The cache is bounded in bytes, not entries, so its memory does not grow
 // with the table's row count: each entry counts its bitmap ((rows+63)/64
 // words of 8 bytes) plus its key, and an insert evicts arbitrary entries
 // until the total fits a 32 MiB budget — ≈ 894 bitmaps at 300k rows, 89 at
 // 3M. A bitmap larger than the whole budget is still cached, alone.
-// Eviction never affects correctness, only hit rate. Why 32 MiB: bitmaps are
-// reused almost only inside a session, so a few hundred serve the open-loop
-// 300k-row benchmark (http_open_mixed_300k, 2-CPU host) as well as
-// thousands. Its server's peak RSS read 334–339 MB under the former
-// 4,096-entry cap, 156 MB at 64 MiB, 86 MB at 32 MiB and 51 MB at 16 MiB,
-// with CPU per step flat throughout.
+// Eviction never affects correctness, only hit rate. Why 32 MiB: the 16,384
+// filters of the open-loop 300k-row benchmark (http_open_mixed_300k, seed 7,
+// 2-CPU host) select about 608 distinct code sets, ≈ 23 MB of bitmaps, which
+// fit; a 20 s run draws about 470 of them. Its server's peak RSS read 52–53
+// MB at 32 MiB, 51–52 MB at 16 MiB and 52 MB at 64 MiB, with CPU per step
+// flat. Under the former JSON key, which gave each spelling its own bitmap,
+// it read 86–87 MB at 32 MiB (334–339 MB under the 4,096-entry cap before
+// that).
 type SelectionCache struct {
 	table  *Table
 	cap    int // at most this many entries
@@ -827,11 +824,11 @@ func (c *SelectionCache) Table() *Table { return c.table }
 
 // Where returns the selection for the predicate, compiling and caching it on
 // first use. A nil predicate returns the shared full selection (built once —
-// it is on the hot path of every population-vs-filter test); predicates that
-// cannot be canonically serialized are compiled uncached. Every call returns
-// one reference of its own: the caller may Release it once done reading, so
-// that a bitmap the cache has evicted goes back to the table's arena. Not
-// releasing is safe; releasing early or twice is not.
+// it is on the hot path of every population-vs-filter test); a predicate
+// with no key (a leaf that does not lower, see key) compiles uncached. Every
+// call returns one reference of its own: the caller may Release it once done
+// reading, so that a bitmap the cache has evicted goes back to the table's
+// arena. Not releasing is safe; releasing early or twice is not.
 func (c *SelectionCache) Where(p Predicate) (*Selection, error) {
 	sel, _, err := c.whereCached(p)
 	return sel, err
@@ -844,7 +841,8 @@ func (c *SelectionCache) whereCached(p Predicate) (*Selection, string, error) {
 	if p == nil {
 		return c.table.fullRows(), "full", nil
 	}
-	key, err := CanonicalPredicateKey(p)
+	var buf [64]byte
+	key, err := c.key(p, buf[:0])
 	if err != nil {
 		sel, werr := c.table.Where(p)
 		return sel, "uncacheable", werr
@@ -858,14 +856,115 @@ func (c *SelectionCache) whereCached(p Predicate) (*Selection, string, error) {
 	if err != nil {
 		return nil, "miss", err
 	}
-	return c.store(key, sel), "miss", nil
+	return c.store(string(key), sel), "miss", nil
+}
+
+// keyTerm is one leaf of a code-set key: the slot of the column whose codes
+// it selects, how many codes that column has, and its code set,
+// words[lo:hi] of the key's scratch words.
+type keyTerm struct{ slot, codes, lo, hi int }
+
+// Cache keys of the two kinds begin with different bytes, so they cannot
+// collide: a code-set key with codeSetKey, a JSON key with '{'; and every
+// conjunction that selects no code is the one key {emptyKey}.
+const (
+	codeSetKey = 0
+	emptyKey   = 1
+)
+
+// key returns p's cache key, a code-set key appended to dst. A coded leaf,
+// or an And of them at any depth, keys as the codes it selects (lower): per
+// column, in slot order, its leaves' code sets intersected, written as the
+// set's nonzero words; a set of every code is left out, and a set of no code
+// makes the whole key {emptyKey}. So bounds within one gap between a
+// column's values, In values in any order or repeated, And terms in any
+// order or nesting, and a mapped column's leaf and the source codes it maps
+// to each key as one. Any other predicate (an Or, a Not, a leaf over a wide
+// column) keys as CanonicalPredicateKey. A leaf that does not lower returns
+// its error, and the predicate compiles uncached.
+func (c *SelectionCache) key(p Predicate, dst []byte) ([]byte, error) {
+	var termBuf [8]keyTerm
+	var wordBuf [16]uint64
+	terms, words, coded, err := c.codeTerms(p, termBuf[:0], wordBuf[:0])
+	if err != nil {
+		return nil, err
+	}
+	if !coded {
+		return canonicalJSON(p)
+	}
+	slices.SortFunc(terms, func(a, b keyTerm) int { return a.slot - b.slot })
+	start := len(dst)
+	dst = append(dst, codeSetKey)
+	for i := 0; i < len(terms); {
+		term := terms[i]
+		set := words[term.lo:term.hi]
+		for i++; i < len(terms) && terms[i].slot == term.slot; i++ {
+			for j, w := range words[terms[i].lo:terms[i].hi] {
+				set[j] &= w
+			}
+		}
+		n, nonzero := 0, 0
+		for _, w := range set {
+			n += bits.OnesCount64(w)
+			nonzero += int(b2u(w != 0))
+		}
+		switch n {
+		case 0:
+			return append(dst[:start], emptyKey), nil
+		case term.codes:
+			continue
+		}
+		dst = binary.AppendUvarint(dst, uint64(term.slot))
+		dst = binary.AppendUvarint(dst, uint64(nonzero))
+		for j, w := range set {
+			if w != 0 {
+				dst = binary.AppendUvarint(dst, uint64(j))
+				dst = binary.LittleEndian.AppendUint64(dst, w)
+			}
+		}
+	}
+	return dst, nil
+}
+
+// codeTerms lowers p, a coded leaf or an And of them, appending one keyTerm
+// per leaf to terms and its code set to words. coded is false when p holds
+// anything else.
+func (c *SelectionCache) codeTerms(p Predicate, terms []keyTerm, words []uint64) (_ []keyTerm, _ []uint64, coded bool, err error) {
+	switch q := p.(type) {
+	case And:
+		for _, term := range q.Terms {
+			if terms, words, coded, err = c.codeTerms(term, terms, words); !coded || err != nil {
+				return terms, words, coded, err
+			}
+		}
+		return terms, words, true, nil
+	case Equals, In, Range, GreaterThan:
+		lo := len(words)
+		var col *Column
+		if col, words, err = c.table.lower(q, words); err != nil || col.width == 0 {
+			return terms, words, false, err
+		}
+		return append(terms, keyTerm{c.table.slot(col), col.dictLen(), lo, len(words)}), words, true, nil
+	}
+	return terms, words, false, nil
+}
+
+// slot names the column a leaf lowered to in a key: the position of the
+// first of the table's columns whose rows hold its codes, which a mapped
+// column shares with its source.
+func (t *Table) slot(col *Column) int {
+	i := 0
+	for t.columns[i].rows().phys != col.phys {
+		i++
+	}
+	return i
 }
 
 // lookup returns a new reference to the cached selection under key, or nil.
 // It is taken under the lock, so no eviction can recycle the bitmap first.
-func (c *SelectionCache) lookup(key string) *Selection {
+func (c *SelectionCache) lookup(key []byte) *Selection {
 	c.mu.RLock()
-	sel := c.entries[key]
+	sel := c.entries[string(key)]
 	if sel != nil {
 		sel.refs.Add(1)
 	}

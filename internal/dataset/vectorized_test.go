@@ -403,7 +403,7 @@ func TestWhereRejectsNilTerms(t *testing.T) {
 func TestSelectionAlgebra(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 128, 130} {
 		full := FullSelection(n)
-		empty := EmptySelection(n)
+		empty := newSelection(n)
 		if full.Count() != n || empty.Count() != 0 {
 			t.Fatalf("n=%d: full=%d empty=%d", n, full.Count(), empty.Count())
 		}

@@ -13,7 +13,7 @@ import (
 // error classes split out, in-flight back at zero, and the dataset's shared
 // SelectionCache counters present.
 func TestDebugMetricsCounters(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 
 	// Two routed successes on distinct endpoints.
 	var info SessionInfo
@@ -101,14 +101,19 @@ func TestDebugMetricsCounters(t *testing.T) {
 		t.Errorf("selection cache saw no traffic after a filtered step: %+v", cm)
 	}
 	// The one filtered step cached one bitmap; bytes counts its words and
-	// its key, the quantity the cache's byte budget bounds.
-	key, err := dataset.CanonicalPredicateKey(dataset.Equals{Column: "salary_over_50k", Value: "true"})
+	// its key, the quantity the cache's byte budget bounds: what a fresh
+	// cache over the table holds after the same filter.
+	table, err := s.Registry().Get("census")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := dataset.NewSelectionCache(table)
+	if _, err := fresh.Where(dataset.Equals{Column: "salary_over_50k", Value: "true"}); err != nil {
+		t.Fatal(err)
+	}
 	rows := snap.DatasetStorage["census"].Rows
-	if want := (rows+63)/64*8 + len(key); cm.Entries != 1 || cm.Bytes != want {
-		t.Errorf("selection_caches.census = %d entries of %d bytes, want 1 of %d", cm.Entries, cm.Bytes, want)
+	if want := fresh.Bytes(); cm.Entries != 1 || cm.Bytes != want || want <= (rows+63)/64*8 {
+		t.Errorf("selection_caches.census = %d entries of %d bytes, want 1 of %d (a %d-row bitmap and its key)", cm.Entries, cm.Bytes, want, rows)
 	}
 
 	// The morsel-parallel pool's counters travel in the same snapshot. The

@@ -47,9 +47,9 @@ type (
 // hit for every other — the cross-session reuse is sound precisely because
 // the table never changes. The cache holds at most 32 MiB of bitmap and key
 // bytes and evicts arbitrary entries past that, so a dataset's cache costs
-// the same memory at 300k rows as at 3M (≈ 894 bitmaps against 89); the
-// budget took the open-loop 300k-row benchmark's peak RSS from 334–339 MB
-// under the former 4,096-entry cap to 86 MB with CPU flat (see
+// the same memory at 300k rows as at 3M (≈ 894 bitmaps against 89). Keyed
+// by the codes a filter selects, the open-loop 300k-row benchmark's
+// filters fit in it whole, and its peak RSS reads 52–53 MB (see
 // dataset.SelectionCache).
 // Each dataset also carries one shared Selection word arena
 // (dataset.WordArena): filter compiles across every session over the dataset
