@@ -244,7 +244,8 @@ type (
 	ColumnSchema = colstore.ColumnSchema
 	// Schema is the ordered column typing used by the streaming ingesters.
 	Schema = colstore.Schema
-	// RowBuilder streams rows into a snapshot file in O(1) row memory.
+	// RowBuilder streams rows into a snapshot file with a few row batches in
+	// memory, coded on an encoder goroutine of its own.
 	RowBuilder = colstore.RowBuilder
 )
 

@@ -14,10 +14,13 @@
 //	awarestore inspect data.aware                              # header + schema
 //	awarestore verify data.aware                               # full validation
 //
-// build and gen stream: CSV/JSONL ingestion holds O(1) rows in memory
-// (schema inference costs one extra sequential read when -schema is not
-// given), and gen appends generator rows straight to the snapshot builder, so
-// million-row snapshots never materialize a table.
+// build and gen stream through one snapshot builder (colstore.RowBuilder),
+// which holds at most a few row batches in memory: the main goroutine parses
+// CSV/JSONL (schema inference costs one extra sequential read when -schema is
+// not given) or generates census rows and sets their values through the
+// builder's typed setters, while the builder's encoder goroutine codes and
+// spills the batches already filled. Million-row snapshots never materialize
+// a table.
 //
 // verify exits non-zero if the snapshot fails any structural, checksum or
 // dictionary validation — the same validation awared runs at -data startup.
@@ -131,7 +134,8 @@ func cmdBuild(args []string) error {
 	return nil
 }
 
-// cmdGen streams the census generator into a snapshot in O(1) row memory.
+// cmdGen streams the census generator into a snapshot through the builder's
+// typed setters, with a few row batches in memory.
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	rows := fs.Int("rows", 30000, "number of census rows to generate")
@@ -146,7 +150,7 @@ func cmdGen(args []string) error {
 	}
 	cfg := census.Config{Rows: *rows, Seed: *seed, SignalStrength: *signal}
 	if err := census.EachRow(cfg, func(i int, p census.Person) error {
-		return b.Append(p.Row()...)
+		return p.AppendTo(b)
 	}); err != nil {
 		b.Abort()
 		return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"aware/internal/census"
@@ -113,11 +114,13 @@ func TestBuildJSONL(t *testing.T) {
 }
 
 // TestGenMatchesGenerate checks gen's streamed snapshot equals the
-// materialized census table.
+// materialized census table, over three row batches of the builder's
+// pipeline and part of a fourth.
 func TestGenMatchesGenerate(t *testing.T) {
+	const rows = 3*4096 + 7
 	dir := t.TempDir()
 	out := filepath.Join(dir, "census.aware")
-	if err := cmdGen([]string{"-rows", "800", "-seed", "9", "-out", out}); err != nil {
+	if err := cmdGen([]string{"-rows", strconv.Itoa(rows), "-seed", "9", "-out", out}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := dataset.OpenSnapshot(out)
@@ -125,7 +128,7 @@ func TestGenMatchesGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	want, err := census.Generate(census.Config{Rows: 800, Seed: 9, SignalStrength: 1})
+	want, err := census.Generate(census.Config{Rows: rows, Seed: 9, SignalStrength: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,12 +90,18 @@ func Schema() colstore.Schema {
 	}
 }
 
-// Row returns the Person's values in Columns order, typed for
-// colstore.RowBuilder.Append — the bridge that streams the generator into a
-// snapshot in O(1) row memory.
-func (p Person) Row() []any {
-	return []any{p.Gender, p.Age, p.Education, p.MaritalStatus,
-		p.Occupation, p.HoursPerWeek, p.SalaryOver50K}
+// AppendTo appends the Person as one row of a builder over Schema(), through
+// the builder's typed setters — the bridge that streams the generator into a
+// snapshot with no value boxed and a few row batches in memory.
+func (p Person) AppendTo(b *colstore.RowBuilder) error {
+	b.SetString(0, p.Gender)
+	b.SetFloat64(1, p.Age)
+	b.SetString(2, p.Education)
+	b.SetString(3, p.MaritalStatus)
+	b.SetString(4, p.Occupation)
+	b.SetFloat64(5, p.HoursPerWeek)
+	b.SetBool(6, p.SalaryOver50K)
+	return b.EndRow()
 }
 
 // generatePerson draws one census row. The rng call order is the generator's

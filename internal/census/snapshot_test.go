@@ -62,8 +62,8 @@ func TestCensusSnapshotRoundTrip(t *testing.T) {
 
 // TestCensusRowStreamMatchesGenerate streams the generator through a
 // RowBuilder and requires the snapshot to hold exactly the table Generate
-// builds — the bridge awarestore gen uses to write million-row snapshots in
-// O(1) row memory.
+// builds — the bridge (Person.AppendTo) awarestore gen uses to write
+// million-row snapshots without materializing a table.
 func TestCensusRowStreamMatchesGenerate(t *testing.T) {
 	cfg := Config{Rows: 1500, Seed: 3, SignalStrength: 1}
 	dest := filepath.Join(t.TempDir(), "census.aware")
@@ -72,7 +72,7 @@ func TestCensusRowStreamMatchesGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = EachRow(cfg, func(i int, p Person) error {
-		return b.Append(p.Row()...)
+		return p.AppendTo(b)
 	})
 	if err != nil {
 		b.Abort()

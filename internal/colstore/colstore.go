@@ -17,8 +17,10 @@
 //     ingesters: on little-endian unixes the column vectors alias the mmap'd
 //     file, so a multi-gigabyte dataset is served with no parse and no heap
 //     copy, and any number of processes share one page-cache copy.
-//   - IngestCSV / IngestJSONL stream row-oriented text into a snapshot file
-//     in O(1) row memory (see ingest.go).
+//   - RowBuilder streams rows into a snapshot file with a few row batches
+//     in memory: the caller's goroutine produces rows (typed setters,
+//     Append, or IngestCSV / IngestJSONL parsing text) while the builder's
+//     encoder goroutine codes and spills them (see ingest.go).
 //
 // Immutability contract: every slice and map reachable from a Store is
 // read-only after construction. The dataset layer, the snapshot writer and

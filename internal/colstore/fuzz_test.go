@@ -98,3 +98,35 @@ func randomStoreF(f *testing.F, rng *rand.Rand, rows int) *Store {
 	}
 	return st
 }
+
+// FuzzRowBuilder holds every way into a snapshot to one file: a random table
+// over the four kinds, appended to a RowBuilder through Append, through
+// AppendStrings of its formatted rows and through the typed setters, must
+// come out as the bytes Store.WriteSnapshot writes of the same table. kinds
+// and modes pick each column's kind and values (genValue): both zeros, NaN,
+// int64 2^53 and 2^53+1, empty strings, and numeric columns that turn wide
+// on their 257th distinct value at row wide past the first batch edge. Up to
+// three batches and a few rows go in, so every batch edge is crossed.
+func FuzzRowBuilder(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3}, []byte{1, 1, 1, 0}, uint16(batchRows+300), uint16(5))
+	f.Add(int64(2), []byte{0, 0, 1, 2, 3, 1}, []byte{0, 3, 0, 2, 0, 1}, uint16(3*batchRows+7), uint16(0))
+	f.Add(int64(3), []byte{2}, []byte{0}, uint16(1), uint16(0))
+	f.Add(int64(3), []byte{2, 2}, []byte{0, 2}, uint16(batchRows+9), uint16(0))
+	f.Add(int64(4), []byte{3, 1}, []byte{0, 2}, uint16(0), uint16(0))
+	f.Add(int64(5), []byte{0}, []byte{1}, uint16(batchRows), uint16(batchRows-1))
+	f.Fuzz(func(t *testing.T, seed int64, kinds, modes []byte, rows, wide uint16) {
+		ks := make([]Kind, 1+len(kinds)%6)
+		ms := make([]int, len(ks))
+		for i := range ks {
+			if i < len(kinds) {
+				ks[i] = Kind(kinds[i] % numKinds)
+			}
+			if i < len(modes) {
+				ms[i] = int(modes[i])
+			}
+		}
+		n := int(rows) % (3*batchRows + 8)
+		tt := genTable(rand.New(rand.NewSource(seed)), ks, ms, n, batchRows+int(wide)%batchRows)
+		sameSnapshots(t, snapshotsOf(t, tt))
+	})
+}
